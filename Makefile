@@ -12,7 +12,7 @@ export PYTHONPATH
 JOBS ?=
 JOBS_FLAG := $(if $(JOBS),--jobs $(JOBS),)
 
-.PHONY: test test-slow lint bench-smoke bench-gate scale-smoke fleet-smoke profile-smoke chaos-smoke metrics-smoke bench perf-baseline perf micro
+.PHONY: test test-slow lint bench-smoke bench-gate scale-smoke fleet-smoke profile-smoke chaos-smoke metrics-smoke hostbench-smoke hostbench bench perf-baseline perf micro
 
 test:            ## tier-1 suite (the ROADMAP verify command)
 	python -m pytest -x -q
@@ -44,6 +44,13 @@ chaos-smoke:     ## fault-injection sweep: bit-identical recovery on a small mat
 
 metrics-smoke:   ## watchdog self-check + metered bit-identity + export round-trip
 	python -m repro.metrics smoke $(JOBS_FLAG)
+
+hostbench-smoke: ## host-time benchmark, quick report + its self-test (see BENCHMARK.json)
+	python benchmarks/hostbench/run.py --quick
+	python benchmarks/hostbench/test_hostbench.py
+
+hostbench:       ## host-time benchmark, full report: 7 workloads + per-layer ledger (~2.5 min)
+	python benchmarks/hostbench/run.py
 
 bench:           ## regenerate every paper figure
 	python -m pytest benchmarks/ --benchmark-only

@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.profile.phases import PH_NET_TX
+
 
 @dataclass(slots=True)
 class Message:
@@ -116,27 +118,8 @@ class Network:
         # NIC serialisation: holds the transmit engine for nbytes/bandwidth.
         tx_time = nbytes / ic.bandwidth
         t0 = self.sim.now
-        prof = self.sim.prof
-        if prof is None:
-            yield from node.nic_tx.execute(tx_time)
-        else:
-            from repro.profile.phases import PH_NET_TX
-
-            # same event sequence as nic_tx.execute, with the engine-queue
-            # wait and the transmit occupancy phased separately
-            req = node.nic_tx.request()
-            prof.push(PH_NET_TX)
-            try:
-                yield req
-            except BaseException:
-                prof.pop()
-                raise
-            prof.replace(PH_NET_TX, active=True)
-            try:
-                yield self.sim.timeout(tx_time)
-            finally:
-                prof.pop()
-                node.nic_tx.release(req)
+        # the engine-queue wait and the transmit occupancy are both net-tx
+        yield from node.nic_tx.execute(tx_time, 0, PH_NET_TX, PH_NET_TX)
         if tr is not None:
             tr.span("net", "nic-tx", t0, node=src, dst=dst, nbytes=nbytes, seq=msg.seq)
         ch = self.sim.chaos

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.sim import Resource, Store, Timeout
+from repro.profile.phases import PH_COMPUTE, PH_CPU_WAIT
+from repro.sim import Event, Resource, Store
 
 
 class Node:
@@ -30,10 +31,8 @@ class Node:
         self.compute_time = 0.0
         self.overhead_time = 0.0
 
-    # compute/busy_cpu are the two hottest generators in the simulator
-    # (one per CPU burst); Resource.execute is inlined to save a
-    # delegation frame per burst — the event sequence (request grant,
-    # timeout, release) is identical.
+    # CPU bursts return Resource.execute's generator directly (no frame of
+    # their own per burst); it picks the kernel-resident or generator path.
     def compute(self, work_units: float, priority: int = 0):
         """Generator: occupy one CPU for *work_units* of application work."""
         # same float expression as config.compute_seconds, but through the
@@ -41,60 +40,31 @@ class Node:
         # compute bursts too (the cached factor equals the config's)
         seconds = work_units * self.config.seconds_per_work_unit / self.speed_factor
         self.compute_time += seconds
-        req = self.cpus.request(priority=priority)
-        prof = self.sim.prof
-        if prof is None:
-            yield req
-            try:
-                yield Timeout(self.sim, seconds)
-            finally:
-                self.cpus.release(req)
-        else:
-            from repro.profile.phases import PH_COMPUTE, PH_CPU_WAIT
-
-            prof.push(PH_CPU_WAIT)
-            try:
-                yield req
-            except BaseException:
-                prof.pop()
-                raise
-            prof.replace(PH_COMPUTE, active=True)
-            try:
-                yield Timeout(self.sim, seconds)
-            finally:
-                prof.pop()
-                self.cpus.release(req)
+        return self.cpus.execute(seconds, priority, PH_CPU_WAIT, PH_COMPUTE)
 
     def busy_cpu(self, seconds: float, priority: int = 0):
         """Generator: occupy one CPU for raw protocol-overhead *seconds*
-        (already expressed in wall time; scaled by CPU speed)."""
+        (already expressed in wall time; scaled by CPU speed).  A profiler
+        charges the burst to the *enclosing* phase (diff work under flush,
+        spin under lock-wait ...), marked active."""
         scaled = seconds / self.speed_factor
         self.overhead_time += scaled
-        req = self.cpus.request(priority=priority)
-        prof = self.sim.prof
-        if prof is None:
-            yield req
-            try:
-                yield Timeout(self.sim, scaled)
-            finally:
-                self.cpus.release(req)
-        else:
-            from repro.profile.phases import PH_CPU_WAIT
+        return self.cpus.execute(scaled, priority, PH_CPU_WAIT)
 
-            # the burst itself is charged to the *enclosing* phase (diff
-            # work under flush, spin under lock-wait ...), marked active
-            prof.push(PH_CPU_WAIT)
-            try:
-                yield req
-            except BaseException:
-                prof.pop()
-                raise
-            prof.replace_busy()
-            try:
-                yield Timeout(self.sim, scaled)
-            finally:
-                prof.pop()
-                self.cpus.release(req)
+    def spin_cpu(self, seconds: float, until: Event):
+        """Generator: busy-wait — :meth:`busy_cpu` slices of *seconds*
+        back to back until *until* has been triggered."""
+
+        def next_slice():
+            if until.triggered:
+                return None
+            scaled = seconds / self.speed_factor
+            self.overhead_time += scaled
+            return scaled
+
+        first = next_slice()
+        if first is not None:
+            yield from self.cpus.execute(first, 0, PH_CPU_WAIT, again=next_slice)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.id} ({self.config.cpu_mhz[self.id]} MHz x{self.config.cpus_per_node})>"

@@ -1890,8 +1890,7 @@ class DsmNode:
             )
             if self.config.lock_spin:
                 # KDSM busy-wait client: burn CPU slices until granted (§6.1).
-                while not ev.triggered:
-                    yield from self.node.busy_cpu(self.config.spin_slice)
+                yield from self.node.spin_cpu(self.config.spin_slice, ev)
             granted = yield ev
         finally:
             if prof is not None:

@@ -16,13 +16,14 @@ Public surface::
 
     yield sim.timeout(1e-6)          # advance virtual time
     yield some_event                 # wait for another event
+    yield from cpu.execute(2e-6)     # occupy a Resource for a while
     value = yield from subroutine()  # compose generators
 """
 
 from repro.sim.events import Event, Timeout, AllOf, AnyOf, Interrupted
 from repro.sim.process import Process
 from repro.sim.core import Simulator
-from repro.sim.resources import Resource, Request, Preempted
+from repro.sim.resources import Resource, Request, Hold, Preempted
 from repro.sim.store import Store
 from repro.sim.sync import Mutex, ConditionVar, SimBarrier, Semaphore, Latch
 
@@ -36,6 +37,7 @@ __all__ = [
     "Simulator",
     "Resource",
     "Request",
+    "Hold",
     "Preempted",
     "Store",
     "Mutex",

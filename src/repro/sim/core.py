@@ -8,12 +8,24 @@ Zero-delay events — the bulk of the schedule (every ``succeed``, resource
 grant, message hand-off, process start and termination) — bypass the
 heap: they are appended to per-priority deques, which are already sorted
 because appends happen at the current (nondecreasing) ``now`` with an
-increasing sequence number and one fixed priority each.
-:meth:`Simulator.step` pops the lexicographic minimum of the heap top and
-the deque fronts, so the processed order is exactly the
-(time, priority, sequence) total order of a pure-heap schedule — O(1)
-instead of O(log n) for the common case, same interleaving.  The heap is
+increasing sequence number and one fixed priority each.  The heap is
 left holding only true timeouts, which also makes its operations cheaper.
+
+**Pop-order rule.**  No delay is negative, so nothing is ever scheduled
+in the past, and virtual time only advances by popping the heap while
+both deques are empty.  Hence *every deque entry is at* ``time == now``,
+the urgent front beats the immediate front whenever both exist, and the
+next event is the smaller of the heap top and **one** deque front (the
+urgent one if present, else the immediate one; the heap top wins only a
+same-instant tie on priority/sequence).  That is exactly the
+``(time, priority, sequence)`` total order of a pure-heap schedule —
+O(1) instead of O(log n) for the common case, same interleaving.
+
+The rule is written once, in :meth:`Simulator._loop`: the fused loop
+behind :meth:`~Simulator.run`, :meth:`~Simulator.run_until_complete` and
+the single-event :meth:`~Simulator.step`, which pops, dispatches
+callbacks and checks for unhandled failures inline with the queues held
+in locals.
 """
 
 from __future__ import annotations
@@ -42,6 +54,29 @@ class UnhandledProcessError(SimulationError):
         self.cause = cause
 
 
+class _Never:
+    """Stop sentinel of a plain :meth:`Simulator.run`: never processed."""
+
+    callbacks = ()
+
+
+class _AfterOne:
+    """Stop sentinel of :meth:`Simulator.step`: reads as processed from
+    the second time the loop looks."""
+
+    looked = False
+
+    @property
+    def callbacks(self):
+        if self.looked:
+            return None
+        self.looked = True
+        return ()
+
+
+_NEVER = _Never()
+
+
 class Simulator:
     """Deterministic discrete-event simulator."""
 
@@ -49,7 +84,7 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list = []
         #: zero-delay NORMAL / URGENT events; each sorted by construction
-        #: (see module docstring), merged with the heap at :meth:`step`
+        #: and always at ``time == now`` (see module docstring)
         self._immediate: deque = deque()
         self._urgent: deque = deque()
         self._seq = itertools.count()
@@ -71,7 +106,7 @@ class Simulator:
         #: pays one load and one compare per message.
         self.chaos = None
         #: attached :class:`repro.metrics.Metrics`, or None.  Same
-        #: zero-cost-when-detached contract as :attr:`trace`; the step
+        #: zero-cost-when-detached contract as :attr:`trace`; the event
         #: loop below and hook sites across the stack guard on it.
         self.metrics = None
         #: the :class:`Process` currently advancing its generator; tracing
@@ -97,6 +132,9 @@ class Simulator:
             if priority == URGENT:
                 self._urgent.append((self.now, URGENT, next(self._seq), event))
                 return
+        elif delay < 0:
+            # an entry in the past would break the pop-order rule
+            raise ValueError(f"negative schedule delay {delay!r}")
         _heappush(self._heap, (self.now + delay, priority, next(self._seq), event))
 
     def peek(self) -> float:
@@ -110,77 +148,96 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event."""
+        self._loop(_AfterOne(), None)
+
+    def _loop(self, stop, bound: Optional[float]) -> bool:
+        """The fused event loop: process events until *stop* is processed.
+
+        Returns ``False`` once ``stop.callbacks is None``; returns ``True``
+        without advancing when the next event lies beyond *bound*; raises
+        :class:`EmptySchedule` when the schedule drains first.
+        """
         heap = self._heap
         urg = self._urgent
         imm = self._immediate
-        # seq numbers are unique, so the 4-tuple comparisons never reach
-        # the (unorderable) Event element
-        best = heap[0] if heap else None
-        src = heap
-        if urg and (best is None or urg[0] < best):
-            best = urg[0]
-            src = urg
-        if imm and (best is None or imm[0] < best):
-            best = imm[0]
-            src = imm
-        if best is None:
-            raise EmptySchedule()
-        if src is heap:
-            t, _prio, _seq, event = _heappop(heap)
-        else:
-            t, _prio, _seq, event = src.popleft()
-        self.now = t
-        callbacks, event.callbacks = event.callbacks, None
-        self._n_processed += 1
-        tr = self.trace
-        if tr is not None:
-            tr.on_step(len(heap) + len(urg) + len(imm))
-        mx = self.metrics
-        if mx is not None:
-            mx.on_step(t, len(heap) + len(urg) + len(imm))
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not event._defused:
-            cause = event._value
-            label = getattr(event, "label", event.name or repr(event))
-            raise UnhandledProcessError(label, cause) from cause
+        pop = _heappop
+        # The processed-event counter must be exact whenever an observer
+        # hook reads it, so it is batched into a local only for runs that
+        # enter the loop with neither hook consumer attached.
+        observed = self.trace is not None or self.metrics is not None
+        n = 0
+        try:
+            while stop.callbacks is not None:
+                if urg:
+                    if heap and heap[0] < urg[0]:
+                        event = pop(heap)[3]
+                    else:
+                        event = urg.popleft()[3]
+                elif imm:
+                    if heap and heap[0] < imm[0]:
+                        event = pop(heap)[3]
+                    else:
+                        event = imm.popleft()[3]
+                elif heap:
+                    if bound is not None and heap[0][0] > bound:
+                        return True
+                    self.now, _prio, _seq, event = pop(heap)
+                else:
+                    raise EmptySchedule()
+                callbacks = event.callbacks
+                event.callbacks = None
+                if observed:
+                    self._n_processed += 1
+                    tr = self.trace
+                    if tr is not None:
+                        tr.on_step(len(heap) + len(urg) + len(imm))
+                    mx = self.metrics
+                    if mx is not None:
+                        mx.on_step(self.now, len(heap) + len(urg) + len(imm))
+                else:
+                    n += 1
+                for cb in callbacks:
+                    cb(event)
+                if not event._ok and not event._defused:
+                    cause = event._value
+                    label = getattr(event, "label", event.name or repr(event))
+                    raise UnhandledProcessError(label, cause) from cause
+            return False
+        finally:
+            self._n_processed += n
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or virtual time exceeds *until*."""
         if until is not None and until < self.now:
             raise ValueError(f"until={until} is in the past (now={self.now})")
-        while self._heap or self._urgent or self._immediate:
-            if until is not None and self.peek() > until:
+        try:
+            if self._loop(_NEVER, until):
                 self.now = until
-                return
-            self.step()
+        except EmptySchedule:
+            pass
 
     def run_until_complete(self, process: Process, limit: Optional[float] = None) -> Any:
         """Run until *process* terminates; return its value or re-raise.
 
         *limit* bounds virtual time as a deadlock guard.
         """
-        step = self.step
-        # process.callbacks is None <=> process.processed — checked raw to
-        # skip two property dispatches per event in this innermost loop.
-        # An empty schedule surfaces as EmptySchedule from step() rather
-        # than being pre-checked, keeping the no-limit loop at two
-        # attribute loads per event.
-        while process.callbacks is not None:
-            if limit is not None and self.peek() > limit:
+        try:
+            # a limit already behind `now` cannot be met; past that only a
+            # heap pop advances time, which _loop guards
+            if (
+                limit is not None and self.now > limit and not process.processed
+            ) or self._loop(process, limit):
                 raise SimulationError(
                     f"virtual time limit {limit} exceeded waiting for {process.label!r}"
                 )
-            try:
-                step()
-            except EmptySchedule:
-                raise SimulationError(
-                    f"deadlock: schedule drained but {process.label!r} never finished"
-                ) from None
-            except UnhandledProcessError:
-                if process.triggered and not process.ok:
-                    raise process.value
-                raise
+        except EmptySchedule:
+            raise SimulationError(
+                f"deadlock: schedule drained but {process.label!r} never finished"
+            ) from None
+        except UnhandledProcessError:
+            if process.triggered and not process.ok:
+                raise process.value
+            raise
         if not process.ok:
             raise process.value
         return process.value
@@ -188,3 +245,4 @@ class Simulator:
     @property
     def events_processed(self) -> int:
         return self._n_processed
+

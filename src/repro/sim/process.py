@@ -18,7 +18,7 @@ from repro.sim.events import Event, Interrupted, NORMAL, PENDING, URGENT
 class Process(Event):
     """An event that fires when its generator terminates."""
 
-    __slots__ = ("_gen", "_target", "label")
+    __slots__ = ("_gen", "_target", "_wake", "label")
 
     def __init__(self, sim, generator, label: str = ""):
         if not isinstance(generator, GeneratorType):
@@ -29,13 +29,16 @@ class Process(Event):
         super().__init__(sim)
         self._gen = generator
         self._target: Optional[Event] = None
+        #: the bound resume callback, created once: every block appends it
+        #: to the awaited event's callbacks
+        self._wake = self._resume
         self.label = label or getattr(generator, "__name__", "process")
         # Kick-start at current time.
         init = Event(sim, name=f"init:{self.label}")
         init._ok = True
         init._value = None
         sim.schedule(init, delay=0.0, priority=URGENT)
-        init.add_callback(self._resume)
+        init.add_callback(self._wake)
 
     @property
     def is_alive(self) -> bool:
@@ -55,7 +58,7 @@ class Process(Event):
         ev._value = Interrupted(cause)
         ev._defused = True
         self.sim.schedule(ev, delay=0.0, priority=URGENT)
-        ev.add_callback(self._resume)
+        ev.add_callback(self._wake)
 
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -63,13 +66,14 @@ class Process(Event):
             # Interrupted after termination or double-resume: ignore.
             return
         # Detach from a previous target when resumed by an interrupt.
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
+        target = self._target
+        if target is not None:
+            self._target = None
+            if target is not event and target.callbacks is not None:
                 try:
-                    self._target.callbacks.remove(self._resume)
+                    target.callbacks.remove(self._wake)
                 except ValueError:
                     pass
-        self._target = None
 
         sim = self.sim
         tr = sim.trace
@@ -124,7 +128,7 @@ class Process(Event):
                     event = next_ev
                     continue
 
-                cbs.append(self._resume)
+                cbs.append(self._wake)
                 self._target = next_ev
                 if tr is not None:
                     tr.instant(

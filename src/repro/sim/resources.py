@@ -2,15 +2,33 @@
 
 Used to model CPUs (capacity = cores per node), NIC transmit engines
 (capacity 1 → serialisation), and pthread mutexes.
+
+A timed occupancy — request, hold for a duration, release — is the
+simulator's most frequent operation (one per protocol CPU burst, message
+end and busy-wait slice).  :meth:`Resource.execute` runs it one of two
+ways with the *same schedule*:
+
+* **generator path** — ``yield request; yield Timeout; release``: the
+  process is resumed at the grant and again at the end.  Taken whenever
+  ``sim.trace`` or ``sim.prof`` is attached, because those resume/block
+  instants and the profiler's wait→busy phase switch are observable.
+* **kernel-resident path** — a :class:`Hold`: the grant is consumed by a
+  kernel callback instead of a process resume, so the process is resumed
+  once, at the end.  The grant marker takes the queue slot and sequence
+  number the grant event would have taken and its callback schedules the
+  timeout with the next sequence number, exactly as the resumed generator
+  would; every other process sees the same events in the same order.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.sim.events import Event, PENDING, SimulationError
+from repro.sim.events import Event, NORMAL, PENDING, SimulationError, Timeout
+
+_heappush = heapq.heappush
 
 
 class Preempted(SimulationError):
@@ -20,12 +38,11 @@ class Preempted(SimulationError):
 class Request(Event):
     """Grant event for a resource request; fires when capacity is assigned."""
 
-    __slots__ = ("resource", "priority", "key")
+    __slots__ = ("resource", "priority", "granted_at")
 
     def __init__(self, resource: "Resource", priority: int):
         # Event.__init__ inlined (with the name precomputed by the
-        # resource): requests are the single hottest event allocation,
-        # one per CPU burst
+        # resource): requests are among the hottest event allocations
         self.sim = resource.sim
         self.callbacks = []
         self._value = PENDING
@@ -34,6 +51,106 @@ class Request(Event):
         self.name = resource._req_name
         self.resource = resource
         self.priority = priority
+
+    def _granted(self) -> None:
+        self.succeed(self)
+
+
+class _HoldEntry:
+    """Queue entry of a :class:`Hold`: first its grant marker, then its
+    timeout.  Quacks like a successful event for the event loop."""
+
+    __slots__ = ("callbacks", "hold")
+    _ok = True
+
+
+def _hold_start(entry: _HoldEntry) -> None:
+    """Grant marker processed: start the timed occupancy — what the
+    generator path does when the grant event resumes it."""
+    hold = entry.hold
+    sim = hold.sim
+    entry.callbacks = _HOLD_END
+    duration = hold.duration
+    if duration > 0.0:
+        _heappush(sim._heap, (sim.now + duration, NORMAL, next(sim._seq), entry))
+    elif duration == 0.0:
+        sim._immediate.append((sim.now, NORMAL, next(sim._seq), entry))
+    else:  # from ``again``; an entry in the past would corrupt the schedule
+        raise ValueError(f"negative hold duration {duration!r}")
+
+
+def _hold_end(entry: _HoldEntry) -> None:
+    """Timeout processed: release, then re-arm the next slice or resume
+    the waiters synchronously — the generator path's ``finally`` followed
+    by whatever the process does next."""
+    hold = entry.hold
+    resource = hold.resource
+    resource.release(hold)
+    again = hold.again
+    if again is not None:
+        duration = again()
+        if duration is not None:
+            hold.duration = duration
+            resource._submit(hold)
+            return
+    entry.hold = None  # finished; also unties the hold <-> entry cycle
+    hold._ok = True
+    hold._value = None
+    callbacks, hold.callbacks = hold.callbacks, None
+    for cb in callbacks:
+        cb(hold)
+
+
+_HOLD_START = (_hold_start,)
+_HOLD_END = (_hold_end,)
+
+
+class Hold(Request):
+    """Kernel-resident burst: occupy one unit of *resource* for *duration*.
+
+    The hold is its own resource request.  A process yields it and is
+    resumed once, when the occupancy ends and the unit has been released.
+    With *again* set, the end of each occupancy calls ``again()``: a
+    returned duration re-requests the resource for another slice (a
+    busy-wait loop), ``None`` ends the hold.
+
+    A process that stops waiting on a hold (interrupt, generator close)
+    must :meth:`cancel` it.
+    """
+
+    __slots__ = ("duration", "again", "_entry")
+
+    def __init__(
+        self,
+        resource: "Resource",
+        duration: float,
+        priority: int = 0,
+        again: Optional[Callable[[], Optional[float]]] = None,
+    ):
+        if duration < 0:
+            raise ValueError(f"negative hold duration {duration!r}")
+        Request.__init__(self, resource, priority)
+        self.duration = duration
+        self.again = again
+        entry = self._entry = _HoldEntry()
+        entry.hold = self
+        resource._submit(self)
+
+    def _granted(self) -> None:
+        entry = self._entry
+        entry.callbacks = _HOLD_START
+        sim = self.sim
+        sim._immediate.append((sim.now, NORMAL, next(sim._seq), entry))
+
+    def cancel(self) -> None:
+        """Abandon the hold in whatever state it is in: leave the queue or
+        give the unit back.  Its pending queue entry, if any, still counts
+        as an event but does nothing."""
+        entry = self._entry
+        if entry.hold is self:  # neither finished nor cancelled yet
+            entry.hold = None
+            entry.callbacks = ()
+            self.resource.relinquish(self)
 
 
 class Resource:
@@ -61,7 +178,6 @@ class Resource:
         self._seq = itertools.count()
         # statistics
         self.total_busy_time = 0.0
-        self._grant_times: dict = {}
         self.n_grants = 0
 
     # ------------------------------------------------------------------
@@ -76,19 +192,20 @@ class Resource:
 
     def request(self, priority: int = 0) -> Request:
         req = Request(self, priority)
+        self._submit(req)
+        return req
+
+    def _submit(self, req: Request) -> None:
         if len(self.users) < self.capacity and not self._queue:
             self._grant(req)
         else:
-            heapq.heappush(self._queue, (priority, next(self._seq), req))
-        return req
+            _heappush(self._queue, (req.priority, next(self._seq), req))
 
     def release(self, request: Request) -> None:
         if request not in self.users:
             raise SimulationError(f"release of non-held request on {self.name}")
         self.users.discard(request)
-        start = self._grant_times.pop(request, None)
-        if start is not None:
-            self.total_busy_time += self.sim.now - start
+        self.total_busy_time += self.sim.now - request.granted_at
         while self._queue and len(self.users) < self.capacity:
             _, _, req = heapq.heappop(self._queue)
             self._grant(req)
@@ -98,21 +215,67 @@ class Resource:
         self._queue = [entry for entry in self._queue if entry[2] is not request]
         heapq.heapify(self._queue)
 
+    def relinquish(self, request: Request) -> None:
+        """Give *request* up whatever its state: granted ⇒ release, still
+        queued ⇒ cancel.  The one rule for a process that stops waiting."""
+        if request in self.users:
+            self.release(request)
+        else:
+            self.cancel(request)
+
     def _grant(self, req: Request) -> None:
         self.users.add(req)
-        self._grant_times[req] = self.sim.now
+        req.granted_at = self.sim.now
         self.n_grants += 1
-        req.succeed(req)
+        req._granted()
 
     # -- convenience ----------------------------------------------------
-    def execute(self, duration: float, priority: int = 0):
-        """Hold one capacity unit for *duration* virtual seconds."""
-        req = self.request(priority=priority)
-        yield req
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            self.release(req)
+    def execute(
+        self,
+        duration: float,
+        priority: int = 0,
+        wait_phase: Optional[str] = None,
+        busy_phase: Optional[str] = None,
+        again: Optional[Callable[[], Optional[float]]] = None,
+    ):
+        """Hold one capacity unit for *duration* virtual seconds; with
+        *again*, keep re-requesting for the durations it returns until it
+        returns ``None`` (see :class:`Hold`).
+
+        Under an attached profiler the queue wait is charged to
+        *wait_phase* and the occupancy to *busy_phase* (``None``: the
+        enclosing phase, marked active).  This is the one place that
+        picks between the two burst paths of the module docstring.
+        """
+        sim = self.sim
+        prof = sim.prof
+        if prof is None and sim.trace is None:
+            hold = Hold(self, duration, priority, again)
+            try:
+                yield hold
+            except BaseException:
+                hold.cancel()
+                raise
+            return
+        if wait_phase is None:
+            prof = None
+        while duration is not None:
+            req = self.request(priority)
+            if prof is not None:
+                prof.push(wait_phase)
+            try:
+                yield req
+                if prof is not None:
+                    if busy_phase is None:
+                        prof.replace_busy()
+                    else:
+                        prof.replace(busy_phase, active=True)
+                yield Timeout(sim, duration)
+            finally:
+                if prof is not None:
+                    prof.pop()
+                self.relinquish(req)
+            duration = again() if again is not None else None
 
     @property
     def utilization_until_now(self) -> float:
@@ -120,6 +283,6 @@ class Resource:
         if self.sim.now <= 0:
             return 0.0
         busy = self.total_busy_time + sum(
-            self.sim.now - t for t in self._grant_times.values()
+            self.sim.now - req.granted_at for req in self.users
         )
         return busy / (self.capacity * self.sim.now)

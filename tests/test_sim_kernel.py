@@ -297,3 +297,95 @@ def test_events_processed_counter(sim):
     sim.process(proc())
     sim.run()
     assert sim.events_processed >= 3  # init + 2 timeouts
+
+
+def test_negative_schedule_delay_rejected(sim):
+    with pytest.raises(ValueError):
+        sim.schedule(sim.event(), delay=-1e-9)
+    assert sim.peek() == float("inf")
+
+
+def _random_schedule(sim, seed, log):
+    """Seed a mixed schedule: timeouts (zero, tiny, colliding), raw
+    ``schedule`` calls on both deques and the heap, and processes that
+    keep adding more of each as they run."""
+    import random
+
+    from repro.sim.events import NORMAL, URGENT
+
+    rng = random.Random(seed)
+    delays = (0.0, 0.0, 1e-9, 0.5, 0.5, 1.0, 1.5)
+
+    def note(tag):
+        return lambda ev: log.append((tag, sim.now))
+
+    def proc(i):
+        for k in range(6):
+            yield sim.timeout(rng.choice(delays))
+            log.append((f"p{i}.{k}", sim.now))
+            ev = sim.event()
+            ev.add_callback(note(f"p{i}.{k}.ev"))
+            if rng.random() < 0.5:
+                ev.succeed(priority=rng.choice((NORMAL, URGENT)))
+            else:
+                ev._ok, ev._value = True, None
+                # priority 2 at zero delay goes to the heap, at time == now
+                sim.schedule(ev, rng.choice(delays), rng.choice((URGENT, NORMAL, 2)))
+
+    for i in range(5):
+        sim.process(proc(i), label=f"p{i}")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_deque_entries_are_always_at_now(seed):
+    """The pop-order rule's premise: nothing is ever queued in the past,
+    so a non-empty deque means the next event is at ``now``."""
+    sim = Simulator()
+    _random_schedule(sim, seed, [])
+    steps = 0
+    while sim.peek() != float("inf"):
+        for queue in (sim._urgent, sim._immediate):
+            assert all(entry[0] == sim.now for entry in queue)
+        if sim._urgent or sim._immediate:
+            assert sim.peek() == sim.now
+        else:
+            assert sim.peek() >= sim.now
+        sim.step()
+        steps += 1
+    assert steps == sim.events_processed > 60
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_step_and_run_drain_in_the_same_order(seed):
+    logs = []
+    for drive in ("step", "run", "run_until"):
+        sim = Simulator()
+        log = []
+        _random_schedule(sim, seed, log)
+        if drive == "step":
+            while sim.peek() != float("inf"):
+                sim.step()
+        elif drive == "run":
+            sim.run()
+        else:  # stop and restart the fused loop at every half second
+            for k in range(1, 40):
+                sim.run(until=k * 0.5)
+            assert sim.peek() == float("inf")
+        logs.append((log, sim.events_processed))
+    assert logs[0] == logs[1]
+    assert logs[0] == logs[2]
+
+
+def test_events_processed_is_exact_inside_observer_hooks(sim):
+    """An attached ``on_step`` consumer sees the counter already include
+    the event being dispatched, on every event, through the fused loop."""
+    seen = []
+
+    class Meter:
+        def on_step(self, now, pending):
+            seen.append(sim.events_processed)
+
+    sim.metrics = Meter()
+    _random_schedule(sim, 0, [])
+    sim.run()
+    assert seen == list(range(1, sim.events_processed + 1))

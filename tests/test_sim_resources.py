@@ -128,6 +128,57 @@ def test_resource_cancel_queued_request(sim):
     assert granted == [False]
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["hold", "generator"])
+@pytest.mark.parametrize("when", ["queued", "granted", "holding"])
+def test_interrupted_waiter_gives_the_unit_back(sim, traced, when):
+    """A process interrupted while queued for, just granted, or occupying
+    a resource must not leave its request behind (it used to: the unit
+    leaked and later requesters never ran)."""
+    from repro.sim import Interrupted
+    from repro.trace import TraceRecorder
+
+    if traced:  # an attached recorder selects the generator burst path
+        TraceRecorder(sim)
+    res = Resource(sim, capacity=1)
+    log = []
+
+    def holder():
+        yield from res.execute(5.0)
+        log.append(("holder", sim.now))
+
+    def victim():
+        try:
+            yield from res.execute(1.0)
+        except Interrupted:
+            log.append(("interrupted", sim.now))
+
+    def later():
+        yield sim.timeout(6.0)
+        yield from res.execute(1.0)
+        log.append(("later", sim.now))
+
+    def driver():
+        if when == "queued":
+            sim.process(holder())
+            v = sim.process(victim())
+            yield sim.timeout(1.0)
+        else:
+            v = sim.process(victim())
+            # "granted": the victim has requested (granted synchronously)
+            # but its grant entry has not been processed yet — the URGENT
+            # interrupt overtakes it; "holding": mid-occupancy
+            yield sim.timeout(0.0 if when == "granted" else 0.5)
+        v.interrupt()
+
+    sim.process(driver())
+    sim.process(later())
+    sim.run()
+    t_interrupt = {"queued": 1.0, "granted": 0.0, "holding": 0.5}[when]
+    assert ("interrupted", t_interrupt) in log
+    assert ("later", 7.0) in log
+    assert res.count == 0 and res.queue_length == 0
+
+
 # ---------------------------------------------------------------- Store
 def test_store_fifo_order(sim):
     box = Store(sim)
