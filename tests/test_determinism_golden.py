@@ -143,3 +143,123 @@ def test_repeat_run_is_bit_identical():
     assert res_a.elapsed == res_b.elapsed
     assert res_a.dsm_stats == res_b.dsm_stats
     assert _trace_digest(rec_a.events) == _trace_digest(rec_b.events)
+
+
+# ----------------------------------------------------------------------
+# observer goldens: every observer's output, all four attached to one run
+# ----------------------------------------------------------------------
+#: attach order of the committed goldens; any order must give the same
+#: snapshot (tests/test_probe.py runs a second one)
+OBSERVER_ORDER = ("trace", "sanitizer", "profile", "metrics")
+
+OBSERVER_GOLDENS = {
+    "cg": GOLDEN_DIR / "observers_cg_4node.json",
+    "sync": GOLDEN_DIR / "observers_sync_sdsm_4node.json",
+}
+
+
+def _cg_workload():
+    from repro.apps import cg
+
+    rt = ParadeRuntime(n_nodes=N_NODES, pool_bytes=1 << 22)
+    return rt, cg.make_program("T", niter=2)
+
+
+def _sync_workload(iters: int = 6):
+    """The Fig 6/7 ``critical`` + ``single`` loops under the conventional
+    translation: the KDSM distributed-lock / busy-wait path."""
+    from repro.mpi.ops import SUM
+
+    rt = ParadeRuntime(n_nodes=N_NODES, mode="sdsm", pool_bytes=1 << 20)
+
+    def program(ctx):
+        x = ctx.shared_scalar("obs_x")
+        v = ctx.shared_scalar("obs_v")
+
+        def critical_loop(tc, x):
+            for _ in range(iters):
+                yield from tc.critical_update(x, 1.0, SUM)
+
+        def single_loop(tc, v):
+            for i in range(iters):
+                def init(i=i):
+                    return float(i)
+                    yield  # `single` bodies are generators
+
+                yield from tc.single(body_gen_fn=init, shared_scalar=v)
+
+        yield from ctx.parallel(critical_loop, x)
+        total = yield from ctx.scalar(x).get()
+        yield from ctx.parallel(single_loop, v)
+        return float(total)
+
+    return rt, program
+
+
+_OBSERVED_WORKLOADS = {"cg": _cg_workload, "sync": _sync_workload}
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def observed_snapshot(workload: str, order=OBSERVER_ORDER) -> dict:
+    """Run *workload* with all four observers attached in *order* and
+    digest everything each of them produced."""
+    from repro.metrics import Metrics, install_default_sources
+    from repro.profile import Profiler, ProfileReport
+    from repro.sanitizer import Sanitizer
+
+    rt, program = _OBSERVED_WORKLOADS[workload]()
+    attach = {
+        "trace": lambda: TraceRecorder(rt.sim, capacity=1 << 18, queue_stride=64),
+        "sanitizer": lambda: Sanitizer(
+            rt.sim, n_nodes=rt.cluster.n_nodes,
+            page_size=rt.cluster.config.page_size,
+        ),
+        "profile": lambda: Profiler(rt.sim),
+        "metrics": lambda: Metrics(rt.sim, period=1e-4),
+    }
+    obs = {name: attach[name]() for name in order}
+    install_default_sources(obs["metrics"], rt)
+    res = rt.run(program)
+    obs["profile"].finalize()
+    obs["metrics"].finalize()
+    rec = obs["trace"]
+    assert rec.n_dropped == 0
+    report = ProfileReport.from_profiler(obs["profile"]).as_dict()
+    # the dump carries no wall-clock field; meta stays empty so none can
+    return {
+        "elapsed": res.elapsed,
+        "value": repr(res.value),
+        "events_processed": rt.sim.events_processed,
+        "n_trace_events": rec.n_emitted,
+        "trace_jsonl_sha256": _trace_digest(rec.events),
+        "profile_report_sha256": _sha(report),
+        "profile_totals": report["totals"],
+        "metrics_dump_sha256": _sha(obs["metrics"].dump()),
+        "metrics_n_samples": obs["metrics"].n_samples,
+        "sanitizer_report": obs["sanitizer"].format_report(),
+    }
+
+
+def _observer_golden(workload: str) -> dict:
+    path = OBSERVER_GOLDENS[workload]
+    if os.environ.get("REPRO_REGEN_GOLDENS") or not path.exists():
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        path.write_text(
+            json.dumps(observed_snapshot(workload), indent=2, sort_keys=True) + "\n"
+        )
+    return json.loads(path.read_text())
+
+
+def test_observer_outputs_match_golden_cg():
+    """Trace stream, profiler report (ledgers, hot tables, critical
+    path), metrics dump, sanitizer report and the event count of one CG
+    run with all four observers attached are pinned byte for byte."""
+    assert observed_snapshot("cg") == _observer_golden("cg")
+
+
+def test_observer_outputs_match_golden_sync_sdsm():
+    """Same, for the distributed-lock / busy-wait path of mode="sdsm"."""
+    assert observed_snapshot("sync") == _observer_golden("sync")
