@@ -1,16 +1,19 @@
 """The chaos engine: seeded fault injection + the reliability layer.
 
-Attaches to a :class:`~repro.sim.Simulator` the same zero-cost way
-``sim.trace`` / ``sim.san`` / ``sim.prof`` do::
+Not an observer — it changes delivery — so the engine lives in the
+network's link layer, not on the probe bus::
 
-    engine = ChaosEngine(sim, plan_by_name("drop"), seed=7)  # sim.chaos set
-    engine.install(cluster)      # bind network, arm slowdown windows
+    engine = ChaosEngine(sim, plan_by_name("drop"), seed=7)
+    engine.install(cluster)      # take over cluster.network.link, arm slowdowns
     ... run the program ...
     engine.stats.as_dict()       # injection + recovery counters
 
-When attached, :meth:`Network.send <repro.cluster.network.Network.send>`
-hands every remote frame to :meth:`transmit` instead of scheduling plain
-switch propagation.  The engine then plays both sides of a lossy link:
+Installed, it replaces the network's built-in perfect link:
+:meth:`Network.send <repro.cluster.network.Network.send>` hands every
+remote frame to :meth:`transmit` instead of scheduling plain switch
+propagation, and the code that must tolerate a misbehaving interconnect
+(comm-thread stalls, DSM re-issue) finds it as ``network.link``.  The
+engine then plays both sides of a lossy link:
 
 **Injection** — per-frame fate draws (drop / corrupt / latency spike /
 reorder hold / duplicate) from a per-link RNG stream, deterministic
@@ -44,6 +47,7 @@ import random
 from typing import Any, Dict, Optional, Tuple
 
 from repro.sim.events import SimulationError
+from repro.sim.probe import CAT_AUDIT
 from repro.chaos.plan import FaultPlan, ReliabilityConfig
 from repro.trace.events import CAT_CHAOS
 
@@ -128,12 +132,14 @@ class ChaosEngine:
 
     Parameters
     ----------
-    sim : the simulator to attach to (``sim.chaos`` is set unless
-        ``attach=False``)
+    sim : the simulator whose clock and timers the engine uses
     plan : the :class:`~repro.chaos.plan.FaultPlan` to execute
     seed : integer the per-link / per-node RNG streams derive from; the
         same (plan, seed) pair reproduces every fault bit-for-bit
     reliability : override of the plan's ack/retransmit tuning
+    attach : ``False`` makes :meth:`install` bind the network without
+        becoming its link strategy (frames then reach the engine only
+        through an explicit :meth:`transmit`)
     """
 
     def __init__(
@@ -152,23 +158,17 @@ class ChaosEngine:
         self.network = None
         self._links: Dict[Tuple[int, int], _LinkState] = {}
         self._stall_rngs: Dict[int, random.Random] = {}
-        if attach:
-            self.attach()
+        self._attached = attach
 
     # -- lifecycle ------------------------------------------------------
-    def attach(self) -> "ChaosEngine":
-        """Install as ``sim.chaos`` so the network and comm threads find us."""
-        self.sim.chaos = self
-        return self
-
-    def detach(self) -> "ChaosEngine":
-        if getattr(self.sim, "chaos", None) is self:
-            self.sim.chaos = None
-        return self
-
     def install(self, cluster) -> "ChaosEngine":
-        """Bind the cluster's network and arm node-slowdown windows."""
-        self._bind(cluster.network)
+        """Bind the cluster's network (taking over its link layer unless
+        constructed with ``attach=False``) and arm node-slowdown windows."""
+        if self.network not in (None, cluster.network):
+            raise RuntimeError("one ChaosEngine cannot serve two networks")
+        self.network = cluster.network
+        if self._attached:
+            self.network.link = self
         for sd in self.plan.slowdowns:
             if not (0 <= sd.node < len(cluster.nodes)):
                 raise ValueError(
@@ -180,10 +180,7 @@ class ChaosEngine:
             def begin(ev=None, node=node, sd=sd):
                 node.speed_factor = node.speed_factor / sd.factor
                 self.stats.slowdown_windows += 1
-                tr = self.sim.trace
-                if tr is not None:
-                    tr.instant(CAT_CHAOS, "slowdown-begin", node=node.id,
-                               tid="chaos", factor=sd.factor)
+                self._note("slowdown-begin", node.id, factor=sd.factor)
 
             if sd.t0 <= 0.0:
                 # derate synchronously: a window open from t=0 must cover
@@ -196,19 +193,10 @@ class ChaosEngine:
 
                 def end(ev, node=node, sd=sd):
                     node.speed_factor = node.speed_factor * sd.factor
-                    tr = self.sim.trace
-                    if tr is not None:
-                        tr.instant(CAT_CHAOS, "slowdown-end", node=node.id,
-                                   tid="chaos", factor=sd.factor)
+                    self._note("slowdown-end", node.id, factor=sd.factor)
 
                 self.sim.timeout(sd.t1).add_callback(end)
         return self
-
-    def _bind(self, network) -> None:
-        if self.network is None:
-            self.network = network
-        elif self.network is not network:
-            raise RuntimeError("one ChaosEngine cannot serve two networks")
 
     # -- RNG streams ----------------------------------------------------
     def _link(self, src: int, dst: int) -> _LinkState:
@@ -259,7 +247,6 @@ class ChaosEngine:
         transmission attempt through the fault pipeline, and arms the
         retransmit timer.
         """
-        self._bind(network)
         ls = self._link(msg.src, msg.dst)
         msg.rel_seq = ls.tx_seq
         ls.tx_seq += 1
@@ -279,13 +266,10 @@ class ChaosEngine:
         lose it or schedule its arrival at the receiving link end."""
         sim = self.sim
         ic = self.network.interconnect
-        tr = sim.trace
         if self.plan.flapped(msg.src, msg.dst, sim.now):
             self.stats.flap_drops += 1
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "flap-drop", node=msg.src, tid="chaos",
-                           dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
-                self._counters(tr)
+            self._note("flap-drop", msg.src, counters=True,
+                       dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
             return  # the retransmit timer recovers
 
     # fate draws in a fixed order from the link stream; short-circuiting
@@ -300,10 +284,8 @@ class ChaosEngine:
             rng = ls.rng
             if f.drop and rng.random() < f.drop:
                 self.stats.drops += 1
-                if tr is not None:
-                    tr.instant(CAT_CHAOS, "drop", node=msg.src, tid="chaos",
-                               dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
-                    self._counters(tr)
+                self._note("drop", msg.src, counters=True,
+                           dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
                 return
             if f.corrupt and rng.random() < f.corrupt:
                 corrupt = True
@@ -311,20 +293,15 @@ class ChaosEngine:
             if f.delay and rng.random() < f.delay:
                 delay += f.delay_s
                 self.stats.delays += 1
-                if tr is not None:
-                    tr.instant(CAT_CHAOS, "delay", node=msg.src, tid="chaos",
-                               dst=msg.dst, seq=msg.seq, spike=f.delay_s)
+                self._note("delay", msg.src, dst=msg.dst, seq=msg.seq, spike=f.delay_s)
             if f.reorder and rng.random() < f.reorder:
                 delay += f.reorder_s
                 self.stats.reorders += 1
-                if tr is not None:
-                    tr.instant(CAT_CHAOS, "reorder-hold", node=msg.src, tid="chaos",
-                               dst=msg.dst, seq=msg.seq, hold=f.reorder_s)
+                self._note("reorder-hold", msg.src,
+                           dst=msg.dst, seq=msg.seq, hold=f.reorder_s)
             if f.duplicate and rng.random() < f.duplicate:
                 self.stats.dups_injected += 1
-                if tr is not None:
-                    tr.instant(CAT_CHAOS, "dup", node=msg.src, tid="chaos",
-                               dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
+                self._note("dup", msg.src, dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
                 t0 = sim.now
                 dup = sim.timeout(delay + 0.5 * ic.latency)
                 dup.add_callback(lambda ev: self._arrive(ls, msg, False, t0))
@@ -334,14 +311,11 @@ class ChaosEngine:
 
     def _arrive(self, ls: _LinkState, msg, corrupt: bool, flight_t0: float) -> None:
         """Receiving link end: checksum, ack, dedup, resequence, deliver."""
-        tr = self.sim.trace
         if corrupt:
             # checksum failure: indistinguishable from a drop to the
             # receiver's protocol layers; the sender's timer recovers
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "corrupt-drop", node=msg.dst, tid="chaos",
-                           src=msg.src, seq=msg.seq, rel_seq=msg.rel_seq)
-                self._counters(tr)
+            self._note("corrupt-drop", msg.dst, counters=True,
+                       src=msg.src, seq=msg.seq, rel_seq=msg.rel_seq)
             return
         seq = msg.rel_seq
         # selective ack for every intact arrival (duplicates re-ack: the
@@ -349,17 +323,14 @@ class ChaosEngine:
         self._send_ack(ls, msg)
         if seq < ls.rx_next or seq in ls.rx_buf:
             self.stats.dup_suppressed += 1
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "dup-suppress", node=msg.dst, tid="chaos",
-                           src=msg.src, seq=msg.seq, rel_seq=seq)
-                self._counters(tr)
+            self._note("dup-suppress", msg.dst, counters=True,
+                       src=msg.src, seq=msg.seq, rel_seq=seq)
             return
         if seq > ls.rx_next:
             ls.rx_buf[seq] = (msg, flight_t0)
             self.stats.reorder_buffered += 1
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "resequence-hold", node=msg.dst, tid="chaos",
-                           src=msg.src, seq=msg.seq, rel_seq=seq, expected=ls.rx_next)
+            self._note("resequence-hold", msg.dst,
+                       src=msg.src, seq=msg.seq, rel_seq=seq, expected=ls.rx_next)
             return
         # in order: deliver, then drain the resequencing buffer
         self.network._deliver(msg, flight_t0=flight_t0)
@@ -381,10 +352,7 @@ class ChaosEngine:
                 lost = True
         if lost:
             self.stats.ack_drops += 1
-            tr = self.sim.trace
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "ack-drop", node=msg.dst, tid="chaos",
-                           src=msg.src, rel_seq=msg.rel_seq)
+            self._note("ack-drop", msg.dst, src=msg.src, rel_seq=msg.rel_seq)
             return
         seq = msg.rel_seq
         back = sim.timeout(self.network.interconnect.latency)
@@ -405,15 +373,12 @@ class ChaosEngine:
             if ent[1] > self.stats.max_attempts:
                 self.stats.max_attempts = ent[1]
             self.stats.retransmits += 1
-            prof = sim.prof
-            if prof is not None:
+            pb = sim.probe
+            if pb is not None and CAT_AUDIT in pb.heard:
                 # the wire sat dead from the last attempt to this timer
-                prof.on_retransmit_wait(ent[2], sim.now)
-            tr = sim.trace
-            if tr is not None:
-                tr.instant(CAT_CHAOS, "retransmit", node=msg.src, tid="chaos",
-                           dst=msg.dst, seq=msg.seq, rel_seq=seq, attempt=ent[1])
-                self._counters(tr)
+                pb.span(CAT_AUDIT, "retransmit-wait", ent[2])
+            self._note("retransmit", msg.src, counters=True,
+                       dst=msg.dst, seq=msg.seq, rel_seq=seq, attempt=ent[1])
             ent[2] = sim.now
             self._launch(ls, msg, attempt + 1)
             self._arm_timer(ls, msg, attempt + 1)
@@ -430,23 +395,26 @@ class ChaosEngine:
         if self._stall_rng(node_id).random() >= spec.prob:
             return 0.0
         self.stats.comm_stalls += 1
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant(CAT_CHAOS, "comm-stall", node=node_id, tid="chaos",
-                       stall=spec.stall_s)
+        self._note("comm-stall", node_id, stall=spec.stall_s)
         return spec.stall_s
 
     # -- observability ----------------------------------------------------
-    def _counters(self, tr) -> None:
-        """One sample of the reliability counter series (``ph:"C"``)."""
-        s = self.stats
-        tr.counter(
-            CAT_CHAOS, "reliability",
-            drops=s.drops + s.flap_drops + s.corrupts,
-            dups=s.dup_suppressed,
-            retransmits=s.retransmits,
-            outstanding=sum(len(ls.outstanding) for ls in self._links.values()),
-        )
+    def _note(self, name: str, node: int, counters: bool = False, **args) -> None:
+        """State one injection/recovery instant on the ``chaos`` track, with
+        *counters* also a sample of the ``reliability`` series (``ph:"C"``)."""
+        pb = self.sim.probe
+        if pb is None or CAT_CHAOS not in pb.heard:
+            return
+        pb.instant(CAT_CHAOS, name, node=node, tid="chaos", **args)
+        if counters:
+            s = self.stats
+            pb.counter(
+                CAT_CHAOS, "reliability",
+                drops=s.drops + s.flap_drops + s.corrupts,
+                dups=s.dup_suppressed,
+                retransmits=s.retransmits,
+                outstanding=self.outstanding_frames,
+            )
 
     @property
     def outstanding_frames(self) -> int:

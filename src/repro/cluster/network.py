@@ -3,6 +3,13 @@
 The switch is a full crossbar (the paper's 3Com / cLAN switches): the only
 contention points are the per-node NIC transmit engines and the receiving
 node's CPU.  Messages between distinct node pairs flow concurrently.
+
+What happens between the sender's NIC and the receiver's inbox is the
+network's **link strategy** (:attr:`Network.link`): ``None``, the perfect
+link, is a pure propagation delay; an installed
+:class:`repro.chaos.ChaosEngine` plays a lossy link plus the
+ack/retransmit layer that hides it.  Either way :meth:`Network.send` is
+the single entry and :meth:`Network._deliver` the single exit.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.profile.phases import PH_NET_TX
+from repro.sim.probe import CAT_AUDIT, PH_NET_TX
 
 
 @dataclass(slots=True)
@@ -35,7 +42,11 @@ class Message:
 
 
 class Network:
-    """Delivers messages between node inboxes with the configured cost model."""
+    """Delivers messages between node inboxes with the configured cost model.
+
+    :attr:`link` — ``None`` (perfect) or an object with ``transmit(network,
+    msg)`` — is also what comm-thread stalls and DSM re-issue consult.
+    """
 
     #: accounting floor: every message carries headers
     HEADER_BYTES = 42
@@ -45,6 +56,7 @@ class Network:
         self.nodes = nodes
         self.interconnect = interconnect
         self._seq = itertools.count()
+        self.link = None
         # global statistics
         self.total_messages = 0
         self.total_bytes = 0
@@ -84,31 +96,26 @@ class Network:
         cs[1] += nbytes
         node.msgs_sent += 1
         node.bytes_sent += nbytes
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant(
+        pb = self.sim.probe
+        if pb is not None and "net" in pb.heard:
+            pb.instant(
                 "net", "msg-send", node=src, dst=dst, nbytes=nbytes,
                 tag=str(tag), seq=msg.seq,
             )
-        mx = self.sim.metrics
-        if mx is not None:
-            mx.on_net_send(src, dst, nbytes)
 
         if src == dst:
             # Loopback: no NIC, just a copy cost, delivered immediately.
-            # Never routed through the chaos engine — a frame that stays
-            # on one node does not traverse the (faulty) interconnect.
+            # Never handed to the link strategy — a frame that stays on
+            # one node does not traverse the (possibly faulty) interconnect.
             yield from node.busy_cpu(0.5e-6 + nbytes * 0.5e-9)
             msg.deliver_time = self.sim.now
             node.msgs_received += 1
             node.bytes_received += nbytes
-            if tr is not None:
-                tr.instant(
+            if pb is not None and "net" in pb.heard:
+                pb.instant(
                     "net", "msg-deliver", node=dst, tid="wire",
                     src=src, nbytes=nbytes, tag=str(tag), seq=msg.seq,
                 )
-            if mx is not None:
-                mx.on_net_deliver(src, dst, nbytes, self.sim.now - msg.send_time)
             node.inbox.put(msg)
             return msg
 
@@ -120,15 +127,15 @@ class Network:
         t0 = self.sim.now
         # the engine-queue wait and the transmit occupancy are both net-tx
         yield from node.nic_tx.execute(tx_time, 0, PH_NET_TX, PH_NET_TX)
-        if tr is not None:
-            tr.span("net", "nic-tx", t0, node=src, dst=dst, nbytes=nbytes, seq=msg.seq)
-        ch = self.sim.chaos
-        if ch is not None:
+        if pb is not None and "net" in pb.heard:
+            pb.span("net", "nic-tx", t0, node=src, dst=dst, nbytes=nbytes, seq=msg.seq)
+        link = self.link
+        if link is not None:
             # Fault-injected path: the chaos engine owns propagation —
             # it may drop, duplicate, delay, or corrupt the frame, and its
             # ack/retransmit layer guarantees exactly-once in-order
             # delivery into the inbox via _deliver.
-            ch.transmit(self, msg)
+            link.transmit(self, msg)
             return msg
         # Propagation through the switch: pure delay, then delivery.
         deliver = self.sim.timeout(ic.latency)
@@ -138,35 +145,27 @@ class Network:
     def _deliver(self, msg: Message, flight_t0: Optional[float] = None) -> None:
         """Terminal delivery into the destination inbox.
 
-        Every remote frame — perfect-network or chaos-recovered — funnels
-        through here, so receive accounting, the ``msg-deliver`` trace
-        instant, and the profiler's flight interval cannot be skipped by
-        any delivery path.  *flight_t0* is the virtual time the frame
-        entered the switch; ``None`` means one nominal latency ago (the
-        perfect-network case).
+        Every remote frame — perfect-link or chaos-recovered — funnels
+        through here, so receive accounting, the ``msg-deliver`` instant
+        and the flight interval cannot be skipped by any delivery path.
+        *flight_t0* is the virtual time the frame entered the switch;
+        ``None`` means one nominal latency ago (the perfect-link case).
         """
-        msg.deliver_time = self.sim.now
+        now = msg.deliver_time = self.sim.now
         node = self.nodes[msg.dst]
         node.msgs_received += 1
         node.bytes_received += msg.nbytes
-        prof = self.sim.prof
-        if prof is not None:
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
             # the switch-propagation leg, on the pseudo-thread "net"
-            prof.on_net_flight(
-                self.sim.now - self.interconnect.latency if flight_t0 is None
-                else flight_t0,
-                self.sim.now,
+            pb.span(
+                CAT_AUDIT, "flight",
+                now - self.interconnect.latency if flight_t0 is None else flight_t0,
             )
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant(
+        if pb is not None and "net" in pb.heard:
+            pb.instant(
                 "net", "msg-deliver", node=msg.dst, tid="wire",
                 src=msg.src, nbytes=msg.nbytes, tag=str(msg.tag), seq=msg.seq,
-            )
-        mx = self.sim.metrics
-        if mx is not None:
-            mx.on_net_deliver(
-                msg.src, msg.dst, msg.nbytes, self.sim.now - msg.send_time
             )
         node.inbox.put(msg)
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.profile.phases import PH_COMPUTE, PH_CPU_WAIT
 from repro.sim import Event, Resource, Store
+from repro.sim.probe import PH_COMPUTE, PH_CPU_WAIT
 
 
 class Node:

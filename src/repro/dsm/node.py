@@ -48,13 +48,16 @@ from repro.dsm.writenotice import (
     merge_notices,
     merge_notice_bytes,
 )
-from repro.profile.phases import (
+from repro.sim.probe import (
+    CAT_AUDIT,
     PH_BARRIER,
     PH_FAULT_FETCH,
     PH_FAULT_WORK,
     PH_FLUSH,
     PH_LOCK_WAIT,
     PH_PAGE_WAIT,
+    bracket,
+    waiting,
 )
 
 #: page kinds: HLRC-managed vs object-granularity (update protocol) regions
@@ -387,9 +390,6 @@ class DsmNode:
         # scan detector — a fault on the successor of the last fetched
         # page asks the home to trail further contiguous pages)
         self._last_fetched_page = -2
-        # grant time of locks this node currently holds; feeds the
-        # metrics layer's lock-hold histogram (grant-to-release)
-        self._lock_grant_t: Dict[int, float] = {}
 
         self.stats = DsmNodeStats()
 
@@ -404,18 +404,17 @@ class DsmNode:
         old = self.state[page]
         if old == new:
             return
-        san = self.sim.san
-        if san is not None:
-            san.on_page_state(self.id, page, old, new, reason)
-        if not is_valid_transition(old, new, reason):
-            raise IllegalTransition(page, old, new, reason)
-        self.state[page] = new
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant(
+        pb = self.sim.probe
+        if pb is not None and "dsm.page" in pb.heard:
+            # stated before the legality check, so the live checkers see
+            # (and name) the transition that is about to raise
+            pb.instant(
                 "dsm.page", "page-state", node=self.id,
                 page=page, src=old.name, dst=new.name, reason=reason,
             )
+        if not is_valid_transition(old, new, reason):
+            raise IllegalTransition(page, old, new, reason)
+        self.state[page] = new
 
     def page_range(self, addr: int, size: int) -> range:
         if size <= 0:
@@ -496,9 +495,10 @@ class DsmNode:
         """Protection-checked read returning bytes (faults as needed)."""
         if not self.try_fast_access(addr, size, write=False):
             yield from self.acquire_read(addr, size)
-        san = self.sim.san
-        if san is not None:
-            san.on_access(self.id, addr, size, False, f"[{addr:#x}+{size}]")
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "access", node=self.id, addr=addr, nbytes=size,
+                       write=False, what=f"[{addr:#x}+{size}]")
         return self.space.read(addr, size)
 
     def write(self, addr: int, data: bytes):
@@ -506,168 +506,157 @@ class DsmNode:
         data = bytes(data)
         if not self.try_fast_access(addr, len(data), write=True):
             yield from self.acquire_write(addr, len(data))
-        san = self.sim.san
-        if san is not None:
-            san.on_access(self.id, addr, len(data), True, f"[{addr:#x}+{len(data)}]")
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "access", node=self.id, addr=addr, nbytes=len(data),
+                       write=True, what=f"[{addr:#x}+{len(data)}]")
         self.space.write(addr, data)
 
     # ------------------------------------------------------------------
     # fault service (the SIGSEGV handler, §5.2.3)
     # ------------------------------------------------------------------
     def _service_fault(self, page: int, is_write: bool):
-        tr = self.sim.trace
+        sim = self.sim
         while True:
             st = self.state[page]
-            prof = self.sim.prof
             if st == PageState.READ_ONLY:
                 if not is_write:
                     return  # raced with another thread's completed fetch
-                # write fault on a valid clean page
-                self.stats.write_faults += 1
-                t0 = self.sim.now
-                if prof is not None:
-                    # local service only: SIGSEGV + twin + mprotect costs,
-                    # charged as fault-work by the busy slices inside
-                    prof.on_fault(page, True)
-                    prof.push(PH_FAULT_WORK)
-                try:
-                    yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
-                    if self.state[page] is not PageState.READ_ONLY:
-                        # a sibling invalidated the page (lock-grant notice)
-                        # or upgraded it first while we yielded; retry
-                        continue
-                    if self.config.homeless or self.home[page] != self.id:
-                        self._make_twin(page)
-                    yield from self.node.busy_cpu(self.cluster_config.mprotect_overhead)
-                    if self.state[page] is not PageState.READ_ONLY:
-                        continue  # _invalidate dropped the twin; retry
-                    self._set_state(page, PageState.DIRTY, "write-fault")
-                    self.space.protect(page, PROT_RW)
-                    self.dirty.add(page)
-                    if tr is not None:
-                        tr.span("dsm.page", "fault", t0, node=self.id,
-                                page=page, kind="write-upgrade")
+                # write fault on a valid clean page — local service only:
+                # SIGSEGV + twin + mprotect costs, charged as fault-work
+                # by the busy slices inside
+                t0 = self._count_fault(page, True)
+                if (yield from bracket(sim, PH_FAULT_WORK, self._upgrade_fault(page, t0))):
                     return
-                finally:
-                    if prof is not None:
-                        prof.pop()
-            if st == PageState.DIRTY:
+            elif st == PageState.DIRTY:
                 return  # already writable
-            if st == PageState.INVALID and page in self._expected_frames:
-                # The barrier departure announced an update push for this
-                # page: the home's one-way frame is already in flight, so
-                # waiting for it strictly beats issuing our own fetch
-                # round-trip.  If a lock-grant notice voids the push, the
-                # wake-up retries this loop and falls through to a fetch.
-                if is_write:
-                    self.stats.write_faults += 1
-                else:
-                    self.stats.read_faults += 1
-                t0 = self.sim.now
-                if prof is not None:
-                    prof.on_fault(page, is_write)
-                    prof.push(PH_FAULT_WORK)
-                try:
-                    yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
-                finally:
-                    if prof is not None:
-                        prof.pop()
-                ev = self._expected_frames.get(page)
-                if ev is not None and not ev.triggered:
-                    if prof is None:
-                        yield ev
-                    else:
-                        prof.push(PH_PAGE_WAIT)
-                        try:
-                            yield ev
-                        finally:
-                            prof.pop()
-                if tr is not None:
-                    tr.span("dsm.page", "fault", t0, node=self.id,
-                            page=page, kind="push-wait")
-                continue
-            if st == PageState.INVALID:
-                if is_write:
-                    self.stats.write_faults += 1
-                else:
-                    self.stats.read_faults += 1
-                t0 = self.sim.now
-                if prof is not None:
-                    # fetch round-trips re-phase themselves as fault-fetch;
-                    # the rest (fault/mprotect/update CPU) is fault-work
-                    prof.on_fault(page, is_write)
-                    prof.push(PH_FAULT_WORK)
-                try:
-                    self._set_state(page, PageState.TRANSIENT, "fault")
-                    yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
-                    final_prot = PROT_RW if is_write else PROT_READ
-                    if self.config.homeless:
-                        yield from self._pull_missing_diffs(page)
-                        yield from self.node.busy_cpu(self.cluster_config.mprotect_overhead)
-                        self.space.protect(page, final_prot)
-                    else:
-                        data = yield from self._fetch_page(page)
-                        yield from self.strategy.update_page(self, self.space, page, data, final_prot)
-                    if page in self._pending_inval:
-                        # An invalidation raced with this fetch (a sibling
-                        # thread applied a write notice for the page while
-                        # the fetch was in flight): the copy just installed
-                        # may be stale.  Close the update through the legal
-                        # Figure-5 chain, drop it, wake waiters, and retry.
-                        self._pending_inval.discard(page)
-                        self._set_state(page, PageState.READ_ONLY, "update-done")
-                        self._invalidate(page)
-                        waiter = self._page_waiters.pop(page, None)
-                        if waiter is not None:
-                            waiter.succeed()
-                        if tr is not None:
-                            tr.span("dsm.page", "fault", t0, node=self.id,
-                                    page=page, kind="retry-invalidated")
-                        continue
-                    if is_write:
-                        if self.config.homeless or self.home[page] != self.id:
-                            self._make_twin(page)
-                        self.dirty.add(page)
-                        self._set_state(page, PageState.DIRTY, "update-done-write")
-                    else:
-                        self._set_state(page, PageState.READ_ONLY, "update-done")
-                    waiter = self._page_waiters.pop(page, None)
-                    if waiter is not None:
-                        waiter.succeed()
-                    if tr is not None:
-                        tr.span("dsm.page", "fault", t0, node=self.id,
-                                page=page, kind="write" if is_write else "read")
+            elif st == PageState.INVALID and page in self._expected_frames:
+                yield from self._await_promised_frame(page, is_write)
+            elif st == PageState.INVALID:
+                # fetch round-trips re-phase themselves as fault-fetch;
+                # the rest (fault/mprotect/update CPU) is fault-work
+                t0 = self._count_fault(page, is_write)
+                if (yield from bracket(
+                        sim, PH_FAULT_WORK, self._fetch_fault(page, is_write, t0))):
                     return
-                finally:
-                    if prof is not None:
-                        prof.pop()
-            # TRANSIENT or BLOCKED: some other thread is updating; wait.
-            self.stats.blocked_waits += 1
-            if st == PageState.TRANSIENT:
-                self._set_state(page, PageState.BLOCKED, "concurrent-fault")
-            waiter = self._page_waiters.get(page)
-            if waiter is None:
-                waiter = Event(self.sim, name=f"pagewait[{self.id}:{page}]")
-                self._page_waiters[page] = waiter
-            t0 = self.sim.now
-            if prof is None:
-                yield waiter
             else:
-                prof.push(PH_PAGE_WAIT)
-                try:
-                    yield waiter
-                finally:
-                    prof.pop()
-            if tr is not None:
-                tr.span("dsm.page", "page-wait", t0, node=self.id, page=page)
+                # TRANSIENT or BLOCKED: some other thread is updating; wait.
+                self.stats.blocked_waits += 1
+                if st == PageState.TRANSIENT:
+                    self._set_state(page, PageState.BLOCKED, "concurrent-fault")
+                waiter = self._page_waiters.get(page)
+                if waiter is None:
+                    waiter = Event(sim, name=f"pagewait[{self.id}:{page}]")
+                    self._page_waiters[page] = waiter
+                t0 = sim.now
+                yield from bracket(sim, PH_PAGE_WAIT, waiting(waiter))
+                pb = sim.probe
+                if pb is not None and "dsm.page" in pb.heard:
+                    pb.span("dsm.page", "page-wait", t0, node=self.id, page=page)
             # loop: re-examine the state (may need to upgrade to write)
+
+    def _count_fault(self, page: int, is_write: bool) -> float:
+        """Book one fault (a retry counts again); returns its start time."""
+        if is_write:
+            self.stats.write_faults += 1
+        else:
+            self.stats.read_faults += 1
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "fault", page=page, write=is_write)
+        return self.sim.now
+
+    def _upgrade_fault(self, page: int, t0: float):
+        """READ_ONLY -> DIRTY; False when the page changed state under us
+        (the caller re-examines it)."""
+        yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
+        if self.state[page] is not PageState.READ_ONLY:
+            # a sibling invalidated the page (lock-grant notice) or
+            # upgraded it first while we yielded; retry
+            return False
+        if self.config.homeless or self.home[page] != self.id:
+            self._make_twin(page)
+        yield from self.node.busy_cpu(self.cluster_config.mprotect_overhead)
+        if self.state[page] is not PageState.READ_ONLY:
+            return False  # _invalidate dropped the twin; retry
+        self._set_state(page, PageState.DIRTY, "write-fault")
+        self.space.protect(page, PROT_RW)
+        self.dirty.add(page)
+        pb = self.sim.probe
+        if pb is not None and "dsm.page" in pb.heard:
+            pb.span("dsm.page", "fault", t0, node=self.id,
+                    page=page, kind="write-upgrade")
+        return True
+
+    def _await_promised_frame(self, page: int, is_write: bool):
+        """Fault on an INVALID page with a one-way frame promised.
+
+        The barrier departure announced an update push for this page (or
+        a fetch reply promised read-ahead): the home's frame is already
+        in flight, so waiting for it strictly beats issuing our own fetch
+        round-trip.  If a lock-grant notice voids the promise, the
+        wake-up re-examines the page and falls through to a fetch."""
+        t0 = self._count_fault(page, is_write)
+        yield from bracket(
+            self.sim, PH_FAULT_WORK,
+            self.node.busy_cpu(self.cluster_config.fault_overhead),
+        )
+        ev = self._expected_frames.get(page)
+        if ev is not None and not ev.triggered:
+            yield from bracket(self.sim, PH_PAGE_WAIT, waiting(ev))
+        pb = self.sim.probe
+        if pb is not None and "dsm.page" in pb.heard:
+            pb.span("dsm.page", "fault", t0, node=self.id,
+                    page=page, kind="push-wait")
+
+    def _fetch_fault(self, page: int, is_write: bool, t0: float):
+        """INVALID -> fetched and installed; False when an invalidation
+        raced with the fetch (the caller re-examines the page)."""
+        self._set_state(page, PageState.TRANSIENT, "fault")
+        yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
+        final_prot = PROT_RW if is_write else PROT_READ
+        if self.config.homeless:
+            yield from self._pull_missing_diffs(page)
+            yield from self.node.busy_cpu(self.cluster_config.mprotect_overhead)
+            self.space.protect(page, final_prot)
+        else:
+            data = yield from self._fetch_page(page)
+            yield from self.strategy.update_page(self, self.space, page, data, final_prot)
+        stale = page in self._pending_inval
+        if stale:
+            # An invalidation raced with this fetch (a sibling thread
+            # applied a write notice for the page while the fetch was in
+            # flight): the copy just installed may be stale.  Close the
+            # update through the legal Figure-5 chain, drop it, wake
+            # waiters, and retry.
+            self._pending_inval.discard(page)
+            self._set_state(page, PageState.READ_ONLY, "update-done")
+            self._invalidate(page)
+        elif is_write:
+            if self.config.homeless or self.home[page] != self.id:
+                self._make_twin(page)
+            self.dirty.add(page)
+            self._set_state(page, PageState.DIRTY, "update-done-write")
+        else:
+            self._set_state(page, PageState.READ_ONLY, "update-done")
+        waiter = self._page_waiters.pop(page, None)
+        if waiter is not None:
+            waiter.succeed()
+        pb = self.sim.probe
+        if pb is not None and "dsm.page" in pb.heard:
+            pb.span(
+                "dsm.page", "fault", t0, node=self.id, page=page,
+                kind="retry-invalidated" if stale
+                else "write" if is_write else "read",
+            )
+        return not stale
 
     def _make_twin(self, page: int) -> None:
         self.twins[page] = make_twin(self._page_view(page))
         self.stats.twins_created += 1
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.page", "twin", node=self.id, page=page)
+        pb = self.sim.probe
+        if pb is not None and "dsm.page" in pb.heard:
+            pb.instant("dsm.page", "twin", node=self.id, page=page)
 
     def _page_view(self, page: int) -> np.ndarray:
         return self.phys.frame_view(page)
@@ -686,27 +675,28 @@ class DsmNode:
     def _resolve(self, req_id: int, value) -> None:
         ev = self._pending.pop(req_id, None)
         if ev is None:
-            # On a perfect network every request gets exactly one reply, so
+            # On a perfect link every request gets exactly one reply, so
             # an unmatched req_id is protocol corruption — keep the strict
-            # failure.  Under chaos an idempotent re-issue (_await_reply)
-            # can legitimately draw a second reply: count and drop it.
-            if self.sim.chaos is None:
+            # failure.  On a lossy one an idempotent re-issue
+            # (_request) can legitimately draw a second reply: count
+            # and drop it.
+            if self.net.link is None:
                 raise KeyError(req_id)
             self.stats.stale_replies += 1
-            tr = self.sim.trace
-            if tr is not None:
-                tr.instant("chaos", "stale-reply", node=self.id,
+            pb = self.sim.probe
+            if pb is not None and "chaos" in pb.heard:
+                pb.instant("chaos", "stale-reply", node=self.id,
                            tid="chaos", req=req_id)
             return
         ev.succeed(value)
 
-    def _await_reply(self, ev: Event, resend):
-        """Wait for a request's reply event; under chaos, idempotently
-        re-issue the request after quiet RTOs.
+    def _request(self, dst: int, kind: str, nbytes: int, payload):
+        """One idempotent read request (``fetch`` / ``dget``) to *dst*;
+        returns the reply.  On a lossy link the request is re-issued after
+        quiet RTOs.
 
-        *resend* is a generator function replaying the original send with
-        the **same** req_id — only used for pure reads (page fetch, diff
-        pull), which are idempotent: a duplicate reply is discarded by
+        Re-issues replay the send with the **same** req_id — sound only
+        because these are pure reads: a duplicate reply is discarded by
         :meth:`_resolve` as stale.  Non-idempotent requests (lock acquire,
         barrier arrival, diff application) rely solely on the chaos
         engine's ack/retransmit layer, which already guarantees
@@ -714,24 +704,28 @@ class DsmNode:
         ``dsm_max_reissues``; past that we trust the link layer (which
         raises :class:`~repro.chaos.ChaosDeliveryError` if truly dead).
         """
-        ch = self.sim.chaos
-        if ch is None:
+        req_id = self._next_req()
+        ev = self._pending_event(req_id)
+        tag = ("dsm", kind, req_id)
+        yield from self.net.send(self.id, dst, nbytes, payload, tag=tag)
+        link = self.net.link
+        if link is None:
             value = yield ev
             return value
-        rel = ch.reliability
-        rto = ch.dsm_rto()
-        tr = self.sim.trace
+        rel = link.reliability
+        rto = link.dsm_rto()
+        pb = self.sim.probe
         for attempt in range(rel.dsm_max_reissues):
             timer = self.sim.timeout(rto * (rel.backoff ** attempt))
             yield AnyOf(self.sim, [ev, timer])
             if ev.processed:
                 return ev.value
             self.stats.dsm_reissues += 1
-            ch.stats.dsm_reissues += 1
-            if tr is not None:
-                tr.instant("chaos", "dsm-reissue", node=self.id,
+            link.stats.dsm_reissues += 1
+            if pb is not None and "chaos" in pb.heard:
+                pb.instant("chaos", "dsm-reissue", node=self.id,
                            tid="chaos", attempt=attempt + 1)
-            yield from resend()
+            yield from self.net.send(self.id, dst, nbytes, payload, tag=tag)
         value = yield ev
         return value
 
@@ -770,27 +764,11 @@ class DsmNode:
         else:
             req_payload = (page, self.id)
             req_nb = 8
-        req_id = self._next_req()
-        ev = self._pending_event(req_id)
         t0 = self.sim.now
-
-        def send_req():
-            yield from self.net.send(
-                self.id, home, req_nb, req_payload, tag=("dsm", "fetch", req_id)
-            )
-
-        prof = self.sim.prof
-        if prof is None:
-            yield from send_req()
-            reply = yield from self._await_reply(ev, send_req)
-        else:
-            # request round-trip: send + wait for the home's reply
-            prof.push(PH_FAULT_FETCH)
-            try:
-                yield from send_req()
-                reply = yield from self._await_reply(ev, send_req)
-            finally:
-                prof.pop()
+        # request round-trip: send + wait for the home's reply
+        reply = yield from bracket(
+            self.sim, PH_FAULT_FETCH, self._request(home, "fetch", req_nb, req_payload)
+        )
         if ra > 0:
             data, promised = reply
             for q in promised:
@@ -807,17 +785,15 @@ class DsmNode:
                     )
         else:
             data = reply
-        if prof is not None:
-            prof.on_fetch(page, len(data))
         self.stats.pages_fetched += 1
         self.stats.fetch_bytes += len(data)
         if self._accel_adaptive:
             # reported to the master at the next barrier arrival as
             # update-push interest
             self._fetched_since_barrier.add(page)
-        tr = self.sim.trace
-        if tr is not None:
-            tr.span("dsm.page", "fetch", t0, node=self.id,
+        pb = self.sim.probe
+        if pb is not None and "dsm.page" in pb.heard:
+            pb.span("dsm.page", "fetch", t0, node=self.id,
                     page=page, home=home, nbytes=len(data))
         return data
 
@@ -827,7 +803,7 @@ class DsmNode:
         for data-race-free programs, so cross-writer order is free)."""
         records = self._missing.pop(page, [])
         view = self._page_view(page)
-        tr = self.sim.trace
+        pb = self.sim.probe
         t0 = self.sim.now
         n_pulled = 0
         check_gap = self.config.diff_gap > 0
@@ -837,30 +813,15 @@ class DsmNode:
             # stale) copy of another writer's same-epoch data
             epoch_runs: List[tuple] = []
             for w in writers:
-                req_id = self._next_req()
-                ev = self._pending_event(req_id)
-
-                def send_req(w=w, req_id=req_id):
-                    yield from self.net.send(
-                        self.id, w, 12, (page, epoch, self.id), tag=("dsm", "dget", req_id)
-                    )
-
-                prof = self.sim.prof
-                if prof is None:
-                    yield from send_req()
-                    diff = yield from self._await_reply(ev, send_req)
-                else:
-                    prof.push(PH_FAULT_FETCH)
-                    try:
-                        yield from send_req()
-                        diff = yield from self._await_reply(ev, send_req)
-                    finally:
-                        prof.pop()
+                diff = yield from bracket(
+                    self.sim, PH_FAULT_FETCH,
+                    self._request(w, "dget", 12, (page, epoch, self.id)),
+                )
                 self.stats.pages_fetched += 1
                 nb = diff_nbytes(diff)
                 self.stats.fetch_bytes += nb
-                if prof is not None:
-                    prof.on_fetch(page, nb)
+                if pb is not None and CAT_AUDIT in pb.heard:
+                    pb.instant(CAT_AUDIT, "pull", page=page, nbytes=nb)
                 yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
                 if check_gap:
                     for off, data in diff:
@@ -873,8 +834,8 @@ class DsmNode:
                         epoch_runs.append((w, lo, hi))
                 apply_diff(view, diff)
                 n_pulled += 1
-        if tr is not None and records:
-            tr.span("dsm.page", "diff-pull", t0, node=self.id, page=page, diffs=n_pulled)
+        if pb is not None and "dsm.page" in pb.heard and records:
+            pb.span("dsm.page", "diff-pull", t0, node=self.id, page=page, diffs=n_pulled)
 
     # -- handlers run on the communication thread ------------------------
     def handle_dsm(self, msg):
@@ -962,9 +923,9 @@ class DsmNode:
             # the requester's copy now reflects every diff applied so far;
             # diffs it sends later are not concurrent with those
             self._gap_fresh[(page, requester)] = self._apply_seq
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.page", "serve-fetch", node=self.id,
+        pb = self.sim.probe
+        if pb is not None and "dsm.page" in pb.heard:
+            pb.instant("dsm.page", "serve-fetch", node=self.id,
                        page=page, requester=requester)
         if self.config.fetch_readahead > 0:
             # snapshot the requested read-ahead pages this home can serve
@@ -1046,9 +1007,9 @@ class DsmNode:
             self._check_gap_precondition(page, diff, src)
         yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
         apply_diff(self._page_view(page), diff)
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.page", "diff-apply", node=self.id, page=page)
+        pb = self.sim.probe
+        if pb is not None and "dsm.page" in pb.heard:
+            pb.instant("dsm.page", "diff-apply", node=self.id, page=page)
 
     def _check_gap_precondition(self, page: int, diff, src: int) -> None:
         """Enforce compute_diff's single-writer-per-interval precondition.
@@ -1076,9 +1037,10 @@ class DsmNode:
                         raise DiffGapClobber(
                             self.id, page, src, owriter, max(lo, olo), min(hi, ohi)
                         )
-            san = self.sim.san
-            if san is not None:
-                san.on_gap_writers(self.id, page, {src} | {r[1] for r in stale})
+            pb = self.sim.probe
+            if pb is not None and CAT_AUDIT in pb.heard:
+                pb.instant(CAT_AUDIT, "gap-writers", node=self.id, page=page,
+                           writers={src} | {r[1] for r in stale})
         for off, data in diff:
             runs.append((seq, src, off, off + len(data)))
 
@@ -1142,9 +1104,9 @@ class DsmNode:
         ev = self._expected_frames.pop(page, None)
         if ev is not None and not ev.triggered:
             ev.succeed()
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.page", label, node=self.id, page=page)
+        pb = self.sim.probe
+        if pb is not None and "dsm.page" in pb.heard:
+            pb.instant("dsm.page", label, node=self.id, page=page)
 
     # ------------------------------------------------------------------
     # update push (adaptive migration): home -> predicted re-fetchers
@@ -1222,11 +1184,11 @@ class DsmNode:
         """Detached sender: one ``push`` frame per (page, reader) —
         exactly-once at the link layer, dropped by the receiver whenever
         installing it would not be sound."""
-        tr = self.sim.trace
+        pb = self.sim.probe
         for page, dst, data in pushes:
             self.stats.updates_pushed += 1
-            if tr is not None:
-                tr.instant("dsm.page", "push", node=self.id,
+            if pb is not None and "dsm.page" in pb.heard:
+                pb.instant("dsm.page", "push", node=self.id,
                            page=page, dst=dst, epoch=epoch)
             yield from self.net.send(
                 self.id, dst, self.page_size + PUSH_HEADER_BYTES,
@@ -1284,88 +1246,84 @@ class DsmNode:
         the lock-release path forwards them to the lock manager.  With
         ``adaptive_migration`` the returned notices are sized: they carry
         the diff byte count, the home writer credited one full page."""
+        # release-time twin/diff work: diff CPU bursts inherit the flush
+        # label; the trailing ack waits count as flush too
+        return bracket(self.sim, PH_FLUSH, self._flush(epoch, collect))
+
+    def _flush(self, epoch: Optional[int], collect: Optional[dict]):
         self._interval += 1
-        tr = self.sim.trace
+        pb = self.sim.probe
         t0 = self.sim.now
         n_dirty = len(self.dirty)
         diffs_before = self.stats.diffs_sent
         bytes_before = self.stats.diff_bytes
         pages = sorted(self.dirty)
-        prof = self.sim.prof
-        if prof is not None:
-            # release-time twin/diff work: diff CPU bursts inherit this
-            # label; the trailing ack waits count as flush too
-            prof.push(PH_FLUSH)
-        try:
-            if self.config.homeless:
-                assert epoch is not None, "homeless flush requires a barrier epoch"
-                for p in pages:
-                    twin = self.twins.get(p)
-                    assert twin is not None, f"dirty page {p} has no twin on {self.id}"
-                    yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
-                    diff = compute_diff(twin, self._page_view(p), self.config.diff_gap)
-                    self._diff_log[(p, epoch)] = diff
-                    if prof is not None:
-                        prof.on_diff(p, diff_nbytes(diff))
-                if tr is not None and n_dirty:
-                    tr.span("dsm.page", "flush", t0, node=self.id, dirty=n_dirty, retained=True)
-                return [WriteNotice(p, self.id, self._interval) for p in pages]
-            acks = []
-            batch = self.config.batch_notices
-            by_home: Dict[int, List[tuple]] = {}
-            sizes: Dict[int, int] = {}
+        if self.config.homeless:
+            assert epoch is not None, "homeless flush requires a barrier epoch"
             for p in pages:
-                if self.home[p] == self.id:
-                    continue
                 twin = self.twins.get(p)
-                assert twin is not None, f"dirty non-home page {p} has no twin on {self.id}"
+                assert twin is not None, f"dirty page {p} has no twin on {self.id}"
                 yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
                 diff = compute_diff(twin, self._page_view(p), self.config.diff_gap)
-                nb = diff_nbytes(diff)
-                sizes[p] = nb
-                if not diff:
-                    continue
-                if collect is not None and nb <= self.config.piggyback_max_bytes:
-                    collect[p] = diff
-                self.stats.diffs_sent += 1
-                self.stats.diff_bytes += nb
-                if prof is not None:
-                    prof.on_diff(p, nb)
-                if batch and nb <= self.config.batch_max_bytes:
-                    by_home.setdefault(self.home[p], []).append((p, diff))
-                else:
-                    req_id = self._next_req()
-                    acks.append(self._pending_event(req_id))
-                    yield from self.net.send(self.id, self.home[p], nb, (p, diff), tag=("dsm", "diff", req_id))
-            for dst in sorted(by_home):
-                entries = by_home[dst]
+                self._diff_log[(p, epoch)] = diff
+                if pb is not None and CAT_AUDIT in pb.heard:
+                    pb.instant(CAT_AUDIT, "diff", page=p, nbytes=diff_nbytes(diff))
+            if pb is not None and "dsm.page" in pb.heard and n_dirty:
+                pb.span("dsm.page", "flush", t0, node=self.id, dirty=n_dirty, retained=True)
+            return [WriteNotice(p, self.id, self._interval) for p in pages]
+        acks = []
+        batch = self.config.batch_notices
+        by_home: Dict[int, List[tuple]] = {}
+        sizes: Dict[int, int] = {}
+        for p in pages:
+            if self.home[p] == self.id:
+                continue
+            twin = self.twins.get(p)
+            assert twin is not None, f"dirty non-home page {p} has no twin on {self.id}"
+            yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
+            diff = compute_diff(twin, self._page_view(p), self.config.diff_gap)
+            nb = diff_nbytes(diff)
+            sizes[p] = nb
+            if not diff:
+                continue
+            if collect is not None and nb <= self.config.piggyback_max_bytes:
+                collect[p] = diff
+            self.stats.diffs_sent += 1
+            self.stats.diff_bytes += nb
+            if pb is not None and CAT_AUDIT in pb.heard:
+                pb.instant(CAT_AUDIT, "diff", page=p, nbytes=nb)
+            if batch and nb <= self.config.batch_max_bytes:
+                by_home.setdefault(self.home[p], []).append((p, diff))
+            else:
                 req_id = self._next_req()
                 acks.append(self._pending_event(req_id))
-                nb = sum(diff_nbytes(d) for _, d in entries) + BATCH_ENTRY_BYTES * len(entries)
-                self.stats.notices_batched += len(entries)
-                if tr is not None:
-                    tr.instant("dsm.page", "diff-batch", node=self.id,
-                               dst=dst, entries=len(entries), nbytes=nb)
-                yield from self.net.send(self.id, dst, nb, entries, tag=("dsm", "dbat", req_id))
-            for ev in acks:
-                yield ev
-            if tr is not None and n_dirty:
-                tr.span(
-                    "dsm.page", "flush", t0, node=self.id, dirty=n_dirty,
-                    diffs=self.stats.diffs_sent - diffs_before,
-                    nbytes=self.stats.diff_bytes - bytes_before,
-                )
-            if self._accel_adaptive:
-                # sized notices; the home writer never diffs — credit a
-                # full page as the documented incumbent proxy
-                return [
-                    WriteNotice(p, self.id, self._interval, sizes.get(p, self.page_size))
-                    for p in pages
-                ]
-            return [WriteNotice(p, self.id, self._interval) for p in pages]
-        finally:
-            if prof is not None:
-                prof.pop()
+                yield from self.net.send(self.id, self.home[p], nb, (p, diff), tag=("dsm", "diff", req_id))
+        for dst in sorted(by_home):
+            entries = by_home[dst]
+            req_id = self._next_req()
+            acks.append(self._pending_event(req_id))
+            nb = sum(diff_nbytes(d) for _, d in entries) + BATCH_ENTRY_BYTES * len(entries)
+            self.stats.notices_batched += len(entries)
+            if pb is not None and "dsm.page" in pb.heard:
+                pb.instant("dsm.page", "diff-batch", node=self.id,
+                           dst=dst, entries=len(entries), nbytes=nb)
+            yield from self.net.send(self.id, dst, nb, entries, tag=("dsm", "dbat", req_id))
+        for ev in acks:
+            yield ev
+        if pb is not None and "dsm.page" in pb.heard and n_dirty:
+            pb.span(
+                "dsm.page", "flush", t0, node=self.id, dirty=n_dirty,
+                diffs=self.stats.diffs_sent - diffs_before,
+                nbytes=self.stats.diff_bytes - bytes_before,
+            )
+        if self._accel_adaptive:
+            # sized notices; the home writer never diffs — credit a
+            # full page as the documented incumbent proxy
+            return [
+                WriteNotice(p, self.id, self._interval, sizes.get(p, self.page_size))
+                for p in pages
+            ]
+        return [WriteNotice(p, self.id, self._interval) for p in pages]
 
     def _close_interval(self) -> None:
         """After a flush: dirty pages become clean, twins dropped."""
@@ -1412,22 +1370,16 @@ class DsmNode:
         epoch = self._barrier_epoch
         self._barrier_epoch += 1
         self.stats.barriers += 1
-        tr = self.sim.trace
         bar_t0 = self.sim.now
-        prof = self.sim.prof
-        if prof is not None:
-            # arrival-to-departure; the nested flush re-phases its own span
-            prof.push(PH_BARRIER)
-        try:
-            yield from self._barrier_body(epoch, tr, bar_t0)
-        finally:
-            if prof is not None:
-                prof.pop()
-            mx = self.sim.metrics
-            if mx is not None:
-                mx.on_barrier_epoch(self.id, self.sim.now - bar_t0)
+        # arrival-to-departure; the nested flush re-phases its own span
+        yield from bracket(self.sim, PH_BARRIER, self._barrier_body(epoch, bar_t0))
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            # the whole call, post-departure migration/push work included
+            pb.span(CAT_AUDIT, "barrier-epoch", bar_t0, node=self.id)
 
-    def _barrier_body(self, epoch: int, tr, bar_t0: float):
+    def _barrier_body(self, epoch: int, bar_t0: float):
+        pb = self.sim.probe
         flushed = yield from self._flush_dirty(epoch=epoch)
         self._close_interval()
         # include notices from lock intervals since the last barrier
@@ -1447,12 +1399,9 @@ class DsmNode:
             nb += 4 * len(fetched)
         else:
             payload = (self.id, notices)
-        if tr is not None:
-            tr.instant("dsm.barrier", "arrive", node=self.id,
+        if pb is not None and "dsm.barrier" in pb.heard:
+            pb.instant("dsm.barrier", "arrive", node=self.id,
                        epoch=epoch, notices=len(notices))
-        san = self.sim.san
-        if san is not None:
-            san.on_barrier_arrive(self.id, epoch)
         if self._fanin:
             # hierarchical barrier: contribute the page-level aggregate of
             # our own notices to this node's subtree fold — no frame until
@@ -1472,8 +1421,9 @@ class DsmNode:
             inval_writers, new_homes, push_plan = departure
         else:
             (inval_writers, new_homes), push_plan = departure, {}
-        if san is not None:
-            san.on_barrier_depart(self.id, epoch)
+        if pb is not None and "dsm.barrier" in pb.heard:
+            pb.span("dsm.barrier", "barrier", bar_t0, node=self.id,
+                    epoch=epoch, notices=len(notices))
         if self._gap_runs:
             # the barrier closes every node's interval; diffs of the next
             # interval start a fresh single-writer window
@@ -1482,9 +1432,6 @@ class DsmNode:
         # push staleness guard: lock invalidations of the closed window
         # no longer block installs (stale pushes now fail the epoch check)
         self._lock_invalidated.clear()
-        if tr is not None:
-            tr.span("dsm.barrier", "barrier", bar_t0, node=self.id,
-                    epoch=epoch, notices=len(notices))
 
         if self.config.homeless:
             # record which writers' diffs this copy is missing, oldest first
@@ -1493,8 +1440,7 @@ class DsmNode:
                 if others:
                     self._missing.setdefault(page, []).append((epoch, sorted(others)))
                     self._invalidate(page)
-            if tr is not None:
-                self._emit_census(tr, epoch)
+            self._emit_census(pb)
             return
 
         # adaptive migration: before invalidating, an old home whose page
@@ -1506,8 +1452,8 @@ class DsmNode:
                     continue
                 if inval_writers.get(page, set()) - {new_home}:
                     data = self._page_view(page).tobytes()
-                    if tr is not None:
-                        tr.instant("dsm.page", "handoff", node=self.id,
+                    if pb is not None and "dsm.page" in pb.heard:
+                        pb.instant("dsm.page", "handoff", node=self.id,
                                    page=page, dst=new_home, epoch=epoch)
                     yield from self.net.send(
                         self.id, new_home, self.page_size + 8, (page, data),
@@ -1540,8 +1486,7 @@ class DsmNode:
             yield from self._process_push_plan(push_plan, epoch)
             self._push_updates(push_plan, epoch, awaiting_handoff=True,
                                new_homes=new_homes)
-        if tr is not None:
-            self._emit_census(tr, epoch)
+        self._emit_census(pb)
 
     def _await_handoffs(self, inval_writers, new_homes):
         """New-home side of adaptive migration: invalidate the stale local
@@ -1577,28 +1522,22 @@ class DsmNode:
                 yield from self._serve_fetch(page, requester, rid)
         if not waits:
             return
-        prof = self.sim.prof
-        if prof is not None:
-            # a new wait point: phase it like any other page-update wait
-            prof.push(PH_PAGE_WAIT)
-        try:
-            for ev in waits:
-                yield ev
-        finally:
-            if prof is not None:
-                prof.pop()
+        # a new wait point: phase it like any other page-update wait
+        yield from bracket(self.sim, PH_PAGE_WAIT, waiting(*waits))
 
-    def _emit_census(self, tr, epoch: int) -> None:
-        """Counter sample of this node's page-state census (post-barrier).
+    def _emit_census(self, pb) -> None:
+        """Counter sample of this node's page-state census (post-barrier;
+        stamped by virtual time, not epoch).
 
         All counter args must stay numeric series values: Chrome stacks
         every ``args`` key as one band of the counter track.
         """
-        del epoch  # census is stamped by virtual time, not epoch
+        if pb is None or "counter" not in pb.heard:
+            return
         counts = {st.name: 0 for st in PageState}
         for st in self.state:
             counts[st.name] += 1
-        tr.counter("counter", "page-census", node=self.id, **counts)
+        pb.counter("counter", "page-census", node=self.id, **counts)
 
     def handle_barrier(self, msg):
         """Comm-thread handler for the 'bar' channel."""
@@ -1608,9 +1547,9 @@ class DsmNode:
                 # late or duplicate arrival for an epoch already released:
                 # drop it instead of resurrecting a ghost arrivals entry
                 # that could never reach quorum again
-                tr = self.sim.trace
-                if tr is not None:
-                    tr.instant("dsm.barrier", "drop-late", node=self.id,
+                pb = self.sim.probe
+                if pb is not None and "dsm.barrier" in pb.heard:
+                    pb.instant("dsm.barrier", "drop-late", node=self.id,
                                epoch=epoch, src=msg.src)
                 return
             if msg.src != self.id:
@@ -1639,12 +1578,12 @@ class DsmNode:
             if self._fanin and self._bar_children:
                 # fan the departure out down the tree before waking local
                 # threads — the deeper subtrees' latency dominates
-                tr = self.sim.trace
+                pb = self.sim.probe
                 fwd_nb = msg.nbytes - self.net.HEADER_BYTES
                 for dst in self._bar_children:
                     self.stats.barrier_relays += 1
-                    if tr is not None:
-                        tr.instant("dsm.barrier", "fanout", node=self.id,
+                    if pb is not None and "dsm.barrier" in pb.heard:
+                        pb.instant("dsm.barrier", "fanout", node=self.id,
                                    epoch=epoch, dst=dst)
                     yield from self.net.send(self.id, dst, fwd_nb, msg.payload,
                                              tag=("bar", "dep", epoch))
@@ -1691,9 +1630,9 @@ class DsmNode:
             payload = (self.id, writers, agg["bytes"], agg["fetched"])
         else:
             payload = (self.id, writers, None, None)
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.barrier", "relay", node=self.id, epoch=epoch,
+        pb = self.sim.probe
+        if pb is not None and "dsm.barrier" in pb.heard:
+            pb.instant("dsm.barrier", "relay", node=self.id, epoch=epoch,
                        pages=len(writers), pairs=pairs,
                        subtree=1 + len(self._bar_children))
         if self._bar_children:
@@ -1721,8 +1660,16 @@ class DsmNode:
     def _release_epoch(self, epoch: int, writers_by_page):
         """Master: decide home migration, build the departure, send it —
         to every node directly (flat) or down the tree (hierarchical)."""
-        tr = self.sim.trace
+        pb = self.sim.probe
         new_homes: Dict[int, int] = {}
+
+        def migrate(page: int, dst: int, **how) -> None:
+            new_homes[page] = dst
+            self.system.stats_home_migrations += 1
+            if pb is not None and "dsm.page" in pb.heard:
+                pb.instant("dsm.page", "home-migrate", node=self.id, page=page,
+                           src=self.home[page], dst=dst, epoch=epoch, **how)
+
         if self._accel_adaptive:
             for page, writers in writers_by_page.items():
                 old_home = self.home[page]
@@ -1738,23 +1685,13 @@ class DsmNode:
                     and total > 0
                     and best > self.config.migration_share * total
                 ):
-                    new_homes[page] = best_writer
-                    self.system.stats_home_migrations += 1
-                    if tr is not None:
-                        tr.instant("dsm.page", "home-migrate", node=self.id,
-                                   page=page, src=old_home, dst=best_writer,
-                                   epoch=epoch, adaptive=True)
+                    migrate(page, best_writer, adaptive=True)
         elif self.config.home_migration:
             for page, writers in writers_by_page.items():
-                old_home = self.home[page]
                 if len(writers) == 1:
                     (sole,) = tuple(writers)
-                    if sole != old_home:
-                        new_homes[page] = sole
-                        self.system.stats_home_migrations += 1
-                        if tr is not None:
-                            tr.instant("dsm.page", "home-migrate", node=self.id,
-                                       page=page, src=old_home, dst=sole, epoch=epoch)
+                    if sole != self.home[page]:
+                        migrate(page, sole)
                 # multiple writers: current home keeps highest priority (§5.2.2)
         if self._accel_adaptive:
             # Push plan: for every written page, the readers that fetched
@@ -1781,26 +1718,24 @@ class DsmNode:
                 )
                 if readers:
                     push_plan[page] = readers
-            if tr is not None:
-                tr.instant("dsm.barrier", "release", node=self.id, epoch=epoch,
-                           pages=len(writers_by_page), migrations=len(new_homes),
-                           pushes=len(push_plan))
+            extra = {"pushes": len(push_plan)}
             payload = (writers_by_page, new_homes, push_plan)
             nb = (16 + 16 * len(writers_by_page) + 8 * len(new_homes)
                   + 8 * sum(len(v) for v in push_plan.values()))
         else:
-            if tr is not None:
-                tr.instant("dsm.barrier", "release", node=self.id, epoch=epoch,
-                           pages=len(writers_by_page), migrations=len(new_homes))
+            extra = {}
             payload = (writers_by_page, new_homes)
             nb = 16 + 16 * len(writers_by_page) + 8 * len(new_homes)
+        if pb is not None and "dsm.barrier" in pb.heard:
+            pb.instant("dsm.barrier", "release", node=self.id, epoch=epoch,
+                       pages=len(writers_by_page), migrations=len(new_homes), **extra)
         # small CPU cost for the merge itself
         yield from self.node.busy_cpu(1e-6 + 0.2e-6 * len(writers_by_page))
         self._bar_released = max(self._bar_released, epoch)
         if self._fanin:
             for dst in self._bar_children:
-                if tr is not None:
-                    tr.instant("dsm.barrier", "fanout", node=self.id,
+                if pb is not None and "dsm.barrier" in pb.heard:
+                    pb.instant("dsm.barrier", "fanout", node=self.id,
                                epoch=epoch, dst=dst)
                 yield from self.net.send(self.id, dst, nb, payload,
                                          tag=("bar", "dep", epoch))
@@ -1877,24 +1812,12 @@ class DsmNode:
         ev = self._pending_event(req_id)
         if manager != self.id:
             self.stats.lock_remote_acquires += 1
-        tr = self.sim.trace
         t0 = self.sim.now
-        prof = self.sim.prof
-        if prof is not None:
-            # request-to-grant, spin slices included (they surface as
-            # *active* lock-wait — the KDSM busy-wait anomaly of Fig. 7)
-            prof.push(PH_LOCK_WAIT)
-        try:
-            yield from self.net.send(
-                self.id, manager, 12, (lock_id, self.id), tag=("lk", "acq", req_id)
-            )
-            if self.config.lock_spin:
-                # KDSM busy-wait client: burn CPU slices until granted (§6.1).
-                yield from self.node.spin_cpu(self.config.spin_slice, ev)
-            granted = yield ev
-        finally:
-            if prof is not None:
-                prof.pop()
+        # request-to-grant, spin slices included (they surface as
+        # *active* lock-wait — the KDSM busy-wait anomaly of Fig. 7)
+        granted = yield from bracket(
+            self.sim, PH_LOCK_WAIT, self._request_lock(lock_id, manager, req_id, ev)
+        )
         if self.config.lock_shard == "locality":
             # the grant names the actual manager: cache it so later
             # acquires/releases skip the directory hop
@@ -1904,17 +1827,12 @@ class DsmNode:
             notices, piggy = granted
         else:
             notices, piggy = granted, None
-        if prof is not None:
-            prof.on_lock_acquired(
-                lock_id, self.sim.now - t0, remote=manager != self.id
-            )
-        mx = self.sim.metrics
-        if mx is not None:
-            mx.on_lock_wait(lock_id, self.sim.now - t0)
-            self._lock_grant_t[lock_id] = self.sim.now
-        san = self.sim.san
-        if san is not None:
-            san.on_lock_acquire(("dsm-lock", lock_id))
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            # request-to-grant; the "dsm.lock/acquire" span below also
+            # covers applying the grant's notices
+            pb.span(CAT_AUDIT, "lock-acquire", t0, node=self.id,
+                    lock=lock_id, remote=manager != self.id)
         inval_before = self.stats.invalidations
         piggy_before = self.stats.diffs_piggybacked
         done: Set[int] = set()
@@ -1940,42 +1858,44 @@ class DsmNode:
                 pev = self._expected_frames.pop(page, None)
                 if pev is not None and not pev.triggered:
                     pev.succeed()
-        if tr is not None:
-            if piggy is None:
-                tr.span(
-                    "dsm.lock", "acquire", t0, node=self.id, lock=lock_id,
-                    manager=manager, remote=manager != self.id,
-                    notices=len(notices),
-                    invalidated=self.stats.invalidations - inval_before,
-                )
-            else:
-                tr.span(
-                    "dsm.lock", "acquire", t0, node=self.id, lock=lock_id,
-                    manager=manager, remote=manager != self.id,
-                    notices=len(notices),
-                    invalidated=self.stats.invalidations - inval_before,
-                    piggybacked=self.stats.diffs_piggybacked - piggy_before,
-                )
+        if pb is not None and "dsm.lock" in pb.heard:
+            extra = {} if piggy is None else {
+                "piggybacked": self.stats.diffs_piggybacked - piggy_before
+            }
+            pb.span(
+                "dsm.lock", "acquire", t0, node=self.id, lock=lock_id,
+                manager=manager, remote=manager != self.id,
+                notices=len(notices),
+                invalidated=self.stats.invalidations - inval_before,
+                **extra,
+            )
+
+    def _request_lock(self, lock_id: int, manager: int, req_id: int, ev: Event):
+        """Send the acquire request and wait for the grant."""
+        yield from self.net.send(
+            self.id, manager, 12, (lock_id, self.id), tag=("lk", "acq", req_id)
+        )
+        if self.config.lock_spin:
+            # KDSM busy-wait client: burn CPU slices until granted (§6.1).
+            yield from self.node.spin_cpu(self.config.spin_slice, ev)
+        granted = yield ev
+        return granted
 
     def _apply_piggyback(self, page: int, chain):
         """Apply a grant-piggybacked diff chain to a valid READ_ONLY copy
         (log order = lock order, so the final bytes match the home)."""
-        prof = self.sim.prof
-        if prof is not None:
-            prof.push(PH_FAULT_WORK)
-        try:
-            view = self._page_view(page)
-            for diff in chain:
-                yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
-                apply_diff(view, diff)
-        finally:
-            if prof is not None:
-                prof.pop()
+        yield from bracket(self.sim, PH_FAULT_WORK, self._apply_chain(page, chain))
         self.stats.diffs_piggybacked += len(chain)
-        tr = self.sim.trace
-        if tr is not None:
-            tr.instant("dsm.page", "piggy-apply", node=self.id,
+        pb = self.sim.probe
+        if pb is not None and "dsm.page" in pb.heard:
+            pb.instant("dsm.page", "piggy-apply", node=self.id,
                        page=page, diffs=len(chain))
+
+    def _apply_chain(self, page: int, chain):
+        view = self._page_view(page)
+        for diff in chain:
+            yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
+            apply_diff(view, diff)
 
     def lock_release(self, lock_id: int):
         """Flush modifications, hand write notices to the manager.
@@ -1985,16 +1905,10 @@ class DsmNode:
         ships complete per-page chains with later grants, so predicted
         acquirers patch their copies instead of faulting."""
         manager = self.lock_manager_of(lock_id)
-        tr = self.sim.trace
         t0 = self.sim.now
-        mx = self.sim.metrics
-        if mx is not None:
-            grant_t = self._lock_grant_t.pop(lock_id, None)
-            if grant_t is not None:
-                mx.on_lock_hold(lock_id, t0 - grant_t)
-        san = self.sim.san
-        if san is not None:
-            san.on_lock_release(("dsm-lock", lock_id))
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "lock-release", node=self.id, lock=lock_id)
         piggy: Optional[Dict[int, list]] = {} if self._accel_piggyback else None
         notices = yield from self._flush_dirty(collect=piggy)
         self._close_interval()
@@ -2005,22 +1919,14 @@ class DsmNode:
         else:
             payload = (lock_id, notices, piggy)
             nb += sum(diff_nbytes(d) for d in piggy.values()) + 8 * len(piggy)
-        prof = self.sim.prof
-        if prof is None:
-            yield from self.net.send(
-                self.id, manager, nb, payload, tag=("lk", "rel", self._next_req())
-            )
-        else:
-            # the notice hand-off is part of the release (flush) cost
-            prof.push(PH_FLUSH)
-            try:
-                yield from self.net.send(
-                    self.id, manager, nb, payload, tag=("lk", "rel", self._next_req())
-                )
-            finally:
-                prof.pop()
-        if tr is not None:
-            tr.span("dsm.lock", "release", t0, node=self.id, lock=lock_id,
+        # the notice hand-off is part of the release (flush) cost
+        yield from bracket(
+            self.sim, PH_FLUSH,
+            self.net.send(self.id, manager, nb, payload,
+                          tag=("lk", "rel", self._next_req())),
+        )
+        if pb is not None and "dsm.lock" in pb.heard:
+            pb.span("dsm.lock", "release", t0, node=self.id, lock=lock_id,
                     manager=manager, notices=len(notices))
 
     def handle_lock(self, msg):
@@ -2029,15 +1935,15 @@ class DsmNode:
         if kind == "acq":
             lock_id, requester = msg.payload
             if self.config.lock_shard == "locality":
+                pb = self.sim.probe
                 owner = self._lock_assign.get(lock_id)
                 if owner is None:
                     if self.lock_directory_of(lock_id) == self.id:
                         # directory, first request: the first toucher
                         # becomes the lock's manager
                         owner = self._lock_assign[lock_id] = requester
-                        tr = self.sim.trace
-                        if tr is not None:
-                            tr.instant("dsm.lock", "shard-assign",
+                        if pb is not None and "dsm.lock" in pb.heard:
+                            pb.instant("dsm.lock", "shard-assign",
                                        node=self.id, lock=lock_id,
                                        manager=requester)
                     else:
@@ -2049,9 +1955,8 @@ class DsmNode:
                     # elsewhere (a client that hasn't learnt the manager
                     # yet): forward it, same tag so the grant still
                     # resolves the requester's original req_id
-                    tr = self.sim.trace
-                    if tr is not None:
-                        tr.instant("dsm.lock", "forward", node=self.id,
+                    if pb is not None and "dsm.lock" in pb.heard:
+                        pb.instant("dsm.lock", "forward", node=self.id,
                                    lock=lock_id, requester=requester,
                                    manager=owner)
                     yield from self.net.send(
@@ -2092,10 +1997,6 @@ class DsmNode:
         self.stats.lock_grants += 1
         if requester != self.id:
             self.stats.lock_remote_grants += 1
-        prof = self.sim.prof
-        if prof is not None:
-            # manager-side grant: the hot-lock table counts token hops
-            prof.on_lock_grant(lock_id, requester)
         start = log.cursor_of(requester)
         pending = log.unseen_by(requester)
         # A node's own notices carry no information for it (the writer never
@@ -2108,24 +2009,18 @@ class DsmNode:
         piggy = None
         if self._accel_piggyback:
             piggy = self._build_piggyback(log, requester, start, pending)
-        tr = self.sim.trace
-        if tr is not None:
-            if piggy is None:
-                tr.instant("dsm.lock", "grant", node=self.id, lock=lock_id,
-                           requester=requester, notices=len(notices))
-            else:
-                tr.instant("dsm.lock", "grant", node=self.id, lock=lock_id,
-                           requester=requester, notices=len(notices),
-                           piggy=len(piggy))
-        san = self.sim.san
-        if san is not None:
-            san.on_lock_grant(self.id, lock_id, requester,
-                              start, log.cursor_of(requester), len(log))
-            if piggy:
-                san.on_lock_piggyback(
-                    self.id, lock_id, requester,
-                    set(piggy), {wn.page for wn in notices},
-                )
+        pb = self.sim.probe
+        if pb is not None and "dsm.lock" in pb.heard:
+            # manager-side grant (the hot-lock table counts token hops) ...
+            extra = {} if piggy is None else {"piggy": len(piggy)}
+            pb.instant("dsm.lock", "grant", node=self.id, lock=lock_id,
+                       requester=requester, notices=len(notices), **extra)
+        if pb is not None and CAT_AUDIT in pb.heard:
+            # ... and its notice-log cursor move + piggybacked chains, checked live
+            pb.instant(CAT_AUDIT, "grant", node=self.id, lock=lock_id,
+                       requester=requester, start=start,
+                       end=log.cursor_of(requester), log_len=len(log),
+                       notices=notices, piggy=piggy)
         nb = 16 + self._notice_nbytes * len(notices)
         if piggy is None:
             payload = notices

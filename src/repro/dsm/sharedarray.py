@@ -17,6 +17,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.sim.probe import CAT_AUDIT
+
 
 def _normalize_shape(shape) -> Tuple[int, ...]:
     if isinstance(shape, (int, np.integer)):
@@ -112,10 +114,11 @@ class NodeArrayView:
         addr, nbytes = self.array._flat_range(s, e)
         if not self.node.try_fast_access(addr, nbytes, False):
             yield from self.node.acquire_read(addr, nbytes)
-        san = self.node.sim.san
-        if san is not None and not self.array.segment.object_granularity:
-            san.on_access(self.node.id, addr, nbytes, False,
-                          f"{self.array.segment.name}[{s}:{e}]")
+        pb = self.node.sim.probe
+        if (pb is not None and CAT_AUDIT in pb.heard
+                and not self.array.segment.object_granularity):
+            pb.instant(CAT_AUDIT, "access", node=self.node.id, addr=addr, nbytes=nbytes,
+                       write=False, what=f"{self.array.segment.name}[{s}:{e}]")
         view = self._np_view(s, e)
         view.flags.writeable = False
         return view
@@ -128,10 +131,11 @@ class NodeArrayView:
         addr, nbytes = self.array._flat_range(s, e)
         if not self.node.try_fast_access(addr, nbytes, True):
             yield from self.node.acquire_write(addr, nbytes)
-        san = self.node.sim.san
-        if san is not None and not self.array.segment.object_granularity:
-            san.on_access(self.node.id, addr, nbytes, True,
-                          f"{self.array.segment.name}[{s}:{e}]")
+        pb = self.node.sim.probe
+        if (pb is not None and CAT_AUDIT in pb.heard
+                and not self.array.segment.object_granularity):
+            pb.instant(CAT_AUDIT, "access", node=self.node.id, addr=addr, nbytes=nbytes,
+                       write=True, what=f"{self.array.segment.name}[{s}:{e}]")
         return self._np_view(s, e)
 
     def set(self, values, start: int = 0):

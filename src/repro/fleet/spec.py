@@ -30,6 +30,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.sim.probe import PH_BARRIER, PH_LOCK_WAIT
+
 #: bump when the record layout changes incompatibly — part of the cache
 #: key, so stale cache entries become misses instead of wrong shapes
 RECORD_VERSION = 1
@@ -220,8 +222,6 @@ def _single_run(spec: RunSpec, observe: bool) -> Dict:
             ],
         }
     if prof is not None:
-        from repro.profile.phases import PH_BARRIER, PH_LOCK_WAIT
-
         prof.finalize()
         totals = prof.totals()
         out["phases"] = prof.group_fractions(ndigits=4)

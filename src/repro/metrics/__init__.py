@@ -1,8 +1,8 @@
 """Live metrics for the ParADE reproduction: registry, sampler, exports.
 
-The subsystem attaches to a running simulation as ``sim.metrics`` with
-the same zero-cost-when-detached contract as ``trace`` / ``san`` /
-``prof`` / ``chaos``, samples every layer on a deterministic
+The subsystem subscribes to a running simulation's probe bus
+(:mod:`repro.sim.probe`, zero cost when detached like every other
+observer), samples every layer on a deterministic
 virtual-time grid, and exposes the result as Prometheus text, JSON
 time-series, CSV, or Chrome counter tracks.  ``python -m repro.metrics``
 adds per-workload scorecards and the noise-aware bench watchdog.

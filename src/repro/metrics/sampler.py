@@ -1,12 +1,12 @@
 """The live metrics object: registry + deterministic periodic sampler.
 
-:class:`Metrics` attaches to a :class:`~repro.sim.Simulator` exactly the
-way ``trace`` / ``san`` / ``prof`` / ``chaos`` do — a nullable attribute
-(``sim.metrics``) guarded at every hook site, so a detached run pays one
-attribute load and one compare per guarded site and nothing else.
+:class:`Metrics` is a subscriber of the simulation's probe bus
+(:mod:`repro.sim.probe`): detached, a run pays the bus's own
+``sim.probe is None`` guard per site and nothing else.
 
-Sampling is **passive**: the simulator calls :meth:`Metrics.on_step`
-once per processed event (when attached), and the sampler snapshots its
+Sampling is **passive**: the event loop states ``kernel/step`` once per
+processed event (while a step consumer is subscribed), which lands in
+:meth:`Metrics.on_step`, and the sampler snapshots its
 sources whenever virtual time has crossed the next multiple of
 ``period``.  No timeout events are ever scheduled, no CPU is charged, no
 sequence numbers are consumed — the event schedule of an observed run is
@@ -20,9 +20,10 @@ Sources are ``(prefix, fn)`` pairs where ``fn() -> {name: number}``;
 each key becomes the time-series ``prefix/name``.  The stock sources for
 every layer live in :mod:`repro.metrics.sources`.
 
-Hook sites additionally feed the registry's latency histograms directly
-(lock wait/hold, barrier epoch latency, network delivery latency) and
-maintain the in-flight per-link gauges — see the ``on_*`` methods.
+The registry's latency histograms (lock wait/hold, barrier epoch
+latency, network delivery latency) and the in-flight per-link gauges are
+fed by the probe kinds listed in ``Metrics._handlers`` — see the
+``_on_*`` methods.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.registry import Histogram, MetricsRegistry
+from repro.sim.probe import CAT_AUDIT, Subscriber
 
 #: series name of one sampled value stream
 Series = Tuple[List[float], List[float]]
@@ -42,13 +44,13 @@ LOCK_HOLD = "lock_hold_seconds"
 BARRIER_EPOCH = "barrier_epoch_seconds"
 
 
-class Metrics:
-    """Live metrics for one simulator; installs itself as ``sim.metrics``.
+class Metrics(Subscriber):
+    """Live metrics for one simulator; subscribes to ``sim.probe``.
 
     Parameters
     ----------
     sim : the :class:`~repro.sim.Simulator` whose virtual clock drives
-        the sampling grid; ``sim.metrics`` is set unless ``attach=False``.
+        the sampling grid; subscribed unless ``attach=False``.
     period : virtual seconds between samples (the grid spacing).
     max_samples : per-series bound; once reached, further samples of that
         series are dropped (``n_dropped`` counts them) so memory stays
@@ -82,20 +84,22 @@ class Metrics:
         self.inflight: Dict[Tuple[int, int], List[int]] = {}
         self._inflight_msgs = 0
         self._inflight_bytes = 0
+        #: message seq -> virtual time its send call started
+        self._sent_at: Dict[int, float] = {}
+        #: (node, lock) -> grant time of a distributed lock currently held
+        self._granted_at: Dict[Tuple[int, int], float] = {}
+        #: probe kind -> handler (see repro.sim.probe for the signatures)
+        self._handlers = {
+            ("kernel", "step"): self.on_step,
+            ("net", "msg-send"): self._on_msg_send,
+            ("net", "msg-deliver"): self._on_msg_deliver,
+            (CAT_AUDIT, "lock-acquire"): self._on_lock_acquire,
+            (CAT_AUDIT, "lock-release"): self._on_lock_release,
+            (CAT_AUDIT, "barrier-epoch"): self._on_barrier_epoch,
+        }
         self.add_source("net", self._net_source)
         if attach:
             self.attach()
-
-    # -- lifecycle ------------------------------------------------------
-    def attach(self) -> "Metrics":
-        """Install as ``sim.metrics`` so hooks and the step sampler find us."""
-        self.sim.metrics = self
-        return self
-
-    def detach(self) -> "Metrics":
-        if getattr(self.sim, "metrics", None) is self:
-            self.sim.metrics = None
-        return self
 
     def add_source(self, prefix: str, fn: Callable[[], Dict[str, float]]) -> None:
         """Register a snapshot source; its keys become ``prefix/name``
@@ -105,8 +109,8 @@ class Metrics:
 
     # -- sampling -------------------------------------------------------
     def on_step(self, now: float, queue_depth: int) -> None:
-        """Called by the simulator once per processed event (attached
-        runs only); samples when *now* has crossed the next grid point."""
+        """Once per processed event (``kernel/step``); samples when *now* has
+        crossed the next grid point."""
         if now < self._next_due:
             return
         self.sample(now, queue_depth)
@@ -150,9 +154,11 @@ class Metrics:
             out[f"link/{src}->{dst}/bytes_inflight"] = nbytes
         return out
 
-    # -- network hooks ---------------------------------------------------
-    def on_net_send(self, src: int, dst: int, nbytes: int) -> None:
-        """A frame entered the network (loopback included)."""
+    # -- network facts ---------------------------------------------------
+    def _on_msg_send(self, a, src, *_) -> None:
+        """``net/msg-send``: a frame entered the network (also loopback)."""
+        dst, nbytes = a["dst"], a["nbytes"]
+        self._sent_at[a["seq"]] = self.sim.now
         ent = self.inflight.get((src, dst))
         if ent is None:
             ent = self.inflight[(src, dst)] = [0, 0]
@@ -163,29 +169,40 @@ class Metrics:
         self.registry.counter("net_frames_total", src=src, dst=dst).inc()
         self.registry.counter("net_bytes_total", src=src, dst=dst).inc(nbytes)
 
-    def on_net_deliver(self, src: int, dst: int, nbytes: int, latency: float) -> None:
-        """The frame reached the destination inbox *latency* virtual
-        seconds after the send call started (queueing + wire + recovery)."""
-        ent = self.inflight.get((src, dst))
+    def _on_msg_deliver(self, a, dst, *_) -> None:
+        """``net/msg-deliver``: the frame reached the destination inbox;
+        its latency runs from the start of the send call (queueing + wire
+        + recovery)."""
+        sent = self._sent_at.pop(a["seq"], None)
+        if sent is None:  # sent before this sampler subscribed
+            return
+        nbytes = a["nbytes"]
+        ent = self.inflight.get((a["src"], dst))
         if ent is not None:
             ent[0] -= 1
             ent[1] -= nbytes
         self._inflight_msgs -= 1
         self._inflight_bytes -= nbytes
-        self.registry.histogram(NET_LATENCY).observe(latency)
+        self.registry.histogram(NET_LATENCY).observe(self.sim.now - sent)
 
-    # -- DSM hooks -------------------------------------------------------
-    def on_lock_wait(self, lock_id: int, wait: float) -> None:
-        """Request-to-grant latency of one distributed-lock acquire."""
-        self.registry.histogram(LOCK_WAIT, lock=lock_id).observe(wait)
+    # -- DSM facts -------------------------------------------------------
+    def _on_lock_acquire(self, a, node, tid, t0, ph) -> None:
+        """``audit/lock-acquire``: request-to-grant latency of one acquire."""
+        now = self.sim.now
+        self.registry.histogram(LOCK_WAIT, lock=a["lock"]).observe(now - t0)
+        self._granted_at[node, a["lock"]] = now
 
-    def on_lock_hold(self, lock_id: int, hold: float) -> None:
-        """Grant-to-release time of one critical section."""
-        self.registry.histogram(LOCK_HOLD, lock=lock_id).observe(hold)
+    def _on_lock_release(self, a, node, *_) -> None:
+        """``audit/lock-release``: grant-to-release time of one section."""
+        grant_t = self._granted_at.pop((node, a["lock"]), None)
+        if grant_t is not None:
+            self.registry.histogram(LOCK_HOLD, lock=a["lock"]).observe(
+                self.sim.now - grant_t
+            )
 
-    def on_barrier_epoch(self, node: int, duration: float) -> None:
-        """Arrival-to-departure latency of one barrier epoch on *node*."""
-        self.registry.histogram(BARRIER_EPOCH, node=node).observe(duration)
+    def _on_barrier_epoch(self, a, node, tid, t0, ph) -> None:
+        """``audit/barrier-epoch``: latency of one barrier call on *node*."""
+        self.registry.histogram(BARRIER_EPOCH, node=node).observe(self.sim.now - t0)
 
     # -- convenience -----------------------------------------------------
     def histogram_percentiles(self, name: str, qs=(50, 90, 99)) -> Dict[str, float]:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
+from repro.sim.probe import PH_COMM_SERVICE
+
 #: sentinel payload that shuts the communication thread down
 POISON = object()
 
@@ -63,28 +65,28 @@ class CommThread:
         node = self.node
         inbox_get = node.inbox.get
         busy_cpu = node.busy_cpu
-        recv_cpu_time = self.network.recv_cpu_time
+        network = self.network
+        recv_cpu_time = network.recv_cpu_time
         handlers = self._handlers
         priority = self.CPU_PRIORITY
         while True:
             msg = yield inbox_get()
             if msg is POISON:
                 return
-            ch = sim.chaos
-            if ch is not None:
+            link = network.link
+            if link is not None:
                 # injected comm-thread stall: the service thread wedges
                 # (page-out, interrupt storm ...) before touching the frame
-                stall = ch.comm_stall(node.id)
+                stall = link.comm_stall(node.id)
                 if stall > 0.0:
                     yield sim.timeout(stall)
             t0 = sim.now
-            prof = sim.prof
-            if prof is not None:
-                from repro.profile.phases import PH_COMM_SERVICE
-
+            pb = sim.probe
+            if pb is not None:
                 # the whole drain (recv CPU cost + handler) is one service
                 # phase; busy_cpu slices inside inherit the label as active
-                prof.push(PH_COMM_SERVICE)
+                # (by hand, not probe.bracket: the loop stays one frame deep)
+                pb.push(PH_COMM_SERVICE)
             try:
                 yield from busy_cpu(recv_cpu_time(msg.nbytes), priority=priority)
                 channel = msg.tag[0] if isinstance(msg.tag, tuple) else msg.tag
@@ -95,14 +97,13 @@ class CommThread:
                     )
                 yield from handler(msg)
             finally:
-                if prof is not None:
-                    prof.pop()
+                if pb is not None:
+                    pb.pop()
             self.messages_handled += 1
             self.service_time += sim.now - t0
-            tr = sim.trace
-            if tr is not None:
+            if pb is not None and "mpi" in pb.heard:
                 # one span per drained message: recv CPU cost + handler run
-                tr.span(
+                pb.span(
                     "mpi", "service", t0, node=self.node.id,
                     channel=str(channel), nbytes=msg.nbytes, src=msg.src,
                 )

@@ -16,6 +16,7 @@ from typing import Any, List, Optional
 from repro.mpi.datatypes import nbytes_of
 from repro.mpi.matching import MatchQueue, ANY_SOURCE, ANY_TAG
 from repro.mpi.ops import ReduceOp, SUM
+from repro.sim.probe import CAT_AUDIT, PH_MPI_COLL, bracket
 
 
 class Communicator:
@@ -85,9 +86,9 @@ class RankComm:
         if not (0 <= dest < self.size):
             raise ValueError(f"invalid destination rank {dest}")
         self.comm.n_p2p += 1
-        san = self.comm.sim.san
-        if san is not None:
-            san.on_msg_send(self._hb_key(self.rank, dest, tag))
+        pb = self.comm.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "send", key=self._hb_key(self.rank, dest, tag))
         yield from self._net.send(
             self.rank, dest, nbytes_of(value), value, tag=(self.comm._channel, tag)
         )
@@ -95,17 +96,17 @@ class RankComm:
     def recv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG):
         """Blocking receive; returns the payload."""
         src, t, payload = yield self._queue.post(source, tag)
-        san = self.comm.sim.san
-        if san is not None:
-            san.on_msg_recv(self._hb_key(src, self.rank, t))
+        pb = self.comm.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "recv", key=self._hb_key(src, self.rank, t))
         return payload
 
     def recv_with_status(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG):
         """Blocking receive; returns (payload, source, tag)."""
         src, t, payload = yield self._queue.post(source, tag)
-        san = self.comm.sim.san
-        if san is not None:
-            san.on_msg_recv(self._hb_key(src, self.rank, t))
+        pb = self.comm.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "recv", key=self._hb_key(src, self.rank, t))
         return payload, src, t
 
     def irecv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG):
@@ -122,21 +123,11 @@ class RankComm:
     def bcast(self, value: Any, root: int = 0):
         """MPI_Bcast via binomial tree; returns the broadcast value."""
         sim = self.comm.sim
-        tr = sim.trace
         t0 = sim.now
-        prof = sim.prof
-        if prof is None:
-            result = yield from self._bcast(value, root)
-        else:
-            from repro.profile.phases import PH_MPI_COLL
-
-            prof.push(PH_MPI_COLL)
-            try:
-                result = yield from self._bcast(value, root)
-            finally:
-                prof.pop()
-        if tr is not None:
-            tr.span("mpi", "bcast", t0, node=self.rank, root=root)
+        result = yield from bracket(sim, PH_MPI_COLL, self._bcast(value, root))
+        pb = sim.probe
+        if pb is not None and "mpi" in pb.heard:
+            pb.span("mpi", "bcast", t0, node=self.rank, root=root)
         return result
 
     def _bcast(self, value: Any, root: int):
@@ -165,21 +156,11 @@ class RankComm:
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0):
         """MPI_Reduce via binomial tree; root returns the reduction, others None."""
         sim = self.comm.sim
-        tr = sim.trace
         t0 = sim.now
-        prof = sim.prof
-        if prof is None:
-            result = yield from self._reduce(value, op, root)
-        else:
-            from repro.profile.phases import PH_MPI_COLL
-
-            prof.push(PH_MPI_COLL)
-            try:
-                result = yield from self._reduce(value, op, root)
-            finally:
-                prof.pop()
-        if tr is not None:
-            tr.span("mpi", "reduce", t0, node=self.rank, root=root)
+        result = yield from bracket(sim, PH_MPI_COLL, self._reduce(value, op, root))
+        pb = sim.probe
+        if pb is not None and "mpi" in pb.heard:
+            pb.span("mpi", "reduce", t0, node=self.rank, root=root)
         return result
 
     def _reduce(self, value: Any, op: ReduceOp, root: int):
@@ -214,12 +195,12 @@ class RankComm:
         drop explicit barriers (§5.2.1).
         """
         sim = self.comm.sim
-        tr = sim.trace
         t0 = sim.now
         acc = yield from self.reduce(value, op=op, root=0)
         result = yield from self.bcast(acc, root=0)
-        if tr is not None:
-            tr.span("mpi", "allreduce", t0, node=self.rank)
+        pb = sim.probe
+        if pb is not None and "mpi" in pb.heard:
+            pb.span("mpi", "allreduce", t0, node=self.rank)
         return result
 
     def barrier(self):

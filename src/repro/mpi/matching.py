@@ -38,20 +38,20 @@ class MatchQueue:
 
     def deliver(self, src: int, tag: Any, payload: Any) -> None:
         """Called by the comm thread when an MPI message arrives."""
-        tr = self.sim.trace
+        pb = self.sim.probe
         for i, post in enumerate(self._posted):
             if post.matches(src, tag):
                 del self._posted[i]
-                if tr is not None:
-                    tr.instant(
+                if pb is not None and "mpi" in pb.heard:
+                    pb.instant(
                         "mpi", "match", node=self.node, src=src, tag=str(tag),
                         outcome="posted",
                     )
                 post.event.succeed((src, tag, payload))
                 return
         self.n_unexpected += 1
-        if tr is not None:
-            tr.instant(
+        if pb is not None and "mpi" in pb.heard:
+            pb.instant(
                 "mpi", "match", node=self.node, src=src, tag=str(tag),
                 outcome="unexpected", depth=len(self._unexpected) + 1,
             )
@@ -60,20 +60,20 @@ class MatchQueue:
     def post(self, source: int, tag: Any) -> Event:
         """Post a receive; returns an event firing with (src, tag, payload)."""
         ev = Event(self.sim, name="mpi-recv")
-        tr = self.sim.trace
+        pb = self.sim.probe
         for i, (src, t, payload) in enumerate(self._unexpected):
             if (source == ANY_SOURCE or source == src) and (tag is ANY_TAG or tag == t):
                 del self._unexpected[i]
-                if tr is not None:
-                    tr.instant(
+                if pb is not None and "mpi" in pb.heard:
+                    pb.instant(
                         "mpi", "recv-post", node=self.node, tag=str(tag),
                         outcome="drained",
                     )
                 ev.succeed((src, t, payload))
                 return ev
         self.n_posted += 1
-        if tr is not None:
-            tr.instant(
+        if pb is not None and "mpi" in pb.heard:
+            pb.instant(
                 "mpi", "recv-post", node=self.node, tag=str(tag), outcome="queued"
             )
         self._posted.append(_PostedRecv(source, tag, ev))

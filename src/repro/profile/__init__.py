@@ -1,7 +1,7 @@
 """Virtual-time profiler: phase attribution, critical path, hot reports.
 
-Attach a :class:`Profiler` to a simulator before running (zero cost when
-detached, like ``Simulator.trace``), then snapshot a
+Attach a :class:`Profiler` to a simulator before running (a probe-bus
+subscriber: zero cost when detached), then snapshot a
 :class:`ProfileReport`::
 
     rt = ParadeRuntime(...)

@@ -56,45 +56,13 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-PH_COMPUTE = "compute"
-PH_CPU_WAIT = "cpu-wait"
-PH_FAULT_FETCH = "fault-fetch"
-PH_FAULT_WORK = "fault-work"
-PH_PAGE_WAIT = "page-wait"
-PH_FLUSH = "flush"
-PH_OVERHEAD = "overhead"
-PH_LOCK_WAIT = "lock-wait"
-PH_BARRIER = "barrier-wait"
-PH_MUTEX_WAIT = "mutex-wait"
-PH_TEAM_WAIT = "team-wait"
-PH_MPI_COLL = "mpi-coll"
-PH_FORK_JOIN = "fork-join"
-PH_COMM_SERVICE = "comm-service"
-PH_NET_TX = "net-tx"
-PH_NET_FLIGHT = "net-flight"
-PH_RETRANSMIT = "retransmit-wait"
-PH_IDLE = "idle"
-
-#: report/ledger column order (idle last)
-ALL_PHASES: Tuple[str, ...] = (
-    PH_COMPUTE,
-    PH_CPU_WAIT,
-    PH_FAULT_FETCH,
-    PH_FAULT_WORK,
-    PH_PAGE_WAIT,
-    PH_FLUSH,
-    PH_OVERHEAD,
-    PH_LOCK_WAIT,
-    PH_BARRIER,
-    PH_MUTEX_WAIT,
-    PH_TEAM_WAIT,
-    PH_MPI_COLL,
-    PH_FORK_JOIN,
-    PH_COMM_SERVICE,
-    PH_NET_TX,
-    PH_NET_FLIGHT,
-    PH_RETRANSMIT,
-    PH_IDLE,
+# the labels live next to the probe bus, so instrumentation sites in
+# sim/cluster/dsm/mpi/runtime name a phase without importing this package
+from repro.sim.probe import (  # noqa: F401  (re-exported)
+    PH_BARRIER, PH_COMM_SERVICE, PH_COMPUTE, PH_CPU_WAIT, PH_FAULT_FETCH,
+    PH_FAULT_WORK, PH_FLUSH, PH_FORK_JOIN, PH_IDLE, PH_LOCK_WAIT, PH_MPI_COLL,
+    PH_MUTEX_WAIT, PH_NET_FLIGHT, PH_NET_TX, PH_OVERHEAD, PH_PAGE_WAIT,
+    PH_RETRANSMIT, PH_TEAM_WAIT,
 )
 
 GROUP_COMPUTE = "compute"
@@ -113,6 +81,7 @@ ALL_GROUPS: Tuple[str, ...] = (
     GROUP_IDLE,
 )
 
+#: phase -> group, in report/ledger column order (idle last)
 GROUP_OF: Dict[str, str] = {
     PH_COMPUTE: GROUP_COMPUTE,
     PH_CPU_WAIT: GROUP_CPU,
@@ -133,6 +102,8 @@ GROUP_OF: Dict[str, str] = {
     PH_RETRANSMIT: GROUP_COMM,
     PH_IDLE: GROUP_IDLE,
 }
+
+ALL_PHASES: Tuple[str, ...] = tuple(GROUP_OF)
 
 #: pseudo-thread id carrying switch-propagation (flight) intervals; it has
 #: no ledger (messages overlap freely) and appears only in the critical path

@@ -1,24 +1,23 @@
 """The virtual-time profiler.
 
-Attaches to a :class:`~repro.sim.Simulator` the same zero-cost way
-``Simulator.trace`` and ``Simulator.san`` do::
+A subscriber of the simulation's probe bus (:mod:`repro.sim.probe`)::
 
-    prof = Profiler(sim)          # installs itself as sim.prof
+    prof = Profiler(sim)          # subscribes to sim.probe
     ... run the program ...
     prof.finalize()               # close open phases at final virtual time
-    data = prof.snapshot()        # ProfileData: ledgers, path, hot tables
+    report = ProfileReport.from_profiler(prof)   # ledgers, path, hot tables
 
-Instrumentation sites throughout the stack guard on ``sim.prof is None``
-(one load and one compare — the entire cost when detached) and drive a
-per-thread **phase stack**:
+It consumes the phase brackets the stack states (``phase/push``,
+``phase/replace``, ``phase/pop``), which drive a per-thread **phase
+stack**:
 
 * ``push(phase)`` starts a nested phase on the calling simulation thread;
 * ``pop()`` returns to the enclosing phase;
-* ``replace(phase, active)`` swaps the top (CPU grant: cpu-wait → busy);
-* ``replace_busy()`` swaps the top for an *active* copy of the enclosing
-  phase — how raw protocol CPU bursts inherit their context (a diff
-  computed during a flush is *flush* time, a spin slice during a lock
-  acquire is *lock-wait* time).
+* ``replace(phase)`` swaps the top (CPU grant: cpu-wait → busy);
+  ``replace(None)`` swaps in an *active* copy of the enclosing phase —
+  how raw protocol CPU bursts inherit their context (a diff computed
+  during a flush is *flush* time, a spin slice during a lock acquire is
+  *lock-wait* time).
 
 Time is attributed to the innermost (top) phase; every transition closes
 the current slice into the thread's ledger, so per-thread phase times sum
@@ -26,6 +25,12 @@ exactly to the thread's virtual lifetime.  With ``record_intervals`` the
 closed slices are also kept as a flat interval list — the input of the
 critical-path sweep (:mod:`repro.profile.critical_path`) and the
 Chrome-counter export (:mod:`repro.profile.export`).
+
+The hot-page and hot-lock tables and the network pseudo-thread are fed by
+the kinds in ``Profiler._handlers``: process resume/end,
+page fetches and lock grants off their trace kinds, and the ``audit``
+kinds for faults, diffs, lock waits, message flights and retransmit
+dead time.
 """
 
 from __future__ import annotations
@@ -35,10 +40,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.profile.phases import (
     ALL_GROUPS,
     PH_IDLE,
+    PH_NET_FLIGHT,
+    PH_OVERHEAD,
+    PH_RETRANSMIT,
     NET_TID,
     group_of,
     node_of_tid,
 )
+from repro.sim.probe import CAT_AUDIT, Subscriber
 from repro.util.tables import percentile
 
 #: an emitted interval: (t0, t1, tid, phase, active)
@@ -91,13 +100,13 @@ class PageStats:
         self.diff_bytes = 0
 
 
-class Profiler:
+class Profiler(Subscriber):
     """Bounded-state virtual-time profiler, bound to one simulator.
 
     Parameters
     ----------
     sim : the :class:`~repro.sim.Simulator` whose clock stamps phases; the
-        profiler installs itself as ``sim.prof`` unless ``attach=False``.
+        profiler subscribes to ``sim.probe`` unless ``attach=False``.
     record_intervals : keep the flat interval stream (needed for the
         critical path and the Chrome-counter export; ledgers and hot
         tables work without it).
@@ -118,19 +127,28 @@ class Profiler:
         self.pages: Dict[int, PageStats] = {}
         self.locks: Dict[int, LockStats] = {}
         self.finalized_at: Optional[float] = None
+        #: probe kind -> handler(args, node, tid, t0, ph); the phase kinds
+        #: take the phase label instead (see repro.sim.probe)
+        self._handlers = {
+            ("phase", "push"): self.push,
+            ("phase", "replace"): self.replace,
+            ("phase", "pop"): self.pop,
+            ("sim", "resume"): self._on_resume,
+            ("sim", "end"): self._on_thread_end,
+            (CAT_AUDIT, "flight"): self._on_net_flight,
+            (CAT_AUDIT, "retransmit-wait"): self._on_retransmit_wait,
+            (CAT_AUDIT, "fault"): self._on_fault,
+            ("dsm.page", "fetch"): self._on_fetch,
+            (CAT_AUDIT, "pull"): self._on_fetch,
+            (CAT_AUDIT, "diff"): self._on_diff,
+            (CAT_AUDIT, "lock-acquire"): self._on_lock_acquired,
+            ("dsm.lock", "grant"): self._on_lock_grant,
+        }
         if attach:
             self.attach()
 
-    # -- lifecycle ------------------------------------------------------
-    def attach(self) -> "Profiler":
-        """Install as ``sim.prof`` so instrumentation sites find us."""
-        self.sim.prof = self
-        return self
-
-    def detach(self) -> "Profiler":
-        if getattr(self.sim, "prof", None) is self:
-            self.sim.prof = None
-        return self
+    #: the CPU-grant wait→busy switch is a resume instant of the burst
+    watches_scheduling = True
 
     # -- thread state ---------------------------------------------------
     def _state(self) -> _ThreadState:
@@ -164,39 +182,29 @@ class Profiler:
         if st.stack:
             st.stack.pop()
 
-    def replace(self, phase: str, active: bool = True) -> None:
-        """Swap the top phase in place (CPU grant: cpu-wait → busy)."""
-        st = self._state()
-        self._close(st, self.sim.now)
-        entry = (phase, active)
-        if st.stack:
-            st.stack[-1] = entry
-        else:
-            st.stack.append(entry)
-
-    def replace_busy(self) -> None:
-        """Swap the top for an *active* copy of the enclosing phase: a raw
+    def replace(self, phase: Optional[str], active: bool = True) -> None:
+        """Swap the top phase in place (CPU grant: cpu-wait → busy).
+        ``None`` swaps in an *active* copy of the enclosing phase: a raw
         CPU burst inherits its context (flush, fault-work, comm-service,
         lock-wait spin ...); with no context it is bare ``overhead``."""
-        from repro.profile.phases import PH_OVERHEAD
-
         st = self._state()
         self._close(st, self.sim.now)
-        below = st.stack[-2][0] if len(st.stack) >= 2 else PH_OVERHEAD
-        entry = (below, True)
+        if phase is None:
+            phase = st.stack[-2][0] if len(st.stack) >= 2 else PH_OVERHEAD
+            active = True
         if st.stack:
-            st.stack[-1] = entry
+            st.stack[-1] = (phase, active)
         else:
-            st.stack.append(entry)
+            st.stack.append((phase, active))
 
-    # -- process lifecycle hooks (called from Process._resume) -----------
-    def on_resume(self, label: str) -> None:
+    # -- process lifecycle (sim/resume, sim/end) ---------------------------
+    def _on_resume(self, a, node, label, *_) -> None:
         """Ensure a ledger exists from the thread's first resume (which is
         at its creation virtual time), so leading waits are not lost."""
         if label not in self.threads:
             self.threads[label] = _ThreadState(label, self.sim.now)
 
-    def on_thread_end(self, label: str) -> None:
+    def _on_thread_end(self, a, node, label, *_) -> None:
         st = self.threads.get(label)
         if st is not None and st.end is None:
             self._close(st, self.sim.now)
@@ -215,30 +223,28 @@ class Profiler:
         self.finalized_at = now
         return self
 
-    # -- network hooks ---------------------------------------------------
-    def on_net_flight(self, t0: float, t1: float) -> None:
+    # -- the pseudo-thread ``net`` (audit/flight, audit/retransmit-wait) ----
+    def _on_net_flight(self, a, node, tid, t0, ph) -> None:
         """Record one message's switch-propagation interval."""
+        t1 = self.sim.now
         self.net_flights += 1
         self.net_flight_s += t1 - t0
         if self.record_intervals and t1 > t0:
-            from repro.profile.phases import PH_NET_FLIGHT
-
             self.net_intervals.append((t0, t1, NET_TID, PH_NET_FLIGHT, True))
 
-    def on_retransmit_wait(self, t0: float, t1: float) -> None:
+    def _on_retransmit_wait(self, a, node, tid, t0, ph) -> None:
         """Record the dead time preceding one reliability-layer retransmit:
         the frame (or its ack) was lost at *t0* and the retransmit timer
-        fired at *t1*.  Attributed to the pseudo-thread ``net`` like
+        fired now.  Attributed to the pseudo-thread ``net`` like
         switch propagation, so lossy-link stalls show up on the critical
         path as ``retransmit-wait`` rather than unattributed slack."""
+        t1 = self.sim.now
         self.retransmit_waits += 1
         self.retransmit_wait_s += t1 - t0
         if self.record_intervals and t1 > t0:
-            from repro.profile.phases import PH_RETRANSMIT
-
             self.net_intervals.append((t0, t1, NET_TID, PH_RETRANSMIT, True))
 
-    # -- hot-page hooks ---------------------------------------------------
+    # -- hot pages (audit/fault, dsm.page/fetch, audit/pull, audit/diff) ----
     def _page(self, page: int) -> PageStats:
         ps = self.pages.get(page)
         if ps is None:
@@ -246,24 +252,24 @@ class Profiler:
             self.pages[page] = ps
         return ps
 
-    def on_fault(self, page: int, is_write: bool) -> None:
-        ps = self._page(page)
-        if is_write:
+    def _on_fault(self, a, *_) -> None:
+        ps = self._page(a["page"])
+        if a["write"]:
             ps.write_faults += 1
         else:
             ps.read_faults += 1
 
-    def on_fetch(self, page: int, nbytes: int) -> None:
-        ps = self._page(page)
+    def _on_fetch(self, a, *_) -> None:
+        ps = self._page(a["page"])
         ps.fetches += 1
-        ps.fetch_bytes += nbytes
+        ps.fetch_bytes += a["nbytes"]
 
-    def on_diff(self, page: int, nbytes: int) -> None:
-        ps = self._page(page)
+    def _on_diff(self, a, *_) -> None:
+        ps = self._page(a["page"])
         ps.diffs += 1
-        ps.diff_bytes += nbytes
+        ps.diff_bytes += a["nbytes"]
 
-    # -- hot-lock hooks ----------------------------------------------------
+    # -- hot locks (audit/lock-acquire, dsm.lock/grant) ----------------------
     def _lock(self, lock_id: int) -> LockStats:
         ls = self.locks.get(lock_id)
         if ls is None:
@@ -271,16 +277,18 @@ class Profiler:
             self.locks[lock_id] = ls
         return ls
 
-    def on_lock_acquired(self, lock_id: int, wait: float, remote: bool) -> None:
-        ls = self._lock(lock_id)
+    def _on_lock_acquired(self, a, node, tid, t0, ph) -> None:
+        """Client side: one acquire and its request-to-grant wait."""
+        ls = self._lock(a["lock"])
         ls.acquires += 1
-        if remote:
+        if a["remote"]:
             ls.remote_acquires += 1
-        ls.waits.append(wait)
+        ls.waits.append(self.sim.now - t0)
 
-    def on_lock_grant(self, lock_id: int, requester: int) -> None:
+    def _on_lock_grant(self, a, *_) -> None:
         """Manager-side grant: counts holder-to-holder token hops."""
-        ls = self._lock(lock_id)
+        ls = self._lock(a["lock"])
+        requester = a["requester"]
         if ls.last_holder is not None and ls.last_holder != requester:
             ls.hops += 1
         ls.last_holder = requester

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.mpi.ops import ReduceOp, SUM
 from repro.runtime.scheduler import static_chunk, static_chunks_round_robin
+from repro.sim.probe import PH_BARRIER, bracket
 
 
 class _CtxBase:
@@ -82,25 +83,15 @@ class ThreadCtx(_CtxBase):
     # -- barrier -------------------------------------------------------------
     def barrier(self):
         """#pragma omp barrier — hierarchical (pthread + DSM barrier)."""
-        tr = self.sim.trace
         t0 = self.sim.now
         key = self._key("bar")
-        prof = self.sim.prof
-        if prof is None:
-            yield from self.team.barrier(key)
-        else:
-            from repro.profile.phases import PH_BARRIER
-
-            # arrival-to-departure, covering the local gather and (on the
-            # leader) the inter-node DSM barrier
-            prof.push(PH_BARRIER)
-            try:
-                yield from self.team.barrier(key)
-            finally:
-                prof.pop()
-        if tr is not None:
+        # arrival-to-departure, covering the local gather and (on the
+        # leader) the inter-node DSM barrier
+        yield from bracket(self.sim, PH_BARRIER, self.team.barrier(key))
+        pb = self.sim.probe
+        if pb is not None and "runtime" in pb.heard:
             # per-thread span: arrival-to-departure, showing barrier fan-in skew
-            tr.span("runtime", "omp-barrier", t0, node=self.node_id,
+            pb.span("runtime", "omp-barrier", t0, node=self.node_id,
                     tid_local=self.local_tid, encounter=key[1])
 
     # -- critical / atomic ----------------------------------------------------

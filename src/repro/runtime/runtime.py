@@ -16,6 +16,7 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from repro.sim import AllOf
+from repro.sim.probe import CAT_AUDIT, PH_FORK_JOIN, bracket, waiting
 from repro.cluster import Cluster, ClusterConfig
 from repro.mpi import CommThread, Communicator
 from repro.dsm import DsmSystem, SharedArray, SharedScalar
@@ -58,8 +59,8 @@ class ParadeRuntime:
         automatically when :meth:`run` returns)
     fault_plan : a :class:`~repro.chaos.FaultPlan` to execute the run
         under; builds a :class:`~repro.chaos.ChaosEngine` (available as
-        :attr:`chaos`), installs it on the cluster, and reports its
-        counters through ``RunResult.chaos_stats``
+        :attr:`chaos`), installs it as the cluster network's link layer,
+        and reports its counters through ``RunResult.chaos_stats``
     chaos_seed : seed of the engine's per-link fault streams (one
         (plan, seed) pair reproduces every fault bit-for-bit)
     reliability : optional :class:`~repro.chaos.ReliabilityConfig`
@@ -238,9 +239,9 @@ class ParadeRuntime:
         yield from self.comm.rank(0).bcast(("region", self._region_seq), root=0)
         results = yield from self._run_region_on_node(0)
         self.region_time += self.sim.now - t0
-        tr = self.sim.trace
-        if tr is not None:
-            tr.span("runtime", "region", t0, node=0,
+        pb = self.sim.probe
+        if pb is not None and "runtime" in pb.heard:
+            pb.span("runtime", "region", t0, node=0,
                     seq=self._region_seq, threads_per_node=tpn)
         return results
 
@@ -266,26 +267,19 @@ class ParadeRuntime:
             )
             for lt in range(tpn)
         ]
-        san = self.sim.san
-        if san is not None:
-            san.on_fork([p.label for p in procs])
-        prof = self.sim.prof
-        if prof is None:
-            joined = yield AllOf(self.sim, procs)
-        else:
-            from repro.profile.phases import PH_FORK_JOIN
-
-            # master/agent waiting for the region's local threads to join
-            prof.push(PH_FORK_JOIN)
-            try:
-                joined = yield AllOf(self.sim, procs)
-            finally:
-                prof.pop()
-        if san is not None:
-            san.on_join([p.label for p in procs])
-        tr = self.sim.trace
-        if tr is not None:
-            tr.span("runtime", "node-region", t0, node=node_id, seq=self._region_seq)
+        pb = self.sim.probe
+        audited = pb is not None and CAT_AUDIT in pb.heard
+        if audited:
+            children = [p.label for p in procs]
+            pb.instant(CAT_AUDIT, "fork", children=children)
+        # master/agent waiting for the region's local threads to join
+        joined = yield from bracket(
+            self.sim, PH_FORK_JOIN, waiting(AllOf(self.sim, procs))
+        )
+        if audited:
+            pb.instant(CAT_AUDIT, "join", children=children)
+        if pb is not None and "runtime" in pb.heard:
+            pb.span("runtime", "node-region", t0, node=node_id, seq=self._region_seq)
         return [joined[i] for i in range(len(procs))]
 
     def _thread_main(self, tc: ThreadCtx, body: Callable, args: tuple):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.sim import Event, Mutex
+from repro.sim.probe import CAT_AUDIT, PH_BARRIER, PH_TEAM_WAIT, bracket, waiting
 
 
 class _Instance:
@@ -74,10 +75,11 @@ class NodeTeam:
         generator ``inter_fn(merged)`` and its result is returned to all.
         """
         inst = self._instance(key)
-        san = self.sim.san
-        if san is not None:
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
             # contributor -> leader happens-before edge (gather side)
-            san.on_gather(id(inst))
+            pb.instant(CAT_AUDIT, "gather", key=id(inst),
+                       leader=inst.count + 1 == self.n_local)
         if op is not None:
             if inst.has_partial:
                 inst.partial = op(inst.partial, partial)
@@ -86,33 +88,23 @@ class NodeTeam:
                 inst.has_partial = True
         inst.count += 1
         if inst.count == self.n_local:
-            if san is not None:
-                san.on_gather_leader(id(inst))
             result = yield from inter_fn(inst.partial)
             gate = inst.gate
             self._retire(key, inst)
-            if san is not None:
+            if pb is not None and CAT_AUDIT in pb.heard:
                 # leader -> waiters edge (gate side); n_local-1 waiters
-                san.on_gate_open(id(gate), self.n_local - 1)
+                pb.instant(CAT_AUDIT, "gate-open", key=id(gate), waiters=self.n_local - 1)
             gate.succeed(result)
             yield gate  # consume our own gate pass for deterministic ordering
             return result
         gate = inst.gate
-        prof = self.sim.prof
-        if prof is None:
-            result = yield gate
-        else:
-            from repro.profile.phases import PH_BARRIER, PH_TEAM_WAIT
-
-            # pure barriers (op is None) are barrier waits; reductions and
-            # other combining encounters are team (gather) waits
-            prof.push(PH_BARRIER if op is None else PH_TEAM_WAIT)
-            try:
-                result = yield gate
-            finally:
-                prof.pop()
-        if san is not None:
-            san.on_gate_wait(id(gate))
+        # pure barriers (op is None) are barrier waits; reductions and
+        # other combining encounters are team (gather) waits
+        result = yield from bracket(
+            self.sim, PH_BARRIER if op is None else PH_TEAM_WAIT, waiting(gate)
+        )
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "gate-wait", key=id(gate))
         self._retire(key, inst)
         return result
 
@@ -136,26 +128,16 @@ class NodeTeam:
         return False, inst
 
     def wait_gate(self, inst: _Instance, key):
-        prof = self.sim.prof
-        if prof is None:
-            value = yield inst.gate
-        else:
-            from repro.profile.phases import PH_TEAM_WAIT
-
-            prof.push(PH_TEAM_WAIT)
-            try:
-                value = yield inst.gate
-            finally:
-                prof.pop()
-        san = self.sim.san
-        if san is not None:
-            san.on_gate_wait(id(inst.gate))
+        value = yield from bracket(self.sim, PH_TEAM_WAIT, waiting(inst.gate))
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "gate-wait", key=id(inst.gate))
         self._retire(key, inst)
         return value
 
     def open_gate(self, inst: _Instance, key, value=None) -> None:
-        san = self.sim.san
-        if san is not None:
-            san.on_gate_open(id(inst.gate), self.n_local - 1)
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "gate-open", key=id(inst.gate), waiters=self.n_local - 1)
         inst.gate.succeed(value)
         self._retire(key, inst)

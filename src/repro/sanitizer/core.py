@@ -1,10 +1,11 @@
 """Happens-before sanitizer: data-race detector + live protocol checks.
 
-The :class:`Sanitizer` attaches to a :class:`~repro.sim.Simulator` the same
-way :class:`~repro.trace.TraceRecorder` does — instrumentation throughout
-the stack guards on ``sim.san is None``, so a detached sanitizer costs one
-attribute load per hook site and an attached one observes every DSM access
-and synchronisation operation of the run.
+The :class:`Sanitizer` is a subscriber of the simulation's probe bus
+(:mod:`repro.sim.probe`): detached it costs nothing beyond the bus's own
+``sim.probe is None`` guard, attached it consumes every DSM access and
+synchronisation fact of the run — the ``audit`` kinds plus three trace
+kinds (page-state, barrier arrive/depart); ``Sanitizer._handlers`` lists
+them.
 
 Happens-before model
 --------------------
@@ -52,8 +53,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.dsm.states import is_valid_transition
+from repro.dsm.states import PageState, is_valid_transition
 from repro.sanitizer.clocks import VectorClock, ordered_before, vc_copy, vc_join
+from repro.sim.probe import CAT_AUDIT, Subscriber
 
 #: shadow record list indices (records are mutable for range merging)
 _LO, _HI, _TID, _EPOCH, _WRITE, _WHAT, _TIME, _NODE = range(8)
@@ -90,12 +92,13 @@ class AccessSite:
         return f"{mode} of {target} by {self.tid} (node {self.node}, t={self.time:.6g})"
 
 
-class Sanitizer:
+class Sanitizer(Subscriber):
     """Vector-clock happens-before checker over a running simulation.
 
     Parameters
     ----------
-    sim : the simulator to attach to (``sim.san`` is set immediately)
+    sim : the simulator to attach to (subscribes to ``sim.probe``
+        immediately)
     n_nodes : cluster size — needed to tell when a barrier epoch is
         complete (shadow memory resets there)
     page_size : shadow-memory bucket granularity (the DSM page size)
@@ -104,7 +107,7 @@ class Sanitizer:
     """
 
     def __init__(self, sim, n_nodes: int, page_size: int, max_records_per_page: int = 512):
-        self._sim = sim
+        self.sim = sim
         self.n_nodes = n_nodes
         self.page_size = page_size
         self.max_records_per_page = max_records_per_page
@@ -138,15 +141,43 @@ class Sanitizer:
         self.records_evicted = 0
         self.barrier_resets = 0
 
+        #: probe kind -> handler(args, node, tid, t0, ph)
+        self._handlers = {
+            (CAT_AUDIT, "access"): lambda a, node, *_: self.on_access(node, **a),
+            (CAT_AUDIT, "fork"): lambda a, *_: self.on_fork(a["children"]),
+            (CAT_AUDIT, "join"): lambda a, *_: self.on_join(a["children"]),
+            (CAT_AUDIT, "acquire"): lambda a, *_: self.on_lock_acquire(a["key"]),
+            (CAT_AUDIT, "release"): lambda a, *_: self.on_lock_release(a["key"]),
+            (CAT_AUDIT, "lock-acquire"):
+                lambda a, *_: self.on_lock_acquire(("dsm-lock", a["lock"])),
+            (CAT_AUDIT, "lock-release"):
+                lambda a, *_: self.on_lock_release(("dsm-lock", a["lock"])),
+            (CAT_AUDIT, "gather"): lambda a, *_: self.on_gather(**a),
+            (CAT_AUDIT, "gate-open"): lambda a, *_: self.on_gate_open(**a),
+            (CAT_AUDIT, "gate-wait"): lambda a, *_: self.on_gate_wait(a["key"]),
+            (CAT_AUDIT, "send"): lambda a, *_: self.on_msg_send(a["key"]),
+            (CAT_AUDIT, "recv"): lambda a, *_: self.on_msg_recv(a["key"]),
+            (CAT_AUDIT, "grant"): self._on_grant,
+            (CAT_AUDIT, "gap-writers"): lambda a, node, *_: self.on_gap_writers(node, **a),
+            ("dsm.barrier", "arrive"):
+                lambda a, node, *_: self.on_barrier_arrive(node, a["epoch"]),
+            ("dsm.barrier", "barrier"):
+                lambda a, node, *_: self.on_barrier_depart(node, a["epoch"]),
+            ("dsm.page", "page-state"): lambda a, node, *_: self.on_page_state(
+                node, a["page"], PageState[a["src"]], PageState[a["dst"]], a["reason"]
+            ),
+        }
         self.attach()
 
-    # -- lifecycle ------------------------------------------------------
-    def attach(self) -> None:
-        self._sim.san = self
-
-    def detach(self) -> None:
-        if self._sim.san is self:
-            self._sim.san = None
+    # -- subscription -----------------------------------------------------
+    def _on_grant(self, a, node, *_) -> None:
+        self.on_lock_grant(node, a["lock"], a["requester"],
+                           a["start"], a["end"], a["log_len"])
+        if a["piggy"]:
+            self.on_lock_piggyback(
+                node, a["lock"], a["requester"],
+                set(a["piggy"]), {wn.page for wn in a["notices"]},
+            )
 
     # -- report ---------------------------------------------------------
     @property
@@ -180,7 +211,7 @@ class Sanitizer:
 
     # -- internals ------------------------------------------------------
     def _tid(self) -> str:
-        proc = self._sim.active_process
+        proc = self.sim.active_process
         if proc is not None and proc.label:
             return proc.label
         return "main"
@@ -197,7 +228,7 @@ class Sanitizer:
             if key in self._seen:
                 return
             self._seen.add(key)
-        self.findings.append(Finding(kind, message, self._sim.now, details))
+        self.findings.append(Finding(kind, message, self.sim.now, details))
 
     # ------------------------------------------------------------------
     # shadow memory: the race detector proper
@@ -211,7 +242,7 @@ class Sanitizer:
         tid = self._tid()
         vc = self._vc_of(tid)
         epoch = vc[tid]
-        now = self._sim.now
+        now = self.sim.now
         ps = self.page_size
         end = addr + nbytes
         for page in range(addr // ps, (end - 1) // ps + 1):
@@ -304,8 +335,9 @@ class Sanitizer:
         self._lock_vc[key] = vc_copy(vc)
         vc[tid] += 1
 
-    def on_gather(self, key) -> None:
-        """A thread contributes to a combining instance (release)."""
+    def on_gather(self, key, leader: bool = False) -> None:
+        """A thread contributes to a combining instance (release); the last
+        arriver, the *leader*, then absorbs every contribution (acquire)."""
         self.sync_ops += 1
         tid = self._tid()
         vc = self._vc_of(tid)
@@ -314,12 +346,8 @@ class Sanitizer:
             acc = self._gather_vc[key] = {}
         vc_join(acc, vc)
         vc[tid] += 1
-
-    def on_gather_leader(self, key) -> None:
-        """The last arriver absorbs every contribution (acquire)."""
-        acc = self._gather_vc.pop(key, None)
-        if acc is not None:
-            vc_join(self._vc_of(self._tid()), acc)
+        if leader:
+            vc_join(vc, self._gather_vc.pop(key))
 
     def on_gate_open(self, key, waiters: int) -> None:
         """Leader/winner publishes its clock for *waiters* gate waiters."""

@@ -78,7 +78,9 @@ _NEVER = _Never()
 
 
 class Simulator:
-    """Deterministic discrete-event simulator."""
+    """Deterministic discrete-event simulator.  Observers (recorder,
+    sanitizer, profiler, metrics) attach through one attribute,
+    :attr:`probe` — see :mod:`repro.sim.probe`."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -89,26 +91,11 @@ class Simulator:
         self._urgent: deque = deque()
         self._seq = itertools.count()
         self._n_processed = 0
-        #: attached :class:`repro.trace.TraceRecorder`, or None (untraced).
-        #: Instrumentation throughout the stack guards on this being None,
-        #: which is the entire cost of tracing when it is off.
-        self.trace = None
-        #: attached :class:`repro.sanitizer.Sanitizer`, or None.  Same
-        #: zero-cost-when-detached contract as :attr:`trace`: hooks guard
-        #: on this being None.
-        self.san = None
-        #: attached :class:`repro.profile.Profiler`, or None.  Same
-        #: zero-cost-when-detached contract as :attr:`trace`.
-        self.prof = None
-        #: attached :class:`repro.chaos.ChaosEngine`, or None.  Same
-        #: zero-cost-when-detached contract as :attr:`trace`: the network
-        #: and comm threads guard on this being None, so a chaos-free run
-        #: pays one load and one compare per message.
-        self.chaos = None
-        #: attached :class:`repro.metrics.Metrics`, or None.  Same
-        #: zero-cost-when-detached contract as :attr:`trace`; the event
-        #: loop below and hook sites across the stack guard on it.
-        self.metrics = None
+        #: the :class:`repro.sim.probe.ProbeBus` observers subscribe to, or
+        #: ``None`` while nothing is subscribed.  Instrumentation
+        #: throughout the stack guards on this being None — one load and
+        #: one compare is the entire cost of observability when it is off.
+        self.probe = None
         #: the :class:`Process` currently advancing its generator; tracing
         #: uses its label as the emitting track ("thread") name.
         self.active_process = None
@@ -161,10 +148,11 @@ class Simulator:
         urg = self._urgent
         imm = self._immediate
         pop = _heappop
-        # The processed-event counter must be exact whenever an observer
-        # hook reads it, so it is batched into a local only for runs that
-        # enter the loop with neither hook consumer attached.
-        observed = self.trace is not None or self.metrics is not None
+        # The processed-event counter must be exact whenever a step
+        # consumer reads it, so it is batched into a local only for runs
+        # that enter the loop with none subscribed.
+        pb = self.probe
+        observed = pb is not None and bool(pb.steps)
         n = 0
         try:
             while stop.callbacks is not None:
@@ -188,12 +176,11 @@ class Simulator:
                 event.callbacks = None
                 if observed:
                     self._n_processed += 1
-                    tr = self.trace
-                    if tr is not None:
-                        tr.on_step(len(heap) + len(urg) + len(imm))
-                    mx = self.metrics
-                    if mx is not None:
-                        mx.on_step(self.now, len(heap) + len(urg) + len(imm))
+                    pb = self.probe
+                    if pb is not None:
+                        depth = len(heap) + len(urg) + len(imm)
+                        for step in pb.steps:
+                            step(self.now, depth)
                 else:
                     n += 1
                 for cb in callbacks:

@@ -76,14 +76,13 @@ class Process(Event):
                     pass
 
         sim = self.sim
-        tr = sim.trace
-        pr = sim.prof
+        pb = sim.probe
+        if pb is not None and "sim" not in pb.heard:
+            pb = None
         prev_active = sim.active_process
         sim.active_process = self
-        if tr is not None:
-            tr.instant("sim", "resume", tid=self.label)
-        if pr is not None:
-            pr.on_resume(self.label)
+        if pb is not None:
+            pb.instant("sim", "resume", tid=self.label)
         gen = self._gen
         try:
             while True:
@@ -94,20 +93,16 @@ class Process(Event):
                         event._defused = True
                         next_ev = gen.throw(event._value)
                 except StopIteration as stop:
-                    if tr is not None:
-                        tr.instant("sim", "end", tid=self.label, ok=True)
-                    if pr is not None:
-                        pr.on_thread_end(self.label)
+                    if pb is not None:
+                        pb.instant("sim", "end", tid=self.label, ok=True)
                     self.succeed(stop.value, priority=URGENT)
                     return
                 except BaseException as exc:
                     # Unhandled failure inside the process: fail the process
                     # event.  If nobody waits on it the simulator will crash
                     # loudly when it processes the failure.
-                    if tr is not None:
-                        tr.instant("sim", "end", tid=self.label, ok=False)
-                    if pr is not None:
-                        pr.on_thread_end(self.label)
+                    if pb is not None:
+                        pb.instant("sim", "end", tid=self.label, ok=False)
                     self.fail(exc, priority=URGENT)
                     return
 
@@ -130,8 +125,8 @@ class Process(Event):
 
                 cbs.append(self._wake)
                 self._target = next_ev
-                if tr is not None:
-                    tr.instant(
+                if pb is not None:
+                    pb.instant(
                         "sim",
                         "block",
                         tid=self.label,

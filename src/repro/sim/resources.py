@@ -10,8 +10,9 @@ ways with the *same schedule*:
 
 * **generator path** — ``yield request; yield Timeout; release``: the
   process is resumed at the grant and again at the end.  Taken whenever
-  ``sim.trace`` or ``sim.prof`` is attached, because those resume/block
-  instants and the profiler's wait→busy phase switch are observable.
+  a probe subscriber watches process scheduling
+  (:attr:`~repro.sim.probe.ProbeBus.scheduling_heard`: recorder, profiler):
+  those resume/block instants and the wait→busy phase switch are observable.
 * **kernel-resident path** — a :class:`Hold`: the grant is consumed by a
   kernel callback instead of a process resume, so the process is resumed
   once, at the end.  The grant marker takes the queue slot and sequence
@@ -242,14 +243,14 @@ class Resource:
         *again*, keep re-requesting for the durations it returns until it
         returns ``None`` (see :class:`Hold`).
 
-        Under an attached profiler the queue wait is charged to
-        *wait_phase* and the occupancy to *busy_phase* (``None``: the
-        enclosing phase, marked active).  This is the one place that
+        For phase consumers the queue wait is stated as *wait_phase* and
+        the occupancy as *busy_phase* (``None``: the enclosing phase,
+        marked active).  This is the one place that
         picks between the two burst paths of the module docstring.
         """
         sim = self.sim
-        prof = sim.prof
-        if prof is None and sim.trace is None:
+        pb = sim.probe
+        if pb is None or not pb.scheduling_heard:
             hold = Hold(self, duration, priority, again)
             try:
                 yield hold
@@ -257,23 +258,20 @@ class Resource:
                 hold.cancel()
                 raise
             return
-        if wait_phase is None:
-            prof = None
+        if wait_phase is None or "phase" not in pb.heard:
+            pb = None
         while duration is not None:
             req = self.request(priority)
-            if prof is not None:
-                prof.push(wait_phase)
+            if pb is not None:
+                pb.push(wait_phase)
             try:
                 yield req
-                if prof is not None:
-                    if busy_phase is None:
-                        prof.replace_busy()
-                    else:
-                        prof.replace(busy_phase, active=True)
+                if pb is not None:
+                    pb.replace(busy_phase)
                 yield Timeout(sim, duration)
             finally:
-                if prof is not None:
-                    prof.pop()
+                if pb is not None:
+                    pb.pop()
                 self.relinquish(req)
             duration = again() if again is not None else None
 

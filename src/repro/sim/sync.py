@@ -14,6 +14,7 @@ from collections import deque
 from typing import Optional
 
 from repro.sim.events import Event, SimulationError
+from repro.sim.probe import CAT_AUDIT, PH_MUTEX_WAIT, bracket, waiting
 from repro.sim.resources import Resource, Request
 
 
@@ -37,29 +38,19 @@ class Mutex:
         if self.locked:
             self.n_contended += 1
         req = self._res.request()
-        prof = self.sim.prof
-        if prof is not None:
-            from repro.profile.phases import PH_MUTEX_WAIT
-
-            prof.push(PH_MUTEX_WAIT)
-            try:
-                yield req
-            finally:
-                prof.pop()
-        else:
-            yield req
+        yield from bracket(self.sim, PH_MUTEX_WAIT, waiting(req))
         self._holder = req
         self.n_acquisitions += 1
-        san = self.sim.san
-        if san is not None:
-            san.on_lock_acquire(("mutex", self.name))
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "acquire", key=("mutex", self.name))
 
     def release(self) -> None:
         if self._holder is None:
             raise SimulationError(f"release of unheld mutex {self.name}")
-        san = self.sim.san
-        if san is not None:
-            san.on_lock_release(("mutex", self.name))
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "release", key=("mutex", self.name))
         holder, self._holder = self._holder, None
         self._res.release(holder)
         # The next queued request (if any) was granted synchronously; record

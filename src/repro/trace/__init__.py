@@ -8,11 +8,12 @@ much; this package says *when* and *why*:
 
 * :class:`TraceRecorder` — a bounded ring buffer of typed
   :class:`TraceEvent` records stamped with virtual time, node, and the
-  simulation process (thread) that emitted them.  Opt-in: a recorder is
-  attached to one :class:`~repro.sim.Simulator`; every instrumentation
-  site in ``sim``/``cluster``/``dsm``/``mpi``/``runtime`` guards on
-  ``sim.trace is None``, so an untraced run costs one attribute load per
-  site and allocates nothing.
+  simulation process (thread) that emitted them.  Opt-in: a recorder
+  subscribes to one :class:`~repro.sim.Simulator`'s probe bus
+  (:mod:`repro.sim.probe`); every instrumentation site in
+  ``sim``/``cluster``/``dsm``/``mpi``/``runtime`` guards on
+  ``sim.probe is None``, so an unobserved run costs one attribute load
+  per site and allocates nothing.
 * :mod:`repro.trace.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``; nodes become processes, simulation
   threads become tracks) and flat CSV.

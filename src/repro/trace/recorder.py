@@ -2,25 +2,18 @@
 
 Lifecycle::
 
-    rec = TraceRecorder(sim, capacity=1 << 16)   # attaches to sim.trace
+    rec = TraceRecorder(sim, capacity=1 << 16)   # subscribes to sim.probe
     ... run the program ...
     events = rec.drain()                          # or iterate rec.events
 
-Instrumentation sites follow one pattern and are zero-cost when no
-recorder is attached (``sim.trace is None`` — one load and one compare,
-no allocation)::
-
-    tr = self.sim.trace
-    if tr is not None:
-        tr.instant(CAT_PAGE, "twin", node=self.id, page=page)
-
-Spans capture their own start time so the site needs no recorder state::
-
-    tr = self.sim.trace
-    t0 = self.sim.now
-    ...  # yield from the work being measured
-    if tr is not None:
-        tr.span(CAT_PAGE, "fetch", t0, node=self.id, page=page)
+The recorder is a subscriber of the simulation's probe bus
+(:mod:`repro.sim.probe` documents the one instrumentation pattern): it
+consumes every kind of its :attr:`~TraceRecorder.categories` (read when
+the bus resolves a kind: set them before attaching) plus ``kernel/step`` for
+queue-depth sampling, and declares ``watches_scheduling`` — it may show
+process resume/block instants, so CPU bursts take the generator path
+while one is attached.  :meth:`instant`, :meth:`span` and :meth:`counter`
+record directly, for exporters and tests that build a ring by hand.
 
 The ring is a ``deque(maxlen=capacity)``: when full, the *oldest* events
 are evicted (``n_dropped`` counts them), so memory is bounded by the
@@ -31,27 +24,29 @@ usually what you are debugging — is what survives.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
+from repro.sim.probe import Subscriber
 from repro.trace.events import TraceEvent, DEFAULT_CATEGORIES, CAT_COUNTER
 
 
-class TraceRecorder:
+class TraceRecorder(Subscriber):
     """Bounded ring buffer of :class:`TraceEvent`, bound to one simulator.
 
     Parameters
     ----------
     sim : the :class:`~repro.sim.Simulator` whose clock stamps events;
-        the recorder installs itself as ``sim.trace`` unless
-        ``attach=False``.
+        the recorder subscribes to ``sim.probe`` unless ``attach=False``
+        (:meth:`attach` / :meth:`detach` do it later).
     capacity : ring size in events; oldest events are evicted when full.
     categories : set of category constants to record;
         ``None`` means :data:`~repro.trace.events.DEFAULT_CATEGORIES`
         (everything except the noisy kernel-scheduler category).
     queue_stride : sample the simulator event-queue depth as a counter
         series every this-many processed events (0 disables sampling).
-        The simulator calls :meth:`on_step` once per processed event when
-        a recorder is attached.
+        The event loop states ``kernel/step`` once per processed event
+        while a recorder is attached.
     """
 
     __slots__ = (
@@ -86,35 +81,36 @@ class TraceRecorder:
         if attach:
             self.attach()
 
-    # -- lifecycle ------------------------------------------------------
-    def attach(self) -> "TraceRecorder":
-        """Install as ``sim.trace`` so instrumentation sites find us."""
-        self.sim.trace = self
-        return self
+    # -- subscription -----------------------------------------------------
+    watches_scheduling = True
 
-    def detach(self) -> "TraceRecorder":
-        """Stop recording by unhooking from the simulator."""
-        if getattr(self.sim, "trace", None) is self:
-            self.sim.trace = None
-        return self
+    def handler_for(self, cat: str, name: str):
+        if (cat, name) == ("kernel", "step"):
+            return self._on_step
+        if cat in self.categories:
+            return partial(self._record, cat, name)
+        return None
 
     # -- emission -------------------------------------------------------
-    def _tid(self) -> str:
-        proc = self.sim.active_process
-        return proc.label if proc is not None else "main"
+    def _record(self, cat, name, args, node=-1, tid=None, t0=None, ph=None) -> None:
+        if not self.enabled or cat not in self.categories:
+            return
+        self.n_emitted += 1
+        now = self.sim.now
+        if tid is None:
+            proc = self.sim.active_process
+            tid = proc.label if proc is not None else "main"
+        if t0 is None:
+            ev = TraceEvent(now, cat, name, node, tid, None, args or None, ph)
+        else:
+            ev = TraceEvent(t0, cat, name, node, tid, max(0.0, now - t0), args or None)
+        self._ring.append(ev)
 
     def instant(
         self, cat: str, name: str, node: int = -1, tid: Optional[str] = None, **args: Any
     ) -> None:
         """Record a point event at the current virtual time."""
-        if not self.enabled or cat not in self.categories:
-            return
-        self.n_emitted += 1
-        self._ring.append(
-            TraceEvent(
-                self.sim.now, cat, name, node=node, tid=tid or self._tid(), args=args or None
-            )
-        )
+        self._record(cat, name, args, node, tid)
 
     def span(
         self,
@@ -126,20 +122,7 @@ class TraceRecorder:
         **args: Any,
     ) -> None:
         """Record a completed span that started at virtual time *t0*."""
-        if not self.enabled or cat not in self.categories:
-            return
-        self.n_emitted += 1
-        self._ring.append(
-            TraceEvent(
-                t0,
-                cat,
-                name,
-                node=node,
-                tid=tid or self._tid(),
-                dur=max(0.0, self.sim.now - t0),
-                args=args or None,
-            )
-        )
+        self._record(cat, name, args, node, tid, t0)
 
     def counter(
         self, cat: str, name: str, node: int = -1, tid: str = "counters", **values: Any
@@ -149,15 +132,10 @@ class TraceRecorder:
         *values* are the numeric series values at the current virtual time;
         Chrome/Perfetto stack multiple keys of one counter name.
         """
-        if not self.enabled or cat not in self.categories:
-            return
-        self.n_emitted += 1
-        self._ring.append(
-            TraceEvent(self.sim.now, cat, name, node=node, tid=tid, args=values, ph="C")
-        )
+        self._record(cat, name, values, node, tid, None, "C")
 
-    def on_step(self, queue_depth: int) -> None:
-        """Called by the simulator once per processed event; samples the
+    def _on_step(self, now: float, queue_depth: int) -> None:
+        """``kernel/step``, once per processed event: samples the
         pending-event count every :attr:`queue_stride` events."""
         stride = self.queue_stride
         if not stride:

@@ -124,7 +124,7 @@ def test_profiler_is_observationally_pure():
     virtual time, event count, and protocol stats are unchanged."""
     rt_plain = ParadeRuntime(n_nodes=N_NODES, pool_bytes=POOL_BYTES)
     res_plain = rt_plain.run(helmholtz.make_program(n=48, m=48, max_iters=3))
-    assert rt_plain.sim.prof is None
+    assert rt_plain.sim.probe is None
     _, res_prof, _ = _run_profiled()
     assert res_prof.elapsed == res_plain.elapsed
     assert res_prof.dsm_stats == res_plain.dsm_stats
@@ -158,7 +158,7 @@ def test_sdsm_hot_tables_and_lock_wait_dominance():
 
 def test_runtime_profile_flag_attaches_and_finalizes():
     rt = ParadeRuntime(n_nodes=N_NODES, pool_bytes=POOL_BYTES, profile=True)
-    assert rt.profiler is not None and rt.sim.prof is rt.profiler
+    assert rt.profiler is not None and rt.profiler in rt.sim.probe.subscribers
     rt.run(helmholtz.make_program(n=24, m=24, max_iters=2))
     assert rt.profiler.finalized_at == rt.sim.now
     assert rt.profiler.max_sum_error() < 1e-9

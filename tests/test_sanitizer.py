@@ -42,11 +42,11 @@ def test_vector_clock_helpers():
 # ------------------------------------------------------------ attach
 def test_attach_detach_contract():
     sim = Simulator()
-    assert sim.san is None
+    assert sim.probe is None
     san = Sanitizer(sim, n_nodes=2, page_size=4096)
-    assert sim.san is san
+    assert san in sim.probe.subscribers
     san.detach()
-    assert sim.san is None
+    assert sim.probe is None
     # detaching twice (or after replacement) is harmless
     san.detach()
 
@@ -296,4 +296,4 @@ def test_helmholtz_clean_under_sanitizer():
 def test_sanitizer_disabled_by_default():
     rt = ParadeRuntime(n_nodes=2, pool_bytes=1 << 20)
     assert rt.sanitizer is None
-    assert rt.sim.san is None
+    assert rt.sim.probe is None

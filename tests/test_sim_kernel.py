@@ -5,6 +5,7 @@ import pytest
 from repro.sim import Simulator, Event, Timeout, AllOf, AnyOf, Interrupted
 from repro.sim.core import EmptySchedule, UnhandledProcessError
 from repro.sim.events import SimulationError
+from repro.sim.probe import subscribe
 
 
 def test_timeout_advances_time(sim):
@@ -382,10 +383,15 @@ def test_events_processed_is_exact_inside_observer_hooks(sim):
     seen = []
 
     class Meter:
+        categories = ()
+
+        def handler_for(self, cat, name):
+            return self.on_step if (cat, name) == ("kernel", "step") else None
+
         def on_step(self, now, pending):
             seen.append(sim.events_processed)
 
-    sim.metrics = Meter()
+    subscribe(sim, Meter())
     _random_schedule(sim, 0, [])
     sim.run()
     assert seen == list(range(1, sim.events_processed + 1))

@@ -54,7 +54,7 @@ def test_disabled_recorder_records_nothing(sim):
 
 def test_unattached_simulator_has_no_trace(sim):
     # the zero-cost fast path: every instrumentation site guards on this
-    assert sim.trace is None
+    assert sim.probe is None
 
 
 def test_category_filter(sim):
@@ -74,11 +74,11 @@ def test_default_categories_exclude_sim(sim):
 
 def test_attach_detach(sim):
     rec = TraceRecorder(sim, capacity=4)
-    assert sim.trace is rec
+    assert rec in sim.probe.subscribers
     rec.detach()
-    assert sim.trace is None
+    assert sim.probe is None
     rec.attach()
-    assert sim.trace is rec
+    assert rec in sim.probe.subscribers
 
 
 def test_drain_clears_ring(sim):
