@@ -3,8 +3,10 @@
 Times ``compute_diff`` / ``apply_diff`` / ``check_range`` (the three
 kernels the hot-path PR vectorised) on realistic inputs: float-update
 pages with scattered multi-byte runs — the distribution Jacobi/CG updates
-actually produce — plus dense and sparse extremes.  Run directly for a
-table of wall-clock timings::
+actually produce — plus dense and sparse extremes; and one
+``Metrics.sample()`` with the stock sources over node counts and pool
+sizes (its cost must follow the series count, never the pool).  Run
+directly for a table of wall-clock timings::
 
     PYTHONPATH=src python benchmarks/bench_microkernels.py
 
@@ -29,6 +31,7 @@ PAGE = 4096
 CEILING_COMPUTE_DIFF = 2e-3
 CEILING_APPLY_DIFF = 2e-3
 CEILING_CHECK_RANGE = 5e-4
+CEILING_METRICS_SAMPLE = 5e-3
 
 
 def _float_update_page(seed: int = 0):
@@ -105,6 +108,26 @@ def bench_check_range() -> dict:
     return out
 
 
+def bench_metrics_sample() -> dict:
+    """Host seconds per ``Metrics.sample()`` with the stock sources, after
+    a CG class T run has populated every series (the per-link in-flight
+    gauges exist only for links that carried a frame).  The 64 MiB column
+    must read like the 8 MiB one — the page census is a maintained count,
+    not a scan — and the 16-node row grows with the series count."""
+    from repro.apps import cg
+    from repro.runtime import ParadeRuntime
+
+    out = {}
+    for n_nodes in (4, 16):
+        for pool_mib in (8, 64):
+            rt = ParadeRuntime(n_nodes=n_nodes, pool_bytes=pool_mib << 20, metrics=True)
+            rt.run(cg.make_program("T", niter=1))
+            mx, now = rt.metrics, rt.sim.now
+            case = f"{n_nodes}n-{pool_mib}MiB ({len(mx.series)} series)"
+            out[case] = _per_call(lambda: mx.sample(now), number=50)
+    return out
+
+
 # -- pytest entry points -------------------------------------------------
 def test_compute_diff_speed():
     assert max(bench_compute_diff().values()) < CEILING_COMPUTE_DIFF
@@ -118,15 +141,20 @@ def test_check_range_speed():
     assert max(bench_check_range().values()) < CEILING_CHECK_RANGE
 
 
+def test_metrics_sample_speed():
+    assert max(bench_metrics_sample().values()) < CEILING_METRICS_SAMPLE
+
+
 def main() -> None:
     for title, fn in (
         ("compute_diff", bench_compute_diff),
         ("apply_diff", bench_apply_diff),
         ("check_range", bench_check_range),
+        ("metrics_sample", bench_metrics_sample),
     ):
         print(f"{title}:")
         for case, sec in fn().items():
-            print(f"  {case:<14} {sec * 1e6:8.2f} us/call")
+            print(f"  {case:<28} {sec * 1e6:9.2f} us/call")
 
 
 if __name__ == "__main__":

@@ -60,6 +60,9 @@ from repro.sim.probe import (
     waiting,
 )
 
+#: census counter-track keys, in ``PageState.idx`` order
+_STATE_NAMES = tuple(st.name for st in PageState)
+
 #: page kinds: HLRC-managed vs object-granularity (update protocol) regions
 KIND_HLRC = 0
 KIND_OBJECT = 1
@@ -253,6 +256,12 @@ class DsmNode:
         all_valid = dsm_config.homeless
         initial = PageState.READ_ONLY if (self.id == 0 or all_valid) else PageState.INVALID
         self.state: List[PageState] = [initial] * self.n_pages
+        #: pages per state, indexed by ``PageState.idx``.  Created with the
+        #: table and moved only by ``_write_state``, the one function that
+        #: stores into ``state`` — every census reader (the trace counter,
+        #: the metrics source) trusts it instead of rescanning the table.
+        self.census: List[int] = [0] * len(PageState)
+        self.census[initial.idx] = self.n_pages
         self.home: List[int] = [0] * self.n_pages
         self.kind: List[int] = [KIND_HLRC] * self.n_pages
         if self.id == 0 or all_valid:
@@ -400,9 +409,18 @@ class DsmNode:
     # ------------------------------------------------------------------
     # page table helpers
     # ------------------------------------------------------------------
+    def _write_state(self, page: int, new: PageState) -> None:
+        """The single writer of ``state``: the store and the census move
+        are one step, so the maintained count cannot drift from the table
+        (``tests/test_dsm_units.py`` scans ``src/repro`` for any other)."""
+        census = self.census
+        census[self.state[page].idx] -= 1
+        census[new.idx] += 1
+        self.state[page] = new
+
     def _set_state(self, page: int, new: PageState, reason: str) -> None:
         old = self.state[page]
-        if old == new:
+        if old is new:
             return
         pb = self.sim.probe
         if pb is not None and "dsm.page" in pb.heard:
@@ -414,7 +432,7 @@ class DsmNode:
             )
         if not is_valid_transition(old, new, reason):
             raise IllegalTransition(page, old, new, reason)
-        self.state[page] = new
+        self._write_state(page, new)
 
     def page_range(self, addr: int, size: int) -> range:
         if size <= 0:
@@ -433,7 +451,7 @@ class DsmNode:
         style, §5.2.1).  Called at allocation time by the runtime."""
         for p in self.page_range(addr, size):
             self.kind[p] = KIND_OBJECT
-            self.state[p] = PageState.READ_ONLY
+            self._write_state(p, PageState.READ_ONLY)
             self.space.protect(p, PROT_RW)
             self.twins.pop(p, None)
             self.dirty.discard(p)
@@ -1534,10 +1552,10 @@ class DsmNode:
         """
         if pb is None or "counter" not in pb.heard:
             return
-        counts = {st.name: 0 for st in PageState}
-        for st in self.state:
-            counts[st.name] += 1
-        pb.counter("counter", "page-census", node=self.id, **counts)
+        pb.counter(
+            "counter", "page-census", node=self.id,
+            **dict(zip(_STATE_NAMES, self.census)),
+        )
 
     def handle_barrier(self, msg):
         """Comm-thread handler for the 'bar' channel."""

@@ -27,8 +27,19 @@ class PageState(enum.Enum):
     READ_ONLY = "READ_ONLY"
     DIRTY = "DIRTY"
 
+    #: position in declaration order — the member's slot in a node's page
+    #: census (``DsmNode.census``) and what the legality table is keyed by.
+    #: A plain int attribute (set below, once the members exist), because
+    #: hashing a member itself goes through the Python-level
+    #: ``Enum.__hash__``: too slow for something paid per page transition.
+    idx: int
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"PageState.{self.name}"
+
+
+for _i, _st in enumerate(PageState):
+    _st.idx = _i
 
 
 #: legal (from, to, reason) transitions of Figure 5
@@ -55,8 +66,15 @@ VALID_TRANSITIONS: FrozenSet[Tuple[PageState, PageState, str]] = frozenset(
 )
 
 
+#: VALID_TRANSITIONS keyed by ``(src.idx, dst.idx, reason)`` — ints and a
+#: str hash in C, so the per-transition check makes no ``Enum.__hash__`` call
+_VALID_KEYS: FrozenSet[Tuple[int, int, str]] = frozenset(
+    (src.idx, dst.idx, reason) for src, dst, reason in VALID_TRANSITIONS
+)
+
+
 def is_valid_transition(src: PageState, dst: PageState, reason: str) -> bool:
-    return (src, dst, reason) in VALID_TRANSITIONS
+    return (src.idx, dst.idx, reason) in _VALID_KEYS
 
 
 class IllegalTransition(Exception):

@@ -20,8 +20,8 @@ from typing import Callable, Dict
 
 from repro.dsm.states import PageState
 
-#: page states reported by the DSM census, in fixed order
-_CENSUS_STATES = tuple(PageState)
+#: series names of the DSM page census, in ``PageState.idx`` order
+_CENSUS_KEYS = tuple(f"pages_{st.name.lower()}" for st in PageState)
 
 
 def sim_source(sim) -> Callable[[], Dict[str, float]]:
@@ -73,13 +73,11 @@ def dsm_source(dsm) -> Callable[[], Dict[str, float]]:
     per-sample deltas are the live rates of Figures 6-10."""
 
     def snapshot() -> Dict[str, float]:
-        census = {st: 0 for st in _CENSUS_STATES}
-        for dn in dsm.nodes:
-            for st in dn.state:
-                census[st] += 1
-        out: Dict[str, float] = {
-            f"pages_{st.name.lower()}": n for st, n in census.items()
-        }
+        # each node maintains its own count (DsmNode.census): summing them
+        # costs O(nodes), whatever the pool size
+        out: Dict[str, float] = dict(
+            zip(_CENSUS_KEYS, map(sum, zip(*(dn.census for dn in dsm.nodes))))
+        )
         agg = dsm.stats()
         for key in (
             "read_faults", "write_faults", "pages_fetched", "fetch_bytes",

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from repro.dsm import SharedArray, PageState
-from repro.dsm.config import PARADE_DSM, KDSM_BASELINE
-from conftest import build_dsm, run_all
+from repro.apps import cg, helmholtz
+from repro.dsm.config import HOMELESS_LRC, PARADE_DSM, KDSM_BASELINE
+from repro.mpi.ops import SUM
+from repro.runtime import ParadeRuntime
+from repro.sim.probe import Subscriber
+from conftest import build_dsm, recount, run_all
 
 
 def test_initial_ownership_master_has_all_pages():
@@ -301,3 +305,90 @@ def test_coherence_invariant_after_random_writes():
 
     run_all(cluster, [worker(i) for i in range(4)])
     dsm.check_coherence()
+
+
+# ------------------------------------------------------------- census
+class _CensusAudit(Subscriber):
+    """Recounts every node's page table each time a node states its
+    post-barrier ``counter/page-census`` sample."""
+
+    def __init__(self, rt):
+        self.sim = rt.sim
+        self.dsm = rt.dsm
+        self.samples = 0
+        self._handlers = {("counter", "page-census"): self._on_census}
+        self.attach()
+
+    def check(self):
+        for dn in self.dsm.nodes:
+            assert dn.census == recount(dn), (dn.id, dn.census, recount(dn))
+            assert sum(dn.census) == dn.n_pages
+
+    def _on_census(self, args, node, *_):
+        self.samples += 1
+        self.check()
+        # the stated sample is that node's maintained count, by state name
+        assert list(args) == [st.name for st in PageState]
+        assert list(args.values()) == self.dsm.node(node).census
+
+
+def _sync_loops(iters=4):
+    """The Fig 6/7 ``critical`` and ``single`` loops, back to back."""
+
+    def program(ctx):
+        x = ctx.shared_scalar("x")
+        v = ctx.shared_scalar("v")
+
+        def critical_loop(tc, x):
+            for _ in range(iters):
+                yield from tc.critical_update(x, 1.0, SUM)
+
+        def single_loop(tc, v):
+            for i in range(iters):
+                def init(i=i):
+                    return float(i)
+                    yield  # makes init a generator, as `single` requires
+
+                yield from tc.single(body_gen_fn=init, shared_scalar=v)
+
+        yield from ctx.parallel(critical_loop, x)
+        yield from ctx.parallel(single_loop, v)
+
+    return program
+
+
+_CENSUS_APPS = {
+    "cg": lambda: cg.make_program("T", niter=1),
+    "helmholtz": lambda: helmholtz.make_program(n=32, m=32, max_iters=3),
+    "sync": _sync_loops,
+}
+_CENSUS_PROTOCOLS = {
+    "parade": {"mode": "parade"},
+    "sdsm": {"mode": "sdsm"},
+    "homeless": {"dsm_config": HOMELESS_LRC},
+}
+
+
+@pytest.mark.parametrize(
+    "protocol,n_nodes,hier,accel",
+    [
+        (p, n, h, a)
+        for p in sorted(_CENSUS_PROTOCOLS)
+        for n in (2, 4) for h in (False, True) for a in (False, True)
+    ]
+    + [("parade", 16, True, False)],
+)
+def test_census_equals_a_recount_at_every_barrier(protocol, n_nodes, hier, accel):
+    """The maintained count is the page table's census on every protocol
+    path: after each barrier and at run end it equals a fresh recount and
+    sums to the pool size."""
+    apps = ("helmholtz",) if n_nodes == 16 else sorted(_CENSUS_APPS)
+    for app in apps:
+        rt = ParadeRuntime(
+            n_nodes=n_nodes, protocol_accel=accel, hierarchical=hier,
+            pool_bytes=1 << 20, **_CENSUS_PROTOCOLS[protocol],
+        )
+        audit = _CensusAudit(rt)
+        rt.run(_CENSUS_APPS[app]())
+        assert audit.samples == rt.dsm.stats()["barriers"] > 0, app
+        audit.check()

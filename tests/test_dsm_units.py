@@ -1,5 +1,8 @@
 """Unit + property tests for DSM building blocks: states, diffs, notices."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,11 @@ from repro.dsm import (
 from repro.dsm.states import VALID_TRANSITIONS, IllegalTransition
 from repro.dsm.writenotice import merge_notices
 from repro.dsm.diffs import RUN_HEADER_BYTES
+from repro.sim.probe import Subscriber
+
+from conftest import build_dsm, recount
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 # ------------------------------------------------------------- states
@@ -44,6 +52,132 @@ def test_forbidden_transitions_absent():
 def test_transition_table_only_uses_known_states():
     for src, dst, _reason in VALID_TRANSITIONS:
         assert isinstance(src, PageState) and isinstance(dst, PageState)
+
+
+def test_state_idx_is_declaration_order_and_keys_the_legality_table():
+    assert [st_.idx for st_ in PageState] == list(range(len(PageState)))
+    for src in PageState:
+        for dst in PageState:
+            for reason in {r for _s, _d, r in VALID_TRANSITIONS} | {"", "bogus"}:
+                assert is_valid_transition(src, dst, reason) == (
+                    (src, dst, reason) in VALID_TRANSITIONS
+                )
+
+
+# ------------------------------------------------------------- census
+class _PageStateFacts(Subscriber):
+    """Collects the ``dsm.page/page-state`` facts of one simulator."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.facts = []
+        self._handlers = {("dsm.page", "page-state"): self._on_fact}
+        self.attach()
+
+    def _on_fact(self, args, node, *_):
+        self.facts.append((node, dict(args)))
+
+
+def test_census_starts_as_the_initial_fill():
+    _cluster, _cts, dsm = build_dsm(3)
+    for dn in dsm.nodes:
+        assert dn.census == recount(dn)
+        assert sum(dn.census) == dn.n_pages
+        full = PageState.READ_ONLY if dn.id == 0 else PageState.INVALID
+        assert dn.census[full.idx] == dn.n_pages
+
+
+def test_census_follows_mark_object_pages():
+    _cluster, _cts, dsm = build_dsm(2)
+    dsm.alloc(3 * dsm.page_size, name="obj", object_granularity=True)
+    for dn in dsm.nodes:
+        assert dn.census == recount(dn)
+        assert sum(dn.census) == dn.n_pages
+    # the master's pages were READ_ONLY already; node 1's three moved over
+    assert dsm.node(1).census[PageState.READ_ONLY.idx] == 3
+    assert dsm.node(1).census[PageState.INVALID.idx] == dsm.n_pages - 3
+
+
+def test_illegal_transition_leaves_census_untouched_but_is_stated():
+    cluster, _cts, dsm = build_dsm(2)
+    facts = _PageStateFacts(cluster.sim)
+    dn = dsm.node(1)
+    before = list(dn.census)
+    with pytest.raises(IllegalTransition):
+        dn._set_state(0, PageState.DIRTY, "write-fault")  # page 0 is INVALID
+    assert dn.state[0] is PageState.INVALID
+    assert dn.census == before == recount(dn)
+    assert facts.facts == [
+        (1, {"page": 0, "src": "INVALID", "dst": "DIRTY", "reason": "write-fault"})
+    ]
+    # and a legal one moves exactly two slots
+    dn._set_state(0, PageState.TRANSIENT, "fault")
+    assert dn.census == recount(dn)
+    assert dn.census[PageState.TRANSIENT.idx] == 1
+
+
+_LIST_MUTATORS = {
+    "append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+    "__setitem__", "__delitem__", "__iadd__", "__imul__",
+}
+
+
+def _page_table_writes(tree):
+    """Yield ``(lineno, enclosing function path, what)`` for every store
+    into, rebinding of, or mutating call on an attribute named ``state``
+    or ``census`` (``ctx`` is Store/Del for every binding form: assignment,
+    augmented assignment, unpacking, ``for`` / ``with`` targets, ``del``)."""
+
+    def is_table(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("state", "census")
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, scope + (child.name,))
+                continue
+            written = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
+            if written and isinstance(child, ast.Subscript) and is_table(child.value):
+                yield child.lineno, scope, f"store into .{child.value.attr}[...]"
+            elif written and is_table(child):
+                yield child.lineno, scope, f"rebinds .{child.attr}"
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in _LIST_MUTATORS
+                and is_table(child.func.value)
+            ):
+                yield child.lineno, scope, f".{child.func.value.attr}.{child.func.attr}()"
+            yield from walk(child, scope)
+
+    yield from walk(tree, ())
+
+
+def test_page_table_has_exactly_one_writer():
+    """Keep it single: every census reader trusts ``DsmNode.census``, so a
+    store into a node's ``state`` list anywhere but ``_write_state`` would
+    silently corrupt them all.  Allowed: the constructor creating the table
+    and its count, and the writer moving both."""
+    allowed = {
+        ("dsm/node.py", ("DsmNode", "__init__"), "rebinds .state"),
+        ("dsm/node.py", ("DsmNode", "__init__"), "rebinds .census"),
+        # the creation count: every page starts in one state
+        ("dsm/node.py", ("DsmNode", "__init__"), "store into .census[...]"),
+        ("dsm/node.py", ("DsmNode", "_write_state"), "store into .state[...]"),
+    }
+    seen = set()
+    offences = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for lineno, scope, what in _page_table_writes(ast.parse(path.read_text())):
+            if rel == "apps/nas_random.py" and what == "rebinds .state":
+                continue  # NasRandom's scalar LCG state, not a page table
+            seen.add((rel, scope, what))
+            if (rel, scope, what) not in allowed:
+                offences.append(f"{rel}:{lineno}: {'.'.join(scope) or 'module'} {what}")
+    assert not offences, "\n".join(offences)
+    # the scan sees the writer at all (it would pass vacuously otherwise)
+    assert ("dsm/node.py", ("DsmNode", "_write_state"), "store into .state[...]") in seen
 
 
 # ------------------------------------------------------------- diffs

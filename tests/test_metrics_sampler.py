@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import helmholtz
+from repro.dsm import PageState
 from repro.metrics import (
     BARRIER_EPOCH,
     LOCK_HOLD,
@@ -21,6 +22,8 @@ from repro.metrics import (
 )
 from repro.metrics.sampler import Metrics as SamplerMetrics
 from repro.runtime import ParadeRuntime
+
+from conftest import TraversalCountingList
 
 
 def _factory():
@@ -176,3 +179,43 @@ def test_constructor_validation_and_detach():
 
 def test_metrics_import_surface():
     assert SamplerMetrics is Metrics
+
+
+# ------------------------------------------------- pool-size independence
+def test_sample_never_walks_a_page_table():
+    """A sample costs O(series): the census is read from the nodes'
+    maintained counts, not rescanned from their page tables."""
+    rt, _res = _run(metrics=True, n_nodes=4)
+    for dn in rt.dsm.nodes:
+        dn.state = TraversalCountingList(dn.state)
+    before = rt.metrics.n_samples
+    rt.metrics.sample(rt.sim.now)
+    assert rt.metrics.n_samples == before + 1
+    assert [dn.state.traversals for dn in rt.dsm.nodes] == [0, 0, 0, 0]
+    # the list does count, when somebody walks it
+    assert PageState.DIRTY not in rt.dsm.node(0).state
+    assert rt.dsm.node(0).state.traversals == 1
+
+
+def test_dsm_series_do_not_depend_on_pool_size():
+    """32x the pool: the same ``dsm/*`` series, sample for sample, except
+    that the unused pages sit in the census as a constant — INVALID, or
+    READ_ONLY on the master."""
+    n_nodes = 4
+    small = ParadeRuntime(n_nodes=n_nodes, pool_bytes=1 << 20, metrics=True)
+    big = ParadeRuntime(n_nodes=n_nodes, pool_bytes=32 << 20, metrics=True)
+    assert small.run(_factory()).elapsed == big.run(_factory()).elapsed
+    extra = big.dsm.n_pages - small.dsm.n_pages
+    assert extra == 31 * 256
+    offsets = {
+        "dsm/pages_read_only": extra,
+        "dsm/pages_invalid": extra * (n_nodes - 1),
+    }
+    s_small = {k: v for k, v in small.metrics.series.items() if k.startswith("dsm/")}
+    s_big = {k: v for k, v in big.metrics.series.items() if k.startswith("dsm/")}
+    assert list(s_small) == list(s_big)
+    assert {f"dsm/pages_{st.name.lower()}" for st in PageState} <= set(s_small)
+    for name, (t, v) in s_small.items():
+        t_big, v_big = s_big[name]
+        assert t_big == t, name
+        assert v_big == [x + offsets.get(name, 0) for x in v], name

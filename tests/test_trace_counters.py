@@ -18,6 +18,8 @@ from repro.trace import (
 from repro.runtime import ParadeRuntime
 from repro.bench.figures import registered_programs
 
+from conftest import TraversalCountingList, recount
+
 
 def test_counter_category_is_default_on():
     assert CAT_COUNTER in ALL_CATEGORIES
@@ -98,3 +100,20 @@ def test_traced_run_emits_census_and_queue_counters():
     # census fires once per node per barrier epoch
     barriers = [e for e in events if e.cat == "dsm.barrier" and e.name == "barrier"]
     assert len(census) == len(barriers)
+
+
+def test_emit_census_never_walks_the_page_table():
+    """The per-barrier census sample is O(states), not O(pool pages): it
+    reads the node's maintained count."""
+    reg = registered_programs()["helmholtz"]
+    rt = ParadeRuntime(n_nodes=2, pool_bytes=reg["pool_bytes"])
+    rec = TraceRecorder(rt.sim, capacity=1 << 18)
+    rt.run(reg["factory"]())
+    dn = rt.dsm.node(1)
+    expect = dict(zip(("INVALID", "TRANSIENT", "BLOCKED", "READ_ONLY", "DIRTY"), recount(dn)))
+    dn.state = TraversalCountingList(dn.state)
+    n_before = len(rec.events)
+    dn._emit_census(rt.sim.probe)
+    assert dn.state.traversals == 0
+    (ev,) = rec.events[n_before:]
+    assert (ev.name, ev.node, ev.args) == ("page-census", 1, expect)
