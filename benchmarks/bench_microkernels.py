@@ -5,8 +5,9 @@ kernels the hot-path PR vectorised) on realistic inputs: float-update
 pages with scattered multi-byte runs — the distribution Jacobi/CG updates
 actually produce — plus dense and sparse extremes; and one
 ``Metrics.sample()`` with the stock sources over node counts and pool
-sizes (its cost must follow the series count, never the pool).  Run
-directly for a table of wall-clock timings::
+sizes (its cost must follow the series count, never the pool); and the
+DSM write-upgrade fault path per page over range lengths (a longer range
+must cost less per page, not more).  Run directly for a table of wall-clock timings::
 
     PYTHONPATH=src python benchmarks/bench_microkernels.py
 
@@ -17,6 +18,7 @@ tier-1 without making the suite flaky on slow hosts.
 
 from __future__ import annotations
 
+import time
 import timeit
 
 import numpy as np
@@ -32,6 +34,7 @@ CEILING_COMPUTE_DIFF = 2e-3
 CEILING_APPLY_DIFF = 2e-3
 CEILING_CHECK_RANGE = 5e-4
 CEILING_METRICS_SAMPLE = 5e-3
+CEILING_RANGE_FAULT = 5e-4  # per page
 
 
 def _float_update_page(seed: int = 0):
@@ -128,6 +131,39 @@ def bench_metrics_sample() -> dict:
     return out
 
 
+def _range_fault_per_page(n_pages: int) -> float:
+    from repro.dsm import SharedArray
+    from repro.testing import build_dsm, run_all
+
+    cluster, _cts, dsm = build_dsm(2)
+    arr = SharedArray.allocate(dsm, "a", (n_pages * PAGE // 8,))
+    view, dn = arr.on(1), dsm.node(1)
+    rounds = max(4, 256 // n_pages)
+    best = []
+
+    def prog():
+        yield from view.get()  # fetch once: valid and clean from here on
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(rounds):
+                yield from view.writable()
+                dn._close_interval()
+            best.append(time.perf_counter() - t0)
+
+    run_all(cluster, [prog()])
+    assert dn.stats.write_faults == 5 * rounds * n_pages
+    return min(best) / (rounds * n_pages)
+
+
+def bench_range_fault() -> dict:
+    """Host seconds per *page* of a write over 1/8/32/128 valid clean
+    pages on the non-home node of a 2-node cluster: access check, the
+    two protocol CPU bursts through the simulator, twin and mprotect per
+    page.  Only the faulting access is timed; the pages are put back
+    between rounds by closing the interval without a flush."""
+    return {f"{n}-page": _range_fault_per_page(n) for n in (1, 8, 32, 128)}
+
+
 # -- pytest entry points -------------------------------------------------
 def test_compute_diff_speed():
     assert max(bench_compute_diff().values()) < CEILING_COMPUTE_DIFF
@@ -145,12 +181,17 @@ def test_metrics_sample_speed():
     assert max(bench_metrics_sample().values()) < CEILING_METRICS_SAMPLE
 
 
+def test_range_fault_speed():
+    assert max(bench_range_fault().values()) < CEILING_RANGE_FAULT
+
+
 def main() -> None:
     for title, fn in (
         ("compute_diff", bench_compute_diff),
         ("apply_diff", bench_apply_diff),
         ("check_range", bench_check_range),
         ("metrics_sample", bench_metrics_sample),
+        ("range_fault (per page)", bench_range_fault),
     ):
         print(f"{title}:")
         for case, sec in fn().items():

@@ -42,29 +42,36 @@ class Node:
         self.compute_time += seconds
         return self.cpus.execute(seconds, priority, PH_CPU_WAIT, PH_COMPUTE)
 
-    def busy_cpu(self, seconds: float, priority: int = 0):
+    def busy_cpu(self, seconds: float, priority: int = 0, again=None):
         """Generator: occupy one CPU for raw protocol-overhead *seconds*
         (already expressed in wall time; scaled by CPU speed).  A profiler
         charges the burst to the *enclosing* phase (diff work under flush,
-        spin under lock-wait ...), marked active."""
+        spin under lock-wait ...), marked active.  With *again*, a chain
+        of such bursts: the end of each calls ``again()`` for the raw
+        seconds of the next, ``None`` ends it (see
+        :meth:`~repro.sim.Resource.execute`) — this is the one place a
+        protocol burst, first or chained, is scaled and booked."""
         scaled = seconds / self.speed_factor
         self.overhead_time += scaled
-        return self.cpus.execute(scaled, priority, PH_CPU_WAIT)
+        if again is None:
+            return self.cpus.execute(scaled, priority, PH_CPU_WAIT)
+
+        def chain():
+            seconds = again()
+            if seconds is None:
+                return None
+            scaled = seconds / self.speed_factor  # live: chaos may derate it
+            self.overhead_time += scaled
+            return scaled
+
+        return self.cpus.execute(scaled, priority, PH_CPU_WAIT, again=chain)
 
     def spin_cpu(self, seconds: float, until: Event):
         """Generator: busy-wait — :meth:`busy_cpu` slices of *seconds*
         back to back until *until* has been triggered."""
-
-        def next_slice():
-            if until.triggered:
-                return None
-            scaled = seconds / self.speed_factor
-            self.overhead_time += scaled
-            return scaled
-
-        first = next_slice()
-        if first is not None:
-            yield from self.cpus.execute(first, 0, PH_CPU_WAIT, again=next_slice)
+        if not until.triggered:
+            yield from self.busy_cpu(
+                seconds, again=lambda: None if until.triggered else seconds)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.id} ({self.config.cpu_mhz[self.id]} MHz x{self.config.cpus_per_node})>"

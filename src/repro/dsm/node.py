@@ -4,8 +4,9 @@ One :class:`DsmNode` per cluster node.  It owns the node's copy of the
 shared pool (physical frames + application address space), the page table
 (states, homes, twins), and implements:
 
-* the SIGSEGV-style fault loop: protection-checked access, fault, fetch
-  from home, atomic page update via a :mod:`repro.vm` strategy, retry —
+* the SIGSEGV-style fault service: one protection scan plans an access's
+  faulting pages, serviced lowest first — fetch from home and atomic page
+  update via a :mod:`repro.vm` strategy, or a local write-upgrade run —
   with the TRANSIENT/BLOCKED multithread states of Figure 5;
 * barrier arrival/departure with flushed diffs, piggybacked write notices
   and home migration (ParADE §5.2.2), the master role living on node 0;
@@ -29,9 +30,9 @@ from repro.sim import AnyOf, Event
 from repro.vm import (
     AddressSpace,
     PhysicalMemory,
-    ProtectionFault,
     PROT_NONE,
     PROT_READ,
+    PROT_WRITE,
     PROT_RW,
     strategy_by_name,
     LINUX_24,
@@ -493,21 +494,38 @@ class DsmNode:
 
     def acquire_read(self, addr: int, size: int):
         """Ensure every page in [addr, addr+size) is locally readable."""
-        while True:
-            try:
-                self.space.check_range(addr, size, write=False)
-                return
-            except ProtectionFault as fault:
-                yield from self._service_fault(fault.vpage, is_write=False)
+        return self._acquire(addr, size, False)
 
     def acquire_write(self, addr: int, size: int):
         """Ensure pages are writable; creates twins and marks them dirty."""
+        return self._acquire(addr, size, True)
+
+    def _acquire(self, addr: int, size: int, is_write: bool):
+        """The access check and fault loop, a range at a time: one scan
+        plans the pages lacking the right, they are serviced lowest first.
+
+        That is the order of faulting, servicing and re-running the access
+        after every page, because a listed page can only *gain* the right
+        behind our back (a sibling thread serviced it: skipped below) —
+        unless some page lost one, which :attr:`AddressSpace.downgrades`
+        reports (a sibling's flush or lock-grant invalidation); then an
+        earlier page may lack it again and the plan is rebuilt."""
+        space = self.space
+        need = PROT_WRITE if is_write else PROT_READ
         while True:
-            try:
-                self.space.check_range(addr, size, write=True)
+            pages = space.lacking(addr, size, is_write)
+            stamp = space.downgrades
+            i, n = 0, len(pages)
+            while i < n:
+                if space.protection(pages[i]) & need:
+                    i += 1
+                    continue
+                space.n_faults += 1
+                i = yield from self._service_fault(pages, i, is_write)
+                if space.downgrades != stamp:
+                    break
+            else:
                 return
-            except ProtectionFault as fault:
-                yield from self._service_fault(fault.vpage, is_write=True)
 
     def read(self, addr: int, size: int):
         """Protection-checked read returning bytes (faults as needed)."""
@@ -533,21 +551,23 @@ class DsmNode:
     # ------------------------------------------------------------------
     # fault service (the SIGSEGV handler, §5.2.3)
     # ------------------------------------------------------------------
-    def _service_fault(self, page: int, is_write: bool):
+    def _service_fault(self, pages, i: int, is_write: bool):
+        """Service the fault on ``pages[i]`` until the page grants the
+        access; returns the index of the next page of the plan to look at
+        (a write-upgrade run consumes several)."""
         sim = self.sim
         while True:
+            page = pages[i]
             st = self.state[page]
             if st == PageState.READ_ONLY:
                 if not is_write:
-                    return  # raced with another thread's completed fetch
-                # write fault on a valid clean page — local service only:
-                # SIGSEGV + twin + mprotect costs, charged as fault-work
-                # by the busy slices inside
-                t0 = self._count_fault(page, True)
-                if (yield from bracket(sim, PH_FAULT_WORK, self._upgrade_fault(page, t0))):
-                    return
+                    return i + 1  # raced with another thread's completed fetch
+                # write fault on a valid clean page — local service only,
+                # carried on through the following such pages of the plan;
+                # re-examine the one the run ended on
+                i = yield from self._upgrade_run(pages, i)
             elif st == PageState.DIRTY:
-                return  # already writable
+                return i + 1  # already writable
             elif st == PageState.INVALID and page in self._expected_frames:
                 yield from self._await_promised_frame(page, is_write)
             elif st == PageState.INVALID:
@@ -556,7 +576,7 @@ class DsmNode:
                 t0 = self._count_fault(page, is_write)
                 if (yield from bracket(
                         sim, PH_FAULT_WORK, self._fetch_fault(page, is_write, t0))):
-                    return
+                    return i + 1
             else:
                 # TRANSIENT or BLOCKED: some other thread is updating; wait.
                 self.stats.blocked_waits += 1
@@ -584,27 +604,59 @@ class DsmNode:
             pb.instant(CAT_AUDIT, "fault", page=page, write=is_write)
         return self.sim.now
 
-    def _upgrade_fault(self, page: int, t0: float):
-        """READ_ONLY -> DIRTY; False when the page changed state under us
-        (the caller re-examines it)."""
-        yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
-        if self.state[page] is not PageState.READ_ONLY:
-            # a sibling invalidated the page (lock-grant notice) or
-            # upgraded it first while we yielded; retry
-            return False
-        if self.config.homeless or self.home[page] != self.id:
-            self._make_twin(page)
-        yield from self.node.busy_cpu(self.cluster_config.mprotect_overhead)
-        if self.state[page] is not PageState.READ_ONLY:
-            return False  # _invalidate dropped the twin; retry
-        self._set_state(page, PageState.DIRTY, "write-fault")
-        self.space.protect(page, PROT_RW)
-        self.dirty.add(page)
-        pb = self.sim.probe
-        if pb is not None and "dsm.page" in pb.heard:
-            pb.span("dsm.page", "fault", t0, node=self.id,
-                    page=page, kind="write-upgrade")
-        return True
+    def _upgrade_run(self, pages, i: int):
+        """Write faults on valid clean pages, from ``pages[i]`` on through
+        the plan: READ_ONLY -> DIRTY is purely local — per page a SIGSEGV
+        burst, the twin, an mprotect burst — so the whole run is ONE chain
+        of CPU bursts (``busy_cpu(again=)``) that resumes this thread at
+        its end instead of twice a page, with the same bursts requested
+        in the same order at the same instants as a loop over the pages.
+
+        Every burst boundary re-checks what a resumed thread would: the
+        chain stops when the page changed state under us (a sibling
+        applied a lock-grant notice to it or upgraded it first), when some
+        page lost a right (the plan is stale), or before a page that is
+        not valid and clean.  Returns the index of the last page begun,
+        DIRTY unless cut short; the caller re-examines it."""
+        cc = self.cluster_config
+        space = self.space
+        state = self.state
+        stamp = space.downgrades
+        page = pages[i]
+        t0 = self._count_fault(page, True)
+        trapped = False  # this page's SIGSEGV burst is done, mprotect is next
+
+        def step():
+            nonlocal i, page, t0, trapped
+            if state[page] is not PageState.READ_ONLY:
+                return None  # (_invalidate dropped any twin)
+            if not trapped:
+                if self.config.homeless or self.home[page] != self.id:
+                    self._make_twin(page)
+                trapped = True
+                return cc.mprotect_overhead
+            self._set_state(page, PageState.DIRTY, "write-fault")
+            space.protect(page, PROT_RW)
+            self.dirty.add(page)
+            pb = self.sim.probe
+            if pb is not None and "dsm.page" in pb.heard:
+                pb.span("dsm.page", "fault", t0, node=self.id,
+                        page=page, kind="write-upgrade")
+            # on to the next page of the plan, if it is another of this
+            # kind (a listed page found READ_ONLY still lacks the write
+            # right: only object pages are clean and writable)
+            if (space.downgrades != stamp or i + 1 == len(pages)
+                    or state[pages[i + 1]] is not PageState.READ_ONLY):
+                return None
+            i += 1
+            page, trapped = pages[i], False
+            space.n_faults += 1
+            t0 = self._count_fault(page, True)
+            return cc.fault_overhead
+
+        yield from bracket(self.sim, PH_FAULT_WORK,
+                           self.node.busy_cpu(cc.fault_overhead, again=step))
+        return i
 
     def _await_promised_frame(self, page: int, is_write: bool):
         """Fault on an INVALID page with a one-way frame promised.
@@ -1477,11 +1529,14 @@ class DsmNode:
                         self.id, new_home, self.page_size + 8, (page, data),
                         tag=("dsm", "hand", self._next_req()),
                     )
-        # apply invalidations and the new home directory
+        # apply invalidations and the new home directory: every page with
+        # a writer other than us, unless it is (now) homed here.  Most are
+        # INVALID already, which _invalidate would find out a call later.
+        me, state, home = self.id, self.state, self.home
         for page, writers in inval_writers.items():
-            new_home = new_homes.get(page, self.home[page])
-            others = writers - {self.id}
-            if others and new_home != self.id:
+            if (state[page] is not PageState.INVALID
+                    and len(writers) > (me in writers)
+                    and new_homes.get(page, home[page]) != me):
                 self._invalidate(page)
         for page, new_home in new_homes.items():
             self.home[page] = new_home

@@ -72,31 +72,52 @@ def _hold_start(entry: _HoldEntry) -> None:
     sim = hold.sim
     entry.callbacks = _HOLD_END
     duration = hold.duration
-    if duration > 0.0:
+    if duration > 0.0:  # never negative: checked where it is set
         _heappush(sim._heap, (sim.now + duration, NORMAL, next(sim._seq), entry))
-    elif duration == 0.0:
+    else:
         sim._immediate.append((sim.now, NORMAL, next(sim._seq), entry))
-    else:  # from ``again``; an entry in the past would corrupt the schedule
-        raise ValueError(f"negative hold duration {duration!r}")
 
 
 def _hold_end(entry: _HoldEntry) -> None:
     """Timeout processed: release, then re-arm the next slice or resume
     the waiters synchronously — the generator path's ``finally`` followed
-    by whatever the process does next."""
+    by whatever the process does next.  ``again`` runs as the waiting
+    process; what it raises fails the hold, so the waiter has it thrown
+    in exactly as the generator path would."""
     hold = entry.hold
     resource = hold.resource
     resource.release(hold)
     again = hold.again
+    ok, value = True, None
     if again is not None:
-        duration = again()
-        if duration is not None:
-            hold.duration = duration
-            resource._submit(hold)
-            return
+        sim = hold.sim
+        sim.active_process = hold.waiter  # None here, in the event loop
+        try:
+            duration = again()
+            if duration is not None:
+                if duration < 0:  # an entry in the past would corrupt the schedule
+                    raise ValueError(f"negative hold duration {duration!r}")
+                hold.duration = duration
+                # Resource._submit -> _grant -> Hold._granted inlined: a
+                # busy-wait re-arms here once per slice
+                users = resource.users
+                if len(users) < resource.capacity and not resource._queue:
+                    users.add(hold)
+                    hold.granted_at = now = sim.now
+                    resource.n_grants += 1
+                    entry.callbacks = _HOLD_START
+                    sim._immediate.append((now, NORMAL, next(sim._seq), entry))
+                else:
+                    _heappush(resource._queue,
+                              (hold.priority, next(resource._seq), hold))
+                return
+        except Exception as exc:
+            ok, value = False, exc
+        finally:
+            sim.active_process = None
     entry.hold = None  # finished; also unties the hold <-> entry cycle
-    hold._ok = True
-    hold._value = None
+    hold._ok = ok
+    hold._value = value
     callbacks, hold.callbacks = hold.callbacks, None
     for cb in callbacks:
         cb(hold)
@@ -113,13 +134,14 @@ class Hold(Request):
     resumed once, when the occupancy ends and the unit has been released.
     With *again* set, the end of each occupancy calls ``again()``: a
     returned duration re-requests the resource for another slice (a
-    busy-wait loop), ``None`` ends the hold.
+    busy-wait loop, a chain of protocol bursts), ``None`` ends the hold,
+    an exception fails it.
 
     A process that stops waiting on a hold (interrupt, generator close)
     must :meth:`cancel` it.
     """
 
-    __slots__ = ("duration", "again", "_entry")
+    __slots__ = ("duration", "again", "waiter", "_entry")
 
     def __init__(
         self,
@@ -133,6 +155,10 @@ class Hold(Request):
         Request.__init__(self, resource, priority)
         self.duration = duration
         self.again = again
+        if again is not None:
+            #: the process constructing (and about to yield) the hold:
+            #: the running thread while ``again`` executes
+            self.waiter = self.sim.active_process
         entry = self._entry = _HoldEntry()
         entry.hold = self
         resource._submit(self)

@@ -32,9 +32,11 @@ def build_dsm(
     dsm_config: Optional[DsmConfig] = None,
     pool_bytes: int = 1 << 20,
     cpus: int = 2,
+    **cluster_kw,
 ):
-    """Cluster + started comm threads + DSM system."""
-    cluster = build_cluster(n_nodes, cpus=cpus)
+    """Cluster (*cluster_kw*: further ``ClusterConfig`` fields) + started
+    comm threads + DSM system."""
+    cluster = build_cluster(n_nodes, cpus=cpus, **cluster_kw)
     cts = [CommThread(n, cluster.network) for n in cluster.nodes]
     for ct in cts:
         ct.start()

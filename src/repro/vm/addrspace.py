@@ -1,9 +1,12 @@
 """Address spaces: per-process page tables with protections.
 
 Access checks emulate the MMU: a read or write whose protection bits do not
-permit it raises :class:`ProtectionFault` — the simulation's SIGSEGV.  The
-DSM fault handler catches it, services the page, and retries, exactly like
-the user-level signal-handler loop of a page-based SDSM (§5.2.3).
+permit it raises :class:`ProtectionFault` — the simulation's SIGSEGV — at
+the first offending page.  The DSM fault handler services the same pages
+in the same lowest-first order as the signal-handler loop of a page-based
+SDSM (§5.2.3), but learns them from one :meth:`AddressSpace.lacking` scan
+per access instead of one raised fault per page; :attr:`AddressSpace.downgrades`
+tells it when that list may have gone stale.
 
 The page table is stored as two dense numpy arrays (``_prot`` and
 ``_frames``, indexed by virtual page; frame ``-1`` means unmapped) instead
@@ -53,6 +56,12 @@ class AddressSpace:
         #: bumped on every map/unmap/protect; lets the DSM fast path cache
         #: positive access checks and invalidate them precisely
         self.version = 0
+        #: bumped only when a page *loses* a right (protect to fewer bits,
+        #: unmap, remap): while it stands still, a page found accessible
+        #: stays accessible, so a :meth:`lacking` list can only shrink
+        self.downgrades = 0
+        #: serviced faults: one per raised ProtectionFault, and one per
+        #: page the DSM fault service picks from a :meth:`lacking` list
         self.n_faults = 0
 
     # -- mapping ---------------------------------------------------------
@@ -71,6 +80,8 @@ class AddressSpace:
     def map(self, vpage: int, frame: int, prot: int = PROT_READ) -> None:
         self.phys._check(frame)
         self._ensure(vpage + 1)
+        if self._prot[vpage] & ~prot:
+            self.downgrades += 1
         self._frames[vpage] = frame
         self._prot[vpage] = prot
         self.version += 1
@@ -80,12 +91,16 @@ class AddressSpace:
         if n_pages > 0:
             self.phys._check(n_pages - 1)
         self._ensure(n_pages)
+        if (self._prot[:n_pages] & ~prot).any():
+            self.downgrades += 1
         self._frames[:n_pages] = np.arange(n_pages, dtype=np.int64)
         self._prot[:n_pages] = prot
         self.version += 1
 
     def unmap(self, vpage: int) -> None:
         if vpage < len(self._frames) and self._frames[vpage] >= 0:
+            if self._prot[vpage]:
+                self.downgrades += 1
             self._frames[vpage] = -1
             self._prot[vpage] = PROT_NONE
             self.version += 1
@@ -94,6 +109,8 @@ class AddressSpace:
         """mprotect(2) analogue for a single page."""
         if vpage >= len(self._frames) or self._frames[vpage] < 0:
             raise KeyError(f"vpage {vpage} not mapped in {self.name}")
+        if self._prot[vpage] & ~prot:
+            self.downgrades += 1
         self._prot[vpage] = prot
         self.version += 1
 
@@ -139,6 +156,24 @@ class AddressSpace:
                 self.n_faults += 1
                 fault_addr = max(addr, vp * ps)
                 raise ProtectionFault(vp, fault_addr, write)
+
+    def lacking(self, addr: int, size: int, write: bool) -> list:
+        """The pages of [addr, addr+size) whose protection does not permit
+        the access, ascending — every page :meth:`check_range` would fault
+        on if each were serviced in turn, from one scan.  Pages beyond the
+        table count as ``PROT_NONE``.  Counts no fault."""
+        if size <= 0:
+            return []
+        need = PROT_WRITE if write else PROT_READ
+        ps = self.page_size
+        first = addr // ps
+        last = (addr + size - 1) // ps
+        prot = self._prot
+        n = len(prot)
+        if last - first < 4 or last >= n:  # scalar probes, as in check_range
+            return [vp for vp in range(first, last + 1)
+                    if vp >= n or not (prot[vp] & need)]
+        return (np.flatnonzero((prot[first : last + 1] & need) == 0) + first).tolist()
 
     def can_access(self, addr: int, size: int, write: bool) -> bool:
         """:meth:`check_range` as a predicate: True iff the whole range is

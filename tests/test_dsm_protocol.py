@@ -7,10 +7,9 @@ import pytest
 from repro.dsm import SharedArray, PageState
 from repro.apps import cg, helmholtz
 from repro.dsm.config import HOMELESS_LRC, PARADE_DSM, KDSM_BASELINE
-from repro.mpi.ops import SUM
 from repro.runtime import ParadeRuntime
 from repro.sim.probe import Subscriber
-from conftest import build_dsm, recount, run_all
+from conftest import build_dsm, recount, run_all, sync_loops
 
 
 def test_initial_ownership_master_has_all_pages():
@@ -332,35 +331,10 @@ class _CensusAudit(Subscriber):
         assert list(args.values()) == self.dsm.node(node).census
 
 
-def _sync_loops(iters=4):
-    """The Fig 6/7 ``critical`` and ``single`` loops, back to back."""
-
-    def program(ctx):
-        x = ctx.shared_scalar("x")
-        v = ctx.shared_scalar("v")
-
-        def critical_loop(tc, x):
-            for _ in range(iters):
-                yield from tc.critical_update(x, 1.0, SUM)
-
-        def single_loop(tc, v):
-            for i in range(iters):
-                def init(i=i):
-                    return float(i)
-                    yield  # makes init a generator, as `single` requires
-
-                yield from tc.single(body_gen_fn=init, shared_scalar=v)
-
-        yield from ctx.parallel(critical_loop, x)
-        yield from ctx.parallel(single_loop, v)
-
-    return program
-
-
 _CENSUS_APPS = {
     "cg": lambda: cg.make_program("T", niter=1),
     "helmholtz": lambda: helmholtz.make_program(n=32, m=32, max_iters=3),
-    "sync": _sync_loops,
+    "sync": sync_loops,
 }
 _CENSUS_PROTOCOLS = {
     "parade": {"mode": "parade"},

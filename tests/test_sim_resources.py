@@ -179,6 +179,42 @@ def test_interrupted_waiter_gives_the_unit_back(sim, traced, when):
     assert res.count == 0 and res.queue_length == 0
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["hold", "generator"])
+@pytest.mark.parametrize("fault", ["raises", "negative"])
+def test_again_failure_is_thrown_into_the_waiter(sim, traced, fault):
+    """What ``again()`` raises (or a negative duration it returns) reaches
+    the process waiting on the burst on both paths — it used to escape
+    ``sim.run()`` on the hold path and leave the process suspended — with
+    the unit given back and ``again`` run as the waiting process."""
+    from repro.trace import TraceRecorder
+
+    if traced:
+        TraceRecorder(sim)
+    res = Resource(sim, capacity=1)
+    log = []
+
+    def again():
+        log.append(("again", sim.now, sim.active_process.label))
+        if fault == "raises":
+            raise RuntimeError("boom")
+        return -1.0
+
+    def victim():
+        try:
+            yield from res.execute(1.0, again=again)
+        except (RuntimeError, ValueError) as exc:
+            log.append((type(exc).__name__, sim.now))
+        yield from res.execute(1.0)  # still alive, and the unit is free
+        log.append(("done", sim.now))
+
+    proc = sim.process(victim(), label="victim")
+    sim.run()
+    caught = "RuntimeError" if fault == "raises" else "ValueError"
+    assert log == [("again", 1.0, "victim"), (caught, 1.0), ("done", 2.0)]
+    assert proc.processed and proc.ok
+    assert res.count == 0 and res.queue_length == 0
+
+
 # ---------------------------------------------------------------- Store
 def test_store_fifo_order(sim):
     box = Store(sim)

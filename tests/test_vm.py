@@ -126,6 +126,85 @@ def test_fault_counter():
     assert space.n_faults == 3
 
 
+# ------------------------------------------------------------- lacking
+def _random_table(rng, n_pages):
+    phys = PhysicalMemory(n_pages, PAGE)
+    space = AddressSpace(phys)
+    space.map_identity(n_pages, prot=PROT_NONE)
+    for vp, prot in enumerate(rng.choice([PROT_NONE, PROT_READ, PROT_RW], n_pages)):
+        space.protect(vp, int(prot))
+    return space
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 4, 5, 17, 40])
+def test_lacking_equals_per_page_brute_force(span):
+    """Scalar (1-3 pages) and vectorised (>= 4 pages) scans list exactly
+    the pages a per-page probe finds, ascending, counting no fault."""
+    rng = np.random.default_rng(span)
+    for _ in range(40):
+        space = _random_table(rng, 48)
+        faults = 0
+        first = int(rng.integers(0, 48 - span + 1))
+        off = int(rng.integers(0, PAGE))
+        addr = first * PAGE + off
+        end = int(rng.integers(off + 1 if span == 1 else 1, PAGE + 1))
+        size = (span - 1) * PAGE - off + end
+        assert size > 0 and (addr + size - 1) // PAGE == first + span - 1
+        for write in (False, True):
+            need = PROT_WRITE if write else PROT_READ
+            brute = [vp for vp in range(first, first + span)
+                     if not space.protection(vp) & need]
+            got = space.lacking(addr, size, write)
+            assert got == brute and all(type(vp) is int for vp in got)
+            assert (not got) == space.can_access(addr, size, write)
+            if got:
+                with pytest.raises(ProtectionFault) as exc:
+                    space.check_range(addr, size, write)
+                assert exc.value.vpage == got[0]
+                faults += 1
+        assert space.n_faults == faults  # raised ones only
+    assert space.lacking(0, 0, True) == []
+
+
+def test_lacking_counts_pages_past_the_table_as_unprotected():
+    _phys, space = make_space(n_pages=2)
+    space.protect(0, PROT_RW)
+    space.protect(1, PROT_READ)
+    beyond = len(space._prot)
+    assert space.lacking(0, (beyond + 2) * PAGE, write=False) == [
+        vp for vp in range(2, beyond + 2)]
+    assert space.lacking(0, (beyond + 2) * PAGE, write=True)[0] == 1
+    with pytest.raises(ProtectionFault):  # as check_range always did
+        space.check_range(beyond * PAGE, 8, write=False)
+
+
+def test_downgrade_stamp_moves_only_when_a_right_is_removed():
+    phys = PhysicalMemory(8, PAGE)
+    space = AddressSpace(phys)
+    space.map_identity(4, prot=PROT_NONE)
+    space.map(5, 5, PROT_RW)
+    space.protect(0, PROT_READ)   # NONE -> R
+    space.protect(0, PROT_RW)     # R -> RW
+    space.protect(0, PROT_RW)     # no change
+    space.protect(1, PROT_NONE)   # NONE -> NONE
+    space.unmap(2)                # nothing to lose
+    assert space.downgrades == 0
+    stamps = []
+    for change in (
+        lambda: space.protect(0, PROT_READ),   # RW -> R
+        lambda: space.protect(0, PROT_NONE),   # R -> NONE
+        lambda: space.unmap(5),                # RW -> unmapped
+        lambda: space.protect(3, PROT_READ),   # upgrade: stays
+        lambda: space.map(6, 6, PROT_READ),    # fresh mapping: stays
+        lambda: space.map(3, 3, PROT_NONE),    # remap under a reader
+    ):
+        change()
+        stamps.append(space.downgrades)
+    assert stamps == [1, 2, 3, 3, 3, 4]
+    # every change above moved `version`, the fast path's finer stamp
+    assert space.version > space.downgrades
+
+
 # ------------------------------------------------------------- strategies
 def _run_update(strategy_name, profile=LINUX_24, concurrent_reader=False):
     """Run one page update; optionally race a reader against it.
