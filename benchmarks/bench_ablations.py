@@ -5,7 +5,9 @@
 * the hybrid message-passing switch (§5.2.1) — critical on a small scalar
   with the switch on (parade) vs off (sdsm translation);
 * interconnect sensitivity — the same microbenchmark on cLAN VIA vs Fast
-  Ethernet TCP (the paper ran both networks).
+  Ethernet TCP (the paper ran both networks);
+* the two protocol-accelerator mechanisms, alone and together, on the
+  perf basket — the rows docs/PERFORMANCE.md "Flag ledger" cites.
 """
 
 import numpy as np
@@ -186,3 +188,63 @@ def test_ablation_loop_scheduling(benchmark):
     assert data["guided"][0] < data["static"][0]
     # guided needs fewer dispenser round-trips than plain dynamic
     assert data["guided"][1] < data["dynamic"][1]
+
+
+def test_ablation_accel_mechanisms(benchmark):
+    """paper / each accelerator mechanism / both, on helmholtz + cg + md
+    of the perf basket at 4 nodes and at 16 nodes hierarchical.  Asserts
+    the rows docs/PERFORMANCE.md "Flag ledger" keeps the two flags for;
+    virtual time is deterministic, so the thresholds cannot flake."""
+    from repro.bench.perf import basket
+    from repro.fleet.spec import value_digest
+    from repro.runtime import ParadeRuntime
+
+    apps = ("helmholtz", "cg", "md")
+    configs = {
+        "paper": PARADE_DSM,
+        "batch": PARADE_DSM.replace(batch_notices=True),
+        "adaptive": PARADE_DSM.replace(adaptive_migration=True),
+        "both": PARADE_DSM.accelerated(),
+    }
+    points = {"4n": (4, False), "16n-hier": (16, True)}
+    entries = basket()
+
+    def run():
+        out = {}
+        for point, (n_nodes, hier) in points.items():
+            for cname, cfg in configs.items():
+                for app in apps:
+                    entry = entries[app]
+                    rt = ParadeRuntime(
+                        n_nodes=n_nodes, pool_bytes=entry["pool_bytes"],
+                        dsm_config=cfg.hierarchical() if hier else cfg,
+                    )
+                    res = rt.run(entry["factory"]())
+                    out[point, cname, app] = (
+                        res.elapsed, int(res.cluster_stats["total_messages"]),
+                        value_digest(res.value),
+                    )
+        return out
+
+    data = run_once(benchmark, run)
+    print()
+    for point in points:
+        print(f"{point:9s} " + " ".join(f"{a + ' ms':>12s} {'msgs':>6s}" for a in apps))
+        for cname in configs:
+            cells = " ".join(
+                f"{data[point, cname, a][0] * 1e3:12.3f} {data[point, cname, a][1]:6d}"
+                for a in apps
+            )
+            print(f"{cname:>9s} {cells}")
+
+    def delta(point, cname, app, base="paper"):
+        return data[point, cname, app][0] / data[point, base, app][0] - 1.0
+
+    # adaptive migration + update push earns its flag on its own ...
+    assert delta("4n", "adaptive", "cg") <= -0.40
+    assert delta("16n-hier", "adaptive", "helmholtz") <= -0.40
+    # ... batching earns it on top of adaptive, at scale
+    assert delta("16n-hier", "both", "md", base="adaptive") <= -0.05
+    # and no combination changes a computed value
+    for (point, cname, app), (_t, _msgs, digest) in data.items():
+        assert digest == data[point, "paper", app][2], (point, cname, app)

@@ -81,10 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--accel", action="store_true",
         help="run with the protocol accelerator on (batched notices, "
-        "lock-grant piggybacking, adaptive migration + update push, "
-        "fetch read-ahead) — fault-free baseline and chaos runs alike, "
-        "so recovery must stay bit-identical with every optimisation "
-        "message kind in flight",
+        "adaptive migration + update push) — fault-free baseline and "
+        "chaos runs alike, so recovery must stay bit-identical with "
+        "every optimisation message kind in flight",
     )
     parser.add_argument(
         "--jobs", type=int, default=None,

@@ -28,20 +28,6 @@ class DsmConfig:
     #: preferable — this flag exists to measure that claim).  Barrier
     #: synchronisation only; the lock protocol requires a home directory.
     homeless: bool = False
-    #: host-side (wall-clock) optimisation only — never changes virtual
-    #: time or protocol behaviour: accesses to already-valid page ranges
-    #: skip the generator fault loop via a version-stamped cache
-    #: (:meth:`DsmNode.try_fast_access`).  Off = always take the slow
-    #: path; the equivalence test pins both to identical traces.
-    fast_path: bool = True
-    #: coalesce diff runs separated by gaps of at most this many unchanged
-    #: bytes into one run (saves per-run headers at the cost of resending
-    #: the gap bytes).  0 = exact diffs.  Non-zero is safe only for pages
-    #: with a single writer per interval: the gap bytes overwrite the
-    #: home copy, clobbering concurrent writers of those bytes — homes
-    #: enforce this and raise :class:`~repro.dsm.node.DiffGapClobber` on
-    #: a cross-writer overlap.
-    diff_gap: int = 0
     #: attach the happens-before sanitizer (:mod:`repro.sanitizer`) to the
     #: run: vector-clock data-race detection over every DSM access plus
     #: live protocol-invariant checks.  Diagnostic tool — adds host-side
@@ -51,36 +37,16 @@ class DsmConfig:
     #: (barrier flush or lock release) all diffs destined to the same home
     #: are coalesced into one ``("dsm", "dbat")`` frame per peer with a
     #: single ack, instead of one ``diff``/``diffR`` round-trip per page.
-    #: Saves per-message CPU overhead and frame headers; per-page
+    #: Only diffs up to ``node.BATCH_MAX_BYTES`` join the batch.  Saves
+    #: per-message CPU overhead and frame headers; per-page
     #: ``diffs_sent``/``diff_bytes`` accounting is unchanged so runs stay
     #: comparable (``notices_batched`` counts the coalesced records).
     batch_notices: bool = False
-    #: per-diff byte ceiling for batching: only diffs at or below this
-    #: size join the per-home batch frame.  Large diffs keep their own
-    #: frame so the home can overlap applying one diff with receiving the
-    #: next (coalescing them would serialise the whole frame's transfer
-    #: before any apply, lengthening the flush critical path for the
-    #: ~40 B of header it saves).
-    batch_max_bytes: int = 512
-    #: protocol accelerator — lock-grant diff piggybacking: a releaser
-    #: attaches its small diffs to the release message; the manager stores
-    #: them alongside the :class:`~repro.dsm.writenotice.NoticeLog` and,
-    #: at grant time, ships the complete per-page diff chains for pages
-    #: the acquirer wrote under this lock before (last-acquirer history).
-    #: The acquirer patches its READ_ONLY copy in place instead of
-    #: invalidating, eliminating the fault + page-fetch round-trip inside
-    #: the critical section.  Requires exact diffs: silently inert while
-    #: ``diff_gap > 0`` (coalesced runs carry stale gap bytes that must
-    #: not be replayed at third nodes).
-    lock_piggyback: bool = False
-    #: per-diff byte budget for piggybacking: larger diffs are cheaper to
-    #: re-fetch as whole pages than to ship twice (release + every grant)
-    piggyback_max_bytes: int = 1024
     #: protocol accelerator — adaptive home migration: the barrier master
     #: keeps per-page byte-weighted writer histories (EWMA, halved every
     #: epoch) fed by sized write notices, and migrates a page's home to
     #: its dominant writer when that writer's share exceeds
-    #: ``migration_share`` — including multi-writer pages, which the
+    #: ``node.MIGRATION_SHARE`` — including multi-writer pages, which the
     #: eager sole-writer rule (``home_migration``) can never move; the
     #: old home hands the current page copy to the new home at the
     #: barrier.  Homes additionally keep per-page *reader* histories
@@ -90,19 +56,6 @@ class DsmConfig:
     #: producer-consumer pages into a one-way update.  Sized notices cost
     #: 16 B on the wire instead of 12.
     adaptive_migration: bool = False
-    #: EWMA share of a page's write bytes a challenger needs to take the
-    #: home (the incumbent home's in-place writes are credited one full
-    #: page per epoch, a natural hysteresis against ping-pong)
-    migration_share: float = 0.5
-    #: protocol accelerator — sequential fetch read-ahead: when a fault
-    #: follows a fault on the previous page (a block scan or gather), the
-    #: request names up to this many further contiguous pages that are
-    #: invalid locally and share the same home; the home bundles the ones
-    #: it can serve into the single reply, and the faulting node installs
-    #: them alongside — one round-trip instead of one per page.  0 = off.
-    #: Best-effort: bundled pages the home cannot serve simply fault
-    #: later, so correctness never depends on the read-ahead.
-    fetch_readahead: int = 0
     #: hierarchical synchronization — tree barrier fan-in: 0 keeps the
     #: flat centralized master (every node sends its arrival straight to
     #: node 0, the master answers with one departure per node — O(n)
@@ -125,6 +78,11 @@ class DsmConfig:
     lock_shard: str = "modulo"
 
     def __post_init__(self):
+        if self.pool_bytes <= 0:
+            raise ValueError(f"pool_bytes must be > 0, got {self.pool_bytes}")
+        if self.spin_slice <= 0:
+            # a zero slice busy-waits at constant virtual time forever
+            raise ValueError(f"spin_slice must be > 0 seconds, got {self.spin_slice}")
         if self.barrier_fanin < 0 or self.barrier_fanin == 1:
             raise ValueError(
                 f"barrier_fanin must be 0 (flat) or >= 2, got {self.barrier_fanin}"
@@ -141,13 +99,8 @@ class DsmConfig:
         return _replace(self, **kw)
 
     def accelerated(self) -> "DsmConfig":
-        """This config with all protocol accelerators enabled."""
-        return self.replace(
-            batch_notices=True,
-            lock_piggyback=True,
-            adaptive_migration=True,
-            fetch_readahead=8,
-        )
+        """This config with both protocol accelerators enabled."""
+        return self.replace(batch_notices=True, adaptive_migration=True)
 
     def hierarchical(self, fanin: int = 4, lock_shard: str = "spread") -> "DsmConfig":
         """This config with hierarchical synchronization enabled: tree
@@ -167,8 +120,8 @@ KDSM_BASELINE = DsmConfig(name="kdsm", home_migration=False, lock_spin=True)
 HOMELESS_LRC = DsmConfig(name="homeless", home_migration=False, homeless=True)
 
 #: ParADE's DSM with the protocol accelerator on: batched write-notice/diff
-#: frames, lock-grant diff piggybacking, adaptive (byte-weighted) home
-#: migration.  See docs/PERFORMANCE.md "Protocol optimizations".
+#: frames and adaptive (byte-weighted) home migration with update push.
+#: See docs/PERFORMANCE.md "Protocol optimizations".
 PARADE_ACCEL = PARADE_DSM.accelerated()
 
 #: ParADE's DSM with hierarchical synchronization on: fan-in-4 tree

@@ -25,14 +25,11 @@ def make_twin(page: np.ndarray) -> np.ndarray:
     return page.copy()
 
 
-def compute_diff(twin: np.ndarray, current: np.ndarray, coalesce_gap: int = 0) -> Diff:
+def compute_diff(twin: np.ndarray, current: np.ndarray) -> Diff:
     """Run-length encode the byte positions where *current* != *twin*.
 
-    *coalesce_gap* merges runs separated by at most that many unchanged
-    bytes into one run: fewer run headers on the wire in exchange for
-    resending the gap bytes.  The gap bytes overwrite the home copy, so a
-    non-zero gap is only safe for pages with a single writer per interval
-    (see :attr:`DsmConfig.diff_gap`); the default 0 produces exact diffs.
+    Diffs are exact — a run never carries an unchanged byte — so
+    concurrent writers of disjoint bytes of one page merge at the home.
 
     Run payloads are sliced from one ``tobytes()`` snapshot of the page
     and run bounds come out of numpy in bulk — no per-run array slicing.
@@ -42,9 +39,8 @@ def compute_diff(twin: np.ndarray, current: np.ndarray, coalesce_gap: int = 0) -
     idx = np.flatnonzero(twin != current)
     if idx.size == 0:
         return []
-    # split into maximal runs; consecutive changed bytes have diff == 1,
-    # so a break needs a gap strictly wider than the coalescing tolerance
-    breaks = np.flatnonzero(np.diff(idx) > 1 + coalesce_gap)
+    # split into maximal runs; consecutive changed bytes have diff == 1
+    breaks = np.flatnonzero(np.diff(idx) > 1)
     los = idx[np.concatenate(([0], breaks + 1))].tolist()
     his = (idx[np.concatenate((breaks, [idx.size - 1]))] + 1).tolist()
     buf = current.tobytes()

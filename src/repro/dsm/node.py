@@ -71,6 +71,20 @@ KIND_OBJECT = 1
 #: wire bytes per record header in a batched diff frame (page id + length)
 BATCH_ENTRY_BYTES = 8
 
+#: per-diff byte ceiling for batching (``DsmConfig.batch_notices``): only
+#: diffs at or below this size join the per-home batch frame.  Large diffs
+#: keep their own frame so the home can overlap applying one diff with
+#: receiving the next (coalescing them would serialise the whole frame's
+#: transfer before any apply, lengthening the flush critical path for the
+#: ~40 B of header it saves).
+BATCH_MAX_BYTES = 512
+
+#: adaptive migration: EWMA share of a page's write bytes a challenger
+#: needs to take the home (the incumbent home's in-place writes are
+#: credited one full page per epoch, a natural hysteresis against
+#: ping-pong)
+MIGRATION_SHARE = 0.5
+
 #: update push (adaptive migration): a home keeps pushing a page's fresh
 #: copy to a reader for this many barrier epochs after the reader's last
 #: real fetch.  A stable consumer re-fetches once per window and is pushed
@@ -81,27 +95,6 @@ PUSH_INTEREST_EPOCHS = 8
 #: wire bytes of a push frame header (page id + epoch stamp)
 PUSH_HEADER_BYTES = 12
 
-
-class DiffGapClobber(RuntimeError):
-    """A coalesced diff (``diff_gap > 0``) would overwrite bytes another
-    node wrote in the same interval — the documented single-writer
-    precondition of :func:`repro.dsm.diffs.compute_diff` is violated and
-    the home copy would be silently corrupted."""
-
-    def __init__(self, home: int, page: int, writer: int, other: int,
-                 lo: int, hi: int) -> None:
-        super().__init__(
-            f"diff_gap clobber on home {home}, page {page}: coalesced diff "
-            f"from node {writer} overlaps bytes [{lo:#x}, {hi:#x}) written by "
-            f"node {other} in the same interval; diff_gap > 0 requires a "
-            f"single writer per page per interval"
-        )
-        self.home = home
-        self.page = page
-        self.writer = writer
-        self.other = other
-        self.lo = lo
-        self.hi = hi
 
 _OS_PROFILES = {"linux-2.4": LINUX_24, "aix-4.3.3": AIX_433}
 
@@ -155,10 +148,6 @@ class DsmNodeStats:
                                   saved is this minus the frame count      (docs/PERFORMANCE.md)
                                   (``dsm.page/diff-batch`` args
                                   ``entries``)
-    diffs_piggybacked     count   diffs applied straight off lock grants   protocol-accelerator
-                                  instead of invalidate + fault + fetch    ablations
-                                  (``dsm.page/piggy-apply`` args
-                                  ``diffs``)
     updates_pushed        count   fresh page copies pushed by this home    protocol-accelerator
                                   to predicted re-fetchers after a         ablations
                                   barrier departure (``dsm.page/push``)
@@ -166,10 +155,6 @@ class DsmNodeStats:
                                   faults it will never take; pushes        ablations
                                   minus installs were dropped as stale
                                   (``dsm.page/push-apply``)
-    readahead_pages       count   extra pages installed off bundled        protocol-accelerator
-                                  sequential-fetch replies — round-trips   ablations
-                                  a block scan or gather skipped
-                                  (``dsm.page/readahead-apply``)
     barrier_arrivals_rx   count   barrier arrival frames received from     scale-out ablations
                                   *other* nodes: n-1 per epoch at a flat   (docs/PERFORMANCE.md
                                   master, <= fan-in per epoch per tree     "Scaling")
@@ -214,10 +199,8 @@ class DsmNodeStats:
     dsm_reissues: int = 0
     stale_replies: int = 0
     notices_batched: int = 0
-    diffs_piggybacked: int = 0
     updates_pushed: int = 0
     updates_installed: int = 0
-    readahead_pages: int = 0
     barrier_arrivals_rx: int = 0
     barrier_relays: int = 0
     notices_merged: int = 0
@@ -331,29 +314,12 @@ class DsmNode:
         # them in vector timestamps — we piggyback them conservatively)
         self._notices_since_barrier: List[WriteNotice] = []
 
-        # home-side bookkeeping for the diff_gap > 0 precondition:
-        # byte runs of diffs applied this interval, page -> [(seq, writer,
-        # lo, hi)], and a freshness floor per (page, requester) — a node
-        # that fetched the page after a diff applied already carries those
-        # bytes, so its later (lock-ordered) diff is not a second writer.
-        self._gap_runs: Dict[int, List[tuple]] = {}
-        self._gap_fresh: Dict[tuple, int] = {}
-        self._apply_seq = 0
-
         # pages whose invalidation arrived while a fetch was in flight
         # (TRANSIENT/BLOCKED); drained by the fetching thread, which
         # discards the stale update and retries.
         self._pending_inval: Set[int] = set()
 
-        # protocol accelerator (docs/PERFORMANCE.md "Protocol
-        # optimizations").  Piggybacking needs exact diffs: coalesced
-        # diff_gap runs carry stale gap bytes that must not be replayed
-        # at third nodes, so the flag is inert while diff_gap > 0.
-        self._accel_piggyback = (
-            dsm_config.lock_piggyback
-            and dsm_config.diff_gap == 0
-            and not dsm_config.homeless
-        )
+        # protocol accelerator (docs/PERFORMANCE.md "Protocol optimizations")
         self._accel_adaptive = dsm_config.adaptive_migration and not dsm_config.homeless
         #: wire bytes per notice record: sized notices carry diff byte counts
         self._notice_nbytes = (
@@ -379,10 +345,9 @@ class DsmNode:
         self._fetched_since_barrier: Set[int] = set()
         # receiver side: page -> event a faulting thread parks on when an
         # inbound one-way frame was promised for the page — a barrier
-        # departure announced an update push, or a fetch reply promised
-        # read-ahead trailers.  Waiting for the frame in flight beats
-        # issuing our own fetch round-trip; any install or lock-grant
-        # invalidation of the page wakes (and removes) the event.
+        # departure announced an update push.  Waiting for the frame in
+        # flight beats issuing our own fetch round-trip; any install or
+        # lock-grant invalidation of the page wakes (and removes) the event.
         self._expected_frames: Dict[int, Event] = {}
         # ... frames that arrived before this node processed the departure
         # that announced them, page -> (epoch, raw page bytes)
@@ -396,10 +361,6 @@ class DsmNode:
         # so it must not be installed (the lock's happens-before edge
         # promised the newer bytes); cleared at every departure.
         self._lock_invalidated: Set[int] = set()
-        # fetch read-ahead: the previously fetched page (the sequential-
-        # scan detector — a fault on the successor of the last fetched
-        # page asks the home to trail further contiguous pages)
-        self._last_fetched_page = -2
 
         self.stats = DsmNodeStats()
 
@@ -478,8 +439,6 @@ class DsmNode:
         (every page-state transition performs an mprotect) invalidates the
         whole cache.
         """
-        if not self.config.fast_path:
-            return False
         v = self.space.version
         if v != self._fast_version:
             self._fast_version = v
@@ -661,11 +620,11 @@ class DsmNode:
     def _await_promised_frame(self, page: int, is_write: bool):
         """Fault on an INVALID page with a one-way frame promised.
 
-        The barrier departure announced an update push for this page (or
-        a fetch reply promised read-ahead): the home's frame is already
-        in flight, so waiting for it strictly beats issuing our own fetch
-        round-trip.  If a lock-grant notice voids the promise, the
-        wake-up re-examines the page and falls through to a fetch."""
+        The barrier departure announced an update push for this page: the
+        home's frame is already in flight, so waiting for it strictly
+        beats issuing our own fetch round-trip.  If a lock-grant notice
+        voids the promise, the wake-up re-examines the page and falls
+        through to a fetch."""
         t0 = self._count_fault(page, is_write)
         yield from bracket(
             self.sim, PH_FAULT_WORK,
@@ -800,61 +759,14 @@ class DsmNode:
         return value
 
     def _fetch_page(self, page: int):
-        """Request the up-to-date page from its home; returns page bytes.
-
-        With ``fetch_readahead`` and a sequential fault pattern (previous
-        fault hit page - 1), the request also names up to *readahead*
-        further contiguous pages that are invalid here and share the same
-        home.  The home replies with the primary page alone — the fault's
-        round-trip latency is untouched — then trails one-way ``raP``
-        frames for the named pages it can serve; the comm thread installs
-        each sound arrival (:meth:`_receive_readahead`).  Best-effort: a
-        page that never arrives simply faults later.
-        """
+        """Request the up-to-date page from its home; returns page bytes."""
         home = self.home[page]
         assert home != self.id, f"node {self.id} faulted on page {page} it homes"
-        ra = self.config.fetch_readahead
-        if ra > 0:
-            extras = ()
-            if page - 1 == self._last_fetched_page:
-                n_pages = len(self.state)
-                extras = tuple(
-                    q for q in range(page + 1, min(page + ra, n_pages))
-                    if self.home[q] == home
-                    and self.state[q] is PageState.INVALID
-                    and self.kind[q] != KIND_OBJECT
-                    # a parked thread waits on the announced push frame
-                    # for that page — installing a fetch copy would not
-                    # wake it, so leave announced pages to the push
-                    and q not in self._expected_frames
-                )
-            self._last_fetched_page = page
-            req_payload = (page, self.id, extras, self._barrier_epoch)
-            req_nb = 12 + 4 * len(extras)
-        else:
-            req_payload = (page, self.id)
-            req_nb = 8
         t0 = self.sim.now
         # request round-trip: send + wait for the home's reply
-        reply = yield from bracket(
-            self.sim, PH_FAULT_FETCH, self._request(home, "fetch", req_nb, req_payload)
+        data = yield from bracket(
+            self.sim, PH_FAULT_FETCH, self._request(home, "fetch", 8, (page, self.id))
         )
-        if ra > 0:
-            data, promised = reply
-            for q in promised:
-                # park follow-up faults on the promised trailer frames —
-                # registered only for still-INVALID pages (a sibling's
-                # in-flight fetch wins TRANSIENT pages, and its install
-                # path would not resolve the promise)
-                if (
-                    self.state[q] is PageState.INVALID
-                    and q not in self._expected_frames
-                ):
-                    self._expected_frames[q] = Event(
-                        self.sim, name=f"rawait[{self.id}:{q}]"
-                    )
-        else:
-            data = reply
         self.stats.pages_fetched += 1
         self.stats.fetch_bytes += len(data)
         if self._accel_adaptive:
@@ -876,12 +788,7 @@ class DsmNode:
         pb = self.sim.probe
         t0 = self.sim.now
         n_pulled = 0
-        check_gap = self.config.diff_gap > 0
         for epoch, writers in sorted(records):
-            # runs applied within this epoch, for the coalescing guard:
-            # with diff_gap > 0 a gap byte carries the writer's (possibly
-            # stale) copy of another writer's same-epoch data
-            epoch_runs: List[tuple] = []
             for w in writers:
                 diff = yield from bracket(
                     self.sim, PH_FAULT_FETCH,
@@ -893,15 +800,6 @@ class DsmNode:
                 if pb is not None and CAT_AUDIT in pb.heard:
                     pb.instant(CAT_AUDIT, "pull", page=page, nbytes=nb)
                 yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
-                if check_gap:
-                    for off, data in diff:
-                        lo, hi = off, off + len(data)
-                        for ow, olo, ohi in epoch_runs:
-                            if ow != w and lo < ohi and olo < hi:
-                                raise DiffGapClobber(
-                                    self.id, page, w, ow, max(lo, olo), min(hi, ohi)
-                                )
-                        epoch_runs.append((w, lo, hi))
                 apply_diff(view, diff)
                 n_pulled += 1
         if pb is not None and "dsm.page" in pb.heard and records:
@@ -923,17 +821,13 @@ class DsmNode:
             self._resolve(req_id, msg.payload)
             return
         if kind == "fetch":
-            if len(msg.payload) == 4:
-                page, requester, extras, ra_epoch = msg.payload
-            else:
-                page, requester = msg.payload
-                extras, ra_epoch = (), -1
-            yield from self._serve_fetch(page, requester, req_id, extras, ra_epoch)
+            page, requester = msg.payload
+            yield from self._serve_fetch(page, requester, req_id)
         elif kind == "fetchR":
             self._resolve(req_id, msg.payload)
         elif kind == "diff":
             page, diff = msg.payload
-            yield from self._apply_incoming_diff(page, diff, msg.src)
+            yield from self._apply_incoming_diff(page, diff)
             yield from self.net.send(self.id, msg.src, 4, None, tag=("dsm", "diffR", req_id))
         elif kind == "diffR":
             self._resolve(req_id, None)
@@ -943,7 +837,7 @@ class DsmNode:
             # is exactly-once at the link layer, so per-page application
             # stays non-idempotent-safe.
             for page, diff in msg.payload:
-                yield from self._apply_incoming_diff(page, diff, msg.src)
+                yield from self._apply_incoming_diff(page, diff)
             yield from self.net.send(self.id, msg.src, 4, None, tag=("dsm", "dbatR", req_id))
         elif kind == "dbatR":
             self._resolve(req_id, None)
@@ -957,20 +851,13 @@ class DsmNode:
             # node is predicted to re-fetch (fire-and-forget; dropped
             # whenever installing would not be sound)
             yield from self._receive_push(msg.payload, msg.src)
-        elif kind == "raP":
-            # sequential-fetch read-ahead: a home trails contiguous pages
-            # behind a fetch reply (fire-and-forget; dropped whenever
-            # installing would not be sound)
-            yield from self._receive_readahead(msg.payload, msg.src)
         else:  # pragma: no cover - protocol corruption guard
             raise RuntimeError(f"unknown dsm message kind {kind!r}")
 
-    def _serve_fetch(self, page: int, requester: int, req_id: int,
-                     extras=(), ra_epoch: int = -1):
+    def _serve_fetch(self, page: int, requester: int, req_id: int):
         if self.home[page] != self.id:
             # Stale home pointer (should not happen barrier-to-barrier, but
-            # forward for robustness; one extra hop).  Read-ahead extras
-            # are dropped at the forward — best-effort by design.
+            # forward for robustness; one extra hop).
             yield from self.net.send(
                 self.id, self.home[page], 8, (page, requester), tag=("dsm", "fetch", req_id)
             )
@@ -989,130 +876,23 @@ class DsmNode:
         )
         self.stats.fetches_served += 1
         data = self._page_view(page).tobytes()
-        if self.config.diff_gap > 0:
-            # the requester's copy now reflects every diff applied so far;
-            # diffs it sends later are not concurrent with those
-            self._gap_fresh[(page, requester)] = self._apply_seq
         pb = self.sim.probe
         if pb is not None and "dsm.page" in pb.heard:
             pb.instant("dsm.page", "serve-fetch", node=self.id,
                        page=page, requester=requester)
-        if self.config.fetch_readahead > 0:
-            # snapshot the requested read-ahead pages this home can serve
-            # right now (synchronously — same snapshot semantics as the
-            # primary page).  The reply carries the exact promise list so
-            # the requester can park follow-up faults on the trailing
-            # frames instead of re-fetching; the frames themselves go out
-            # from a detached sender so this comm thread stays responsive.
-            bundle = [
-                (q, self._page_view(q).tobytes())
-                for q in extras
-                if self.home[q] == self.id
-                and q not in self._pending_handoff
-                and self.state[q] in (PageState.READ_ONLY, PageState.DIRTY)
-            ]
-            if self.config.diff_gap > 0:
-                for q, _ in bundle:
-                    self._gap_fresh[(q, requester)] = self._apply_seq
-            promised = tuple(q for q, _ in bundle)
-            yield from self.net.send(
-                self.id, requester, len(data) + 4 * len(promised),
-                (data, promised), tag=("dsm", "fetchR", req_id),
-            )
-            if bundle:
-                self.sim.process(
-                    self._readahead_sender(bundle, requester, ra_epoch),
-                    label=f"ra[{self.id}->{requester}]",
-                )
-            return
         yield from self.net.send(
             self.id, requester, len(data), data, tag=("dsm", "fetchR", req_id)
         )
 
-    def _readahead_sender(self, bundle, requester: int, ra_epoch: int):
-        """Detached sender for read-ahead pages: one one-way ``raP``
-        frame per page, installed by the requester's comm thread when
-        still sound (:meth:`_receive_readahead`)."""
-        for q, qdata in bundle:
-            yield from self.net.send(
-                self.id, requester, self.page_size + PUSH_HEADER_BYTES,
-                (q, qdata, ra_epoch), tag=("dsm", "raP", self._next_req()),
-            )
-
-    def _receive_readahead(self, payload, src: int):
-        """Comm-thread handler for an incoming ``raP`` read-ahead frame.
-
-        Installs the copy only when doing so is indistinguishable from
-        the fetch the requester would otherwise issue: the requester is
-        still in the inter-barrier window it stamped on the request
-        (entering the next barrier bumps ``_barrier_epoch``, so frames
-        crossing a barrier are dropped before they can bypass its
-        invalidations), the page is still INVALID with an unchanged home,
-        and no lock-grant notice promised newer bytes this window.
-        Anything else: drop — the frame is an optimisation, the fault +
-        fetch path remains correct.  Installing resolves the promise
-        registered off the fetch reply, waking parked threads.
-        """
-        page, data, ra_epoch = payload
-        if (
-            self.kind[page] == KIND_OBJECT
-            or self._barrier_epoch != ra_epoch
-            or self.home[page] != src
-            or page in self._lock_invalidated
-            or self.state[page] is not PageState.INVALID
-        ):
-            return
-        self.stats.readahead_pages += 1
-        # keep the sequential-scan detector alive across trailer-served
-        # stretches: the next fault past the promised run re-triggers
-        # read-ahead instead of restarting the two-fault warm-up
-        self._last_fetched_page = page
-        yield from self._install_copy(page, data, "readahead-apply")
-
-    def _apply_incoming_diff(self, page: int, diff, src: int):
+    def _apply_incoming_diff(self, page: int, diff):
         assert self.home[page] == self.id, (
             f"diff for page {page} arrived at non-home {self.id}"
         )
-        if self.config.diff_gap > 0 and diff:
-            self._check_gap_precondition(page, diff, src)
         yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
         apply_diff(self._page_view(page), diff)
         pb = self.sim.probe
         if pb is not None and "dsm.page" in pb.heard:
             pb.instant("dsm.page", "diff-apply", node=self.id, page=page)
-
-    def _check_gap_precondition(self, page: int, diff, src: int) -> None:
-        """Enforce compute_diff's single-writer-per-interval precondition.
-
-        With ``diff_gap > 0`` a diff run may contain *gap* bytes carrying
-        the writer's stale copy of data; if another node wrote overlapping
-        bytes of the same page in the same interval, applying this run
-        would silently clobber them — raise instead.  A writer whose copy
-        was fetched *after* an earlier diff applied (tracked by
-        ``_gap_fresh``, stamped at :meth:`_serve_fetch`) already carries
-        those bytes, so lock-ordered writer chains pass; the registry is
-        cleared when this node departs a barrier, bounding it to one
-        interval.
-        """
-        self._apply_seq += 1
-        seq = self._apply_seq
-        floor = self._gap_fresh.get((page, src), -1)
-        runs = self._gap_runs.setdefault(page, [])
-        stale = [r for r in runs if r[1] != src and r[0] > floor]
-        if stale:
-            for off, data in diff:
-                lo, hi = off, off + len(data)
-                for oseq, owriter, olo, ohi in stale:
-                    if lo < ohi and olo < hi:
-                        raise DiffGapClobber(
-                            self.id, page, src, owriter, max(lo, olo), min(hi, ohi)
-                        )
-            pb = self.sim.probe
-            if pb is not None and CAT_AUDIT in pb.heard:
-                pb.instant(CAT_AUDIT, "gap-writers", node=self.id, page=page,
-                           writers={src} | {r[1] for r in stale})
-        for off, data in diff:
-            runs.append((seq, src, off, off + len(data)))
 
     # ------------------------------------------------------------------
     # adaptive home migration: page handoff (new-home side)
@@ -1299,28 +1079,26 @@ class DsmNode:
     # ------------------------------------------------------------------
     # flush: ship diffs of dirty pages to their homes (release operation)
     # ------------------------------------------------------------------
-    def _flush_dirty(self, epoch: Optional[int] = None, collect: Optional[dict] = None):
+    def _flush_dirty(self, epoch: Optional[int] = None):
         """Send diffs for all dirty non-home pages; returns write notices
         for every dirty page.  Diff sends are pipelined, then acks awaited.
 
         Homeless mode (*epoch* given): diffs are retained locally, keyed by
         the barrier epoch, for later pulling by faulting nodes.
 
-        With ``batch_notices`` every diff within ``batch_max_bytes`` bound
-        for the same home travels in one ``("dsm", "dbat")`` frame per
-        peer with a single ack (larger diffs keep their own pipelined
-        ``diff`` frame — see the config field's rationale); the
-        per-page ``diffs_sent``/``diff_bytes`` accounting is unchanged so
-        runs stay comparable across the flag.  *collect*, if given,
-        receives ``{page: diff}`` for diffs within the piggyback budget —
-        the lock-release path forwards them to the lock manager.  With
-        ``adaptive_migration`` the returned notices are sized: they carry
-        the diff byte count, the home writer credited one full page."""
+        With ``batch_notices`` every diff within :data:`BATCH_MAX_BYTES`
+        bound for the same home travels in one ``("dsm", "dbat")`` frame
+        per peer with a single ack (larger diffs keep their own pipelined
+        ``diff`` frame — see the constant's rationale); the per-page
+        ``diffs_sent``/``diff_bytes`` accounting is unchanged so runs stay
+        comparable across the flag.  With ``adaptive_migration`` the
+        returned notices are sized: they carry the diff byte count, the
+        home writer credited one full page."""
         # release-time twin/diff work: diff CPU bursts inherit the flush
         # label; the trailing ack waits count as flush too
-        return bracket(self.sim, PH_FLUSH, self._flush(epoch, collect))
+        return bracket(self.sim, PH_FLUSH, self._flush(epoch))
 
-    def _flush(self, epoch: Optional[int], collect: Optional[dict]):
+    def _flush(self, epoch: Optional[int]):
         self._interval += 1
         pb = self.sim.probe
         t0 = self.sim.now
@@ -1334,7 +1112,7 @@ class DsmNode:
                 twin = self.twins.get(p)
                 assert twin is not None, f"dirty page {p} has no twin on {self.id}"
                 yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
-                diff = compute_diff(twin, self._page_view(p), self.config.diff_gap)
+                diff = compute_diff(twin, self._page_view(p))
                 self._diff_log[(p, epoch)] = diff
                 if pb is not None and CAT_AUDIT in pb.heard:
                     pb.instant(CAT_AUDIT, "diff", page=p, nbytes=diff_nbytes(diff))
@@ -1351,18 +1129,16 @@ class DsmNode:
             twin = self.twins.get(p)
             assert twin is not None, f"dirty non-home page {p} has no twin on {self.id}"
             yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
-            diff = compute_diff(twin, self._page_view(p), self.config.diff_gap)
+            diff = compute_diff(twin, self._page_view(p))
             nb = diff_nbytes(diff)
             sizes[p] = nb
             if not diff:
                 continue
-            if collect is not None and nb <= self.config.piggyback_max_bytes:
-                collect[p] = diff
             self.stats.diffs_sent += 1
             self.stats.diff_bytes += nb
             if pb is not None and CAT_AUDIT in pb.heard:
                 pb.instant(CAT_AUDIT, "diff", page=p, nbytes=nb)
-            if batch and nb <= self.config.batch_max_bytes:
+            if batch and nb <= BATCH_MAX_BYTES:
                 by_home.setdefault(self.home[p], []).append((p, diff))
             else:
                 req_id = self._next_req()
@@ -1494,11 +1270,6 @@ class DsmNode:
         if pb is not None and "dsm.barrier" in pb.heard:
             pb.span("dsm.barrier", "barrier", bar_t0, node=self.id,
                     epoch=epoch, notices=len(notices))
-        if self._gap_runs:
-            # the barrier closes every node's interval; diffs of the next
-            # interval start a fresh single-writer window
-            self._gap_runs.clear()
-            self._gap_fresh.clear()
         # push staleness guard: lock invalidations of the closed window
         # no longer block installs (stale pushes now fail the epoch check)
         self._lock_invalidated.clear()
@@ -1756,7 +1527,7 @@ class DsmNode:
                 if (
                     best_writer != old_home
                     and total > 0
-                    and best > self.config.migration_share * total
+                    and best > MIGRATION_SHARE * total
                 ):
                     migrate(page, best_writer, adaptive=True)
         elif self.config.home_migration:
@@ -1888,18 +1659,14 @@ class DsmNode:
         t0 = self.sim.now
         # request-to-grant, spin slices included (they surface as
         # *active* lock-wait — the KDSM busy-wait anomaly of Fig. 7)
-        granted = yield from bracket(
+        notices = yield from bracket(
             self.sim, PH_LOCK_WAIT, self._request_lock(lock_id, manager, req_id, ev)
         )
         if self.config.lock_shard == "locality":
             # the grant names the actual manager: cache it so later
             # acquires/releases skip the directory hop
-            manager, granted = granted
+            manager, notices = notices
             self._lock_home[lock_id] = manager
-        if self._accel_piggyback:
-            notices, piggy = granted
-        else:
-            notices, piggy = granted, None
         pb = self.sim.probe
         if pb is not None and CAT_AUDIT in pb.heard:
             # request-to-grant; the "dsm.lock/acquire" span below also
@@ -1907,7 +1674,6 @@ class DsmNode:
             pb.span(CAT_AUDIT, "lock-acquire", t0, node=self.id,
                     lock=lock_id, remote=manager != self.id)
         inval_before = self.stats.invalidations
-        piggy_before = self.stats.diffs_piggybacked
         done: Set[int] = set()
         for wn in notices:
             if wn.writer == self.id or self.home[wn.page] == self.id:
@@ -1916,31 +1682,20 @@ class DsmNode:
             if page in done:
                 continue
             done.add(page)
-            chain = piggy.get(page) if piggy else None
-            if chain and self.state[page] is PageState.READ_ONLY:
-                # the grant shipped the complete diff chain for this page:
-                # patch the valid copy in place — no invalidate, no fault,
-                # no fetch round-trip inside the critical section
-                yield from self._apply_piggyback(page, chain)
-            else:
-                self._invalidate(page)
-                # a barrier-departure update push snapshotted before this
-                # lock's release must not resurrect the page this window;
-                # threads parked on that push must wake and fetch instead
-                self._lock_invalidated.add(page)
-                pev = self._expected_frames.pop(page, None)
-                if pev is not None and not pev.triggered:
-                    pev.succeed()
+            self._invalidate(page)
+            # a barrier-departure update push snapshotted before this
+            # lock's release must not resurrect the page this window;
+            # threads parked on that push must wake and fetch instead
+            self._lock_invalidated.add(page)
+            pev = self._expected_frames.pop(page, None)
+            if pev is not None and not pev.triggered:
+                pev.succeed()
         if pb is not None and "dsm.lock" in pb.heard:
-            extra = {} if piggy is None else {
-                "piggybacked": self.stats.diffs_piggybacked - piggy_before
-            }
             pb.span(
                 "dsm.lock", "acquire", t0, node=self.id, lock=lock_id,
                 manager=manager, remote=manager != self.id,
                 notices=len(notices),
                 invalidated=self.stats.invalidations - inval_before,
-                **extra,
             )
 
     def _request_lock(self, lock_id: int, manager: int, req_id: int, ev: Event):
@@ -1954,48 +1709,21 @@ class DsmNode:
         granted = yield ev
         return granted
 
-    def _apply_piggyback(self, page: int, chain):
-        """Apply a grant-piggybacked diff chain to a valid READ_ONLY copy
-        (log order = lock order, so the final bytes match the home)."""
-        yield from bracket(self.sim, PH_FAULT_WORK, self._apply_chain(page, chain))
-        self.stats.diffs_piggybacked += len(chain)
-        pb = self.sim.probe
-        if pb is not None and "dsm.page" in pb.heard:
-            pb.instant("dsm.page", "piggy-apply", node=self.id,
-                       page=page, diffs=len(chain))
-
-    def _apply_chain(self, page: int, chain):
-        view = self._page_view(page)
-        for diff in chain:
-            yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
-            apply_diff(view, diff)
-
     def lock_release(self, lock_id: int):
-        """Flush modifications, hand write notices to the manager.
-
-        With ``lock_piggyback`` the small diffs of this critical section
-        ride along: the manager stores them next to the notice log and
-        ships complete per-page chains with later grants, so predicted
-        acquirers patch their copies instead of faulting."""
+        """Flush modifications, hand write notices to the manager."""
         manager = self.lock_manager_of(lock_id)
         t0 = self.sim.now
         pb = self.sim.probe
         if pb is not None and CAT_AUDIT in pb.heard:
             pb.instant(CAT_AUDIT, "lock-release", node=self.id, lock=lock_id)
-        piggy: Optional[Dict[int, list]] = {} if self._accel_piggyback else None
-        notices = yield from self._flush_dirty(collect=piggy)
+        notices = yield from self._flush_dirty()
         self._close_interval()
         self._notices_since_barrier.extend(notices)
         nb = 16 + self._notice_nbytes * len(notices)
-        if piggy is None:
-            payload = (lock_id, notices)
-        else:
-            payload = (lock_id, notices, piggy)
-            nb += sum(diff_nbytes(d) for d in piggy.values()) + 8 * len(piggy)
         # the notice hand-off is part of the release (flush) cost
         yield from bracket(
             self.sim, PH_FLUSH,
-            self.net.send(self.id, manager, nb, payload,
+            self.net.send(self.id, manager, nb, (lock_id, notices),
                           tag=("lk", "rel", self._next_req())),
         )
         if pb is not None and "dsm.lock" in pb.heard:
@@ -2046,12 +1774,9 @@ class DsmNode:
                 self._lock_queue.setdefault(lock_id, []).append((requester, req_id))
             return
         if kind == "rel":
-            if len(msg.payload) == 3:  # piggyback mode: diffs ride along
-                lock_id, notices, diffs = msg.payload
-            else:
-                (lock_id, notices), diffs = msg.payload, None
+            lock_id, notices = msg.payload
             log = self._lock_log.setdefault(lock_id, NoticeLog())
-            log.append(notices, diffs)
+            log.append(notices)
             queue = self._lock_queue.get(lock_id, [])
             if queue:
                 requester, rid = queue.pop(0)
@@ -2079,58 +1804,21 @@ class DsmNode:
         # first-time consumer otherwise pays for the lock's entire history
         # of its own writes.
         notices = [wn for wn in pending if wn.writer != requester]
-        piggy = None
-        if self._accel_piggyback:
-            piggy = self._build_piggyback(log, requester, start, pending)
         pb = self.sim.probe
         if pb is not None and "dsm.lock" in pb.heard:
             # manager-side grant (the hot-lock table counts token hops) ...
-            extra = {} if piggy is None else {"piggy": len(piggy)}
             pb.instant("dsm.lock", "grant", node=self.id, lock=lock_id,
-                       requester=requester, notices=len(notices), **extra)
+                       requester=requester, notices=len(notices))
         if pb is not None and CAT_AUDIT in pb.heard:
-            # ... and its notice-log cursor move + piggybacked chains, checked live
+            # ... and its notice-log cursor move, checked live
             pb.instant(CAT_AUDIT, "grant", node=self.id, lock=lock_id,
                        requester=requester, start=start,
-                       end=log.cursor_of(requester), log_len=len(log),
-                       notices=notices, piggy=piggy)
+                       end=log.cursor_of(requester), log_len=len(log))
         nb = 16 + self._notice_nbytes * len(notices)
-        if piggy is None:
-            payload = notices
-        else:
-            payload = (notices, piggy)
-            nb += sum(
-                diff_nbytes(d) for chain in piggy.values() for d in chain
-            ) + 8 * len(piggy)
+        payload = notices
         if self.config.lock_shard == "locality":
             # grants carry the manager id so clients learn (and cache)
             # where the lock lives after the first directory hop
             payload = (self.id, payload)
             nb += 4
         yield from self.net.send(self.id, requester, nb, payload, tag=("lk", "gr", req_id))
-
-    def _build_piggyback(self, log: NoticeLog, requester: int, start: int, pending):
-        """Per-page diff chains to attach to a grant.
-
-        Prediction is last-acquirer history: pages *requester* itself
-        released notices for under this lock (migratory data — the same
-        pages get rewritten every critical section).  A page ships only if
-        **every** unseen notice by another writer has its diff stored (an
-        incomplete chain cannot reconstruct the home copy) — chains are in
-        log order, so replaying one on a valid READ_ONLY copy lands on the
-        home's exact bytes even when a prefix was already incorporated.
-        """
-        predicted = log.history_of(requester)
-        if not predicted:
-            return {}
-        broken: Set[int] = set()
-        chains: Dict[int, List[list]] = {}
-        for i, wn in enumerate(pending):
-            if wn.writer == requester or wn.page not in predicted:
-                continue
-            diff = log.diff_at(start + i)
-            if diff is None:
-                broken.add(wn.page)
-            else:
-                chains.setdefault(wn.page, []).append(diff)
-        return {p: c for p, c in chains.items() if p not in broken}

@@ -7,17 +7,15 @@ master and piggybacks them on barrier messages (§5.2.2); the lock manager
 hands them out with lock grants (lazy release consistency).
 
 The protocol accelerator (docs/PERFORMANCE.md "Protocol optimizations")
-extends both uses: with ``adaptive_migration`` notices carry the diff byte
-count (``nbytes``) so the barrier master can keep byte-weighted writer
-histories, and with ``lock_piggyback`` the :class:`NoticeLog` stores the
-releaser's small diffs next to the log entries so grants can ship the
-data, not just the invalidation.
+extends the barrier use: with ``adaptive_migration`` notices carry the
+diff byte count (``nbytes``) so the barrier master can keep byte-weighted
+writer histories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 
 @dataclass(frozen=True)
@@ -42,32 +40,14 @@ class NoticeLog:
     Used by the lock manager: a grant carries every notice the acquirer has
     not yet seen (its cursor), mirroring how LRC piggybacks consistency
     information on lock grants.
-
-    With ``lock_piggyback`` the manager also stores, per log index, the
-    diff the releasing writer attached (:meth:`diff_at`), and remembers
-    which pages each writer has released notices for (:meth:`history_of`)
-    — the grant-time predictor of what an acquirer will touch next.
     """
 
     def __init__(self) -> None:
         self._log: List[WriteNotice] = []
         self._cursor: Dict[int, int] = {}
-        #: log index -> diff attached by the releaser (piggyback mode)
-        self._diffs: Dict[int, list] = {}
-        #: writer -> pages it has released notices for under this lock
-        self._pages_by_writer: Dict[int, Set[int]] = {}
 
-    def append(self, notices, diffs: Optional[Dict[int, list]] = None) -> None:
-        """Append *notices*; *diffs* optionally maps page -> diff for the
-        subset of notices whose data rides along (piggyback mode)."""
-        base = len(self._log)
+    def append(self, notices) -> None:
         self._log.extend(notices)
-        for i, wn in enumerate(notices):
-            self._pages_by_writer.setdefault(wn.writer, set()).add(wn.page)
-            if diffs is not None:
-                diff = diffs.get(wn.page)
-                if diff is not None:
-                    self._diffs[base + i] = diff
 
     def cursor_of(self, consumer: int) -> int:
         """Current cursor of *consumer* (0 for a first-time consumer)."""
@@ -78,14 +58,6 @@ class NoticeLog:
         pending = self._log[start:]
         self._cursor[consumer] = len(self._log)
         return pending
-
-    def diff_at(self, index: int):
-        """Diff attached to log entry *index*, or None."""
-        return self._diffs.get(index)
-
-    def history_of(self, writer: int) -> Set[int]:
-        """Pages *writer* has released notices for under this lock."""
-        return self._pages_by_writer.get(writer, set())
 
     def __len__(self) -> int:
         return len(self._log)

@@ -82,9 +82,8 @@ def dsm_source(dsm) -> Callable[[], Dict[str, float]]:
         for key in (
             "read_faults", "write_faults", "pages_fetched", "fetch_bytes",
             "diffs_sent", "diff_bytes", "invalidations", "lock_acquires",
-            "barriers", "notices_batched", "diffs_piggybacked",
-            "updates_pushed", "updates_installed", "readahead_pages",
-            "barrier_arrivals_rx", "home_migrations",
+            "barriers", "notices_batched", "updates_pushed",
+            "updates_installed", "barrier_arrivals_rx", "home_migrations",
         ):
             out[key] = agg.get(key, 0)
         return out

@@ -39,9 +39,9 @@ class RunResult:
     documentation.  Runs with the protocol accelerator on
     (``protocol_accel=True``; docs/PERFORMANCE.md "Protocol
     optimizations") additionally populate ``notices_batched``,
-    ``diffs_piggybacked``, ``updates_pushed``, ``updates_installed`` and
-    ``readahead_pages``; all five stay zero with the flags off, so a
-    flags-off run's dict is unchanged.  Runs with hierarchical
+    ``updates_pushed`` and ``updates_installed``; all three stay zero
+    with the flags off, so a flags-off run's dict is unchanged.  Runs
+    with hierarchical
     synchronization on (``hierarchical=True``; docs/PERFORMANCE.md
     "Scaling past eight nodes") likewise populate the scale-out
     counters ``barrier_relays`` (tree-barrier aggregate frames relayed
@@ -166,10 +166,8 @@ class RunResult:
             # protocol-accelerator counters: zero (hence hidden) unless
             # the run had protocol_accel=True
             "notices_batched",
-            "diffs_piggybacked",
             "updates_pushed",
             "updates_installed",
-            "readahead_pages",
             # scale-out counters: relay/merge stay zero (hence hidden)
             # unless the run had hierarchical=True
             "barrier_relays",

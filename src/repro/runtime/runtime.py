@@ -42,8 +42,8 @@ class ParadeRuntime:
     dsm_config : protocol preset; defaults to PARADE_DSM or KDSM_BASELINE
         according to *mode*
     protocol_accel : turn on the protocol accelerator — write-notice/diff
-        batching, lock-grant diff piggybacking, adaptive home migration —
-        on top of whatever *dsm_config* resolves to (see
+        batching and adaptive home migration with update push — on top
+        of whatever *dsm_config* resolves to (see
         :meth:`DsmConfig.accelerated` and docs/PERFORMANCE.md)
     hierarchical : turn on hierarchical synchronization — fan-in-4 tree
         barrier with in-tree write-notice merging plus spread lock-manager

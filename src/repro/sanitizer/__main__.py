@@ -49,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--accel", action="store_true",
         help="run with the protocol accelerator on — the sanitizer must "
-        "stay green with batched notices, piggybacked diffs, update "
-        "pushes and read-ahead frames in flight",
+        "stay green with batched notices, page handoffs and update "
+        "pushes in flight",
     )
     parser.add_argument(
         "--hier", action="store_true",

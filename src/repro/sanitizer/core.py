@@ -35,12 +35,8 @@ Live protocol invariants (promoted from the offline
 
 * Figure-5 page-state transition legality and per-page chain continuity;
 * ``NoticeLog`` per-consumer cursor monotonicity at lock grants;
-* lock-grant diff piggybacking (``DsmConfig.lock_piggyback``) only ships
-  chains for pages the same grant delivers notices for — the grant's
-  happens-before edge is what makes applying them sound;
 * barrier-epoch agreement (consecutive per node, one arrival per node
-  per epoch, epochs complete in order);
-* the ``diff_gap > 0`` single-writer-per-interval precondition at homes.
+  per epoch, epochs complete in order).
 
 When a global barrier completes (all nodes arrived), every application
 thread is blocked at it, so the shadow memory is cleared — accesses in
@@ -157,8 +153,9 @@ class Sanitizer(Subscriber):
             (CAT_AUDIT, "gate-wait"): lambda a, *_: self.on_gate_wait(a["key"]),
             (CAT_AUDIT, "send"): lambda a, *_: self.on_msg_send(a["key"]),
             (CAT_AUDIT, "recv"): lambda a, *_: self.on_msg_recv(a["key"]),
-            (CAT_AUDIT, "grant"): self._on_grant,
-            (CAT_AUDIT, "gap-writers"): lambda a, node, *_: self.on_gap_writers(node, **a),
+            (CAT_AUDIT, "grant"): lambda a, node, *_: self.on_lock_grant(
+                node, a["lock"], a["requester"], a["start"], a["end"], a["log_len"]
+            ),
             ("dsm.barrier", "arrive"):
                 lambda a, node, *_: self.on_barrier_arrive(node, a["epoch"]),
             ("dsm.barrier", "barrier"):
@@ -168,16 +165,6 @@ class Sanitizer(Subscriber):
             ),
         }
         self.attach()
-
-    # -- subscription -----------------------------------------------------
-    def _on_grant(self, a, node, *_) -> None:
-        self.on_lock_grant(node, a["lock"], a["requester"],
-                           a["start"], a["end"], a["log_len"])
-        if a["piggy"]:
-            self.on_lock_piggyback(
-                node, a["lock"], a["requester"],
-                set(a["piggy"]), {wn.page for wn in a["notices"]},
-            )
 
     # -- report ---------------------------------------------------------
     @property
@@ -485,32 +472,3 @@ class Sanitizer(Subscriber):
                 dedup=key + ("range", end),
             )
         self._cursors[key] = max(prev, end)
-
-    def on_lock_piggyback(self, manager: int, lock_id: int, requester: int,
-                          pages, notice_pages) -> None:
-        """Piggybacked diff chains must be a subset of the pages the same
-        grant delivers notices for: a diff for an un-noticed page would
-        patch bytes the acquirer has no happens-before edge to (the grant
-        edge of :meth:`on_lock_acquire` only covers noticed intervals)."""
-        self.sync_ops += 1
-        extra = set(pages) - set(notice_pages)
-        if extra:
-            self._violation(
-                "piggyback-unnoticed",
-                f"lock {lock_id} manager {manager}: grant to {requester} "
-                f"piggybacked diffs for pages {sorted(extra)} without "
-                f"matching write notices",
-                dedup=(manager, lock_id, requester, tuple(sorted(extra))),
-            )
-
-    def on_gap_writers(self, node: int, page: int, writers) -> None:
-        """The diff_gap > 0 precondition saw multiple same-interval
-        writers of one page (no byte overlap yet — that case raises)."""
-        ws = tuple(sorted(writers))
-        self._violation(
-            "diff-gap-multi-writer",
-            f"home {node} merged diffs for page {page} from writers {list(ws)} "
-            f"within one interval while diff_gap > 0 (documented single-writer "
-            f"precondition of compute_diff)",
-            dedup=(node, page, ws),
-        )

@@ -18,6 +18,19 @@ def sim():
     return Simulator()
 
 
+@pytest.fixture
+def slow_access(monkeypatch):
+    """Call it to send every DSM access from then on down the slow path
+    (``DsmNode._acquire``) — the reference side of the fast-path
+    equivalence tests.  The library has no switch for this."""
+    from repro.dsm.node import DsmNode
+
+    def engage():
+        monkeypatch.setattr(DsmNode, "try_fast_access", lambda *a, **kw: False)
+
+    return engage
+
+
 def recount(dn):
     """A node's page census taken the slow way: one pass over its page
     table, in ``PageState.idx`` order — what ``DsmNode.census`` must equal.

@@ -31,17 +31,8 @@ N_NODES = 4
 POOL_BYTES = 1 << 21
 
 
-def _make_runtime(**dsm_kw) -> ParadeRuntime:
-    kw = {}
-    if dsm_kw:
-        from repro.dsm.config import PARADE_DSM
-
-        kw["dsm_config"] = PARADE_DSM.replace(**dsm_kw)
-    return ParadeRuntime(n_nodes=N_NODES, pool_bytes=POOL_BYTES, **kw)
-
-
-def _run(traced: bool, **dsm_kw):
-    rt = _make_runtime(**dsm_kw)
+def _run(traced: bool):
+    rt = ParadeRuntime(n_nodes=N_NODES, pool_bytes=POOL_BYTES)
     rec = None
     if traced:
         rec = TraceRecorder(rt.sim, capacity=1 << 18, queue_stride=64)
@@ -124,12 +115,13 @@ def test_trace_stream_matches_golden_and_passes_replay_check():
     assert _trace_digest(rec.events) == golden["trace_digest"]
 
 
-def test_fast_path_on_off_equivalence():
-    """The fast-path cache is a wall-clock optimisation only: with it
-    disabled the run must produce the same virtual time, stats, and trace
-    stream, event for event."""
-    _, res_on, rec_on = _run(traced=True, fast_path=True)
-    _, res_off, rec_off = _run(traced=True, fast_path=False)
+def test_fast_path_on_off_equivalence(slow_access):
+    """The fast-path cache is a wall-clock optimisation only: with every
+    access forced down the slow path the run must produce the same
+    virtual time, stats, and trace stream, event for event."""
+    _, res_on, rec_on = _run(traced=True)
+    slow_access()
+    _, res_off, rec_off = _run(traced=True)
     assert res_on.elapsed == res_off.elapsed
     assert res_on.dsm_stats == res_off.dsm_stats
     assert res_on.cluster_stats == res_off.cluster_stats

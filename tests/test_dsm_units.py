@@ -206,29 +206,6 @@ def test_diff_splits_disjoint_runs():
     assert [off for off, _ in diff] == [0, 4095]
 
 
-def test_diff_coalesce_gap_merges_close_runs():
-    page = np.zeros(4096, dtype=np.uint8)
-    twin = make_twin(page)
-    page[10] = 1
-    page[14] = 2  # 3 unchanged bytes between the runs
-    assert len(compute_diff(twin, page, coalesce_gap=2)) == 2
-    merged = compute_diff(twin, page, coalesce_gap=3)
-    assert merged == [(10, bytes(page[10:15]))]
-    # the coalesced run round-trips: gap bytes equal the twin's, so
-    # applying it reproduces the writer's copy exactly
-    out = make_twin(twin)
-    apply_diff(out, merged)
-    assert np.array_equal(out, page)
-
-
-def test_diff_coalesce_gap_zero_is_exact():
-    rng = np.random.default_rng(7)
-    page = rng.integers(0, 256, 4096).astype(np.uint8)
-    twin = make_twin(page)
-    page[rng.integers(0, 4096, 64)] += 1
-    assert compute_diff(twin, page) == compute_diff(twin, page, coalesce_gap=0)
-
-
 def test_apply_diff_merges_into_home_copy():
     home = np.zeros(4096, dtype=np.uint8)
     home[50] = 99  # home's own concurrent change at a different offset
@@ -315,3 +292,19 @@ def test_merge_notices_groups_writers():
         }
     )
     assert merged == {10: {0, 1}, 11: {0}}
+
+
+# ------------------------------------------------------------- config
+@pytest.mark.parametrize("field,value", [
+    ("spin_slice", 0.0),     # would busy-wait at constant virtual time forever
+    ("spin_slice", -1e-6),   # used to fail deep inside Hold
+    ("pool_bytes", 0),
+    ("pool_bytes", -4096),
+    ("barrier_fanin", 1),
+    ("lock_shard", "bogus"),
+])
+def test_config_rejects_values_that_cannot_run(field, value):
+    from repro.dsm.config import KDSM_BASELINE
+
+    with pytest.raises(ValueError, match=field):
+        KDSM_BASELINE.replace(**{field: value})

@@ -90,11 +90,3 @@ def test_fast_path_cache_dropped_on_every_transition():
         yield from n1.barrier()
 
     run_all(cluster, [w0(), w1()])
-
-
-def test_fast_path_disabled_config_never_caches():
-    from repro.dsm.config import PARADE_DSM
-
-    cluster, _cts, dsm = build_dsm(2, dsm_config=PARADE_DSM.replace(fast_path=False))
-    arr = SharedArray.allocate(dsm, "f", (8,))
-    assert not dsm.node(0).try_fast_access(arr.segment.addr, 8, False)

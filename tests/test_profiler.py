@@ -31,14 +31,8 @@ N_NODES = 2
 POOL_BYTES = 1 << 21
 
 
-def _run_profiled(mode="parade", program=None, **dsm_kw):
-    kw = {}
-    if dsm_kw:
-        from repro.dsm.config import PARADE_DSM, KDSM_BASELINE
-
-        base = PARADE_DSM if mode == "parade" else KDSM_BASELINE
-        kw["dsm_config"] = base.replace(**dsm_kw)
-    rt = ParadeRuntime(n_nodes=N_NODES, mode=mode, pool_bytes=POOL_BYTES, **kw)
+def _run_profiled(mode="parade", program=None):
+    rt = ParadeRuntime(n_nodes=N_NODES, mode=mode, pool_bytes=POOL_BYTES)
     prof = Profiler(rt.sim)
     res = rt.run(program() if program else helmholtz.make_program(n=48, m=48, max_iters=3))
     prof.finalize()
@@ -109,11 +103,12 @@ def test_repeat_runs_produce_identical_profiles():
     assert _profile_fingerprint(prof_a) == _profile_fingerprint(prof_b)
 
 
-def test_fast_path_on_off_produces_identical_profiles():
+def test_fast_path_on_off_produces_identical_profiles(slow_access):
     """The hot-path cache is invisible to the profiler: same ledgers,
     same critical path, same hot tables with it on or off."""
-    _, res_on, prof_on = _run_profiled(fast_path=True)
-    _, res_off, prof_off = _run_profiled(fast_path=False)
+    _, res_on, prof_on = _run_profiled()
+    slow_access()
+    _, res_off, prof_off = _run_profiled()
     assert res_on.elapsed == res_off.elapsed
     assert prof_on.ledgers() == prof_off.ledgers()
     assert _profile_fingerprint(prof_on) == _profile_fingerprint(prof_off)

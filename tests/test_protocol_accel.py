@@ -1,5 +1,5 @@
-"""Protocol accelerator: write-notice edge cases, batching x diff_gap,
-update push, fetch read-ahead, and flags-on/off value identity.
+"""Protocol accelerator: write-notice edge cases, batching, update push,
+and flags-on/off value identity.
 
 The accelerator (docs/PERFORMANCE.md "Protocol optimizations") changes
 *virtual* time and message counts, never computed values — every A/B test
@@ -11,12 +11,7 @@ import numpy as np
 
 from repro.dsm import SharedArray
 from repro.dsm.config import PARADE_DSM
-from repro.dsm.writenotice import (
-    NoticeLog,
-    WriteNotice,
-    dedupe_notices,
-    merge_notice_bytes,
-)
+from repro.dsm.writenotice import WriteNotice, dedupe_notices, merge_notice_bytes
 from repro.runtime import ParadeRuntime
 from repro.testing import build_dsm, run_all
 
@@ -54,23 +49,6 @@ def test_merge_notice_bytes_sums_per_writer():
     assert by_page == {7: {1: 150, 2: 30}, 8: {2: 8}}
 
 
-def test_noticelog_stores_diffs_and_writer_history():
-    log = NoticeLog()
-    log.append(
-        [WriteNotice(5, 1, 0), WriteNotice(6, 1, 0)],
-        diffs={5: [(0, b"ab")]},
-    )
-    log.append([WriteNotice(5, 2, 1)])
-    assert log.diff_at(0) == [(0, b"ab")]
-    assert log.diff_at(1) is None          # no diff attached for page 6
-    assert log.history_of(1) == {5, 6}
-    assert log.history_of(2) == {5}
-    assert log.history_of(3) == set()
-    # cursor semantics: a consumer sees each entry exactly once
-    assert len(log.unseen_by(2)) == 3
-    assert log.unseen_by(2) == []
-
-
 def test_notices_not_coalesced_across_barrier_epochs():
     """A page re-written in a later epoch must re-invalidate the reader:
     duplicate suppression is scoped to one barrier arrival, never across
@@ -99,7 +77,7 @@ def test_notices_not_coalesced_across_barrier_epochs():
     assert dsm.node(1).stats.pages_fetched == 3
 
 
-# ----------------------------------------------- batching x diff_gap
+# ----------------------------------------------------------- batching
 def _three_page_flush(cfg):
     """Node 1 dirties three pages; the barrier flushes all diffs home."""
     cluster, _cts, dsm = build_dsm(2, dsm_config=cfg)
@@ -116,8 +94,7 @@ def _three_page_flush(cfg):
 
     def n1():
         for p in range(3):
-            # two writes per page separated by < gap unchanged bytes:
-            # with diff_gap they coalesce into one run per page
+            # two writes per page: two exact runs, one small diff per page
             yield from arr.on(1).set_scalar(p * page_f64, 1.0 + p)
             yield from arr.on(1).set_scalar(p * page_f64 + 2, 2.0 + p)
         yield from dsm.node(1).barrier()
@@ -127,10 +104,9 @@ def _three_page_flush(cfg):
     return got, dsm
 
 
-def test_batching_with_diff_gap_matches_unbatched():
-    base_cfg = PARADE_DSM.replace(diff_gap=32)
-    got_a, dsm_a = _three_page_flush(base_cfg)
-    got_b, dsm_b = _three_page_flush(base_cfg.replace(batch_notices=True))
+def test_batching_matches_unbatched():
+    got_a, dsm_a = _three_page_flush(PARADE_DSM)
+    got_b, dsm_b = _three_page_flush(PARADE_DSM.replace(batch_notices=True))
     assert got_a == got_b == [1.0, 2.0, 3.0]
     # per-page diff accounting is batching-invariant ...
     assert dsm_b.node(1).stats.diffs_sent == dsm_a.node(1).stats.diffs_sent == 3
@@ -141,8 +117,8 @@ def test_batching_with_diff_gap_matches_unbatched():
 
 
 def test_batching_skips_diffs_over_size_ceiling():
-    """A whole-page diff exceeds batch_max_bytes and keeps its own frame."""
-    cfg = PARADE_DSM.replace(batch_notices=True, batch_max_bytes=64)
+    """A whole-page diff exceeds the batching ceiling and keeps its own frame."""
+    cfg = PARADE_DSM.replace(batch_notices=True)
     cluster, _cts, dsm = build_dsm(2, dsm_config=cfg)
     page_f64 = cluster.config.page_size // 8
     arr = SharedArray.allocate(dsm, "x", (2 * page_f64,))
@@ -159,41 +135,6 @@ def test_batching_skips_diffs_over_size_ceiling():
     run_all(cluster, [n0(), n1()])
     assert dsm.node(1).stats.diffs_sent == 2
     assert dsm.node(1).stats.notices_batched == 1
-
-
-# --------------------------------------------------- fetch read-ahead
-def test_fetch_readahead_cuts_roundtrips_not_values():
-    def scan(cfg):
-        cluster, _cts, dsm = build_dsm(2, dsm_config=cfg)
-        page_f64 = cluster.config.page_size // 8
-        n_pages = 6
-        arr = SharedArray.allocate(dsm, "x", (n_pages * page_f64,))
-        got = []
-
-        def n0():
-            for p in range(n_pages):
-                yield from arr.on(0).set_scalar(p * page_f64, float(p))
-            yield from dsm.node(0).barrier()
-            yield from dsm.node(0).barrier()
-
-        def n1():
-            yield from dsm.node(1).barrier()
-            for p in range(n_pages):       # sequential scan: p-1 then p
-                v = yield from arr.on(1).get_scalar(p * page_f64)
-                got.append(float(v))
-            yield from dsm.node(1).barrier()
-
-        run_all(cluster, [n0(), n1()])
-        return got, dsm.node(1).stats, cluster.sim.now
-
-    got_off, st_off, vt_off = scan(PARADE_DSM)
-    got_on, st_on, vt_on = scan(PARADE_DSM.replace(fetch_readahead=8))
-    assert got_off == got_on == [float(p) for p in range(6)]
-    assert st_off.readahead_pages == 0 and st_off.pages_fetched == 6
-    # the second fault arms the detector; pages 2..5 arrive as trailers
-    assert st_on.readahead_pages == 4
-    assert st_on.pages_fetched == 2
-    assert vt_on < vt_off
 
 
 # ------------------------------------------------ app-level A/B identity
@@ -218,8 +159,7 @@ def test_accel_values_bit_identical_and_no_slower():
     assert res_acc.value.error == res_base.value.error
     assert res_acc.elapsed <= res_base.elapsed
     # flags-off runs never touch the accelerator counters
-    for key in ("notices_batched", "diffs_piggybacked", "updates_pushed",
-                "updates_installed", "readahead_pages"):
+    for key in ("notices_batched", "updates_pushed", "updates_installed"):
         assert res_base.dsm_stats.get(key, 0) == 0
     # the accelerated run exercised the push pipeline, and installs
     # cannot exceed pushes (the gap is staleness drops)
@@ -234,26 +174,31 @@ def test_accel_values_bit_identical_and_no_slower():
 
 
 def test_accel_flag_matrix_each_mechanism_value_safe():
-    """Every single-flag configuration must reproduce the baseline values
-    exactly — mechanisms are independently toggleable."""
-    from repro.apps import helmholtz
+    """Every on/off combination of the two mechanisms finishes, and the
+    three with something on reproduce the values of the fourth (the paper
+    configuration) exactly: on the stencil, and on CG class S at 3 and 4
+    nodes — irregular gathers over many pages, the inputs a since-deleted
+    single-flag point deadlocked on."""
+    from repro.apps import cg, helmholtz
+    from repro.fleet.spec import value_digest
 
-    def run(cfg_kw):
+    def run(make_program, n_nodes, **flags):
         rt = ParadeRuntime(
-            n_nodes=2,
-            pool_bytes=1 << 21,
-            dsm_config=PARADE_DSM.replace(**cfg_kw) if cfg_kw else None,
+            n_nodes=n_nodes,
+            pool_bytes=1 << 23,
+            dsm_config=PARADE_DSM.replace(**flags),
         )
-        return rt.run(helmholtz.make_program(n=32, m=32, max_iters=3))
+        value = rt.run(make_program()).value
+        # the digest's repr() elides the middle of a big array: add its bytes
+        return value_digest(value), getattr(value, "u", np.empty(0)).tobytes()
 
-    ref = run({})
-    for kw in (
-        {"batch_notices": True},
-        {"lock_piggyback": True},
-        {"adaptive_migration": True},
-        {"fetch_readahead": 8},
+    for make_program, n_nodes in (
+        (lambda: helmholtz.make_program(n=32, m=32, max_iters=3), 2),
+        (lambda: cg.make_program("S", niter=1), 3),
+        (lambda: cg.make_program("S", niter=1), 4),
     ):
-        res = run(kw)
-        assert np.array_equal(res.value.u, ref.value.u), kw
-        assert res.value.error == ref.value.error, kw
-        assert res.value.iterations == ref.value.iterations, kw
+        ref = run(make_program, n_nodes)  # both off: the paper configuration
+        for batch, adaptive in ((True, False), (False, True), (True, True)):
+            got = run(make_program, n_nodes,
+                      batch_notices=batch, adaptive_migration=adaptive)
+            assert got == ref, (n_nodes, batch, adaptive)

@@ -287,3 +287,36 @@ def test_every_dsm_stats_key_is_documented():
     for key in ("barrier_relays", "notices_merged", "barrier_arrivals_rx",
                 "lock_grants", "lock_remote_grants"):
         assert key in RunResult.__doc__, f"{key} missing from RunResult docs"
+
+
+def test_every_dsm_config_field_is_in_the_flag_ledger_and_read():
+    """docs/PERFORMANCE.md "Flag ledger" is the options contract: every
+    ``DsmConfig`` field has a row saying what it exists for, and the
+    protocol reads it somewhere outside ``config.py`` — a field with no
+    row has no stated reason to exist, one nothing reads selects nothing."""
+    import dataclasses
+    import re
+
+    from repro.dsm.config import DsmConfig
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    doc = (root / "docs" / "PERFORMANCE.md").read_text()
+    # the table of live fields: up to the deleted rows kept for the record
+    ledger = doc.split("## Flag ledger", 1)[1].split("\nDeleted (", 1)[0]
+    # a row's first cell names one field, or two that only work together
+    rows = {
+        name
+        for line in ledger.splitlines() if line.startswith("| `")
+        for name in re.findall(r"`(\w+)`", line.split("|")[1])
+    }
+    src = "\n".join(
+        p.read_text() for p in sorted((root / "src" / "repro").rglob("*.py"))
+        if p.name != "config.py" or p.parent.name != "dsm"
+    )
+    for f in dataclasses.fields(DsmConfig):
+        assert f.name in rows, f"DsmConfig.{f.name} has no Flag ledger row"
+        if f.name == "name":
+            continue  # the preset's label: shown in reprs, selects nothing
+        assert re.search(rf"\b\w*(config|dc)\.{f.name}\b", src), (
+            f"DsmConfig.{f.name} is read nowhere under src/repro"
+        )
