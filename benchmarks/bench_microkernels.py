@@ -3,7 +3,8 @@
 Times ``compute_diff`` / ``apply_diff`` / ``check_range`` (the three
 kernels the hot-path PR vectorised) on realistic inputs: float-update
 pages with scattered multi-byte runs — the distribution Jacobi/CG updates
-actually produce — plus dense and sparse extremes; and one
+actually produce — plus dense and sparse extremes; one ``CHUNK_PAIRS``
+chunk of the NAS EP kernel (stream fill + tally); and one
 ``Metrics.sample()`` with the stock sources over node counts and pool
 sizes (its cost must follow the series count, never the pool); and the
 DSM write-upgrade fault path per page over range lengths (a longer range
@@ -29,9 +30,13 @@ from repro.vm import AddressSpace, PhysicalMemory, PROT_READ, PROT_RW
 PAGE = 4096
 
 #: generous ceilings (seconds per call) — catch order-of-magnitude
-#: regressions only, not host noise
-CEILING_COMPUTE_DIFF = 2e-3
-CEILING_APPLY_DIFF = 2e-3
+#: regressions only, not host noise.  The diff ceilings sit ~15x above the
+#: mask kernels on a float-update page and barely above the per-run Python
+#: loop they replaced (~0.1 ms); the EP ceiling sits ~3x above a one-pass
+#: chunk and below the ten-pass one it replaced (~4.7 ms)
+CEILING_COMPUTE_DIFF = 2e-4
+CEILING_APPLY_DIFF = 2e-4
+CEILING_EP_CHUNK = 4e-3
 CEILING_CHECK_RANGE = 5e-4
 CEILING_METRICS_SAMPLE = 5e-3
 CEILING_RANGE_FAULT = 5e-4  # per page
@@ -88,6 +93,15 @@ def bench_apply_diff() -> dict:
         target = make_twin(twin)
         out[name] = _per_call(lambda: apply_diff(target, diff))
     return out
+
+
+def bench_ep_chunk() -> dict:
+    """Host seconds per ``CHUNK_PAIRS`` chunk of ``ep_segment`` — stream
+    fill plus tally — averaged over an eight-chunk segment, the scratch
+    workspace's allocation included."""
+    from repro.apps.ep import CHUNK_PAIRS, ep_segment
+
+    return {f"{CHUNK_PAIRS}-pairs": _per_call(lambda: ep_segment(0, 8 * CHUNK_PAIRS), number=3) / 8}
 
 
 def _make_space(n_pages: int = 1024) -> AddressSpace:
@@ -173,6 +187,10 @@ def test_apply_diff_speed():
     assert max(bench_apply_diff().values()) < CEILING_APPLY_DIFF
 
 
+def test_ep_chunk_speed():
+    assert max(bench_ep_chunk().values()) < CEILING_EP_CHUNK
+
+
 def test_check_range_speed():
     assert max(bench_check_range().values()) < CEILING_CHECK_RANGE
 
@@ -189,6 +207,7 @@ def main() -> None:
     for title, fn in (
         ("compute_diff", bench_compute_diff),
         ("apply_diff", bench_apply_diff),
+        ("ep_chunk", bench_ep_chunk),
         ("check_range", bench_check_range),
         ("metrics_sample", bench_metrics_sample),
         ("range_fault (per page)", bench_range_fault),

@@ -34,7 +34,6 @@ from repro.runtime import (
 )
 from repro.cluster import ClusterConfig, GIGANET_VIA, FAST_ETHERNET_TCP
 from repro.dsm.config import DsmConfig, PARADE_DSM, KDSM_BASELINE
-from repro.translator import translate
 
 __all__ = [
     "__version__",
@@ -53,3 +52,13 @@ __all__ = [
     "KDSM_BASELINE",
     "translate",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the translator (parser, C AST, both backends) is a third of
+    # the package's import cost and no simulated run needs it
+    if name == "translate":
+        from repro.translator import translate
+
+        return translate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

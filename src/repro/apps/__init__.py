@@ -17,7 +17,16 @@ OpenMP-API version that runs on the simulated cluster runtime:
 jump-ahead, validated against the published EP reference sums.
 """
 
+import importlib
+
 from repro.apps.nas_random import NasRandom, randlc, ipow46
-from repro.apps import ep, cg, helmholtz, md
 
 __all__ = ["NasRandom", "randlc", "ipow46", "ep", "cg", "helmholtz", "md"]
+
+
+def __getattr__(name):
+    # PEP 562: a workload module loads on first use, so only CG runs pay
+    # for scipy.sparse (more than the rest of the package together)
+    if name in ("ep", "cg", "helmholtz", "md"):
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.nas_random import NasRandom, DEFAULT_SEED
+from repro.apps.nas_random import NasRandom, DEFAULT_SEED, R46
 from repro.mpi.ops import SUM
 
 #: NPB class name -> M (number of pairs = 2^M)
@@ -54,19 +54,48 @@ class EpResult:
         )
 
 
-def _tally(u: np.ndarray) -> Tuple[float, float, np.ndarray]:
-    """Tally one chunk of the stream: u holds 2m uniforms (pairs interleaved)."""
-    x = 2.0 * u[0::2] - 1.0
-    y = 2.0 * u[1::2] - 1.0
-    t = x * x + y * y
-    acc = t <= 1.0
-    tt = t[acc]
-    f = np.sqrt(-2.0 * np.log(tt) / tt)
-    gx = x[acc] * f
-    gy = y[acc] * f
-    ik = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int64)
+class _Scratch:
+    """Every array one chunk of the tally needs, allocated once per
+    :func:`ep_segment` call and reused by each of its chunks."""
+
+    def __init__(self, pairs: int):
+        self.states = np.empty(2 * pairs, dtype=np.uint64)
+        self.u = np.empty(2 * pairs)
+        self.x, self.y, self.t, self.f, self.g = np.empty((5, pairs))
+
+
+def _tally(u: np.ndarray, w: _Scratch) -> Tuple[float, float, np.ndarray]:
+    """Tally one chunk of the stream: u holds 2m uniforms (pairs interleaved).
+
+    Each step is one numpy pass writing into *w*; the accepted pairs are
+    gathered through one index array."""
+    m = u.shape[0] // 2
+    x, y, t = w.x[:m], w.y[:m], w.t[:m]
+    np.multiply(u[0::2], 2.0, out=x)
+    x -= 1.0
+    np.multiply(u[1::2], 2.0, out=y)
+    y -= 1.0
+    np.multiply(x, x, out=t)
+    t += np.multiply(y, y, out=w.f[:m])
+    acc = np.flatnonzero(t <= 1.0)
+    k = acc.shape[0]
+    # mode: with the default "raise", take would buffer its out= array
+    tt = np.take(t, acc, out=w.g[:k], mode="clip")
+    f = np.log(tt, out=w.f[:k])
+    f *= -2.0
+    f /= tt
+    np.sqrt(f, out=f)
+    # t and tt are dead from here: their arrays take the Gaussians
+    gx = np.take(x, acc, out=w.t[:k], mode="clip")
+    gx *= f
+    gy = np.take(y, acc, out=w.g[:k], mode="clip")
+    gy *= f
+    sx, sy = float(gx.sum()), float(gy.sum())
+    np.abs(gx, out=gx)
+    np.abs(gy, out=gy)
+    ik = np.maximum(gx, gy, out=gx).astype(np.int64)
     counts = np.bincount(ik, minlength=10)[:10].astype(np.float64)
-    return float(gx.sum()), float(gy.sum()), counts
+    return sx, sy, counts
 
 
 def ep_segment(first_pair: int, n_pairs: int, seed: int = DEFAULT_SEED) -> EpResult:
@@ -75,10 +104,13 @@ def ep_segment(first_pair: int, n_pairs: int, seed: int = DEFAULT_SEED) -> EpRes
     rng.skip(2 * first_pair)
     sx = sy = 0.0
     counts = np.zeros(10)
+    scratch = _Scratch(min(CHUNK_PAIRS, n_pairs))
     remaining = n_pairs
     while remaining > 0:
         m = min(CHUNK_PAIRS, remaining)
-        dx, dy, dc = _tally(rng.generate(2 * m))
+        states = scratch.states[: 2 * m]
+        rng.fill(states)
+        dx, dy, dc = _tally(np.multiply(states, R46, out=scratch.u[: 2 * m]), scratch)
         sx += dx
         sy += dy
         counts += dc

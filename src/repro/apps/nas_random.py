@@ -5,17 +5,19 @@ NPB's ``randlc`` is the 46-bit linear congruential generator
     x_{k+1} = a * x_k  mod 2^46,      a = 5^13,  r_k = x_k * 2^-46
 
 The reference implementation works in double-double arithmetic; we use
-exact 64-bit integer arithmetic (a 46-bit modular product fits in uint64
-after the usual 23-bit split) which is bit-identical.
+exact 64-bit integer arithmetic, which is bit-identical: 2^46 divides
+2^64, so the low 46 bits of a wrapped ``uint64`` product *are* the
+product mod 2^46 — one multiply and one mask, no operand splitting.
 
 Two idioms the benchmarks need:
 
 * ``ipow46(a, k)`` — O(log k) jump-ahead, so thread *t* can seed itself at
   stream offset ``k`` without generating the prefix (how NPB parallelises
   EP);
-* :meth:`NasRandom.generate` — vectorised block generation: seed a lane
-  row of width *L* sequentially, then advance all lanes by ``a^L`` per
-  step, giving the stream in order at numpy speed.
+* :meth:`NasRandom.generate` — vectorised block generation by the same
+  jump-ahead, doubling: once the first *m* states exist the next *m* are
+  ``a^m`` times them, so a block of *n* fills in log2(n) numpy calls that
+  together touch each state once.
 
 Validated against the published EP class S/W/A reference sums (see
 ``tests/apps/test_ep.py``).
@@ -30,7 +32,6 @@ A = 1220703125
 #: modulus 2^46
 MOD = 1 << 46
 _MASK46 = MOD - 1
-_MASK23 = (1 << 23) - 1
 #: default NPB seed
 DEFAULT_SEED = 271828183
 #: 2^-46 as float
@@ -55,30 +56,12 @@ def ipow46(a: int, exponent: int) -> int:
     return pow(a, exponent, MOD)
 
 
-def _modmul46_vec(a: int, x: np.ndarray) -> np.ndarray:
-    """Vectorised (a * x[i]) mod 2^46 on uint64 lanes.
-
-    Split both operands at 23 bits; every partial product stays below
-    2^47, so uint64 arithmetic is exact.
-    """
-    a = int(a)
-    a1 = a >> 23
-    a2 = a & _MASK23
-    x1 = x >> np.uint64(23)
-    x2 = x & np.uint64(_MASK23)
-    t = (np.uint64(a1) * x2 + np.uint64(a2) * x1) & np.uint64(_MASK23)
-    return ((t << np.uint64(23)) + np.uint64(a2) * x2) & np.uint64(_MASK46)
-
-
 class NasRandom:
     """Stateful NAS stream with vectorised bulk generation.
 
     >>> rng = NasRandom()
     >>> u = rng.generate(4)          # the first four randlc outputs
     """
-
-    #: lane width for block generation
-    LANES = 4096
 
     def __init__(self, seed: int = DEFAULT_SEED, a: int = A):
         if not (0 < seed < MOD):
@@ -96,31 +79,27 @@ class NasRandom:
         self.state, value = randlc(self.state, self.a)
         return value
 
+    def fill(self, states: np.ndarray) -> None:
+        """Advance the stream by ``len(states)`` outputs, storing the raw
+        46-bit states x_1 .. x_n into the ``uint64`` array *states*."""
+        n = states.shape[0]
+        if n == 0:
+            return
+        states[0] = _modmul46_scalar(self.a, self.state)
+        m = 1
+        while m < n:
+            # x_{j+m} = a^m x_j: the filled prefix yields the next block
+            k = min(m, n - m)
+            block = states[m : m + k]
+            np.multiply(states[:k], np.uint64(ipow46(self.a, m)), out=block)
+            block &= np.uint64(_MASK46)
+            m += k
+        self.state = int(states[n - 1])
+
     def generate(self, n: int) -> np.ndarray:
         """The next *n* uniform doubles in stream order (vectorised)."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        lanes = min(self.LANES, n)
-        # Seed the first row x_1 .. x_lanes by jump-ahead doubling: once the
-        # first m elements exist, the next m are a^m times them
-        # (x_{j+m} = a^m x_j), so the row fills in O(log lanes) vector
-        # steps — bit-identical to stepping sequentially, both are exact.
-        row = np.empty(lanes, dtype=np.uint64)
-        row[0] = _modmul46_scalar(self.a, self.state)
-        m = 1
-        while m < lanes:
-            k = min(m, lanes - m)
-            row[m : m + k] = _modmul46_vec(ipow46(self.a, m), row[:k])
-            m += k
-        rows = (n + lanes - 1) // lanes
-        out = np.empty(rows * lanes, dtype=np.uint64)
-        out[:lanes] = row
-        step = ipow46(self.a, lanes)
-        for r in range(1, rows):
-            row = _modmul46_vec(step, row)
-            out[r * lanes : (r + 1) * lanes] = row
-        # new scalar state = x_n
-        self.state = int(out[n - 1])
-        return out[:n].astype(np.float64) * R46
+        states = np.empty(n, dtype=np.uint64)
+        self.fill(states)
+        return states * R46

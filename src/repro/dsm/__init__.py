@@ -21,7 +21,7 @@ protocol agent.
 """
 
 from repro.dsm.states import PageState, VALID_TRANSITIONS, is_valid_transition
-from repro.dsm.diffs import make_twin, compute_diff, apply_diff, diff_nbytes
+from repro.dsm.diffs import Diff, make_twin, compute_diff, apply_diff, diff_nbytes
 from repro.dsm.writenotice import WriteNotice, NoticeLog
 from repro.dsm.config import (
     DsmConfig,
@@ -38,6 +38,7 @@ __all__ = [
     "PageState",
     "VALID_TRANSITIONS",
     "is_valid_transition",
+    "Diff",
     "make_twin",
     "compute_diff",
     "apply_diff",

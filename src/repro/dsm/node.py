@@ -39,7 +39,7 @@ from repro.vm import (
     AIX_433,
 )
 from repro.dsm.states import PageState, IllegalTransition, is_valid_transition
-from repro.dsm.diffs import make_twin, compute_diff, apply_diff, diff_nbytes
+from repro.dsm.diffs import EMPTY_DIFF, Diff, make_twin, compute_diff, apply_diff, diff_nbytes
 from repro.dsm.writenotice import (
     WriteNotice,
     NoticeLog,
@@ -252,7 +252,7 @@ class DsmNode:
             for p in range(self.n_pages):
                 self.space.protect(p, PROT_READ)
         #: homeless mode: (page, barrier epoch) -> retained diff
-        self._diff_log: Dict[tuple, list] = {}
+        self._diff_log: Dict[tuple, Diff] = {}
         #: homeless mode: page -> ordered [(epoch, [writers])] still unapplied
         self._missing: Dict[int, List[tuple]] = {}
 
@@ -811,7 +811,7 @@ class DsmNode:
         _chan, kind, req_id = msg.tag
         if kind == "dget":
             page, epoch, requester = msg.payload
-            diff = self._diff_log.get((page, epoch), [])
+            diff = self._diff_log.get((page, epoch), EMPTY_DIFF)
             self.stats.fetches_served += 1
             yield from self.net.send(
                 self.id, requester, diff_nbytes(diff), diff, tag=("dsm", "dgetR", req_id)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 
@@ -20,7 +22,14 @@ class PhysicalMemory:
             raise ValueError(f"frame_size must be >= 1, got {frame_size}")
         self.n_frames = n_frames
         self.frame_size = frame_size
-        self.buffer = np.zeros(n_frames * frame_size, dtype=np.uint8)
+        # An anonymous mapping rather than np.zeros: numpy advises large
+        # allocations for transparent huge pages, and a DSM pool is touched
+        # sparsely, one small frame at a time — each first touch would
+        # zero-fill 2 MiB.  Lazily zero-filled either way.
+        backing = mmap.mmap(-1, n_frames * frame_size)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            backing.madvise(mmap.MADV_NOHUGEPAGE)
+        self.buffer = np.frombuffer(backing, dtype=np.uint8)
 
     def frame_view(self, frame: int) -> np.ndarray:
         """Zero-copy view of one frame."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.dsm.states import PageState
@@ -51,6 +52,64 @@ def rescan_acquire(dn, addr, size, is_write):
             return
         except ProtectionFault as fault:
             yield from dn._service_fault((fault.vpage,), 0, is_write)
+
+
+def reference_generate(state, n, a=1220703125, lanes=4096):
+    """``NasRandom.generate`` as it was before the doubling fill — the
+    value oracle for the stream: the product mod 2^46 through a 23-bit
+    operand split (no intermediate reaches 2^64, nothing wraps), a lane
+    row stepped sequentially then advanced ``a^lanes`` per row.  Returns
+    (uniforms, new state).  Lives here, not in ``src/``."""
+    m23, m46, s23 = np.uint64((1 << 23) - 1), np.uint64((1 << 46) - 1), np.uint64(23)
+
+    def modmul(c, x):
+        c1, c2 = np.uint64(c >> 23), np.uint64(c & ((1 << 23) - 1))
+        t = (c1 * (x & m23) + c2 * (x >> s23)) & m23
+        return ((t << s23) + c2 * (x & m23)) & m46
+
+    if n == 0:
+        return np.empty(0), state
+    lanes = min(lanes, n)
+    rows = -(-n // lanes)
+    out = np.empty((rows, lanes), dtype=np.uint64)
+    for j in range(lanes):
+        state = (a * state) % (1 << 46)
+        out[0, j] = state
+    for r in range(1, rows):
+        out[r] = modmul(pow(a, lanes, 1 << 46), out[r - 1])
+    flat = out.reshape(-1)[:n]
+    return flat.astype(np.float64) * 0.5 ** 46, int(flat[-1])
+
+
+def reference_tally(u):
+    """``repro.apps.ep._tally`` as it was before the scratch workspace —
+    the bit-for-bit oracle for one chunk: same operations per element in
+    the same order, every step a fresh temporary."""
+    x = 2.0 * u[0::2] - 1.0
+    y = 2.0 * u[1::2] - 1.0
+    t = x * x + y * y
+    acc = t <= 1.0
+    tt = t[acc]
+    f = np.sqrt(-2.0 * np.log(tt) / tt)
+    gx = x[acc] * f
+    gy = y[acc] * f
+    ik = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int64)
+    counts = np.bincount(ik, minlength=10)[:10].astype(np.float64)
+    return float(gx.sum()), float(gy.sum()), counts
+
+
+def reference_runs(twin, current):
+    """A diff as the run-length list ``compute_diff`` used to build —
+    ``[(offset, bytes)]``, one entry per maximal run of changed bytes:
+    the wire format ``Diff.nbytes`` prices without materialising."""
+    idx = np.flatnonzero(twin != current)
+    if idx.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    los = idx[np.concatenate(([0], breaks + 1))].tolist()
+    his = (idx[np.concatenate((breaks, [idx.size - 1]))] + 1).tolist()
+    buf = current.tobytes()
+    return [(lo, buf[lo:hi]) for lo, hi in zip(los, his)]
 
 
 def sync_loops(iters=4):

@@ -3,9 +3,13 @@ plus the NPB published verification values."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime import ParadeRuntime, TWO_THREAD_TWO_CPU, ONE_THREAD_ONE_CPU
 from repro.apps import ep, cg, helmholtz, md
+from repro.apps.nas_random import A, MOD
+
+from conftest import reference_generate, reference_tally
 
 
 # ------------------------------------------------------------- EP
@@ -16,6 +20,39 @@ def test_ep_segments_compose():
     assert whole.sx == pytest.approx(left.sx + right.sx, abs=1e-9)
     assert whole.sy == pytest.approx(left.sy + right.sy, abs=1e-9)
     assert np.array_equal(whole.counts, left.counts + right.counts)
+
+
+def _reference_segment(first_pair, n_pairs, seed):
+    """``ep_segment`` composed from the conftest oracles: same jump-ahead,
+    same chunking, same accumulation order."""
+    state = pow(A, 2 * first_pair, MOD) * seed % MOD
+    sx = sy = 0.0
+    counts = np.zeros(10)
+    for done in range(0, n_pairs, ep.CHUNK_PAIRS):
+        u, state = reference_generate(state, 2 * min(ep.CHUNK_PAIRS, n_pairs - done))
+        dx, dy, dc = reference_tally(u)
+        sx += dx
+        sy += dy
+        counts += dc
+    return sx, sy, counts
+
+
+#: sizes straddling empty, one pair and the chunk boundary, plus anything
+_EP_SIZES = st.sampled_from(
+    [0, 1, 2, ep.CHUNK_PAIRS - 1, ep.CHUNK_PAIRS, ep.CHUNK_PAIRS + 1, 2 * ep.CHUNK_PAIRS + 3]
+) | st.integers(0, 3 * ep.CHUNK_PAIRS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(first=st.integers(0, 1 << 40), n=_EP_SIZES, seed=st.integers(1, MOD - 1))
+def test_ep_segment_is_bit_identical_to_reference(first, n, seed):
+    """The one-pass kernels change no bit: sums compared as ``float.hex``,
+    counts as bytes, for odd sizes and offsets and any seed."""
+    got = ep.ep_segment(first, n, seed)
+    sx, sy, counts = _reference_segment(first, n, seed)
+    assert (got.sx.hex(), got.sy.hex()) == (sx.hex(), sy.hex())
+    assert got.counts.tobytes() == counts.tobytes()
+    assert got.n_pairs == n
 
 
 @pytest.mark.slow

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.nas_random import (
     NasRandom,
@@ -12,6 +12,11 @@ from repro.apps.nas_random import (
     MOD,
     DEFAULT_SEED,
 )
+
+from conftest import reference_generate
+
+#: the old lane width and its neighbours, a two-row block, one EP chunk
+BLOCK_SIZES = (1, 2, 3, 4095, 4096, 4097, 2 * 4096 + 17, 1 << 17)
 
 
 def _sequential(n, seed=DEFAULT_SEED):
@@ -36,9 +41,45 @@ def test_generate_matches_sequential_exactly():
 
 
 def test_generate_across_lane_boundary():
-    n = NasRandom.LANES * 2 + 17
-    rng = NasRandom()
-    assert np.array_equal(rng.generate(n), _sequential(n))
+    """Every block size — one element, non-powers of two, the doubling
+    fill's last partial step — is the scalar ``randlc`` stream, and a
+    split call continues it."""
+    ref = _sequential(max(BLOCK_SIZES) + 5)
+    for n in BLOCK_SIZES:
+        rng = NasRandom()
+        assert np.array_equal(rng.generate(n), ref[:n])
+        assert np.array_equal(rng.generate(5), ref[n : n + 5])
+        split = NasRandom()
+        head = split.generate(n // 3)
+        assert np.array_equal(np.concatenate([head, split.generate(n - n // 3)]), ref[:n])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(0, MOD - 1),
+    xs=st.lists(st.integers(0, MOD - 1), min_size=1, max_size=8),
+)
+@example(a=MOD - 1, xs=[MOD - 1, 1, 0])
+def test_wrapped_uint64_product_is_the_product_mod_2_46(a, xs):
+    """2^46 divides 2^64: the low 46 bits of the wrapped product are the
+    product mod 2^46 — what ``NasRandom.fill`` relies on."""
+    got = (np.uint64(a) * np.array(xs, dtype=np.uint64)) & np.uint64(MOD - 1)
+    assert got.tolist() == [(a * x) % MOD for x in xs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(1, MOD - 1),
+    a=st.integers(1, MOD - 1),
+    n=st.integers(1, 3 * 4096),
+)
+def test_generate_matches_reference_for_any_multiplier(seed, a, n):
+    """Against the 23-bit-split oracle (no wrapping anywhere), with
+    multipliers and seeds up to 2^46 - 1, values and final state."""
+    rng = NasRandom(seed, a)
+    ref, state = reference_generate(seed, n, a)
+    assert np.array_equal(rng.generate(n), ref)
+    assert rng.state == state
 
 
 def test_generate_continues_state():

@@ -22,7 +22,7 @@ from repro.dsm.writenotice import merge_notices
 from repro.dsm.diffs import RUN_HEADER_BYTES
 from repro.sim.probe import Subscriber
 
-from conftest import build_dsm, recount
+from conftest import build_dsm, recount, reference_runs
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -181,10 +181,19 @@ def test_page_table_has_exactly_one_writer():
 
 
 # ------------------------------------------------------------- diffs
+def _changed(diff):
+    """Offsets a diff covers."""
+    return np.flatnonzero(diff.mask).tolist()
+
+
 def test_diff_empty_when_unchanged():
     page = (np.arange(4096) % 256).astype(np.uint8)
     twin = make_twin(page)
-    assert compute_diff(twin, page) == []
+    diff = compute_diff(twin, page)
+    assert not diff
+    assert diff.nbytes == 0 and diff_nbytes(diff) == 0
+    apply_diff(page, diff)  # a no-op on a page of any size
+    assert np.array_equal(page, twin)
 
 
 def test_diff_captures_single_run():
@@ -192,9 +201,12 @@ def test_diff_captures_single_run():
     twin = make_twin(page)
     page[100:108] = 42
     diff = compute_diff(twin, page)
-    assert len(diff) == 1
-    off, data = diff[0]
-    assert off == 100 and data == bytes([42] * 8)
+    assert diff
+    assert _changed(diff) == list(range(100, 108))
+    assert diff.vals.tobytes() == bytes([42] * 8)
+    assert diff.nbytes == RUN_HEADER_BYTES + 8 == 16
+    page[:] = 0  # the diff is a snapshot, not a view of the live page
+    assert diff.vals.tobytes() == bytes([42] * 8)
 
 
 def test_diff_splits_disjoint_runs():
@@ -203,26 +215,36 @@ def test_diff_splits_disjoint_runs():
     page[0] = 1
     page[4095] = 2
     diff = compute_diff(twin, page)
-    assert [off for off, _ in diff] == [0, 4095]
+    assert _changed(diff) == [0, 4095]
+    assert diff.nbytes == 2 * RUN_HEADER_BYTES + 2  # two headers
 
 
 def test_apply_diff_merges_into_home_copy():
+    writer = np.zeros(4096, dtype=np.uint8)
+    twin = make_twin(writer)
+    writer[100:102] = 7
     home = np.zeros(4096, dtype=np.uint8)
     home[50] = 99  # home's own concurrent change at a different offset
-    diff = [(100, b"\x07\x07")]
-    apply_diff(home, diff)
+    apply_diff(home, compute_diff(twin, writer))
     assert home[100] == 7 and home[101] == 7
     assert home[50] == 99  # untouched
 
 
 def test_apply_diff_bounds_checked():
     page = np.zeros(16, dtype=np.uint8)
-    with pytest.raises(ValueError):
-        apply_diff(page, [(15, b"\x01\x02")])
+    diff = compute_diff(page, np.ones(16, dtype=np.uint8))
+    for size in (8, 15, 17, 4096):
+        with pytest.raises(ValueError):
+            apply_diff(np.zeros(size, dtype=np.uint8), diff)
 
 
 def test_diff_nbytes_counts_headers():
-    diff = [(0, b"abc"), (100, b"de")]
+    page = np.zeros(4096, dtype=np.uint8)
+    twin = make_twin(page)
+    page[0:3] = (97, 98, 99)
+    page[100:102] = (100, 101)
+    diff = compute_diff(twin, page)
+    assert diff.vals.tobytes() == b"abcde"
     assert diff_nbytes(diff) == 2 * RUN_HEADER_BYTES + 5
 
 
@@ -266,8 +288,57 @@ def test_diff_size_bounded_by_changes(writes):
         page[off : off + ln] = 200
         touched.update(range(off, min(off + ln, 4096)))
     diff = compute_diff(twin, page)
-    payload = sum(len(d) for _o, d in diff)
-    assert payload == len({i for i in touched if page[i] != 0})
+    assert len(diff.vals) == len({i for i in touched if page[i] != 0})
+
+
+#: (offset, length, value) stores into a small page: short runs, runs that
+#: touch, overwrite each other, restore the old value, or reach either end
+_stores = st.lists(
+    st.tuples(st.integers(0, 255), st.integers(1, 40), st.integers(0, 255)),
+    min_size=0, max_size=12,
+)
+
+
+def _written(base, stores):
+    page = base.copy()
+    for off, ln, val in stores:
+        page[off : off + ln] = val
+    return page
+
+
+@settings(max_examples=150, deadline=None)
+@given(stores=_stores, seed=st.integers(0, 3))
+def test_diff_prices_and_carries_the_run_list(stores, seed):
+    """The mask form against the run-length list it replaced: the wire
+    size is a header per run plus the bytes, the values are the runs end
+    to end, the mask covers exactly the runs' offsets."""
+    twin = np.random.default_rng(seed).integers(0, 4, 256, dtype=np.uint8)
+    page = _written(twin, stores)
+    runs = reference_runs(twin, page)
+    diff = compute_diff(twin, page)
+    assert diff.nbytes == RUN_HEADER_BYTES * len(runs) + sum(len(b) for _o, b in runs)
+    assert bool(diff) == bool(runs)
+    assert diff.vals.tobytes() == b"".join(b for _o, b in runs)
+    assert _changed(diff) == [o + i for o, b in runs for i in range(len(b))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_stores, b=_stores, owner=st.lists(st.booleans(), min_size=256, max_size=256))
+def test_disjoint_writers_diffs_commute(a, b, owner):
+    """Two writers of disjoint bytes of one page (what a data-race-free
+    program produces): their diffs merge at the home in either order."""
+    owner = np.array(owner)
+    base = np.random.default_rng(1).integers(0, 256, 256, dtype=np.uint8)
+    page_a = np.where(owner, _written(base, a), base)
+    page_b = np.where(owner, base, _written(base, b))
+    da, db = compute_diff(base, page_a), compute_diff(base, page_b)
+    ab, ba = base.copy(), base.copy()
+    apply_diff(ab, da)
+    apply_diff(ab, db)
+    apply_diff(ba, db)
+    apply_diff(ba, da)
+    assert np.array_equal(ab, ba)
+    assert np.array_equal(ab, np.where(owner, page_a, page_b))
 
 
 # ------------------------------------------------------------- write notices

@@ -1,6 +1,11 @@
 """Full-stack integration tests: every directive in one program, plus
 the determinism guarantee the whole methodology rests on."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,3 +170,34 @@ def test_1t1c_uses_single_cpu_per_node():
     assert all(n.cpus.capacity == 1 for n in rt.cluster.nodes)
     rt2 = ParadeRuntime(n_nodes=2, exec_config=TWO_THREAD_TWO_CPU, pool_bytes=1 << 20)
     assert all(n.cpus.capacity == 2 for n in rt2.cluster.nodes)
+
+
+# what a run that needs neither must not import: scipy.sparse costs more
+# than the rest of the package together, the translator a third of it
+_IMPORT_HYGIENE = """
+import sys
+def heavy():
+    return {m for m in ("scipy", "repro.translator") if m in sys.modules}
+import repro.runtime
+from repro.apps import ep, helmholtz
+import repro.apps
+repro.apps.md
+assert not heavy(), heavy()
+from repro import translate
+assert heavy() == {"repro.translator"}, heavy()
+repro.apps.cg
+assert heavy() == {"repro.translator", "scipy"}, heavy()
+import repro
+assert all(hasattr(repro, n) for n in repro.__all__)
+assert all(hasattr(repro.apps, n) for n in repro.apps.__all__)
+"""
+
+
+def test_runs_import_only_the_layers_they_use():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_HYGIENE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -34,6 +34,13 @@ def test_physical_memory_frames_are_views():
     assert phys.buffer[3 * PAGE] == 0
 
 
+def test_physical_memory_buffer_is_zeroed_writable_and_sized():
+    phys = PhysicalMemory(3, PAGE)
+    buf = phys.buffer
+    assert buf.dtype == np.uint8 and buf.shape == (3 * PAGE,)
+    assert buf.flags.writeable and not buf.any()
+
+
 def test_physical_memory_read_write_frame():
     phys = PhysicalMemory(2, PAGE)
     data = bytes(range(256)) * 16
