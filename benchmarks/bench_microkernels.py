@@ -6,9 +6,12 @@ pages with scattered multi-byte runs — the distribution Jacobi/CG updates
 actually produce — plus dense and sparse extremes; one ``CHUNK_PAIRS``
 chunk of the NAS EP kernel (stream fill + tally); and one
 ``Metrics.sample()`` with the stock sources over node counts and pool
-sizes (its cost must follow the series count, never the pool); and the
+sizes (its cost must follow the series count, never the pool); the
 DSM write-upgrade fault path per page over range lengths (a longer range
-must cost less per page, not more).  Run directly for a table of wall-clock timings::
+must cost less per page, not more); and one ``Node.busy_cpu`` burst
+detached and under each observer set (an attached profiler or recorder
+adds its own handlers' cost to a burst, not a second process resume).
+Run directly for a table of wall-clock timings::
 
     PYTHONPATH=src python benchmarks/bench_microkernels.py
 
@@ -40,6 +43,7 @@ CEILING_EP_CHUNK = 4e-3
 CEILING_CHECK_RANGE = 5e-4
 CEILING_METRICS_SAMPLE = 5e-3
 CEILING_RANGE_FAULT = 5e-4  # per page
+CEILING_OBSERVED_BURST = 5e-5  # per burst, all four observers attached
 
 
 def _float_update_page(seed: int = 0):
@@ -178,6 +182,50 @@ def bench_range_fault() -> dict:
     return {f"{n}-page": _range_fault_per_page(n) for n in (1, 8, 32, 128)}
 
 
+def _burst_seconds(observers: tuple, n: int = 4000) -> float:
+    from repro.metrics import Metrics
+    from repro.profile import Profiler
+    from repro.sanitizer import Sanitizer
+    from repro.testing import build_cluster, run_all
+    from repro.trace import TraceRecorder
+
+    attach = {
+        "profiler": Profiler,
+        "recorder": TraceRecorder,
+        "metrics": Metrics,
+        "sanitizer": lambda sim: Sanitizer(sim, n_nodes=1, page_size=PAGE),
+    }
+    best = []
+    for _ in range(5):
+        cluster = build_cluster(1)
+        for name in observers:
+            attach[name](cluster.sim)
+        node = cluster.nodes[0]
+
+        def prog():
+            for _ in range(n):
+                yield from node.busy_cpu(1e-6)
+
+        t0 = time.perf_counter()
+        run_all(cluster, [prog()])
+        best.append(time.perf_counter() - t0)
+        assert node.cpus.n_grants == n
+    return min(best) / n
+
+
+def bench_observed_burst() -> dict:
+    """Host seconds per ``Node.busy_cpu`` burst (submit, grant marker,
+    timeout, ONE process resume) on an idle one-node cluster: detached,
+    under a profiler (three phase facts per burst), under a recorder (an
+    exact step count per event), and under all four observers."""
+    return {
+        "detached": _burst_seconds(()),
+        "profiler": _burst_seconds(("profiler",)),
+        "recorder": _burst_seconds(("recorder",)),
+        "all four": _burst_seconds(("recorder", "sanitizer", "profiler", "metrics")),
+    }
+
+
 # -- pytest entry points -------------------------------------------------
 def test_compute_diff_speed():
     assert max(bench_compute_diff().values()) < CEILING_COMPUTE_DIFF
@@ -203,6 +251,10 @@ def test_range_fault_speed():
     assert max(bench_range_fault().values()) < CEILING_RANGE_FAULT
 
 
+def test_observed_burst_speed():
+    assert max(bench_observed_burst().values()) < CEILING_OBSERVED_BURST
+
+
 def main() -> None:
     for title, fn in (
         ("compute_diff", bench_compute_diff),
@@ -211,6 +263,7 @@ def main() -> None:
         ("check_range", bench_check_range),
         ("metrics_sample", bench_metrics_sample),
         ("range_fault (per page)", bench_range_fault),
+        ("observed_burst (per busy_cpu burst)", bench_observed_burst),
     ):
         print(f"{title}:")
         for case, sec in fn().items():

@@ -32,7 +32,7 @@ class Node:
         self.overhead_time = 0.0
 
     # CPU bursts return Resource.execute's generator directly (no frame of
-    # their own per burst); it picks the kernel-resident or generator path.
+    # their own per burst): one kernel-resident Hold each.
     def compute(self, work_units: float, priority: int = 0):
         """Generator: occupy one CPU for *work_units* of application work."""
         # same float expression as config.compute_seconds, but through the

@@ -44,6 +44,23 @@ LOCK_HOLD = "lock_hold_seconds"
 BARRIER_EPOCH = "barrier_epoch_seconds"
 
 
+class _Link:
+    """One ``(src, dst)`` pair: its in-flight level, and its two
+    cumulative counters and two series names resolved once, when the link
+    carries its first frame — not per frame and per sample."""
+
+    __slots__ = ("msgs", "nbytes", "frames_total", "bytes_total",
+                 "msgs_series", "bytes_series")
+
+    def __init__(self, registry: MetricsRegistry, src: int, dst: int):
+        self.msgs = 0
+        self.nbytes = 0
+        self.frames_total = registry.counter("net_frames_total", src=src, dst=dst)
+        self.bytes_total = registry.counter("net_bytes_total", src=src, dst=dst)
+        self.msgs_series = f"link/{src}->{dst}/msgs_inflight"
+        self.bytes_series = f"link/{src}->{dst}/bytes_inflight"
+
+
 class Metrics(Subscriber):
     """Live metrics for one simulator; subscribes to ``sim.probe``.
 
@@ -74,16 +91,19 @@ class Metrics(Subscriber):
         self.registry = MetricsRegistry()
         #: series name -> ([times], [values]); insertion-ordered
         self.series: Dict[str, Series] = {}
-        self.sources: List[Tuple[str, Callable[[], Dict[str, float]]]] = []
+        #: (prefix, fn, {name: its ``prefix/name`` series}) per source
+        self.sources: List[Tuple[str, Callable[[], Dict[str, float]], Dict]] = []
         self.n_samples = 0
         self.n_dropped = 0
         self.finalized_at: Optional[float] = None
         self._next_due = period
-        #: (src, dst) -> [msgs, bytes] currently in flight (sent, not yet
+        #: (src, dst) -> the link's frames in flight (sent, not yet
         #: delivered into the destination inbox)
-        self.inflight: Dict[Tuple[int, int], List[int]] = {}
+        self.inflight: Dict[Tuple[int, int], _Link] = {}
         self._inflight_msgs = 0
         self._inflight_bytes = 0
+        #: the delivery-latency histogram, resolved at the first delivery
+        self._net_latency: Optional[Histogram] = None
         #: message seq -> virtual time its send call started
         self._sent_at: Dict[int, float] = {}
         #: (node, lock) -> grant time of a distributed lock currently held
@@ -105,7 +125,7 @@ class Metrics(Subscriber):
         """Register a snapshot source; its keys become ``prefix/name``
         series.  Sources must only *read* state — they run inside the
         event loop and anything else would perturb the schedule."""
-        self.sources.append((prefix, fn))
+        self.sources.append((prefix, fn, {}))
 
     # -- sampling -------------------------------------------------------
     def on_step(self, now: float, queue_depth: int) -> None:
@@ -120,15 +140,21 @@ class Metrics(Subscriber):
         """Snapshot every source at virtual time *now*."""
         self.n_samples += 1
         if queue_depth is not None:
-            self._record("sim/queue_depth", now, queue_depth)
-        for prefix, fn in self.sources:
+            self._record(self._series("sim/queue_depth"), now, queue_depth)
+        for prefix, fn, known in self.sources:
             for name, value in fn().items():
-                self._record(f"{prefix}/{name}", now, value)
+                s = known.get(name)
+                if s is None:
+                    s = known[name] = self._series(f"{prefix}/{name}")
+                self._record(s, now, value)
 
-    def _record(self, name: str, t: float, v: float) -> None:
+    def _series(self, name: str) -> Series:
         s = self.series.get(name)
         if s is None:
             s = self.series[name] = ([], [])
+        return s
+
+    def _record(self, s: Series, t: float, v: float) -> None:
         if len(s[0]) >= self.max_samples:
             self.n_dropped += 1
             return
@@ -149,9 +175,9 @@ class Metrics(Subscriber):
             "inflight_msgs": self._inflight_msgs,
             "inflight_bytes": self._inflight_bytes,
         }
-        for (src, dst), (msgs, nbytes) in sorted(self.inflight.items()):
-            out[f"link/{src}->{dst}/msgs_inflight"] = msgs
-            out[f"link/{src}->{dst}/bytes_inflight"] = nbytes
+        for _, link in sorted(self.inflight.items()):
+            out[link.msgs_series] = link.msgs
+            out[link.bytes_series] = link.nbytes
         return out
 
     # -- network facts ---------------------------------------------------
@@ -159,15 +185,15 @@ class Metrics(Subscriber):
         """``net/msg-send``: a frame entered the network (also loopback)."""
         dst, nbytes = a["dst"], a["nbytes"]
         self._sent_at[a["seq"]] = self.sim.now
-        ent = self.inflight.get((src, dst))
-        if ent is None:
-            ent = self.inflight[(src, dst)] = [0, 0]
-        ent[0] += 1
-        ent[1] += nbytes
+        link = self.inflight.get((src, dst))
+        if link is None:
+            link = self.inflight[src, dst] = _Link(self.registry, src, dst)
+        link.msgs += 1
+        link.nbytes += nbytes
         self._inflight_msgs += 1
         self._inflight_bytes += nbytes
-        self.registry.counter("net_frames_total", src=src, dst=dst).inc()
-        self.registry.counter("net_bytes_total", src=src, dst=dst).inc(nbytes)
+        link.frames_total.inc()
+        link.bytes_total.inc(nbytes)
 
     def _on_msg_deliver(self, a, dst, *_) -> None:
         """``net/msg-deliver``: the frame reached the destination inbox;
@@ -177,13 +203,16 @@ class Metrics(Subscriber):
         if sent is None:  # sent before this sampler subscribed
             return
         nbytes = a["nbytes"]
-        ent = self.inflight.get((a["src"], dst))
-        if ent is not None:
-            ent[0] -= 1
-            ent[1] -= nbytes
+        link = self.inflight.get((a["src"], dst))
+        if link is not None:
+            link.msgs -= 1
+            link.nbytes -= nbytes
         self._inflight_msgs -= 1
         self._inflight_bytes -= nbytes
-        self.registry.histogram(NET_LATENCY).observe(self.sim.now - sent)
+        hist = self._net_latency
+        if hist is None:
+            hist = self._net_latency = self.registry.histogram(NET_LATENCY)
+        hist.observe(self.sim.now - sent)
 
     # -- DSM facts -------------------------------------------------------
     def _on_lock_acquire(self, a, node, tid, t0, ph) -> None:

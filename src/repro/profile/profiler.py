@@ -27,10 +27,9 @@ critical-path sweep (:mod:`repro.profile.critical_path`) and the
 Chrome-counter export (:mod:`repro.profile.export`).
 
 The hot-page and hot-lock tables and the network pseudo-thread are fed by
-the kinds in ``Profiler._handlers``: process resume/end,
-page fetches and lock grants off their trace kinds, and the ``audit``
-kinds for faults, diffs, lock waits, message flights and retransmit
-dead time.
+the kinds in ``Profiler._handlers``: page fetches and lock grants off
+their trace kinds, and the ``audit`` kinds for thread start/end, faults,
+diffs, lock waits, message flights and retransmit dead time.
 """
 
 from __future__ import annotations
@@ -133,8 +132,8 @@ class Profiler(Subscriber):
             ("phase", "push"): self.push,
             ("phase", "replace"): self.replace,
             ("phase", "pop"): self.pop,
-            ("sim", "resume"): self._on_resume,
-            ("sim", "end"): self._on_thread_end,
+            (CAT_AUDIT, "thread-start"): self._on_thread_start,
+            (CAT_AUDIT, "thread-end"): self._on_thread_end,
             (CAT_AUDIT, "flight"): self._on_net_flight,
             (CAT_AUDIT, "retransmit-wait"): self._on_retransmit_wait,
             (CAT_AUDIT, "fault"): self._on_fault,
@@ -146,9 +145,6 @@ class Profiler(Subscriber):
         }
         if attach:
             self.attach()
-
-    #: the CPU-grant wait→busy switch is a resume instant of the burst
-    watches_scheduling = True
 
     # -- thread state ---------------------------------------------------
     def _state(self) -> _ThreadState:
@@ -197,10 +193,10 @@ class Profiler(Subscriber):
         else:
             st.stack.append((phase, active))
 
-    # -- process lifecycle (sim/resume, sim/end) ---------------------------
-    def _on_resume(self, a, node, label, *_) -> None:
-        """Ensure a ledger exists from the thread's first resume (which is
-        at its creation virtual time), so leading waits are not lost."""
+    # -- process lifecycle (audit/thread-start, audit/thread-end) ----------
+    def _on_thread_start(self, a, node, label, *_) -> None:
+        """Open the thread's ledger at its creation virtual time, so
+        leading waits are not lost."""
         if label not in self.threads:
             self.threads[label] = _ThreadState(label, self.sim.now)
 

@@ -87,11 +87,11 @@ class ProbeBus:
     samples — except the kernel-rate kinds: ``kernel/step``
     (``handler(now, queue_depth)``, from the event loop),
     ``phase/push|replace`` (``handler(phase)``), ``phase/pop``
-    (``handler()``).  :attr:`steps` and :attr:`scheduling_heard` are the
-    two kernel decisions the bus answers from its subscriber set.
+    (``handler()``).  :attr:`steps` is the one kernel decision the bus
+    answers from its subscriber set.
     """
 
-    __slots__ = ("subscribers", "_routes", "heard", "steps", "scheduling_heard",
+    __slots__ = ("subscribers", "_routes", "heard", "steps",
                  "push", "replace", "pop")
 
     def __init__(self):
@@ -101,17 +101,12 @@ class ProbeBus:
 
     def _rewire(self) -> None:
         """The subscriber set changed: drop every resolved route and
-        re-answer the kernel's questions."""
+        re-answer the kernel's question."""
         routes = self._routes = _Routes(self.subscribers)
         #: categories with at least one consumer: what a site tests
         self.heard = frozenset().union(*(s.categories for s in self.subscribers))
         #: ``kernel/step`` consumers; non-empty ⇒ exact ``events_processed``
         self.steps = routes["kernel", "step"]
-        #: someone ``watches_scheduling`` (its output depends on process
-        #: resume/block instants) ⇒ ``Resource.execute`` runs as a generator
-        self.scheduling_heard = any(
-            getattr(s, "watches_scheduling", False) for s in self.subscribers
-        )
         # phase brackets; ``replace(None)`` swaps in an active copy of the
         # enclosing phase (a raw CPU burst inherits its context)
         self.push = _fan_out(routes["phase", "push"])

@@ -12,7 +12,8 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import Any, Optional
 
-from repro.sim.events import Event, Interrupted, NORMAL, PENDING, URGENT
+from repro.sim.events import Event, Interrupted, PENDING, URGENT
+from repro.sim.probe import CAT_AUDIT
 
 
 class Process(Event):
@@ -38,7 +39,7 @@ class Process(Event):
         init._ok = True
         init._value = None
         sim.schedule(init, delay=0.0, priority=URGENT)
-        init.add_callback(self._wake)
+        init.add_callback(self._start)
 
     @property
     def is_alive(self) -> bool:
@@ -61,6 +62,24 @@ class Process(Event):
         ev.add_callback(self._wake)
 
     # ------------------------------------------------------------------
+    def _start(self, init: Event) -> None:
+        """The init event: the thread exists from here (``audit/thread-start``,
+        once), then runs to its first block."""
+        pb = self.sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            pb.instant(CAT_AUDIT, "thread-start", tid=self.label)
+        self._resume(init)
+
+    def _ended(self, ok: bool) -> None:
+        """The generator terminated: ``audit/thread-end`` and, for a
+        recorder of the scheduling category, ``sim/end``."""
+        pb = self.sim.probe
+        if pb is not None:
+            if CAT_AUDIT in pb.heard:
+                pb.instant(CAT_AUDIT, "thread-end", tid=self.label)
+            if "sim" in pb.heard:
+                pb.instant("sim", "end", tid=self.label, ok=ok)
+
     def _resume(self, event: Event) -> None:
         if self._value is not PENDING:  # triggered, without the property hop
             # Interrupted after termination or double-resume: ignore.
@@ -93,16 +112,14 @@ class Process(Event):
                         event._defused = True
                         next_ev = gen.throw(event._value)
                 except StopIteration as stop:
-                    if pb is not None:
-                        pb.instant("sim", "end", tid=self.label, ok=True)
+                    self._ended(True)
                     self.succeed(stop.value, priority=URGENT)
                     return
                 except BaseException as exc:
                     # Unhandled failure inside the process: fail the process
                     # event.  If nobody waits on it the simulator will crash
                     # loudly when it processes the failure.
-                    if pb is not None:
-                        pb.instant("sim", "end", tid=self.label, ok=False)
+                    self._ended(False)
                     self.fail(exc, priority=URGENT)
                     return
 

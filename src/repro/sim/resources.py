@@ -5,20 +5,15 @@ Used to model CPUs (capacity = cores per node), NIC transmit engines
 
 A timed occupancy — request, hold for a duration, release — is the
 simulator's most frequent operation (one per protocol CPU burst, message
-end and busy-wait slice).  :meth:`Resource.execute` runs it one of two
-ways with the *same schedule*:
-
-* **generator path** — ``yield request; yield Timeout; release``: the
-  process is resumed at the grant and again at the end.  Taken whenever
-  a probe subscriber watches process scheduling
-  (:attr:`~repro.sim.probe.ProbeBus.scheduling_heard`: recorder, profiler):
-  those resume/block instants and the wait→busy phase switch are observable.
-* **kernel-resident path** — a :class:`Hold`: the grant is consumed by a
-  kernel callback instead of a process resume, so the process is resumed
-  once, at the end.  The grant marker takes the queue slot and sequence
-  number the grant event would have taken and its callback schedules the
-  timeout with the next sequence number, exactly as the resumed generator
-  would; every other process sees the same events in the same order.
+end and busy-wait slice).  :meth:`Resource.execute` runs it as a
+kernel-resident :class:`Hold`: the grant is consumed by a kernel callback
+instead of a process resume, so the process is resumed once, at the end.
+The schedule is that of ``yield request; yield Timeout; release`` — the
+grant marker takes the queue slot and sequence number the grant event
+would take and its callback schedules the timeout with the next sequence
+number; every other process sees the same events in the same order.  The
+wait → busy → done phase facts a resumed process would state at those
+instants, the hold states itself, as its waiter.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ import heapq
 import itertools
 from typing import Callable, Optional
 
-from repro.sim.events import Event, NORMAL, PENDING, SimulationError, Timeout
+from repro.sim.events import Event, NORMAL, PENDING, SimulationError
 
 _heappush = heapq.heappush
 
@@ -66,11 +61,11 @@ class _HoldEntry:
 
 
 def _hold_start(entry: _HoldEntry) -> None:
-    """Grant marker processed: start the timed occupancy — what the
-    generator path does when the grant event resumes it."""
+    """Grant marker processed: the wait is over, start the timed
+    occupancy."""
     hold = entry.hold
     sim = hold.sim
-    entry.callbacks = _HOLD_END
+    entry.callbacks = hold._end
     duration = hold.duration
     if duration > 0.0:  # never negative: checked where it is set
         _heappush(sim._heap, (sim.now + duration, NORMAL, next(sim._seq), entry))
@@ -80,10 +75,8 @@ def _hold_start(entry: _HoldEntry) -> None:
 
 def _hold_end(entry: _HoldEntry) -> None:
     """Timeout processed: release, then re-arm the next slice or resume
-    the waiters synchronously — the generator path's ``finally`` followed
-    by whatever the process does next.  ``again`` runs as the waiting
-    process; what it raises fails the hold, so the waiter has it thrown
-    in exactly as the generator path would."""
+    the waiters synchronously.  ``again`` runs as the waiting process;
+    what it raises fails the hold, so the waiter has it thrown in."""
     hold = entry.hold
     resource = hold.resource
     resource.release(hold)
@@ -105,7 +98,7 @@ def _hold_end(entry: _HoldEntry) -> None:
                     users.add(hold)
                     hold.granted_at = now = sim.now
                     resource.n_grants += 1
-                    entry.callbacks = _HOLD_START
+                    entry.callbacks = hold._start
                     sim._immediate.append((now, NORMAL, next(sim._seq), entry))
                 else:
                     _heappush(resource._queue,
@@ -123,8 +116,29 @@ def _hold_end(entry: _HoldEntry) -> None:
         cb(hold)
 
 
+def _as_waiter(state):
+    """An entry callback that states one phase fact of a profiled hold —
+    ``state(hold)`` — as the hold's waiter: in the event loop, where the
+    entry's callbacks run, nobody is running."""
+
+    def callback(entry: _HoldEntry) -> None:
+        hold = entry.hold
+        if hold is not None:  # not finished
+            sim = hold.sim
+            sim.active_process = hold.waiter
+            state(hold)
+            sim.active_process = None
+
+    return callback
+
+
 _HOLD_START = (_hold_start,)
 _HOLD_END = (_hold_end,)
+# the same around the phase facts of a hold somebody profiles (the last:
+# ``again`` re-submitted it); an unobserved hold carries, and pays for, none
+_PHASED_START = (_as_waiter(lambda hold: hold._pb.replace(hold.busy_phase)), _hold_start)
+_PHASED_END = (_as_waiter(lambda hold: hold._pb.pop()), _hold_end,
+               _as_waiter(lambda hold: hold._pb.push(hold.wait_phase)))
 
 
 class Hold(Request):
@@ -137,11 +151,17 @@ class Hold(Request):
     busy-wait loop, a chain of protocol bursts), ``None`` ends the hold,
     an exception fails it.
 
+    With *wait_phase* set and a ``phase`` consumer subscribed, the hold
+    brackets itself on the waiter's phase stack: ``push(wait_phase)`` at
+    every submit, ``replace(busy_phase)`` at the grant, ``pop`` at the end
+    (``busy_phase=None``: the enclosing phase, marked active).
+
     A process that stops waiting on a hold (interrupt, generator close)
     must :meth:`cancel` it.
     """
 
-    __slots__ = ("duration", "again", "waiter", "_entry")
+    __slots__ = ("duration", "again", "waiter", "_start", "_end", "_pb",
+                 "wait_phase", "busy_phase", "_entry")
 
     def __init__(
         self,
@@ -149,34 +169,64 @@ class Hold(Request):
         duration: float,
         priority: int = 0,
         again: Optional[Callable[[], Optional[float]]] = None,
+        wait_phase: Optional[str] = None,
+        busy_phase: Optional[str] = None,
     ):
         if duration < 0:
             raise ValueError(f"negative hold duration {duration!r}")
-        Request.__init__(self, resource, priority)
+        # Request.__init__ inlined (as it inlines Event.__init__): one hold
+        # per burst makes this the hottest allocation of a run
+        sim = self.sim = resource.sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
+        self.name = resource._req_name
+        self.resource = resource
+        self.priority = priority
         self.duration = duration
         self.again = again
-        if again is not None:
-            #: the process constructing (and about to yield) the hold:
-            #: the running thread while ``again`` executes
-            self.waiter = self.sim.active_process
+        #: the process constructing (and about to yield) the hold: the
+        #: running thread while ``again`` executes and phases are stated
+        self.waiter = sim.active_process
+        pb = sim.probe
+        if pb is None or wait_phase is None or "phase" not in pb.heard:
+            #: the entry's callbacks as grant marker and as timeout
+            self._start = _HOLD_START
+            self._end = _HOLD_END
+        else:
+            self._start = _PHASED_START
+            self._end = _PHASED_END
+            #: the bus the phase facts go to, kept: by the pop the last
+            #: subscriber may have left ``sim.probe``
+            self._pb = pb
+            self.wait_phase = wait_phase
+            self.busy_phase = busy_phase
+            pb.push(wait_phase)
         entry = self._entry = _HoldEntry()
         entry.hold = self
         resource._submit(self)
 
     def _granted(self) -> None:
         entry = self._entry
-        entry.callbacks = _HOLD_START
+        entry.callbacks = self._start
         sim = self.sim
         sim._immediate.append((sim.now, NORMAL, next(sim._seq), entry))
 
     def cancel(self) -> None:
         """Abandon the hold in whatever state it is in: leave the queue or
-        give the unit back.  Its pending queue entry, if any, still counts
-        as an event but does nothing."""
+        give the unit back, and close its phase — as the waiter, whoever
+        is running.  Its pending queue entry, if any, still counts as an
+        event but does nothing."""
         entry = self._entry
         if entry.hold is self:  # neither finished nor cancelled yet
             entry.hold = None
             entry.callbacks = ()
+            if self._end is _PHASED_END:
+                sim = self.sim
+                running, sim.active_process = sim.active_process, self.waiter
+                self._pb.pop()
+                sim.active_process = running
             self.resource.relinquish(self)
 
 
@@ -271,35 +321,14 @@ class Resource:
 
         For phase consumers the queue wait is stated as *wait_phase* and
         the occupancy as *busy_phase* (``None``: the enclosing phase,
-        marked active).  This is the one place that
-        picks between the two burst paths of the module docstring.
+        marked active).
         """
-        sim = self.sim
-        pb = sim.probe
-        if pb is None or not pb.scheduling_heard:
-            hold = Hold(self, duration, priority, again)
-            try:
-                yield hold
-            except BaseException:
-                hold.cancel()
-                raise
-            return
-        if wait_phase is None or "phase" not in pb.heard:
-            pb = None
-        while duration is not None:
-            req = self.request(priority)
-            if pb is not None:
-                pb.push(wait_phase)
-            try:
-                yield req
-                if pb is not None:
-                    pb.replace(busy_phase)
-                yield Timeout(sim, duration)
-            finally:
-                if pb is not None:
-                    pb.pop()
-                self.relinquish(req)
-            duration = again() if again is not None else None
+        hold = Hold(self, duration, priority, again, wait_phase, busy_phase)
+        try:
+            yield hold
+        except BaseException:
+            hold.cancel()
+            raise
 
     @property
     def utilization_until_now(self) -> float:

@@ -43,7 +43,9 @@ Categories
 
 :data:`DEFAULT_CATEGORIES` is everything except :data:`CAT_SIM`: kernel
 scheduling events fire on every process resume and would dominate the
-ring; opt in with ``categories=ALL_CATEGORIES``.
+ring, and the kernel assembles them only while a recorder that opted in
+(``categories=ALL_CATEGORIES``) is attached.  A timed resource occupancy
+is kernel-resident, so it shows as one block and one resume.
 """
 
 from __future__ import annotations

@@ -10,9 +10,7 @@ The recorder is a subscriber of the simulation's probe bus
 (:mod:`repro.sim.probe` documents the one instrumentation pattern): it
 consumes every kind of its :attr:`~TraceRecorder.categories` (read when
 the bus resolves a kind: set them before attaching) plus ``kernel/step`` for
-queue-depth sampling, and declares ``watches_scheduling`` — it may show
-process resume/block instants, so CPU bursts take the generator path
-while one is attached.  :meth:`instant`, :meth:`span` and :meth:`counter`
+queue-depth sampling.  :meth:`instant`, :meth:`span` and :meth:`counter`
 record directly, for exporters and tests that build a ring by hand.
 
 The ring is a ``deque(maxlen=capacity)``: when full, the *oldest* events
@@ -82,8 +80,6 @@ class TraceRecorder(Subscriber):
             self.attach()
 
     # -- subscription -----------------------------------------------------
-    watches_scheduling = True
-
     def handler_for(self, cat: str, name: str):
         if (cat, name) == ("kernel", "step"):
             return self._on_step

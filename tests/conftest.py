@@ -7,7 +7,7 @@ import pytest
 
 from repro.dsm.states import PageState
 from repro.mpi.ops import SUM
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 from repro.vm import ProtectionFault
 
 # canonical builders live in the library so benchmarks can share them
@@ -52,6 +52,34 @@ def rescan_acquire(dn, addr, size, is_write):
             return
         except ProtectionFault as fault:
             yield from dn._service_fault((fault.vpage,), 0, is_write)
+
+
+def reference_execute(res, duration, priority=0, wait_phase=None,
+                      busy_phase=None, again=None):
+    """``Resource.execute`` as observed runs took it before the hold
+    stated its own phases — the schedule and phase oracle for
+    :class:`repro.sim.Hold` (monkeypatch it in): request, resume at the
+    grant, time out, resume at the end, release; the resumed process
+    itself pushes the wait, switches to busy and pops.  Lives here, not
+    in ``src/``."""
+    sim = res.sim
+    pb = sim.probe
+    if pb is not None and (wait_phase is None or "phase" not in pb.heard):
+        pb = None
+    while duration is not None:
+        req = res.request(priority)
+        if pb is not None:
+            pb.push(wait_phase)
+        try:
+            yield req
+            if pb is not None:
+                pb.replace(busy_phase)
+            yield Timeout(sim, duration)
+        finally:
+            if pb is not None:
+                pb.pop()
+            res.relinquish(req)
+        duration = again() if again is not None else None
 
 
 def reference_generate(state, n, a=1220703125, lanes=4096):

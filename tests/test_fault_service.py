@@ -5,8 +5,10 @@ the sibling-downgrade case the plan's stamp exists for.
 The oracle is the loop the service replaced — rescan the range after
 every serviced fault, one page per burst — kept in ``conftest.py`` and
 monkeypatched over ``DsmNode._acquire``: both must fault on the same
-pages at the same instants from the same threads, on the kernel-resident
-burst path (detached run) and on the generator path (traced run).
+pages at the same instants from the same threads, and a recorder must
+see the same events — in every category but ``sim``: the oracle's one
+burst per page resumes the thread once per page, the service's burst
+chain once per run.
 """
 
 import json
@@ -20,7 +22,7 @@ from repro.dsm.config import HOMELESS_LRC, KDSM_BASELINE, PARADE_DSM
 from repro.dsm.node import DsmNode
 from repro.runtime import ParadeRuntime
 from repro.sim.probe import CAT_AUDIT, Subscriber
-from repro.trace import ALL_CATEGORIES, TraceRecorder
+from repro.trace import TraceRecorder
 from conftest import build_dsm, rescan_acquire, run_all, sync_loops
 
 PAGE = 4096
@@ -28,8 +30,7 @@ PER_PAGE = PAGE // 8  # float64 elements
 
 
 class _FaultLog(Subscriber):
-    """Every ``audit/fault`` as (time, thread, page, write).  Does not
-    watch scheduling, so the run stays on the kernel-resident path."""
+    """Every ``audit/fault`` as (time, thread, page, write)."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -54,9 +55,8 @@ _PROTOCOLS = {
     "sdsm": {"mode": "sdsm"},
     "homeless": {"dsm_config": HOMELESS_LRC},
 }
-#: (protocol, nodes, accel, traced): the kernel-resident burst path over
-#: the whole matrix, the generator path (a recorder watching process
-#: scheduling) on its 2-node half plus one 4-node point
+#: (protocol, nodes, accel, traced): the whole matrix detached, its
+#: 2-node half plus one 4-node point under a recorder
 _CASES = [
     (p, n, a, False) for p in sorted(_PROTOCOLS) for n in (2, 4) for a in (False, True)
 ] + [
@@ -70,8 +70,8 @@ def _observe(app, protocol, n_nodes, accel, traced):
     rt = ParadeRuntime(n_nodes=n_nodes, protocol_accel=accel,
                        pool_bytes=1 << 20, **_PROTOCOLS[protocol])
     log = _FaultLog(rt.sim)
-    if traced:  # incl. the process resume/block instants of every burst
-        rec = TraceRecorder(rt.sim, capacity=1 << 20, categories=ALL_CATEGORIES)
+    if traced:  # the default categories: everything but ``sim``
+        rec = TraceRecorder(rt.sim, capacity=1 << 20)
     res = rt.run(_APPS[app]())
     assert log.faults or app == "sync"  # object-granularity scalars only
     out = {
@@ -96,7 +96,7 @@ def test_service_order_equals_the_rescan_oracle(
         monkeypatch, protocol, n_nodes, accel, traced):
     """Same fault sequence (page, write, time, thread), stats, value and
     trace as rescanning after every fault."""
-    # traced CG under sdsm is 300 k spin-slice events; its generator-path
+    # traced CG under sdsm is 300 k spin-slice events; its traced
     # coverage is the parade and homeless rows
     apps = [a for a in _APPS if not (traced and protocol == "sdsm" and a == "cg")]
     new = {app: _observe(app, protocol, n_nodes, accel, traced) for app in apps}
@@ -203,7 +203,7 @@ def test_sibling_downgrades_mid_run_rebuild_the_plan(
 
 # ------------------------------------------------------------- work bound
 class _Resumes(Subscriber):
-    """Counts ``sim/resume`` per thread without watching scheduling."""
+    """Counts ``sim/resume`` per thread."""
 
     def __init__(self, sim):
         self.sim = sim

@@ -1,10 +1,12 @@
-"""The probe bus (:mod:`repro.sim.probe`): lifecycle, routing, the two
-kernel queries, the detached-is-free contract, and the source scan that
-keeps per-observer slots from growing back."""
+"""The probe bus (:mod:`repro.sim.probe`): lifecycle, routing, the
+kernel query, the detached-is-free contract, the facts-have-consumers
+guard, and the source scans that keep per-observer slots and the second
+burst path from growing back."""
 
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 import re
 import time
@@ -17,20 +19,22 @@ from repro.mpi.ops import SUM
 from repro.profile import Profiler, ProfileReport
 from repro.runtime import ParadeRuntime
 from repro.sanitizer import Sanitizer
-from repro.sim import Hold, Resource, Simulator
+from repro.sim import Hold, Process, Resource, Simulator
 from repro.sim.probe import CAT_AUDIT, ProbeBus, subscribe, unsubscribe
 from repro.trace import TraceRecorder
 
 from test_determinism_golden import (
     OBSERVER_GOLDENS,
     OBSERVER_ORDER,
+    _cg_workload,
     _observer_golden,
     _sha,
     _trace_digest,
     observed_snapshot,
 )
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
 
 
 def _attach(observer: str, rt: ParadeRuntime):
@@ -244,7 +248,7 @@ def test_fact_reaches_every_consumer_once_in_subscription_order():
     ]
 
 
-# ------------------------------------------------------------ kernel queries
+# -------------------------------------------------------------- kernel query
 class _StepConsumer:
     categories = ()
 
@@ -255,16 +259,8 @@ class _StepConsumer:
         pass
 
 
-class _SchedulingWatcher:
-    categories = ()
-    watches_scheduling = True
-
-    def handler_for(self, cat, name):
-        return None
-
-
 def _burst_is_kernel_resident(sim) -> bool:
-    """Which path does ``Resource.execute`` pick right now?"""
+    """Is a ``Resource.execute`` burst one :class:`Hold` right now?"""
     gen = Resource(sim, capacity=1).execute(1e-6)
     first = next(gen)
     gen.close()
@@ -272,43 +268,141 @@ def _burst_is_kernel_resident(sim) -> bool:
 
 
 def test_queries_flip_exactly_when_a_consumer_comes_or_goes():
+    """``steps`` follows the subscriber set; a burst is kernel-resident
+    whoever is subscribed."""
     sim = Simulator()
     assert sim.probe is None and _burst_is_kernel_resident(sim)
 
     steps = _StepConsumer()
     subscribe(sim, steps)
     assert isinstance(sim.probe, ProbeBus)
-    assert sim.probe.steps == (steps.on_step,)
-    assert not sim.probe.scheduling_heard and _burst_is_kernel_resident(sim)
+    assert sim.probe.steps == (steps.on_step,) and _burst_is_kernel_resident(sim)
 
-    watcher = _SchedulingWatcher()
-    subscribe(sim, watcher)
-    assert sim.probe.steps == (steps.on_step,)
-    assert sim.probe.scheduling_heard and not _burst_is_kernel_resident(sim)
+    rec = TraceRecorder(sim)
+    assert sim.probe.steps == (steps.on_step, rec._on_step)
+    assert _burst_is_kernel_resident(sim)
 
     unsubscribe(sim, steps)
-    assert sim.probe.steps == ()
-    assert sim.probe.scheduling_heard and not _burst_is_kernel_resident(sim)
+    assert sim.probe.steps == (rec._on_step,) and _burst_is_kernel_resident(sim)
 
-    unsubscribe(sim, watcher)
+    rec.detach()
     assert sim.probe is None and _burst_is_kernel_resident(sim)
 
 
 @pytest.mark.parametrize(
-    "observer,steps,scheduling",
-    [("trace", True, True), ("profiler", False, True),
+    "observer,steps,phases",
+    [("trace", True, False), ("profiler", False, True),
      ("metrics", True, False), ("sanitizer", False, False)],
 )
 def test_stock_observers_answer_the_queries_like_the_old_slots(
-    observer, steps, scheduling
+    observer, steps, phases
 ):
     """Same rule as before the bus: exact ``events_processed`` iff trace
-    or metrics, generator-path bursts iff trace or profiler."""
+    or metrics; a burst states its phases iff profiler — and is one
+    ``Hold`` under all four."""
     rt = ParadeRuntime(n_nodes=1, pool_bytes=1 << 20)
     _attach(observer, rt)
     assert bool(rt.sim.probe.steps) is steps
-    assert rt.sim.probe.scheduling_heard is scheduling
-    assert _burst_is_kernel_resident(rt.sim) is not scheduling
+    assert ("phase" in rt.sim.probe.heard) is phases
+    assert _burst_is_kernel_resident(rt.sim)
+
+
+# ------------------------------------------- an observed run pays for no more
+class _CountingBus(ProbeBus):
+    """Tallies every stated fact by kind, and those no handler consumed."""
+
+    made = []
+
+    def __init__(self):
+        self.facts = collections.Counter()  # instant / span / counter
+        self.phase_facts = collections.Counter()
+        self.unheard = collections.Counter()
+        _CountingBus.made.append(self)
+        super().__init__()
+
+    def _rewire(self):
+        super()._rewire()
+        for name in ("push", "replace", "pop"):
+            setattr(self, name, self._counted_phase(name, getattr(self, name)))
+
+    def _counted_phase(self, name, deliver):
+        def state(*phase):
+            self.phase_facts[name] += 1
+            if not self._routes["phase", name]:
+                self.unheard["phase", name] += 1
+            deliver(*phase)
+
+        return state
+
+    def _count(self, cat, name):
+        self.facts[cat, name] += 1
+        if not self._routes[cat, name]:
+            self.unheard[cat, name] += 1
+
+    def instant(self, cat, name, *args, **kw):
+        self._count(cat, name)
+        super().instant(cat, name, *args, **kw)
+
+    def span(self, cat, name, *args, **kw):
+        self._count(cat, name)
+        super().span(cat, name, *args, **kw)
+
+    def counter(self, cat, name, *args, **kw):
+        self._count(cat, name)
+        super().counter(cat, name, *args, **kw)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """Every bus created from here on counts; ``resumes[0]`` counts
+    ``Process._resume`` calls.  Returns ``(buses, resumes)``."""
+    monkeypatch.setattr("repro.sim.probe.ProbeBus", _CountingBus)
+    monkeypatch.setattr(_CountingBus, "made", [])
+    resumes = [0]
+    resume = Process._resume
+
+    def counted(self, event):
+        resumes[0] += 1
+        resume(self, event)
+
+    monkeypatch.setattr(Process, "_resume", counted)
+    return _CountingBus.made, resumes
+
+
+def test_an_observed_run_states_only_facts_somebody_consumes(counting):
+    """The observer-golden CG run, all four attached: every stated kind
+    has a consumer, the assembled facts (``instant`` / ``span`` /
+    ``counter``; the profiler's phase brackets on top) stay under a
+    ceiling a per-resume fact would triple, and observing costs no
+    process resume — a burst is one resume attached or detached."""
+    buses, resumes = counting
+    assert observed_snapshot("cg") == _observer_golden("cg")
+    (bus,) = buses
+    assert not bus.unheard
+    assert 50_000 < sum(bus.facts.values()) <= 58_500  # 57 930; was 179 192
+    assert not any(cat == "sim" for cat, _ in bus.facts)
+    assert bus.phase_facts["push"] == bus.phase_facts["pop"] > bus.phase_facts["replace"] > 0
+    attached = resumes[0]
+
+    rt, program = _cg_workload()
+    rt.run(program)
+    assert len(buses) == 1 and rt.sim.probe is None
+    assert resumes[0] - attached == attached == 34_767  # was 60 647 attached
+
+
+def test_a_profiler_alone_hears_no_scheduling_fact(counting):
+    """The profiler's thread-lifecycle kinds are ``audit`` kinds, so with
+    only a profiler attached ``Process._resume`` assembles nothing."""
+    buses, _ = counting
+    rt, program = _cg_workload()
+    prof = Profiler(rt.sim)
+    rt.run(program)
+    (bus,) = buses
+    assert "sim" not in bus.heard
+    assert not any(cat == "sim" for cat, _ in bus.facts)
+    # stated once per thread, not once per resume
+    assert (bus.facts[CAT_AUDIT, "thread-start"] == bus.facts[CAT_AUDIT, "thread-end"]
+            == len(prof.threads) > 4)
 
 
 def test_sites_are_told_which_categories_have_a_consumer():
@@ -370,6 +464,23 @@ def test_stack_has_one_observer_mechanism():
                     rel, scope
                 ) != ("runtime/runtime.py", ("ParadeRuntime", "__init__")):
                     offences.append(f"{rel}: imports {module} in {'.'.join(scope) or 'module'}")
+    assert not offences, "\n".join(offences)
+
+
+def test_one_burst_path_and_no_scheduling_query():
+    """Keep the fork from growing back: the bus query and the subscriber
+    attribute that selected the second burst implementation are named
+    nowhere (``tests/conftest.py::reference_execute`` is the only other
+    implementation, and it is the oracle)."""
+    gone = re.compile("|".join(("scheduling" + "_heard", "watches" + "_scheduling")))
+    offences = [
+        f"{path.relative_to(REPO)}:{n}: {line.strip()}"
+        for top in ("src", "tests", "docs")
+        for path in sorted((REPO / top).rglob("*"))
+        if path.suffix in (".py", ".md")
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if gone.search(line)
+    ]
     assert not offences, "\n".join(offences)
 
 

@@ -1,13 +1,17 @@
-"""Schedule equivalence of the two burst paths.
+"""The kernel-resident burst (:class:`repro.sim.resources.Hold`) against
+its oracle.
 
-A timed resource occupancy runs either as a generator
-(``yield request; yield Timeout; release`` — two process resumes) or as
-a kernel-resident :class:`repro.sim.resources.Hold` (one resume).  The
-contract is that nobody can tell from the schedule: same events, same
-order, same times.  Seeded random programs check it three ways — the
-explicit generator spelled out here, ``Resource.execute`` detached (the
-``Hold`` path), and ``Resource.execute`` with a trace recorder attached
-(its own generator path) — and two app-level runs check it end to end.
+A timed resource occupancy is one ``Hold`` — the process is resumed
+once, at the end — and the contract is that nobody can tell it from the
+process doing it by hand (``yield request; yield Timeout; release``, two
+resumes): same events, same order, same times, and for a profiler the
+same wait → busy → done phase intervals.  Seeded random programs check
+it against the request/timeout/release sequence spelled out here
+(schedule) and against ``conftest.reference_execute`` — the generator
+``Resource.execute`` used to be for observed runs, monkeypatched in
+(schedule + profiler intervals) — and two app-level runs check it end to
+end.  The last section pins what a burst owes the phase stack when its
+process stops waiting.
 """
 
 from __future__ import annotations
@@ -16,8 +20,11 @@ import random
 
 import pytest
 
-from repro.sim import Resource, Simulator
-from repro.trace import TraceRecorder
+from repro.profile import Profiler
+from repro.sim import Interrupted, Resource, Simulator
+from repro.sim.probe import PH_COMPUTE, PH_CPU_WAIT, PH_LOCK_WAIT, bracket
+from repro.trace import DEFAULT_CATEGORIES, TraceRecorder
+from conftest import reference_execute
 
 DURATIONS = (0.0, 1e-6, 1e-6, 2e-6, 5e-6)  # zero-length bursts and ties
 PRIORITIES = (0, 0, -1, 1)  # -1 is the comm thread's
@@ -52,10 +59,18 @@ def _make_program(seed: int):
     return scripts, n_events
 
 
+def _observe(sim):
+    """A profiler (phase intervals) and a recorder (exact event count,
+    queue depth every 64th event)."""
+    return Profiler(sim), TraceRecorder(sim)
+
+
 def _run(seed: int, path: str):
+    """*path*: ``explicit`` (by hand, detached), ``hold`` (``execute``
+    detached), ``observed`` (``execute``, profiler + recorder attached);
+    the caller patches ``execute`` for the oracle run."""
     sim = Simulator()
-    if path == "traced":
-        TraceRecorder(sim)
+    prof, rec = _observe(sim) if path == "observed" else (None, None)
     resources = [Resource(sim, capacity=1, name="r1"), Resource(sim, capacity=2, name="r2")]
     scripts, n_events = _make_program(seed)
     events = [sim.event() for _ in range(n_events)]
@@ -69,16 +84,18 @@ def _run(seed: int, path: str):
             yield sim.timeout(duration)
             res.release(req)
         else:
-            yield from res.execute(duration, priority)
+            yield from res.execute(duration, priority, PH_CPU_WAIT, PH_COMPUTE)
 
     def spin(res, slice_s, ev):
         if path == "explicit":
             while not ev.triggered:
                 yield from burst(res, slice_s, 0)
         elif not ev.triggered:
-            yield from res.execute(
-                slice_s, again=lambda: None if ev.triggered else slice_s
-            )
+            # a raw burst chain: busy time goes to the enclosing phase
+            yield from bracket(sim, PH_LOCK_WAIT, res.execute(
+                slice_s, 0, PH_CPU_WAIT,
+                again=lambda: None if ev.triggered else slice_s,
+            ))
         yield ev
 
     def proc(i, ops):
@@ -98,7 +115,7 @@ def _run(seed: int, path: str):
         sim.process(proc(i, ops), label=f"p{i}")
     sim.run()
     assert len(finished) == len(scripts)
-    return {
+    schedule = {
         "events": sim.events_processed,
         "now": sim.now,
         "wakeups": wakeups,
@@ -107,14 +124,27 @@ def _run(seed: int, path: str):
         "grants": [r.n_grants for r in resources],
         "idle": [(r.count, r.queue_length) for r in resources],
     }
+    if prof is None:
+        return schedule
+    prof.finalize()
+    assert prof.max_sum_error() < 1e-12
+    return schedule, {
+        "intervals": prof.intervals,
+        "ledgers": prof.ledgers(),
+        "queue_depths": [(ev.ts, ev.args) for ev in rec.events],
+    }
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_burst_paths_produce_the_same_schedule(seed):
+def test_burst_paths_produce_the_same_schedule(monkeypatch, seed):
     explicit = _run(seed, "explicit")
     assert explicit["idle"] == [(0, 0), (0, 0)]
     assert _run(seed, "hold") == explicit
-    assert _run(seed, "traced") == explicit
+    schedule, phases = _run(seed, "observed")
+    assert schedule == explicit
+    assert {"cpu-wait", "compute", "lock-wait"} <= {iv[3] for iv in phases["intervals"]}
+    monkeypatch.setattr(Resource, "execute", reference_execute)
+    assert _run(seed, "observed") == (explicit, phases)
 
 
 def test_programs_exercise_contention_ties_and_spinning():
@@ -142,15 +172,31 @@ def _fingerprint(rt, res):
     }
 
 
+def _outcome(rt, res, observers):
+    """The fingerprint and, for a traced run, everything the profiler
+    and the recorder (default categories) saw."""
+    fp = _fingerprint(rt, res)
+    if observers is None:
+        return fp
+    prof, rec = observers
+    prof.finalize()
+    assert rec.n_dropped == 0 and prof.max_sum_error() < 1e-9
+    return fp, {
+        "intervals": prof.intervals,
+        "ledgers": prof.ledgers(),
+        "trace": [(ev.ts, ev.dur, ev.cat, ev.name, ev.node, ev.tid, ev.args, ev.ph)
+                  for ev in rec.events],
+    }
+
+
 def _sync_sdsm(traced: bool):
     """The Fig 6/7 critical + single loops under the KDSM baseline: the
-    busy-wait lock client is what the hold chain replaces."""
+    busy-wait lock client is a hold chain."""
     from repro.mpi.ops import SUM
     from repro.runtime import ParadeRuntime
 
     rt = ParadeRuntime(n_nodes=4, mode="sdsm", pool_bytes=1 << 20)
-    if traced:
-        TraceRecorder(rt.sim)
+    observers = _observe(rt.sim) if traced else None
 
     def program(ctx):
         x = ctx.shared_scalar("x")
@@ -176,7 +222,7 @@ def _sync_sdsm(traced: bool):
     res = rt.run(program)
     assert res.value == 4.0 * rt.n_threads
     assert res.dsm_stats["lock_acquires"] > 0
-    return _fingerprint(rt, res)
+    return _outcome(rt, res, observers)
 
 
 def _cg_class_t(traced: bool):
@@ -184,12 +230,105 @@ def _cg_class_t(traced: bool):
     from repro.runtime import ParadeRuntime
 
     rt = ParadeRuntime(n_nodes=4, pool_bytes=1 << 23)
-    if traced:
-        TraceRecorder(rt.sim)
-    res = rt.run(cg.make_program("T", niter=1))
-    return _fingerprint(rt, res)
+    observers = _observe(rt.sim) if traced else None
+    return _outcome(rt, rt.run(cg.make_program("T", niter=1)), observers)
 
 
 @pytest.mark.parametrize("app", [_sync_sdsm, _cg_class_t], ids=["sync-sdsm", "cg-T"])
-def test_apps_are_identical_detached_and_traced(app):
-    assert app(traced=False) == app(traced=True)
+def test_apps_are_identical_detached_and_traced(monkeypatch, app):
+    """Detached, observed, and observed with every burst run by the
+    oracle: one schedule; the two observed runs also one profile and one
+    default-category trace."""
+    detached = app(traced=False)
+    fingerprint, seen = app(traced=True)
+    assert fingerprint == detached
+    assert {ev[2] for ev in seen["trace"]} <= DEFAULT_CATEGORIES
+    monkeypatch.setattr(Resource, "execute", reference_execute)
+    assert app(traced=True) == (detached, seen)
+
+
+# ------------------------------------------- a burst that stops waiting
+def _abandon(how: str, when: str):
+    """Victim V opens phase ``outer`` and starts a 5 us burst on a
+    one-unit resource that holder H has until t = 10 us; actor A, inside
+    its own phase ``actor``, interrupts V or closes V's generator while
+    V's hold is *when*: ``queued`` (t = 2 us), ``granted`` (H has just
+    released — A wakes off H's termination, an urgent event ahead of the
+    grant marker) or ``busy`` (t = 12 us).  W bursts afterwards."""
+    sim = Simulator()
+    prof = Profiler(sim)
+    res = Resource(sim, capacity=1, name="r")
+    seen = {}
+
+    def stack_of(tid):
+        return list(prof.threads[tid].stack)
+
+    def holder():
+        yield from res.execute(10e-6, 0, PH_CPU_WAIT, PH_COMPUTE)
+
+    def victim():
+        yield sim.timeout(1e-6)
+        sim.probe.push("outer")  # never popped: only the hold's facts move V's stack
+        try:
+            yield from res.execute(5e-6, 0, PH_CPU_WAIT, PH_COMPUTE)
+        except Interrupted:
+            seen["caught"] = sim.now
+        yield sim.timeout(3e-6)
+
+    def actor(h, v, v_gen):
+        sim.probe.push("actor")
+        if when == "granted":
+            yield h
+        else:
+            yield sim.timeout({"queued": 2e-6, "busy": 12e-6}[when])
+        (user,) = res.users  # V's hold once granted, H's while V queues
+        seen["before"] = (stack_of("V"), res.count, res.queue_length, user.granted_at)
+        if how == "interrupt":
+            v.interrupt("stop")
+        else:
+            v_gen.close()
+            seen["after-close"] = (stack_of("V"), stack_of("A"))
+        yield sim.timeout(1e-6)
+        seen["after"] = (stack_of("V"), stack_of("A"), res.count, res.queue_length)
+
+    def late():
+        yield sim.timeout(20e-6)
+        yield from res.execute(1e-6, 0, PH_CPU_WAIT, PH_COMPUTE)
+        seen["late"] = sim.now
+
+    h = sim.process(holder(), label="H")
+    v_gen = victim()
+    v = sim.process(v_gen, label="V")
+    sim.process(actor(h, v, v_gen), label="A")
+    sim.process(late(), label="W")
+    sim.run()
+    prof.finalize()
+    return sim, prof, res, seen
+
+
+@pytest.mark.parametrize("when", ["queued", "granted", "busy"])
+@pytest.mark.parametrize("how", ["interrupt", "close"])
+def test_abandoned_burst_leaves_the_phase_stack_as_it_found_it(how, when):
+    sim, prof, res, seen = _abandon(how, when)
+    waiting = {"queued": ("cpu-wait", False), "granted": ("cpu-wait", False),
+               "busy": ("compute", True)}[when]
+    v_stack, count, queued, granted_at = seen["before"]
+    assert v_stack == [("outer", False), waiting]
+    if when == "queued":
+        assert (count, queued, granted_at) == (1, 1, 0.0)  # H's unit, V waits
+    else:
+        assert (count, queued, granted_at) == (1, 0, 10e-6)  # V holds it
+    # popped exactly once, from V's stack, whoever was running; unit back
+    assert seen["after"] == (
+        [("outer", False)], [("actor", False)], 1 if when == "queued" else 0, 0)
+    if how == "close":
+        assert seen["after-close"] == ([("outer", False)], [("actor", False)])
+    else:
+        assert seen["caught"] == {"queued": 2e-6, "granted": 10e-6, "busy": 12e-6}[when]
+    # the unit is usable afterwards and nothing is left behind
+    assert seen["late"] == 20e-6 + 1e-6
+    assert (res.count, res.queue_length) == (0, 0)
+    # every thread's phase times still sum to its lifetime (--check)
+    assert prof.max_sum_error() < 1e-12
+    busy_until = {"queued": 10e-6, "granted": 10e-6, "busy": 12e-6}[when]
+    assert res.total_busy_time == pytest.approx(busy_until + 1e-6, abs=1e-15)

@@ -288,6 +288,30 @@ def test_sim_category_records_scheduler_events():
     assert any(t.startswith("comm[") for t in tids)
 
 
+def test_sim_category_shows_a_burst_as_one_block_and_one_resume():
+    """A timed occupancy is kernel-resident under a recorder too: the
+    grant is not a process resume (docs/TRACING.md "Categories")."""
+    from repro.sim import Resource, Simulator
+
+    sim = Simulator()
+    rec = TraceRecorder(sim, categories={CAT_SIM})
+    cpu = Resource(sim, capacity=1, name="cpu")
+
+    def worker():
+        yield from cpu.execute(2e-6)
+        yield from cpu.execute(1e-6, again=iter([1e-6, 1e-6, None]).__next__)
+
+    sim.process(worker(), label="w")
+    sim.run()
+    assert cpu.n_grants == 4
+    end = 2e-6 + 1e-6 + 1e-6 + 1e-6
+    assert [(e.ts, e.name, (e.args or {}).get("target")) for e in rec.events] == [
+        (0.0, "resume", None), (0.0, "block", "req:cpu"),
+        (2e-6, "resume", None), (2e-6, "block", "req:cpu"),  # a 3-slice chain
+        (end, "resume", None), (end, "end", None),
+    ]
+
+
 def test_full_chrome_export_of_traced_run(tmp_path):
     rec, _ = _traced_run()
     path = str(tmp_path / "run.json")
