@@ -8,9 +8,11 @@ chunk of the NAS EP kernel (stream fill + tally); and one
 ``Metrics.sample()`` with the stock sources over node counts and pool
 sizes (its cost must follow the series count, never the pool); the
 DSM write-upgrade fault path per page over range lengths (a longer range
-must cost less per page, not more); and one ``Node.busy_cpu`` burst
+must cost less per page, not more); one ``Node.busy_cpu`` burst
 detached and under each observer set (an attached profiler or recorder
-adds its own handlers' cost to a burst, not a second process resume).
+adds its own handlers' cost to a burst, not a second process resume);
+and one quiet 1 000-slice ``Node.spin_cpu`` busy-wait (four kernel
+events, asserted — not a thousand).
 Run directly for a table of wall-clock timings::
 
     PYTHONPATH=src python benchmarks/bench_microkernels.py
@@ -44,6 +46,11 @@ CEILING_CHECK_RANGE = 5e-4
 CEILING_METRICS_SAMPLE = 5e-3
 CEILING_RANGE_FAULT = 5e-4  # per page
 CEILING_OBSERVED_BURST = 5e-5  # per burst, all four observers attached
+CEILING_SPIN_WAIT = 6e-4  # per 1 000-slice wait (~0.15 ms); slice by slice it was 1.4 ms
+#: kernel events of one quiet busy-wait, however many slices it spans: the
+#: grant timer, the grant event, the spin's first slice (on the schedule)
+#: and the slice the grant's processing puts back on it
+SPIN_WAIT_EVENTS = 4
 
 
 def _float_update_page(seed: int = 0):
@@ -165,7 +172,7 @@ def _range_fault_per_page(n_pages: int) -> float:
             t0 = time.perf_counter()
             for _ in range(rounds):
                 yield from view.writable()
-                dn._close_interval()
+                dn._close_interval(list(dn.dirty))
             best.append(time.perf_counter() - t0)
 
     run_all(cluster, [prog()])
@@ -214,8 +221,9 @@ def _burst_seconds(observers: tuple, n: int = 4000) -> float:
 
 
 def bench_observed_burst() -> dict:
-    """Host seconds per ``Node.busy_cpu`` burst (submit, grant marker,
-    timeout, ONE process resume) on an idle one-node cluster: detached,
+    """Host seconds per ``Node.busy_cpu`` burst (submit, grant, ONE
+    kernel event at the end of the occupancy, ONE process resume) on an
+    idle one-node cluster: detached,
     under a profiler (three phase facts per burst), under a recorder (an
     exact step count per event), and under all four observers."""
     return {
@@ -223,6 +231,45 @@ def bench_observed_burst() -> dict:
         "profiler": _burst_seconds(("profiler",)),
         "recorder": _burst_seconds(("recorder",)),
         "all four": _burst_seconds(("recorder", "sanitizer", "profiler", "metrics")),
+    }
+
+
+def _spin_wait_seconds(observers: tuple, slices: int = 1000, n: int = 200) -> float:
+    from repro.profile import Profiler
+    from repro.testing import build_cluster, run_all
+
+    best = []
+    for _ in range(5):
+        cluster = build_cluster(1)
+        sim, node = cluster.sim, cluster.nodes[0]
+        if observers:
+            Profiler(sim)
+        slice_s = 5e-6 * node.speed_factor  # 5 us once scaled
+
+        def prog():
+            for _ in range(n):
+                granted = sim.event()
+                sim.timeout((slices - 0.5) * 5e-6).add_callback(
+                    lambda _ev, granted=granted: granted.succeed())
+                yield from node.spin_cpu(slice_s, granted)
+
+        t0 = time.perf_counter()
+        run_all(cluster, [prog()])
+        best.append(time.perf_counter() - t0)
+        assert node.cpus.n_grants == n * slices
+        # the process's init and end, and the ceiling per wait — exactly
+        assert sim.events_processed == 2 + n * SPIN_WAIT_EVENTS
+    return min(best) / n
+
+
+def bench_spin_wait() -> dict:
+    """Host seconds per quiet 1 000-slice ``Node.spin_cpu`` busy-wait on
+    an otherwise idle node (the KDSM lock client between two protocol
+    messages): the wait parks, so its cost is :data:`SPIN_WAIT_EVENTS`
+    kernel events — asserted — plus booking the skipped slices."""
+    return {
+        "detached": _spin_wait_seconds(()),
+        "profiler": _spin_wait_seconds(("profiler",)),
     }
 
 
@@ -255,6 +302,10 @@ def test_observed_burst_speed():
     assert max(bench_observed_burst().values()) < CEILING_OBSERVED_BURST
 
 
+def test_spin_wait_speed_and_event_ceiling():
+    assert max(bench_spin_wait().values()) < CEILING_SPIN_WAIT
+
+
 def main() -> None:
     for title, fn in (
         ("compute_diff", bench_compute_diff),
@@ -264,6 +315,7 @@ def main() -> None:
         ("metrics_sample", bench_metrics_sample),
         ("range_fault (per page)", bench_range_fault),
         ("observed_burst (per busy_cpu burst)", bench_observed_burst),
+        ("spin_wait (per quiet 1000-slice wait)", bench_spin_wait),
     ):
         print(f"{title}:")
         for case, sec in fn().items():

@@ -178,7 +178,7 @@ class ChaosEngine:
             node = cluster.nodes[sd.node]
 
             def begin(ev=None, node=node, sd=sd):
-                node.speed_factor = node.speed_factor / sd.factor
+                node.set_speed_factor(node.speed_factor / sd.factor)
                 self.stats.slowdown_windows += 1
                 self._note("slowdown-begin", node.id, factor=sd.factor)
 
@@ -192,7 +192,7 @@ class ChaosEngine:
             if sd.t1 != float("inf"):
 
                 def end(ev, node=node, sd=sd):
-                    node.speed_factor = node.speed_factor * sd.factor
+                    node.set_speed_factor(node.speed_factor * sd.factor)
                     self._note("slowdown-end", node.id, factor=sd.factor)
 
                 self.sim.timeout(sd.t1).add_callback(end)

@@ -49,8 +49,8 @@ class Node:
         spin under lock-wait ...), marked active.  With *again*, a chain
         of such bursts: the end of each calls ``again()`` for the raw
         seconds of the next, ``None`` ends it (see
-        :meth:`~repro.sim.Resource.execute`) — this is the one place a
-        protocol burst, first or chained, is scaled and booked."""
+        :meth:`~repro.sim.Resource.execute`) — with :meth:`spin_cpu`, the
+        two places a protocol burst is scaled and booked."""
         scaled = seconds / self.speed_factor
         self.overhead_time += scaled
         if again is None:
@@ -68,10 +68,27 @@ class Node:
 
     def spin_cpu(self, seconds: float, until: Event):
         """Generator: busy-wait — :meth:`busy_cpu` slices of *seconds*
-        back to back until *until* has been triggered."""
+        back to back until *until* has been triggered.  The slices are a
+        pure function of the node's speed, so stretches of the wait that
+        nobody can observe are not simulated slice by slice (see
+        :class:`~repro.sim.Hold`) — which is why the speed is changed
+        through :meth:`set_speed_factor` only."""
         if not until.triggered:
-            yield from self.busy_cpu(
-                seconds, again=lambda: None if until.triggered else seconds)
+
+            def spin_slice():
+                scaled = seconds / self.speed_factor  # live: chaos may derate it
+                self.overhead_time += scaled
+                return scaled
+
+            yield from self.cpus.execute(
+                spin_slice(), 0, PH_CPU_WAIT, again=spin_slice, until=until)
+
+    def set_speed_factor(self, factor: float) -> None:
+        """Change the node's CPU speed mid-run (chaos slowdown edges).
+        Parked busy-wait slices are booked at the old speed first: they
+        go back on the schedule, and every later slice reads the new one."""
+        self.cpus.unpark()
+        self.speed_factor = factor
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.id} ({self.config.cpu_mhz[self.id]} MHz x{self.config.cpus_per_node})>"

@@ -87,6 +87,14 @@ class DsmConfig:
             raise ValueError(
                 f"barrier_fanin must be 0 (flat) or >= 2, got {self.barrier_fanin}"
             )
+        if self.homeless:
+            # both accelerators ride on home-based frames homeless never sends
+            for accel in ("batch_notices", "adaptive_migration"):
+                if getattr(self, accel):
+                    raise ValueError(
+                        f"homeless=True does not combine with {accel}=True "
+                        "(the accelerator is home-based only)"
+                    )
         if self.lock_shard not in ("modulo", "spread", "locality"):
             raise ValueError(
                 f"lock_shard must be 'modulo', 'spread' or 'locality', "

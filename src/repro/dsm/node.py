@@ -320,7 +320,7 @@ class DsmNode:
         self._pending_inval: Set[int] = set()
 
         # protocol accelerator (docs/PERFORMANCE.md "Protocol optimizations")
-        self._accel_adaptive = dsm_config.adaptive_migration and not dsm_config.homeless
+        self._accel_adaptive = dsm_config.adaptive_migration  # never with homeless
         #: wire bytes per notice record: sized notices carry diff byte counts
         self._notice_nbytes = (
             WriteNotice.NBYTES_SIZED if self._accel_adaptive else WriteNotice.NBYTES
@@ -1171,13 +1171,21 @@ class DsmNode:
             ]
         return [WriteNotice(p, self.id, self._interval) for p in pages]
 
-    def _close_interval(self) -> None:
-        """After a flush: dirty pages become clean, twins dropped."""
+    def _close_interval(self, pages) -> None:
+        """After a flush: the *pages* it covered (those of its notices)
+        become clean, twins dropped.  A page a sibling thread dirtied
+        while the flush waited for its acks is not one of them: no diff
+        of it was taken, so it stays DIRTY, twin and all, for the next
+        flush."""
+        flushed = set(pages)
+        late = [p for p in self.dirty if p not in flushed]
         for p in self.dirty:
-            self._set_state(p, PageState.READ_ONLY, "flush")
-            self.space.protect(p, PROT_READ)
-            self.twins.pop(p, None)
+            if p in flushed:
+                self._set_state(p, PageState.READ_ONLY, "flush")
+                self.space.protect(p, PROT_READ)
+                self.twins.pop(p, None)
         self.dirty.clear()
+        self.dirty.update(late)
 
     def _invalidate(self, page: int) -> None:
         if self.kind[page] == KIND_OBJECT:
@@ -1194,13 +1202,10 @@ class DsmNode:
             # the fetching thread invalidates and retries on completion.
             self._pending_inval.add(page)
             return
-        assert st in (PageState.READ_ONLY, PageState.DIRTY), (
-            f"invalidate of page {page} in state {st.name} on node {self.id}"
-        )
+        # never DIRTY: its twin would be dropped un-sent.  Every caller
+        # flushes first, and the transition table rejects the edge
         self._set_state(page, PageState.INVALID, "invalidate")
         self.space.protect(page, PROT_NONE)
-        self.twins.pop(page, None)
-        self.dirty.discard(page)
         self.stats.invalidations += 1
 
     # ------------------------------------------------------------------
@@ -1227,7 +1232,7 @@ class DsmNode:
     def _barrier_body(self, epoch: int, bar_t0: float):
         pb = self.sim.probe
         flushed = yield from self._flush_dirty(epoch=epoch)
-        self._close_interval()
+        self._close_interval(wn.page for wn in flushed)
         # include notices from lock intervals since the last barrier
         notices = dedupe_notices(self._notices_since_barrier + flushed)
         self._notices_since_barrier = []
@@ -1673,6 +1678,15 @@ class DsmNode:
             # covers applying the grant's notices
             pb.span(CAT_AUDIT, "lock-acquire", t0, node=self.id,
                     lock=lock_id, remote=manager != self.id)
+        while self.dirty:
+            # this node's own unflushed writes go to their homes first, as
+            # at a release: a grant notice naming a page written here
+            # since the last flush would otherwise invalidate it with its
+            # twin un-sent (the lost update of ROADMAP item 1).  Again for
+            # what a sibling thread wrote while the flush waited for acks
+            own = yield from self._flush_dirty()
+            self._close_interval(wn.page for wn in own)
+            self._notices_since_barrier.extend(own)
         inval_before = self.stats.invalidations
         done: Set[int] = set()
         for wn in notices:
@@ -1717,7 +1731,7 @@ class DsmNode:
         if pb is not None and CAT_AUDIT in pb.heard:
             pb.instant(CAT_AUDIT, "lock-release", node=self.id, lock=lock_id)
         notices = yield from self._flush_dirty()
-        self._close_interval()
+        self._close_interval(wn.page for wn in notices)
         self._notices_since_barrier.extend(notices)
         nb = 16 + self._notice_nbytes * len(notices)
         # the notice hand-off is part of the release (flush) cost

@@ -59,9 +59,9 @@ VALID_TRANSITIONS: FrozenSet[Tuple[PageState, PageState, str]] = frozenset(
         (PageState.READ_ONLY, PageState.DIRTY, "write-fault"),
         # synchronisation flushes local modifications
         (PageState.DIRTY, PageState.READ_ONLY, "flush"),
-        # incoming write notice invalidates the copy
+        # incoming write notice invalidates the (clean) copy; a DIRTY one
+        # is flushed first — invalidating it would drop its twin un-sent
         (PageState.READ_ONLY, PageState.INVALID, "invalidate"),
-        (PageState.DIRTY, PageState.INVALID, "invalidate"),
     }
 )
 

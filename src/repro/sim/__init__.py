@@ -23,7 +23,7 @@ Public surface::
 from repro.sim.events import Event, Timeout, AllOf, AnyOf, Interrupted
 from repro.sim.process import Process
 from repro.sim.core import Simulator
-from repro.sim.resources import Resource, Request, Hold, Preempted
+from repro.sim.resources import Resource, Request, Hold
 from repro.sim.store import Store
 from repro.sim.sync import Mutex, ConditionVar, SimBarrier, Semaphore, Latch
 
@@ -38,7 +38,6 @@ __all__ = [
     "Resource",
     "Request",
     "Hold",
-    "Preempted",
     "Store",
     "Mutex",
     "ConditionVar",

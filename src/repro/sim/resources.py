@@ -6,14 +6,27 @@ Used to model CPUs (capacity = cores per node), NIC transmit engines
 A timed occupancy — request, hold for a duration, release — is the
 simulator's most frequent operation (one per protocol CPU burst, message
 end and busy-wait slice).  :meth:`Resource.execute` runs it as a
-kernel-resident :class:`Hold`: the grant is consumed by a kernel callback
-instead of a process resume, so the process is resumed once, at the end.
-The schedule is that of ``yield request; yield Timeout; release`` — the
-grant marker takes the queue slot and sequence number the grant event
-would take and its callback schedules the timeout with the next sequence
-number; every other process sees the same events in the same order.  The
-wait → busy → done phase facts a resumed process would state at those
-instants, the hold states itself, as its waiter.
+kernel-resident :class:`Hold`, which costs **one** event: whoever grants
+the unit pushes the end of the occupancy at ``now + duration``, and the
+process is resumed once, when that entry is processed.  The wait → busy →
+done phase facts a resumed process would state at those instants, the
+hold states itself, as its waiter.
+
+A busy-wait nobody can observe costs **none**: a spin (a hold with
+*until*) whose re-arm finds a free unit and nobody queued *parks* — it
+keeps the unit and schedules nothing.  It goes back on the schedule, at
+its next slice boundary, when somebody could tell the difference: a
+submit that finds no free unit, the processing of *until*, a change of
+the slice length (:meth:`Resource.unpark`), another spin taking a unit.
+Spins whose slices end at one instant take every boundary in the order
+their slices were granted; such spins park together, in that order, or
+not at all (:meth:`Resource._in_step`).  Against any other entry, a spin
+that was parked takes the boundary of the slice it is un-parked in as an
+entry scheduled by the un-park — slice by slice, by the slice's start —
+so a boundary at exactly ``now`` has not yet passed: what happens at
+that instant happens in the old slice.  Only an entry of exactly a
+boundary's instant, to the last bit, can tell (docs/PERFORMANCE.md,
+"Kernel-resident bursts").
 """
 
 from __future__ import annotations
@@ -25,10 +38,6 @@ from typing import Callable, Optional
 from repro.sim.events import Event, NORMAL, PENDING, SimulationError
 
 _heappush = heapq.heappush
-
-
-class Preempted(SimulationError):
-    """Reserved for future preemptive scheduling experiments."""
 
 
 class Request(Event):
@@ -53,28 +62,15 @@ class Request(Event):
 
 
 class _HoldEntry:
-    """Queue entry of a :class:`Hold`: first its grant marker, then its
-    timeout.  Quacks like a successful event for the event loop."""
+    """Queue entry of a :class:`Hold`: the end of its occupancy.  Quacks
+    like a successful event for the event loop."""
 
     __slots__ = ("callbacks", "hold")
     _ok = True
 
 
-def _hold_start(entry: _HoldEntry) -> None:
-    """Grant marker processed: the wait is over, start the timed
-    occupancy."""
-    hold = entry.hold
-    sim = hold.sim
-    entry.callbacks = hold._end
-    duration = hold.duration
-    if duration > 0.0:  # never negative: checked where it is set
-        _heappush(sim._heap, (sim.now + duration, NORMAL, next(sim._seq), entry))
-    else:
-        sim._immediate.append((sim.now, NORMAL, next(sim._seq), entry))
-
-
 def _hold_end(entry: _HoldEntry) -> None:
-    """Timeout processed: release, then re-arm the next slice or resume
+    """End of an occupancy: release, then re-arm the next slice or resume
     the waiters synchronously.  ``again`` runs as the waiting process;
     what it raises fails the hold, so the waiter has it thrown in."""
     hold = entry.hold
@@ -86,11 +82,15 @@ def _hold_end(entry: _HoldEntry) -> None:
         sim = hold.sim
         sim.active_process = hold.waiter  # None here, in the event loop
         try:
-            duration = again()
+            until = hold.until
+            duration = again() if until is None or until._value is PENDING else None
             if duration is not None:
                 if duration < 0:  # an entry in the past would corrupt the schedule
                     raise ValueError(f"negative hold duration {duration!r}")
                 hold.duration = duration
+                entry.callbacks = end = hold._end
+                if end is _PHASED_END:
+                    hold._pb.push(hold.wait_phase)
                 # Resource._submit -> _grant -> Hold._granted inlined: a
                 # busy-wait re-arms here once per slice
                 users = resource.users
@@ -98,9 +98,19 @@ def _hold_end(entry: _HoldEntry) -> None:
                     users.add(hold)
                     hold.granted_at = now = sim.now
                     resource.n_grants += 1
-                    entry.callbacks = hold._start
-                    sim._immediate.append((now, NORMAL, next(sim._seq), entry))
+                    if end is _PHASED_END:
+                        hold._pb.replace(hold.busy_phase)
+                    if duration > 0.0:
+                        if until is not None and not resource._in_step(hold):
+                            resource._parked.append(hold)  # nobody to tell: park
+                        else:
+                            _heappush(sim._heap,
+                                      (now + duration, NORMAL, next(sim._seq), entry))
+                    else:
+                        sim._immediate.append((now, NORMAL, next(sim._seq), entry))
                 else:
+                    if resource._parked:
+                        resource.unpark()
                     _heappush(resource._queue,
                               (hold.priority, next(resource._seq), hold))
                 return
@@ -116,29 +126,21 @@ def _hold_end(entry: _HoldEntry) -> None:
         cb(hold)
 
 
-def _as_waiter(state):
-    """An entry callback that states one phase fact of a profiled hold —
-    ``state(hold)`` — as the hold's waiter: in the event loop, where the
-    entry's callbacks run, nobody is running."""
-
-    def callback(entry: _HoldEntry) -> None:
-        hold = entry.hold
-        if hold is not None:  # not finished
-            sim = hold.sim
-            sim.active_process = hold.waiter
-            state(hold)
-            sim.active_process = None
-
-    return callback
+def _phase_pop(entry: _HoldEntry) -> None:
+    """The occupancy of a profiled hold is over: close its phase, as the
+    hold's waiter — in the event loop, where the entry's callbacks run,
+    nobody is running."""
+    hold = entry.hold
+    sim = hold.sim
+    sim.active_process = hold.waiter
+    hold._pb.pop()
+    sim.active_process = None
 
 
-_HOLD_START = (_hold_start,)
+#: the entry's callbacks; a hold nobody profiles carries, and pays for, no
+#: phase fact
 _HOLD_END = (_hold_end,)
-# the same around the phase facts of a hold somebody profiles (the last:
-# ``again`` re-submitted it); an unobserved hold carries, and pays for, none
-_PHASED_START = (_as_waiter(lambda hold: hold._pb.replace(hold.busy_phase)), _hold_start)
-_PHASED_END = (_as_waiter(lambda hold: hold._pb.pop()), _hold_end,
-               _as_waiter(lambda hold: hold._pb.push(hold.wait_phase)))
+_PHASED_END = (_phase_pop, _hold_end)
 
 
 class Hold(Request):
@@ -147,20 +149,28 @@ class Hold(Request):
     The hold is its own resource request.  A process yields it and is
     resumed once, when the occupancy ends and the unit has been released.
     With *again* set, the end of each occupancy calls ``again()``: a
-    returned duration re-requests the resource for another slice (a
-    busy-wait loop, a chain of protocol bursts), ``None`` ends the hold,
-    an exception fails it.
+    returned duration re-requests the resource for another slice (a chain
+    of protocol bursts), ``None`` ends the hold, an exception fails it.
+
+    With *until* also set the hold is a busy-wait: slices back to back
+    until the event *until* has been triggered, and ``again()`` is a pure
+    function of the slice length — it returns the next slice's (positive)
+    duration whenever it is asked, however often.  That is what lets a
+    spin *park* (module docstring): the slices nobody saw are booked, by
+    the additions a slice-by-slice run makes, when it is put back on the
+    schedule.
 
     With *wait_phase* set and a ``phase`` consumer subscribed, the hold
     brackets itself on the waiter's phase stack: ``push(wait_phase)`` at
     every submit, ``replace(busy_phase)`` at the grant, ``pop`` at the end
-    (``busy_phase=None``: the enclosing phase, marked active).
+    (``busy_phase=None``: the enclosing phase, marked active); a parked
+    spin is one busy interval.
 
     A process that stops waiting on a hold (interrupt, generator close)
     must :meth:`cancel` it.
     """
 
-    __slots__ = ("duration", "again", "waiter", "_start", "_end", "_pb",
+    __slots__ = ("duration", "again", "until", "waiter", "_end", "_pb",
                  "wait_phase", "busy_phase", "_entry")
 
     def __init__(
@@ -171,6 +181,7 @@ class Hold(Request):
         again: Optional[Callable[[], Optional[float]]] = None,
         wait_phase: Optional[str] = None,
         busy_phase: Optional[str] = None,
+        until: Optional[Event] = None,
     ):
         if duration < 0:
             raise ValueError(f"negative hold duration {duration!r}")
@@ -186,38 +197,88 @@ class Hold(Request):
         self.priority = priority
         self.duration = duration
         self.again = again
+        self.until = until
+        if until is not None and until.callbacks is not None:
+            until.callbacks.append(self._until_processed)
         #: the process constructing (and about to yield) the hold: the
         #: running thread while ``again`` executes and phases are stated
         self.waiter = sim.active_process
+        entry = self._entry = _HoldEntry()
+        entry.hold = self
         pb = sim.probe
         if pb is None or wait_phase is None or "phase" not in pb.heard:
-            #: the entry's callbacks as grant marker and as timeout
-            self._start = _HOLD_START
-            self._end = _HOLD_END
+            #: the entry's callbacks, re-armed with every slice
+            entry.callbacks = self._end = _HOLD_END
         else:
-            self._start = _PHASED_START
-            self._end = _PHASED_END
+            entry.callbacks = self._end = _PHASED_END
             #: the bus the phase facts go to, kept: by the pop the last
             #: subscriber may have left ``sim.probe``
             self._pb = pb
             self.wait_phase = wait_phase
             self.busy_phase = busy_phase
             pb.push(wait_phase)
-        entry = self._entry = _HoldEntry()
-        entry.hold = self
         resource._submit(self)
 
     def _granted(self) -> None:
-        entry = self._entry
-        entry.callbacks = self._start
+        """The unit is this hold's: the wait is over, schedule the end of
+        the occupancy."""
         sim = self.sim
-        sim._immediate.append((sim.now, NORMAL, next(sim._seq), entry))
+        if self._end is _PHASED_END:
+            # as the waiter, whoever is running (a releasing process, the
+            # event loop, the waiter itself)
+            running, sim.active_process = sim.active_process, self.waiter
+            self._pb.replace(self.busy_phase)
+            sim.active_process = running
+        if self.until is not None and self.resource._parked:
+            # a spin joining parked ones may fall into step with them (see
+            # Resource._in_step); their slices were granted before this one
+            self.resource.unpark()
+        duration = self.duration
+        if duration > 0.0:  # never negative: checked where it is set
+            _heappush(sim._heap, (sim.now + duration, NORMAL, next(sim._seq), self._entry))
+        else:
+            sim._immediate.append((sim.now, NORMAL, next(sim._seq), self._entry))
+
+    def _settle(self, now: float) -> float:
+        """Book the slices this parked spin skipped and return the end of
+        the one containing *now* — each boundary by the ``start +
+        duration`` addition, each slice's grant, busy time and ``again()``
+        bookkeeping as a slice-by-slice run makes them.  A boundary at
+        exactly *now* has not passed: it is the one returned."""
+        resource = self.resource
+        again = self.again
+        start = self.granted_at
+        duration = self.duration
+        end = start + duration
+        while end < now:
+            resource.total_busy_time += end - start
+            resource.n_grants += 1
+            start = end
+            duration = again()
+            if not duration > 0.0:  # would never get past `now`
+                raise ValueError(f"spin slice of duration {duration!r}")
+            end = start + duration
+        self.granted_at = start
+        self.duration = duration
+        return end
+
+    def _unpark(self) -> None:
+        """Back on the schedule, at the next slice boundary."""
+        sim = self.sim
+        _heappush(sim._heap, (self._settle(sim.now), NORMAL, next(sim._seq), self._entry))
+
+    def _until_processed(self, _until: Event) -> None:
+        parked = self.resource._parked
+        if self in parked:
+            parked.remove(self)
+            self._unpark()
 
     def cancel(self) -> None:
         """Abandon the hold in whatever state it is in: leave the queue or
         give the unit back, and close its phase — as the waiter, whoever
         is running.  Its pending queue entry, if any, still counts as an
-        event but does nothing."""
+        event but does nothing; a parked spin settles and schedules
+        nothing."""
         entry = self._entry
         if entry.hold is self:  # neither finished nor cancelled yet
             entry.hold = None
@@ -227,7 +288,11 @@ class Hold(Request):
                 running, sim.active_process = sim.active_process, self.waiter
                 self._pb.pop()
                 sim.active_process = running
-            self.resource.relinquish(self)
+            resource = self.resource
+            if self in resource._parked:
+                resource._parked.remove(self)
+                self._settle(self.sim.now)
+            resource.relinquish(self)
 
 
 class Resource:
@@ -252,6 +317,9 @@ class Resource:
         self._req_name = f"req:{name}"
         self.users: set = set()
         self._queue: list = []
+        #: spins holding a unit off the schedule, in park order (see
+        #: module docstring)
+        self._parked: list = []
         self._seq = itertools.count()
         # statistics
         self.total_busy_time = 0.0
@@ -276,6 +344,8 @@ class Resource:
         if len(self.users) < self.capacity and not self._queue:
             self._grant(req)
         else:
+            if self._parked:
+                self.unpark()
             _heappush(self._queue, (req.priority, next(self._seq), req))
 
     def release(self, request: Request) -> None:
@@ -306,6 +376,31 @@ class Resource:
         self.n_grants += 1
         req._granted()
 
+    def _in_step(self, hold: "Hold") -> bool:
+        """Is another spin on the schedule with its slice to end at the
+        very instant *hold*'s does?  Then *hold* stays on the schedule
+        too: the two take their common boundaries in sequence order,
+        and a parked spin has no sequence number to say it with.  They
+        park at the first boundary they share, one after the other."""
+        due = hold.granted_at + hold.duration
+        parked = self._parked
+        for user in self.users:
+            if (user is not hold and getattr(user, "until", None) is not None
+                    and user not in parked
+                    and user.granted_at + user.duration == due):
+                return True
+        return False
+
+    def unpark(self) -> None:
+        """Put every parked spin back on the schedule (in park order), at
+        its next slice boundary at or after ``now``.  For whoever is about
+        to make the skipped slices observable: a submit that has to queue,
+        or a change of what the spin's pure ``again()`` returns — *before*
+        the change (:meth:`repro.cluster.node.Node.set_speed_factor`)."""
+        for hold in self._parked:
+            hold._unpark()
+        self._parked.clear()
+
     # -- convenience ----------------------------------------------------
     def execute(
         self,
@@ -314,16 +409,18 @@ class Resource:
         wait_phase: Optional[str] = None,
         busy_phase: Optional[str] = None,
         again: Optional[Callable[[], Optional[float]]] = None,
+        until: Optional[Event] = None,
     ):
         """Hold one capacity unit for *duration* virtual seconds; with
         *again*, keep re-requesting for the durations it returns until it
-        returns ``None`` (see :class:`Hold`).
+        returns ``None`` — with *until* too, a busy-wait: until that event
+        has been triggered (see :class:`Hold`).
 
         For phase consumers the queue wait is stated as *wait_phase* and
         the occupancy as *busy_phase* (``None``: the enclosing phase,
         marked active).
         """
-        hold = Hold(self, duration, priority, again, wait_phase, busy_phase)
+        hold = Hold(self, duration, priority, again, wait_phase, busy_phase, until)
         try:
             yield hold
         except BaseException:

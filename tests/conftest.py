@@ -8,6 +8,7 @@ import pytest
 from repro.dsm.states import PageState
 from repro.mpi.ops import SUM
 from repro.sim import Simulator, Timeout
+from repro.sim.resources import Request
 from repro.vm import ProtectionFault
 
 # canonical builders live in the library so benchmarks can share them
@@ -54,32 +55,71 @@ def rescan_acquire(dn, addr, size, is_write):
             yield from dn._service_fault((fault.vpage,), 0, is_write)
 
 
+class GrantTimed(Request):
+    """A resource request that sets the timer of its occupancy — ``end``
+    — where the unit is granted, not where the granted process wakes up.
+    That is the one rule of :class:`repro.sim.Hold` a process cannot
+    spell with ``request`` / ``timeout`` / ``release``: the grant's
+    event resumes it later in that instant, and whatever ran in between
+    has scheduled first.  By hand: ``yield req; yield req.end;
+    res.release(req)``."""
+
+    def __init__(self, res, priority, duration):
+        super().__init__(res, priority)
+        self.duration = duration
+        self.end = None
+        res._submit(self)
+
+    def _granted(self):
+        self.succeed(self)
+        self.end = Timeout(self.sim, self.duration)
+
+
 def reference_execute(res, duration, priority=0, wait_phase=None,
-                      busy_phase=None, again=None):
+                      busy_phase=None, again=None, until=None, timer_at_grant=False):
     """``Resource.execute`` as observed runs took it before the hold
     stated its own phases — the schedule and phase oracle for
     :class:`repro.sim.Hold` (monkeypatch it in): request, resume at the
-    grant, time out, resume at the end, release; the resumed process
-    itself pushes the wait, switches to busy and pops.  Lives here, not
-    in ``src/``."""
+    grant, time out, resume at the end, release (three events a burst,
+    every busy-wait slice one); the resumed process itself pushes the
+    wait, switches to busy and pops.  *timer_at_grant*: with the timeout
+    set by the grant (:class:`GrantTimed`) — the hold's order among
+    entries of one virtual instant.  Lives here, not in ``src/``."""
     sim = res.sim
     pb = sim.probe
     if pb is not None and (wait_phase is None or "phase" not in pb.heard):
         pb = None
     while duration is not None:
-        req = res.request(priority)
+        req = GrantTimed(res, priority, duration) if timer_at_grant else res.request(priority)
         if pb is not None:
             pb.push(wait_phase)
         try:
             yield req
             if pb is not None:
                 pb.replace(busy_phase)
-            yield Timeout(sim, duration)
+            yield req.end if timer_at_grant else Timeout(sim, duration)
         finally:
             if pb is not None:
                 pb.pop()
             res.relinquish(req)
-        duration = again() if again is not None else None
+        if again is None or (until is not None and until.triggered):
+            return
+        duration = again()
+
+
+def reference_execute_timer_at_grant(res, *args, **kwargs):
+    return reference_execute(res, *args, timer_at_grant=True, **kwargs)
+
+
+def reference_spin(node, seconds, until):
+    """``Node.spin_cpu`` as it was before a busy-wait could park — the
+    oracle for a parked spin (monkeypatch it in): a chain of
+    ``busy_cpu`` bursts, every slice scheduled, ended by the first slice
+    boundary that finds *until* triggered.  Lives here, not in
+    ``src/``."""
+    if not until.triggered:
+        yield from node.busy_cpu(
+            seconds, again=lambda: None if until.triggered else seconds)
 
 
 def reference_generate(state, n, a=1220703125, lanes=4096):

@@ -126,15 +126,9 @@ def test_cg_parallel_single_node_degenerate():
     assert res.value.zeta == pytest.approx(seq.zeta, abs=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known bad since PR 11: CG under mode='sdsm' on >= 2 nodes diverges "
-    "from the sequential reference (class T x2: zeta 5.99998 vs 5.26239, rnorm "
-    "1.5e5 vs 3.9e-15; mode='parade' is exact, the sanitizer stays silent). "
-    "ROADMAP item 4 (sequential-consistency oracle) owns the fix; when it "
-    "lands this test turns green and strict xfail makes that visible.",
-)
 def test_cg_sdsm_two_nodes_matches_sequential():
+    """Diverged (zeta 5.99998 vs 5.26239) from PR 11 until the lock path
+    stopped losing writes: see tests/test_lock_lost_update.py."""
     a = cg.make_matrix("T")
     seq = cg.cg_reference("T", a=a, niter=2)
     rt = ParadeRuntime(n_nodes=2, mode="sdsm", pool_bytes=1 << 21)

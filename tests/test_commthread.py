@@ -140,3 +140,32 @@ def test_cpu_charge_delays_handling_on_busy_node():
 
     run_all(cluster, [hog(), sender()])
     assert handled_at[0] >= 5e-3  # waited for the CPU
+
+
+def test_a_remote_message_costs_at_most_five_events():
+    """The event budget of one remote frame: the sender's CPU burst, the
+    NIC occupancy, the flight timeout, the inbox wake of the comm thread
+    and its service burst — each timed occupancy one event."""
+
+    def events(n_messages):
+        cluster = build_cluster(2)
+        ct = CommThread(cluster.nodes[1], cluster.network)
+        got = []
+
+        def handler(msg):
+            got.append(msg.payload)
+            return
+            yield
+
+        ct.register("foo", handler)
+        ct.start()
+
+        def sender():
+            for i in range(n_messages):
+                yield from cluster.network.send(0, 1, 64, i, tag=("foo", i))
+
+        run_all(cluster, [sender()])
+        assert got == list(range(n_messages))
+        return cluster.sim.events_processed
+
+    assert events(110) - events(10) <= 5 * 100

@@ -101,6 +101,17 @@ def test_homeless_locks_unsupported():
     run_all(cluster, [worker()])
 
 
+@pytest.mark.parametrize("accel", ["batch_notices", "adaptive_migration"])
+def test_homeless_rejects_the_home_based_accelerators(accel):
+    """Both accelerator mechanisms ride on home-based frames; homeless
+    used to ignore the flags silently."""
+    with pytest.raises(ValueError, match=f"homeless=True .* {accel}=True"):
+        HOMELESS_LRC.replace(**{accel: True})
+    with pytest.raises(ValueError, match="homeless=True"):
+        HOMELESS_LRC.accelerated()
+    assert PARADE_DSM.accelerated().replace(homeless=False).batch_notices
+
+
 def test_homeless_more_control_messages_than_home_based():
     """§5.2.2's claim, measured on a false-sharing pattern."""
 

@@ -357,6 +357,11 @@ def test_census_equals_a_recount_at_every_barrier(protocol, n_nodes, hier, accel
     path: after each barrier and at run end it equals a fresh recount and
     sums to the pool size."""
     apps = ("helmholtz",) if n_nodes == 16 else sorted(_CENSUS_APPS)
+    if protocol == "homeless" and accel:
+        # the accelerator is home-based: a configuration error, not a run
+        with pytest.raises(ValueError, match="homeless=True does not combine"):
+            ParadeRuntime(n_nodes=n_nodes, protocol_accel=True, dsm_config=HOMELESS_LRC)
+        return
     for app in apps:
         rt = ParadeRuntime(
             n_nodes=n_nodes, protocol_accel=accel, hierarchical=hier,
