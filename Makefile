@@ -12,10 +12,10 @@ export PYTHONPATH
 JOBS ?=
 JOBS_FLAG := $(if $(JOBS),--jobs $(JOBS),)
 
-.PHONY: test test-slow lint bench-smoke bench-gate scale-smoke fleet-smoke profile-smoke chaos-smoke metrics-smoke hostbench-smoke hostbench bench perf-baseline perf micro
+.PHONY: test test-slow lint bench-smoke bench-gate bench-record fleet-smoke profile-smoke chaos-smoke metrics-smoke hostbench-smoke hostbench bench micro
 
-test:            ## tier-1 suite (the ROADMAP verify command)
-	python -m pytest -x -q
+test:            ## tier-1 suite (the ROADMAP verify command; budget 90 s, ten slowest tests in every log)
+	python -m pytest -x -q --durations=10
 
 test-slow:       ## include NPB class-S reference validations
 	python -m pytest -x -q -m "slow or not slow"
@@ -24,14 +24,14 @@ lint:            ## ruff (config in pyproject.toml); no-op if not installed
 	@command -v ruff >/dev/null 2>&1 && ruff check src tests benchmarks \
 		|| echo "ruff not installed; skipping lint"
 
-bench-smoke:     ## perf harness on the tiny basket (regression check)
-	python -m repro.bench.perf --smoke --repeat 1 $(JOBS_FLAG)
+bench-smoke:     ## virtual-time record on the tiny baskets + 16-node flat-vs-tree identity; writes only a temp file
+	python -m repro.bench.perf --record --smoke --out $${TMPDIR:-/tmp}/BENCH_smoke.json $(JOBS_FLAG)
 
-bench-gate:      ## accel basket vs checked-in baseline; fails on >5% virtual-time regression
+bench-gate:      ## accel basket + 16-node hier scale point vs BENCH_parade.json; fails when > 5% off, says what moved
 	python -m repro.bench.perf --gate $(JOBS_FLAG)
 
-scale-smoke:     ## 16-node mini-basket, flat vs tree barrier + sharded locks
-	python -m repro.bench.perf --scale --smoke --scale-nodes 16 --out BENCH_smoke.json $(JOBS_FLAG)
+bench-record:    ## re-record BENCH_parade.json (the one target that writes a tracked file); commit the diff
+	python -m repro.bench.perf --record $(JOBS_FLAG)
 
 fleet-smoke:     ## fleet executor contracts: worker bit-identity, warm cache, poisoned digest
 	python -m repro.fleet --selfcheck $(JOBS_FLAG)
@@ -42,7 +42,7 @@ profile-smoke:   ## virtual-time profiler invariant check on one workload
 chaos-smoke:     ## fault-injection sweep: bit-identical recovery on a small matrix
 	python -m repro.chaos --sweep --nodes 2 --apps helmholtz --plans drop,dup $(JOBS_FLAG)
 
-metrics-smoke:   ## watchdog self-check + metered bit-identity + export round-trip
+metrics-smoke:   ## metered bit-identity + export round-trip
 	python -m repro.metrics smoke $(JOBS_FLAG)
 
 hostbench-smoke: ## host-time benchmark, quick report + its self-test (see BENCHMARK.json)
@@ -54,12 +54,6 @@ hostbench:       ## host-time benchmark, full report: 7 workloads + per-layer le
 
 bench:           ## regenerate every paper figure
 	python -m pytest benchmarks/ --benchmark-only
-
-perf-baseline:   ## record pre-change wall-clock baseline -> BENCH_parade.json
-	python -m repro.bench.perf --baseline --repeat 4
-
-perf:            ## record current + speedup vs baseline -> BENCH_parade.json
-	python -m repro.bench.perf --repeat 4
 
 micro:           ## micro-benchmarks of the hot-path kernels
 	python benchmarks/bench_microkernels.py

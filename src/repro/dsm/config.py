@@ -9,7 +9,6 @@ from dataclasses import dataclass
 class DsmConfig:
     """Protocol knobs distinguishing the two systems the paper compares."""
 
-    name: str = "parade"
     #: shared-memory pool size (bytes); paper's CG run used 64 MB
     pool_bytes: int = 32 * 1024 * 1024
     #: migrate a page's home to its sole modifier at barriers (§5.2.2)
@@ -119,13 +118,13 @@ class DsmConfig:
 
 
 #: ParADE's DSM: HLRC + migratory home, blocking locks.
-PARADE_DSM = DsmConfig(name="parade", home_migration=True, lock_spin=False)
+PARADE_DSM = DsmConfig(home_migration=True, lock_spin=False)
 
 #: KDSM baseline [20]: conventional HLRC, fixed home, busy-wait lock client.
-KDSM_BASELINE = DsmConfig(name="kdsm", home_migration=False, lock_spin=True)
+KDSM_BASELINE = DsmConfig(home_migration=False, lock_spin=True)
 
 #: Homeless LRC ablation: TreadMarks-style diff pulling, no home directory.
-HOMELESS_LRC = DsmConfig(name="homeless", home_migration=False, homeless=True)
+HOMELESS_LRC = DsmConfig(home_migration=False, homeless=True)
 
 #: ParADE's DSM with the protocol accelerator on: batched write-notice/diff
 #: frames and adaptive (byte-weighted) home migration with update push.

@@ -6,21 +6,15 @@
     bit-identical to an in-process run, (2) a warm cache serves every
     spec with zero re-simulations, (3) a poisoned source digest misses.
 
-``python -m repro.fleet --bench [--jobs N] [--out BENCH_parade.json]``
-    Measures the smoke basket sequentially, in parallel, and warm-cache,
-    and records the wall-clocks + speedups as the ``fleet`` section of
-    the perf report (schema 2, with ``run_meta`` fingerprints).
+What a fleet run costs the host (per-spec overhead, a cache hit) is
+measured from outside by ``benchmarks/hostbench`` (``harness.*`` rows).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import tempfile
-import time
-from typing import List
 
 from .cache import RunCache
 from .executor import resolve_jobs, run_many
@@ -103,65 +97,6 @@ def _selfcheck(jobs: int) -> int:
     return 0
 
 
-def _bench(jobs: int, out: str, no_cache: bool) -> int:
-    """Record sequential / parallel / warm-cache wall-clocks for the
-    smoke basket into the perf report's ``fleet`` section."""
-    from repro.bench import perf
-
-    specs: List[RunSpec] = [
-        RunSpec.from_entry(name, entry, n_nodes=4)
-        for name, entry in perf._smoke_basket().items()
-    ]
-    jobs = max(2, jobs)
-
-    t0 = time.perf_counter()
-    seq = run_many(specs, jobs=1)
-    wall_seq = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    par = run_many(specs, jobs=jobs)
-    wall_par = time.perf_counter() - t0
-
-    for a, b in zip(seq.records, par.records):
-        assert deterministic_view(a) == deterministic_view(b), (
-            f"{a['workload']}: jobs={jobs} diverged from jobs=1"
-        )
-
-    with tempfile.TemporaryDirectory(prefix="parade-cache-") as tmp:
-        cache = RunCache(root=tmp)
-        run_many(specs, jobs=1, cache=cache)
-        t0 = time.perf_counter()
-        warm = run_many(specs, jobs=1, cache=cache)
-        wall_warm = time.perf_counter() - t0
-        assert warm.n_executed == 0, "warm cache re-simulated"
-
-    section = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "meta": perf.run_meta(4, smoke=True),
-        "jobs": jobs,
-        "cpu_count": os.cpu_count(),
-        "n_specs": len(specs),
-        "wall_seq_s": round(wall_seq, 4),
-        "wall_par_s": round(wall_par, 4),
-        "wall_warm_s": round(wall_warm, 4),
-        "parallel_speedup": round(wall_seq / wall_par, 3) if wall_par else 0.0,
-        "warm_cache_speedup": round(wall_seq / wall_warm, 1) if wall_warm else 0.0,
-        "bit_identical": True,
-    }
-    report = perf.load_report(out) or {"schema": perf.SCHEMA, "label": "parade-bench"}
-    report["schema"] = perf.SCHEMA
-    report["fleet"] = section
-    perf.write_report(out, report)
-    print(json.dumps(section, indent=2))
-    print(
-        f"fleet bench: seq {wall_seq:.2f}s -> jobs={jobs} {wall_par:.2f}s "
-        f"({section['parallel_speedup']}x, cpu_count={os.cpu_count()}) -> "
-        f"warm cache {wall_warm * 1e3:.0f}ms ({section['warm_cache_speedup']}x); "
-        f"virtual-time results bit-identical"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.fleet",
@@ -170,22 +105,13 @@ def main(argv=None) -> int:
     ap.add_argument("--selfcheck", action="store_true",
                     help="assert worker-identity / warm-cache / poisoned-digest "
                          "contracts on tiny workloads")
-    ap.add_argument("--bench", action="store_true",
-                    help="measure seq/parallel/warm-cache walls for the smoke "
-                         "basket and record the 'fleet' report section")
     ap.add_argument("--jobs", type=int, default=None,
                     help="worker processes (default: PARADE_JOBS or cpu count)")
-    ap.add_argument("--no-cache", action="store_true",
-                    help="bypass the run cache")
-    ap.add_argument("--out", default="BENCH_parade.json",
-                    help="perf report path for --bench")
     args = ap.parse_args(argv)
 
     jobs = resolve_jobs(args.jobs)
     if args.selfcheck:
         return _selfcheck(jobs)
-    if args.bench:
-        return _bench(jobs, args.out, args.no_cache)
     ap.print_help()
     return 2
 

@@ -21,6 +21,10 @@ wall-clock and cache-bookkeeping keys
 
 Failure isolation: a spec that raises becomes an ``ok: False`` record
 carrying the error and traceback; the other specs complete normally.
+A worker process that dies (killed, out of memory) or a fleet in which
+no spec finishes for :data:`SPEC_CEILING_S` also ends in ``ok: False``
+records for everything unfinished, never in a hang: gates fail loudly
+and a re-run replays what did finish from the cache.
 
 Job-count resolution: explicit ``jobs=`` argument, else ``PARADE_JOBS``,
 else ``os.cpu_count()``.
@@ -31,13 +35,21 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .cache import RunCache
-from .spec import RunSpec, execute_safely
+from .spec import RECORD_VERSION, RunSpec, execute_safely
 
 __all__ = ["resolve_jobs", "run_many", "FleetReport"]
+
+#: wall-clock ceiling on one spec in a worker, in seconds.  The slowest
+#: recorded spec (64-node CG) takes ~6 s; two orders of magnitude of
+#: head-room keep a loaded CI host from tripping it, and a spec that is
+#: still running after it is hung, not slow.
+SPEC_CEILING_S = 600.0
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -51,12 +63,48 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, jobs)
 
 
-def _worker_main(payload: Tuple[int, Dict]) -> Tuple[int, Dict]:
-    """Top-level (spawn-picklable) worker: rebuild the spec, run it,
-    return ``(index, record)`` so the parent can restore spec order."""
-    index, spec_dict = payload
-    spec = RunSpec.from_dict(spec_dict)
-    return index, execute_safely(spec)
+def _worker_main(spec_dict: Dict) -> Dict:
+    """Top-level (spawn-picklable) worker: rebuild the spec, run it."""
+    return execute_safely(RunSpec.from_dict(spec_dict))
+
+
+def _run_in_workers(pending: List[Tuple[int, RunSpec]], n_workers: int) -> Dict[int, Dict]:
+    """Fan *pending* across spawned workers; ``{index: record}`` for all
+    of them, in bounded time whatever the workers do."""
+    ctx = multiprocessing.get_context("spawn")
+    out: Dict[int, Dict] = {}
+    with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
+        submitted = {
+            pool.submit(_worker_main, asdict(spec)): (i, spec)
+            for i, spec in pending
+        }
+        waiting = set(submitted)
+        while waiting:
+            done, waiting = wait(
+                waiting, timeout=SPEC_CEILING_S, return_when=FIRST_COMPLETED
+            )
+            if not done:
+                # a worker picks up its next spec when one finishes, so
+                # every running spec has now run for the whole ceiling.
+                # There is no public way to stop a running worker; killing
+                # them breaks the pool, which fails every waiting future.
+                for proc in list(pool._processes.values()):
+                    proc.kill()
+                continue
+            for future in done:
+                i, spec = submitted[future]
+                try:
+                    out[i] = future.result()
+                except BrokenProcessPool:
+                    out[i] = {
+                        "ok": False,
+                        "workload": spec.workload,
+                        "record_version": RECORD_VERSION,
+                        "error": "worker process died, or no spec of the fleet "
+                        f"finished within {SPEC_CEILING_S:g} s; this spec was "
+                        "running or still queued",
+                    }
+    return out
 
 
 @dataclass
@@ -105,7 +153,7 @@ def run_many(specs: List[RunSpec], jobs: Optional[int] = None,
     """
     jobs = resolve_jobs(jobs)
     t0 = time.perf_counter()
-    records: List[Optional[Dict]] = [None] * len(specs)
+    records: Dict[int, Dict] = {}
     pending: List[Tuple[int, RunSpec]] = []
     n_hits = 0
 
@@ -121,21 +169,14 @@ def run_many(specs: List[RunSpec], jobs: Optional[int] = None,
         for i, spec in pending:
             records[i] = execute_safely(spec)
     else:
-        ctx = multiprocessing.get_context("spawn")
-        payloads = [(i, asdict(spec)) for i, spec in pending]
-        with ctx.Pool(processes=min(jobs, len(pending))) as pool:
-            for i, record in pool.imap_unordered(_worker_main, payloads):
-                records[i] = record
+        records.update(_run_in_workers(pending, min(jobs, len(pending))))
 
     if cache is not None:
-        by_index = dict(pending)
-        for i, spec in by_index.items():
-            rec = records[i]
-            if rec is not None and rec.get("ok"):
-                cache.put(spec, rec)
+        for i, spec in pending:
+            if records[i].get("ok"):
+                cache.put(spec, records[i])
 
-    done: List[Dict] = [r for r in records if r is not None]
-    assert len(done) == len(specs)
+    done: List[Dict] = [records[i] for i in range(len(specs))]
     return FleetReport(
         records=done,
         jobs=jobs,

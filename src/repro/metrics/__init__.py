@@ -5,7 +5,8 @@ The subsystem subscribes to a running simulation's probe bus
 observer), samples every layer on a deterministic
 virtual-time grid, and exposes the result as Prometheus text, JSON
 time-series, CSV, or Chrome counter tracks.  ``python -m repro.metrics``
-adds per-workload scorecards and the noise-aware bench watchdog.
+adds per-workload scorecards; :mod:`repro.metrics.regress` is the one
+comparator of virtual-time records (the bench gate's).
 See ``docs/METRICS.md`` for the guide.
 """
 
@@ -27,7 +28,7 @@ from repro.metrics.sampler import (
 )
 from repro.metrics.sources import install_default_sources
 from repro.metrics.scorecard import build_scorecard, meter_workload, render_scorecards
-from repro.metrics.regress import compare_sections, selfcheck
+from repro.metrics.regress import compare_records
 
 __all__ = [
     "Counter",
@@ -46,6 +47,5 @@ __all__ = [
     "build_scorecard",
     "meter_workload",
     "render_scorecards",
-    "compare_sections",
-    "selfcheck",
+    "compare_records",
 ]

@@ -1,4 +1,4 @@
-"""Metrics CLI: scorecards, exposition formats, and the bench watchdog.
+"""Metrics CLI: scorecards and exposition formats.
 
 Usage::
 
@@ -7,16 +7,12 @@ Usage::
     python -m repro.metrics run cg --json cg.metrics.json
     python -m repro.metrics export cg.metrics.json               # Prometheus
     python -m repro.metrics export cg.metrics.json --csv cg.csv --chrome cg.trace.json
-    python -m repro.metrics regress                  # BENCH_parade.json watchdog
-    python -m repro.metrics regress --strict --wall-tol 0.2
     python -m repro.metrics smoke                    # CI gate (see below)
 
 ``run`` meters registered workloads and prints one scorecard row each;
 ``export`` re-emits a JSON dump as Prometheus text / CSV / Chrome
-counters; ``regress`` diffs two sections of the perf report with
-noise-aware tolerances and exits 1 on regression; ``smoke`` is the CI
-gate — watchdog self-check, metered-vs-unmetered bit-identity, and an
-export round-trip on a tiny workload, exit 2 on any failure.
+counters; ``smoke`` is the CI gate — metered-vs-unmetered bit-identity
+and an export round-trip on a tiny workload, exit 2 on any failure.
 """
 
 from __future__ import annotations
@@ -27,17 +23,14 @@ import sys
 from typing import List, Optional
 
 from repro.metrics import export as mexport
-from repro.metrics import regress as mregress
 from repro.metrics.scorecard import build_scorecard, meter_workload, render_scorecards
-
-DEFAULT_REPORT = "BENCH_parade.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.metrics",
-        description="live metrics: per-workload scorecards, Prometheus/JSON/"
-        "CSV/Chrome exposition, and the noise-aware bench watchdog",
+        description="live metrics: per-workload scorecards and Prometheus/JSON/"
+        "CSV/Chrome exposition",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -69,30 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify the Prometheus output parses and the dump round-trips; exit 2 on failure",
     )
 
-    p_reg = sub.add_parser("regress", help="noise-aware diff of two perf-report sections")
-    p_reg.add_argument("report", nargs="?", default=DEFAULT_REPORT,
-                       help=f"perf report path (default {DEFAULT_REPORT})")
-    p_reg.add_argument("--base", default="baseline", help="section to compare from")
-    p_reg.add_argument("--cur", default="current", help="section to compare to")
-    p_reg.add_argument("--wall-tol", type=float, default=mregress.DEFAULT_WALL_TOL,
-                       help="wall-time slowdown band (default 0.30 = +30%%)")
-    p_reg.add_argument("--phase-tol", type=float, default=mregress.DEFAULT_PHASE_TOL,
-                       help="max absolute phase-fraction drift (default 0.05)")
-    p_reg.add_argument("--vt-tol", type=float, default=0.0,
-                       help="virtual-time relative tolerance (default 0 = exact)")
-    p_reg.add_argument("--wall-floor", type=float, default=mregress.DEFAULT_WALL_FLOOR,
-                       help="wall times below this (s) are noise, never banded "
-                       "(default 0.25)")
-    p_reg.add_argument("--strict", action="store_true",
-                       help="event/msg/byte count mismatches fail instead of warn")
-    p_reg.add_argument("--selfcheck", action="store_true",
-                       help="run the watchdog self-check instead of a comparison")
-
-    p_smoke = sub.add_parser("smoke", help="CI gate: self-check + bit-identity + round-trip")
+    p_smoke = sub.add_parser("smoke", help="CI gate: metered bit-identity + export round-trip")
     p_smoke.add_argument("--nodes", type=int, default=2, help="cluster size (default 2)")
     p_smoke.add_argument(
         "--jobs", type=int, default=None,
-        help="fleet worker processes for the act-2 runs (default: PARADE_JOBS "
+        help="fleet worker processes for the bit-identity runs (default: PARADE_JOBS "
         "env or cpu count); the verdict is bit-identical for any value",
     )
     return parser
@@ -176,39 +150,14 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_regress(args) -> int:
-    if args.selfcheck:
-        fault = mregress.selfcheck(verbose=True)
-        if fault:
-            print(f"SELF-CHECK FAILED: {fault}", file=sys.stderr)
-            return 2
-        print("watchdog self-check: ok")
-        return 0
-    try:
-        with open(args.report) as fh:
-            report = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read perf report {args.report!r}: {exc}", file=sys.stderr)
-        return 1
-    verdict = mregress.compare_sections(
-        report, base_name=args.base, cur_name=args.cur,
-        wall_tol=args.wall_tol, phase_tol=args.phase_tol,
-        vt_tol=args.vt_tol, wall_floor=args.wall_floor, strict=args.strict,
-    )
-    print(verdict.render(), end="")
-    return 0 if verdict.ok else 1
-
-
 def _cmd_smoke(args) -> int:
-    """The CI gate, in three acts (exit 2 on the first failure):
+    """The CI gate, in two acts (exit 2 on the first failure):
 
-    1. watchdog self-check — identical synthetic sections pass, a seeded
-       regression fails on every axis, meta mismatches are refused;
-    2. bit-identity — the tiny workload metered and unmetered must agree
+    1. bit-identity — the tiny workload metered and unmetered must agree
        on virtual time and every deterministic run statistic (the two
        runs are independent, so they fan out across ``--jobs`` fleet
        worker processes);
-    3. export round-trip — the metered dump survives JSON write/load,
+    2. export round-trip — the metered dump survives JSON write/load,
        its Prometheus rendering parses, CSV and Chrome are non-empty.
     """
     import os
@@ -219,11 +168,6 @@ def _cmd_smoke(args) -> int:
     def fail(msg: str) -> int:
         print(f"SMOKE FAILED: {msg}", file=sys.stderr)
         return 2
-
-    fault = mregress.selfcheck()
-    if fault:
-        return fail(f"watchdog self-check: {fault}")
-    print("smoke 1/3: watchdog self-check ok")
 
     common = dict(
         factory=("repro.apps.helmholtz", "make_program"),
@@ -254,7 +198,7 @@ def _cmd_smoke(args) -> int:
     n_samples = metered["metrics"]["n_samples"]
     if n_samples == 0:
         return fail("sampler took no samples on the smoke workload")
-    print(f"smoke 2/3: bit-identity ok (vt {metered['virtual_s'] * 1e3:.3f} ms, "
+    print(f"smoke 1/2: bit-identity ok (vt {metered['virtual_s'] * 1e3:.3f} ms, "
           f"{n_samples} samples)")
 
     dump = dict(metered["metrics"]["dump"])
@@ -273,7 +217,7 @@ def _cmd_smoke(args) -> int:
     n_csv = len(mexport.to_csv(dump).splitlines()) - 1
     if n_chrome == 0 or n_csv == 0:
         return fail(f"empty export (chrome={n_chrome}, csv={n_csv})")
-    print(f"smoke 3/3: export round-trip ok ({len(parsed)} prom samples, "
+    print(f"smoke 2/2: export round-trip ok ({len(parsed)} prom samples, "
           f"{n_csv} csv rows, {n_chrome} chrome records)")
     print("metrics smoke: all gates passed")
     return 0
@@ -284,7 +228,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     return {
         "run": _cmd_run,
         "export": _cmd_export,
-        "regress": _cmd_regress,
         "smoke": _cmd_smoke,
     }[args.cmd](args)
 

@@ -1,275 +1,99 @@
-"""The noise-aware bench watchdog: diff two ``BENCH_parade.json`` runs.
+"""The record comparator: what moved between two virtual-time records.
 
-``python -m repro.metrics regress`` compares two sections of the perf
-report (default ``baseline`` vs ``current``) and exits non-zero with a
-human-readable verdict when the trajectory regressed.  The comparison is
-*noise-aware* — each quantity is judged by what can legitimately move:
+:func:`compare_records` takes two ``{workload: record}`` groups of the
+shape :func:`repro.bench.perf.report_record` writes into
+``BENCH_parade.json`` — the checked-in reference and what the commit
+under test just computed — and says two things:
 
-* **virtual time** is a deterministic run invariant: any drift beyond
-  ``--vt-tol`` (default 0 — exact match) is a real protocol change, not
-  noise, and always a failure;
-* **wall time** carries host noise: only a slowdown beyond the
-  ``--wall-tol`` band (default +30%) fails; speedups never do;
-* **phase fractions** (compute/stall/sync/comm shares recorded per
-  workload) are deterministic but small drifts accompany legitimate
-  changes, so only a shift beyond ``--phase-tol`` absolute (default
-  0.05) fails;
-* **event/message/byte counts** can change under pure host-speed
-  rework (PR 2 restructured the event queue without moving virtual
-  time), so mismatches are warnings unless ``--strict``.
+* whether the group's **aggregate** of each gated metric (virtual time;
+  for the 16-node scale point also barrier-phase virtual time) left the
+  :data:`TOLERANCE` band around the record.  Either direction is a
+  problem: every number here is a deterministic run invariant, so a
+  record that is 5 % pessimistic is as untrue as one that is 5 %
+  optimistic, and the remedy for a deliberate change is the same —
+  re-record and commit the diff;
+* for every workload whose virtual time moved *at all*, the delta of
+  every recorded count and phase fraction — which layer's traffic
+  changed, not just that a number did.
 
-Run metadata (schema 2 of :mod:`repro.bench.perf`) guards the whole
-comparison: if both sections record incompatible environments — python
-version, platform, node count, accelerator flags — the watchdog refuses
-the apples-to-oranges diff outright.  Sections without metadata (schema
-1 files) compare with a warning, so old baselines keep working.
+It is the only comparison loop over these records; ``python -m
+repro.bench.perf --gate`` is its one caller.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence
 
-DEFAULT_WALL_TOL = 0.30
-DEFAULT_PHASE_TOL = 0.05
-#: wall times where scheduler jitter rivals the measurement itself;
-#: below this, relative bands are meaningless and only noted
-DEFAULT_WALL_FLOOR = 0.25
-
-#: meta keys that must agree for the comparison to be apples-to-apples
-META_KEYS = ("python", "platform", "machine", "nodes", "accel", "smoke")
-
-#: deterministic run invariants checked exactly under ``--strict``
-INVARIANT_KEYS = ("events", "msgs_sent", "bytes_sent")
+#: a gated aggregate may sit at most this far from the record
+TOLERANCE = 0.05
 
 
-class RegressionVerdict:
-    """Outcome of one comparison: detail lines + problems + warnings."""
+@dataclass
+class Verdict:
+    """Outcome of one comparison: what to print, and what failed."""
 
-    def __init__(self, base_name: str, cur_name: str):
-        self.base_name = base_name
-        self.cur_name = cur_name
-        self.lines: List[str] = []
-        self.warnings: List[str] = []
-        self.problems: List[str] = []
+    lines: List[str] = field(default_factory=list)
+    problems: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.problems
 
-    def render(self) -> str:
-        out = [f"== regress: {self.base_name} vs {self.cur_name} =="]
-        out.extend(f"  {line}" for line in self.lines)
-        for w in self.warnings:
-            out.append(f"  WARNING: {w}")
-        for p in self.problems:
-            out.append(f"  PROBLEM: {p}")
-        out.append(
-            "verdict: OK — no regression detected"
-            if self.ok
-            else f"verdict: FAIL — {len(self.problems)} problem(s)"
-        )
-        return "\n".join(out) + "\n"
+
+def _flat(rec: Dict) -> Dict[str, float]:
+    """One workload's record as ``{key: number}``, phase fractions
+    included as ``phases.<group>``."""
+    out = {k: v for k, v in rec.items() if k != "phases"}
+    out.update({f"phases.{g}": v for g, v in rec.get("phases", {}).items()})
+    return out
 
 
-def _meta_check(verdict: RegressionVerdict, base: Dict, cur: Dict) -> bool:
-    """Apples-to-apples guard; returns False when comparison must stop."""
-    bm, cm = base.get("meta"), cur.get("meta")
-    if not bm or not cm:
-        verdict.warnings.append(
-            "run metadata missing on "
-            + ("both sections" if not bm and not cm
-               else (verdict.base_name if not bm else verdict.cur_name))
-            + " (schema 1 record?) — environment compatibility not verified"
-        )
-        return True
-    mismatched = [
-        f"{k}: {bm[k]!r} vs {cm[k]!r}"
-        for k in META_KEYS
-        if k in bm and k in cm and bm[k] != cm[k]
+def _deltas(ref: Dict, cur: Dict) -> List[str]:
+    """``key: a -> b (+d)`` for every count, time and phase fraction of
+    one workload's record that differs."""
+    a, b = _flat(ref), _flat(cur)
+    return [
+        f"{key}: {a.get(key, 0):g} -> {b.get(key, 0):g} "
+        f"({b.get(key, 0) - a.get(key, 0):+g})"
+        for key in sorted(set(a) | set(b))
+        if a.get(key, 0) != b.get(key, 0)
     ]
-    if mismatched:
+
+
+def compare_records(
+    ref: Dict[str, Dict],
+    cur: Dict[str, Dict],
+    label: str,
+    gated: Sequence[str] = ("virtual_s",),
+) -> Verdict:
+    """Compare the computed group *cur* against the recorded group *ref*."""
+    verdict = Verdict()
+    if set(ref) != set(cur):
         verdict.problems.append(
-            "refusing apples-to-oranges comparison; run environments differ "
-            "(" + "; ".join(mismatched) + ")"
+            f"{label}: recorded workloads {sorted(ref)} != measured {sorted(cur)} "
+            "— re-record"
         )
-        return False
-    verdict.lines.append("meta: environments match (" +
-                         ", ".join(f"{k}={bm[k]}" for k in META_KEYS if k in bm) + ")")
-    return True
-
-
-def compare_sections(
-    report: Dict,
-    base_name: str = "baseline",
-    cur_name: str = "current",
-    wall_tol: float = DEFAULT_WALL_TOL,
-    phase_tol: float = DEFAULT_PHASE_TOL,
-    vt_tol: float = 0.0,
-    wall_floor: float = DEFAULT_WALL_FLOOR,
-    strict: bool = False,
-) -> RegressionVerdict:
-    """Compare two sections of a perf report; see the module docstring
-    for what counts as a failure vs a warning."""
-    verdict = RegressionVerdict(base_name, cur_name)
-    base, cur = report.get(base_name), report.get(cur_name)
-    for name, section in ((base_name, base), (cur_name, cur)):
-        if not section or "results" not in section:
-            verdict.problems.append(
-                f"section {name!r} missing from the report (have: "
-                + ", ".join(sorted(k for k in report if isinstance(report.get(k), dict)))
-                + ")"
-            )
-    if not verdict.ok:
         return verdict
-    if not _meta_check(verdict, base, cur):
-        return verdict
-
-    bres, cres = base["results"], cur["results"]
-    for name in bres:
-        if name not in cres:
-            verdict.problems.append(f"workload {name!r} disappeared from {cur_name}")
-    for name in cres:
-        if name not in bres:
-            verdict.warnings.append(f"workload {name!r} has no {base_name} record")
-
-    for name in sorted(set(bres) & set(cres)):
-        b, c = bres[name], cres[name]
-
-        bv, cv = float(b["virtual_s"]), float(c["virtual_s"])
-        drift = (cv - bv) / bv if bv else 0.0
-        if abs(drift) > vt_tol:
+    for metric in gated:
+        b = sum(float(r[metric]) for r in ref.values())
+        c = sum(float(r[metric]) for r in cur.values())
+        drift = c / b - 1 if b > 0 else float("inf")
+        verdict.lines.append(
+            f"{label:<16} {metric:<10} record={b * 1e3:10.3f} ms  "
+            f"now={c * 1e3:10.3f} ms  ({drift * 100:+6.2f}%)"
+        )
+        if abs(drift) > TOLERANCE:
             verdict.problems.append(
-                f"{name}: virtual time drifted {drift:+.2%} "
-                f"({bv:.6f} s -> {cv:.6f} s); virtual time is deterministic — "
-                "this is a real protocol/runtime change, not noise"
+                f"{label}: aggregate {metric} is {drift * 100:+.2f}% off the "
+                f"record (> {TOLERANCE:.0%}): "
+                + ("regressed" if drift > 0 else "record is stale — re-record")
             )
-        else:
-            verdict.lines.append(f"{name:<10} vt {cv * 1e3:9.3f} ms  exact match")
-
-        for key in INVARIANT_KEYS:
-            if key in b and key in c and b[key] != c[key]:
-                msg = (f"{name}: {key} changed {b[key]} -> {c[key]} "
-                       "(run-shape invariant)")
-                (verdict.problems if strict else verdict.warnings).append(msg)
-
-        bw, cw = b.get("wall_s"), c.get("wall_s")
-        if bw and cw:
-            ratio = float(cw) / float(bw)
-            if max(float(bw), float(cw)) < wall_floor:
-                verdict.lines.append(
-                    f"{name:<10} wall {float(cw):8.3f} s  "
-                    f"(below {wall_floor} s noise floor — not banded)"
-                )
-            elif ratio > 1.0 + wall_tol:
-                verdict.problems.append(
-                    f"{name}: wall time regressed {ratio - 1:+.1%} "
-                    f"({float(bw):.3f} s -> {float(cw):.3f} s) beyond the "
-                    f"+{wall_tol:.0%} noise band"
-                )
-            else:
-                verdict.lines.append(
-                    f"{name:<10} wall {float(cw):8.3f} s  "
-                    f"({ratio - 1:+.1%}, band +{wall_tol:.0%})"
-                )
-
-        bp, cp = b.get("phases"), c.get("phases")
-        if bp and cp:
-            worst_g, worst = None, 0.0
-            for g in set(bp) | set(cp):
-                d = abs(float(cp.get(g, 0.0)) - float(bp.get(g, 0.0)))
-                if d > worst:
-                    worst_g, worst = g, d
-            if worst > phase_tol:
-                verdict.problems.append(
-                    f"{name}: phase mix shifted — {worst_g} fraction moved "
-                    f"{float(bp.get(worst_g, 0.0)):.3f} -> "
-                    f"{float(cp.get(worst_g, 0.0)):.3f} "
-                    f"(> {phase_tol} absolute)"
-                )
-            elif worst_g is not None:
-                verdict.lines.append(
-                    f"{name:<10} phases  max drift {worst:.4f} ({worst_g})"
-                )
+    for name in ref:
+        b, c = ref[name]["virtual_s"], cur[name]["virtual_s"]
+        if b != c:
+            verdict.lines.append(
+                f"  {name}: virtual_s moved {(c / b - 1) * 100:+.3f}% — "
+                + "; ".join(_deltas(ref[name], cur[name]))
+            )
     return verdict
-
-
-# -- synthetic self-check ------------------------------------------------
-def synthetic_report(seed: int = 0) -> Dict:
-    """A small self-contained perf report (baseline == current) used by
-    the smoke gate and tests; *seed* varies the numbers, not the shape."""
-    rng = random.Random(seed)
-    results = {}
-    for name in ("alpha", "beta"):
-        vt = round(rng.uniform(0.01, 0.1), 9)
-        results[name] = {
-            "virtual_s": vt,
-            "wall_s": round(rng.uniform(0.5, 2.0), 6),
-            "events": rng.randrange(10_000, 90_000),
-            "msgs_sent": rng.randrange(500, 5_000),
-            "bytes_sent": rng.randrange(100_000, 900_000),
-            "phases": {"compute": 0.55, "stall": 0.2, "sync": 0.2, "comm": 0.05},
-        }
-    meta = {
-        "python": "3.12", "platform": "linux", "machine": "x86_64",
-        "nodes": 4, "accel": False, "smoke": True,
-    }
-    section = {"timestamp": "synthetic", "meta": meta, "results": results}
-    import copy
-
-    return {
-        "schema": 2,
-        "baseline": section,
-        "current": copy.deepcopy(section),
-    }
-
-
-def seeded_regression(report: Dict, seed: int = 0) -> Dict:
-    """Perturb the ``current`` section of *report* into a regression the
-    watchdog must catch: one workload's virtual time drifts, another's
-    wall time blows past the noise band, and its phase mix shifts."""
-    import copy
-
-    rng = random.Random(seed ^ 0x5EED)
-    bad = copy.deepcopy(report)
-    names = sorted(bad["current"]["results"])
-    vt_victim = names[rng.randrange(len(names))]
-    wall_victim = names[(names.index(vt_victim) + 1) % len(names)]
-    res = bad["current"]["results"]
-    res[vt_victim]["virtual_s"] *= 1.0 + rng.uniform(0.02, 0.2)
-    res[wall_victim]["wall_s"] *= 1.0 + DEFAULT_WALL_TOL + rng.uniform(0.1, 0.5)
-    ph = res[wall_victim]["phases"]
-    shift = DEFAULT_PHASE_TOL + 0.05
-    ph["compute"] = max(0.0, ph["compute"] - shift)
-    ph["sync"] = ph.get("sync", 0.0) + shift
-    return bad
-
-
-def selfcheck(seed: int = 0, verbose: bool = False) -> Optional[str]:
-    """Watchdog self-check: an identical pair must pass, a seeded
-    regression must fail on all three axes.  Returns None when healthy,
-    else a description of what the watchdog missed."""
-    clean = compare_sections(synthetic_report(seed))
-    if verbose:
-        print(clean.render())
-    if not clean.ok:
-        return "false positive: identical baseline/current flagged: " + \
-            "; ".join(clean.problems)
-    bad = compare_sections(seeded_regression(synthetic_report(seed), seed))
-    if verbose:
-        print(bad.render())
-    if bad.ok:
-        return "missed the seeded regression entirely"
-    text = " ".join(bad.problems)
-    for needle in ("virtual time drifted", "wall time regressed", "phase mix shifted"):
-        if needle not in text:
-            return f"seeded regression not detected on axis: {needle!r}"
-    mixed = compare_sections(
-        {**synthetic_report(seed),
-         "current": {**synthetic_report(seed)["current"],
-                     "meta": {**synthetic_report(seed)["current"]["meta"],
-                              "python": "2.7"}}}
-    )
-    if mixed.ok or "apples-to-oranges" not in " ".join(mixed.problems):
-        return "meta mismatch not refused"
-    return None

@@ -48,8 +48,9 @@ phase               group   meaning
 ==================  ======  =====================================================
 
 The coarse *groups* (``compute`` / ``stall`` / ``sync`` / ``comm`` /
-``cpu`` / ``idle``) are what the bench harness records per workload so a
-perf regression is attributable from ``BENCH_parade.json`` alone.
+``cpu`` / ``idle``) are what ``repro.bench.perf`` records per run as
+fractions of thread *virtual* time, so a moved virtual time is
+attributable from the diff of ``BENCH_parade.json`` alone.
 """
 
 from __future__ import annotations

@@ -181,7 +181,7 @@ def _sibling_scenario(dsm_config, notice_page):
 
 
 @pytest.mark.parametrize("dsm_config", [PARADE_DSM, KDSM_BASELINE],
-                         ids=lambda c: c.name)
+                         ids=["parade", "kdsm"])
 @pytest.mark.parametrize("notice_page", [0, 1, 6])
 def test_sibling_downgrades_mid_run_rebuild_the_plan(
         monkeypatch, dsm_config, notice_page):

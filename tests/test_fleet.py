@@ -13,8 +13,15 @@ The load-bearing guarantees, pinned at tier-1:
   repro source-tree digest, so a poisoned/outdated digest can never
   serve a stale record;
 * **failure isolation** — one crashing spec reports ``ok: False``; the
-  rest of the fleet completes.
+  rest of the fleet completes;
+* **bounded failure** — a worker process that dies, or a spec that never
+  finishes, becomes ``ok: False`` records, never a hang; a corrupt cache
+  entry reads as a miss.
 """
+
+import time
+
+from repro.fleet import executor
 
 from repro.fleet import (
     RunCache,
@@ -133,6 +140,50 @@ def test_failure_isolation_other_specs_complete():
     assert good["ok"] and good["events"] > 0
     assert not broken["ok"] and broken["workload"] == "broken"
     assert "cache hits=0" in fleet.summary()
+
+
+def test_a_killed_worker_is_a_failed_record_not_a_hang():
+    # the factory takes its own worker process down mid-run, the way the
+    # OOM killer would: no exception, no result, no goodbye
+    killer = RunSpec(
+        workload="killer",
+        factory=("os", "_exit"),
+        factory_kwargs={"status": 9},
+        n_nodes=2,
+        pool_bytes=1 << 20,
+    )
+    t0 = time.monotonic()
+    fleet = run_many([killer, SPECS[1]], jobs=2)
+    assert time.monotonic() - t0 < 60
+    assert not fleet.ok and len(fleet.records) == 2
+    dead = fleet.records[0]
+    assert not dead["ok"] and dead["workload"] == "killer"
+    assert "worker process died" in dead["error"]
+
+
+def test_an_overlong_spec_is_a_failed_record_not_a_hang(monkeypatch):
+    monkeypatch.setattr(executor, "SPEC_CEILING_S", 3.0)
+    hang = RunSpec(
+        workload="hang", factory=("signal", "pause"), n_nodes=2, pool_bytes=1 << 20
+    )
+    t0 = time.monotonic()
+    fleet = run_many([SPECS[1], SPECS[1], hang], jobs=2)
+    assert time.monotonic() - t0 < 60
+    assert [r["ok"] for r in fleet.records] == [True, True, False]
+    assert "within 3 s" in fleet.records[2]["error"]
+
+
+def test_a_corrupt_cache_entry_reads_as_a_miss(tmp_path):
+    cache = RunCache(root=str(tmp_path))
+    cold = run_many([SPECS[1]], jobs=1, cache=cache)
+    (entry,) = cache.root.glob("??/*.json")
+    entry.write_text(entry.read_text()[:40])  # torn write
+    again = RunCache(root=str(tmp_path))
+    assert again.get(SPECS[1]) is None and again.misses == 1
+    rerun = run_many([SPECS[1]], jobs=1, cache=again)
+    assert rerun.n_executed == 1 and rerun.ok
+    assert deterministic_view(rerun.records[0]) == deterministic_view(cold.records[0])
+    assert RunCache(root=str(tmp_path)).get(SPECS[1]) is not None  # healed
 
 
 def test_resolve_jobs_precedence(monkeypatch):

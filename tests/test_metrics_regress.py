@@ -1,160 +1,91 @@
-"""Watchdog tests: noise-aware comparison semantics + CLI wiring."""
+"""Comparator tests (what fails, what gets explained) + metrics CLI wiring."""
 
 from __future__ import annotations
 
 import copy
-import json
-
-import pytest
 
 from repro.metrics import regress
 from repro.metrics.__main__ import main as metrics_main
 
 
-def _report(seed: int = 0) -> dict:
-    return regress.synthetic_report(seed)
+def _records() -> dict:
+    """A ``{workload: record}`` group of the shape
+    ``repro.bench.perf.report_record`` writes."""
+    return {
+        "alpha": {
+            "virtual_s": 0.040, "barrier_s": 0.010, "events": 50_000,
+            "msgs_sent": 4_000, "bytes_sent": 600_000,
+            "phases": {"compute": 0.55, "stall": 0.2, "sync": 0.2, "comm": 0.05},
+        },
+        "beta": {
+            "virtual_s": 0.060, "barrier_s": 0.030, "events": 70_000,
+            "msgs_sent": 5_000, "bytes_sent": 800_000,
+            "phases": {"compute": 0.35, "stall": 0.3, "sync": 0.3, "comm": 0.05},
+        },
+    }
 
 
 def test_identical_sections_pass():
-    verdict = regress.compare_sections(_report())
+    verdict = regress.compare_records(_records(), _records(), "basket")
     assert verdict.ok and not verdict.problems
-    assert "OK" in verdict.render()
-
-
-def test_selfcheck_is_healthy():
-    assert regress.selfcheck() is None
-    assert regress.selfcheck(seed=42) is None
+    assert len(verdict.lines) == 1 and "+0.00%" in verdict.lines[0]
 
 
 def test_virtual_time_drift_always_fails():
-    rep = _report()
-    rep["current"]["results"]["alpha"]["virtual_s"] *= 1.001  # 0.1% — tiny but real
-    verdict = regress.compare_sections(rep)
-    assert not verdict.ok
-    assert any("virtual time drifted" in p for p in verdict.problems)
-    # ...unless an explicit tolerance allows it
-    assert regress.compare_sections(rep, vt_tol=0.01).ok
+    """Beyond the tolerance, in either direction: a record 8 % too
+    pessimistic is as untrue as one 8 % too optimistic."""
+    for factor in (1.2, 0.8):  # alpha is 40 % of the aggregate
+        cur = _records()
+        cur["alpha"]["virtual_s"] *= factor
+        verdict = regress.compare_records(_records(), cur, "basket")
+        assert not verdict.ok
+        assert "aggregate virtual_s" in verdict.problems[0]
+    # within the band the aggregate passes — and the move is still reported
+    cur = _records()
+    cur["alpha"]["virtual_s"] *= 1.001
+    verdict = regress.compare_records(_records(), cur, "basket")
+    assert verdict.ok
+    assert any(line.strip().startswith("alpha: virtual_s moved") for line in verdict.lines)
+    assert not any("beta" in line for line in verdict.lines)
 
 
-def test_wall_time_band_and_floor():
-    rep = _report()
-    rep["current"]["results"]["alpha"]["wall_s"] *= 1.8
-    assert not regress.compare_sections(rep).ok
-    # speedups never fail
-    rep2 = _report()
-    rep2["current"]["results"]["alpha"]["wall_s"] *= 0.2
-    assert regress.compare_sections(rep2).ok
-    # below the noise floor the band does not apply
-    rep3 = _report()
-    rep3["baseline"]["results"]["alpha"]["wall_s"] = 0.010
-    rep3["current"]["results"]["alpha"]["wall_s"] = 0.019  # +90%, but 19 ms
-    assert regress.compare_sections(rep3).ok
+def test_every_gated_metric_is_banded():
+    cur = _records()
+    cur["beta"]["barrier_s"] *= 1.2
+    assert regress.compare_records(_records(), cur, "scale").ok
+    verdict = regress.compare_records(
+        _records(), cur, "scale", gated=("virtual_s", "barrier_s")
+    )
+    assert not verdict.ok and "barrier_s" in verdict.problems[0]
 
 
 def test_phase_fraction_drift():
-    rep = _report()
-    ph = rep["current"]["results"]["beta"]["phases"]
-    ph["compute"] -= 0.10
-    ph["stall"] += 0.10
-    verdict = regress.compare_sections(rep)
-    assert not verdict.ok
-    assert any("phase mix shifted" in p for p in verdict.problems)
-    assert regress.compare_sections(rep, phase_tol=0.2).ok
-
-
-def test_invariant_counts_warn_by_default_fail_when_strict():
-    rep = _report()
-    rep["current"]["results"]["alpha"]["events"] += 7
-    loose = regress.compare_sections(rep)
-    assert loose.ok and any("events changed" in w for w in loose.warnings)
-    strict = regress.compare_sections(rep, strict=True)
-    assert not strict.ok
-
-
-def test_meta_mismatch_refuses_comparison():
-    rep = _report()
-    rep["current"]["meta"]["python"] = "2.7.18"
-    verdict = regress.compare_sections(rep)
-    assert not verdict.ok
-    assert any("apples-to-oranges" in p for p in verdict.problems)
-    # no per-workload noise on top of the refusal
-    assert len(verdict.problems) == 1
-
-
-def test_schema1_sections_without_meta_compare_with_warning():
-    rep = _report()
-    del rep["baseline"]["meta"]
-    del rep["current"]["meta"]
-    verdict = regress.compare_sections(rep)
-    assert verdict.ok
-    assert any("metadata missing" in w for w in verdict.warnings)
+    """A workload whose virtual time moved is explained: every count and
+    phase fraction that changed, and none that did not."""
+    cur = copy.deepcopy(_records())
+    cur["beta"]["virtual_s"] *= 1.01
+    cur["beta"]["phases"]["compute"] -= 0.10
+    cur["beta"]["phases"]["stall"] += 0.10
+    cur["beta"]["msgs_sent"] += 12
+    (line,) = [
+        ln for ln in regress.compare_records(_records(), cur, "basket").lines
+        if "virtual_s moved" in ln
+    ]
+    assert "phases.compute: 0.35 -> 0.25 (-0.1)" in line
+    assert "phases.stall: 0.3 -> 0.4 (+0.1)" in line
+    assert "msgs_sent: 5000 -> 5012 (+12)" in line
+    assert "events" not in line and "phases.sync" not in line
 
 
 def test_missing_workload_and_section():
-    rep = _report()
-    del rep["current"]["results"]["alpha"]
-    verdict = regress.compare_sections(rep)
-    assert not verdict.ok and any("disappeared" in p for p in verdict.problems)
-    verdict = regress.compare_sections({"schema": 2, "baseline": rep["baseline"]})
-    assert not verdict.ok
-
-
-def test_seeded_regression_has_all_three_axes():
-    for seed in (0, 1, 99):
-        bad = regress.seeded_regression(_report(seed), seed)
-        text = " ".join(regress.compare_sections(bad).problems)
-        assert "virtual time drifted" in text
-        assert "wall time regressed" in text
-        assert "phase mix shifted" in text
-
-
-def test_run_meta_matches_watchdog_keys():
-    """The bench harness fingerprint and the watchdog compare the same
-    key set — a drift here silently disables the apples-to-oranges guard."""
-    from repro.bench.perf import SCHEMA, run_meta
-
-    assert SCHEMA == 2
-    meta = run_meta(4, accel=True, smoke=False)
-    assert set(regress.META_KEYS) == set(meta)
-    assert meta["nodes"] == 4 and meta["accel"] is True
-
-
-def test_load_report_backward_compatible(tmp_path):
-    from repro.bench.perf import load_report
-
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps({"baseline": {"results": {}}}))
-    rep = load_report(str(old))
-    assert rep["schema"] == 1  # schema-1 files normalise, not crash
-    assert load_report(str(tmp_path / "missing.json")) == {}
+    cur = _records()
+    del cur["alpha"]
+    verdict = regress.compare_records(_records(), cur, "basket")
+    assert not verdict.ok and "alpha" in verdict.problems[0]
+    assert not regress.compare_records({}, _records(), "basket").ok
 
 
 # ----------------------------------------------------------------- CLI
-def test_cli_regress_exit_codes(tmp_path, capsys):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(_report()))
-    assert metrics_main(["regress", str(good)]) == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(regress.seeded_regression(_report(), 0)))
-    assert metrics_main(["regress", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "verdict: FAIL" in out
-    assert metrics_main(["regress", str(tmp_path / "nope.json")]) == 1
-
-
-def test_cli_regress_selfcheck():
-    assert metrics_main(["regress", "--selfcheck"]) == 0
-
-
-def test_cli_regress_strict_flag(tmp_path):
-    rep = _report()
-    rep["current"]["results"]["alpha"]["msgs_sent"] += 1
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps(rep))
-    assert metrics_main(["regress", str(path)]) == 0
-    assert metrics_main(["regress", str(path), "--strict"]) == 1
-
-
 def test_cli_run_and_export_round_trip(tmp_path, capsys):
     dump_path = tmp_path / "hh.metrics.json"
     assert metrics_main([
