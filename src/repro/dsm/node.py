@@ -313,6 +313,13 @@ class DsmNode:
         # they must still propagate at the next barrier (HLRC would carry
         # them in vector timestamps — we piggyback them conservatively)
         self._notices_since_barrier: List[WriteNotice] = []
+        # lock id -> how much of that list this node's releases of the
+        # lock have already handed its manager
+        self._lock_published: Dict[int, int] = {}
+        # flushes between their first diff and their last ack, and the
+        # event a finished one waits on for the others (made on demand)
+        self._flushes_in_flight = 0
+        self._flushes_done: Optional[Event] = None
 
         # pages whose invalidation arrived while a fetch was in flight
         # (TRANSIENT/BLOCKED); drained by the fetching thread, which
@@ -1112,7 +1119,9 @@ class DsmNode:
                 twin = self.twins.get(p)
                 assert twin is not None, f"dirty page {p} has no twin on {self.id}"
                 yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
-                diff = compute_diff(twin, self._page_view(p))
+                cur = self._page_view(p)
+                diff = compute_diff(twin, cur)
+                twin[:] = cur
                 self._diff_log[(p, epoch)] = diff
                 if pb is not None and CAT_AUDIT in pb.heard:
                     pb.instant(CAT_AUDIT, "diff", page=p, nbytes=diff_nbytes(diff))
@@ -1120,6 +1129,7 @@ class DsmNode:
                 pb.span("dsm.page", "flush", t0, node=self.id, dirty=n_dirty, retained=True)
             return [WriteNotice(p, self.id, self._interval) for p in pages]
         acks = []
+        self._flushes_in_flight += 1
         batch = self.config.batch_notices
         by_home: Dict[int, List[tuple]] = {}
         sizes: Dict[int, int] = {}
@@ -1129,7 +1139,11 @@ class DsmNode:
             twin = self.twins.get(p)
             assert twin is not None, f"dirty non-home page {p} has no twin on {self.id}"
             yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
-            diff = compute_diff(twin, self._page_view(p))
+            cur = self._page_view(p)
+            diff = compute_diff(twin, cur)
+            # the twin now stands for what is on its way home: a sibling
+            # thread's write while the acks are out shows against it
+            twin[:] = cur
             nb = diff_nbytes(diff)
             sizes[p] = nb
             if not diff:
@@ -1156,6 +1170,18 @@ class DsmNode:
             yield from self.net.send(self.id, dst, nb, entries, tag=("dsm", "dbat", req_id))
         for ev in acks:
             yield ev
+        # a page this flush found equal to its twin may be one a sibling
+        # thread's flush diffed a moment ago: those bytes are still in
+        # flight, and the notices returned here must not overtake them —
+        # so no flush of this node returns while another has acks out
+        self._flushes_in_flight -= 1
+        if self._flushes_in_flight:
+            if self._flushes_done is None:
+                self._flushes_done = Event(self.sim, name=f"flushes-done[{self.id}]")
+            yield self._flushes_done
+        elif self._flushes_done is not None:
+            done, self._flushes_done = self._flushes_done, None
+            done.succeed()
         if pb is not None and "dsm.page" in pb.heard and n_dirty:
             pb.span(
                 "dsm.page", "flush", t0, node=self.id, dirty=n_dirty,
@@ -1173,17 +1199,25 @@ class DsmNode:
 
     def _close_interval(self, pages) -> None:
         """After a flush: the *pages* it covered (those of its notices)
-        become clean, twins dropped.  A page a sibling thread dirtied
-        while the flush waited for its acks is not one of them: no diff
-        of it was taken, so it stays DIRTY, twin and all, for the next
-        flush."""
+        become clean, twins dropped — those that still equal their twin,
+        which the flush left equal to what it shipped.  A page a sibling
+        thread wrote while the flush waited for its acks (one it covered,
+        or one it did not: no diff of that was taken at all) stays DIRTY,
+        twin and all, for the next flush.  This is the only place a DIRTY
+        page loses its twin, so a twin that differs from its page never
+        is dropped."""
         flushed = set(pages)
-        late = [p for p in self.dirty if p not in flushed]
+        late = []
         for p in self.dirty:
-            if p in flushed:
+            twin = self.twins.get(p)  # none on the page's home
+            if p in flushed and (
+                twin is None or np.array_equal(twin, self._page_view(p))
+            ):
                 self._set_state(p, PageState.READ_ONLY, "flush")
                 self.space.protect(p, PROT_READ)
                 self.twins.pop(p, None)
+            else:
+                late.append(p)
         self.dirty.clear()
         self.dirty.update(late)
 
@@ -1236,6 +1270,7 @@ class DsmNode:
         # include notices from lock intervals since the last barrier
         notices = dedupe_notices(self._notices_since_barrier + flushed)
         self._notices_since_barrier = []
+        self._lock_published.clear()
 
         wait = Event(self.sim, name=f"bardep[{self.id}:{epoch}]")
         self._bar_wait[epoch] = wait
@@ -1730,9 +1765,17 @@ class DsmNode:
         pb = self.sim.probe
         if pb is not None and CAT_AUDIT in pb.heard:
             pb.instant(CAT_AUDIT, "lock-release", node=self.id, lock=lock_id)
-        notices = yield from self._flush_dirty()
-        self._close_interval(wn.page for wn in notices)
-        self._notices_since_barrier.extend(notices)
+        flushed = yield from self._flush_dirty()
+        self._close_interval(wn.page for wn in flushed)
+        self._notices_since_barrier.extend(flushed)
+        # every interval this node closed since it last released this lock
+        # (or since the barrier): an acquire's flush and a sibling thread's
+        # release of another lock close pages too, and nothing is dirty
+        # here for what they shipped
+        notices = dedupe_notices(
+            self._notices_since_barrier[self._lock_published.get(lock_id, 0):]
+        )
+        self._lock_published[lock_id] = len(self._notices_since_barrier)
         nb = 16 + self._notice_nbytes * len(notices)
         # the notice hand-off is part of the release (flush) cost
         yield from bracket(
