@@ -11,8 +11,10 @@ DSM write-upgrade fault path per page over range lengths (a longer range
 must cost less per page, not more); one ``Node.busy_cpu`` burst
 detached and under each observer set (an attached profiler or recorder
 adds its own handlers' cost to a burst, not a second process resume);
-and one quiet 1 000-slice ``Node.spin_cpu`` busy-wait (four kernel
-events, asserted — not a thousand).
+one quiet 1 000-slice ``Node.spin_cpu`` busy-wait (four kernel
+events, asserted — not a thousand); and one NAS CG matrix build
+(``make_matrix``, NPB ``makea``) at classes S and A, with its traced
+memory peak.
 Run directly for a table of wall-clock timings::
 
     PYTHONPATH=src python benchmarks/bench_microkernels.py
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import time
 import timeit
+import tracemalloc
 
 import numpy as np
 
@@ -47,6 +50,7 @@ CEILING_METRICS_SAMPLE = 5e-3
 CEILING_RANGE_FAULT = 5e-4  # per page
 CEILING_OBSERVED_BURST = 5e-5  # per burst, all four observers attached
 CEILING_SPIN_WAIT = 6e-4  # per 1 000-slice wait (~0.15 ms); slice by slice it was 1.4 ms
+CEILING_CG_BUILD = 2.5e-2  # per class-S matrix (~9 ms); the per-entry loop took ~50 ms
 #: kernel events of one quiet busy-wait, however many slices it spans: the
 #: grant timer, the grant event, the spin's first slice (on the schedule)
 #: and the slice the grant's processing puts back on it
@@ -273,6 +277,27 @@ def bench_spin_wait() -> dict:
     }
 
 
+def bench_cg_build(classes: tuple = ("S", "A")) -> dict:
+    """Host seconds per ``repro.apps.cg.make_matrix`` call — NPB
+    ``makea``: the stream walk, the outer products into COO triplets and
+    scipy's CSR conversion — with the build's tracemalloc peak in the
+    case name (a count: the per-entry loop peaked at 11.3 MiB at class
+    S and 271 MiB at class A)."""
+    from repro.apps import cg
+
+    out = {}
+    for klass in classes:
+        tracemalloc.start()
+        try:
+            cg.make_matrix(klass)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sec = _per_call(lambda: cg.make_matrix(klass), number=20 if klass == "S" else 3)
+        out[f"class {klass} (peak {peak / 2**20:.1f} MiB)"] = sec
+    return out
+
+
 # -- pytest entry points -------------------------------------------------
 def test_compute_diff_speed():
     assert max(bench_compute_diff().values()) < CEILING_COMPUTE_DIFF
@@ -306,6 +331,10 @@ def test_spin_wait_speed_and_event_ceiling():
     assert max(bench_spin_wait().values()) < CEILING_SPIN_WAIT
 
 
+def test_cg_build_speed():
+    assert max(bench_cg_build(("S",)).values()) < CEILING_CG_BUILD
+
+
 def main() -> None:
     for title, fn in (
         ("compute_diff", bench_compute_diff),
@@ -316,6 +345,7 @@ def main() -> None:
         ("range_fault (per page)", bench_range_fault),
         ("observed_burst (per busy_cpu burst)", bench_observed_burst),
         ("spin_wait (per quiet 1000-slice wait)", bench_spin_wait),
+        ("cg_build (per make_matrix call)", bench_cg_build),
     ):
         print(f"{title}:")
         for case, sec in fn().items():

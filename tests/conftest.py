@@ -166,6 +166,75 @@ def reference_tally(u):
     return float(gx.sum()), float(gy.sum()), counts
 
 
+def reference_makea(klass):
+    """``repro.apps.cg.make_matrix`` as it was before the array code — the
+    byte-for-byte oracle for the CG matrix: NPB ``makea`` as a per-entry
+    loop over three Python lists of boxed triplets, one ``randlc`` call
+    per draw.  Lives here, not in ``src/``."""
+    import scipy.sparse as sp
+
+    from repro.apps.cg import _TRAN0, CLASSES, RCOND
+    from repro.apps.nas_random import randlc
+
+    na, nonzer, shift, _niter = CLASSES[klass]
+    tran = _TRAN0
+    tran, _zeta = randlc(tran)  # main() consumes one value before makea
+
+    nn1 = 1
+    while nn1 < na:
+        nn1 <<= 1
+
+    ratio = RCOND ** (1.0 / na)
+    size = 1.0
+    rows = []
+    cols = []
+    vals = []
+    mark = np.zeros(na + 1, dtype=bool)
+
+    for iouter in range(1, na + 1):
+        # sprnvc: nonzer distinct random positions with random values
+        nzv = 0
+        v = []
+        iv = []
+        while nzv < nonzer:
+            tran, vecelt = randlc(tran)
+            tran, vecloc = randlc(tran)
+            i = int(nn1 * vecloc) + 1
+            if i > na:
+                continue
+            if not mark[i]:
+                mark[i] = True
+                v.append(vecelt)
+                iv.append(i)
+                nzv += 1
+        for i in iv:
+            mark[i] = False
+        # vecset: force position iouter with value 0.5
+        if iouter in iv:
+            v[iv.index(iouter)] = 0.5
+        else:
+            v.append(0.5)
+            iv.append(iouter)
+        # outer product accumulation
+        for jcol, vj in zip(iv, v):
+            scale = size * vj
+            for irow, vi in zip(iv, v):
+                rows.append(irow - 1)
+                cols.append(jcol - 1)
+                vals.append(vi * scale)
+        size *= ratio
+
+    # rcond - shift on the diagonal
+    for i in range(na):
+        rows.append(i)
+        cols.append(i)
+        vals.append(RCOND - shift)
+
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(na, na)).tocsr()
+    a.sum_duplicates()
+    return a
+
+
 def reference_runs(twin, current):
     """A diff as the run-length list ``compute_diff`` used to build —
     ``[(offset, bytes)]``, one entry per maximal run of changed bytes:
