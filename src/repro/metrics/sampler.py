@@ -4,12 +4,12 @@
 (:mod:`repro.sim.probe`): detached, a run pays the bus's own
 ``sim.probe is None`` guard per site and nothing else.
 
-Sampling is **passive**: the event loop states ``kernel/step`` once per
-processed event (while a step consumer is subscribed), which lands in
-:meth:`Metrics.on_step`, and the sampler snapshots its
-sources whenever virtual time has crossed the next multiple of
-``period``.  No timeout events are ever scheduled, no CPU is charged, no
-sequence numbers are consumed — the event schedule of an observed run is
+Sampling is **passive**: :meth:`Metrics.on_step` answers the event
+loop's ``kernel/step`` with the next multiple of ``period`` as its due
+virtual time, so the loop calls it only on the first event at or after
+that grid point, where the sampler snapshots its sources.  No timeout
+events are ever scheduled, no CPU is charged, no sequence numbers are
+consumed — the event schedule of an observed run is
 *bit-identical* to the unobserved run, which is what lets the goldens
 pin virtual times with metrics on.  The cost of that passivity: samples
 land on the first event *at or after* each grid point (exactly the grid
@@ -29,13 +29,16 @@ fed by the probe kinds listed in ``Metrics._handlers`` — see the
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.registry import Histogram, MetricsRegistry
 from repro.sim.probe import CAT_AUDIT, Subscriber
 
-#: series name of one sampled value stream
-Series = Tuple[List[float], List[float]]
+#: one sampled value stream: (times, values) as ``array('d')`` columns
+Series = Tuple[array, array]
+
+_INF = float("inf")
 
 #: metric names the hooks maintain (export adds the ``parade_`` prefix)
 NET_LATENCY = "net_latency_seconds"
@@ -89,7 +92,7 @@ class Metrics(Subscriber):
         self.period = period
         self.max_samples = max_samples
         self.registry = MetricsRegistry()
-        #: series name -> ([times], [values]); insertion-ordered
+        #: series name -> (times, values); insertion-ordered
         self.series: Dict[str, Series] = {}
         #: (prefix, fn, {name: its ``prefix/name`` series}) per source
         self.sources: List[Tuple[str, Callable[[], Dict[str, float]], Dict]] = []
@@ -100,6 +103,9 @@ class Metrics(Subscriber):
         #: (src, dst) -> the link's frames in flight (sent, not yet
         #: delivered into the destination inbox)
         self.inflight: Dict[Tuple[int, int], _Link] = {}
+        #: ``inflight``'s links in ``(src, dst)`` order, re-sorted only
+        #: when a link is added
+        self._links: List[_Link] = []
         self._inflight_msgs = 0
         self._inflight_bytes = 0
         #: the delivery-latency histogram, resolved at the first delivery
@@ -128,13 +134,13 @@ class Metrics(Subscriber):
         self.sources.append((prefix, fn, {}))
 
     # -- sampling -------------------------------------------------------
-    def on_step(self, now: float, queue_depth: int) -> None:
-        """Once per processed event (``kernel/step``); samples when *now* has
-        crossed the next grid point."""
-        if now < self._next_due:
-            return
-        self.sample(now, queue_depth)
-        self._next_due = self.period * (math.floor(now / self.period) + 1.0)
+    def on_step(self, now: float, queue_depth: int):
+        """``kernel/step``: samples when *now* has crossed the next grid
+        point; returns the next due ``(events_processed, virtual time)``."""
+        if now >= self._next_due:
+            self.sample(now, queue_depth)
+            self._next_due = self.period * (math.floor(now / self.period) + 1.0)
+        return _INF, self._next_due
 
     def sample(self, now: float, queue_depth: Optional[int] = None) -> None:
         """Snapshot every source at virtual time *now*."""
@@ -151,7 +157,7 @@ class Metrics(Subscriber):
     def _series(self, name: str) -> Series:
         s = self.series.get(name)
         if s is None:
-            s = self.series[name] = ([], [])
+            s = self.series[name] = (array("d"), array("d"))
         return s
 
     def _record(self, s: Series, t: float, v: float) -> None:
@@ -175,7 +181,7 @@ class Metrics(Subscriber):
             "inflight_msgs": self._inflight_msgs,
             "inflight_bytes": self._inflight_bytes,
         }
-        for _, link in sorted(self.inflight.items()):
+        for link in self._links:
             out[link.msgs_series] = link.msgs
             out[link.bytes_series] = link.nbytes
         return out
@@ -188,6 +194,7 @@ class Metrics(Subscriber):
         link = self.inflight.get((src, dst))
         if link is None:
             link = self.inflight[src, dst] = _Link(self.registry, src, dst)
+            self._links = [lk for _, lk in sorted(self.inflight.items())]
         link.msgs += 1
         link.nbytes += nbytes
         self._inflight_msgs += 1

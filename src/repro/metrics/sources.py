@@ -16,12 +16,22 @@ only have a cluster or a bare simulator.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict
 
 from repro.dsm.states import PageState
 
 #: series names of the DSM page census, in ``PageState.idx`` order
 _CENSUS_KEYS = tuple(f"pages_{st.name.lower()}" for st in PageState)
+
+#: the per-node ``DsmNodeStats`` counters sampled, summed over nodes
+_DSM_KEYS = (
+    "read_faults", "write_faults", "pages_fetched", "fetch_bytes",
+    "diffs_sent", "diff_bytes", "invalidations", "lock_acquires",
+    "barriers", "notices_batched", "updates_pushed",
+    "updates_installed", "barrier_arrivals_rx",
+)
+_dsm_counters = attrgetter(*_DSM_KEYS)
 
 
 def sim_source(sim) -> Callable[[], Dict[str, float]]:
@@ -73,19 +83,15 @@ def dsm_source(dsm) -> Callable[[], Dict[str, float]]:
     per-sample deltas are the live rates of Figures 6-10."""
 
     def snapshot() -> Dict[str, float]:
-        # each node maintains its own count (DsmNode.census): summing them
-        # costs O(nodes), whatever the pool size
+        # each node maintains its own census and counters: summing them
+        # costs O(nodes), whatever the pool size, and builds no stats dict
+        nodes = dsm.nodes
         out: Dict[str, float] = dict(
-            zip(_CENSUS_KEYS, map(sum, zip(*(dn.census for dn in dsm.nodes))))
+            zip(_CENSUS_KEYS, map(sum, zip(*(dn.census for dn in nodes))))
         )
-        agg = dsm.stats()
-        for key in (
-            "read_faults", "write_faults", "pages_fetched", "fetch_bytes",
-            "diffs_sent", "diff_bytes", "invalidations", "lock_acquires",
-            "barriers", "notices_batched", "updates_pushed",
-            "updates_installed", "barrier_arrivals_rx", "home_migrations",
-        ):
-            out[key] = agg.get(key, 0)
+        counters = zip(*(_dsm_counters(dn.stats) for dn in nodes))
+        out.update(zip(_DSM_KEYS, map(sum, counters)))
+        out["home_migrations"] = dsm.stats_home_migrations
         return out
 
     return snapshot

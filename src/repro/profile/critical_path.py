@@ -35,7 +35,9 @@ contention).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.profile.phases import (
     PH_COMM_SERVICE,
@@ -45,10 +47,10 @@ from repro.profile.phases import (
     PH_NET_TX,
 )
 
-UNATTRIBUTED = "unattributed"
+if TYPE_CHECKING:
+    from repro.profile.profiler import Intervals
 
-#: interval tuple layout shared with the profiler
-Interval = Tuple[float, float, str, str, bool]
+UNATTRIBUTED = "unattributed"
 
 
 class CriticalPath:
@@ -95,29 +97,40 @@ class CriticalPath:
 
 
 def compute_critical_path(
-    intervals: List[Interval],
+    intervals: Intervals,
     t_end: Optional[float] = None,
 ) -> CriticalPath:
     """Backward-sweep critical path over *intervals* (profiler's
-    ``intervals + net_intervals``); only ``active`` entries participate."""
-    active = [iv for iv in intervals if iv[4] and iv[1] > iv[0]]
+    ``intervals + net_intervals``); only ``active`` entries participate.
+    Reads the columns directly: no tuple is built per interval."""
+    t0s, t1s, tids, phases = intervals.t0, intervals.t1, intervals.tid, intervals.phase
+    b0 = np.frombuffer(t0s, dtype=np.float64)
+    b1 = np.frombuffer(t1s, dtype=np.float64)
+    keep = np.flatnonzero(np.frombuffer(intervals.active, dtype=np.uint8) & (b1 > b0))
     if t_end is None:
-        t_end = max((iv[1] for iv in active), default=0.0)
+        t_end = t1s[int(keep[b1[keep].argmax()])] if len(keep) else 0.0
     cp = CriticalPath(t_end)
     if t_end <= 0.0:
         return cp
 
     # deterministic processing order: by end time, then start, tid, phase
-    active.sort(key=lambda iv: (iv[1], iv[0], iv[2], iv[3]))
+    # (lexsort is stable, and strings sort by their rank among the distinct)
+    def ranks(col):
+        rank = {v: r for r, v in enumerate(sorted(set(col)))}
+        return np.fromiter(map(rank.__getitem__, col), dtype=np.int64, count=len(col))
+
+    order = keep[
+        np.lexsort((ranks(phases)[keep], ranks(tids)[keep], b0[keep], b1[keep]))
+    ].tolist()
 
     t = t_end
-    i = len(active) - 1
+    i = len(order) - 1
     # max-heap on start time of the intervals covering / abutting `t`
     heap: List[Tuple[float, str, str, float]] = []  # (-t0, tid, phase, t1)
     while t > 0.0:
-        while i >= 0 and active[i][1] >= t:
-            iv = active[i]
-            heapq.heappush(heap, (-iv[0], iv[2], iv[3], iv[1]))
+        while i >= 0 and t1s[order[i]] >= t:
+            j = order[i]
+            heapq.heappush(heap, (-t0s[j], tids[j], phases[j], t1s[j]))
             i -= 1
         # drop intervals ending at/after t but starting at/after t: they
         # cannot cover any span strictly before t
@@ -125,7 +138,7 @@ def compute_critical_path(
             heapq.heappop(heap)
         if not heap:
             # nothing active covers (…, t): gap back to the latest end
-            prev_end = active[i][1] if i >= 0 else 0.0
+            prev_end = t1s[order[i]] if i >= 0 else 0.0
             cp._charge(prev_end, t, "-", UNATTRIBUTED)
             t = prev_end
             continue

@@ -22,16 +22,18 @@ from typing import Dict, List, Optional
 from repro.trace.events import TraceEvent, CAT_COUNTER
 from repro.trace.export import write_chrome_json
 from repro.profile.phases import ALL_GROUPS, NET_TID, group_of, node_of_tid
-from repro.profile.profiler import Interval, Profiler
+from repro.profile.profiler import Intervals, Profiler
 
 #: category of synthesized profile slices
 CAT_PROFILE = "profile"
 
 
-def intervals_to_events(intervals: List[Interval]) -> List[TraceEvent]:
+def intervals_to_events(intervals: Intervals) -> List[TraceEvent]:
     """Phase slices: one complete (``X``) event per recorded interval."""
     out = []
-    for t0, t1, tid, phase, active in intervals:
+    for t0, t1, tid, phase, active in zip(
+        intervals.t0, intervals.t1, intervals.tid, intervals.phase, intervals.active
+    ):
         node = -1 if tid == NET_TID else node_of_tid(tid)
         out.append(
             TraceEvent(
@@ -63,7 +65,8 @@ def group_counter_events(
     # node -> sample index -> group -> count; built by rasterising each
     # interval onto the grid (half-open [t0, t1))
     counts: Dict[int, List[Dict[str, int]]] = {}
-    for t0, t1, tid, phase, _active in prof.intervals:
+    iv = prof.intervals
+    for t0, t1, tid, phase in zip(iv.t0, iv.t1, iv.tid, iv.phase):
         node = node_of_tid(tid)
         grid = counts.get(node)
         if grid is None:

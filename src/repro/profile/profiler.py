@@ -22,9 +22,9 @@ stack**:
 Time is attributed to the innermost (top) phase; every transition closes
 the current slice into the thread's ledger, so per-thread phase times sum
 exactly to the thread's virtual lifetime.  With ``record_intervals`` the
-closed slices are also kept as a flat interval list — the input of the
-critical-path sweep (:mod:`repro.profile.critical_path`) and the
-Chrome-counter export (:mod:`repro.profile.export`).
+closed slices are also kept as an :class:`Intervals` column store — the
+input of the critical-path sweep (:mod:`repro.profile.critical_path`) and
+the Chrome-counter export (:mod:`repro.profile.export`).
 
 The hot-page and hot-lock tables and the network pseudo-thread are fed by
 the kinds in ``Profiler._handlers``: page fetches and lock grants off
@@ -34,7 +34,8 @@ diffs, lock waits, message flights and retransmit dead time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.profile.phases import (
     ALL_GROUPS,
@@ -51,6 +52,42 @@ from repro.util.tables import percentile
 
 #: an emitted interval: (t0, t1, tid, phase, active)
 Interval = Tuple[float, float, str, str, bool]
+
+
+class Intervals:
+    """The closed phase slices as parallel columns: ``t0`` / ``t1`` in
+    ``array('d')``, references to the ``tid`` and ``phase`` strings, and
+    the ``active`` flags in a ``bytearray`` — a few dozen bytes per slice.
+    Iterating yields :data:`Interval` tuples, built on read; ``+``
+    concatenates two streams."""
+
+    __slots__ = ("t0", "t1", "tid", "phase", "active")
+
+    def __init__(self):
+        self.t0 = array("d")
+        self.t1 = array("d")
+        self.tid: List[str] = []
+        self.phase: List[str] = []
+        self.active = bytearray()
+
+    def append(self, t0: float, t1: float, tid: str, phase: str, active: bool) -> None:
+        self.t0.append(t0)
+        self.t1.append(t1)
+        self.tid.append(tid)
+        self.phase.append(phase)
+        self.active.append(active)
+
+    def __len__(self) -> int:
+        return len(self.t0)
+
+    def __iter__(self) -> Iterator[Interval]:
+        return zip(self.t0, self.t1, self.tid, self.phase, map(bool, self.active))
+
+    def __add__(self, other: "Intervals") -> "Intervals":
+        out = Intervals()
+        for col in self.__slots__:
+            setattr(out, col, getattr(self, col) + getattr(other, col))
+        return out
 
 
 class _ThreadState:
@@ -115,9 +152,9 @@ class Profiler(Subscriber):
         self.sim = sim
         self.record_intervals = record_intervals
         self.threads: Dict[str, _ThreadState] = {}
-        self.intervals: List[Interval] = []
+        self.intervals = Intervals()
         #: switch-propagation intervals of the pseudo-thread ``net``
-        self.net_intervals: List[Interval] = []
+        self.net_intervals = Intervals()
         self.net_flight_s = 0.0
         self.net_flights = 0
         #: reliability-layer retransmit-timer dead time (chaos runs only)
@@ -163,7 +200,7 @@ class Profiler(Subscriber):
             phase, active = st.stack[-1] if st.stack else (PH_IDLE, False)
             st.ledger[phase] = st.ledger.get(phase, 0.0) + dur
             if self.record_intervals:
-                self.intervals.append((st.last, now, st.tid, phase, active))
+                self.intervals.append(st.last, now, st.tid, phase, active)
         st.last = now
 
     # -- phase stack hooks ----------------------------------------------
@@ -226,7 +263,7 @@ class Profiler(Subscriber):
         self.net_flights += 1
         self.net_flight_s += t1 - t0
         if self.record_intervals and t1 > t0:
-            self.net_intervals.append((t0, t1, NET_TID, PH_NET_FLIGHT, True))
+            self.net_intervals.append(t0, t1, NET_TID, PH_NET_FLIGHT, True)
 
     def _on_retransmit_wait(self, a, node, tid, t0, ph) -> None:
         """Record the dead time preceding one reliability-layer retransmit:
@@ -238,7 +275,7 @@ class Profiler(Subscriber):
         self.retransmit_waits += 1
         self.retransmit_wait_s += t1 - t0
         if self.record_intervals and t1 > t0:
-            self.net_intervals.append((t0, t1, NET_TID, PH_RETRANSMIT, True))
+            self.net_intervals.append(t0, t1, NET_TID, PH_RETRANSMIT, True)
 
     # -- hot pages (audit/fault, dsm.page/fetch, audit/pull, audit/diff) ----
     def _page(self, page: int) -> PageStats:

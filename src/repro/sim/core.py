@@ -150,7 +150,9 @@ class Simulator:
         pop = _heappop
         # The processed-event counter must be exact whenever a step
         # consumer reads it, so it is batched into a local only for runs
-        # that enter the loop with none subscribed.
+        # that enter the loop with none subscribed.  With one, the loop
+        # states ``kernel/step`` only on the events some consumer said it
+        # is due at (ProbeBus.step).
         pb = self.probe
         observed = pb is not None and bool(pb.steps)
         n = 0
@@ -177,10 +179,11 @@ class Simulator:
                 if observed:
                     self._n_processed += 1
                     pb = self.probe
-                    if pb is not None:
-                        depth = len(heap) + len(urg) + len(imm)
-                        for step in pb.steps:
-                            step(self.now, depth)
+                    if pb is not None and (
+                        self._n_processed >= pb.due_n or self.now >= pb.due_t
+                    ):
+                        pb.step(self._n_processed, self.now,
+                                len(heap) + len(urg) + len(imm))
                 else:
                     n += 1
                 for cb in callbacks:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
+_INF = float("inf")
+
 # -- profiler phase labels (taxonomy: repro.profile.phases) ---------------
 PH_COMPUTE = "compute"
 PH_CPU_WAIT = "cpu-wait"
@@ -89,10 +91,19 @@ class ProbeBus:
     ``phase/push|replace`` (``handler(phase)``), ``phase/pop``
     (``handler()``).  :attr:`steps` is the one kernel decision the bus
     answers from its subscriber set.
+
+    A ``kernel/step`` handler returns when it is next due, as a pair
+    ``(events_processed, virtual_time)``: the event loop calls
+    :meth:`step` on the first event at which either is reached
+    (:attr:`due_n` / :attr:`due_t`, the earliest over the consumers), and
+    :meth:`step` calls exactly the consumers that are due.  A consumer
+    joining the bus is due at once, so its first call is on the next
+    processed event; a consumer called early (the set changed) answers
+    with the due it already had.
     """
 
     __slots__ = ("subscribers", "_routes", "heard", "steps",
-                 "push", "replace", "pop")
+                 "push", "replace", "pop", "_due_ns", "_due_ts", "due_n", "due_t")
 
     def __init__(self):
         #: in subscription order, which is also delivery order
@@ -107,11 +118,26 @@ class ProbeBus:
         self.heard = frozenset().union(*(s.categories for s in self.subscribers))
         #: ``kernel/step`` consumers; non-empty ⇒ exact ``events_processed``
         self.steps = routes["kernel", "step"]
+        #: per consumer, its next due ``events_processed`` / virtual time
+        self._due_ns = [0] * len(self.steps)
+        self._due_ts = [0.0] * len(self.steps)
+        self.due_n, self.due_t = (0, 0.0) if self.steps else (_INF, _INF)
         # phase brackets; ``replace(None)`` swaps in an active copy of the
         # enclosing phase (a raw CPU burst inherits its context)
         self.push = _fan_out(routes["phase", "push"])
         self.replace = _fan_out(routes["phase", "replace"])
         self.pop = _fan_out(routes["phase", "pop"])
+
+    def step(self, n: int, now: float, depth: int) -> None:
+        """``kernel/step`` for the consumers due at the *n*-th processed
+        event, at virtual time *now* with *depth* events pending."""
+        due_ns, due_ts = self._due_ns, self._due_ts
+        for i, handler in enumerate(self.steps):
+            if n >= due_ns[i] or now >= due_ts[i]:
+                due_ns[i], due_ts[i] = handler(now, depth)
+        if due_ns is self._due_ns:  # else a handler changed the set: rewired
+            self.due_n = min(due_ns)
+            self.due_t = min(due_ts)
 
     # -- facts ------------------------------------------------------------
     def instant(self, cat: str, name: str, node: int = -1,

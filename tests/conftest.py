@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,52 @@ class TraversalCountingList(list):
         if isinstance(key, slice):
             self.traversals += 1
         return super().__getitem__(key)
+
+
+class PerEventSteps:
+    """The ``kernel/step`` offering the event loop made before it became
+    due-driven: *on_event(now, depth)* runs on every processed event.
+    Every other kind goes to the wrapped observer *inner*, which must be
+    built with ``attach=False`` so that this wrapper is what subscribes."""
+
+    def __init__(self, inner, on_event):
+        self.inner = inner
+        self.on_event = on_event
+        self.categories = inner.categories
+
+    def handler_for(self, cat, name):
+        if (cat, name) == ("kernel", "step"):
+            return self.on_step
+        return self.inner.handler_for(cat, name)
+
+    def on_step(self, now, depth):
+        self.on_event(now, depth)
+        return self.inner.sim.events_processed + 1, float("inf")
+
+
+def reference_queue_stride(rec):
+    """``TraceRecorder``'s old per-event step: count the events offered
+    since subscribing, sample the queue depth on every stride-th."""
+    from repro.trace import CAT_COUNTER
+
+    seen = 0
+
+    def on_event(now, depth):
+        nonlocal seen
+        seen += 1
+        if rec.queue_stride and seen % rec.queue_stride == 0:
+            rec.counter(CAT_COUNTER, "queue-depth", depth=depth)
+
+    return on_event
+
+
+def reference_grid(mx):
+    """``Metrics``' old per-event step: sample on the first event at or
+    after the next multiple of the period."""
+
+    def on_event(now, depth):
+        if now >= mx._next_due:
+            mx.sample(now, depth)
+            mx._next_due = mx.period * (math.floor(now / mx.period) + 1.0)
+
+    return on_event

@@ -72,7 +72,7 @@ def test_runtime_wiring_and_finalize():
     # cumulative sources are monotone
     for name in ("sim/events_total", "cluster/msgs_total", "dsm/read_faults"):
         _, v = mx.series[name]
-        assert v == sorted(v), f"{name} not monotone"
+        assert list(v) == sorted(v), f"{name} not monotone"
     # final sample records the end-of-run totals
     t, v = mx.series["sim/events_total"]
     assert t[-1] == res.elapsed
@@ -153,7 +153,7 @@ def test_sampling_grid_and_max_samples():
     mx.on_step(4.0, queue_depth=3)   # crossed 2.0 (one sample, not three)
     assert mx.n_samples == 2
     t, v = mx.series["sim/queue_depth"]
-    assert t == [1.5, 4.0] and v == [2.0, 3.0]
+    assert list(t) == [1.5, 4.0] and list(v) == [2.0, 3.0]
     # max_samples bounds every series; drops are counted
     mx.on_step(5.0, queue_depth=4)
     mx.on_step(6.0, queue_depth=5)
@@ -218,4 +218,4 @@ def test_dsm_series_do_not_depend_on_pool_size():
     for name, (t, v) in s_small.items():
         t_big, v_big = s_big[name]
         assert t_big == t, name
-        assert v_big == [x + offsets.get(name, 0) for x in v], name
+        assert list(v_big) == [x + offsets.get(name, 0) for x in v], name

@@ -378,8 +378,9 @@ def test_step_and_run_drain_in_the_same_order(seed):
 
 
 def test_events_processed_is_exact_inside_observer_hooks(sim):
-    """An attached ``on_step`` consumer sees the counter already include
-    the event being dispatched, on every event, through the fused loop."""
+    """An attached ``on_step`` consumer due on every event sees the
+    counter already include the event being dispatched, on every event,
+    through the fused loop."""
     seen = []
 
     class Meter:
@@ -390,6 +391,7 @@ def test_events_processed_is_exact_inside_observer_hooks(sim):
 
         def on_step(self, now, pending):
             seen.append(sim.events_processed)
+            return sim.events_processed + 1, float("inf")
 
     subscribe(sim, Meter())
     _random_schedule(sim, 0, [])
