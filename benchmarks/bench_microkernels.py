@@ -12,9 +12,11 @@ must cost less per page, not more); one ``Node.busy_cpu`` burst
 detached and under each observer set (an attached profiler or recorder
 adds its own handlers' cost to a burst, not a second process resume);
 one quiet 1 000-slice ``Node.spin_cpu`` busy-wait (four kernel
-events, asserted — not a thousand); and one NAS CG matrix build
+events, asserted — not a thousand); one NAS CG matrix build
 (``make_matrix``, NPB ``makea``) at classes S and A, with its traced
-memory peak.
+memory peak; and one remote MPI message on the 8-node Fig 6/7 sync
+program, in Python calls (deterministic, ratcheted) and host µs per
+8-node allreduce.
 Run directly for a table of wall-clock timings::
 
     PYTHONPATH=src python benchmarks/bench_microkernels.py
@@ -26,6 +28,7 @@ tier-1 without making the suite flaky on slow hosts.
 
 from __future__ import annotations
 
+import sys
 import time
 import timeit
 import tracemalloc
@@ -51,6 +54,13 @@ CEILING_RANGE_FAULT = 5e-4  # per page
 CEILING_OBSERVED_BURST = 5e-5  # per burst, all four observers attached
 CEILING_SPIN_WAIT = 6e-4  # per 1 000-slice wait (~0.15 ms); slice by slice it was 1.4 ms
 CEILING_CG_BUILD = 2.5e-2  # per class-S matrix (~9 ms); the per-entry loop took ~50 ms
+CEILING_ALLREDUCE_8N = 5e-3  # per 8-node allreduce (~0.32 ms: 14 remote messages)
+#: Python calls (frames entered, generator resumes included) per remote
+#: message on the 8-node sync program, as measured (111.8 before the
+#: message path shed its spare frames) — a count, not a time, so the
+#: ceiling sits only 5 % above it
+CALLS_PER_MESSAGE = 89.34
+CEILING_CALLS_PER_MESSAGE = CALLS_PER_MESSAGE * 1.05
 #: kernel events of one quiet busy-wait, however many slices it spans: the
 #: grant timer, the grant event, the spin's first slice (on the schedule)
 #: and the slice the grant's processing puts back on it
@@ -298,6 +308,87 @@ def bench_cg_build(classes: tuple = ("S", "A")) -> dict:
     return out
 
 
+def _sync_program(iters: int):
+    """The Fig 6/7 ``critical`` and ``single`` loops (the hostbench
+    ``sync_8n`` shape): one ``MPI_Allreduce`` per ``critical`` and one
+    ``MPI_Bcast`` per ``single``."""
+    from repro.mpi.ops import SUM
+
+    def program(ctx):
+        x = ctx.shared_scalar("x")
+        v = ctx.shared_scalar("v")
+
+        def critical_loop(tc, x):
+            for _ in range(iters):
+                yield from tc.critical_update(x, 1.0, SUM)
+
+        def single_loop(tc, v):
+            for i in range(iters):
+                def init(i=i):
+                    return float(i)
+                    yield  # makes init a generator, as `single` requires
+
+                yield from tc.single(body_gen_fn=init, shared_scalar=v)
+
+        yield from ctx.parallel(critical_loop, x)
+        yield from ctx.parallel(single_loop, v)
+
+    return program
+
+
+def _calls_per_message(iters: int = 60) -> float:
+    """Python calls per remote message of one run of the sync program on
+    8 nodes, counted with ``sys.setprofile`` after a warm-up run (so no
+    lazy import is counted)."""
+    from repro.runtime import ParadeRuntime
+
+    ParadeRuntime(n_nodes=8, pool_bytes=1 << 20).run(_sync_program(2))
+    rt = ParadeRuntime(n_nodes=8, pool_bytes=1 << 20)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        rt.run(_sync_program(iters))
+    finally:
+        sys.setprofile(None)
+    return calls / rt.cluster.network.total_messages
+
+
+def _allreduce_seconds(n: int = 100) -> float:
+    from repro.mpi.ops import SUM
+    from repro.testing import build_cluster, build_comm, run_all
+
+    best = []
+    for _ in range(5):
+        cluster = build_cluster(8)
+        _cts, comm = build_comm(cluster)
+
+        def rank(r):
+            rc = comm.rank(r)
+            for _ in range(n):
+                yield from rc.allreduce(float(r), op=SUM)
+
+        t0 = time.perf_counter()
+        run_all(cluster, [rank(r) for r in range(8)])
+        best.append(time.perf_counter() - t0)
+        assert comm.n_collectives == 2 * 8 * n
+    return min(best) / n
+
+
+def bench_mpi_message() -> dict:
+    """One remote MPI message: Python calls per message on the 8-node
+    sync program (the case name carries the count), and host seconds per
+    8-node allreduce (reduce + bcast trees, 14 remote messages)."""
+    return {
+        f"8n sync ({_calls_per_message():.2f} calls/msg)": _allreduce_seconds()
+    }
+
+
 # -- pytest entry points -------------------------------------------------
 def test_compute_diff_speed():
     assert max(bench_compute_diff().values()) < CEILING_COMPUTE_DIFF
@@ -335,6 +426,11 @@ def test_cg_build_speed():
     assert max(bench_cg_build(("S",)).values()) < CEILING_CG_BUILD
 
 
+def test_mpi_message_calls_and_speed():
+    assert _calls_per_message() <= CEILING_CALLS_PER_MESSAGE
+    assert _allreduce_seconds() < CEILING_ALLREDUCE_8N
+
+
 def main() -> None:
     for title, fn in (
         ("compute_diff", bench_compute_diff),
@@ -346,6 +442,7 @@ def main() -> None:
         ("observed_burst (per busy_cpu burst)", bench_observed_burst),
         ("spin_wait (per quiet 1000-slice wait)", bench_spin_wait),
         ("cg_build (per make_matrix call)", bench_cg_build),
+        ("mpi_message (per 8-node allreduce)", bench_mpi_message),
     ):
         print(f"{title}:")
         for case, sec in fn().items():

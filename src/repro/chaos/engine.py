@@ -177,7 +177,7 @@ class ChaosEngine:
                 )
             node = cluster.nodes[sd.node]
 
-            def begin(ev=None, node=node, sd=sd):
+            def begin(node=node, sd=sd):
                 node.set_speed_factor(node.speed_factor / sd.factor)
                 self.stats.slowdown_windows += 1
                 self._note("slowdown-begin", node.id, factor=sd.factor)
@@ -188,14 +188,14 @@ class ChaosEngine:
                 # ahead of any timer callback
                 begin()
             else:
-                self.sim.timeout(sd.t0).add_callback(begin)
+                self.sim.call_later(sd.t0, begin)
             if sd.t1 != float("inf"):
 
-                def end(ev, node=node, sd=sd):
+                def end(node=node, sd=sd):
                     node.set_speed_factor(node.speed_factor * sd.factor)
                     self._note("slowdown-end", node.id, factor=sd.factor)
 
-                self.sim.timeout(sd.t1).add_callback(end)
+                self.sim.call_later(sd.t1, end)
         return self
 
     # -- RNG streams ----------------------------------------------------
@@ -302,12 +302,8 @@ class ChaosEngine:
             if f.duplicate and rng.random() < f.duplicate:
                 self.stats.dups_injected += 1
                 self._note("dup", msg.src, dst=msg.dst, seq=msg.seq, rel_seq=msg.rel_seq)
-                t0 = sim.now
-                dup = sim.timeout(delay + 0.5 * ic.latency)
-                dup.add_callback(lambda ev: self._arrive(ls, msg, False, t0))
-        flight_t0 = sim.now
-        arrival = sim.timeout(delay)
-        arrival.add_callback(lambda ev: self._arrive(ls, msg, corrupt, flight_t0))
+                sim.call_later(delay + 0.5 * ic.latency, self._arrive, ls, msg, False, sim.now)
+        sim.call_later(delay, self._arrive, ls, msg, corrupt, sim.now)
 
     def _arrive(self, ls: _LinkState, msg, corrupt: bool, flight_t0: float) -> None:
         """Receiving link end: checksum, ack, dedup, resequence, deliver."""
@@ -354,36 +350,34 @@ class ChaosEngine:
             self.stats.ack_drops += 1
             self._note("ack-drop", msg.dst, src=msg.src, rel_seq=msg.rel_seq)
             return
-        seq = msg.rel_seq
-        back = sim.timeout(self.network.interconnect.latency)
-        back.add_callback(lambda ev: ls.outstanding.pop(seq, None))
+        sim.call_later(self.network.interconnect.latency, ls.outstanding.pop, msg.rel_seq, None)
 
     def _arm_timer(self, ls: _LinkState, msg, attempt: int) -> None:
-        sim = self.sim
+        self.sim.call_later(self._rto(ls, msg.nbytes, attempt), self._fire, ls, msg, attempt)
+
+    def _fire(self, ls: _LinkState, msg, attempt: int) -> None:
+        """Retransmit timer of *attempt*: re-launch the frame unless it
+        was acked or a newer attempt owns the timer."""
         seq = msg.rel_seq
-        timer = sim.timeout(self._rto(ls, msg.nbytes, attempt))
-
-        def fire(ev):
-            ent = ls.outstanding.get(seq)
-            if ent is None or ent[1] != attempt + 1:
-                return  # acked, or a newer attempt owns the timer
-            if attempt + 1 > self.reliability.max_retries:
-                raise ChaosDeliveryError(msg, ent[1])
-            ent[1] += 1
-            if ent[1] > self.stats.max_attempts:
-                self.stats.max_attempts = ent[1]
-            self.stats.retransmits += 1
-            pb = sim.probe
-            if pb is not None and CAT_AUDIT in pb.heard:
-                # the wire sat dead from the last attempt to this timer
-                pb.span(CAT_AUDIT, "retransmit-wait", ent[2])
-            self._note("retransmit", msg.src, counters=True,
-                       dst=msg.dst, seq=msg.seq, rel_seq=seq, attempt=ent[1])
-            ent[2] = sim.now
-            self._launch(ls, msg, attempt + 1)
-            self._arm_timer(ls, msg, attempt + 1)
-
-        timer.add_callback(fire)
+        ent = ls.outstanding.get(seq)
+        if ent is None or ent[1] != attempt + 1:
+            return  # acked, or a newer attempt owns the timer
+        if attempt + 1 > self.reliability.max_retries:
+            raise ChaosDeliveryError(msg, ent[1])
+        ent[1] += 1
+        if ent[1] > self.stats.max_attempts:
+            self.stats.max_attempts = ent[1]
+        self.stats.retransmits += 1
+        sim = self.sim
+        pb = sim.probe
+        if pb is not None and CAT_AUDIT in pb.heard:
+            # the wire sat dead from the last attempt to this timer
+            pb.span(CAT_AUDIT, "retransmit-wait", ent[2])
+        self._note("retransmit", msg.src, counters=True,
+                   dst=msg.dst, seq=msg.seq, rel_seq=seq, attempt=ent[1])
+        ent[2] = sim.now
+        self._launch(ls, msg, attempt + 1)
+        self._arm_timer(ls, msg, attempt + 1)
 
     # -- comm-thread stalls ----------------------------------------------
     def comm_stall(self, node_id: int) -> float:

@@ -77,15 +77,7 @@ class Network:
         """
         node = self.nodes[src]
         nbytes = max(int(nbytes), 0) + self.HEADER_BYTES
-        msg = Message(
-            src=src,
-            dst=dst,
-            nbytes=nbytes,
-            payload=payload,
-            tag=tag,
-            seq=next(self._seq),
-            send_time=self.sim.now,
-        )
+        msg = Message(src, dst, nbytes, payload, tag, next(self._seq), self.sim.now)
         self.total_messages += 1
         self.total_bytes += nbytes
         chan = tag[0] if isinstance(tag, tuple) and tag else tag
@@ -120,8 +112,9 @@ class Network:
             return msg
 
         ic = self.interconnect
-        # Sender-side protocol processing on a CPU of the calling thread.
-        yield from node.busy_cpu(ic.send_cpu_time(nbytes))
+        # Sender-side protocol processing on a CPU of the calling thread
+        # (Interconnect.send_cpu_time, inlined).
+        yield from node.busy_cpu(ic.o_send + ic.c_byte_send * nbytes)
         # NIC serialisation: holds the transmit engine for nbytes/bandwidth.
         tx_time = nbytes / ic.bandwidth
         t0 = self.sim.now
@@ -138,8 +131,7 @@ class Network:
             link.transmit(self, msg)
             return msg
         # Propagation through the switch: pure delay, then delivery.
-        deliver = self.sim.timeout(ic.latency)
-        deliver.add_callback(lambda ev: self._deliver(msg))
+        self.sim.call_later(ic.latency, self._deliver, msg)
         return msg
 
     def _deliver(self, msg: Message, flight_t0: Optional[float] = None) -> None:
@@ -168,7 +160,3 @@ class Network:
                 src=msg.src, nbytes=msg.nbytes, tag=str(msg.tag), seq=msg.seq,
             )
         node.inbox.put(msg)
-
-    def recv_cpu_time(self, nbytes: int) -> float:
-        """Receiver-side CPU cost for a message (charged by the comm thread)."""
-        return self.interconnect.recv_cpu_time(nbytes)

@@ -171,19 +171,30 @@ class SharedScalar:
             object_granularity=object_granularity,
         )
         self.system = system
+        #: node id -> its :class:`NodeScalarView`, made on first use
+        self._views: dict = {}
 
     @property
     def nbytes(self) -> int:
         return self.array.nbytes
 
     def on(self, node_id: int) -> "NodeScalarView":
-        return NodeScalarView(self, self.array.on(node_id))
+        """The scalar as accessed from *node_id*: one view per node, reused
+        (a view holds no state but its binding)."""
+        view = self._views.get(node_id)
+        if view is None:
+            view = self._views[node_id] = NodeScalarView(self, self.array.on(node_id))
+        return view
 
 
 class NodeScalarView:
     def __init__(self, scalar: SharedScalar, view: NodeArrayView):
         self.scalar = scalar
         self._view = view
+        #: the node-local copy, for the unchecked raw accessors (the pool
+        #: buffer is never reallocated, so the view stays valid)
+        self._cell = view.raw(0, 1)
+        self._type = scalar.array.dtype.type
 
     def get(self):
         value = yield from self._view.get_scalar(0)
@@ -193,7 +204,7 @@ class NodeScalarView:
         yield from self._view.set_scalar(0, value)
 
     def raw_get(self):
-        return self.scalar.array.dtype.type(self._view.raw(0, 1)[0])
+        return self._type(self._cell[0])
 
     def raw_set(self, value) -> None:
-        self._view.raw(0, 1)[0] = value
+        self._cell[0] = value

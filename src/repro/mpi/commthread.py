@@ -10,9 +10,11 @@ messages (§5.3).  Ours is a simulation process that:
 3. dispatches by channel to a registered handler (MPI matching, DSM page
    server, lock manager, barrier manager...).
 
-Handlers are generator functions executed *inline* by the communication
-thread, so protocol service on a node is serialised exactly like the real
-single comm thread.
+Handlers run *inline* in the communication thread, so protocol service
+on a node is serialised exactly like the real single comm thread.  A
+handler that needs virtual time (sends, CPU bursts, waits) is a generator
+function; one that only updates state in zero time may be a plain
+function returning ``None``, and costs no generator per frame.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ class CommThread:
         self.service_time = 0.0
 
     def register(self, channel: str, handler) -> None:
-        """Register generator-function *handler(msg)* for a tag channel.
+        """Register *handler(msg)* for a tag channel: a generator function,
+        or a plain function returning ``None`` (see module docstring).
 
         Message tags are tuples; ``tag[0]`` selects the channel.
         """
@@ -66,7 +69,6 @@ class CommThread:
         inbox_get = node.inbox.get
         busy_cpu = node.busy_cpu
         network = self.network
-        recv_cpu_time = network.recv_cpu_time
         handlers = self._handlers
         priority = self.CPU_PRIORITY
         while True:
@@ -88,14 +90,18 @@ class CommThread:
                 # (by hand, not probe.bracket: the loop stays one frame deep)
                 pb.push(PH_COMM_SERVICE)
             try:
-                yield from busy_cpu(recv_cpu_time(msg.nbytes), priority=priority)
+                # Interconnect.recv_cpu_time, inlined
+                ic = network.interconnect
+                yield from busy_cpu(ic.o_recv + ic.c_byte_recv * msg.nbytes, priority=priority)
                 channel = msg.tag[0] if isinstance(msg.tag, tuple) else msg.tag
                 handler = handlers.get(channel)
                 if handler is None:
                     raise RuntimeError(
                         f"node {self.node.id}: no handler for channel {channel!r} (msg {msg!r})"
                     )
-                yield from handler(msg)
+                service = handler(msg)
+                if service is not None:
+                    yield from service
             finally:
                 if pb is not None:
                     pb.pop()

@@ -44,13 +44,12 @@ class Communicator:
         self.n_collectives = 0
 
     def _make_handler(self, node_id: int):
-        queue = self._queues[node_id]
+        deliver = self._queues[node_id].deliver
 
         def handler(msg):
+            # zero-time service: a plain function, no generator per frame;
             # tag on the wire: (channel, user_tag)
-            queue.deliver(msg.src, msg.tag[1], msg.payload)
-            return
-            yield  # pragma: no cover - generator form for the dispatcher
+            deliver(msg.src, msg.tag[1], msg.payload)
 
         return handler
 
@@ -81,20 +80,25 @@ class RankComm:
     def _hb_key(self, src: int, dst: int, tag: Any) -> tuple:
         return (self.comm.id, src, dst, repr(tag))
 
+    # The blocking calls below that have nothing of their own to do after
+    # the wait *return* the generator that waits (``Network.send``'s, a
+    # collective's tree walk) rather than delegating to it: every resume
+    # of a ``yield from`` level is a Python frame, paid per message.
     def send(self, value: Any, dest: int, tag: Any = 0):
         """Eager buffered send: returns once the frame left the NIC."""
         if not (0 <= dest < self.size):
             raise ValueError(f"invalid destination rank {dest}")
-        self.comm.n_p2p += 1
-        pb = self.comm.sim.probe
+        comm = self.comm
+        comm.n_p2p += 1
+        pb = comm.sim.probe
         if pb is not None and CAT_AUDIT in pb.heard:
             pb.instant(CAT_AUDIT, "send", key=self._hb_key(self.rank, dest, tag))
-        yield from self._net.send(
-            self.rank, dest, nbytes_of(value), value, tag=(self.comm._channel, tag)
-        )
+        return self._net.send(self.rank, dest, nbytes_of(value), value, (comm._channel, tag))
 
     def recv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG):
         """Blocking receive; returns the payload."""
+        if source != ANY_SOURCE and not (0 <= source < self.size):
+            raise ValueError(f"invalid source rank {source}")
         src, t, payload = yield self._queue.post(source, tag)
         pb = self.comm.sim.probe
         if pb is not None and CAT_AUDIT in pb.heard:
@@ -103,6 +107,8 @@ class RankComm:
 
     def recv_with_status(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG):
         """Blocking receive; returns (payload, source, tag)."""
+        if source != ANY_SOURCE and not (0 <= source < self.size):
+            raise ValueError(f"invalid source rank {source}")
         src, t, payload = yield self._queue.post(source, tag)
         pb = self.comm.sim.probe
         if pb is not None and CAT_AUDIT in pb.heard:
@@ -112,6 +118,8 @@ class RankComm:
     def irecv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG):
         """Nonblocking receive: returns an event firing with
         (src, tag, payload); yield it later to complete."""
+        if source != ANY_SOURCE and not (0 <= source < self.size):
+            raise ValueError(f"invalid source rank {source}")
         return self._queue.post(source, tag)
 
     # -- collectives -----------------------------------------------------
@@ -120,15 +128,23 @@ class RankComm:
         self.comm._coll_seq[self.rank] = seq + 1
         return seq
 
-    def bcast(self, value: Any, root: int = 0):
-        """MPI_Bcast via binomial tree; returns the broadcast value."""
+    def _observed(self, name: str, gen, **args):
+        """*gen* as one ``mpi-coll`` phase of the calling thread, then one
+        ``mpi`` span *name* — the form a collective takes while anybody
+        listens on the probe bus."""
         sim = self.comm.sim
         t0 = sim.now
-        result = yield from bracket(sim, PH_MPI_COLL, self._bcast(value, root))
+        result = yield from bracket(sim, PH_MPI_COLL, gen)
         pb = sim.probe
         if pb is not None and "mpi" in pb.heard:
-            pb.span("mpi", "bcast", t0, node=self.rank, root=root)
+            pb.span("mpi", name, t0, node=self.rank, **args)
         return result
+
+    def bcast(self, value: Any, root: int = 0):
+        """MPI_Bcast via binomial tree; returns the broadcast value."""
+        if self.comm.sim.probe is None:
+            return self._bcast(value, root)
+        return self._observed("bcast", self._bcast(value, root), root=root)
 
     def _bcast(self, value: Any, root: int):
         self.comm.n_collectives += 1
@@ -155,13 +171,9 @@ class RankComm:
 
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0):
         """MPI_Reduce via binomial tree; root returns the reduction, others None."""
-        sim = self.comm.sim
-        t0 = sim.now
-        result = yield from bracket(sim, PH_MPI_COLL, self._reduce(value, op, root))
-        pb = sim.probe
-        if pb is not None and "mpi" in pb.heard:
-            pb.span("mpi", "reduce", t0, node=self.rank, root=root)
-        return result
+        if self.comm.sim.probe is None:
+            return self._reduce(value, op, root)
+        return self._observed("reduce", self._reduce(value, op, root), root=root)
 
     def _reduce(self, value: Any, op: ReduceOp, root: int):
         self.comm.n_collectives += 1
@@ -194,6 +206,15 @@ class RankComm:
         depends on every rank's contribution) — the property ParADE uses to
         drop explicit barriers (§5.2.1).
         """
+        if self.comm.sim.probe is None:
+            return self._allreduce(value, op)
+        return self._observed_allreduce(value, op)
+
+    def _allreduce(self, value: Any, op: ReduceOp):
+        acc = yield from self._reduce(value, op, 0)
+        return (yield from self._bcast(acc, 0))
+
+    def _observed_allreduce(self, value: Any, op: ReduceOp):
         sim = self.comm.sim
         t0 = sim.now
         acc = yield from self.reduce(value, op=op, root=0)

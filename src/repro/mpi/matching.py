@@ -11,20 +11,6 @@ ANY_SOURCE = -1
 ANY_TAG = None
 
 
-class _PostedRecv:
-    __slots__ = ("source", "tag", "event")
-
-    def __init__(self, source, tag, event):
-        self.source = source
-        self.tag = tag
-        self.event = event
-
-    def matches(self, src: int, tag: Any) -> bool:
-        return (self.source == ANY_SOURCE or self.source == src) and (
-            self.tag is ANY_TAG or self.tag == tag
-        )
-
-
 class MatchQueue:
     """Per-node matching state for one communicator."""
 
@@ -32,22 +18,22 @@ class MatchQueue:
         self.sim = sim
         self.node = node
         self._unexpected: deque = deque()  # (src, tag, payload)
-        self._posted: deque = deque()
+        self._posted: deque = deque()  # (source, tag, event)
         self.n_unexpected = 0
         self.n_posted = 0
 
     def deliver(self, src: int, tag: Any, payload: Any) -> None:
         """Called by the comm thread when an MPI message arrives."""
         pb = self.sim.probe
-        for i, post in enumerate(self._posted):
-            if post.matches(src, tag):
+        for i, (source, want, event) in enumerate(self._posted):
+            if (source == ANY_SOURCE or source == src) and (want is ANY_TAG or want == tag):
                 del self._posted[i]
                 if pb is not None and "mpi" in pb.heard:
                     pb.instant(
                         "mpi", "match", node=self.node, src=src, tag=str(tag),
                         outcome="posted",
                     )
-                post.event.succeed((src, tag, payload))
+                event.succeed((src, tag, payload))
                 return
         self.n_unexpected += 1
         if pb is not None and "mpi" in pb.heard:
@@ -76,7 +62,7 @@ class MatchQueue:
             pb.instant(
                 "mpi", "recv-post", node=self.node, tag=str(tag), outcome="queued"
             )
-        self._posted.append(_PostedRecv(source, tag, ev))
+        self._posted.append((source, tag, ev))
         return ev
 
     @property

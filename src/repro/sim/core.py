@@ -33,6 +33,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from functools import partial
+from operator import methodcaller
 from typing import Any, Optional
 
 from repro.sim.events import Event, Timeout, NORMAL, URGENT, SimulationError
@@ -75,6 +77,19 @@ class _AfterOne:
 
 
 _NEVER = _Never()
+
+
+class _Call(partial):
+    """Queue entry of :meth:`Simulator.call_later`: the deferred call
+    itself.  Quacks like a successful event for the event loop."""
+
+    __slots__ = ("callbacks",)
+    _ok = True
+
+
+#: the callbacks of every :class:`_Call` entry: ``entry()``, made in C —
+#: no Python frame between the event loop and the called function
+_CALL = (methodcaller("__call__"),)
 
 
 class Simulator:
@@ -123,6 +138,20 @@ class Simulator:
             # an entry in the past would break the pop-order rule
             raise ValueError(f"negative schedule delay {delay!r}")
         _heappush(self._heap, (self.now + delay, priority, next(self._seq), event))
+
+    def call_later(self, delay: float, fn, *args) -> None:
+        """Call ``fn(*args)`` from the event loop *delay* virtual seconds
+        from now: one queue entry, keyed and counted exactly like a
+        ``timeout(delay)`` whose only callback makes that call — without
+        the event object, the callbacks list or a closure."""
+        entry = _Call(fn, *args)
+        entry.callbacks = _CALL
+        if delay == 0.0:
+            self._immediate.append((self.now, NORMAL, next(self._seq), entry))
+        elif delay < 0:
+            raise ValueError(f"negative timeout delay {delay!r}")
+        else:
+            _heappush(self._heap, (self.now + delay, NORMAL, next(self._seq), entry))
 
     def peek(self) -> float:
         """Virtual time of the next event, or ``inf`` if none."""

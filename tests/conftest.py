@@ -276,6 +276,139 @@ def sync_loops(iters=4):
     return program
 
 
+def reference_network_send(self, src, dst, nbytes, payload, tag=None):
+    """``Network.send`` as it was before the flight leg became one kernel
+    entry — the schedule oracle for ``Simulator.call_later`` (monkeypatch
+    it in): the message built by keyword, the cost model through its
+    methods, the propagation as a ``sim.timeout`` with a lambda callback.
+    Lives here, not in ``src/``."""
+    from repro.cluster.network import Message
+    from repro.sim.probe import PH_NET_TX
+
+    node = self.nodes[src]
+    nbytes = max(int(nbytes), 0) + self.HEADER_BYTES
+    msg = Message(src=src, dst=dst, nbytes=nbytes, payload=payload, tag=tag,
+                  seq=next(self._seq), send_time=self.sim.now)
+    self.total_messages += 1
+    self.total_bytes += nbytes
+    chan = tag[0] if isinstance(tag, tuple) and tag else tag
+    cs = self.channel_stats.get(chan)
+    if cs is None:
+        cs = self.channel_stats[chan] = [0, 0]
+    cs[0] += 1
+    cs[1] += nbytes
+    node.msgs_sent += 1
+    node.bytes_sent += nbytes
+    pb = self.sim.probe
+    if pb is not None and "net" in pb.heard:
+        pb.instant("net", "msg-send", node=src, dst=dst, nbytes=nbytes,
+                   tag=str(tag), seq=msg.seq)
+    if src == dst:
+        yield from node.busy_cpu(0.5e-6 + nbytes * 0.5e-9)
+        msg.deliver_time = self.sim.now
+        node.msgs_received += 1
+        node.bytes_received += nbytes
+        if pb is not None and "net" in pb.heard:
+            pb.instant("net", "msg-deliver", node=dst, tid="wire",
+                       src=src, nbytes=nbytes, tag=str(tag), seq=msg.seq)
+        node.inbox.put(msg)
+        return msg
+    ic = self.interconnect
+    yield from node.busy_cpu(ic.send_cpu_time(nbytes))
+    t0 = self.sim.now
+    yield from node.nic_tx.execute(nbytes / ic.bandwidth, 0, PH_NET_TX, PH_NET_TX)
+    if pb is not None and "net" in pb.heard:
+        pb.span("net", "nic-tx", t0, node=src, dst=dst, nbytes=nbytes, seq=msg.seq)
+    if self.link is not None:
+        self.link.transmit(self, msg)
+        return msg
+    deliver = self.sim.timeout(ic.latency)
+    deliver.add_callback(lambda ev: self._deliver(msg))
+    return msg
+
+
+def reference_mpi_handler(self, node_id):
+    """``Communicator._make_handler`` as it was: the MPI match handler a
+    generator function, one generator per delivered frame (monkeypatch
+    it in before the communicator is built)."""
+    queue = self._queues[node_id]
+
+    def handler(msg):
+        queue.deliver(msg.src, msg.tag[1], msg.payload)
+        return
+        yield
+
+    return handler
+
+
+def reference_rank_send(self, value, dest, tag=0):
+    """``RankComm.send`` as it was: a generator delegating to
+    ``Network.send`` (``yield from``), one more frame per resume."""
+    from repro.mpi.datatypes import nbytes_of
+    from repro.sim.probe import CAT_AUDIT
+
+    if not (0 <= dest < self.size):
+        raise ValueError(f"invalid destination rank {dest}")
+    self.comm.n_p2p += 1
+    pb = self.comm.sim.probe
+    if pb is not None and CAT_AUDIT in pb.heard:
+        pb.instant(CAT_AUDIT, "send", key=self._hb_key(self.rank, dest, tag))
+    yield from self._net.send(
+        self.rank, dest, nbytes_of(value), value, tag=(self.comm._channel, tag))
+
+
+def _reference_collective(self, name, gen, **args):
+    from repro.sim.probe import PH_MPI_COLL, bracket
+
+    sim = self.comm.sim
+    t0 = sim.now
+    result = yield from bracket(sim, PH_MPI_COLL, gen)
+    pb = sim.probe
+    if pb is not None and "mpi" in pb.heard:
+        pb.span("mpi", name, t0, node=self.rank, **args)
+    return result
+
+
+def reference_bcast(self, value, root=0):
+    """``RankComm.bcast`` as it was: a delegating generator, whoever
+    listens (so are :func:`reference_reduce` and
+    :func:`reference_allreduce`)."""
+    result = yield from _reference_collective(self, "bcast", self._bcast(value, root), root=root)
+    return result
+
+
+def reference_reduce(self, value, op=SUM, root=0):
+    result = yield from _reference_collective(
+        self, "reduce", self._reduce(value, op, root), root=root)
+    return result
+
+
+def reference_allreduce(self, value, op=SUM):
+    sim = self.comm.sim
+    t0 = sim.now
+    acc = yield from self.reduce(value, op=op, root=0)
+    result = yield from self.bcast(acc, root=0)
+    pb = sim.probe
+    if pb is not None and "mpi" in pb.heard:
+        pb.span("mpi", "allreduce", t0, node=self.rank)
+    return result
+
+
+def use_reference_message_path(monkeypatch):
+    """Monkeypatch every per-message form the remote message path had
+    before it shed its spare frames: the flight timeout, the generator
+    MPI handler, the delegating ``send`` and collectives."""
+    from repro.cluster.network import Network
+    from repro.mpi.communicator import Communicator, RankComm
+
+    monkeypatch.setattr(Network, "send", reference_network_send)
+    monkeypatch.setattr(Communicator, "_make_handler", reference_mpi_handler)
+    monkeypatch.setattr(RankComm, "send", reference_rank_send)
+    monkeypatch.setattr(RankComm, "bcast", reference_bcast)
+    monkeypatch.setattr(RankComm, "reduce", reference_reduce)
+    monkeypatch.setattr(RankComm, "allreduce", reference_allreduce)
+
+
 class TraversalCountingList(list):
     """A page table that counts whole-table reads (iteration, membership,
     counting, slices); indexing one page stays free."""

@@ -144,7 +144,7 @@ def test_cpu_charge_delays_handling_on_busy_node():
 
 def test_a_remote_message_costs_at_most_five_events():
     """The event budget of one remote frame: the sender's CPU burst, the
-    NIC occupancy, the flight timeout, the inbox wake of the comm thread
+    NIC occupancy, the flight entry, the inbox wake of the comm thread
     and its service burst — each timed occupancy one event."""
 
     def events(n_messages):
@@ -169,3 +169,35 @@ def test_a_remote_message_costs_at_most_five_events():
         return cluster.sim.events_processed
 
     assert events(110) - events(10) <= 5 * 100
+
+
+def test_plain_function_handler_is_serviced_like_a_generator_one():
+    """A handler that needs no virtual time may be a plain function
+    returning ``None``: same service instants, same events, and no
+    generator made per frame."""
+
+    def run(plain):
+        cluster = build_cluster(2)
+        ct = CommThread(cluster.nodes[1], cluster.network)
+        handled_at = []
+
+        def generator_handler(msg):
+            handled_at.append((msg.payload, cluster.sim.now))
+            return
+            yield
+
+        def plain_handler(msg):
+            handled_at.append((msg.payload, cluster.sim.now))
+
+        ct.register("p", plain_handler if plain else generator_handler)
+        ct.start()
+
+        def sender():
+            for i in range(5):
+                yield from cluster.network.send(0, 1, 64, i, tag=("p", i))
+
+        run_all(cluster, [sender()])
+        return handled_at, cluster.sim.events_processed, ct.messages_handled
+
+    assert run(plain=True) == run(plain=False)
+    assert run(plain=True)[2] == 5

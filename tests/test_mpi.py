@@ -239,6 +239,29 @@ def test_send_to_invalid_rank_raises():
     run_all(cluster, [main(comm.rank(0))])
 
 
+@pytest.mark.parametrize("source", [2, 9, -2])
+def test_recv_from_invalid_rank_raises(source):
+    """A receive no sender can match fails where it is posted, not as a
+    drained schedule far from the cause."""
+    cluster = build_cluster(2)
+    _cts, comm = build_comm(cluster)
+    rc = comm.rank(0)
+
+    def main():
+        with pytest.raises(ValueError, match="invalid source rank"):
+            yield from rc.recv(source=source)
+        with pytest.raises(ValueError, match="invalid source rank"):
+            yield from rc.recv_with_status(source=source)
+        with pytest.raises(ValueError, match="invalid source rank"):
+            rc.irecv(source=source)
+        # the valid extremes still post
+        assert not rc.irecv(source=ANY_SOURCE).triggered
+        assert not rc.irecv(source=1).triggered
+
+    run_all(cluster, [main()])
+    assert comm._queues[0].pending_posted == 2
+
+
 def test_irecv_completes_later():
     cluster = build_cluster(2)
     _cts, comm = build_comm(cluster)

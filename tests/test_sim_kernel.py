@@ -166,6 +166,32 @@ def test_deterministic_fifo_order_at_same_time(sim):
     assert order == list(range(10))
 
 
+def test_call_later_is_keyed_like_a_timeout(sim):
+    """``call_later(delay, fn, *args)`` is one queue entry, taking the
+    place a ``timeout(delay)`` with that one callback would take: same
+    instant, same FIFO sequence among same-instant entries, one event."""
+    order = []
+    sim.timeout(1.0).add_callback(lambda ev: order.append("t0"))
+    sim.call_later(1.0, order.append, "c1")
+    sim.timeout(1.0).add_callback(lambda ev: order.append("t2"))
+    sim.call_later(0.0, order.append, "now")
+    sim.call_later(0.5, lambda a, b: order.append((a, b, sim.now)), "x", "y")
+    sim.run()
+    assert order == ["now", ("x", "y", 0.5), "t0", "c1", "t2"]
+    assert sim.now == 1.0 and sim.events_processed == 5
+    with pytest.raises(ValueError):
+        sim.call_later(-1e-9, order.append, "past")
+
+
+def test_call_later_failure_surfaces(sim):
+    def boom():
+        raise RuntimeError("in a timed callback")
+
+    sim.call_later(1.0, boom)
+    with pytest.raises(RuntimeError, match="timed callback"):
+        sim.run()
+
+
 def test_run_until_limits_time(sim):
     log = []
 
