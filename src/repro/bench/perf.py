@@ -253,7 +253,6 @@ def run_record(smoke: bool, out: Optional[str], jobs: Optional[int],
             "smoke": smoke,
             "nodes": NODES,
             "fanin": PARADE_HIER.barrier_fanin,
-            "lock_shard": PARADE_HIER.lock_shard,
             "workloads": {
                 "basket": {k: v["note"] for k, v in basket(smoke).items()},
                 "scale": {k: v["note"] for k, v in scale_basket(smoke).items()},

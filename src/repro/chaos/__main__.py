@@ -97,10 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--hier", action="store_true",
-        help="run with hierarchical synchronization on (tree barrier + "
-        "sharded lock managers) — recovery must stay bit-identical with "
-        "relayed aggregate and forwarded lock frames in flight; composes "
-        "with --accel",
+        help="run with hierarchical synchronization on (tree barrier) — "
+        "recovery must stay bit-identical with relayed aggregate frames "
+        "in flight; composes with --accel",
     )
     return parser
 

@@ -36,7 +36,7 @@ class DsmConfig:
     #: (barrier flush or lock release) all diffs destined to the same home
     #: are coalesced into one ``("dsm", "dbat")`` frame per peer with a
     #: single ack, instead of one ``diff``/``diffR`` round-trip per page.
-    #: Only diffs up to ``node.BATCH_MAX_BYTES`` join the batch.  Saves
+    #: Only diffs up to ``flush.BATCH_MAX_BYTES`` join the batch.  Saves
     #: per-message CPU overhead and frame headers; per-page
     #: ``diffs_sent``/``diff_bytes`` accounting is unchanged so runs stay
     #: comparable (``notices_batched`` counts the coalesced records).
@@ -45,7 +45,7 @@ class DsmConfig:
     #: keeps per-page byte-weighted writer histories (EWMA, halved every
     #: epoch) fed by sized write notices, and migrates a page's home to
     #: its dominant writer when that writer's share exceeds
-    #: ``node.MIGRATION_SHARE`` — including multi-writer pages, which the
+    #: ``adaptive.MIGRATION_SHARE`` — including multi-writer pages, which the
     #: eager sole-writer rule (``home_migration``) can never move; the
     #: old home hands the current page copy to the new home at the
     #: barrier.  Homes additionally keep per-page *reader* histories
@@ -66,15 +66,6 @@ class DsmConfig:
     #: epoch; departures fan out down the same tree.  Values are
     #: bit-identical either way — only message topology and timing move.
     barrier_fanin: int = 0
-    #: lock-manager placement: ``"modulo"`` is the historical
-    #: ``lock_id % n_nodes`` mapping (consecutive lock ids pile onto the
-    #: low nodes under small id sets); ``"spread"`` uses a multiplicative
-    #: hash so manager homes scatter across the cluster; ``"locality"``
-    #: adds first-toucher assignment — a static directory node (spread
-    #: hash) hands management of each lock to its first requester and
-    #: forwards stray requests, grants carry the manager id so clients
-    #: cache it and talk to the manager directly from then on.
-    lock_shard: str = "modulo"
 
     def __post_init__(self):
         if self.pool_bytes <= 0:
@@ -94,11 +85,6 @@ class DsmConfig:
                         f"homeless=True does not combine with {accel}=True "
                         "(the accelerator is home-based only)"
                     )
-        if self.lock_shard not in ("modulo", "spread", "locality"):
-            raise ValueError(
-                f"lock_shard must be 'modulo', 'spread' or 'locality', "
-                f"got {self.lock_shard!r}"
-            )
 
     def replace(self, **kw) -> "DsmConfig":
         from dataclasses import replace as _replace
@@ -109,12 +95,10 @@ class DsmConfig:
         """This config with both protocol accelerators enabled."""
         return self.replace(batch_notices=True, adaptive_migration=True)
 
-    def hierarchical(self, fanin: int = 4, lock_shard: str = "spread") -> "DsmConfig":
-        """This config with hierarchical synchronization enabled: tree
-        barrier with the given fan-in plus sharded lock-manager homes.
-        Pass ``lock_shard="locality"`` for first-toucher manager
-        assignment on top of the spread directory."""
-        return self.replace(barrier_fanin=fanin, lock_shard=lock_shard)
+    def hierarchical(self, fanin: int = 4) -> "DsmConfig":
+        """This config with hierarchical synchronization enabled: the tree
+        barrier with the given fan-in."""
+        return self.replace(barrier_fanin=fanin)
 
 
 #: ParADE's DSM: HLRC + migratory home, blocking locks.
@@ -132,6 +116,6 @@ HOMELESS_LRC = DsmConfig(home_migration=False, homeless=True)
 PARADE_ACCEL = PARADE_DSM.accelerated()
 
 #: ParADE's DSM with hierarchical synchronization on: fan-in-4 tree
-#: barrier with in-tree write-notice merging plus spread lock-manager
-#: sharding.  See docs/PERFORMANCE.md "Scaling to 16-32 nodes".
+#: barrier with in-tree write-notice merging.  See docs/PERFORMANCE.md
+#: "Scaling past eight nodes".
 PARADE_HIER = PARADE_DSM.hierarchical()

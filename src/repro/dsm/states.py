@@ -41,6 +41,10 @@ class PageState(enum.Enum):
 for _i, _st in enumerate(PageState):
     _st.idx = _i
 
+#: page kinds: HLRC-managed vs object-granularity (update protocol) regions
+KIND_HLRC = 0
+KIND_OBJECT = 1
+
 
 #: legal (from, to, reason) transitions of Figure 5
 VALID_TRANSITIONS: FrozenSet[Tuple[PageState, PageState, str]] = frozenset(

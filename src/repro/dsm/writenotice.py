@@ -23,9 +23,10 @@ class WriteNotice:
     page: int
     writer: int
     interval: int
-    #: diff bytes this write produced; 0 unless sized notices are in use
-    #: (``DsmConfig.adaptive_migration``) — the home writer, which makes
-    #: no diff, is credited a full page as documented in the config
+    #: diff bytes this write produced (0 from a homeless flush) — the home
+    #: writer, which makes no diff, is credited a full page as documented
+    #: in the config.  Read, and priced on the wire, only when sized
+    #: notices are in use (``DsmConfig.adaptive_migration``)
     nbytes: int = 0
 
     #: wire size of one notice record

@@ -34,7 +34,7 @@ class RunResult:
     ================== ======= ====================================================
 
     ``dsm_stats`` (protocol level; per-node
-    :class:`~repro.dsm.node.DsmNodeStats` summed over nodes, plus
+    :class:`~repro.dsm.stats.DsmNodeStats` summed over nodes, plus
     ``home_migrations``) — see :class:`DsmNodeStats` for the per-key
     documentation.  Runs with the protocol accelerator on
     (``protocol_accel=True``; docs/PERFORMANCE.md "Protocol
@@ -51,9 +51,8 @@ class RunResult:
     (remote barrier-arrival frames received — on the master this is
     n−1 per epoch flat but at most the tree fan-in with
     ``barrier_fanin`` set), ``lock_grants`` and ``lock_remote_grants``
-    (grants total / grants to another node, whose ratio is the lock
-    shard's remote-grant share) count in every run and let flat and
-    sharded topologies be compared key-for-key.
+    (grants total / grants to another node) count in every run and let
+    flat and tree topologies be compared key-for-key.
 
     ``mpi_stats``:
 

@@ -46,8 +46,8 @@ class ParadeRuntime:
         of whatever *dsm_config* resolves to (see
         :meth:`DsmConfig.accelerated` and docs/PERFORMANCE.md)
     hierarchical : turn on hierarchical synchronization — fan-in-4 tree
-        barrier with in-tree write-notice merging plus spread lock-manager
-        sharding — on top of whatever *dsm_config* resolves to (see
+        barrier with in-tree write-notice merging — on top of whatever
+        *dsm_config* resolves to (see
         :meth:`DsmConfig.hierarchical` and docs/PERFORMANCE.md "Scaling");
         composes with *protocol_accel*
     cluster_config : hardware model override (interconnect, speeds, costs)

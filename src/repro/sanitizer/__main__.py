@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--hier", action="store_true",
         help="run with hierarchical synchronization on — the sanitizer "
-        "must stay green with tree-barrier aggregate frames and sharded "
-        "lock managers in flight (composes with --accel)",
+        "must stay green with tree-barrier aggregate frames in flight "
+        "(composes with --accel)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.network import Message
 from repro.dsm import SharedArray, PageState
 from repro.dsm.config import HOMELESS_LRC, PARADE_DSM
 from repro.testing import build_dsm, run_all
@@ -89,6 +90,15 @@ def test_multi_writer_page_pulls_from_every_writer():
     # each reader pulled diffs from the 3 *other* writers
     assert dsm.node(0).stats.pages_fetched == 3
     dsm.check_coherence()
+
+
+def test_dget_for_an_unlogged_diff_fails_loudly():
+    """A writer serves a ``dget`` only for a ``(page, epoch)`` its flush
+    logged; a miss is protocol corruption, not "no change"."""
+    _cluster, _cts, dsm = build_dsm(2, dsm_config=HOMELESS_LRC)
+    msg = Message(src=1, dst=0, nbytes=12, payload=(0, 0, 1), tag=("dsm", "dget", 0))
+    with pytest.raises(KeyError):
+        next(dsm.node(0).handle_dsm(msg))
 
 
 def test_homeless_locks_unsupported():

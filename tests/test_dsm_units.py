@@ -124,29 +124,32 @@ _LIST_MUTATORS = {
 }
 
 
-def _page_table_writes(tree):
+def _attribute_writes(tree, names=("state", "census"), mutators=_LIST_MUTATORS):
     """Yield ``(lineno, enclosing function path, what)`` for every store
-    into, rebinding of, or mutating call on an attribute named ``state``
-    or ``census`` (``ctx`` is Store/Del for every binding form: assignment,
-    augmented assignment, unpacking, ``for`` / ``with`` targets, ``del``)."""
+    into, deletion from, rebinding of, or mutating call on an attribute
+    named in *names* (``ctx`` is Store/Del for every binding form:
+    assignment, augmented assignment, unpacking, ``for`` / ``with``
+    targets, ``del``)."""
 
     def is_table(node):
-        return isinstance(node, ast.Attribute) and node.attr in ("state", "census")
+        return isinstance(node, ast.Attribute) and node.attr in names
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from walk(child, scope + (child.name,))
                 continue
-            written = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
+            ctx = getattr(child, "ctx", None)
+            written = isinstance(ctx, (ast.Store, ast.Del))
             if written and isinstance(child, ast.Subscript) and is_table(child.value):
-                yield child.lineno, scope, f"store into .{child.value.attr}[...]"
+                verb = "del" if isinstance(ctx, ast.Del) else "store into"
+                yield child.lineno, scope, f"{verb} .{child.value.attr}[...]"
             elif written and is_table(child):
                 yield child.lineno, scope, f"rebinds .{child.attr}"
             elif (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
-                and child.func.attr in _LIST_MUTATORS
+                and child.func.attr in mutators
                 and is_table(child.func.value)
             ):
                 yield child.lineno, scope, f".{child.func.value.attr}.{child.func.attr}()"
@@ -161,17 +164,17 @@ def test_page_table_has_exactly_one_writer():
     silently corrupt them all.  Allowed: the constructor creating the table
     and its count, and the writer moving both."""
     allowed = {
-        ("dsm/node.py", ("DsmNode", "__init__"), "rebinds .state"),
-        ("dsm/node.py", ("DsmNode", "__init__"), "rebinds .census"),
+        ("dsm/node.py", ("DsmNodeBase", "__init__"), "rebinds .state"),
+        ("dsm/node.py", ("DsmNodeBase", "__init__"), "rebinds .census"),
         # the creation count: every page starts in one state
-        ("dsm/node.py", ("DsmNode", "__init__"), "store into .census[...]"),
-        ("dsm/node.py", ("DsmNode", "_write_state"), "store into .state[...]"),
+        ("dsm/node.py", ("DsmNodeBase", "__init__"), "store into .census[...]"),
+        ("dsm/node.py", ("DsmNodeBase", "_write_state"), "store into .state[...]"),
     }
     seen = set()
     offences = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
-        for lineno, scope, what in _page_table_writes(ast.parse(path.read_text())):
+        for lineno, scope, what in _attribute_writes(ast.parse(path.read_text())):
             if rel == "apps/nas_random.py" and what == "rebinds .state":
                 continue  # NasRandom's scalar LCG state, not a page table
             seen.add((rel, scope, what))
@@ -179,7 +182,50 @@ def test_page_table_has_exactly_one_writer():
                 offences.append(f"{rel}:{lineno}: {'.'.join(scope) or 'module'} {what}")
     assert not offences, "\n".join(offences)
     # the scan sees the writer at all (it would pass vacuously otherwise)
-    assert ("dsm/node.py", ("DsmNode", "_write_state"), "store into .state[...]") in seen
+    assert ("dsm/node.py", ("DsmNodeBase", "_write_state"), "store into .state[...]") in seen
+
+
+#: calls that remove an entry from a dict
+_DICT_DROPS = {"pop", "popitem", "clear", "__delitem__"}
+
+#: the functions that may remove a twin, and the table's creation
+_TWIN_DROPPERS = {
+    ("dsm/flush.py", ("FlushMixin", "_close_interval"), ".twins.pop()"),
+    ("dsm/node.py", ("DsmNodeBase", "mark_object_pages"), ".twins.pop()"),
+    ("dsm/node.py", ("DsmNodeBase", "__init__"), "rebinds .twins"),
+}
+
+
+def _twin_drops(sources):
+    """``(rel, scope, what)`` of every removal of a ``twins`` entry in
+    *sources* (relative path -> text); making a twin is not one."""
+    return {
+        (rel, scope, what)
+        for rel, text in sources.items()
+        for _lineno, scope, what in _attribute_writes(ast.parse(text), ("twins",), _DICT_DROPS)
+        if not what.startswith("store into")
+    }
+
+
+def test_only_close_interval_and_allocation_drop_twins():
+    """A twin is dropped only after its diff is shipped: ``_close_interval``
+    (which keeps every twin that differs from its page) and
+    ``mark_object_pages`` (at allocation, before any write) are the only
+    functions that remove an entry from ``twins``, in whichever module of
+    the node a new path lands.  A planted drop anywhere else is caught."""
+    sources = {
+        p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))
+    }
+    assert _twin_drops(sources) == _TWIN_DROPPERS
+    planted = dict(sources)
+    planted["dsm/flush.py"] = sources["dsm/flush.py"].replace(
+        "        self.stats.invalidations += 1\n",
+        "        self.stats.invalidations += 1\n        self.twins.pop(page)\n",
+    )
+    assert planted["dsm/flush.py"] != sources["dsm/flush.py"]
+    assert _twin_drops(planted) - _TWIN_DROPPERS == {
+        ("dsm/flush.py", ("FlushMixin", "_invalidate"), ".twins.pop()")
+    }
 
 
 # ------------------------------------------------------------- diffs
@@ -374,7 +420,6 @@ def test_merge_notices_groups_writers():
     ("pool_bytes", 0),
     ("pool_bytes", -4096),
     ("barrier_fanin", 1),
-    ("lock_shard", "bogus"),
 ])
 def test_config_rejects_values_that_cannot_run(field, value):
     from repro.dsm.config import KDSM_BASELINE

@@ -1,8 +1,8 @@
-"""Scale-out hardening tests: tree barrier, sharded locks, 16-node goldens.
+"""Scale-out hardening tests: tree barrier, locks, 16-node goldens.
 
-The hierarchical-synchronization knobs (``DsmConfig.barrier_fanin``,
-``lock_shard``) restructure *who talks to whom* at barriers and locks
-without changing what is computed.  These tests pin that contract:
+The hierarchical-synchronization knob (``DsmConfig.barrier_fanin``)
+restructures *who talks to whom* at barriers without changing what is
+computed.  These tests pin that contract:
 
 * 16-node goldens (helmholtz + cg) for the hierarchical configuration —
   the large-cluster counterpart of ``test_determinism_golden.py``;
@@ -12,9 +12,8 @@ without changing what is computed.  These tests pin that contract:
   from seeding ghost arrival entries (the latent flat-barrier bug);
 * bit-identical recovery under the chaos ``dup`` plan with the tree on
   (duplicated relay frames must be suppressed per-hop);
-* lock-shard mappings: spread must not collapse to modulo on
-  power-of-two clusters, and every mode must serialise a critical
-  region identically.
+* a critical region serialises under the default and the hierarchical
+  configuration alike.
 
 Regenerate goldens (only when an *intentional* protocol change lands)::
 
@@ -111,7 +110,7 @@ def _load_or_regen(name) -> dict:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_16node_hier_run_matches_golden(name):
     """Virtual time, stats, values and the full trace stream of a
-    16-node tree-barrier + spread-shard run are pinned byte-for-byte."""
+    16-node tree-barrier run are pinned byte-for-byte."""
     golden = _load_or_regen(name)
     rt, res, rec = _run(name, traced=True)
     assert res.elapsed == golden["elapsed"]
@@ -174,7 +173,7 @@ def test_late_arrival_after_release_leaves_no_ghost_entry():
     rx_before = master.stats.barrier_arrivals_rx
 
     for epoch in (0, released):
-        _late_arrival(master, epoch, (1, {}))
+        _late_arrival(master, epoch, (1, [], []))
         assert epoch not in master._bar_arrivals
 
     assert master._bar_arrivals == {}
@@ -204,20 +203,8 @@ def test_dup_plan_recovers_bit_identically_with_tree_barrier():
 
 
 # ----------------------------------------------------------------------
-# lock sharding
+# locks
 # ----------------------------------------------------------------------
-def test_spread_shard_scatters_low_lock_ids():
-    """The spread hash must use the product's high bits: an odd
-    multiplier reduced mod a power-of-two node count degenerates to the
-    modulo mapping (2654435761 is 1 mod 16)."""
-    rt = ParadeRuntime(n_nodes=8, pool_bytes=1 << 20, hierarchical=True)
-    node = rt.dsm.nodes[0]
-    spread = [node.lock_directory_of(i) for i in range(8)]
-    assert all(0 <= h < 8 for h in spread)
-    assert spread != list(range(8))  # not the modulo mapping
-    assert len(set(spread)) > 2  # genuinely scattered
-
-
 def _critical_program(ctx):
     log = []
 
@@ -233,37 +220,14 @@ def _critical_program(ctx):
     return log
 
 
-@pytest.mark.parametrize("shard", ["modulo", "spread", "locality"])
-def test_critical_region_serialises_under_every_shard_mode(shard):
-    from repro.dsm.config import PARADE_DSM
-
-    rt = ParadeRuntime(
-        n_nodes=4, pool_bytes=1 << 20,
-        dsm_config=PARADE_DSM.replace(lock_shard=shard),
-    )
+@pytest.mark.parametrize("hier", [False, True], ids=["default", "hierarchical"])
+def test_critical_region_serialises(hier):
+    """Lock ``l`` is managed by node ``l % n`` in either configuration."""
+    rt = ParadeRuntime(n_nodes=4, pool_bytes=1 << 20, hierarchical=hier)
     res = rt.run(_critical_program)
     assert sorted(res.value) == list(range(8))
     assert res.dsm_stats["lock_acquires"] == 8
     assert res.dsm_stats["lock_grants"] == 8
-    if shard == "locality":
-        # the first toucher was assigned as manager; grants taught the
-        # other clients where the lock lives
-        assert any(dn._lock_assign for dn in rt.dsm.nodes)
-        assert any(dn._lock_home for dn in rt.dsm.nodes)
-
-
-def test_locality_shard_caches_manager_at_clients():
-    from repro.dsm.config import PARADE_DSM
-
-    rt = ParadeRuntime(
-        n_nodes=4, pool_bytes=1 << 20,
-        dsm_config=PARADE_DSM.replace(lock_shard="locality"),
-    )
-    rt.run(_critical_program)
-    managers = {m for dn in rt.dsm.nodes for m in dn._lock_home.values()}
-    owners = {mgr for dn in rt.dsm.nodes for mgr in dn._lock_assign.values()}
-    assert len(managers) == 1  # every client learned the same manager
-    assert managers == owners  # and it is the assigned first toucher
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +238,7 @@ def test_every_dsm_stats_key_is_documented():
     the stats contract; a counter that isn't named there is invisible to
     users.  Every ``as_dict`` key must appear in both docstrings (the
     scale-out counters included)."""
-    from repro.dsm.node import DsmNodeStats
+    from repro.dsm.stats import DsmNodeStats
     from repro.runtime.results import RunResult
 
     keys = set(DsmNodeStats().as_dict())
