@@ -1,5 +1,6 @@
 # Development targets.  Everything runs from the repo root and needs only
-# the baked-in toolchain (numpy/scipy/pytest; ruff if installed).
+# the baked-in toolchain (numpy/scipy/pytest; ruff if installed); every
+# tool is a verb of the one command line, `python -m repro <verb>`.
 #
 # Sweep targets fan out across fleet worker processes (JOBS, default:
 # PARADE_JOBS env or cpu count) and the gates memoise runs in the
@@ -25,25 +26,25 @@ lint:            ## ruff (config in pyproject.toml); no-op if not installed
 		|| echo "ruff not installed; skipping lint"
 
 bench-smoke:     ## virtual-time record on the tiny baskets + 16-node flat-vs-tree identity; writes only a temp file
-	python -m repro.bench.perf --record --smoke --out $${TMPDIR:-/tmp}/BENCH_smoke.json $(JOBS_FLAG)
+	python -m repro perf --record --smoke --out $${TMPDIR:-/tmp}/BENCH_smoke.json $(JOBS_FLAG)
 
 bench-gate:      ## accel basket + 16-node hier scale point vs BENCH_parade.json; fails when > 5% off, says what moved
-	python -m repro.bench.perf --gate $(JOBS_FLAG)
+	python -m repro perf --gate $(JOBS_FLAG)
 
 bench-record:    ## re-record BENCH_parade.json (the one target that writes a tracked file); commit the diff
-	python -m repro.bench.perf --record $(JOBS_FLAG)
+	python -m repro perf --record $(JOBS_FLAG)
 
 fleet-smoke:     ## fleet executor contracts: worker bit-identity, warm cache, poisoned digest
-	python -m repro.fleet --selfcheck $(JOBS_FLAG)
+	python -m repro fleet-check $(JOBS_FLAG)
 
 profile-smoke:   ## virtual-time profiler invariant check on one workload
-	python -m repro.profile helmholtz --check
+	python -m repro profile helmholtz --check
 
 chaos-smoke:     ## fault-injection sweep: bit-identical recovery on a small matrix
-	python -m repro.chaos --sweep --nodes 2 --apps helmholtz --plans drop,dup $(JOBS_FLAG)
+	python -m repro chaos helmholtz --nodes 2 --plan drop,dup $(JOBS_FLAG)
 
 metrics-smoke:   ## metered bit-identity + export round-trip
-	python -m repro.metrics smoke $(JOBS_FLAG)
+	python -m repro metrics-smoke $(JOBS_FLAG)
 
 hostbench-smoke: ## host-time benchmark, quick report + its self-test (see BENCHMARK.json)
 	python benchmarks/hostbench/run.py --quick

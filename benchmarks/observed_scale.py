@@ -2,7 +2,7 @@
 
 Observer state is kept as flat columns (bytes per recorded fact), so an
 observed run's peak resident set stays close to a detached one's.  This
-script runs the ``cg`` workload of ``python -m repro.metrics run`` on 16
+script runs the ``cg`` workload of ``python -m repro metrics`` on 16
 nodes with a 2^18-row trace ring (queue depth every 64th event), an
 interval-recording profiler and the metrics sampler, then compares the
 process's high-water mark (``VmHWM``) with :data:`CEILING_MIB`, set at

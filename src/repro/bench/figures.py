@@ -25,8 +25,18 @@ from repro.apps import ep, cg, helmholtz, md
 DEFAULT_NODES = (1, 2, 4, 8)
 
 
-def registered_programs() -> Dict[str, dict]:
-    """Registry of runnable figure workloads, by name.
+#: the seeded-racy workloads of :mod:`repro.apps.racy`: name -> factory
+_RACY = {
+    "racy-ww": "make_write_write",
+    "racy-rw": "make_read_write",
+    "racy-nobar": "make_missing_barrier",
+}
+
+
+def registered_programs(racy: bool = False) -> Dict[str, dict]:
+    """Registry of runnable figure workloads, by name (with *racy*, the
+    seeded-racy negative tests of :func:`repro.apps.racy.racy_programs`
+    too, as fleet-dispatchable entries).
 
     Each entry maps to ``{"factory": () -> program, "factory_ref":
     (module, function), "factory_kwargs": dict, "pool_bytes": int,
@@ -34,14 +44,13 @@ def registered_programs() -> Dict[str, dict]:
     for interactive runs.  ``factory`` is the in-process callable;
     ``factory_ref`` + ``factory_kwargs`` are the serializable form the
     fleet executor ships to worker processes
-    (:meth:`repro.fleet.RunSpec.from_entry`).  Consumed by the tracing
-    CLI (``python -m repro.trace``), the chaos sweep, the sanitizer
-    sweep, and the fleet; the full-size figure sweeps remain the
-    ``figN_*`` functions above.
+    (:meth:`repro.fleet.RunSpec.from_entry`).  Consumed by every run verb
+    of ``python -m repro`` and by the fleet; the full-size figure sweeps
+    remain the ``figN_*`` functions above.
     """
     from repro.fleet.spec import make_entry
 
-    return {
+    programs = {
         "helmholtz": make_entry(
             ("repro.apps.helmholtz", "make_program"),
             {"n": 48, "m": 48, "max_iters": 3},
@@ -71,6 +80,15 @@ def registered_programs() -> Dict[str, dict]:
             figure="fig11",
         ),
     }
+    if racy:
+        from repro.apps.racy import racy_programs
+
+        for name, entry in racy_programs().items():
+            programs[name] = make_entry(
+                ("repro.apps.racy", _RACY[name]), {}, pool_bytes=entry["pool_bytes"],
+                note=entry["note"], figure=entry["figure"],
+            )
+    return programs
 
 
 @dataclass

@@ -15,16 +15,16 @@ of a change.
 
 Usage::
 
-    python -m repro.bench.perf             # run the grid, print the table
-    python -m repro.bench.perf --record    # ... and write BENCH_parade.json
-    python -m repro.bench.perf --gate      # make bench-gate: re-run the accel
-                                           # basket and the 16-node hier scale
-                                           # point, exit 1 if an aggregate is
-                                           # > 5% off the record, and print
-                                           # what moved
-    python -m repro.bench.perf --record --smoke --out /tmp/s.json
-                                           # tiny baskets, 16-node scale point
-                                           # only (make bench-smoke)
+    python -m repro perf                # run the grid, print the table
+    python -m repro perf --record       # ... and write BENCH_parade.json
+    python -m repro perf --gate         # make bench-gate: re-run the accel
+                                        # basket and the 16-node hier scale
+                                        # point, exit 1 if an aggregate is
+                                        # > 5% off the record, and print
+                                        # what moved
+    python -m repro perf --record --smoke --out /tmp/s.json
+                                        # tiny baskets, 16-node scale point
+                                        # only (make bench-smoke)
 
 Runs fan out across ``--jobs`` fleet workers and memoise in the run cache
 under ``.parade-cache/`` (``--no-cache`` / ``PARADE_CACHE=0`` bypasses);
@@ -34,7 +34,6 @@ performance is measured".
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -284,7 +283,7 @@ def run_gate(path: str, smoke: bool, jobs: Optional[int], no_cache: bool) -> int
     missing = ["/".join(g) for g in GATED if not _dig(report, g)]
     if missing:
         print(f"bench-gate: FAIL — {path} has no {', '.join(missing)} record to "
-              "compare with; run `python -m repro.bench.perf --record`")
+              "compare with; run `python -m repro perf --record`")
         return 1
     if bool(report.get("smoke")) != smoke:
         print(f"bench-gate: FAIL — {path} was recorded with smoke="
@@ -309,49 +308,22 @@ def run_gate(path: str, smoke: bool, jobs: Optional[int], no_cache: bool) -> int
     return 1 if problems else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.bench.perf", description=__doc__.split("\n\n")[0]
-    )
-    mode = ap.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--record", action="store_true",
-        help="write the paper, accel and scale sections to --out",
-    )
-    mode.add_argument(
-        "--gate", action="store_true",
-        help="re-run the accel basket and the 16-node hier scale point; exit 1 "
-        "if an aggregate is more than 5%% off the record at --out",
-    )
-    ap.add_argument(
-        "--smoke", action="store_true",
-        help="tiny baskets and the 16-node scale point only (CI smoke run)",
-    )
-    ap.add_argument(
-        "--out", default=None,
-        help=f"record path (default {DEFAULT_OUT}; --record --smoke has no "
-        "default so it cannot overwrite the checked-in record)",
-    )
-    ap.add_argument(
-        "--jobs", type=int, default=None,
-        help="fleet worker processes (default: PARADE_JOBS env or cpu count); "
-        "results are bit-identical for any value",
-    )
-    ap.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the fleet run cache (PARADE_CACHE=0 does the same)",
-    )
-    args = ap.parse_args(argv)
-
+def perf_cli(args) -> int:
+    """``python -m repro perf``: run the grid and print it; ``--record``
+    also writes it to ``--out`` (default :data:`DEFAULT_OUT`; a smoke
+    record needs an explicit path so it cannot overwrite the checked-in
+    one); ``--gate`` is :func:`run_gate`.  Exit 2 on a bad combination."""
+    problem = None
+    if args.record and args.gate:
+        problem = "--record and --gate are exclusive"
+    elif args.out and not (args.record or args.gate):
+        problem = "--out needs --record or --gate"
+    elif args.record and args.smoke and not args.out:
+        problem = "--record --smoke needs --out"
+    if problem:
+        print(f"perf: {problem}", file=sys.stderr)
+        return 2
     if args.gate:
         return run_gate(args.out or DEFAULT_OUT, args.smoke, args.jobs, args.no_cache)
-    if args.out and not args.record:
-        ap.error("--out needs --record or --gate")
-    if args.record and args.smoke and not args.out:
-        ap.error("--record --smoke needs --out")
     out = (args.out or DEFAULT_OUT) if args.record else None
     return run_record(args.smoke, out, args.jobs, args.no_cache)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,8 +4,8 @@ Attach a :class:`ChaosEngine` built from a :class:`FaultPlan` to a run and
 the network starts losing, duplicating, reordering, delaying and mangling
 frames — while an ack/retransmit layer recovers every one of them, so the
 program's numerical results stay bit-identical to the fault-free run.
-``python -m repro.chaos --sweep`` asserts exactly that over the registered
-workloads.  See docs/RELIABILITY.md for the fault model and guarantees.
+``python -m repro chaos all --plan sweep`` asserts exactly that over
+the registered workloads.  See docs/RELIABILITY.md for the fault model and guarantees.
 """
 
 from repro.chaos.plan import (

@@ -29,8 +29,9 @@ use; :func:`plan_by_name` looks them up.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -238,3 +239,82 @@ def plan_by_name(name: str) -> FaultPlan:
         raise KeyError(
             f"unknown fault plan {name!r}; choose from {sorted(PLANS)}"
         ) from None
+
+
+def _check_record(record: dict, base_record: dict, max_retries: int) -> List[str]:
+    """The guarantees of one chaos run, checked on its fleet record against
+    the fault-free run's; returns failure descriptions.  The value
+    comparison uses the records' SHA-256 value digests — equality of
+    digests is equality of the canonical values."""
+    failures = []
+    if record["value_digest"] != base_record["value_digest"]:
+        failures.append("numerical result differs from the fault-free run")
+    cs = record["chaos_stats"]
+    lost = cs.get("drops", 0) + cs.get("flap_drops", 0) + cs.get("corrupts", 0)
+    if lost and not cs.get("retransmits", 0):
+        failures.append(f"{lost} frames lost but zero retransmits recorded")
+    if cs.get("max_attempts", 0) > max_retries + 1:
+        failures.append(
+            f"a frame took {cs['max_attempts']} attempts "
+            f"(bound is {max_retries + 1})"
+        )
+    san = record.get("sanitizer")
+    if san is not None and not san["ok"]:
+        failures.append(
+            f"sanitizer reported {san['n_findings']} finding(s) "
+            f"under injected faults"
+        )
+    return failures
+
+
+def chaos_cli(specs, args) -> int:
+    """``python -m repro chaos``, the reliability gate: every app runs once
+    fault-free and once per fault plan, as one fleet basket (fanned across
+    ``--jobs`` workers, memoised in the run cache, verdicts the same for
+    any job count).  Each chaos run must be bit-identical to its app's
+    fault-free run, recover every lost frame within the retransmit bound
+    and, with ``--sanitize``, stay race-free; exit 2 otherwise."""
+    from repro.fleet import default_cache, run_many
+
+    bases = {}
+    for spec in specs:
+        bases.setdefault(
+            spec.workload, replace(spec, fault_plan=None, chaos_seed=0, sanitize=False)
+        )
+    fleet = run_many(
+        [*bases.values(), *specs], jobs=args.jobs, cache=default_cache(args.no_cache)
+    )
+    print(fleet.summary())
+    for rec in fleet.failures():
+        print(f"FAIL: {rec['workload']} crashed: {rec.get('error')}", file=sys.stderr)
+    if fleet.failures():
+        return 2
+
+    base_records = dict(zip(bases, fleet.records))
+    width = max(len(app) for app in bases)
+    ok = True
+    shown = None
+    for spec, rec in zip(specs, fleet.records[len(bases):]):
+        base = base_records[spec.workload]
+        if spec.workload != shown:
+            shown = spec.workload
+            print(f"{shown:<{width}}  fault-free: {base['virtual_s'] * 1e3:9.3f} ms  "
+                  f"({base['msgs_sent']} msgs)")
+        plan = plan_by_name(spec.fault_plan or CLEAN.name)
+        failures = _check_record(rec, base, plan.reliability.max_retries)
+        cs = rec["chaos_stats"]
+        lost = cs.get("drops", 0) + cs.get("flap_drops", 0) + cs.get("corrupts", 0)
+        print(f"{'':<{width}}  {plan.name:<14} {rec['virtual_s'] * 1e3:9.3f} ms  "
+              f"lost={lost:<3} retx={cs.get('retransmits', 0):<3} "
+              f"dup={cs.get('dup_suppressed', 0):<3} "
+              f"reseq={cs.get('reorder_buffered', 0):<3} "
+              f"{'FAIL' if failures else 'ok'}")
+        for f in failures:
+            ok = False
+            print(f"{'':<{width}}    FAIL: {f}", file=sys.stderr)
+    if ok:
+        print("sweep: every run recovered bit-identically within the "
+              "retransmit bound")
+        return 0
+    print("sweep: reliability guarantees violated", file=sys.stderr)
+    return 2

@@ -37,6 +37,13 @@ from repro.sim.probe import PH_BARRIER, PH_LOCK_WAIT
 RECORD_VERSION = 1
 
 
+def _option(default, flag: str, help: str, **argparse_kw):
+    """A field the command line sets: ``python -m repro`` derives option
+    *flag* from it.  Metadata only — :func:`dataclasses.asdict` ignores
+    it, so :meth:`RunSpec.canonical` and every cache key stay as they are."""
+    return field(default=default, metadata={"flag": flag, "help": help, **argparse_kw})
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One deterministic simulation run, as data.
@@ -52,17 +59,32 @@ class RunSpec:
     workload: str
     factory: Tuple[str, str]
     factory_kwargs: Dict[str, object] = field(default_factory=dict)
-    n_nodes: int = 4
+    n_nodes: int = _option(4, "--nodes", "cluster size (default 4)")
     pool_bytes: int = 1 << 22
-    mode: str = "parade"
-    exec_name: str = "2Thread-2CPU"
+    mode: str = _option(
+        "parade", "--mode",
+        "hybrid ParADE translation or conventional SDSM (default parade)",
+        choices=("parade", "sdsm"), metavar="{parade,sdsm}",
+    )
+    exec_name: str = _option(
+        "2Thread-2CPU", "--exec",
+        "execution configuration: 1Thread-1CPU, 1Thread-2CPU or 2Thread-2CPU (default)",
+    )
     #: protocol accelerator / hierarchical sync / happens-before sanitizer
-    accel: bool = False
-    hier: bool = False
-    sanitize: bool = False
+    accel: bool = _option(
+        False, "--accel",
+        "protocol accelerator on (batched notices, adaptive migration + update push)",
+    )
+    hier: bool = _option(False, "--hier", "hierarchical synchronization on (tree barrier)")
+    sanitize: bool = _option(False, "--sanitize", "attach the happens-before sanitizer")
     #: fault injection: stock plan name (``repro.chaos.plan.PLANS``) + seed
-    fault_plan: Optional[str] = None
-    chaos_seed: int = 0
+    fault_plan: Optional[str] = _option(
+        None, "--plan",
+        "comma list of stock fault plans, or 'sweep' for the stock sweep matrix (see --list)",
+    )
+    chaos_seed: int = _option(
+        0, "--seed", "chaos seed; one (plan, seed) pair reproduces every fault (default 0)"
+    )
     #: timed runs (best-of wall clock); virtual results are asserted
     #: identical across repeats
     repeat: int = 1
@@ -70,7 +92,9 @@ class RunSpec:
     profile: bool = False
     trace: bool = False
     metrics: bool = False
-    metrics_period: float = 1e-4
+    metrics_period: float = _option(
+        1e-4, "--period", "metrics sampling period in virtual seconds (default 1e-4)"
+    )
     #: attach observers to the timed run(s) instead of one extra untimed
     #: run — used where the observed run *is* the measurement (scale
     #: sweep points, the metrics smoke gate)

@@ -4,7 +4,7 @@ The subsystem subscribes to a running simulation's probe bus
 (:mod:`repro.sim.probe`, zero cost when detached like every other
 observer), samples every layer on a deterministic
 virtual-time grid, and exposes the result as Prometheus text, JSON
-time-series, CSV, or Chrome counter tracks.  ``python -m repro.metrics``
+time-series, CSV, or Chrome counter tracks.  ``python -m repro metrics``
 adds per-workload scorecards; :mod:`repro.metrics.regress` is the one
 comparator of virtual-time records (the bench gate's).
 See ``docs/METRICS.md`` for the guide.
@@ -27,7 +27,7 @@ from repro.metrics.sampler import (
     Metrics,
 )
 from repro.metrics.sources import install_default_sources
-from repro.metrics.scorecard import build_scorecard, meter_workload, render_scorecards
+from repro.metrics.scorecard import build_scorecard, render_scorecards
 from repro.metrics.regress import compare_records
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "BARRIER_EPOCH",
     "install_default_sources",
     "build_scorecard",
-    "meter_workload",
     "render_scorecards",
     "compare_records",
 ]

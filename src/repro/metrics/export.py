@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from typing import Dict, List, Tuple
 
 from repro.trace.events import TraceEvent, CAT_COUNTER
@@ -181,3 +182,44 @@ def to_chrome_events(dump: Dict) -> List[TraceEvent]:
 def write_chrome(dump: Dict, path: str, label: str = "repro.metrics") -> int:
     """Write the counter series as a Chrome trace; returns record count."""
     return write_chrome_json(to_chrome_events(dump), path, label=label)
+
+
+def export_cli(args) -> int:
+    """``python -m repro metrics-export``: re-emit a dump as Prometheus text
+    (``--prom``, else stdout), CSV and Chrome counters; ``--check``
+    asserts the exposition parses and the dump round-trips (exit 2)."""
+    try:
+        dump = load_dump(args.dump)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read metrics dump {args.dump!r}: {exc}", file=sys.stderr)
+        return 1
+    prom = to_prometheus(dump)
+    if args.prom:
+        with open(args.prom, "w") as fh:
+            fh.write(prom)
+        print(f"prom  : {len(prom.splitlines())} lines -> {args.prom}")
+    if args.csv:
+        csv = to_csv(dump)
+        with open(args.csv, "w") as fh:
+            fh.write(csv)
+        print(f"csv   : {len(csv.splitlines()) - 1} rows -> {args.csv}")
+    if args.chrome:
+        print(f"chrome: {write_chrome(dump, args.chrome)} records -> {args.chrome}")
+    if args.check:
+        problems = []
+        try:
+            parsed = parse_prometheus(prom)
+            if not parsed:
+                problems.append("Prometheus output parsed to zero samples")
+        except ValueError as exc:
+            problems.append(f"Prometheus output does not parse: {exc}")
+        if json.loads(json.dumps(dump)) != dump:
+            problems.append("dump does not round-trip through JSON")
+        if problems:
+            for p in problems:
+                print(f"CHECK FAILED: {p}", file=sys.stderr)
+            return 2
+        print(f"check : ok ({len(parsed)} exposition samples)")
+    if not (args.prom or args.csv or args.chrome or args.check):
+        print(prom, end="")
+    return 0

@@ -17,7 +17,7 @@ under test just computed — and says two things:
   changed, not just that a number did.
 
 It is the only comparison loop over these records; ``python -m
-repro.bench.perf --gate`` is its one caller.
+repro perf --gate`` is its one caller.
 """
 
 from __future__ import annotations

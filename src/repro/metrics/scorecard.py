@@ -15,6 +15,11 @@ means.
 
 from __future__ import annotations
 
+import json
+import os
+import sys
+import tempfile
+import time
 from typing import Dict, List, Optional
 
 from repro.metrics.sampler import BARRIER_EPOCH, LOCK_WAIT, Metrics
@@ -56,7 +61,7 @@ def build_scorecard(name: str, result, mx: Metrics, wall_s: Optional[float] = No
 
 
 def render_scorecards(cards: List[Dict]) -> str:
-    """The ``python -m repro.metrics run`` table."""
+    """The ``python -m repro metrics`` table."""
     headers = [
         "workload", "vt(ms)", "events", "msgs", "faults",
         "lock p50(us)", "lock p99(us)", "bar p50(us)", "bar p99(us)",
@@ -81,27 +86,98 @@ def render_scorecards(cards: List[Dict]) -> str:
     return "\n".join(render_table(headers, rows, align="<")) + "\n"
 
 
-def meter_workload(
-    factory,
-    pool_bytes: int,
-    n_nodes: int = 4,
-    period: float = 1e-4,
-    mode: str = "parade",
-    **runtime_kwargs,
-):
-    """Run ``factory()`` under a metered runtime; returns
-    ``(RunResult, Metrics)``.  The helper the CLI and the smoke gate
-    share — metrics ride along, so virtual results are bit-identical to
-    an unmetered run."""
-    from repro.runtime import ParadeRuntime
+def metrics_cli(specs, args) -> int:
+    """``python -m repro metrics``: meter each spec and print one scorecard
+    row each; ``--json`` writes the metrics dump of a single workload."""
+    from repro.fleet.spec import build_runtime, resolve_factory
+    from repro.metrics.export import write_dump
 
-    rt = ParadeRuntime(
-        n_nodes=n_nodes,
-        mode=mode,
-        pool_bytes=pool_bytes,
-        metrics=True,
-        metrics_period=period,
-        **runtime_kwargs,
+    if args.json and len(specs) != 1:
+        print("--json needs exactly one workload", file=sys.stderr)
+        return 1
+    cards = []
+    for spec in specs:
+        t0 = time.perf_counter()
+        rt = build_runtime(spec, observe=True)
+        result = rt.run(resolve_factory(spec.factory, spec.factory_kwargs)())
+        wall = time.perf_counter() - t0
+        cards.append(build_scorecard(spec.workload, result, rt.metrics, wall_s=wall))
+        if args.json:
+            dump = rt.metrics.dump(meta={"app": spec.workload, "nodes": spec.n_nodes,
+                                         "mode": spec.mode, "wall_s": wall})
+            write_dump(dump, args.json)
+            print(f"json : {len(dump['series'])} series -> {args.json}")
+    print(render_scorecards(cards), end="")
+    return 0
+
+
+def smoke_cli(args) -> int:
+    """``python -m repro metrics-smoke``, the CI gate, in two acts (exit 2
+    on the first failure):
+
+    1. bit-identity — the tiny workload metered and unmetered must agree
+       on virtual time and every deterministic run statistic (the two
+       runs are independent, so they fan out across ``--jobs`` fleet
+       worker processes);
+    2. export round-trip — the metered dump survives JSON write/load,
+       its Prometheus rendering parses, CSV and Chrome are non-empty.
+    """
+    from repro.fleet import RunSpec, run_many
+    from repro.metrics import export as mexport
+
+    def fail(msg: str) -> int:
+        print(f"SMOKE FAILED: {msg}", file=sys.stderr)
+        return 2
+
+    common = dict(
+        factory=("repro.apps.helmholtz", "make_program"),
+        factory_kwargs={"n": 24, "m": 24, "max_iters": 2},
+        n_nodes=args.n_nodes,
+        pool_bytes=1 << 21,
     )
-    result = rt.run(factory())
-    return result, rt.metrics
+    specs = [
+        RunSpec(workload="helmholtz-plain", **common),
+        # observe_timed: the metered run IS the measurement — its stats
+        # must come from the run with the sampler attached, or the
+        # comparison below would check an unmetered run against itself
+        RunSpec(workload="helmholtz-metered", metrics=True, observe_timed=True,
+                **common),
+    ]
+    fleet = run_many(specs, jobs=args.jobs)
+    for rec in fleet.failures():
+        return fail(f"{rec['workload']} crashed: {rec.get('error')}")
+    plain, metered = fleet.records
+    if plain["virtual_s"] != metered["virtual_s"]:
+        return fail(f"virtual time moved under metering: "
+                    f"{plain['virtual_s']!r} != {metered['virtual_s']!r}")
+    for group in ("cluster_stats", "dsm_stats"):
+        a, b = plain[group], metered[group]
+        diff = {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
+        if diff:
+            return fail(f"{group} moved under metering: {sorted(diff)}")
+    n_samples = metered["metrics"]["n_samples"]
+    if n_samples == 0:
+        return fail("sampler took no samples on the smoke workload")
+    print(f"smoke 1/2: bit-identity ok (vt {metered['virtual_s'] * 1e3:.3f} ms, "
+          f"{n_samples} samples)")
+
+    dump = dict(metered["metrics"]["dump"])
+    dump["meta"] = {"app": "helmholtz-smoke", "nodes": args.n_nodes}
+    prom = mexport.to_prometheus(dump)
+    parsed = mexport.parse_prometheus(prom)
+    if not parsed:
+        return fail("Prometheus exposition parsed to zero samples")
+    with tempfile.TemporaryDirectory(prefix="metrics-smoke-") as tmp:
+        path = os.path.join(tmp, "dump.json")
+        mexport.write_dump(dump, path)
+        if mexport.load_dump(path) != json.loads(json.dumps(dump)):
+            return fail("dump does not round-trip through write_dump/load_dump")
+        chrome = os.path.join(tmp, "trace.json")
+        n_chrome = mexport.write_chrome(dump, chrome)
+    n_csv = len(mexport.to_csv(dump).splitlines()) - 1
+    if n_chrome == 0 or n_csv == 0:
+        return fail(f"empty export (chrome={n_chrome}, csv={n_csv})")
+    print(f"smoke 2/2: export round-trip ok ({len(parsed)} prom samples, "
+          f"{n_csv} csv rows, {n_chrome} chrome records)")
+    print("metrics smoke: all gates passed")
+    return 0

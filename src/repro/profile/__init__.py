@@ -10,7 +10,7 @@ subscriber: zero cost when detached), then snapshot a
     report = ProfileReport.from_profiler(prof)
     print(report.render())
 
-CLI: ``python -m repro.profile <app>`` — see :mod:`repro.profile.__main__`.
+CLI: ``python -m repro profile <app>`` (:func:`repro.profile.report.profile_cli`).
 """
 
 from repro.profile.phases import (  # noqa: F401

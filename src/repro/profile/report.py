@@ -12,11 +12,14 @@ and renders the human tables:
 
 from __future__ import annotations
 
+import json
+import sys
 from typing import Dict, List, Optional
 
 from repro.profile.phases import ALL_GROUPS, ALL_PHASES, group_of
 from repro.profile.profiler import Profiler
 from repro.profile.critical_path import compute_critical_path
+from repro.profile.export import write_profile_chrome
 from repro.util.tables import fmt_us as _fmt_us, percentile
 
 #: wait-time histogram percentiles reported per lock
@@ -232,3 +235,53 @@ class ProfileReport:
                 f"{pcts}{_fmt_us(ls['wait_max']):>11}"
             )
         return lines
+
+
+def profile_cli(spec, args) -> int:
+    """``python -m repro profile``: run *spec* under the profiler, print
+    the report, write ``--json`` / ``--chrome``; ``--check`` asserts the
+    report's invariants and its JSON round trip — exit 2 on violation."""
+    from repro.fleet.spec import build_runtime, resolve_factory
+
+    rt = build_runtime(spec)
+    prof = Profiler(rt.sim)
+    result = rt.run(resolve_factory(spec.factory, spec.factory_kwargs)())
+    prof.finalize()
+
+    title = f"{spec.workload}/{spec.mode}/{spec.n_nodes}n/{spec.exec_name}"
+    meta = {
+        "app": spec.workload,
+        "mode": spec.mode,
+        "nodes": spec.n_nodes,
+        "exec": spec.exec_name,
+        "title": title,
+        "elapsed_virtual_s": result.elapsed,
+    }
+    report = ProfileReport.from_profiler(
+        prof, meta=meta, critical_path=not args.no_critical_path
+    )
+    print(report.render(top=args.top))
+
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(report.as_dict(), fh, indent=1, sort_keys=True)
+        print(f"json : report -> {args.json}")
+    if args.chrome:
+        n = write_profile_chrome(prof, args.chrome, label=title)
+        print(f"chrome: {n} records -> {args.chrome}")
+
+    if args.check:
+        problems = report.check()
+        # the report must survive a JSON round trip bit-for-bit
+        round_tripped = ProfileReport.from_dict(json.loads(json.dumps(report.as_dict())))
+        if round_tripped.as_dict() != report.as_dict():
+            problems.append("report does not round-trip through JSON")
+        if round_tripped.render(top=args.top) != report.render(top=args.top):
+            problems.append("rendered report differs after JSON round trip")
+        if problems:
+            for p in problems:
+                print(f"CHECK FAILED: {p}", file=sys.stderr)
+            return 2
+        print(f"check: ok ({len(report.data['threads'])} threads, "
+              f"max phase-sum error {report.data['max_sum_error']:.3g} s)")
+    return 0

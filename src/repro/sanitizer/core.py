@@ -45,6 +45,7 @@ different barrier intervals can never race.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
@@ -472,3 +473,42 @@ class Sanitizer(Subscriber):
                 dedup=key + ("range", end),
             )
         self._cursors[key] = max(prev, end)
+
+
+def sanitize_cli(specs, args) -> int:
+    """``python -m repro sanitize``: one sanitized run per spec, as a
+    fleet basket (fanned across ``--jobs`` workers, memoised in the run
+    cache).  The verdict rides in each run record, so the output and the
+    exit code — 2 on any finding, or with ``--expect-races`` on none — are
+    the same for any job count.  Records keep at most 50 findings."""
+    from repro.fleet import default_cache, run_many
+
+    fleet = run_many(specs, jobs=args.jobs, cache=default_cache(args.no_cache))
+    print(fleet.summary())
+    for rec in fleet.failures():
+        print(f"FAIL: {rec['workload']} crashed: {rec.get('error')}", file=sys.stderr)
+    if fleet.failures():
+        return 2
+
+    any_findings = False
+    for spec, rec in zip(specs, fleet.records):
+        san = rec["sanitizer"]
+        plan = f" under {spec.fault_plan!r}" if spec.fault_plan else ""
+        print(f"{spec.workload}/{spec.mode}/{spec.n_nodes}n/{spec.exec_name}{plan}: "
+              f"elapsed {rec['virtual_s'] * 1e3:.3f} ms (virtual)")
+        print(san["summary"])
+        if not san["ok"]:
+            any_findings = True
+            findings = san["findings"] if args.verbose else san["findings"][:10]
+            for line in findings:
+                print(f"  {line}")
+            if san["n_findings"] > len(findings):
+                print(f"  ... and {san['n_findings'] - len(findings)} more (use -v)")
+
+    if args.expect_races:
+        if any_findings:
+            print("expected races: found — OK")
+            return 0
+        print("expected races but the run came back clean", file=sys.stderr)
+        return 2
+    return 2 if any_findings else 0

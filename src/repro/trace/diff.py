@@ -1,7 +1,7 @@
 """Trace diff: align two recorded runs and report where they diverge.
 
 The ROADMAP's trace follow-up: compare, event by event, two JSONL traces
-(written with ``python -m repro.trace <app> --jsonl run.jsonl``) — e.g.
+(written with ``python -m repro trace <app> --jsonl run.jsonl``) — e.g.
 the parade and sdsm translations of one program, or two runs that should
 be deterministic replicas.  The report has two parts:
 
@@ -146,23 +146,12 @@ def diff_traces(a: List[TraceEvent], b: List[TraceEvent]) -> TraceDiff:
     return result
 
 
-def main_diff(argv: List[str]) -> int:
-    """Entry point for ``python -m repro.trace diff A.jsonl B.jsonl``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.trace diff",
-        description="align two JSONL traces event-by-event: report the first "
-        "divergence and per-event-type count/byte deltas",
-    )
-    parser.add_argument("a", help="first trace (JSONL, from --jsonl)")
-    parser.add_argument("b", help="second trace (JSONL)")
-    args = parser.parse_args(argv)
-
+def diff_cli(args) -> int:
+    """``python -m repro trace-diff A.jsonl B.jsonl``: exit 0 when the two
+    traces are identical, 1 when they diverge."""
     from repro.trace.export import read_jsonl
 
-    ev_a = read_jsonl(args.a)
-    ev_b = read_jsonl(args.b)
-    result = diff_traces(ev_a, ev_b)
-    print(result.summary(label_a=args.a, label_b=args.b))
+    a, b = args.traces
+    result = diff_traces(read_jsonl(a), read_jsonl(b))
+    print(result.summary(label_a=a, label_b=b))
     return 0 if result.identical else 1

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from typing import Any, Dict, Iterable, List
 
-from repro.trace.events import TraceEvent, SIM_PID
+from repro.trace.checker import check_trace
+from repro.trace.events import ALL_CATEGORIES, SIM_PID, TraceEvent
+from repro.trace.recorder import TraceRecorder
 
 _S_TO_US = 1e6
 
@@ -160,7 +163,7 @@ def write_chrome_json(events: Iterable[TraceEvent], path: str, label: str = "rep
 
 def write_jsonl(events: Iterable[TraceEvent], path: str) -> int:
     """One JSON object per line (:meth:`TraceEvent.as_dict`); the input
-    format of ``python -m repro.trace diff``.  Returns the line count."""
+    format of ``python -m repro trace-diff``.  Returns the line count."""
     n = 0
     with open(path, "w") as fh:
         for ev in events:
@@ -214,3 +217,48 @@ def write_csv_events(events: Iterable[TraceEvent], path: str) -> int:
             )
             n += 1
     return n
+
+
+def trace_cli(spec, args) -> int:
+    """``python -m repro trace``: run *spec* with a recorder attached,
+    export the Chrome JSON (plus ``--csv`` / ``--jsonl``) and, unless
+    ``--no-check``, replay the protocol checker — exit 2 on violations."""
+    from repro.fleet.spec import build_runtime, resolve_factory
+
+    if args.ring <= 0:
+        print(f"--ring must be positive, got {args.ring}", file=sys.stderr)
+        return 1
+    categories = None
+    if args.cats:
+        categories = frozenset(c.strip() for c in args.cats.split(",") if c.strip())
+        unknown = categories - ALL_CATEGORIES
+        if unknown:
+            print(f"unknown categories: {', '.join(sorted(unknown))}; known: "
+                  f"{','.join(sorted(ALL_CATEGORIES))}", file=sys.stderr)
+            return 1
+
+    rt = build_runtime(spec)
+    recorder = TraceRecorder(rt.sim, capacity=args.ring, categories=categories)
+    result = rt.run(resolve_factory(spec.factory, spec.factory_kwargs)())
+
+    events = recorder.events
+    label = f"{spec.workload}/{spec.mode}/{spec.n_nodes}n/{spec.exec_name}"
+    n_records = write_chrome_json(events, args.out, label=label)
+    print(f"{label}: elapsed {result.elapsed * 1e3:.3f} ms (virtual)")
+    print(
+        f"trace: {len(events)} events ({recorder.n_dropped} evicted, "
+        f"ring {recorder.capacity}) -> {args.out} ({n_records} records)"
+    )
+    for cat, n in sorted(recorder.counts_by_category().items()):
+        print(f"  {cat:<12} {n}")
+    if args.csv:
+        print(f"csv  : {write_csv_events(events, args.csv)} rows -> {args.csv}")
+    if args.jsonl:
+        print(f"jsonl: {write_jsonl(events, args.jsonl)} events -> {args.jsonl}")
+
+    if not args.no_check:
+        report = check_trace(events)
+        print(report.summary())
+        if not report.ok:
+            return 2
+    return 0

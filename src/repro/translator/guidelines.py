@@ -33,6 +33,7 @@ translator's AST:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
@@ -45,6 +46,7 @@ from repro.translator.analysis import (
     find_update_statement,
     shared_footprint_bytes,
 )
+from repro.translator.backends import translate
 from repro.translator.parser import parse
 
 
@@ -239,3 +241,32 @@ def report(source: str, hybrid_threshold: int = HYBRID_THRESHOLD) -> str:
     for d in diags:
         lines.append(f"  [{d.rule}] {d.function}: {d.message}")
     return "\n".join(lines)
+
+
+def translate_cli(args) -> int:
+    """``python -m repro translate``: the paper's tool flow — C with OpenMP
+    1.0 pragmas in, runtime-API C out (``--backend both`` emits the two
+    translations one after the other); ``--lint`` prepends the §7 report."""
+    threshold = HYBRID_THRESHOLD if args.threshold is None else args.threshold
+    if args.input == "-":
+        source = sys.stdin.read()
+    else:
+        with open(args.input) as f:
+            source = f.read()
+
+    chunks = []
+    if args.lint:
+        chunks.append("/* " + report(source, threshold).replace("\n", "\n   ") + " */")
+    backends = ("parade", "sdsm") if args.backend == "both" else (args.backend,)
+    for be in backends:
+        if len(backends) > 1:
+            chunks.append(f"/* ===== {be} translation ===== */")
+        chunks.append(translate(source, be, hybrid_threshold=threshold))
+    text = "\n".join(chunks)
+
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0

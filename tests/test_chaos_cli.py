@@ -1,4 +1,5 @@
-"""Smoke tests of the ``python -m repro.chaos`` CLI (subprocess level)."""
+"""Smoke tests of ``python -m repro chaos``, run as a subprocess the way a
+user runs it: the one test of the ``__main__`` dispatch itself."""
 
 from __future__ import annotations
 
@@ -13,13 +14,13 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 def _cli(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     return subprocess.run(
-        [sys.executable, "-m", "repro.chaos", *argv],
+        [sys.executable, "-m", "repro", "chaos", *argv],
         capture_output=True, text=True, env=env, cwd=REPO, timeout=600,
     )
 
 
 def test_list_plans():
-    proc = _cli("--list-plans")
+    proc = _cli("--list")
     assert proc.returncode == 0, proc.stderr
     for name in ("clean", "drop", "dup", "reorder", "lossy-mix"):
         assert name in proc.stdout
@@ -38,8 +39,7 @@ def test_single_run_recovers():
 
 
 def test_sweep_smoke():
-    proc = _cli("--sweep", "--nodes", "2", "--apps", "helmholtz",
-                "--plans", "drop,dup")
+    proc = _cli("helmholtz", "--nodes", "2", "--plan", "drop,dup")
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "every run recovered bit-identically" in proc.stdout
 

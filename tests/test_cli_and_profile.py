@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.translator.__main__ import main as translator_main
+from repro.__main__ import main
 from repro.runtime import ParadeRuntime, TWO_THREAD_TWO_CPU
 from repro.mpi.ops import SUM
 
@@ -31,7 +31,7 @@ def src_file(tmp_path):
 
 
 def _run_cli(args, capsys):
-    rc = translator_main(args)
+    rc = main(["translate", *args])
     out = capsys.readouterr().out
     return rc, out
 

@@ -9,6 +9,7 @@ to a real file, so a rename or a typo breaks CI instead of a reader.
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,71 @@ def test_docs_index_links_every_guide():
 def test_top_level_readme_links_docs_index():
     linked = {path for _, path in _relative_links(REPO / "README.md")}
     assert "docs/README.md" in linked
+
+
+# ------------------------------------------------- command lines in the docs
+#: documents whose ``python -m repro …`` command lines must parse
+COMMAND_DOCS = sorted(
+    [REPO / "README.md", REPO / "EXPERIMENTS.md", REPO / ".claude/skills/verify/SKILL.md"]
+    + list((REPO / "docs").glob("*.md"))
+)
+
+#: an inline code span or a code-block line that runs the door
+_SPAN_RE = re.compile(r"`(?:[^`]*?\s)?python\s+-m\s+repro((?:\s[^`]*)?)`")
+_BLOCK_RE = re.compile(r"```[^\n]*\n(.*?)```", re.S)
+_LINE_RE = re.compile(r"(?:^|\s)python\s+-m\s+repro(\s.*)?$")
+
+
+def _door_commands(md: Path):
+    """The argument lists of every ``python -m repro`` command in *md*:
+    inline code spans, and code-block lines (backslash continuations
+    joined, comments and shell plumbing cut)."""
+    text = md.read_text(encoding="utf-8")
+    found = [m.group(1) for m in _SPAN_RE.finditer(_BLOCK_RE.sub("", text))]
+    for block in _BLOCK_RE.findall(text):
+        for line in block.replace("\\\n", " ").splitlines():
+            m = _LINE_RE.search(line.split(" #")[0])
+            if m:
+                found.append(m.group(1) or "")
+    for args in found:
+        args = re.split(r"\s(?:\||&&|>|2>)\s?", args)[0]
+        yield shlex.split(args)
+
+
+@pytest.mark.parametrize("md", COMMAND_DOCS, ids=lambda p: str(p.relative_to(REPO)))
+def test_documented_commands_parse(md, capsys):
+    from repro.__main__ import build_parser
+
+    bad = []
+    for argv in _door_commands(md):
+        if argv and argv[0].startswith("<"):  # `python -m repro <verb>`: prose
+            continue
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code:
+                bad.append(" ".join(argv))
+    capsys.readouterr()
+    assert not bad, f"{md.relative_to(REPO)}: commands the door rejects: {bad}"
+
+
+def test_documented_commands_found():
+    commands = [argv for md in COMMAND_DOCS for argv in _door_commands(md)]
+    verbs = {argv[0] for argv in commands if argv}
+    assert {"trace", "trace-diff", "profile", "sanitize", "chaos", "metrics",
+            "metrics-export", "perf", "fleet-check", "translate"} <= verbs
+
+
+#: the old per-package entry points (``python -m repro.trace`` ...); the
+#: change log keeps them as history
+_OLD_DOOR_RE = re.compile(r"python\s+-m\s+repro\.[a-z]")
+
+
+@pytest.mark.parametrize(
+    "path",
+    COMMAND_DOCS + [REPO / "ROADMAP.md", REPO / "Makefile",
+                    REPO / ".github" / "workflows" / "ci.yml"],
+    ids=lambda p: str(p.relative_to(REPO)),
+)
+def test_no_old_entry_points(path):
+    assert not _OLD_DOOR_RE.search(path.read_text(encoding="utf-8"))

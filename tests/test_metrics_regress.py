@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 
 from repro.metrics import regress
-from repro.metrics.__main__ import main as metrics_main
+from repro.__main__ import main
 
 
 def _records() -> dict:
@@ -88,8 +88,8 @@ def test_missing_workload_and_section():
 # ----------------------------------------------------------------- CLI
 def test_cli_run_and_export_round_trip(tmp_path, capsys):
     dump_path = tmp_path / "hh.metrics.json"
-    assert metrics_main([
-        "run", "helmholtz", "--nodes", "2", "--json", str(dump_path),
+    assert main([
+        "metrics", "helmholtz", "--nodes", "2", "--json", str(dump_path),
     ]) == 0
     out = capsys.readouterr().out
     assert "helmholtz" in out and "vt(ms)" in out
@@ -97,8 +97,8 @@ def test_cli_run_and_export_round_trip(tmp_path, capsys):
     prom = tmp_path / "m.prom"
     csv = tmp_path / "m.csv"
     chrome = tmp_path / "m.trace.json"
-    assert metrics_main([
-        "export", str(dump_path), "--prom", str(prom), "--csv", str(csv),
+    assert main([
+        "metrics-export", str(dump_path), "--prom", str(prom), "--csv", str(csv),
         "--chrome", str(chrome), "--check",
     ]) == 0
     assert prom.exists() and csv.exists() and chrome.exists()
@@ -108,8 +108,8 @@ def test_cli_run_and_export_round_trip(tmp_path, capsys):
 
 
 def test_cli_run_rejects_unknown_app(capsys):
-    assert metrics_main(["run", "no-such-app"]) == 1
+    assert main(["metrics", "no-such-app"]) == 1
 
 
 def test_cli_smoke_gate():
-    assert metrics_main(["smoke"]) == 0
+    assert main(["metrics-smoke"]) == 0

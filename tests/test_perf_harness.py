@@ -1,4 +1,4 @@
-"""The virtual-time record and its gate (``repro.bench.perf``).
+"""The virtual-time record and its gate (``python -m repro perf``).
 
 Runs the *smoke* grid (tiny workloads, the 16-node scale point) end to
 end, so a workload factory drifting out of sync with an app signature, a
@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from repro.__main__ import main
 from repro.bench import perf
 
 
@@ -24,7 +25,7 @@ def recorded(tmp_path_factory):
         mp.setenv("PARADE_CACHE_DIR", str(tmp / "cache"))
         mp.delenv("PARADE_CACHE", raising=False)
         out = tmp / "record.json"
-        assert perf.main(["--record", "--smoke", "--jobs", "1", "--out", str(out)]) == 0
+        assert main(["perf", "--record", "--smoke", "--jobs", "1", "--out", str(out)]) == 0
         yield out
 
 
@@ -65,7 +66,7 @@ def test_record_twice_is_byte_identical(recorded, tmp_path):
     """Simulated afresh or replayed from the run cache."""
     for name, extra in (("again.json", ["--no-cache"]), ("replayed.json", [])):
         out = tmp_path / name
-        assert perf.main(["--record", "--smoke", "--jobs", "1", "--out", str(out)]
+        assert main(["perf", "--record", "--smoke", "--jobs", "1", "--out", str(out)]
                          + extra) == 0
         assert out.read_bytes() == recorded.read_bytes(), name
 
@@ -79,7 +80,7 @@ def test_phase_breakdown_recorded_and_deterministic(recorded):
 
 
 def test_gate_passes_on_its_own_record_having_compared_something(recorded, capsys):
-    assert perf.main(["--gate", "--smoke", "--jobs", "1", "--out", str(recorded)]) == 0
+    assert main(["perf", "--gate", "--smoke", "--jobs", "1", "--out", str(recorded)]) == 0
     out = capsys.readouterr().out
     executed, hits = map(int, re.search(r"executed=(\d+).*cache hits=(\d+)", out).groups())
     assert executed + hits == 6
@@ -94,7 +95,7 @@ def test_gate_fails_on_a_moved_virtual_time_and_says_what_moved(
         report["accel"]["cg"]["msgs_sent"] += 7
 
     path = _edited(recorded, tmp_path, edit)
-    assert perf.main(["--gate", "--smoke", "--jobs", "1", "--out", path]) == 1
+    assert main(["perf", "--gate", "--smoke", "--jobs", "1", "--out", path]) == 1
     out = capsys.readouterr().out
     assert "bench-gate: FAIL" in out and "accel: aggregate virtual_s" in out
     moved = [line for line in out.splitlines() if "virtual_s moved" in line]
@@ -105,21 +106,21 @@ def test_gate_fails_on_a_moved_virtual_time_and_says_what_moved(
 def test_gate_fails_when_there_is_nothing_to_compare(recorded, tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
-    assert perf.main(["--gate", "--smoke", "--out", str(empty)]) == 1
-    assert perf.main(["--gate", "--smoke", "--out", str(tmp_path / "missing.json")]) == 1
+    assert main(["perf", "--gate", "--smoke", "--out", str(empty)]) == 1
+    assert main(["perf", "--gate", "--smoke", "--out", str(tmp_path / "missing.json")]) == 1
     no_scale = _edited(recorded, tmp_path, lambda report: report.pop("scale"))
-    assert perf.main(["--gate", "--smoke", "--out", no_scale]) == 1
+    assert main(["perf", "--gate", "--smoke", "--out", no_scale]) == 1
     assert "no scale/16/hier record" in capsys.readouterr().out
     # a full-size gate against a smoke record compares apples with oranges
-    assert perf.main(["--gate", "--out", str(recorded)]) == 1
+    assert main(["perf", "--gate", "--out", str(recorded)]) == 1
 
 
 def test_gate_fails_when_a_recorded_workload_is_gone(recorded, tmp_path, capsys):
     path = _edited(recorded, tmp_path, lambda report: report["accel"].pop("md"))
-    assert perf.main(["--gate", "--smoke", "--jobs", "1", "--out", path]) == 1
+    assert main(["perf", "--gate", "--smoke", "--jobs", "1", "--out", path]) == 1
     assert "re-record" in capsys.readouterr().out
 
 
-def test_smoke_record_needs_an_explicit_path():
-    with pytest.raises(SystemExit):
-        perf.main(["--record", "--smoke"])
+def test_smoke_record_needs_an_explicit_path(capsys):
+    assert main(["perf", "--record", "--smoke"]) == 2
+    assert "needs --out" in capsys.readouterr().err

@@ -1,44 +1,31 @@
-"""Smoke tests for the ``python -m repro.trace`` CLI.
-
-These run the module as a subprocess the way a user would, so the CLI
-entry point can never silently rot (satellite of the tracing PR; see
-docs/TRACING.md).  In-process tests of main() cover flag handling.
-"""
+"""Tests of ``python -m repro trace`` (in process, through the door's
+``main``; ``tests/test_chaos_cli.py`` is the subprocess test of the
+``__main__`` dispatch itself)."""
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-SRC = str(REPO / "src")
+import pytest
+
+from repro.__main__ import main
 
 
-def _run_cli(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.trace", *args],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+def test_cli_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "usage" in out.lower()
+    assert "perfetto" in out.lower() or "chrome" in out.lower()
 
 
-def test_cli_help():
-    proc = _run_cli("--help")
-    assert proc.returncode == 0, proc.stderr
-    assert "usage" in proc.stdout.lower()
-    assert "perfetto" in proc.stdout.lower() or "chrome" in proc.stdout.lower()
-
-
-def test_cli_tiny_traced_run(tmp_path):
+def test_cli_tiny_traced_run(tmp_path, capsys):
     out = tmp_path / "trace.json"
     csv = tmp_path / "trace.csv"
-    proc = _run_cli("helmholtz", "--nodes", "2", "-o", str(out), "--csv", str(csv))
-    assert proc.returncode == 0, proc.stderr + proc.stdout
-    assert "protocol check: OK" in proc.stdout
+    rc = main(["trace", "helmholtz", "--nodes", "2", "-o", str(out), "--csv", str(csv)])
+    assert rc == 0
+    assert "protocol check: OK" in capsys.readouterr().out
     doc = json.load(open(out))
     evs = doc["traceEvents"]
     assert evs
@@ -49,42 +36,32 @@ def test_cli_tiny_traced_run(tmp_path):
     assert csv.exists() and csv.read_text().startswith("ts,dur,cat,name")
 
 
-# in-process flag coverage (fast; no simulation)
+# flag coverage (fast; no simulation)
 def test_cli_list(capsys):
-    from repro.trace.__main__ import main
-
-    assert main(["--list"]) == 0
+    assert main(["trace", "--list"]) == 0
     out = capsys.readouterr().out
     for app in ("helmholtz", "ep", "cg", "md"):
         assert app in out
 
 
 def test_cli_unknown_app(capsys):
-    from repro.trace.__main__ import main
-
-    assert main(["nosuchapp"]) == 1
+    assert main(["trace", "nosuchapp"]) == 1
     assert "unknown app" in capsys.readouterr().err
 
 
 def test_cli_unknown_exec(capsys):
-    from repro.trace.__main__ import main
-
-    assert main(["helmholtz", "--exec", "9Thread-9CPU"]) == 1
+    assert main(["trace", "helmholtz", "--exec", "9Thread-9CPU"]) == 1
     assert "unknown exec config" in capsys.readouterr().err
 
 
 def test_cli_unknown_category(capsys):
-    from repro.trace.__main__ import main
-
-    assert main(["helmholtz", "--cats", "dsm.page,bogus"]) == 1
+    assert main(["trace", "helmholtz", "--cats", "dsm.page,bogus"]) == 1
     assert "unknown categories" in capsys.readouterr().err
 
 
 def test_cli_in_process_run_with_category_filter(tmp_path, capsys):
-    from repro.trace.__main__ import main
-
     out = tmp_path / "t.json"
-    rc = main(["helmholtz", "--nodes", "2", "-o", str(out),
+    rc = main(["trace", "helmholtz", "--nodes", "2", "-o", str(out),
                "--cats", "dsm.page,dsm.barrier"])
     assert rc == 0
     stdout = capsys.readouterr().out

@@ -1,11 +1,12 @@
-"""Trace JSONL round-trip and ``python -m repro.trace diff`` tests."""
+"""Trace JSONL round-trip and ``python -m repro trace-diff`` tests."""
 
 from __future__ import annotations
 
+from repro.__main__ import main
 from repro.apps import helmholtz
 from repro.runtime import ParadeRuntime
 from repro.trace import TraceRecorder
-from repro.trace.diff import diff_traces, main_diff
+from repro.trace.diff import diff_traces
 from repro.trace.export import read_jsonl, write_jsonl
 from repro.trace.events import TraceEvent
 
@@ -79,24 +80,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     events = _record()
     write_jsonl(events, str(a))
     write_jsonl(events, str(b))
-    assert main_diff([str(a), str(b)]) == 0
+    assert main(["trace-diff", str(a), str(b)]) == 0
     write_jsonl(_record("sdsm"), str(b))
-    assert main_diff([str(a), str(b)]) == 1
+    assert main(["trace-diff", str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "first divergence" in out
 
 
 def test_trace_main_dispatches_diff_subcommand(tmp_path):
-    from repro.trace.__main__ import main
-
     jsonl = tmp_path / "run.jsonl"
     rc = main(
         [
-            "helmholtz", "--nodes", "2",
+            "trace", "helmholtz", "--nodes", "2",
             "-o", str(tmp_path / "run.json"),
             "--jsonl", str(jsonl),
         ]
     )
     assert rc == 0
     assert jsonl.exists()
-    assert main(["diff", str(jsonl), str(jsonl)]) == 0
+    assert main(["trace-diff", str(jsonl), str(jsonl)]) == 0
