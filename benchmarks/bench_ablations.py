@@ -16,8 +16,8 @@ from repro.cluster import ClusterConfig, FAST_ETHERNET_TCP, GIGANET_VIA
 from repro.dsm import SharedArray
 from repro.dsm.config import PARADE_DSM
 from repro.mpi import CommThread
-from repro.bench.microbench import measure_critical_overhead
-from repro.runtime import TWO_THREAD_TWO_CPU
+from repro.bench.microbench import critical, sweep_directive
+from repro.runtime import ParadeRuntime
 from conftest import run_once
 
 from repro.testing import build_dsm, run_all
@@ -57,12 +57,8 @@ def test_ablation_home_migration(benchmark):
 
 
 def test_ablation_hybrid_switch(benchmark):
-    def run():
-        hybrid = measure_critical_overhead("parade", n_nodes=4, iters=30)
-        lockpath = measure_critical_overhead("kdsm", n_nodes=4, iters=30)
-        return hybrid, lockpath
-
-    hybrid, lockpath = run_once(benchmark, run)
+    data = run_once(benchmark, lambda: sweep_directive("critical", nodes=[4], iters=30))
+    [hybrid], [lockpath] = data["parade"], data["kdsm"]
     print(f"\nhybrid critical : {hybrid*1e6:8.2f} us/op")
     print(f"lock critical   : {lockpath*1e6:8.2f} us/op")
     assert hybrid < lockpath / 3
@@ -72,14 +68,13 @@ def test_ablation_interconnect(benchmark):
     via_cfg = ClusterConfig(interconnect=GIGANET_VIA)
     tcp_cfg = ClusterConfig(interconnect=FAST_ETHERNET_TCP)
 
+    def per_op(cluster_config, iters=30):
+        rt = ParadeRuntime(n_nodes=4, pool_bytes=1 << 20, cluster_config=cluster_config)
+        rt.run(critical(iters))
+        return rt.region_time / iters
+
     def run():
-        via = measure_critical_overhead(
-            "parade", n_nodes=4, iters=30, cluster_config=via_cfg
-        )
-        tcp = measure_critical_overhead(
-            "parade", n_nodes=4, iters=30, cluster_config=tcp_cfg
-        )
-        return via, tcp
+        return per_op(via_cfg), per_op(tcp_cfg)
 
     via, tcp = run_once(benchmark, run)
     print(f"\ncLAN VIA          : {via*1e6:8.2f} us/op")
@@ -138,7 +133,6 @@ def test_ablation_loop_scheduling(benchmark):
     ParADE supports only the static loop scheduling.'  Our implemented
     extension: a master-node chunk dispenser for dynamic/guided schedules,
     measured on a triangular (maximally imbalanced) load."""
-    from repro.runtime import ParadeRuntime
     from repro.mpi.ops import SUM
 
     N = 300
@@ -197,7 +191,6 @@ def test_ablation_accel_mechanisms(benchmark):
     virtual time is deterministic, so the thresholds cannot flake."""
     from repro.bench.perf import basket
     from repro.fleet.spec import value_digest
-    from repro.runtime import ParadeRuntime
 
     apps = ("helmholtz", "cg", "md")
     configs = {

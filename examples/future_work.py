@@ -17,8 +17,8 @@ Run:  python examples/future_work.py
 from repro.runtime import ParadeRuntime
 from repro.mpi.ops import SUM
 from repro.bench.autotune import find_best_config
+from repro.bench.figures import registered_programs
 from repro.translator.guidelines import report
-from repro.apps import ep
 
 N = 300
 
@@ -83,8 +83,7 @@ def main():
     print()
 
     print("== 2. adaptive configuration search (NAS EP class T) ==")
-    result = find_best_config(lambda: ep.make_program("T"), nodes=(1, 2, 4, 8),
-                              pool_bytes=1 << 20)
+    result = find_best_config(registered_programs()["ep"], nodes=(1, 2, 4, 8))
     print(result.table())
     print()
 

@@ -4,8 +4,9 @@ Each program plants one deliberate, well-understood data race — the kind
 of bug the DSM runtime silently tolerates (last writer wins at the home,
 stale reads survive until the next consistency point) but that corrupts
 results nondeterministically on a real cluster.  The sanitizer must flag
-every one of them with both access sites named; ``python -m
-repro.sanitizer --racy`` runs them as a self-check.
+every one of them with both access sites named; ``python -m repro
+sanitize racy-ww --expect-races`` (likewise ``racy-rw``, ``racy-nobar``)
+runs one as a self-check.
 
 These programs are intentionally *non-conforming* OpenMP: they touch
 shared data from multiple threads between barriers without ordering.

@@ -4,16 +4,19 @@
 better performance.  For a given problem, we want to find the best
 configuration ...  We may dynamically determine a proper number of
 processors and threads."  This module does that over the simulator: run
-the workload across a configuration grid and return the fastest, together
-with the full measurement table.
+the workload across a configuration grid (one
+:func:`repro.bench.figures.run_grid` sweep) and return the fastest,
+together with the full measurement table.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.runtime import ParadeRuntime, ExecConfig, ALL_EXEC_CONFIGS
+from repro.bench.figures import run_grid
+from repro.runtime import ALL_EXEC_CONFIGS, ExecConfig
 
 
 @dataclass(frozen=True)
@@ -41,29 +44,19 @@ class TuneResult:
 
 
 def find_best_config(
-    program_factory: Callable[[], Callable],
+    entry: Dict,
     nodes: Sequence[int] = (1, 2, 4, 8),
     exec_configs: Sequence[ExecConfig] = ALL_EXEC_CONFIGS,
     mode: str = "parade",
-    pool_bytes: int = 1 << 22,
-    cluster_config=None,
 ) -> TuneResult:
-    """Sweep (node count × exec config) and pick the fastest run.
-
-    *program_factory* is invoked once per run (programs are not reusable
-    across runtimes).  Deterministic: one run per point suffices.
+    """Sweep (node count × exec config) of workload-registry *entry*
+    (the shape :func:`repro.bench.figures.registered_programs` returns)
+    and pick the fastest run.  Deterministic: one run per point suffices.
     """
-    points: List[TunePoint] = []
-    for ec in exec_configs:
-        for n in nodes:
-            rt = ParadeRuntime(
-                n_nodes=n,
-                exec_config=ec,
-                mode=mode,
-                pool_bytes=pool_bytes,
-                cluster_config=cluster_config,
-            )
-            res = rt.run(program_factory())
-            points.append(TunePoint(n, ec, res.elapsed))
+    records = run_grid(entry["note"], entry, nodes, exec_configs, modes=(mode,))
+    points = [
+        TunePoint(n, ec, rec["virtual_s"])
+        for (ec, n), rec in zip(itertools.product(exec_configs, nodes), records)
+    ]
     best = min(points, key=lambda p: p.elapsed)
     return TuneResult(best=best, points=points)

@@ -3,24 +3,20 @@
 Each ``figN_*`` function regenerates the data behind one figure of the
 paper's evaluation and returns a :class:`FigureData` whose series can be
 printed (see :mod:`repro.bench.report`) and shape-checked by the pytest
-benchmarks in ``benchmarks/``.
+benchmarks in ``benchmarks/``.  Every sweep is one :class:`RunSpec` grid
+run by :func:`repro.fleet.run_many` (:func:`run_grid`), so its points fan
+out across ``PARADE_JOBS`` worker processes (default: the CPU count).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
-from repro.runtime import (
-    ParadeRuntime,
-    ExecConfig,
-    ONE_THREAD_ONE_CPU,
-    ONE_THREAD_TWO_CPU,
-    TWO_THREAD_TWO_CPU,
-    ALL_EXEC_CONFIGS,
-)
 from repro.bench.microbench import sweep_directive
-from repro.apps import ep, cg, helmholtz, md
+from repro.fleet import RunSpec, make_entry, run_many
+from repro.runtime import ALL_EXEC_CONFIGS, ExecConfig
 
 DEFAULT_NODES = (1, 2, 4, 8)
 
@@ -46,10 +42,8 @@ def registered_programs(racy: bool = False) -> Dict[str, dict]:
     fleet executor ships to worker processes
     (:meth:`repro.fleet.RunSpec.from_entry`).  Consumed by every run verb
     of ``python -m repro`` and by the fleet; the full-size figure sweeps
-    remain the ``figN_*`` functions above.
+    remain the ``figN_*`` functions below.
     """
-    from repro.fleet.spec import make_entry
-
     programs = {
         "helmholtz": make_entry(
             ("repro.apps.helmholtz", "make_program"),
@@ -114,155 +108,105 @@ class FigureData:
 
 
 # ----------------------------------------------------------------------
+# the one sweep path: a RunSpec grid through the fleet
+# ----------------------------------------------------------------------
+def run_grid(
+    workload: str,
+    entry: Dict,
+    nodes: Sequence[int] = DEFAULT_NODES,
+    exec_configs: Sequence[ExecConfig] = ALL_EXEC_CONFIGS,
+    modes: Sequence[str] = ("parade",),
+) -> List[Dict]:
+    """Run workload-registry *entry* at every (mode, exec config, node
+    count) through :func:`repro.fleet.run_many`; returns the records in
+    that order (node count varying fastest).
+
+    Every figure, :func:`~repro.bench.microbench.sweep_directive` and
+    :func:`~repro.bench.autotune.find_best_config` reads its numbers from
+    these records.  A point that fails raises, naming the point and the
+    error: a figure never plots a hole.
+    """
+    grid = list(itertools.product(modes, exec_configs, nodes))
+    specs = [
+        RunSpec.from_entry(workload, entry, mode=mode, exec_name=ec.name, n_nodes=n)
+        for mode, ec, n in grid
+    ]
+    records = run_many(specs).records
+    for (mode, ec, n), rec in zip(grid, records):
+        if not rec["ok"]:
+            raise RuntimeError(
+                f"{workload} failed at {n} nodes, {ec.name}, mode={mode}: {rec['error']}"
+            )
+    return records
+
+
+# ----------------------------------------------------------------------
 # Figures 6 and 7: microbenchmarks
 # ----------------------------------------------------------------------
-def fig6_critical(
-    nodes: Sequence[int] = DEFAULT_NODES, iters: int = 50, cluster_config=None
-) -> FigureData:
-    data = sweep_directive(
-        "critical", nodes=list(nodes), iters=iters, cluster_config=cluster_config
-    )
+def _directive_figure(figure: str, directive: str, nodes: Sequence[int],
+                      iters: int) -> FigureData:
+    data = sweep_directive(directive, nodes=list(nodes), iters=iters)
     fd = FigureData(
-        figure="fig6",
-        title="critical directive: ParADE vs KDSM",
+        figure=figure,
+        title=f"{directive} directive: ParADE vs KDSM",
         xlabel="nodes",
-        ylabel="time per critical (us)",
+        ylabel=f"time per {directive} (us)",
     )
     for system, ys in data.items():
         fd.series.append(Series(system, list(nodes), [y * 1e6 for y in ys]))
     return fd
 
 
-def fig7_single(
-    nodes: Sequence[int] = DEFAULT_NODES, iters: int = 50, cluster_config=None
-) -> FigureData:
-    data = sweep_directive(
-        "single", nodes=list(nodes), iters=iters, cluster_config=cluster_config
-    )
-    fd = FigureData(
-        figure="fig7",
-        title="single directive: ParADE vs KDSM",
-        xlabel="nodes",
-        ylabel="time per single (us)",
-    )
-    for system, ys in data.items():
-        fd.series.append(Series(system, list(nodes), [y * 1e6 for y in ys]))
-    return fd
+def fig6_critical(nodes: Sequence[int] = DEFAULT_NODES, iters: int = 50) -> FigureData:
+    return _directive_figure("fig6", "critical", nodes, iters)
+
+
+def fig7_single(nodes: Sequence[int] = DEFAULT_NODES, iters: int = 50) -> FigureData:
+    return _directive_figure("fig7", "single", nodes, iters)
 
 
 # ----------------------------------------------------------------------
 # Figures 8-11: application execution time, 3 configurations x nodes
 # ----------------------------------------------------------------------
-def run_app_over_configs(
-    program_factory: Callable[[], Callable],
-    nodes: Sequence[int] = DEFAULT_NODES,
-    exec_configs: Sequence[ExecConfig] = ALL_EXEC_CONFIGS,
-    pool_bytes: int = 1 << 22,
-    cluster_config=None,
-) -> Dict[str, List[float]]:
-    """Run one app for every (exec config, node count); returns execution
-    times {config name: [seconds per node count]}.
-
-    *program_factory* is called once per run so programs may not be
-    shared between runtimes.
-    """
-    out: Dict[str, List[float]] = {}
-    for ec in exec_configs:
-        ys = []
-        for n in nodes:
-            rt = ParadeRuntime(
-                n_nodes=n,
-                exec_config=ec,
-                mode="parade",
-                pool_bytes=pool_bytes,
-                cluster_config=cluster_config,
-            )
-            res = rt.run(program_factory())
-            ys.append(res.elapsed)
-        out[ec.name] = ys
-    return out
-
-
 def _app_figure(
-    figure: str,
-    title: str,
-    program_factory: Callable[[], Callable],
-    nodes: Sequence[int],
-    pool_bytes: int,
-    cluster_config=None,
+    figure: str, title: str, app: str, kwargs: Dict, nodes: Sequence[int], pool_bytes: int
 ) -> FigureData:
-    data = run_app_over_configs(
-        program_factory, nodes=nodes, pool_bytes=pool_bytes, cluster_config=cluster_config
-    )
+    entry = make_entry((f"repro.apps.{app}", "make_program"), kwargs,
+                       pool_bytes=pool_bytes, note=title)
+    records = run_grid(app, entry, nodes)
     fd = FigureData(
         figure=figure, title=title, xlabel="nodes", ylabel="execution time (ms, virtual)"
     )
-    for name, ys in data.items():
-        fd.series.append(Series(name, list(nodes), [y * 1e3 for y in ys]))
+    for i, ec in enumerate(ALL_EXEC_CONFIGS):
+        ys = records[i * len(nodes):(i + 1) * len(nodes)]
+        fd.series.append(Series(ec.name, list(nodes), [r["virtual_s"] * 1e3 for r in ys]))
     return fd
 
 
 def fig8_cg(
-    klass: str = "S",
-    niter: int = 3,
-    nodes: Sequence[int] = DEFAULT_NODES,
-    cluster_config=None,
+    klass: str = "S", niter: int = 3, nodes: Sequence[int] = DEFAULT_NODES
 ) -> FigureData:
-    matrix = cg.make_matrix(klass)
-    return _app_figure(
-        "fig8",
-        f"NAS CG class {klass} on cLAN",
-        lambda: cg.make_program(klass, a=matrix, niter=niter),
-        nodes,
-        pool_bytes=1 << 23,
-        cluster_config=cluster_config,
-    )
+    return _app_figure("fig8", f"NAS CG class {klass} on cLAN", "cg",
+                       {"klass": klass, "niter": niter}, nodes, pool_bytes=1 << 23)
 
 
-def fig9_ep(
-    klass: str = "T", nodes: Sequence[int] = DEFAULT_NODES, cluster_config=None
-) -> FigureData:
-    return _app_figure(
-        "fig9",
-        f"NAS EP class {klass} on cLAN",
-        lambda: ep.make_program(klass),
-        nodes,
-        pool_bytes=1 << 20,
-        cluster_config=cluster_config,
-    )
+def fig9_ep(klass: str = "T", nodes: Sequence[int] = DEFAULT_NODES) -> FigureData:
+    return _app_figure("fig9", f"NAS EP class {klass} on cLAN", "ep",
+                       {"klass": klass}, nodes, pool_bytes=1 << 20)
 
 
 def fig10_helmholtz(
-    n: int = 256,
-    m: int = 256,
-    max_iters: int = 25,
-    nodes: Sequence[int] = DEFAULT_NODES,
-    cluster_config=None,
+    n: int = 256, m: int = 256, max_iters: int = 25, nodes: Sequence[int] = DEFAULT_NODES
 ) -> FigureData:
-    return _app_figure(
-        "fig10",
-        f"Helmholtz {n}x{m} on cLAN",
-        lambda: helmholtz.make_program(n=n, m=m, max_iters=max_iters),
-        nodes,
-        pool_bytes=1 << 22,
-        cluster_config=cluster_config,
-    )
+    return _app_figure("fig10", f"Helmholtz {n}x{m} on cLAN", "helmholtz",
+                       {"n": n, "m": m, "max_iters": max_iters}, nodes, pool_bytes=1 << 22)
 
 
 def fig11_md(
-    n_particles: int = 256,
-    steps: int = 5,
-    nodes: Sequence[int] = DEFAULT_NODES,
-    cluster_config=None,
+    n_particles: int = 256, steps: int = 5, nodes: Sequence[int] = DEFAULT_NODES
 ) -> FigureData:
-    return _app_figure(
-        "fig11",
-        f"MD n={n_particles} on cLAN",
-        lambda: md.make_program(n_particles=n_particles, steps=steps),
-        nodes,
-        pool_bytes=1 << 21,
-        cluster_config=cluster_config,
-    )
+    return _app_figure("fig11", f"MD n={n_particles} on cLAN", "md",
+                       {"n_particles": n_particles, "steps": steps}, nodes, pool_bytes=1 << 21)
 
 
 # ----------------------------------------------------------------------

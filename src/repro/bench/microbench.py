@@ -5,44 +5,33 @@ parallel region and report the mean time per encounter.  The paper compares
 the ParADE translation (pthread lock + collective) against the KDSM
 translation (distributed lock + page traffic + barrier) as the node count
 grows.
+
+:func:`critical` and :func:`single` are program factories (their one
+keyword, ``iters``, is a JSON scalar, so a :class:`~repro.fleet.RunSpec`
+can name them); :func:`sweep_directive` runs one of them over systems ×
+node counts through :func:`repro.bench.figures.run_grid` and reads the
+time per encounter off each record's ``region_time``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
-from repro.runtime import (
-    ParadeRuntime,
-    ExecConfig,
-    TWO_THREAD_TWO_CPU,
-)
+from repro.fleet import make_entry
 from repro.mpi.ops import SUM
+from repro.runtime import TWO_THREAD_TWO_CPU, ExecConfig
 
 #: encounters measured per run
 DEFAULT_ITERS = 50
 
-
-def _system_args(system: str) -> dict:
-    """Map a system name to runtime arguments."""
-    if system == "parade":
-        return {"mode": "parade"}
-    if system == "kdsm":
-        return {"mode": "sdsm"}
-    raise ValueError(f"unknown system {system!r}; use 'parade' or 'kdsm'")
+#: the systems the paper compares -> runtime mode
+SYSTEMS = {"parade": "parade", "kdsm": "sdsm"}
 
 
-def measure_critical_overhead(
-    system: str = "parade",
-    n_nodes: int = 4,
-    exec_config: ExecConfig = TWO_THREAD_TWO_CPU,
-    iters: int = DEFAULT_ITERS,
-    cluster_config=None,
-) -> float:
-    """Mean virtual seconds per ``critical`` encounter.
-
-    The measured body is the paper's canonical analyzable critical section
-    ``x = x + 1`` on a small shared scalar.
-    """
+def critical(iters: int = DEFAULT_ITERS):
+    """Program: *iters* ``critical`` encounters per thread, each the
+    paper's canonical analyzable critical section ``x = x + 1`` on a small
+    shared scalar; checks the total."""
 
     def program(ctx):
         x = ctx.shared_scalar("mb_x")
@@ -51,36 +40,24 @@ def measure_critical_overhead(
             for _ in range(iters):
                 yield from tc.critical_update(x, 1.0, SUM)
 
-        t0 = ctx.now
         yield from ctx.parallel(body, x)
-        per_op = (ctx.now - t0) / iters
         total = yield from ctx.scalar(x).get()
-        expected = float(iters * tc_count)
+        expected = float(iters * ctx.runtime.n_threads)
         assert abs(total - expected) < 1e-6, (total, expected)
-        return per_op
+        return total
 
-    rt = ParadeRuntime(
-        n_nodes=n_nodes,
-        exec_config=exec_config,
-        cluster_config=cluster_config,
-        pool_bytes=1 << 20,
-        **_system_args(system),
-    )
-    tc_count = n_nodes * exec_config.threads_per_node
-    return rt.run(program).value
+    return program
 
 
-def measure_single_overhead(
-    system: str = "parade",
-    n_nodes: int = 4,
-    exec_config: ExecConfig = TWO_THREAD_TWO_CPU,
-    iters: int = DEFAULT_ITERS,
-    cluster_config=None,
-) -> float:
-    """Mean virtual seconds per ``single`` encounter (small init body)."""
+def single(iters: int = DEFAULT_ITERS):
+    """Program: *iters* ``single`` encounters per thread (small init body)."""
 
     def program(ctx):
         v = ctx.shared_scalar("mb_v")
+        # In parade mode the broadcast value is deterministic.  In the
+        # conventional translation a thread's post-barrier read races with
+        # the next instance's writer, so no assertion there.
+        check = ctx.runtime.mode == "parade"
 
         def body(tc, v):
             for i in range(iters):
@@ -89,52 +66,35 @@ def measure_single_overhead(
                     yield  # pragma: no cover
 
                 got = yield from tc.single(body_gen_fn=init, shared_scalar=v)
-                # In parade mode the broadcast value is deterministic.  In the
-                # conventional translation a thread's post-barrier read races
-                # with the next instance's writer, so no assertion there.
-                if system == "parade":
+                if check:
                     assert got == float(i), (got, i)
 
-        t0 = ctx.now
         yield from ctx.parallel(body, v)
-        return (ctx.now - t0) / iters
 
-    rt = ParadeRuntime(
-        n_nodes=n_nodes,
-        exec_config=exec_config,
-        cluster_config=cluster_config,
-        pool_bytes=1 << 20,
-        **_system_args(system),
-    )
-    return rt.run(program).value
+    return program
 
 
 def sweep_directive(
     directive: str,
-    systems: List[str] = ("parade", "kdsm"),
-    nodes: List[int] = (1, 2, 4, 8),
+    systems: Sequence[str] = ("parade", "kdsm"),
+    nodes: Sequence[int] = (1, 2, 4, 8),
     exec_config: ExecConfig = TWO_THREAD_TWO_CPU,
     iters: int = DEFAULT_ITERS,
-    cluster_config=None,
 ) -> Dict[str, List[float]]:
     """Sweep a directive microbenchmark over systems × node counts.
 
     Returns {system: [seconds-per-op for each node count]}.
     """
-    measure = {
-        "critical": measure_critical_overhead,
-        "single": measure_single_overhead,
-    }[directive]
-    out: Dict[str, List[float]] = {}
+    from repro.bench.figures import run_grid
+
+    if directive not in ("critical", "single"):
+        raise ValueError(f"unknown directive {directive!r}; use 'critical' or 'single'")
     for system in systems:
-        out[system] = [
-            measure(
-                system=system,
-                n_nodes=n,
-                exec_config=exec_config,
-                iters=iters,
-                cluster_config=cluster_config,
-            )
-            for n in nodes
-        ]
-    return out
+        if system not in SYSTEMS:
+            raise ValueError(f"unknown system {system!r}; use 'parade' or 'kdsm'")
+    entry = make_entry(("repro.bench.microbench", directive), {"iters": iters},
+                       pool_bytes=1 << 20, note=f"{directive} x{iters}")
+    records = run_grid(directive, entry, nodes, [exec_config],
+                       modes=[SYSTEMS[s] for s in systems])
+    per_op = [r["region_time"] / iters for r in records]
+    return {s: per_op[i * len(nodes):(i + 1) * len(nodes)] for i, s in enumerate(systems)}

@@ -27,11 +27,6 @@ class DsmConfig:
     #: preferable — this flag exists to measure that claim).  Barrier
     #: synchronisation only; the lock protocol requires a home directory.
     homeless: bool = False
-    #: attach the happens-before sanitizer (:mod:`repro.sanitizer`) to the
-    #: run: vector-clock data-race detection over every DSM access plus
-    #: live protocol-invariant checks.  Diagnostic tool — adds host-side
-    #: cost, never changes virtual time.
-    sanitize: bool = False
     #: protocol accelerator — write-notice/diff batching: at a release
     #: (barrier flush or lock release) all diffs destined to the same home
     #: are coalesced into one ``("dsm", "dbat")`` frame per peer with a

@@ -159,7 +159,7 @@ def build_runtime(spec: RunSpec, observe: bool = False):
         pool_bytes=spec.pool_bytes,
         protocol_accel=spec.accel,
         hierarchical=spec.hier,
-        sanitize=True if spec.sanitize else None,
+        sanitize=spec.sanitize,
         fault_plan=plan,
         chaos_seed=spec.chaos_seed,
         metrics=bool(observe and spec.metrics),

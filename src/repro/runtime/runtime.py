@@ -51,9 +51,8 @@ class ParadeRuntime:
         :meth:`DsmConfig.hierarchical` and docs/PERFORMANCE.md "Scaling");
         composes with *protocol_accel*
     cluster_config : hardware model override (interconnect, speeds, costs)
-    sanitize : attach the happens-before sanitizer (overrides
-        ``dsm_config.sanitize`` when given); the attached instance is
-        available as :attr:`sanitizer`
+    sanitize : attach the happens-before sanitizer; the attached instance
+        is available as :attr:`sanitizer`
     profile : attach a virtual-time :class:`~repro.profile.Profiler`;
         the attached instance is available as :attr:`profiler` (finalized
         automatically when :meth:`run` returns)
@@ -84,7 +83,7 @@ class ParadeRuntime:
         hierarchical: bool = False,
         cluster_config: Optional[ClusterConfig] = None,
         pool_bytes: Optional[int] = None,
-        sanitize: Optional[bool] = None,
+        sanitize: bool = False,
         profile: bool = False,
         fault_plan=None,
         chaos_seed: int = 0,
@@ -117,7 +116,7 @@ class ParadeRuntime:
         self.comm = Communicator(self.cluster, self.comm_threads)
 
         self.sanitizer = None
-        if dc.sanitize if sanitize is None else sanitize:
+        if sanitize:
             from repro.sanitizer import Sanitizer
 
             self.sanitizer = Sanitizer(

@@ -1,7 +1,7 @@
 """Happens-before sanitizer for the DSM runtime.
 
-Attach a :class:`Sanitizer` to a simulator (or pass ``sanitize=True`` /
-``DsmConfig(sanitize=True)`` to :class:`~repro.runtime.ParadeRuntime`) to
+Attach a :class:`Sanitizer` to a simulator (or pass ``sanitize=True`` to
+:class:`~repro.runtime.ParadeRuntime`) to
 get vector-clock data-race detection over every DSM access plus live
 protocol-invariant checking.  ``python -m repro sanitize <app>`` runs a
 registered workload under the sanitizer; see ``docs/SANITIZER.md``.

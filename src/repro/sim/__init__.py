@@ -25,7 +25,7 @@ from repro.sim.process import Process
 from repro.sim.core import Simulator
 from repro.sim.resources import Resource, Request, Hold
 from repro.sim.store import Store
-from repro.sim.sync import Mutex, ConditionVar, SimBarrier, Semaphore, Latch
+from repro.sim.sync import Mutex
 
 __all__ = [
     "Event",
@@ -40,8 +40,4 @@ __all__ = [
     "Hold",
     "Store",
     "Mutex",
-    "ConditionVar",
-    "SimBarrier",
-    "Semaphore",
-    "Latch",
 ]

@@ -7,7 +7,7 @@ communication thread ``get``s in arrival order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any
 
 from repro.sim.events import Event
 
@@ -43,15 +43,3 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def get_filtered(self, predicate: Callable[[Any], bool]) -> Optional[Any]:
-        """Immediately remove and return the first queued item matching
-        *predicate*, or ``None`` (non-blocking; no event)."""
-        for i, item in enumerate(self._items):
-            if predicate(item):
-                del self._items[i]
-                return item
-        return None
-
-    def peek_all(self) -> list:
-        return list(self._items)

@@ -1,4 +1,7 @@
-"""Tests for the bench harness utilities (fast, scaled-down parameters)."""
+"""Tests for the bench harness utilities (fast, scaled-down parameters).
+
+The sweeps run in process (``PARADE_JOBS=1``): a spawned worker pool
+would cost about a second per test."""
 
 import os
 
@@ -9,14 +12,16 @@ from repro.bench import (
     FigureData,
     render_table,
     write_csv,
+    fig8_cg,
     fig9_ep,
     atomic_update_comparison,
 )
-from repro.bench.microbench import (
-    measure_critical_overhead,
-    measure_single_overhead,
-    sweep_directive,
-)
+from repro.bench.microbench import sweep_directive
+
+
+@pytest.fixture(autouse=True)
+def _in_process(monkeypatch):
+    monkeypatch.setenv("PARADE_JOBS", "1")
 
 
 def _sample_fd():
@@ -57,19 +62,18 @@ def test_write_csv_roundtrip(tmp_path):
 
 
 def test_measure_critical_returns_positive_overhead():
-    t = measure_critical_overhead("parade", n_nodes=2, iters=10)
+    [t] = sweep_directive("critical", systems=["parade"], nodes=[2], iters=10)["parade"]
     assert 0 < t < 1e-2
 
 
 def test_measure_single_kdsm_more_expensive():
-    p = measure_single_overhead("parade", n_nodes=2, iters=10)
-    k = measure_single_overhead("kdsm", n_nodes=2, iters=10)
-    assert k > p
+    data = sweep_directive("single", nodes=[2], iters=10)
+    assert data["kdsm"][0] > data["parade"][0]
 
 
 def test_unknown_system_rejected():
     with pytest.raises(ValueError):
-        measure_critical_overhead("treadmarks", n_nodes=2)
+        sweep_directive("critical", systems=["treadmarks"], nodes=[2])
 
 
 def test_sweep_directive_shape():
@@ -84,6 +88,12 @@ def test_fig9_small_smoke():
     for s in fd.series:
         assert len(s.y) == 2
         assert s.y[1] < s.y[0]  # EP scales even at 2 nodes
+
+
+def test_failing_point_fails_the_figure():
+    # cg.CLASSES has no class "Z": every point's factory raises
+    with pytest.raises(RuntimeError, match=r"cg failed at 1 nodes.*KeyError: 'Z'"):
+        fig8_cg(klass="Z", nodes=(1,))
 
 
 def test_atomic_update_figure_has_all_strategies():

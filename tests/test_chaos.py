@@ -46,7 +46,7 @@ def _program():
     return helmholtz.make_program(n=48, m=48, max_iters=3)
 
 
-def _run(plan=None, seed=0, traced=False, sanitize=None, n_nodes=N_NODES,
+def _run(plan=None, seed=0, traced=False, sanitize=False, n_nodes=N_NODES,
          reliability=None):
     rt = ParadeRuntime(
         n_nodes=n_nodes, pool_bytes=POOL_BYTES, sanitize=sanitize,

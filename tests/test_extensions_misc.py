@@ -6,7 +6,8 @@ import pytest
 from repro.translator import translate
 from repro.translator.guidelines import lint
 from repro.bench.autotune import find_best_config
-from repro.apps import ep
+from repro.bench.figures import registered_programs
+from repro.fleet import make_entry
 
 
 # ------------------------------------------------------------- O1
@@ -112,12 +113,11 @@ def test_schedule_static_chunk_still_static():
 
 
 # ------------------------------------------------------------- autotune
-def test_autotune_finds_sensible_config_for_ep():
-    result = find_best_config(
-        lambda: ep.make_program("T"),
-        nodes=(1, 2, 4),
-        pool_bytes=1 << 20,
-    )
+# in process (PARADE_JOBS=1): a spawned worker pool would cost about a
+# second per test
+def test_autotune_finds_sensible_config_for_ep(monkeypatch):
+    monkeypatch.setenv("PARADE_JOBS", "1")
+    result = find_best_config(registered_programs()["ep"], nodes=(1, 2, 4))
     # EP scales: best point uses the most parallelism swept
     assert result.best.n_nodes == 4
     assert result.best.exec_config.threads_per_node == 2
@@ -125,22 +125,11 @@ def test_autotune_finds_sensible_config_for_ep():
     assert "best" in result.table()
 
 
-def test_autotune_prefers_fewer_nodes_for_tiny_comm_bound_work():
-    from repro.mpi.ops import SUM
-
-    def factory():
-        def program(ctx):
-            x = ctx.shared_scalar("x")
-
-            def body(tc, x):
-                # almost no compute, lots of synchronisation
-                for _ in range(5):
-                    yield from tc.critical_update(x, 1.0, SUM)
-                    yield from tc.barrier()
-
-            yield from ctx.parallel(body, x)
-
-        return program
-
-    result = find_best_config(factory, nodes=(1, 4), pool_bytes=1 << 20)
+def test_autotune_prefers_fewer_nodes_for_tiny_comm_bound_work(monkeypatch):
+    monkeypatch.setenv("PARADE_JOBS", "1")
+    # almost no compute, lots of synchronisation: a critical costs
+    # ~0.3 us on one node and ~50 us from two nodes up
+    entry = make_entry(("repro.bench.microbench", "critical"), {"iters": 5},
+                       pool_bytes=1 << 20, note="critical x5")
+    result = find_best_config(entry, nodes=(1, 4))
     assert result.best.n_nodes == 1  # "more processors do not always help"

@@ -1,4 +1,4 @@
-"""Unit tests for resources, stores, and pthread-style sync primitives."""
+"""Unit tests for resources, stores, and the pthread-style mutex."""
 
 import pytest
 
@@ -7,10 +7,6 @@ from repro.sim import (
     Resource,
     Store,
     Mutex,
-    ConditionVar,
-    SimBarrier,
-    Semaphore,
-    Latch,
 )
 from repro.sim.events import SimulationError
 
@@ -255,16 +251,6 @@ def test_store_get_before_put_blocks(sim):
     assert out == [(7, "x")]
 
 
-def test_store_get_filtered(sim):
-    box = Store(sim)
-    box.put(("a", 1))
-    box.put(("b", 2))
-    box.put(("a", 3))
-    assert box.get_filtered(lambda m: m[0] == "b") == ("b", 2)
-    assert box.get_filtered(lambda m: m[0] == "z") is None
-    assert len(box) == 2
-
-
 # ---------------------------------------------------------------- Mutex
 def test_mutex_mutual_exclusion(sim):
     mtx = Mutex(sim)
@@ -291,151 +277,3 @@ def test_mutex_release_unheld_raises(sim):
     mtx = Mutex(sim)
     with pytest.raises(SimulationError):
         mtx.release()
-
-
-# ---------------------------------------------------------------- ConditionVar
-def test_condition_var_wait_notify(sim):
-    mtx = Mutex(sim)
-    cond = ConditionVar(sim, mtx)
-    state = {"ready": False}
-    out = []
-
-    def waiter():
-        yield from mtx.acquire()
-        while not state["ready"]:
-            yield from cond.wait()
-        out.append(sim.now)
-        mtx.release()
-
-    def notifier():
-        yield sim.timeout(5)
-        yield from mtx.acquire()
-        state["ready"] = True
-        cond.notify_all()
-        mtx.release()
-
-    sim.process(waiter())
-    sim.process(notifier())
-    sim.run()
-    assert out == [5]
-
-
-def test_condition_var_notify_one_wakes_one(sim):
-    mtx = Mutex(sim)
-    cond = ConditionVar(sim, mtx)
-    woken = []
-
-    def waiter(i):
-        yield from mtx.acquire()
-        yield from cond.wait()
-        woken.append(i)
-        mtx.release()
-
-    for i in range(3):
-        sim.process(waiter(i))
-
-    def notifier():
-        yield sim.timeout(1)
-        cond.notify()
-
-    sim.process(notifier())
-    sim.run()
-    assert woken == [0]
-    assert cond.n_waiting == 2
-
-
-# ---------------------------------------------------------------- SimBarrier
-def test_barrier_releases_all_at_last_arrival(sim):
-    bar = SimBarrier(sim, 3)
-    out = []
-
-    def worker(i):
-        yield sim.timeout(i)
-        yield from bar.arrive()
-        out.append((i, sim.now))
-
-    for i in range(3):
-        sim.process(worker(i))
-    sim.run()
-    assert all(t == 2 for _, t in out)
-    assert bar.n_cycles == 1
-
-
-def test_barrier_is_reusable(sim):
-    bar = SimBarrier(sim, 2)
-    times = []
-
-    def worker(delay):
-        for k in range(3):
-            yield sim.timeout(delay)
-            yield from bar.arrive()
-            if delay == 2:
-                times.append(sim.now)
-
-    sim.process(worker(1))
-    sim.process(worker(2))
-    sim.run()
-    assert times == [2, 4, 6]
-    assert bar.n_cycles == 3
-
-
-def test_barrier_invalid_count(sim):
-    with pytest.raises(ValueError):
-        SimBarrier(sim, 0)
-
-
-# ---------------------------------------------------------------- Semaphore
-def test_semaphore_counts(sim):
-    sem = Semaphore(sim, value=1)
-    order = []
-
-    def worker(i):
-        yield from sem.wait()
-        order.append(("in", i, sim.now))
-        yield sim.timeout(1)
-        sem.post()
-
-    for i in range(3):
-        sim.process(worker(i))
-    sim.run()
-    assert [t for _, _, t in order] == [0, 1, 2]
-
-
-def test_semaphore_negative_init():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Semaphore(sim, value=-1)
-
-
-# ---------------------------------------------------------------- Latch
-def test_latch_opens_at_zero(sim):
-    latch = Latch(sim, 2)
-    out = []
-
-    def waiter():
-        yield latch.wait()
-        out.append(sim.now)
-
-    def counter():
-        yield sim.timeout(1)
-        latch.count_down()
-        yield sim.timeout(1)
-        latch.count_down()
-
-    sim.process(waiter())
-    sim.process(counter())
-    sim.run()
-    assert out == [2]
-    assert latch.open
-
-
-def test_latch_overcount_raises(sim):
-    latch = Latch(sim, 1)
-    latch.count_down()
-    with pytest.raises(SimulationError):
-        latch.count_down()
-
-
-def test_latch_zero_is_open_immediately(sim):
-    latch = Latch(sim, 0)
-    assert latch.open
