@@ -13,7 +13,7 @@ export PYTHONPATH
 JOBS ?=
 JOBS_FLAG := $(if $(JOBS),--jobs $(JOBS),)
 
-.PHONY: test test-slow lint bench-smoke bench-gate bench-record fleet-smoke profile-smoke chaos-smoke metrics-smoke hostbench-smoke hostbench bench micro
+.PHONY: test test-slow lint bench-smoke bench-gate bench-record profile-smoke chaos-smoke metrics-smoke hostbench-smoke hostbench bench micro
 
 test:            ## tier-1 suite (the ROADMAP verify command; budget 90 s, ten slowest tests in every log)
 	python -m pytest -x -q --durations=10
@@ -34,17 +34,17 @@ bench-gate:      ## accel basket + 16-node hier scale point vs BENCH_parade.json
 bench-record:    ## re-record BENCH_parade.json (the one target that writes a tracked file); commit the diff
 	python -m repro perf --record $(JOBS_FLAG)
 
-fleet-smoke:     ## fleet executor contracts: worker bit-identity, warm cache, poisoned digest
-	python -m repro fleet-check $(JOBS_FLAG)
-
 profile-smoke:   ## virtual-time profiler invariant check on one workload
 	python -m repro profile helmholtz --check
 
 chaos-smoke:     ## fault-injection sweep: bit-identical recovery on a small matrix
 	python -m repro chaos helmholtz --nodes 2 --plan drop,dup $(JOBS_FLAG)
 
-metrics-smoke:   ## metered bit-identity + export round-trip
-	python -m repro metrics-smoke $(JOBS_FLAG)
+metrics-smoke:   ## metered run checked against an unmetered one (exit 2 if they differ) + --check of its dump's exports
+	python -m repro metrics helmholtz --nodes 2 --json $${TMPDIR:-/tmp}/metrics-smoke.json
+	python -m repro metrics-export $${TMPDIR:-/tmp}/metrics-smoke.json --check \
+		--prom $${TMPDIR:-/tmp}/metrics-smoke.prom --csv $${TMPDIR:-/tmp}/metrics-smoke.csv \
+		--chrome $${TMPDIR:-/tmp}/metrics-smoke.trace.json
 
 hostbench-smoke: ## host-time benchmark, quick report + its self-test (see BENCHMARK.json)
 	python benchmarks/hostbench/run.py --quick

@@ -143,7 +143,8 @@ VERBS: Dict[str, Verb] = {
     ),
     "metrics": Verb(
         "repro.metrics.scorecard:metrics_cli",
-        "meter apps and print one scorecard row each",
+        "meter apps through the fleet and print one scorecard row each from "
+        "their records (exit 2 if a run fails or metering perturbed it)",
         ("--json",),
         runs="many", fixed={"metrics": True},
     ),
@@ -151,17 +152,6 @@ VERBS: Dict[str, Verb] = {
         "repro.metrics.export:export_cli",
         "re-emit a JSON metrics dump as Prometheus text / CSV / Chrome counters",
         ("dump", "--prom", "--csv", "--chrome", "--check"),
-    ),
-    "metrics-smoke": Verb(
-        "repro.metrics.scorecard:smoke_cli",
-        "CI gate: metered bit-identity and export round-trip (exit 2 on failure)",
-        ("n_nodes", "--jobs"), defaults={"n_nodes": 2},
-    ),
-    "fleet-check": Verb(
-        "repro.fleet.executor:selfcheck_cli",
-        "fleet contracts: worker == in-process, warm cache re-simulates nothing, "
-        "a poisoned source digest misses",
-        ("--jobs",),
     ),
     "translate": Verb(
         "repro.translator.guidelines:translate_cli",

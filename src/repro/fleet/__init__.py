@@ -20,7 +20,6 @@ from .spec import (
     execute,
     execute_safely,
     make_entry,
-    merged_histograms,
     resolve_factory,
     value_digest,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "execute",
     "execute_safely",
     "make_entry",
-    "merged_histograms",
     "resolve_factory",
     "resolve_jobs",
     "run_many",

@@ -10,9 +10,7 @@ identical inputs are bit-identical whatever the ``jobs`` value, because:
   like a new interpreter would — there is no parent state to inherit
   and therefore none to diverge on;
 * both sides run the same driver, :func:`repro.fleet.spec.execute`;
-* the merge is a plain reorder-by-index, and histogram merging
-  (:func:`repro.fleet.spec.merged_histograms`) is exact integer bucket
-  addition applied in spec order.
+* the merge is a plain reorder-by-index.
 
 The only per-record fields allowed to differ between runs are the
 wall-clock and cache-bookkeeping keys
@@ -34,8 +32,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -43,14 +39,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .cache import RunCache
-from .spec import (
-    RECORD_VERSION,
-    RunSpec,
-    deterministic_view,
-    execute,
-    execute_safely,
-    merged_histograms,
-)
+from .spec import RECORD_VERSION, RunSpec, execute_safely
 
 __all__ = ["resolve_jobs", "run_many", "FleetReport"]
 
@@ -157,8 +146,8 @@ def run_many(specs: List[RunSpec], jobs: Optional[int] = None,
     are simulated (hits carry ``cached: True``); successful fresh
     records are stored back.  With ``jobs=1`` — or when at most one spec
     actually needs simulating — everything runs in-process, which is
-    bit-identical to the worker path by construction (the fleet
-    self-check re-asserts it, see ``python -m repro fleet-check``).
+    bit-identical to the worker path by construction (``tests/test_fleet.py``
+    re-asserts it).
     """
     jobs = resolve_jobs(jobs)
     t0 = time.perf_counter()
@@ -195,55 +184,3 @@ def run_many(specs: List[RunSpec], jobs: Optional[int] = None,
         n_failed=sum(1 for r in done if not r.get("ok")),
         cache_counters=cache.counters() if cache is not None else {},
     )
-
-
-def selfcheck_cli(args) -> int:
-    """``python -m repro fleet-check`` (``make fleet-smoke``): the three
-    contracts on a tiny basket exercising observers and both protocol
-    flags — (1) a spawned worker run is bit-identical to an in-process
-    run, (2) a warm cache serves every spec with zero re-simulations,
-    (3) a poisoned source digest misses.  Exit 1 on the first breach."""
-    def fail(msg: str) -> int:
-        print(f"FAIL: {msg}", file=sys.stderr)
-        return 1
-
-    specs = [
-        RunSpec(workload="helmholtz", factory=("repro.apps.helmholtz", "make_program"),
-                factory_kwargs={"n": 16, "m": 16, "max_iters": 2}, n_nodes=2,
-                pool_bytes=1 << 20, profile=True, trace=True, metrics=True),
-        RunSpec(workload="cg", factory=("repro.apps.cg", "make_program"),
-                factory_kwargs={"klass": "T", "niter": 1}, n_nodes=2,
-                pool_bytes=1 << 22, accel=True, metrics=True),
-    ]
-    jobs = resolve_jobs(args.jobs)
-    print(f"fleet selfcheck: {len(specs)} specs, jobs={jobs}")
-
-    seq = run_many(specs, jobs=1)
-    par = run_many(specs, jobs=max(2, jobs))
-    for a, b in zip(seq.records, par.records):
-        if deterministic_view(a) != deterministic_view(b):
-            return fail(f"{a['workload']}: worker record differs from in-process")
-    if merged_histograms(seq.records) != merged_histograms(par.records):
-        return fail("merged histograms differ across jobs")
-    if deterministic_view(execute(specs[0])) != deterministic_view(seq.records[0]):
-        return fail("run_many record differs from direct execute()")
-    print("  worker == in-process: ok (records + merged histograms bit-identical)")
-
-    with tempfile.TemporaryDirectory(prefix="parade-cache-") as tmp:
-        cache = RunCache(root=tmp)
-        cold = run_many(specs, jobs=1, cache=cache)
-        warm = run_many(specs, jobs=1, cache=cache)
-        if warm.n_executed != 0 or warm.n_hits != len(specs):
-            return fail(f"warm cache re-simulated ({warm.summary()})")
-        for a, b in zip(cold.records, warm.records):
-            if deterministic_view(a) != deterministic_view(b):
-                return fail(f"{a['workload']}: cached record differs")
-        print(f"  warm cache: ok ({warm.summary()})")
-
-        stale = run_many(specs, jobs=1, cache=RunCache(root=tmp, source="0" * 64))
-        if stale.n_hits != 0:
-            return fail("poisoned source digest produced cache hits")
-        print("  poisoned digest: ok (all misses)")
-
-    print("fleet selfcheck: all contracts hold")
-    return 0

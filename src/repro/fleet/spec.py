@@ -10,8 +10,7 @@ chaos seed, and which observers to attach.  Two properties follow:
 * **spawn safety** — a worker process reconstructs the run from the spec
   alone, importing :mod:`repro` fresh; nothing leaks in from the parent
   except the spec, so a worker run is bit-identical to an in-process run
-  (:func:`repro.fleet.executor.run_many` and the fleet self-check assert
-  this, and `tests/test_fleet.py` pins it);
+  (`tests/test_fleet.py` pins it);
 * **content addressing** — :meth:`RunSpec.canonical` is a deterministic
   serialization, which, hashed together with the source-tree digest,
   becomes the run-cache key (:mod:`repro.fleet.cache`).
@@ -28,7 +27,7 @@ import importlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim.probe import PH_BARRIER, PH_LOCK_WAIT
 
@@ -85,9 +84,6 @@ class RunSpec:
     chaos_seed: int = _option(
         0, "--seed", "chaos seed; one (plan, seed) pair reproduces every fault (default 0)"
     )
-    #: timed runs (best-of wall clock); virtual results are asserted
-    #: identical across repeats
-    repeat: int = 1
     #: observers: virtual-time phase breakdown, trace digest, live metrics
     profile: bool = False
     trace: bool = False
@@ -95,9 +91,9 @@ class RunSpec:
     metrics_period: float = _option(
         1e-4, "--period", "metrics sampling period in virtual seconds (default 1e-4)"
     )
-    #: attach observers to the timed run(s) instead of one extra untimed
-    #: run — used where the observed run *is* the measurement (scale
-    #: sweep points, the metrics smoke gate)
+    #: attach observers to the timed run instead of one extra untimed
+    #: run — used where the observed run *is* the measurement (the perf
+    #: record's scale sweep points)
     observe_timed: bool = False
 
     def canonical(self) -> str:
@@ -265,50 +261,44 @@ def _single_run(spec: RunSpec, observe: bool) -> Dict:
     return out
 
 
-#: deterministic run invariants compared across repeats / observed runs
-_REPEAT_INVARIANTS = ("virtual_s", "events", "msgs_sent", "bytes_sent", "value_digest")
+#: deterministic run invariants an observed run must share with the timed run
+_OBSERVED_INVARIANTS = (
+    "virtual_s", "events", "msgs_sent", "bytes_sent", "value_digest",
+    "cluster_stats", "dsm_stats", "mpi_stats",
+)
 
 
 def execute(spec: RunSpec) -> Dict:
     """Run one spec to completion; the function both the in-process path
     and the spawn workers share.
 
-    Runs ``spec.repeat`` timed repeats (best-of wall clock) and asserts
-    the virtual results are identical across them; when observers are
-    requested and ``observe_timed`` is off, one extra *untimed* observed
-    run collects phases / trace digest / metrics, and its virtual
-    results are asserted identical to the timed runs' — the
+    One timed run; when observers are requested and ``observe_timed`` is
+    off, one extra *untimed* observed run collects phases / trace digest
+    / metrics, and its virtual results and whole cluster / DSM / MPI
+    statistics are asserted identical to the timed run's — the
     zero-perturbation contract of the observability stack, re-checked on
     every fleet run.
     """
-    wants_observers = spec.profile or spec.trace or spec.metrics
-    best: Optional[Dict] = None
-    for _ in range(max(1, spec.repeat)):
-        rec = _single_run(spec, observe=wants_observers and spec.observe_timed)
-        if best is None:
-            best = rec
-        else:
-            for key in _REPEAT_INVARIANTS:
-                if rec[key] != best[key]:
-                    raise AssertionError(
-                        f"{spec.workload}: non-deterministic run — {key} "
-                        f"{best[key]!r} vs {rec[key]!r} across repeats"
-                    )
-            if rec["wall_s"] < best["wall_s"]:
-                best = rec
-    assert best is not None
-    if wants_observers and not spec.observe_timed:
+    observe = spec.profile or spec.trace or spec.metrics
+    rec = _single_run(spec, observe=observe and spec.observe_timed)
+    if observe and not spec.observe_timed:
         obs = _single_run(spec, observe=True)
-        for key in _REPEAT_INVARIANTS:
-            if obs[key] != best[key]:
-                raise AssertionError(
-                    f"{spec.workload}: observers perturbed the run — {key} "
-                    f"{best[key]!r} timed vs {obs[key]!r} observed"
-                )
+        for key in _OBSERVED_INVARIANTS:
+            timed, observed = rec[key], obs[key]
+            if observed == timed:
+                continue
+            if isinstance(timed, dict):  # name the stats that moved
+                moved = timed.keys() | observed.keys()
+                what = sorted(k for k in moved if timed.get(k) != observed.get(k))
+            else:
+                what = f"{timed!r} timed vs {observed!r} observed"
+            raise AssertionError(
+                f"{spec.workload}: observers perturbed the run — {key} {what}"
+            )
         for key in ("phases", "thread_s", "barrier_s", "lock_s", "trace", "metrics"):
             if key in obs:
-                best[key] = obs[key]
-    return best
+                rec[key] = obs[key]
+    return rec
 
 
 def execute_safely(spec: RunSpec) -> Dict:
@@ -344,32 +334,3 @@ def make_entry(ref: Tuple[str, str], kwargs: Dict, pool_bytes: int, note: str,
     }
     entry.update(extra)
     return entry
-
-
-def merged_histograms(records: List[Dict]) -> Dict[str, Dict]:
-    """Fold the metrics histograms of every record into one exact merged
-    set, keyed ``name{label=value,...}`` in sorted order.
-
-    Histogram merge is integer bucket addition (see
-    :class:`repro.metrics.registry.Histogram`), and records arrive in
-    spec order regardless of which worker ran them, so the merged result
-    is bit-identical for any ``jobs`` value.
-    """
-    from repro.metrics.registry import Histogram, make_labels
-
-    merged: Dict[str, Histogram] = {}
-    for rec in records:
-        m = rec.get("metrics") if rec.get("ok") else None
-        if not m:
-            continue
-        for inst in m["dump"]["instruments"]:
-            if inst.get("kind") != "histogram":
-                continue
-            labels = make_labels(inst.get("labels", {}))
-            key = inst["name"] + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
-            h = Histogram.from_dict(inst["name"], labels, inst)
-            if key in merged:
-                merged[key].merge(h)
-            else:
-                merged[key] = h
-    return {key: merged[key].as_dict() for key in sorted(merged)}

@@ -2,8 +2,9 @@
 
 Every exporter consumes the plain-dict *dump* produced by
 :meth:`repro.metrics.sampler.Metrics.dump`, so the CLI can round-trip:
-``run`` writes the JSON dump, ``export`` loads it and emits any other
-format — and a loaded dump exports byte-identically to a live one.
+``metrics --json`` writes the JSON dump, ``metrics-export`` loads it and
+emits any other format — and a loaded dump exports byte-identically to
+a live one.
 
 * :func:`to_prometheus` — text exposition format: time-series collapse
   to their latest sample (a scrape reads "now"), registry counters and
@@ -20,8 +21,10 @@ format — and a loaded dump exports byte-identically to a live one.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
+import tempfile
 from typing import Dict, List, Tuple
 
 from repro.trace.events import TraceEvent, CAT_COUNTER
@@ -187,7 +190,9 @@ def write_chrome(dump: Dict, path: str, label: str = "repro.metrics") -> int:
 def export_cli(args) -> int:
     """``python -m repro metrics-export``: re-emit a dump as Prometheus text
     (``--prom``, else stdout), CSV and Chrome counters; ``--check``
-    asserts the exposition parses and the dump round-trips (exit 2)."""
+    asserts the dump holds samples, round-trips through
+    :func:`write_dump` / :func:`load_dump`, and exports to a parseable
+    exposition and non-empty CSV and Chrome output (exit 2)."""
     try:
         dump = load_dump(args.dump)
     except (OSError, ValueError) as exc:
@@ -198,8 +203,8 @@ def export_cli(args) -> int:
         with open(args.prom, "w") as fh:
             fh.write(prom)
         print(f"prom  : {len(prom.splitlines())} lines -> {args.prom}")
+    csv = to_csv(dump)
     if args.csv:
-        csv = to_csv(dump)
         with open(args.csv, "w") as fh:
             fh.write(csv)
         print(f"csv   : {len(csv.splitlines()) - 1} rows -> {args.csv}")
@@ -207,19 +212,28 @@ def export_cli(args) -> int:
         print(f"chrome: {write_chrome(dump, args.chrome)} records -> {args.chrome}")
     if args.check:
         problems = []
+        if not dump.get("n_samples"):
+            problems.append("the dump holds zero samples")
         try:
             parsed = parse_prometheus(prom)
             if not parsed:
                 problems.append("Prometheus output parsed to zero samples")
         except ValueError as exc:
             problems.append(f"Prometheus output does not parse: {exc}")
-        if json.loads(json.dumps(dump)) != dump:
-            problems.append("dump does not round-trip through JSON")
+        with tempfile.TemporaryDirectory(prefix="metrics-export-") as tmp:
+            path = os.path.join(tmp, "dump.json")
+            write_dump(dump, path)
+            if load_dump(path) != dump:
+                problems.append("dump does not round-trip through write_dump/load_dump")
+        n_csv, n_chrome = len(csv.splitlines()) - 1, len(to_chrome_events(dump))
+        if not (n_csv and n_chrome):
+            problems.append(f"empty export (csv={n_csv} rows, chrome={n_chrome} counters)")
         if problems:
             for p in problems:
                 print(f"CHECK FAILED: {p}", file=sys.stderr)
             return 2
-        print(f"check : ok ({len(parsed)} exposition samples)")
+        print(f"check : ok ({len(parsed)} exposition samples, {n_csv} csv rows, "
+              f"{n_chrome} chrome counters)")
     if not (args.prom or args.csv or args.chrome or args.check):
         print(prom, end="")
     return 0

@@ -240,21 +240,6 @@ class Metrics(Subscriber):
         """``audit/barrier-epoch``: latency of one barrier call on *node*."""
         self.registry.histogram(BARRIER_EPOCH, node=node).observe(self.sim.now - t0)
 
-    # -- convenience -----------------------------------------------------
-    def histogram_percentiles(self, name: str, qs=(50, 90, 99)) -> Dict[str, float]:
-        """Percentiles over the *merged* label sets of histogram *name*
-        (e.g. lock wait across every lock) — empty histograms yield 0s."""
-        merged: Optional[Histogram] = None
-        for inst in self.registry.find(name):
-            if isinstance(inst, Histogram):
-                if merged is None:
-                    merged = Histogram.from_dict(name, (), inst.as_dict())
-                else:
-                    merged.merge(inst)
-        if merged is None:
-            merged = Histogram(name)
-        return merged.percentiles(qs)
-
     # -- serialisation ---------------------------------------------------
     def dump(self, meta: Optional[Dict] = None) -> Dict:
         """Plain-dict snapshot: the input of every exporter and of the

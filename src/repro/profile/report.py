@@ -243,6 +243,9 @@ def profile_cli(spec, args) -> int:
     report's invariants and its JSON round trip — exit 2 on violation."""
     from repro.fleet.spec import build_runtime, resolve_factory
 
+    if args.top < 0:
+        print(f"--top must be >= 0, got {args.top}", file=sys.stderr)
+        return 1
     rt = build_runtime(spec)
     prof = Profiler(rt.sim)
     result = rt.run(resolve_factory(spec.factory, spec.factory_kwargs)())

@@ -66,10 +66,7 @@ class ParadeRuntime:
         overriding the plan's ack/retransmit tuning
     metrics : attach a live :class:`~repro.metrics.Metrics` with the
         stock per-layer sources installed (available as :attr:`metrics`,
-        finalized automatically when :meth:`run` returns).  ``None``
-        (the default) defers to the ``PARADE_METRICS`` environment
-        variable: set it to ``1``/``true``/``yes`` to meter any run
-        without touching its driver
+        finalized automatically when :meth:`run` returns)
     metrics_period : sampling grid spacing in virtual seconds
     """
 
@@ -88,7 +85,7 @@ class ParadeRuntime:
         fault_plan=None,
         chaos_seed: int = 0,
         reliability=None,
-        metrics: Optional[bool] = None,
+        metrics: bool = False,
         metrics_period: float = 1e-4,
     ):
         if mode not in ("parade", "sdsm"):
@@ -136,12 +133,6 @@ class ParadeRuntime:
             )
             self.chaos.install(self.cluster)
         self.metrics = None
-        if metrics is None:
-            import os
-
-            metrics = os.environ.get("PARADE_METRICS", "").lower() in (
-                "1", "true", "yes", "on",
-            )
         if metrics:
             from repro.metrics import Metrics, install_default_sources
 

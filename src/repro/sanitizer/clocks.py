@@ -26,12 +26,6 @@ def vc_copy(vc: VectorClock) -> VectorClock:
     return dict(vc)
 
 
-def vc_fmt(vc: VectorClock) -> str:
-    """Compact ``{tid:epoch}`` rendering for reports."""
-    items = ", ".join(f"{t}:{c}" for t, c in sorted(vc.items()))
-    return "{" + items + "}"
-
-
 def ordered_before(tid: str, epoch: int, observer: VectorClock) -> bool:
     """True iff the access ``(tid, epoch)`` happens-before the state
     summarised by *observer* (FastTrack's epoch-vs-clock test)."""

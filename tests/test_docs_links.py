@@ -129,7 +129,7 @@ def test_documented_commands_found():
     commands = [argv for md in COMMAND_DOCS for argv in _door_commands(md)]
     verbs = {argv[0] for argv in commands if argv}
     assert {"trace", "trace-diff", "profile", "sanitize", "chaos", "metrics",
-            "metrics-export", "perf", "fleet-check", "translate"} <= verbs
+            "metrics-export", "perf", "translate"} <= verbs
 
 
 #: the old per-package entry points (``python -m repro.trace`` ...); the

@@ -51,9 +51,10 @@ def test_bad_input_fails_in_one_line(argv, capsys):
 
 
 def test_run_spec_cache_key_is_pinned():
+    """Flag metadata never enters the key; the set of fields does."""
     spec = RunSpec(workload="helmholtz", factory=("repro.apps.helmholtz", "make_program"))
     assert spec.fingerprint() == (
-        "f5c0b6620f380209712629f2601f7ab4686b8867ea87fa4db71c38dd13ac9bb8"
+        "55341e6b10129c8fece65b316716476c9826716d5a9e66d66b9a52fcfcd4a9fb"
     )
 
 
@@ -75,7 +76,7 @@ def test_run_verb_options_are_the_tagged_fields_plus_its_own(verb):
         "fault_plan", "chaos_seed", "metrics_period",
     }
     untagged = {f.name for f in fields(RunSpec)} - set(TAGGED)
-    assert {"observe_timed", "repeat", "pool_bytes"} <= untagged
+    assert {"observe_timed", "pool_bytes"} <= untagged
     assert not untagged & _dests(verb)
 
 
@@ -86,15 +87,13 @@ def test_every_declared_option_is_used_by_some_verb():
 
 def test_parsing_imports_no_verb_body():
     """A verb's body (and scipy, and the translator) is imported only when
-    the door dispatches to it; ``repro.fleet.executor`` is the fleet
-    package the door's RunSpec import brings in anyway."""
+    the door dispatches to it."""
     code = (
         "import sys\n"
         "from repro.__main__ import VERBS, build_parser\n"
         "build_parser().parse_args(['trace', 'cg'])\n"
         "bodies = {v.body.split(':')[0] for v in VERBS.values()}\n"
-        "loaded = (bodies - {'repro.fleet.executor'} | {'scipy', 'repro.translator'})"
-        " & set(sys.modules)\n"
+        "loaded = (bodies | {'scipy', 'repro.translator'}) & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

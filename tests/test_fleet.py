@@ -4,8 +4,8 @@ The load-bearing guarantees, pinned at tier-1:
 
 * **parallel == sequential** — ``run_many(jobs=4)`` returns records
   byte-identical to ``jobs=1`` on every deterministic field, including
-  trace digests and the merged metrics histograms (only wall-clock and
-  cache bookkeeping may differ);
+  trace digests and the metrics dumps (only wall-clock and cache
+  bookkeeping may differ);
 * **warm cache executes nothing** — a second ``run_many`` over the same
   specs serves every record from ``.parade-cache`` with zero
   re-simulations, bit-identical to the cold run;
@@ -21,14 +21,16 @@ The load-bearing guarantees, pinned at tier-1:
 
 import time
 
+import pytest
+
 from repro.fleet import executor
+from repro.fleet import spec as fleet_spec
 
 from repro.fleet import (
     RunCache,
     RunSpec,
     deterministic_view,
     execute,
-    merged_histograms,
     resolve_jobs,
     run_many,
 )
@@ -68,23 +70,39 @@ def test_spec_canonical_is_deterministic_and_serializable():
 def test_parallel_matches_sequential_bit_for_bit():
     """The tentpole contract: spawned workers importing ``repro`` fresh
     produce records identical to in-process runs — per-workload stats,
-    value digests, trace digests, phases, and the merged histograms."""
+    value digests, trace digests, phases, and the metrics dumps."""
     seq = run_many(SPECS, jobs=1)
     par = run_many(SPECS, jobs=4)
     assert seq.n_failed == 0 and par.n_failed == 0
     assert par.jobs == 4
     for a, b in zip(seq.records, par.records):
         assert deterministic_view(a) == deterministic_view(b)
-    # trace digest + histogram merge called out explicitly: the fields
-    # most sensitive to any ordering or environment divergence
+    # the trace digest called out explicitly: the field most sensitive
+    # to any ordering or environment divergence
     assert seq.records[0]["trace"]["digest"] == par.records[0]["trace"]["digest"]
-    assert merged_histograms(seq.records) == merged_histograms(par.records)
 
 
 def test_run_many_matches_direct_execute():
     rec = execute(SPECS[1])
     fleet = run_many([SPECS[1]], jobs=1)
     assert deterministic_view(fleet.records[0]) == deterministic_view(rec)
+
+
+def test_observers_may_not_move_a_run_statistic(monkeypatch):
+    """``execute`` compares the observed run's whole cluster / DSM / MPI
+    statistics with the timed run's: a counter an observer moved (planted
+    here) fails the spec, naming the statistic."""
+    single_run = fleet_spec._single_run
+
+    def planted(spec, observe):
+        rec = single_run(spec, observe)
+        if observe:
+            rec["dsm_stats"] = {**rec["dsm_stats"], "barriers": -1}
+        return rec
+
+    monkeypatch.setattr(fleet_spec, "_single_run", planted)
+    with pytest.raises(AssertionError, match=r"dsm_stats \['barriers'\]"):
+        execute(SPECS[1])
 
 
 def test_warm_cache_executes_zero_simulations(tmp_path):

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import copy
 
+import pytest
+
+from repro.fleet import spec as fleet_spec
 from repro.metrics import regress
+from repro.metrics.export import write_dump
 from repro.__main__ import main
 
 
@@ -111,5 +115,37 @@ def test_cli_run_rejects_unknown_app(capsys):
     assert main(["metrics", "no-such-app"]) == 1
 
 
-def test_cli_smoke_gate():
-    assert main(["metrics-smoke"]) == 0
+def _dump(series: dict, n_samples: int) -> dict:
+    return {
+        "schema": 1, "meta": {}, "period": 1e-4, "finalized_at": 2e-4,
+        "n_samples": n_samples, "n_dropped": 0, "series": series,
+        "instruments": [
+            {"kind": "counter", "name": "net_frames_total",
+             "labels": {"src": 0, "dst": 1}, "value": 4},
+        ],
+    }
+
+
+@pytest.mark.parametrize("dump", [
+    _dump({}, n_samples=2),
+    _dump({"sim/queue_depth": {"t": [1e-4, 2e-4], "v": [1.0, 0.0]}}, n_samples=0),
+], ids=["empty series", "zero samples"])
+def test_export_check_fails_a_dump_with_nothing_sampled(dump, tmp_path, capsys):
+    """The instruments alone still render as Prometheus text; ``--check``
+    must fail on what ``metrics`` would never write: no series, no samples."""
+    path = tmp_path / "d.json"
+    write_dump(dump, str(path))
+    assert main(["metrics-export", str(path), "--check"]) == 2
+    assert "CHECK FAILED" in capsys.readouterr().err
+
+
+def test_cli_metrics_failed_run_exits_2(monkeypatch, capsys):
+    """A failed record prints its error, and no scorecard."""
+    def crash(spec, observe):
+        raise RuntimeError("planted crash")
+
+    monkeypatch.setattr(fleet_spec, "_single_run", crash)
+    assert main(["metrics", "helmholtz", "--nodes", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "RuntimeError: planted crash" in captured.err
+    assert "vt(ms)" not in captured.out

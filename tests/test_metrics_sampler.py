@@ -21,6 +21,7 @@ from repro.metrics import (
     Metrics,
 )
 from repro.metrics.sampler import Metrics as SamplerMetrics
+from repro.metrics.scorecard import dump_percentiles
 from repro.runtime import ParadeRuntime
 
 from conftest import TraversalCountingList
@@ -88,7 +89,7 @@ def test_hooks_populate_latency_histograms():
     assert bars, "no barrier epochs recorded"
     total_epochs = sum(h.count for h in bars)
     assert total_epochs > 0
-    ps = rt.metrics.histogram_percentiles(BARRIER_EPOCH)
+    ps = dump_percentiles(rt.metrics.dump(), BARRIER_EPOCH)
     assert 0.0 < ps["p50"] <= ps["max"]
     # in-flight gauge is balanced: every send was delivered
     assert rt.metrics._inflight_msgs == 0
@@ -126,17 +127,11 @@ def test_lock_hooks_record_wait_and_hold():
         assert h.min >= 0.0
 
 
-def test_env_var_attaches_metrics(monkeypatch):
-    monkeypatch.setenv("PARADE_METRICS", "1")
-    rt = ParadeRuntime(n_nodes=1, pool_bytes=1 << 20)
+def test_metrics_argument_attaches_metrics():
+    rt = ParadeRuntime(n_nodes=1, pool_bytes=1 << 20, metrics=True)
     assert rt.metrics is not None and rt.metrics in rt.sim.probe.subscribers
-    monkeypatch.setenv("PARADE_METRICS", "0")
     rt = ParadeRuntime(n_nodes=1, pool_bytes=1 << 20)
-    assert rt.metrics is None
-    # explicit argument beats the environment
-    monkeypatch.setenv("PARADE_METRICS", "1")
-    rt = ParadeRuntime(n_nodes=1, pool_bytes=1 << 20, metrics=False)
-    assert rt.metrics is None
+    assert rt.metrics is None and rt.sim.probe is None
 
 
 def test_sampling_grid_and_max_samples():

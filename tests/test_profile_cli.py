@@ -61,3 +61,11 @@ def test_cli_sdsm_lock_wait_visible(capsys):
 
 def test_cli_rejects_unknown_app(capsys):
     assert main(["profile", "no-such-app"]) == 1
+
+
+def test_cli_rejects_a_negative_top(capsys):
+    """``[:top]`` with top < 0 would drop the last |top| rows silently."""
+    assert main(["profile", "helmholtz", "--nodes", "2", "--top", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "--top must be >= 0, got -1"
+    assert not captured.out
