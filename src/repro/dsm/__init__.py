@@ -22,7 +22,7 @@ protocol agent.
 
 from repro.dsm.states import PageState, VALID_TRANSITIONS, is_valid_transition
 from repro.dsm.diffs import Diff, make_twin, compute_diff, apply_diff, diff_nbytes
-from repro.dsm.writenotice import WriteNotice, NoticeLog
+from repro.dsm.writenotice import WriteNotice
 from repro.dsm.config import (
     DsmConfig,
     PARADE_DSM,
@@ -44,7 +44,6 @@ __all__ = [
     "apply_diff",
     "diff_nbytes",
     "WriteNotice",
-    "NoticeLog",
     "DsmConfig",
     "PARADE_DSM",
     "PARADE_ACCEL",

@@ -15,7 +15,7 @@ from typing import Dict
 from repro.sim import Event
 from repro.dsm.states import PageState
 from repro.dsm.writenotice import (
-    dedupe_notices, fold_writer_bytes, fold_writer_sets, merge_notices, merge_notice_bytes,
+    fold_writer_bytes, fold_writer_sets, merge_notices, merge_notice_bytes,
 )
 from repro.sim.probe import CAT_AUDIT, PH_BARRIER, bracket
 
@@ -46,12 +46,10 @@ class BarrierMixin:
     def _barrier_body(self, epoch: int, bar_t0: float):
         pb = self.sim.probe
         adaptive = self.adaptive
-        flushed = yield from self._flush_dirty(epoch=epoch)
-        self._close_interval(wn.page for wn in flushed)
-        # include notices from lock intervals since the last barrier
-        notices = dedupe_notices(self._notices_since_barrier + flushed)
-        self._notices_since_barrier = []
-        self._lock_published.clear()
+        k = yield from self._flush_dirty(epoch=epoch)
+        yield from self.intervals.covered(k)
+        # every interval this node closed since the last barrier
+        notices = self.intervals.barrier()
 
         wait = Event(self.sim, name=f"bardep[{self.id}:{epoch}]")
         self._bar_wait[epoch] = wait

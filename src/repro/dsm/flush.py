@@ -1,6 +1,10 @@
 """Release-time page work: twins, diffs shipped to homes (or retained,
 homeless), closing an interval, and invalidation.
 
+Every flush is one interval of :mod:`~repro.dsm.intervals`: opened when
+it starts, closed with its write notices once its acks are in.  A page a
+sibling thread writes meanwhile stays DIRTY for the next flush.
+
 This is the only module that drops a twin of a written page
 (``_close_interval``; ``tests/test_dsm_units.py`` scans for any other).
 """
@@ -11,7 +15,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.sim import Event
 from repro.vm import PROT_NONE, PROT_READ
 from repro.dsm.diffs import make_twin, compute_diff, diff_nbytes
 from repro.dsm.states import KIND_OBJECT, PageState
@@ -41,8 +44,9 @@ class FlushMixin:
             pb.instant("dsm.page", "twin", node=self.id, page=page)
 
     def _flush_dirty(self, epoch: Optional[int] = None):
-        """Send diffs for all dirty non-home pages; returns write notices
-        for every dirty page.  Diff sends are pipelined, then acks awaited.
+        """Send diffs for all dirty non-home pages and close the interval
+        with a write notice for every dirty page; returns the interval's
+        number.  Diff sends are pipelined, then acks awaited.
 
         Homeless mode (*epoch* given): diffs are retained locally, keyed by
         the barrier epoch, for later pulling by faulting nodes.
@@ -52,16 +56,19 @@ class FlushMixin:
         per peer with a single ack (larger diffs keep their own pipelined
         ``diff`` frame — see the constant's rationale); the per-page
         ``diffs_sent``/``diff_bytes`` accounting is unchanged so runs stay
-        comparable across the flag.  The returned notices are sized: they
-        carry the diff byte count, the home writer credited one full page
+        comparable across the flag.  The interval's notices are sized:
+        they carry the diff byte count, the home writer credited one full page
         (only adaptive migration reads the size or pays for it on the
         wire)."""
+        k = self.intervals.open()
         # release-time twin/diff work: diff CPU bursts inherit the flush
         # label; the trailing ack waits count as flush too
-        return bracket(self.sim, PH_FLUSH, self._flush(epoch))
+        notices = yield from bracket(self.sim, PH_FLUSH, self._flush(k, epoch))
+        self._close_interval(wn.page for wn in notices)
+        self.intervals.close(k, notices)
+        return k
 
-    def _flush(self, epoch: Optional[int]):
-        self._interval += 1
+    def _flush(self, k: int, epoch: Optional[int]):
         pb = self.sim.probe
         t0 = self.sim.now
         n_dirty = len(self.dirty)
@@ -82,9 +89,8 @@ class FlushMixin:
                     pb.instant(CAT_AUDIT, "diff", page=p, nbytes=diff_nbytes(diff))
             if pb is not None and "dsm.page" in pb.heard and n_dirty:
                 pb.span("dsm.page", "flush", t0, node=self.id, dirty=n_dirty, retained=True)
-            return [WriteNotice(p, self.id, self._interval) for p in pages]
+            return [WriteNotice(p, self.id, k) for p in pages]
         acks = []
-        self._flushes_in_flight += 1
         batch = self.config.batch_notices
         by_home: Dict[int, List[tuple]] = {}
         sizes: Dict[int, int] = {}
@@ -128,25 +134,13 @@ class FlushMixin:
             yield from self.net.send(self.id, dst, nb, entries, tag=("dsm", "dbat", req_id))
         for ev in acks:
             yield ev
-        # a page this flush found equal to its twin may be one a sibling
-        # thread's flush diffed a moment ago: those bytes are still in
-        # flight, and the notices returned here must not overtake them —
-        # so no flush of this node returns while another has acks out
-        self._flushes_in_flight -= 1
-        if self._flushes_in_flight:
-            if self._flushes_done is None:
-                self._flushes_done = Event(self.sim, name=f"flushes-done[{self.id}]")
-            yield self._flushes_done
-        elif self._flushes_done is not None:
-            done, self._flushes_done = self._flushes_done, None
-            done.succeed()
         if pb is not None and "dsm.page" in pb.heard and n_dirty:
             pb.span(
                 "dsm.page", "flush", t0, node=self.id, dirty=n_dirty,
                 diffs=self.stats.diffs_sent - diffs_before,
                 nbytes=self.stats.diff_bytes - bytes_before,
             )
-        return [WriteNotice(p, self.id, self._interval, sizes[p]) for p in pages]
+        return [WriteNotice(p, self.id, k, sizes[p]) for p in pages]
 
     def _close_interval(self, pages) -> None:
         """After a flush: the *pages* it covered (those of its notices)

@@ -17,9 +17,10 @@ module each, over the shared state of :class:`DsmNodeBase`:
 * :mod:`~repro.dsm.barrier` — barrier arrival/departure with flushed
   diffs, piggybacked write notices and home migration (ParADE §5.2.2),
   the master role living on node 0, flat or as a tree;
-* :mod:`~repro.dsm.locks` — the distributed lock manager + client with
-  lazy-release-consistency write-notice piggybacking; the client
-  optionally busy-waits (KDSM);
+* :mod:`~repro.dsm.locks` — the distributed lock manager + client; the
+  client optionally busy-waits (KDSM);
+* :mod:`~repro.dsm.intervals` — lazy-release-consistency intervals with
+  vector timestamps: which writes a lock acquirer must learn about;
 * :mod:`~repro.dsm.adaptive` — the adaptive-migration accelerator, one
   object per node (:attr:`DsmNodeBase.adaptive`), present only when
   ``DsmConfig.adaptive_migration`` is on.
@@ -46,13 +47,14 @@ from repro.dsm.adaptive import AdaptiveAccel
 from repro.dsm.barrier import BarrierMixin
 from repro.dsm.diffs import Diff
 from repro.dsm.flush import FlushMixin
+from repro.dsm.intervals import Intervals
 from repro.dsm.locks import LockMixin
 from repro.dsm.states import (
     KIND_HLRC, KIND_OBJECT, PageState, IllegalTransition, is_valid_transition,
 )
 from repro.dsm.stats import DsmNodeStats
 from repro.dsm.wire import WireMixin
-from repro.dsm.writenotice import WriteNotice, NoticeLog
+from repro.dsm.writenotice import WriteNotice
 
 _OS_PROFILES = {"linux-2.4": LINUX_24, "aix-4.3.3": AIX_433}
 
@@ -141,21 +143,9 @@ class DsmNodeBase:
         self._bar_agg: Dict[int, dict] = {}
 
         # lock manager state (for locks homed here: lock_id % n_nodes)
-        self._lock_holder: Dict[int, Optional[int]] = {}
         self._lock_queue: Dict[int, List] = {}
-        self._lock_log: Dict[int, NoticeLog] = {}
-        self._interval = 0
-        # notices this node created in lock intervals since the last barrier;
-        # they must still propagate at the next barrier (HLRC would carry
-        # them in vector timestamps — we piggyback them conservatively)
-        self._notices_since_barrier: List[WriteNotice] = []
-        # lock id -> how much of that list this node's releases of the
-        # lock have already handed its manager
-        self._lock_published: Dict[int, int] = {}
-        # flushes between their first diff and their last ack, and the
-        # event a finished one waits on for the others (made on demand)
-        self._flushes_in_flight = 0
-        self._flushes_done: Optional[Event] = None
+        #: intervals, vector and interval logs, this node's and its locks'
+        self.intervals = Intervals(self.sim, self.id, n_nodes)
 
         # pages whose invalidation arrived while a fetch was in flight
         # (TRANSIENT/BLOCKED); drained by the fetching thread, which

@@ -4,7 +4,8 @@ A write notice announces "node N modified page P during interval I".  At a
 synchronisation point the consumer invalidates its copy of every noticed
 page it is not the home of.  ParADE aggregates notices at the barrier
 master and piggybacks them on barrier messages (§5.2.2); the lock manager
-hands them out with lock grants (lazy release consistency).
+hands them out with lock grants, grouped by interval
+(:mod:`~repro.dsm.intervals`).
 
 The protocol accelerator (docs/PERFORMANCE.md "Protocol optimizations")
 extends the barrier use: with ``adaptive_migration`` notices carry the
@@ -15,7 +16,7 @@ writer histories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -35,53 +36,23 @@ class WriteNotice:
     NBYTES_SIZED = 16
 
 
-class NoticeLog:
-    """Monotonic log of write notices with per-consumer cursors.
+def fold_latest(log: Dict[Tuple[int, int], WriteNotice], notices: Iterable[WriteNotice]) -> None:
+    """Fold *notices* into *log* in place, keyed ``(page, writer)``: one
+    notice per pair, the latest interval's, at the place of the pair's
+    first notice (keeping message layouts deterministic).
 
-    Used by the lock manager: a grant carries every notice the acquirer has
-    not yet seen (its cursor), mirroring how LRC piggybacks consistency
-    information on lock grants.
+    A node that wrote a page in several intervals queued one notice per
+    interval, but a consumer only needs page/writer pairs — the others
+    add wire bytes without information.  The latest interval is the one
+    kept because it covers the earlier ones: a lock grant filters notices
+    by interval against the requester's vector
+    (:mod:`~repro.dsm.intervals`), and a requester that has seen an
+    earlier interval of the pair must still learn of the latest.
     """
-
-    def __init__(self) -> None:
-        self._log: List[WriteNotice] = []
-        self._cursor: Dict[int, int] = {}
-
-    def append(self, notices) -> None:
-        self._log.extend(notices)
-
-    def cursor_of(self, consumer: int) -> int:
-        """Current cursor of *consumer* (0 for a first-time consumer)."""
-        return self._cursor.get(consumer, 0)
-
-    def unseen_by(self, consumer: int) -> List[WriteNotice]:
-        start = self._cursor.get(consumer, 0)
-        pending = self._log[start:]
-        self._cursor[consumer] = len(self._log)
-        return pending
-
-    def __len__(self) -> int:
-        return len(self._log)
-
-
-def dedupe_notices(notices: Iterable[WriteNotice]) -> List[WriteNotice]:
-    """Drop duplicate ``(page, writer)`` notices, keeping first occurrence.
-
-    Used at barrier arrival: a node that wrote a page in several lock
-    intervals since the last barrier queued one notice per interval, but
-    the master only needs page/writer pairs — later duplicates add wire
-    bytes without information.  Order of first occurrences is preserved
-    (the accumulated lock-interval notices come before the barrier flush's
-    own), keeping the message layout deterministic.
-    """
-    seen = set()
-    out: List[WriteNotice] = []
     for wn in notices:
-        key = (wn.page, wn.writer)
-        if key not in seen:
-            seen.add(key)
-            out.append(wn)
-    return out
+        cur = log.get((wn.page, wn.writer))
+        if cur is None or wn.interval > cur.interval:
+            log[wn.page, wn.writer] = wn
 
 
 def merge_notices(per_node_notices: Dict[int, List[WriteNotice]]) -> Dict[int, Set[int]]:

@@ -34,7 +34,9 @@ Live protocol invariants (promoted from the offline
 :mod:`repro.trace.checker`):
 
 * Figure-5 page-state transition legality and per-page chain continuity;
-* ``NoticeLog`` per-consumer cursor monotonicity at lock grants;
+* lock-grant vectors: per (lock, consumer) the granted vector never
+  goes backward, and a grant ships only intervals the requester's
+  vector does not cover and the lock's does;
 * barrier-epoch agreement (consecutive per node, one arrival per node
   per epoch, epochs complete in order).
 
@@ -128,8 +130,8 @@ class Sanitizer(Subscriber):
         self._shadow: Dict[int, List[list]] = {}
         #: (node, page) -> last page state seen (chain continuity)
         self._page_state: Dict[Tuple[int, int], Any] = {}
-        #: (manager, lock, consumer) -> last grant end cursor
-        self._cursors: Dict[Tuple[int, int, int], int] = {}
+        #: (manager, lock, consumer) -> last granted vector
+        self._grant_vc: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
         self._seen: Set = set()
 
         self.findings: List[Finding] = []
@@ -155,7 +157,7 @@ class Sanitizer(Subscriber):
             (CAT_AUDIT, "send"): lambda a, *_: self.on_msg_send(a["key"]),
             (CAT_AUDIT, "recv"): lambda a, *_: self.on_msg_recv(a["key"]),
             (CAT_AUDIT, "grant"): lambda a, node, *_: self.on_lock_grant(
-                node, a["lock"], a["requester"], a["start"], a["end"], a["log_len"]
+                node, a["lock"], a["requester"], a["seen"], a["vc"], a["shipped"]
             ),
             ("dsm.barrier", "arrive"):
                 lambda a, node, *_: self.on_barrier_arrive(node, a["epoch"]),
@@ -453,26 +455,30 @@ class Sanitizer(Subscriber):
         self._page_state[(node, page)] = dst
 
     def on_lock_grant(self, manager: int, lock_id: int, requester: int,
-                      start: int, end: int, log_len: int) -> None:
-        """NoticeLog cursor monotonicity: each consumer's cursor only
-        moves forward and never beyond the log."""
+                      seen, vc, shipped) -> None:
+        """Granted vectors: a consumer's never goes backward, and every
+        shipped interval ``(writer, k)`` lies in ``(seen[writer],
+        vc[writer]]`` — not yet seen by the requester, covered by the
+        lock."""
         key = (manager, lock_id, requester)
-        prev = self._cursors.get(key, 0)
-        if start < prev:
+        prev = self._grant_vc.get(key)
+        if prev is not None and any(k < p for k, p in zip(vc, prev)):
             self._violation(
-                "cursor-regression",
-                f"lock {lock_id} manager {manager}: consumer {requester} cursor "
-                f"moved back from {prev} to {start}",
-                dedup=key + (start,),
+                "vector-regression",
+                f"lock {lock_id} manager {manager}: consumer {requester} granted "
+                f"{list(vc)} after {list(prev)}",
+                dedup=key + (tuple(vc),),
             )
-        if end < start or end > log_len:
-            self._violation(
-                "cursor-regression",
-                f"lock {lock_id} manager {manager}: consumer {requester} cursor "
-                f"advanced to {end} outside [{start}, {log_len}]",
-                dedup=key + ("range", end),
-            )
-        self._cursors[key] = max(prev, end)
+        for writer, k in shipped:
+            if not seen[writer] < k <= vc[writer]:
+                self._violation(
+                    "vector-regression",
+                    f"lock {lock_id} manager {manager}: consumer {requester} shipped "
+                    f"interval {k} of node {writer} outside "
+                    f"({seen[writer]}, {vc[writer]}]",
+                    dedup=key + ("shipped", writer, k),
+                )
+        self._grant_vc[key] = tuple(vc)
 
 
 def sanitize_cli(specs, args) -> int:

@@ -480,3 +480,20 @@ def reference_grid(mx):
             mx._next_due = mx.period * (math.floor(now / mx.period) + 1.0)
 
     return on_event
+
+
+class SCMemory:
+    """Sequentially consistent reference memory for the DSM differential
+    tests: named float arrays, every access applied at once, in one
+    global order.  A data-race-free program must read from the DSM what
+    it reads from here when its accesses are replayed in their
+    synchronisation order."""
+
+    def __init__(self, shapes):
+        self.arrays = {name: np.zeros(n) for name, n in shapes.items()}
+
+    def read(self, name):
+        return self.arrays[name].copy()
+
+    def write(self, name, lo, hi, value):
+        self.arrays[name][lo:hi] = value

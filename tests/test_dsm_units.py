@@ -15,11 +15,12 @@ from repro.dsm import (
     apply_diff,
     diff_nbytes,
     WriteNotice,
-    NoticeLog,
 )
+from repro.dsm.intervals import Intervals
 from repro.dsm.states import VALID_TRANSITIONS, IllegalTransition
 from repro.dsm.writenotice import merge_notices
 from repro.dsm.diffs import RUN_HEADER_BYTES
+from repro.sim import Simulator
 from repro.sim.probe import Subscriber
 
 from conftest import build_dsm, recount, reference_runs
@@ -228,6 +229,45 @@ def test_only_close_interval_and_allocation_drop_twins():
     }
 
 
+#: the attributes holding interval-log or vector state
+_INTERVAL_STATE = ("vc", "log", "opened", "_closed", "_waiting", "_granted", "_locks")
+_STATE_MUTATORS = _LIST_MUTATORS | _DICT_DROPS | {"setdefault", "update"}
+
+
+def _interval_writes(sources):
+    """``(rel, scope, what)`` of every write to interval state in
+    *sources* (relative path -> text) outside ``dsm/intervals.py``."""
+    return {
+        (rel, scope, what)
+        for rel, text in sources.items() if rel != "dsm/intervals.py"
+        for _lineno, scope, what in _attribute_writes(
+            ast.parse(text), _INTERVAL_STATE, _STATE_MUTATORS)
+    }
+
+
+def test_only_the_intervals_module_writes_interval_state():
+    """Which writes an acquirer learns about is decided in one module:
+    nothing outside ``repro.dsm.intervals`` stores into, rebinds or
+    mutates a vector or an interval log.  A planted write is caught."""
+    sources = {
+        p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))
+    }
+    assert _interval_writes(sources) == set()
+    inside = {what for _l, _s, what in _attribute_writes(
+        ast.parse(sources["dsm/intervals.py"]), _INTERVAL_STATE, _STATE_MUTATORS)}
+    assert "rebinds .log" in inside  # the scan sees the module's own writes
+    planted = dict(sources)
+    planted["dsm/locks.py"] = sources["dsm/locks.py"].replace(
+        "        self.intervals.acquired(lock_id, notices, lock_vc)\n",
+        "        self.intervals.acquired(lock_id, notices, lock_vc)\n"
+        "        self.intervals.vc[self.id] += 1\n",
+    )
+    assert planted["dsm/locks.py"] != sources["dsm/locks.py"]
+    assert _interval_writes(planted) == {
+        ("dsm/locks.py", ("LockMixin", "lock_acquire"), "store into .vc[...]")
+    }
+
+
 # ------------------------------------------------------------- diffs
 def _changed(diff):
     """Offsets a diff covers."""
@@ -390,16 +430,30 @@ def test_disjoint_writers_diffs_commute(a, b, owner):
 
 
 # ------------------------------------------------------------- write notices
-def test_notice_log_cursor_semantics():
-    log = NoticeLog()
-    log.append([WriteNotice(1, 0, 1), WriteNotice(2, 0, 1)])
-    first = log.unseen_by(consumer=1)
-    assert [w.page for w in first] == [1, 2]
-    assert log.unseen_by(consumer=1) == []
-    log.append([WriteNotice(3, 2, 2)])
-    assert [w.page for w in log.unseen_by(consumer=1)] == [3]
-    # a different consumer sees everything from the start
-    assert [w.page for w in log.unseen_by(consumer=5)] == [1, 2, 3]
+def test_intervals_cover_a_completed_prefix_and_grant_what_is_unseen():
+    node, manager = Intervals(Simulator(), 0, 3), Intervals(Simulator(), 2, 3)
+    k1, k2 = node.open(), node.open()
+    node.close(k2, [WriteNotice(5, 0, k2)])
+    # interval 1 still has diffs out: interval 2 is not covered yet
+    assert node.vc == [0, 0, 0] and node.log == {}
+    node.close(k1, [WriteNotice(4, 0, k1), WriteNotice(5, 0, k1)])
+    assert node.vc == [2, 0, 0]
+    node.acquired(7, [], (0, 0, 0))
+    notices, vc = node.to_publish(7)
+    # one notice per (page, writer), the latest interval's
+    assert [(w.page, w.interval) for w in notices] == [(4, 1), (5, 2)]
+    manager.released(7, 0, 0, vc, notices)
+    shipped, vec, _seen = manager.grant(7, requester=1, epoch=0, seen=(0, 0, 0))
+    assert [w.page for w in shipped] == [4, 5] and vec == (2, 0, 0)
+    assert manager.grant(7, 1, 0, seen=(1, 0, 0))[0] == [notices[1]]
+    assert manager.grant(7, 0, 0, seen=(0, 0, 0))[0] == []  # its own
+    # a request queued with an old vector: raised to its node's last release
+    manager.released(7, 0, 1, (2, 0, 0), [])
+    assert manager.grant(7, 1, 0, seen=(0, 0, 0)) == ([], (2, 0, 0), (2, 0, 0))
+    # a barrier truncates the lock's log; its vector stays
+    assert manager.grant(7, 2, 1, seen=(0, 0, 0)) == ([], (2, 0, 0), (0, 0, 0))
+    # the barrier takes this node's own notices and truncates its log
+    assert [w.page for w in node.barrier()] == [4, 5] and node.log == {}
 
 
 def test_merge_notices_groups_writers():

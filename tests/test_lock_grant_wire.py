@@ -92,3 +92,27 @@ def test_repeated_self_acquire_pays_no_notice_bytes():
     assert len(set(sizes)) == 1, (
         f"grant wire size grew with the node's own write history: {sizes}"
     )
+
+
+def test_a_grant_after_a_barrier_carries_no_notice_released_before_it():
+    """A barrier covers every interval closed before it, for every node,
+    so it truncates the lock manager's log too: node 2's first grant
+    after the barrier carries nothing of node 1's pre-barrier write
+    (the per-consumer cursor it replaced started at 0 and shipped it)."""
+    cluster, _cts, dsm = build_dsm(3)
+    rec = TraceRecorder(cluster.sim, capacity=1 << 14)
+    arr = SharedArray.allocate(dsm, "x", (8,))
+
+    def driver(n):
+        if n == 1:
+            yield from dsm.node(1).lock_acquire(0)
+            yield from arr.on(1).set_scalar(0, 1.0)
+            yield from dsm.node(1).lock_release(0)
+        yield from dsm.node(n).barrier()
+        if n == 2:
+            yield from dsm.node(2).lock_acquire(0)
+            yield from dsm.node(2).lock_release(0)
+
+    run_all(cluster, [driver(n) for n in range(3)])
+    grants, _wires = _grant_events(rec)
+    assert [(g.args["requester"], g.args["notices"]) for g in grants] == [(1, 0), (2, 0)]

@@ -331,15 +331,15 @@ def test_a_release_does_not_overtake_a_siblings_diff_in_flight(mode):
         assert rt.sanitizer.ok
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a grant carries only the "
-                   "notices released to that lock; what its holder learned through "
-                   "another lock is never passed on")
 @pytest.mark.parametrize("mode", ["parade", "sdsm"])
 def test_causality_through_two_different_locks(mode):
     """Node 1 writes ``p`` under ``L1``; node 2 takes and drops ``L1``,
     then ``L2``; node 3, much later, takes ``L2`` and reads ``p``.  The
     write happens-before the read (release L1 -> acquire L1 -> release
-    L2 -> acquire L2), so node 3 must see it: it reads 0.0."""
+    L2 -> acquire L2), so node 3 must see it.  It read 0.0 while a grant
+    carried only the notices released to that lock (ROADMAP item 2); a
+    release now hands on every interval its node knows, learned through
+    any lock, that the lock's vector does not cover."""
     def program(ctx):
         p = ctx.shared_array("p", (ONE_PAGE,))
         out = ctx.shared_array("out", (ONE_PAGE,))

@@ -11,32 +11,35 @@ import numpy as np
 
 from repro.dsm import SharedArray
 from repro.dsm.config import PARADE_DSM
-from repro.dsm.writenotice import WriteNotice, dedupe_notices, merge_notice_bytes
+from repro.dsm.writenotice import WriteNotice, fold_latest, merge_notice_bytes
 from repro.runtime import ParadeRuntime
 from repro.testing import build_dsm, run_all
 
 
 # ----------------------------------------------------- notice units
 def test_dedupe_suppresses_duplicate_page_writer_pairs():
-    # one notice per lock interval -> only the first (page, writer) ships
+    # one notice per lock interval -> one per (page, writer) ships
     ns = [
         WriteNotice(page=3, writer=1, interval=0),
-        WriteNotice(page=3, writer=1, interval=1),   # dup: later interval
+        WriteNotice(page=3, writer=1, interval=2),   # dup: later interval
         WriteNotice(page=3, writer=2, interval=1),   # distinct writer: kept
         WriteNotice(page=4, writer=1, interval=2),
-        WriteNotice(page=3, writer=1, interval=2),   # dup again
+        WriteNotice(page=3, writer=1, interval=1),   # dup, learned late
     ]
-    out = dedupe_notices(ns)
+    log = {}
+    fold_latest(log, ns)
+    out = list(log.values())
     assert [(wn.page, wn.writer) for wn in out] == [(3, 1), (3, 2), (4, 1)]
-    # first occurrence wins, preserving arrival order and intervals
-    assert out[0].interval == 0
+    # first occurrence's place, latest interval: it covers the earlier
+    assert out[0].interval == 2
 
 
 def test_dedupe_is_per_call_not_global():
-    # dedupe happens per barrier arrival; a fresh epoch's notice for the
-    # same (page, writer) must not be suppressed by history
-    first = dedupe_notices([WriteNotice(1, 1, 0)])
-    second = dedupe_notices([WriteNotice(1, 1, 1)])
+    # one log per barrier epoch; a fresh epoch's notice for the same
+    # (page, writer) must not be suppressed by history
+    first, second = {}, {}
+    fold_latest(first, [WriteNotice(1, 1, 0)])
+    fold_latest(second, [WriteNotice(1, 1, 1)])
     assert len(first) == 1 and len(second) == 1
 
 

@@ -194,20 +194,23 @@ def test_broken_chain_flagged():
     assert any(f.kind == "broken-chain" for f in san.violations)
 
 
-def test_cursor_regression_flagged():
+def test_granted_vector_regression_flagged():
     sim = Simulator()
-    san = Sanitizer(sim, n_nodes=2, page_size=4096)
-    san.on_lock_grant(0, 1, 2, start=0, end=4, log_len=6)
+    san = Sanitizer(sim, n_nodes=3, page_size=4096)
+    san.on_lock_grant(0, 1, 2, seen=(0, 0, 0), vc=(4, 1, 0), shipped=((0, 3), (1, 1)))
     assert san.ok
-    san.on_lock_grant(0, 1, 2, start=2, end=3, log_len=6)  # moved back
-    assert any(f.kind == "cursor-regression" for f in san.violations)
+    san.on_lock_grant(0, 1, 2, seen=(4, 1, 0), vc=(2, 1, 0), shipped=())  # moved back
+    assert any(f.kind == "vector-regression" for f in san.violations)
 
 
-def test_cursor_beyond_log_flagged():
+def test_grant_shipping_outside_the_vectors_flagged():
     sim = Simulator()
-    san = Sanitizer(sim, n_nodes=2, page_size=4096)
-    san.on_lock_grant(0, 1, 2, start=0, end=9, log_len=6)
-    assert any(f.kind == "cursor-regression" for f in san.violations)
+    san = Sanitizer(sim, n_nodes=3, page_size=4096)
+    # interval 2 of node 0 was seen already; interval 9 of node 1 is
+    # beyond what the lock's vector covers
+    san.on_lock_grant(0, 1, 2, seen=(2, 0, 0), vc=(4, 6, 0), shipped=((0, 2),))
+    san.on_lock_grant(0, 1, 0, seen=(0, 0, 0), vc=(4, 6, 0), shipped=((1, 9),))
+    assert [f.kind for f in san.violations] == ["vector-regression"] * 2
 
 
 def test_barrier_epoch_violations():
