@@ -1,5 +1,5 @@
 # Development targets.  Everything runs from the repo root and needs only
-# the baked-in toolchain (numpy/scipy/pytest; ruff if installed); every
+# the baked-in toolchain (numpy/pytest; ruff if installed); every
 # tool is a verb of the one command line, `python -m repro <verb>`.
 #
 # Sweep targets fan out across fleet worker processes (JOBS, default:

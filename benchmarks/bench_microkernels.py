@@ -289,10 +289,11 @@ def bench_spin_wait() -> dict:
 
 def bench_cg_build(classes: tuple = ("S", "A")) -> dict:
     """Host seconds per ``repro.apps.cg.make_matrix`` call — NPB
-    ``makea``: the stream walk, the outer products into COO triplets and
-    scipy's CSR conversion — with the build's tracemalloc peak in the
-    case name (a count: the per-entry loop peaked at 11.3 MiB at class
-    S and 271 MiB at class A)."""
+    ``makea``: the stream walk, the outer products into keyed triplets,
+    one in-place sort and NPB ``sparse``'s arrival-order sum of the
+    duplicates into the numpy CSR — with the build's tracemalloc peak in
+    the case name (a count: the per-entry loop peaked at 11.3 MiB at
+    class S and 271 MiB at class A)."""
     from repro.apps import cg
 
     out = {}

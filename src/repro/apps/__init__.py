@@ -25,8 +25,8 @@ __all__ = ["NasRandom", "randlc", "ipow46", "ep", "cg", "helmholtz", "md"]
 
 
 def __getattr__(name):
-    # PEP 562: a workload module loads on first use, so only CG runs pay
-    # for scipy.sparse (more than the rest of the package together)
+    # PEP 562: a workload module loads on first use, so a run imports
+    # only the apps it runs
     if name in ("ep", "cg", "helmholtz", "md"):
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

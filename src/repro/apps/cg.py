@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.nas_random import NasRandom
 from repro.mpi.ops import SUM
@@ -95,15 +94,105 @@ def _sprnvc_vectors(na: int, nonzer: int):
     return np.array(pos, dtype=np.int32), np.append(elt, 0.5)[pick], short
 
 
-def make_matrix(klass: str = "S") -> sp.csr_matrix:
+#: a bucket's fixed matvec cost (four numpy calls), in gathered entries
+_BUCKET_COST = 2048
+
+
+class Csr:
+    """Compressed sparse rows: just what CG needs of a sparse matrix.
+
+    ``indptr`` / ``indices`` / ``data`` as in any CSR (columns ascending
+    within a row), ``shape``, ``nnz``, row slicing ``a[lo:hi]`` (views,
+    no copy) and the matvec ``a @ x``.
+
+    The matvec is ``csr_matvec``'s, to the bit: each row's sum starts at
+    ``0.0`` and adds ``data * x[col]`` in ascending column order.  It
+    runs as padded ELLPACK — rows sorted by length into a few buckets,
+    each a ``(depth, rows)`` array of products reduced down axis 0, which
+    numpy sums one level at a time (``np.add.reduceat`` would sum each
+    row pairwise).  Padding multiplies ``0.0`` by a zero slot appended to
+    ``x``, so it adds ``+0.0``: a no-op, as a sum that starts at ``+0.0``
+    is never ``-0.0``.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 shape: Tuple[int, int]):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.shape = shape
+        self._ell = None  # [(rows, cols, vals)], built by the first matvec
+        self._x = None  # x plus the zero slot the padding reads
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __getitem__(self, rows: slice) -> "Csr":
+        lo, hi, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise ValueError("only contiguous row slices are supported")
+        hi = max(lo, hi)
+        ptr = self.indptr[lo:hi + 1]
+        return Csr(ptr - ptr[0], self.indices[ptr[0]:ptr[-1]],
+                   self.data[ptr[0]:ptr[-1]], (hi - lo, self.shape[1]))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if self._ell is None:
+            self._ell = self._buckets()
+            self._x = np.zeros(self.shape[1] + 1)
+        self._x[:-1] = x
+        y = np.empty(self.shape[0])
+        for rows, cols, vals in self._ell:
+            p = self._x[cols]
+            p *= vals
+            y[rows] = np.add.reduce(p, axis=0, initial=0.0)[:len(rows)]
+        return y
+
+    def _buckets(self):
+        """Rows sorted by length, cut into runs wherever a cut saves more
+        padded entries than a run's fixed cost in numpy calls."""
+        lens = np.diff(self.indptr)
+        order = np.argsort(lens, kind="stable")
+        srt = lens[order]
+        todo, runs = [(0, len(order))], []
+        while todo:
+            a, b = todo.pop()
+            cut = np.arange(a + 2, b - 1)  # both halves keep >= 2 rows
+            if cut.size:
+                saved = (cut - a) * (srt[b - 1] - srt[cut - 1])
+                if saved.max() > _BUCKET_COST:
+                    k = int(cut[saved.argmax()])
+                    todo += [(a, k), (k, b)]
+                    continue
+            runs.append((a, b))
+        ell = []
+        for a, b in runs:
+            rows = order[a:b]
+            k = lens[rows]
+            depth = int(k.max(initial=0))
+            # a one-column reduce would run along axis 0 and sum pairwise
+            cols = np.full((depth, max(b - a, 2)), self.shape[1], dtype=np.intp)
+            vals = np.zeros(cols.shape)
+            col = np.repeat(np.arange(b - a), k)
+            level = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+            src = np.repeat(self.indptr[rows], k) + level
+            cols[level, col] = self.indices[src]
+            vals[level, col] = self.data[src]
+            ell.append((rows, cols, vals))
+        return ell
+
+
+def make_matrix(klass: str = "S") -> Csr:
     """NPB ``makea``: the class's sparse SPD matrix, exactly.
 
-    The COO triplets are the per-entry loop's, in its order — column
+    The COO triplets arrive in the per-entry loop's order — column
     ``jcol`` outer, row ``irow`` inner, each value ``vi * (size * vj)``
     with ``size`` the running product of ``ratio``, the diagonal last —
-    so scipy sums the duplicates in the same order and the CSR is the
-    loop's to the byte.  Each run of rows with equally many entries is
-    one broadcast multiply into the preallocated triplets.
+    and, as in NPB ``sparse``'s ``a(k) = a(k) + va``, duplicates of one
+    (row, col) are summed in that order, starting from ``0.0``.  Each run
+    of rows with equally many entries is one broadcast multiply into the
+    preallocated triplets.
     """
     na, nonzer, shift, _niter = CLASSES[klass]
     pos, val, short = _sprnvc_vectors(na, nonzer)
@@ -119,28 +208,44 @@ def make_matrix(klass: str = "S") -> sp.csr_matrix:
         r = s + 1
     runs.append((r, na, nonzer + 1))
     nnz = sum((r1 - r0) * w * w for r0, r1, w in runs) + na
-    rows = np.empty(nnz, dtype=np.int32)
-    cols = np.empty(nnz, dtype=np.int32)
+    keys = np.empty(nnz, dtype=np.int64)  # row * na + col
     vals = np.empty(nnz)
+    pos = pos.astype(np.int64)
     src = dst = 0
     for r0, r1, w in runs:
         c = r1 - r0
         end = dst + c * w * w
         iv = pos[src:src + c * w].reshape(c, 1, w)  # [row, 0, irow]
         v = val[src:src + c * w].reshape(c, 1, w)
-        rows[dst:end].reshape(c, w, w)[:] = iv
-        cols[dst:end].reshape(c, w, w)[:] = iv.transpose(0, 2, 1)  # [row, jcol, 0]
-        scale = sizes[r0:r1, None, None] * v.transpose(0, 2, 1)
+        np.add(iv * na, iv.transpose(0, 2, 1), out=keys[dst:end].reshape(c, w, w))
+        scale = sizes[r0:r1, None, None] * v.transpose(0, 2, 1)  # [row, jcol, 0]
         np.multiply(v, scale, out=vals[dst:end].reshape(c, w, w))
         src += c * w
         dst = end
     # rcond - shift on the diagonal
-    rows[dst:] = cols[dst:] = np.arange(na)
+    keys[dst:] = np.arange(na) * (na + 1)
     vals[dst:] = RCOND - shift
 
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(na, na)).tocsr()
-    a.sum_duplicates()
-    return a
+    # sort by (row, col, arrival): an entry's duplicates end up adjacent,
+    # in arrival order (one in-place sort of unique keys beats a stable
+    # argsort eightfold)
+    keys *= nnz
+    keys += np.arange(nnz)
+    keys.sort()
+    vals = vals[keys % nnz]
+    keys //= nnz
+    first = np.empty(nnz, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    at = np.cumsum(first)
+    at -= 1
+    data = np.zeros(keys.size)
+    np.add.at(data, at, vals)  # in index order: arrival order
+    del at, vals  # freed before the index arrays below: they set the peak
+    indptr = np.zeros(na + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // na, minlength=na), out=indptr[1:])
+    return Csr(indptr, (keys % na).astype(np.int32), data, (na, na))
 
 
 @dataclass
@@ -157,7 +262,7 @@ class CgResult:
         return abs(self.zeta - ref) <= tol * max(1.0, abs(ref))
 
 
-def _conj_grad(a: sp.csr_matrix, x: np.ndarray) -> Tuple[np.ndarray, float]:
+def _conj_grad(a: Csr, x: np.ndarray) -> Tuple[np.ndarray, float]:
     """One NPB conj_grad call: 25 CG steps for A z = x; returns (z, rnorm)."""
     n = x.shape[0]
     z = np.zeros(n)
@@ -179,7 +284,7 @@ def _conj_grad(a: sp.csr_matrix, x: np.ndarray) -> Tuple[np.ndarray, float]:
 
 
 def cg_reference(
-    klass: str = "S", a: Optional[sp.csr_matrix] = None, niter: Optional[int] = None
+    klass: str = "S", a: Optional[Csr] = None, niter: Optional[int] = None
 ) -> CgResult:
     """Sequential NPB CG: NITER outer iterations; returns the final zeta.
 
@@ -212,7 +317,7 @@ WORK_PER_ELEM = 2.0
 
 
 def make_program(
-    klass: str = "T", a: Optional[sp.csr_matrix] = None, niter: Optional[int] = None
+    klass: str = "T", a: Optional[Csr] = None, niter: Optional[int] = None
 ):
     """Master program running NPB CG on the cluster runtime.
 

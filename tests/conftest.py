@@ -169,13 +169,12 @@ def reference_tally(u):
 
 
 def reference_makea(klass):
-    """``repro.apps.cg.make_matrix`` as it was before the array code — the
-    byte-for-byte oracle for the CG matrix: NPB ``makea`` as a per-entry
-    loop over three Python lists of boxed triplets, one ``randlc`` call
-    per draw.  Lives here, not in ``src/``."""
-    import scipy.sparse as sp
-
-    from repro.apps.cg import _TRAN0, CLASSES, RCOND
+    """``repro.apps.cg.make_matrix`` as per-entry Python — the
+    byte-for-byte oracle for the CG matrix: NPB ``makea`` as a loop with
+    one ``randlc`` call per draw, and NPB ``sparse`` as a dict that sums
+    each (row, col)'s duplicates in arrival order.  Lives here, not in
+    ``src/``."""
+    from repro.apps.cg import _TRAN0, CLASSES, RCOND, Csr
     from repro.apps.nas_random import randlc
 
     na, nonzer, shift, _niter = CLASSES[klass]
@@ -188,9 +187,7 @@ def reference_makea(klass):
 
     ratio = RCOND ** (1.0 / na)
     size = 1.0
-    rows = []
-    cols = []
-    vals = []
+    acc = {}  # row * na + col -> running sum, NPB sparse's a(k) = a(k) + va
     mark = np.zeros(na + 1, dtype=bool)
 
     for iouter in range(1, na + 1):
@@ -221,20 +218,19 @@ def reference_makea(klass):
         for jcol, vj in zip(iv, v):
             scale = size * vj
             for irow, vi in zip(iv, v):
-                rows.append(irow - 1)
-                cols.append(jcol - 1)
-                vals.append(vi * scale)
+                key = (irow - 1) * na + jcol - 1
+                acc[key] = acc.get(key, 0.0) + vi * scale
         size *= ratio
 
     # rcond - shift on the diagonal
     for i in range(na):
-        rows.append(i)
-        cols.append(i)
-        vals.append(RCOND - shift)
+        acc[i * na + i] = acc.get(i * na + i, 0.0) + (RCOND - shift)
 
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(na, na)).tocsr()
-    a.sum_duplicates()
-    return a
+    keys = sorted(acc)
+    counts = np.bincount([k // na for k in keys], minlength=na)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    indices = np.array([k % na for k in keys], dtype=np.int32)
+    return Csr(indptr, indices, np.array([acc[k] for k in keys]), (na, na))
 
 
 def reference_runs(twin, current):

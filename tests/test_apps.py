@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime import ParadeRuntime, TWO_THREAD_TWO_CPU, ONE_THREAD_ONE_CPU
+from repro.runtime.scheduler import static_chunk
 from repro.apps import ep, cg, helmholtz, md
 from repro.apps.nas_random import A, MOD
 
@@ -92,8 +93,9 @@ def test_cg_matrix_is_symmetric_with_finite_zeta():
     a = cg.make_matrix("T")
     na = cg.CLASSES["T"][0]
     assert a.shape == (na, na)
-    asym = abs(a - a.T)
-    assert asym.max() < 1e-12
+    dense = np.zeros(a.shape)
+    dense[np.repeat(np.arange(na), np.diff(a.indptr)), a.indices] = a.data
+    assert abs(dense - dense.T).max() < 1e-12
     ref = cg.cg_reference("T", a=a)
     assert np.isfinite(ref.zeta)
 
@@ -115,19 +117,54 @@ def _traced_peak(build, klass):
 @pytest.mark.parametrize("klass", ["T", "S", pytest.param("W", marks=pytest.mark.slow),
                                    pytest.param("A", marks=pytest.mark.slow)])
 def test_cg_make_matrix_is_byte_identical_to_reference_makea(klass):
-    """The array ``makea`` hands scipy the loop's triplets in the loop's
-    order, so the CSR is the same to the byte; at class S it also holds at
-    most half the traced memory at its peak (a count, not a clock)."""
+    """The array ``makea`` sums each entry's duplicates in arrival order,
+    as NPB ``sparse`` does, so the CSR is the per-entry loop's to the
+    byte; at class S its traced peak stays within 5.6 MiB, half the
+    list-of-triplets loop's 11.3 MiB (a count, not a clock)."""
     if klass == "S":
         got, peak = _traced_peak(cg.make_matrix, klass)
-        want, ref_peak = _traced_peak(reference_makea, klass)
-        assert peak <= ref_peak / 2, (peak, ref_peak)
+        assert peak <= 5.6 * 2**20, peak
     else:
-        got, want = cg.make_matrix(klass), reference_makea(klass)
-    assert _csr_bytes(got) == _csr_bytes(want)
+        got = cg.make_matrix(klass)
+    assert _csr_bytes(got) == _csr_bytes(reference_makea(klass))
 
 
-@pytest.mark.slow
+def _sequential_matvec(a, x):
+    """``csr_matvec``: per row, ``s = 0.0; s += a * x`` in column order."""
+    x = x.tolist()
+    data, indices = a.data.tolist(), a.indices.tolist()
+    out = []
+    for lo, hi in zip(a.indptr[:-1].tolist(), a.indptr[1:].tolist()):
+        s = 0.0
+        for k in range(lo, hi):
+            s += data[k] * x[indices[k]]
+        out.append(s)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("klass", ["T", "S"])
+def test_cg_matvec_is_byte_identical_to_a_sequential_loop(klass):
+    """Every ``for_range`` block's ``a[lo:hi] @ x`` at 1, 8 and 32 threads
+    (and single rows, and an empty slice) sums each row like a plain loop,
+    signed zeros included."""
+    a = cg.make_matrix(klass)
+    na = a.shape[0]
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(na) * 10.0 ** rng.integers(-150, 150, na)
+    x[::5] = 0.0
+    x[::7] = -0.0
+    want = _sequential_matvec(a, x)
+    blocks = [static_chunk(0, na, t, n) for n in (1, 8, 32) for t in range(n)]
+    blocks += [(0, 1), (na // 2, na // 2 + 1), (na - 1, na), (3, 3)]
+    for lo, hi in blocks:
+        rows = a[lo:hi]
+        assert rows.shape == (hi - lo, na)
+        assert rows.nnz == a.indptr[hi] - a.indptr[lo]
+        assert (rows @ x).tobytes() == want[lo:hi].tobytes(), (lo, hi)
+    # a row whose products are all signed zeros sums to +0.0
+    assert (a[:8] @ np.full(na, -0.0)).tobytes() == np.zeros(8).tobytes()
+
+
 def test_cg_class_s_matches_published_zeta():
     res = cg.cg_reference("S")
     assert res.verify(tol=1e-10), res.zeta

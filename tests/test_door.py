@@ -86,15 +86,17 @@ def test_every_declared_option_is_used_by_some_verb():
 
 
 def test_parsing_imports_no_verb_body():
-    """A verb's body (and scipy, and the translator) is imported only when
-    the door dispatches to it."""
+    """A verb's body (and the translator) is imported only when the door
+    dispatches to it, and nothing imports scipy, a CG run included."""
     code = (
         "import sys\n"
-        "from repro.__main__ import VERBS, build_parser\n"
+        "from repro.__main__ import VERBS, build_parser, main\n"
         "build_parser().parse_args(['trace', 'cg'])\n"
         "bodies = {v.body.split(':')[0] for v in VERBS.values()}\n"
         "loaded = (bodies | {'scipy', 'repro.translator'}) & set(sys.modules)\n"
         "assert not loaded, loaded\n"
+        "assert main(['sanitize', 'cg', '--nodes', '2', '--jobs', '1', '--no-cache']) == 0\n"
+        "assert 'repro.apps.cg' in sys.modules and 'scipy' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -172,8 +172,9 @@ def test_1t1c_uses_single_cpu_per_node():
     assert all(n.cpus.capacity == 2 for n in rt2.cluster.nodes)
 
 
-# what a run that needs neither must not import: scipy.sparse costs more
-# than the rest of the package together, the translator a third of it
+# what a run that needs none of them must not import: the translator (it
+# is never needed to run), and scipy, which nothing imports — CG's CSR
+# is numpy, and scipy.sparse alone would cost more than the package
 _IMPORT_HYGIENE = """
 import sys
 def heavy():
@@ -185,8 +186,10 @@ repro.apps.md
 assert not heavy(), heavy()
 from repro import translate
 assert heavy() == {"repro.translator"}, heavy()
-repro.apps.cg
-assert heavy() == {"repro.translator", "scipy"}, heavy()
+repro.apps.cg.cg_reference("S")
+rt = repro.runtime.ParadeRuntime(n_nodes=4, pool_bytes=1 << 23)
+assert rt.run(repro.apps.cg.make_program("S", niter=0)).value.niter == 0
+assert heavy() == {"repro.translator"}, heavy()
 import repro
 assert all(hasattr(repro, n) for n in repro.__all__)
 assert all(hasattr(repro.apps, n) for n in repro.apps.__all__)
