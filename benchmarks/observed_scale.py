@@ -6,8 +6,9 @@ script runs the ``cg`` workload of ``python -m repro metrics`` on 16
 nodes with a 2^18-row trace ring (queue depth every 64th event), an
 interval-recording profiler and the metrics sampler, then compares the
 process's high-water mark (``VmHWM``) with :data:`CEILING_MIB`, set at
-1.3x the value measured when the columns were introduced.  Exit status 1
-means observer state grew back towards a Python object per fact.
+1.3x the value measured once a recorded fact held only numbers and
+shared references.  Exit status 1 means observer state grew back
+towards a Python object per fact.
 
     PYTHONPATH=src python benchmarks/observed_scale.py
 """
@@ -16,9 +17,10 @@ from __future__ import annotations
 
 import sys
 
-#: 1.3x the measured VmHWM (CPython 3.11, x86-64 Linux: 104.5 MiB; with
-#: the per-fact objects the columns replaced it measured 159.4 MiB)
-CEILING_MIB = 136
+#: 1.3x the measured VmHWM (CPython 3.11, x86-64 Linux: 65.3 MiB; with
+#: an argument tuple per trace row and string references per interval
+#: 85.4 MiB, and with a Python object per fact 159.4 MiB under scipy)
+CEILING_MIB = 85
 
 
 def vm_hwm_mib() -> float:

@@ -15,7 +15,7 @@ the single entry and :meth:`Network._deliver` the single exit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.sim.probe import CAT_AUDIT, PH_NET_TX
@@ -36,6 +36,9 @@ class Message:
     #: reliability-layer per-(src, dst) sequence number; -1 outside chaos
     #: runs (the perfect network needs no ack/retransmit layer)
     rel_seq: int = -1
+    #: ``str(tag)``, formatted once when ``net`` facts are heard at send
+    #: and stated by both ``msg-send`` and ``msg-deliver``
+    tag_text: Optional[str] = field(default=None, repr=False, compare=False)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Msg #{self.seq} {self.src}->{self.dst} {self.nbytes}B tag={self.tag!r}>"
@@ -90,9 +93,10 @@ class Network:
         node.bytes_sent += nbytes
         pb = self.sim.probe
         if pb is not None and "net" in pb.heard:
+            msg.tag_text = str(tag)
             pb.instant(
                 "net", "msg-send", node=src, dst=dst, nbytes=nbytes,
-                tag=str(tag), seq=msg.seq,
+                tag=msg.tag_text, seq=msg.seq,
             )
 
         if src == dst:
@@ -106,7 +110,7 @@ class Network:
             if pb is not None and "net" in pb.heard:
                 pb.instant(
                     "net", "msg-deliver", node=dst, tid="wire",
-                    src=src, nbytes=nbytes, tag=str(tag), seq=msg.seq,
+                    src=src, nbytes=nbytes, tag=msg.tag_text or str(tag), seq=msg.seq,
                 )
             node.inbox.put(msg)
             return msg
@@ -156,7 +160,7 @@ class Network:
             )
         if pb is not None and "net" in pb.heard:
             pb.instant(
-                "net", "msg-deliver", node=msg.dst, tid="wire",
-                src=msg.src, nbytes=msg.nbytes, tag=str(msg.tag), seq=msg.seq,
+                "net", "msg-deliver", node=msg.dst, tid="wire", src=msg.src,
+                nbytes=msg.nbytes, tag=msg.tag_text or str(msg.tag), seq=msg.seq,
             )
         node.inbox.put(msg)

@@ -10,6 +10,8 @@ comparator of virtual-time records (the bench gate's).
 See ``docs/METRICS.md`` for the guide.
 """
 
+import importlib
+
 from repro.metrics.registry import (
     Counter,
     Gauge,
@@ -27,8 +29,6 @@ from repro.metrics.sampler import (
     Metrics,
 )
 from repro.metrics.sources import install_default_sources
-from repro.metrics.scorecard import build_scorecard, render_scorecards
-from repro.metrics.regress import compare_records
 
 __all__ = [
     "Counter",
@@ -48,3 +48,17 @@ __all__ = [
     "render_scorecards",
     "compare_records",
 ]
+
+#: names loaded on first access (PEP 562): scorecards and record
+#: comparison read finished runs, so metering imports neither
+_LAZY = {
+    "build_scorecard": "scorecard",
+    "render_scorecards": "scorecard",
+    "compare_records": "regress",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

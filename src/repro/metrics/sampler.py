@@ -18,7 +18,10 @@ yields no samples until :meth:`finalize` takes the closing one.
 
 Sources are ``(prefix, fn)`` pairs where ``fn() -> {name: number}``;
 each key becomes the time-series ``prefix/name``.  The stock sources for
-every layer live in :mod:`repro.metrics.sources`.
+every layer live in :mod:`repro.metrics.sources`.  Every series of one
+source is sampled at the same instants, so a source keeps one time
+column and each of its series a value column plus the index on that
+clock of its first sample (a link first carries a frame mid-run).
 
 The registry's latency histograms (lock wait/hold, barrier epoch
 latency, network delivery latency) and the in-flight per-link gauges are
@@ -30,13 +33,15 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Callable, Dict, List, Optional, Tuple
+from collections.abc import Mapping
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.metrics.registry import Histogram, MetricsRegistry
 from repro.sim.probe import CAT_AUDIT, Subscriber
 
 #: one sampled value stream: (times, values) as ``array('d')`` columns
 Series = Tuple[array, array]
+SourceFn = Callable[[], Dict[str, float]]
 
 _INF = float("inf")
 
@@ -45,6 +50,55 @@ NET_LATENCY = "net_latency_seconds"
 LOCK_WAIT = "lock_wait_seconds"
 LOCK_HOLD = "lock_hold_seconds"
 BARRIER_EPOCH = "barrier_epoch_seconds"
+
+
+class _Series:
+    """One value stream: ``values`` sampled at ``clock[start:]``, the
+    clock shared with the other series of its source.  A series that
+    misses one of its source's samples gets a clock of its own (``own``)."""
+
+    __slots__ = ("values", "clock", "start", "own")
+
+    def __init__(self, clock: array, start: int):
+        self.values = array("d")
+        self.clock = clock
+        self.start = start
+        self.own = False
+
+    def read(self) -> Series:
+        start = self.start
+        return self.clock[start:start + len(self.values)], self.values
+
+
+class _Source:
+    """One snapshot source: its ``prefix/name`` series and their clock."""
+
+    __slots__ = ("prefix", "fn", "clock", "known")
+
+    def __init__(self, prefix: str, fn: Optional[SourceFn]):
+        self.prefix = prefix
+        self.fn = fn
+        #: the virtual times this source's series were sampled at
+        self.clock = array("d")
+        #: name -> its series
+        self.known: Dict[str, _Series] = {}
+
+
+class SeriesView(Mapping):
+    """``series[name]`` -> ``(times, values)``, in creation order."""
+
+    def __init__(self, series: Dict[str, _Series]):
+        self._series = series
+
+    def __getitem__(self, name: str) -> Series:
+        return self._series[name].read()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._series)
+
+    def __len__(self) -> int:
+        return len(self._series)
+
 
 
 class _Link:
@@ -92,10 +146,13 @@ class Metrics(Subscriber):
         self.period = period
         self.max_samples = max_samples
         self.registry = MetricsRegistry()
-        #: series name -> (times, values); insertion-ordered
-        self.series: Dict[str, Series] = {}
-        #: (prefix, fn, {name: its ``prefix/name`` series}) per source
-        self.sources: List[Tuple[str, Callable[[], Dict[str, float]], Dict]] = []
+        #: series name -> its stream; insertion-ordered
+        self._series: Dict[str, _Series] = {}
+        #: series name -> (times, values)
+        self.series = SeriesView(self._series)
+        self.sources: List[_Source] = []
+        #: the event-loop queue depth, sampled by :meth:`on_step`
+        self._queue = _Source("sim", None)
         self.n_samples = 0
         self.n_dropped = 0
         self.finalized_at: Optional[float] = None
@@ -127,11 +184,11 @@ class Metrics(Subscriber):
         if attach:
             self.attach()
 
-    def add_source(self, prefix: str, fn: Callable[[], Dict[str, float]]) -> None:
+    def add_source(self, prefix: str, fn: SourceFn) -> None:
         """Register a snapshot source; its keys become ``prefix/name``
         series.  Sources must only *read* state — they run inside the
         event loop and anything else would perturb the schedule."""
-        self.sources.append((prefix, fn, {}))
+        self.sources.append(_Source(prefix, fn))
 
     # -- sampling -------------------------------------------------------
     def on_step(self, now: float, queue_depth: int):
@@ -146,26 +203,35 @@ class Metrics(Subscriber):
         """Snapshot every source at virtual time *now*."""
         self.n_samples += 1
         if queue_depth is not None:
-            self._record(self._series("sim/queue_depth"), now, queue_depth)
-        for prefix, fn, known in self.sources:
-            for name, value in fn().items():
-                s = known.get(name)
-                if s is None:
-                    s = known[name] = self._series(f"{prefix}/{name}")
-                self._record(s, now, value)
+            self._take(self._queue, now, {"queue_depth": queue_depth})
+        for src in self.sources:
+            self._take(src, now, src.fn())
 
-    def _series(self, name: str) -> Series:
-        s = self.series.get(name)
-        if s is None:
-            s = self.series[name] = (array("d"), array("d"))
-        return s
-
-    def _record(self, s: Series, t: float, v: float) -> None:
-        if len(s[0]) >= self.max_samples:
-            self.n_dropped += 1
-            return
-        s[0].append(t)
-        s[1].append(float(v))
+    def _take(self, src: _Source, now: float, values: Dict[str, float]) -> None:
+        """Record one snapshot of *src*: *now* goes on its clock once,
+        if any of its series still has room."""
+        clock, known, cap = src.clock, src.known, self.max_samples
+        at = len(clock)  # where *now* goes on the clock
+        ticked = False
+        for name, value in values.items():
+            s = known.get(name)
+            if s is None:
+                full = f"{src.prefix}/{name}"
+                s = self._series.get(full) or _Series(clock, at)
+                known[name] = self._series[full] = s
+            vals = s.values
+            if len(vals) >= cap:
+                self.n_dropped += 1
+                continue
+            if s.clock is clock and s.start + len(vals) == at:
+                if not ticked:
+                    clock.append(now)
+                    ticked = True
+            else:  # off its source's clock: it keeps a clock of its own
+                if not s.own:
+                    s.clock, s.start, s.own = s.read()[0], 0, True
+                s.clock.append(now)
+            vals.append(float(value))
 
     def finalize(self) -> "Metrics":
         """Take the closing sample at the current virtual time (idempotent

@@ -13,6 +13,8 @@ subscriber: zero cost when detached), then snapshot a
 CLI: ``python -m repro profile <app>`` (:func:`repro.profile.report.profile_cli`).
 """
 
+import importlib
+
 from repro.profile.phases import (  # noqa: F401
     ALL_GROUPS,
     ALL_PHASES,
@@ -21,9 +23,6 @@ from repro.profile.phases import (  # noqa: F401
     node_of_tid,
 )
 from repro.profile.profiler import Profiler, percentile  # noqa: F401
-from repro.profile.critical_path import CriticalPath, compute_critical_path  # noqa: F401
-from repro.profile.report import ProfileReport  # noqa: F401
-from repro.profile.export import write_profile_chrome  # noqa: F401
 
 __all__ = [
     "Profiler",
@@ -38,3 +37,18 @@ __all__ = [
     "group_of",
     "node_of_tid",
 ]
+
+#: names loaded on first access (PEP 562): reports, the critical path and
+#: the Chrome export read a finished profile, so profiling imports none
+_LAZY = {
+    "ProfileReport": "report",
+    "CriticalPath": "critical_path",
+    "compute_critical_path": "critical_path",
+    "write_profile_chrome": "export",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

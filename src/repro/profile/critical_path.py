@@ -114,10 +114,12 @@ def compute_critical_path(
         return cp
 
     # deterministic processing order: by end time, then start, tid, phase
-    # (lexsort is stable, and strings sort by their rank among the distinct)
+    # (lexsort is stable, and a code sorts by its string's rank in the table)
     def ranks(col):
-        rank = {v: r for r, v in enumerate(sorted(set(col)))}
-        return np.fromiter(map(rank.__getitem__, col), dtype=np.int64, count=len(col))
+        table = col.values
+        rank = np.empty(len(table), dtype=np.int64)
+        rank[sorted(range(len(table)), key=table.__getitem__)] = np.arange(len(table))
+        return rank[np.frombuffer(col.codes, dtype=col.codes.typecode)]
 
     order = keep[
         np.lexsort((ranks(phases)[keep], ranks(tids)[keep], b0[keep], b1[keep]))

@@ -48,6 +48,7 @@ from repro.profile.phases import (
     node_of_tid,
 )
 from repro.sim.probe import CAT_AUDIT, Subscriber
+from repro.util.codes import CodedColumn
 from repro.util.tables import percentile
 
 #: an emitted interval: (t0, t1, tid, phase, active)
@@ -56,9 +57,10 @@ Interval = Tuple[float, float, str, str, bool]
 
 class Intervals:
     """The closed phase slices as parallel columns: ``t0`` / ``t1`` in
-    ``array('d')``, references to the ``tid`` and ``phase`` strings, and
-    the ``active`` flags in a ``bytearray`` — a few dozen bytes per slice.
-    Iterating yields :data:`Interval` tuples, built on read; ``+``
+    ``array('d')``, ``tid`` and ``phase`` as :class:`CodedColumn` s
+    (a two-byte code per slice, one code table per stream), and the
+    ``active`` flags in a ``bytearray`` — a slice holds numbers only.
+    Iterating yields :data:`Interval` tuples, decoded on read; ``+``
     concatenates two streams."""
 
     __slots__ = ("t0", "t1", "tid", "phase", "active")
@@ -66,8 +68,8 @@ class Intervals:
     def __init__(self):
         self.t0 = array("d")
         self.t1 = array("d")
-        self.tid: List[str] = []
-        self.phase: List[str] = []
+        self.tid = CodedColumn()
+        self.phase = CodedColumn()
         self.active = bytearray()
 
     def append(self, t0: float, t1: float, tid: str, phase: str, active: bool) -> None:

@@ -30,6 +30,8 @@ run and an untraced run of the same program are event-for-event
 identical.  See ``docs/TRACING.md`` for the schema and a worked example.
 """
 
+import importlib
+
 from repro.trace.events import (
     TraceEvent,
     CAT_SIM,
@@ -44,8 +46,6 @@ from repro.trace.events import (
     DEFAULT_CATEGORIES,
 )
 from repro.trace.recorder import TraceRecorder
-from repro.trace.export import to_chrome, write_chrome_json, write_csv_events
-from repro.trace.checker import Violation, CheckReport, check_trace
 
 __all__ = [
     "TraceEvent",
@@ -67,3 +67,20 @@ __all__ = [
     "CheckReport",
     "check_trace",
 ]
+
+#: names loaded on first access (PEP 562): exporting and checking a trace
+#: happen after a run, so recording one imports neither
+_LAZY = {
+    "to_chrome": "export",
+    "write_chrome_json": "export",
+    "write_csv_events": "export",
+    "Violation": "checker",
+    "CheckReport": "checker",
+    "check_trace": "checker",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

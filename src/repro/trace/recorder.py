@@ -13,30 +13,100 @@ the bus resolves a kind: set them before attaching) plus ``kernel/step`` for
 queue-depth sampling.  :meth:`instant`, :meth:`span` and :meth:`counter`
 record directly, for exporters and tests that build a ring by hand.
 
-The ring is a set of parallel columns — ``ts`` / ``dur`` as
-``array('d')`` (``NaN`` = an instant), ``node`` as ``array('i')``, a
-reference to the stated ``tid``, a tuple of argument values, and one
-shared *kind* tuple ``(cat, name, ph, argument names)`` per distinct
-combination — so a recorded fact costs a few dozen bytes, not a live
-:class:`TraceEvent` and a dict.  :class:`TraceEvent` records are built
-only on read (:attr:`~TraceRecorder.events`, :meth:`~TraceRecorder.drain`).
-When full, the ring overwrites its *oldest* row (``n_dropped`` counts
-them), so memory is bounded by the configured capacity regardless of run
-length, and the tail of the run — usually what you are debugging — is
-what survives.
+The ring is a set of parallel columns, so a recorded fact holds only
+numbers and shared references, never a Python object of its own:
+
+- ``ts`` / ``dur`` in ``array('d')`` (``NaN`` = an instant), ``node`` in
+  ``array('i')``, and a *kind* code and a ``tid`` code in ``array('H')``
+  (the tids a :class:`~repro.util.codes.CodedColumn`);
+- the row's int, float and bool arguments packed in one ``bytearray``
+  column (8 bytes an int or float, 1 a bool), and its other arguments
+  (strings, tuples, ``None`` ...) by reference in one object column; each
+  row's values are contiguous, in row order.
+
+A kind code names one interned *schema* ``(cat, name, ph, argument
+names, argument value types)``.  Its :class:`struct.Struct` packs and
+unpacks the row's numbers — its size is the row's stride in the numeric
+column — so an int comes back an int and a bool a bool.  An argument
+the column cannot hold exactly (an int outside int64, a NaN) or of any
+other type goes to the object column.  :class:`TraceEvent` records are
+built only on read (:attr:`~TraceRecorder.events`,
+:meth:`~TraceRecorder.drain`).  When full, the ring overwrites its
+*oldest* row (``n_dropped`` counts them), so memory is bounded by the
+configured capacity regardless of run length (the argument columns
+keep evicted values until they are half dead), and the tail of the
+run — usually what you are debugging — is what survives.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import partial
+from itertools import chain
+from math import isnan
+from operator import attrgetter, itemgetter
+from struct import Struct
+from struct import error as StructError
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.sim.probe import Subscriber
+from repro.util.codes import CodedColumn
 from repro.trace.events import TraceEvent, DEFAULT_CATEGORIES, CAT_COUNTER
 
 _INF = float("inf")
 _NAN = float("nan")
+_BY_TS = attrgetter("ts")
+#: an argument value type -> its struct code in the numeric column; any
+#: other type goes to the object column
+_PACKED = {int: "q", float: "d", bool: "?"}
+
+
+class _Schema:
+    """One interned kind of row: ``(cat, name, ph, argument names)`` and
+    where each argument's value is kept.  ``nums`` / ``objs`` read the
+    row's numeric / object values out of its argument dict (``None``:
+    it has none), ``packer`` packs the numbers, ``size`` bytes, and
+    ``in_objs`` says per argument which column it is read back from."""
+
+    __slots__ = ("code", "cat", "name", "ph", "keys", "in_objs", "packer",
+                 "size", "n_nums", "n_objs", "nums", "objs", "floats")
+
+    def __init__(self, code: int, cat, name, ph, keys, types):
+        self.code = code
+        self.cat, self.name, self.ph, self.keys = cat, name, ph, keys
+        self.in_objs = tuple(t not in _PACKED for t in types)
+        num_keys = [k for k, t in zip(keys, types) if t in _PACKED]
+        obj_keys = [k for k, t in zip(keys, types) if t not in _PACKED]
+        self.packer = Struct("=" + "".join(_PACKED[t] for t in types if t in _PACKED))
+        self.size = self.packer.size
+        # an itemgetter of one key returns the value, of more a tuple
+        self.n_nums, self.n_objs = len(num_keys), len(obj_keys)
+        self.nums = itemgetter(*num_keys) if num_keys else None
+        self.objs = itemgetter(*obj_keys) if obj_keys else None
+        float_keys = [k for k, t in zip(keys, types) if t is float]
+        #: the float arguments, to keep a NaN out of the numeric column
+        self.floats = (lambda args: [args[k] for k in float_keys]) if float_keys else None
+
+    def pack(self, args: dict) -> bytes:
+        """The row's numbers, packed (``b""`` for none); raises
+        :class:`struct.error` for a value the numeric column cannot hold."""
+        if self.floats is not None and any(map(isnan, self.floats(args))):
+            raise StructError("NaN")
+        if self.n_nums == 1:
+            return self.packer.pack(self.nums(args))
+        return self.packer.pack(*self.nums(args)) if self.n_nums else b""
+
+
+def _storable_types(types: tuple, values) -> tuple:
+    """*types* with ``object`` wherever the numeric column cannot hold the
+    value exactly — an int outside int64, a NaN — so it goes to the
+    object column instead."""
+    out = []
+    for t, v in zip(types, values):
+        if (t is int and not -(1 << 63) <= v < 1 << 63) or (t is float and v != v):
+            t = object
+        out.append(t)
+    return tuple(out)
 
 
 class TraceRecorder(Subscriber):
@@ -60,7 +130,8 @@ class TraceRecorder(Subscriber):
     __slots__ = (
         "sim", "capacity", "categories", "enabled", "n_emitted",
         "queue_stride", "_next_sample",
-        "_head", "_ts", "_dur", "_node", "_kind", "_tid", "_values", "_kinds",
+        "_head", "_ts", "_dur", "_node", "_kind", "_tid", "_nums", "_objs",
+        "_nums_start", "_objs_start", "_schemas", "_schema_list",
     )
 
     def __init__(
@@ -83,9 +154,6 @@ class TraceRecorder(Subscriber):
         #: events offered and accepted (before eviction)
         self.n_emitted = 0
         self._clear()
-        #: ``(cat, name, ph, argument names)`` -> itself: one shared tuple
-        #: per distinct kind of row
-        self._kinds: Dict[tuple, tuple] = {}
         if queue_stride < 0:
             raise ValueError(f"queue_stride must be >= 0, got {queue_stride}")
         self.queue_stride = queue_stride
@@ -101,9 +169,19 @@ class TraceRecorder(Subscriber):
         self._ts = array("d")
         self._dur = array("d")
         self._node = array("i")
-        self._kind: List[tuple] = []
-        self._tid: List[str] = []
-        self._values: List[tuple] = []
+        #: per row, its schema's code and its tid
+        self._kind = array("H")
+        self._tid = CodedColumn()
+        #: the rows' packed numbers and their other argument values, the
+        #: oldest row's first at ``_nums_start`` / ``_objs_start``; evicted
+        #: rows' values precede them until the column is compacted
+        self._nums = bytearray()
+        self._objs: List[Any] = []
+        self._nums_start = self._objs_start = 0
+        #: ``(cat, name, ph, *argument names, *argument value types)`` ->
+        #: its schema; ``_schema_list[code]`` is the schema of that code
+        self._schemas: Dict[tuple, _Schema] = {}
+        self._schema_list: List[_Schema] = []
 
     # -- subscription -----------------------------------------------------
     def attach(self):
@@ -130,25 +208,70 @@ class TraceRecorder(Subscriber):
             ts, dur = now, _NAN
         else:
             ts, dur, ph = t0, max(0.0, now - t0), None
-        kind = (cat, name, ph, tuple(args))
-        kind = self._kinds.setdefault(kind, kind)
-        values = tuple(args.values())
+        key = (cat, name, ph, *args, *map(type, args.values()))
+        sch = self._schemas.get(key) or self._schema(key, len(args))
+        try:
+            packed = sch.pack(args)
+        except StructError:  # a value the numeric column cannot hold
+            sch = self._schema(key, len(args), args)
+            packed = sch.pack(args)
+        tids = self._tid
+        tc = tids.index.get(tid)
+        if tc is None:
+            tc = tids.code(tid)
         i = self._head
         if len(self._ts) < self.capacity:
             self._ts.append(ts)
             self._dur.append(dur)
             self._node.append(node)
-            self._kind.append(kind)
-            self._tid.append(tid)
-            self._values.append(values)
+            self._kind.append(sch.code)
+            tids.codes.append(tc)
         else:
+            self._evict(self._schema_list[self._kind[i]])
             self._ts[i] = ts
             self._dur[i] = dur
             self._node[i] = node
-            self._kind[i] = kind
-            self._tid[i] = tid
-            self._values[i] = values
+            self._kind[i] = sch.code
+            tids.codes[i] = tc
             self._head = (i + 1) % self.capacity
+        if packed:
+            self._nums += packed
+        if sch.objs is not None:
+            if sch.n_objs == 1:
+                self._objs.append(sch.objs(args))
+            else:
+                self._objs.extend(sch.objs(args))
+
+    def _schema(self, key: tuple, n: int, args: Optional[dict] = None) -> _Schema:
+        """The schema of *key* ``(cat, name, ph, *names, *types)`` of *n*
+        arguments, interned on first use; with *args*, the schema that
+        sends each of their values the numeric column cannot hold to the
+        object column."""
+        if args is not None:
+            key = key[:3 + n] + _storable_types(key[3 + n:], args.values())
+            sch = self._schemas.get(key)
+            if sch is not None:
+                return sch
+        sch = self._schemas[key] = _Schema(
+            len(self._schema_list), *key[:3], key[3:3 + n], key[3 + n:])
+        self._schema_list.append(sch)
+        if sch.code == 0x10000:
+            self._kind = array("I", self._kind)
+        return sch
+
+    def _evict(self, sch: _Schema) -> None:
+        """Drop the oldest row's argument values (of schema *sch*); a
+        column is compacted once its dead prefix outgrows its live part."""
+        start = self._nums_start + sch.size
+        if start > len(self._nums) >> 1:
+            del self._nums[:start]
+            start = 0
+        self._nums_start = start
+        start = self._objs_start + sch.n_objs
+        if start > len(self._objs) >> 1:
+            del self._objs[:start]
+            start = 0
+        self._objs_start = start
 
     def instant(
         self, cat: str, name: str, node: int = -1, tid: Optional[str] = None, **args: Any
@@ -194,23 +317,39 @@ class TraceRecorder(Subscriber):
         return self._next_sample, _INF
 
     # -- inspection -----------------------------------------------------
-    def _row(self, i: int) -> TraceEvent:
-        dur = self._dur[i]
-        cat, name, ph, keys = self._kind[i]
-        return TraceEvent(
-            self._ts[i], cat, name, self._node[i], self._tid[i],
-            None if dur != dur else dur,
-            dict(zip(keys, self._values[i])) if keys else None,
-            ph,
-        )
+    def _rows(self) -> List[TraceEvent]:
+        """Every row as a :class:`TraceEvent`, oldest first."""
+        ts, dur, node, kind, tid = self._ts, self._dur, self._node, self._kind, self._tid
+        schemas, nums, objs = self._schema_list, self._nums, self._objs
+        at, oi = self._nums_start, self._objs_start
+        out = []
+        for i in chain(range(self._head, len(ts)), range(self._head)):
+            sch = schemas[kind[i]]
+            args = None
+            if sch.keys:
+                packed = iter(sch.packer.unpack_from(nums, at))
+                at += sch.size
+                values = []
+                for in_objs in sch.in_objs:
+                    if in_objs:
+                        values.append(objs[oi])
+                        oi += 1
+                    else:
+                        values.append(next(packed))
+                args = dict(zip(sch.keys, values))
+            d = dur[i]
+            out.append(TraceEvent(
+                ts[i], sch.cat, sch.name, node[i], tid[i],
+                None if d != d else d, args, sch.ph,
+            ))
+        return out
 
     @property
     def events(self) -> List[TraceEvent]:
         """Snapshot of the ring, oldest first (spans ordered by start)."""
-        n, head = len(self._ts), self._head
-        oldest_first = [*range(head, n), *range(head)]
-        oldest_first.sort(key=self._ts.__getitem__)
-        return [self._row(i) for i in oldest_first]
+        out = self._rows()
+        out.sort(key=_BY_TS)
+        return out
 
     @property
     def n_dropped(self) -> int:
@@ -229,7 +368,9 @@ class TraceRecorder(Subscriber):
     def counts_by_category(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         head = self._head
-        for cat, *_ in self._kind[head:] + self._kind[:head]:
+        cats = [sch.cat for sch in self._schema_list]
+        for code in self._kind[head:] + self._kind[:head]:
+            cat = cats[code]
             out[cat] = out.get(cat, 0) + 1
         return out
 

@@ -478,6 +478,121 @@ def reference_grid(mx):
     return on_event
 
 
+class ReferenceRing:
+    """``TraceRecorder``'s ring as it was before its argument values became
+    typed columns — the oracle for the columnar ring: per row ``ts`` /
+    ``dur`` / ``node`` columns, a reference to the tid string, one shared
+    ``(cat, name, ph, argument names)`` tuple and one tuple of argument
+    values; eviction overwrites the oldest row in place.  It records by
+    hand (``instant`` / ``span`` / ``counter``) on a *sim* with ``now``
+    and ``active_process``.  Lives here, not in ``src/``."""
+
+    def __init__(self, sim, capacity):
+        self.sim = sim
+        self.capacity = capacity
+        self.n_emitted = 0
+        self._kinds = {}
+        self._clear()
+
+    def _clear(self):
+        from array import array
+
+        self._head = 0
+        self._ts, self._dur, self._node = array("d"), array("d"), array("i")
+        self._kind, self._tid, self._values = [], [], []
+
+    def _record(self, cat, name, args, node=-1, tid=None, t0=None, ph=None):
+        self.n_emitted += 1
+        now = self.sim.now
+        if tid is None:
+            proc = self.sim.active_process
+            tid = proc.label if proc is not None else "main"
+        if t0 is None:
+            ts, dur = now, float("nan")
+        else:
+            ts, dur, ph = t0, max(0.0, now - t0), None
+        kind = (cat, name, ph, tuple(args))
+        kind = self._kinds.setdefault(kind, kind)
+        row = (ts, dur, node, kind, tid, tuple(args.values()))
+        cols = (self._ts, self._dur, self._node, self._kind, self._tid, self._values)
+        if len(self._ts) < self.capacity:
+            for col, v in zip(cols, row):
+                col.append(v)
+        else:
+            for col, v in zip(cols, row):
+                col[self._head] = v
+            self._head = (self._head + 1) % self.capacity
+
+    def instant(self, cat, name, node=-1, tid=None, **args):
+        self._record(cat, name, args, node, tid)
+
+    def span(self, cat, name, t0, node=-1, tid=None, **args):
+        self._record(cat, name, args, node, tid, t0)
+
+    def counter(self, cat, name, node=-1, tid="counters", **values):
+        self._record(cat, name, values, node, tid, None, "C")
+
+    @property
+    def events(self):
+        from repro.trace import TraceEvent
+
+        n, head = len(self._ts), self._head
+        order = [*range(head, n), *range(head)]
+        order.sort(key=self._ts.__getitem__)
+        out = []
+        for i in order:
+            cat, name, ph, keys = self._kind[i]
+            dur = self._dur[i]
+            out.append(TraceEvent(
+                self._ts[i], cat, name, self._node[i], self._tid[i],
+                None if dur != dur else dur,
+                dict(zip(keys, self._values[i])) if keys else None, ph,
+            ))
+        return out
+
+    @property
+    def n_dropped(self):
+        return self.n_emitted - len(self._ts)
+
+    def __len__(self):
+        return len(self._ts)
+
+    def drain(self):
+        out = self.events
+        self._clear()
+        return out
+
+    def counts_by_category(self):
+        out = {}
+        head = self._head
+        for cat, *_ in self._kind[head:] + self._kind[:head]:
+            out[cat] = out.get(cat, 0) + 1
+        return out
+
+
+class ReferenceIntervals:
+    """The profiler's interval stream as it was before tid and phase
+    became codes: the strings themselves in two lists, ``+`` concatenating
+    every column.  Lives here, not in ``src/``."""
+
+    def __init__(self):
+        self.t0, self.t1, self.tid, self.phase, self.active = [], [], [], [], []
+
+    def append(self, t0, t1, tid, phase, active):
+        for col, v in zip((self.t0, self.t1, self.tid, self.phase, self.active),
+                          (t0, t1, tid, phase, active)):
+            col.append(v)
+
+    def __iter__(self):
+        return zip(self.t0, self.t1, self.tid, self.phase, map(bool, self.active))
+
+    def __add__(self, other):
+        out = ReferenceIntervals()
+        for col in ("t0", "t1", "tid", "phase", "active"):
+            setattr(out, col, getattr(self, col) + getattr(other, col))
+        return out
+
+
 class SCMemory:
     """Sequentially consistent reference memory for the DSM differential
     tests: named float arrays, every access applied at once, in one

@@ -25,11 +25,12 @@ from conftest import PerEventSteps, reference_grid, reference_queue_stride
 from test_determinism_golden import _OBSERVED_WORKLOADS, _cg_workload, _trace_digest
 
 #: retained bytes per fact on the class-T CG observer golden, ~1.5x of
-#: what the column stores measure there (CPython 3.11: 139 per trace row,
-#: 34 per profiler interval, 17 per metrics sample).  A TraceEvent and a
+#: what the column stores measure there (CPython 3.11: 65 per trace row,
+#: 22 per profiler interval, 9.6 per metrics sample).  A TraceEvent and a
 #: kwargs dict per row, a 5-tuple per interval and two boxed floats per
-#: sample measured 324 / 110 / 41.
-CEILINGS = {"trace row": 210, "profiler interval": 52, "metrics sample": 26}
+#: sample measured 324 / 110 / 41; an argument tuple per row, tid and
+#: phase references per interval and a time column per series 139 / 34 / 17.
+CEILINGS = {"trace row": 98, "profiler interval": 33, "metrics sample": 14}
 
 
 def _freed(release) -> int:
@@ -60,9 +61,9 @@ def test_observer_state_costs_bytes_per_fact():
             prof.intervals = prof.net_intervals = None
 
         def release_series():
-            mx.series.clear()
-            for *_, known in mx.sources:
-                known.clear()
+            mx.sources.clear()
+            mx._series.clear()
+            mx._queue = None
 
         freed = {
             "trace row": _freed(rec.drain),
