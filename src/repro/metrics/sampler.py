@@ -100,7 +100,6 @@ class SeriesView(Mapping):
         return len(self._series)
 
 
-
 class _Link:
     """One ``(src, dst)`` pair: its in-flight level, and its two
     cumulative counters and two series names resolved once, when the link

@@ -74,10 +74,10 @@ class _Schema:
     def __init__(self, code: int, cat, name, ph, keys, types):
         self.code = code
         self.cat, self.name, self.ph, self.keys = cat, name, ph, keys
-        self.in_objs = tuple(t not in _PACKED for t in types)
+        self.in_objs = tuple([t not in _PACKED for t in types])
         num_keys = [k for k, t in zip(keys, types) if t in _PACKED]
         obj_keys = [k for k, t in zip(keys, types) if t not in _PACKED]
-        self.packer = Struct("=" + "".join(_PACKED[t] for t in types if t in _PACKED))
+        self.packer = Struct("=" + "".join([_PACKED[t] for t in types if t in _PACKED]))
         self.size = self.packer.size
         # an itemgetter of one key returns the value, of more a tuple
         self.n_nums, self.n_objs = len(num_keys), len(obj_keys)

@@ -2,11 +2,12 @@
 
 The trace ring keeps a row's arguments in a typed numeric column and an
 object column under an interned schema; the profiler's interval stream
-keeps tid and phase as codes, one table per stream.  Both must read back
-exactly what the tuple-per-row ring (``conftest.ReferenceRing``) and the
-string-column stream (``conftest.ReferenceIntervals``) read back, over
-fact streams that mix every argument type a site may state and rings
-small enough to evict.
+keeps tid and phase as codes, one table per stream; the metrics sampler
+keeps one time column per source.  Each must read back exactly what the
+tuple-per-row ring (``conftest.ReferenceRing``), the string-column stream
+(``conftest.ReferenceIntervals``) and a time column per series read back,
+over fact streams that mix every argument type a site may state, rings
+small enough to evict and sources whose keys come and go.
 """
 
 from __future__ import annotations
@@ -144,3 +145,39 @@ def test_coded_column_widens_past_65536_values():
     assert list(col) == ["late", *values[1:]]
     both = col + col
     assert len(both) == 2 * len(col) and both[len(col) + 5] == "v5"
+
+
+@seed(20261017)
+@settings(max_examples=100, deadline=None, database=None)
+@given(snapshots=st.lists(st.tuples(
+           st.dictionaries(st.sampled_from("abc"), st.integers(-9, 9)),
+           st.dictionaries(st.sampled_from("ab"), st.floats(-1.0, 1.0))),
+           max_size=30),
+       max_samples=st.integers(1, 8))
+def test_sources_share_a_clock_and_read_like_a_clock_per_series(snapshots, max_samples):
+    # two sources whose keys come and go between samples; the reference
+    # keeps (times, values) per series, the way the sampler used to
+    from repro.metrics import Metrics
+
+    sim = SimpleNamespace(now=0.0, probe=None)
+    mx = Metrics(sim, attach=False, max_samples=max_samples)
+    mx.sources.clear()  # not the built-in net source
+    now = {}
+    mx.add_source("x", lambda: now["x"])
+    mx.add_source("y", lambda: now["y"])
+    ref, dropped = {}, 0
+    for t, (x, y) in enumerate(snapshots):
+        now["x"], now["y"] = x, y
+        mx.sample(float(t), queue_depth=t % 3)
+        for name, value in [("sim/queue_depth", t % 3),
+                            *((f"x/{k}", v) for k, v in x.items()),
+                            *((f"y/{k}", v) for k, v in y.items())]:
+            times, values = ref.setdefault(name, ([], []))
+            if len(times) >= max_samples:
+                dropped += 1
+                continue
+            times.append(float(t))
+            values.append(float(value))
+    assert list(mx.series) == list(ref)
+    assert {k: (list(t), list(v)) for k, (t, v) in mx.series.items()} == ref
+    assert mx.n_dropped == dropped
