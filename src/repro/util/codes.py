@@ -42,15 +42,8 @@ class CodedColumn:
             code = self.code(value)  # may widen ``codes``: look it up after
         self.codes.append(code)
 
-    def __setitem__(self, i: int, value: Hashable) -> None:
-        code = self.code(value)
-        self.codes[i] = code  # after ``code``, which may widen ``codes``
-
     def __getitem__(self, i: int) -> Hashable:
         return self.values[self.codes[i]]
-
-    def __len__(self) -> int:
-        return len(self.codes)
 
     def __iter__(self) -> Iterator[Hashable]:
         return map(self.values.__getitem__, self.codes)

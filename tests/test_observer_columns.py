@@ -140,11 +140,10 @@ def test_coded_column_widens_past_65536_values():
     values = [f"v{i}" for i in range(70_000)]
     for v in values:
         col.append(v)
-    col[0] = "late"
     assert col.codes.typecode == "I"
-    assert list(col) == ["late", *values[1:]]
+    assert list(col) == values
     both = col + col
-    assert len(both) == 2 * len(col) and both[len(col) + 5] == "v5"
+    assert list(both) == values + values and both[len(values) + 5] == "v5"
 
 
 @seed(20261017)
