@@ -50,8 +50,8 @@ from struct import error as StructError
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.sim.probe import Subscriber
-from repro.util.codes import CodedColumn
 from repro.trace.events import TraceEvent, DEFAULT_CATEGORIES, CAT_COUNTER
+from repro.util.codes import CodedColumn
 
 _INF = float("inf")
 _NAN = float("nan")
@@ -65,11 +65,12 @@ class _Schema:
     """One interned kind of row: ``(cat, name, ph, argument names)`` and
     where each argument's value is kept.  ``nums`` / ``objs`` read the
     row's numeric / object values out of its argument dict (``None``:
-    it has none), ``packer`` packs the numbers, ``size`` bytes, and
-    ``in_objs`` says per argument which column it is read back from."""
+    it has none), ``packer`` packs the numbers (its ``size`` is the row's
+    stride in the numeric column), and ``in_objs`` says per argument
+    which column it is read back from."""
 
     __slots__ = ("code", "cat", "name", "ph", "keys", "in_objs", "packer",
-                 "size", "n_nums", "n_objs", "nums", "objs", "floats")
+                 "n_nums", "n_objs", "nums", "objs", "floats")
 
     def __init__(self, code: int, cat, name, ph, keys, types):
         self.code = code
@@ -78,7 +79,6 @@ class _Schema:
         num_keys = [k for k, t in zip(keys, types) if t in _PACKED]
         obj_keys = [k for k, t in zip(keys, types) if t not in _PACKED]
         self.packer = Struct("=" + "".join([_PACKED[t] for t in types if t in _PACKED]))
-        self.size = self.packer.size
         # an itemgetter of one key returns the value, of more a tuple
         self.n_nums, self.n_objs = len(num_keys), len(obj_keys)
         self.nums = itemgetter(*num_keys) if num_keys else None
@@ -262,7 +262,7 @@ class TraceRecorder(Subscriber):
     def _evict(self, sch: _Schema) -> None:
         """Drop the oldest row's argument values (of schema *sch*); a
         column is compacted once its dead prefix outgrows its live part."""
-        start = self._nums_start + sch.size
+        start = self._nums_start + sch.packer.size
         if start > len(self._nums) >> 1:
             del self._nums[:start]
             start = 0
@@ -328,7 +328,7 @@ class TraceRecorder(Subscriber):
             args = None
             if sch.keys:
                 packed = iter(sch.packer.unpack_from(nums, at))
-                at += sch.size
+                at += sch.packer.size
                 values = []
                 for in_objs in sch.in_objs:
                     if in_objs:

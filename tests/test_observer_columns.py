@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, seed, settings, strategies as st
 
+from repro.metrics import Metrics
 from repro.profile import compute_critical_path
 from repro.profile.profiler import Intervals
 from repro.trace import TraceRecorder
@@ -156,8 +157,6 @@ def test_coded_column_widens_past_65536_values():
 def test_sources_share_a_clock_and_read_like_a_clock_per_series(snapshots, max_samples):
     # two sources whose keys come and go between samples; the reference
     # keeps (times, values) per series, the way the sampler used to
-    from repro.metrics import Metrics
-
     sim = SimpleNamespace(now=0.0, probe=None)
     mx = Metrics(sim, attach=False, max_samples=max_samples)
     mx.sources.clear()  # not the built-in net source
