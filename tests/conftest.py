@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -495,8 +496,6 @@ class ReferenceRing:
         self._clear()
 
     def _clear(self):
-        from array import array
-
         self._head = 0
         self._ts, self._dur, self._node = array("d"), array("d"), array("i")
         self._kind, self._tid, self._values = [], [], []
