@@ -40,11 +40,8 @@ profile-smoke:   ## virtual-time profiler invariant check on one workload
 chaos-smoke:     ## fault-injection sweep: bit-identical recovery on a small matrix
 	python -m repro chaos helmholtz --nodes 2 --plan drop,dup $(JOBS_FLAG)
 
-metrics-smoke:   ## metered run checked against an unmetered one (exit 2 if they differ) + --check of its dump's exports
+metrics-smoke:   ## metered run checked against an unmetered one (exit 2 if they differ)
 	python -m repro metrics helmholtz --nodes 2 --json $${TMPDIR:-/tmp}/metrics-smoke.json
-	python -m repro metrics-export $${TMPDIR:-/tmp}/metrics-smoke.json --check \
-		--prom $${TMPDIR:-/tmp}/metrics-smoke.prom --csv $${TMPDIR:-/tmp}/metrics-smoke.csv \
-		--chrome $${TMPDIR:-/tmp}/metrics-smoke.trace.json
 
 hostbench-smoke: ## host-time benchmark, quick report + its self-test (see BENCHMARK.json)
 	python benchmarks/hostbench/run.py --quick

@@ -47,13 +47,11 @@ OPTIONS: Dict[str, dict] = {
     ),
     "--list": dict(action="store_true", help="list workloads and fault plans, then exit"),
     "-o --out": dict(default=None, help="output path"),
-    "--csv": dict(default=None, help="also write a flat CSV"),
     "--jsonl": dict(
         default=None, help="also write one JSON object per event (input of trace-diff)"
     ),
     "--json": dict(default=None, help="write the full report / metrics dump as JSON"),
     "--chrome": dict(default=None, help="write a Chrome trace JSON (Perfetto-loadable)"),
-    "--prom": dict(default=None, help="write Prometheus text here (default: stdout)"),
     "--check": dict(
         action="store_true", help="assert the output's invariants; exit 2 on violation"
     ),
@@ -84,7 +82,6 @@ OPTIONS: Dict[str, dict] = {
     ),
     "-v --verbose": dict(action="store_true", help="print every finding"),
     "traces": dict(nargs=2, metavar="JSONL", help="two traces written with --jsonl"),
-    "dump": dict(help="metrics dump written by `metrics --json`"),
     "input": dict(help="C source file with OpenMP pragmas ('-' for stdin)"),
     "--backend": dict(
         choices=("parade", "sdsm", "both"), default="parade",
@@ -93,7 +90,7 @@ OPTIONS: Dict[str, dict] = {
     "--lint": dict(action="store_true", help="print the §7 guideline report"),
     "--threshold": dict(
         type=int, default=None,
-        help="hybrid message-passing threshold in bytes (default: the analysis default)",
+        help="hybrid message-passing threshold in bytes (default: the runtime's, 256)",
     ),
     "--record": dict(action="store_true", help="write the record to --out"),
     "--gate": dict(
@@ -111,7 +108,7 @@ VERBS: Dict[str, Verb] = {
         "repro.trace.export:trace_cli",
         "run an app with event tracing; write a Chrome trace (Perfetto-loadable) "
         "and replay the protocol checker (exit 2 on violations)",
-        ("-o --out", "--csv", "--jsonl", "--ring", "--cats", "--no-check"),
+        ("-o --out", "--jsonl", "--ring", "--cats", "--no-check"),
         runs="one", defaults={"out": "trace.json"},
     ),
     "trace-diff": Verb(
@@ -147,11 +144,6 @@ VERBS: Dict[str, Verb] = {
         "their records (exit 2 if a run fails or metering perturbed it)",
         ("--json",),
         runs="many", fixed={"metrics": True},
-    ),
-    "metrics-export": Verb(
-        "repro.metrics.export:export_cli",
-        "re-emit a JSON metrics dump as Prometheus text / CSV / Chrome counters",
-        ("dump", "--prom", "--csv", "--chrome", "--check"),
     ),
     "translate": Verb(
         "repro.translator.guidelines:translate_cli",

@@ -1,24 +1,20 @@
-"""Live metrics for the ParADE reproduction: registry, sampler, exports.
+"""Live metrics for the ParADE reproduction: registry, sampler, scorecards.
 
 The subsystem subscribes to a running simulation's probe bus
 (:mod:`repro.sim.probe`, zero cost when detached like every other
-observer), samples every layer on a deterministic
-virtual-time grid, and exposes the result as Prometheus text, JSON
-time-series, CSV, or Chrome counter tracks.  ``python -m repro metrics``
-adds per-workload scorecards; :mod:`repro.metrics.regress` is the one
-comparator of virtual-time records (the bench gate's).
-See ``docs/METRICS.md`` for the guide.
+observer) and samples every layer on a deterministic virtual-time grid
+into a plain-dict dump (:meth:`Metrics.dump`).  ``python -m repro
+metrics`` prints one scorecard per workload and writes the dump as JSON
+(``--json``).  See ``docs/METRICS.md`` for the guide.
 """
 
 import importlib
 
 from repro.metrics.registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bucket_index,
-    bucket_lower,
     bucket_upper,
 )
 from repro.metrics.sampler import (
@@ -32,12 +28,10 @@ from repro.metrics.sources import install_default_sources
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Metrics",
     "bucket_index",
-    "bucket_lower",
     "bucket_upper",
     "NET_LATENCY",
     "LOCK_WAIT",
@@ -46,15 +40,13 @@ __all__ = [
     "install_default_sources",
     "build_scorecard",
     "render_scorecards",
-    "compare_records",
 ]
 
-#: names loaded on first access (PEP 562): scorecards and record
-#: comparison read finished runs, so metering imports neither
+#: names loaded on first access (PEP 562): scorecards read finished
+#: runs, so metering does not import them
 _LAZY = {
     "build_scorecard": "scorecard",
     "render_scorecards": "scorecard",
-    "compare_records": "regress",
 }
 
 

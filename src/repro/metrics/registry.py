@@ -1,4 +1,4 @@
-"""Metric instruments: counters, gauges, log-bucketed histograms.
+"""Metric instruments: counters and log-bucketed histograms.
 
 The registry is the *live* half of :mod:`repro.metrics` — hooks across
 the stack update instruments as the simulation runs, and the sampler
@@ -6,9 +6,8 @@ the stack update instruments as the simulation runs, and the sampler
 deterministic virtual-time grid.
 
 Instruments are keyed by ``(name, labels)`` where labels are an ordered
-tuple of ``(key, value)`` string pairs, mirroring the Prometheus data
-model so the text exposition (:mod:`repro.metrics.export`) is a direct
-rendering.
+tuple of ``(key, value)`` string pairs, and :meth:`Metrics.dump
+<repro.metrics.sampler.Metrics.dump>` writes them in that order.
 
 Histogram bucketing
 -------------------
@@ -54,11 +53,6 @@ def bucket_upper(index: int) -> float:
     return math.ldexp(1.0, index)
 
 
-def bucket_lower(index: int) -> float:
-    """Exclusive lower bound of bucket *index* (``2**(index-1)``)."""
-    return math.ldexp(1.0, index - 1)
-
-
 class Counter:
     """Monotonically increasing count (events, bytes, frames)."""
 
@@ -76,34 +70,8 @@ class Counter:
             raise ValueError(f"counter {self.name} cannot decrease (inc {n})")
         self.value += n
 
-    def merge(self, other: "Counter") -> "Counter":
-        self.value += other.value
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.name}{dict(self.labels)} = {self.value}>"
-
-
-class Gauge:
-    """Point-in-time level (queue depth, in-flight bytes, busy fraction)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: Labels = ()):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, v: float) -> None:
-        self.value = v
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gauge {self.name}{dict(self.labels)} = {self.value}>"
 
 
 class Histogram:
@@ -188,20 +156,6 @@ class Histogram:
         out["max"] = self.max if self.max is not None else 0.0
         return out
 
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """Prometheus-style cumulative ``(le, count)`` pairs, ascending,
-        ending with ``(inf, count)``.  The zero bucket folds into every
-        ``le`` (its observations are <= any positive bound)."""
-        out: List[Tuple[float, int]] = []
-        acc = self.zero_count
-        if self.zero_count:
-            out.append((0.0, acc))
-        for idx in sorted(self.buckets):
-            acc += self.buckets[idx]
-            out.append((bucket_upper(idx), acc))
-        out.append((float("inf"), self.count))
-        return out
-
     # -- serialisation --------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -234,7 +188,7 @@ class Histogram:
 class MetricsRegistry:
     """Instruments keyed by ``(name, labels)``; one per metrics object.
 
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create — hook
+    ``counter`` / ``histogram`` are get-or-create — hook
     sites call them unconditionally and the registry hands back the same
     instrument for the same key, so hot paths need no local caching to
     stay correct (they may cache the returned instrument for speed).
@@ -258,9 +212,6 @@ class MetricsRegistry:
     def counter(self, name: str, **labels) -> Counter:
         return self._get(Counter, name, labels)
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels)
-
     def histogram(self, name: str, **labels) -> Histogram:
         return self._get(Histogram, name, labels)
 
@@ -276,25 +227,3 @@ class MetricsRegistry:
     def find(self, name: str) -> List:
         """Every instrument registered under *name* (any label set)."""
         return [inst for inst in self if inst.name == name]
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry in (cross-node aggregation): same-key
-        counters and histograms add; gauges take the other's value (last
-        writer wins, as with a scrape)."""
-        for key, inst in sorted(other._instruments.items()):
-            mine = self._instruments.get(key)
-            if mine is None:
-                self._instruments[key] = _copy_instrument(inst)
-            elif isinstance(mine, Gauge):
-                mine.set(inst.value)
-            else:
-                mine.merge(inst)
-        return self
-
-
-def _copy_instrument(inst):
-    if isinstance(inst, Histogram):
-        return Histogram.from_dict(inst.name, inst.labels, inst.as_dict())
-    copy = type(inst)(inst.name, inst.labels)
-    copy.value = inst.value
-    return copy

@@ -45,7 +45,7 @@ SourceFn = Callable[[], Dict[str, float]]
 
 _INF = float("inf")
 
-#: metric names the hooks maintain (export adds the ``parade_`` prefix)
+#: metric names the hooks maintain
 NET_LATENCY = "net_latency_seconds"
 LOCK_WAIT = "lock_wait_seconds"
 LOCK_HOLD = "lock_hold_seconds"
@@ -307,8 +307,8 @@ class Metrics(Subscriber):
 
     # -- serialisation ---------------------------------------------------
     def dump(self, meta: Optional[Dict] = None) -> Dict:
-        """Plain-dict snapshot: the input of every exporter and of the
-        ``export`` CLI round trip (see :mod:`repro.metrics.export`)."""
+        """Plain-dict snapshot: what ``metrics --json`` writes and the
+        scorecard reads (:mod:`repro.metrics.scorecard`)."""
         instruments = []
         for inst in self.registry:
             ent = {

@@ -17,6 +17,7 @@ means.
 
 from __future__ import annotations
 
+import json
 import sys
 from typing import Dict, List
 
@@ -90,12 +91,18 @@ def render_scorecards(cards: List[Dict]) -> str:
     return "\n".join(render_table(headers, rows, align="<")) + "\n"
 
 
+def write_dump(dump: Dict, path: str) -> None:
+    """The ``metrics --json`` file: a metrics dump, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(dump, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def metrics_cli(specs, args) -> int:
     """``python -m repro metrics``: run each metered spec through the fleet
     and print one scorecard row per record; ``--json`` writes the metrics
     dump of a single workload.  A failed run prints its error, exit 2."""
     from repro.fleet import run_many
-    from repro.metrics.export import write_dump
 
     if args.json and len(specs) != 1:
         print("--json needs exactly one workload", file=sys.stderr)

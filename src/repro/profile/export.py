@@ -17,7 +17,7 @@ records, so profile exports can be merged with protocol traces.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.trace.events import TraceEvent, CAT_COUNTER
 from repro.trace.export import write_chrome_json
@@ -98,17 +98,11 @@ def group_counter_events(
 
 
 def write_profile_chrome(
-    prof: Profiler,
-    path: str,
-    label: str = "repro.profile",
-    n_samples: int = 400,
-    extra_events: Optional[List[TraceEvent]] = None,
+    prof: Profiler, path: str, label: str = "repro.profile", n_samples: int = 400
 ) -> int:
-    """Write phase slices + group counters (+ merged *extra_events*) as a
-    Chrome trace; returns the record count."""
+    """Write phase slices + group counters as a Chrome trace; returns the
+    record count."""
     events = intervals_to_events(prof.intervals + prof.net_intervals)
     events.extend(group_counter_events(prof, n_samples=n_samples))
-    if extra_events:
-        events.extend(extra_events)
     events.sort(key=lambda ev: (ev.ts, ev.node, ev.tid, ev.name))
     return write_chrome_json(events, path, label=label)

@@ -16,7 +16,7 @@ much; this package says *when* and *why*:
   per site and allocates nothing.
 * :mod:`repro.trace.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``; nodes become processes, simulation
-  threads become tracks) and flat CSV.
+  threads become tracks) and JSON lines (the input of ``trace-diff``).
 * :mod:`repro.trace.checker` — replays a recorded trace against the DSM
   page-state machine (:data:`repro.dsm.states.VALID_TRANSITIONS`) and the
   barrier-epoch protocol, turning any traced run into a protocol
@@ -62,7 +62,6 @@ __all__ = [
     "DEFAULT_CATEGORIES",
     "to_chrome",
     "write_chrome_json",
-    "write_csv_events",
     "Violation",
     "CheckReport",
     "check_trace",
@@ -73,7 +72,6 @@ __all__ = [
 _LAZY = {
     "to_chrome": "export",
     "write_chrome_json": "export",
-    "write_csv_events": "export",
     "Violation": "checker",
     "CheckReport": "checker",
     "check_trace": "checker",

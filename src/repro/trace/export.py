@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON and flat CSV.
+"""Trace exporters: Chrome trace-event JSON and JSON lines.
 
 The Chrome format is the `trace-event` JSON that Perfetto and
 ``chrome://tracing`` load: a ``traceEvents`` array of records with
@@ -25,7 +25,6 @@ published via ``thread_name`` metadata records, as the format requires.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from typing import Any, Dict, Iterable, List
@@ -197,31 +196,9 @@ def read_jsonl(path: str) -> List[TraceEvent]:
     return out
 
 
-def write_csv_events(events: Iterable[TraceEvent], path: str) -> int:
-    """Flat CSV export (one row per event; args as JSON); returns row count."""
-    n = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ts", "dur", "cat", "name", "node", "tid", "args"])
-        for ev in events:
-            writer.writerow(
-                [
-                    repr(ev.ts),
-                    "" if ev.dur is None else repr(ev.dur),
-                    ev.cat,
-                    ev.name,
-                    ev.node,
-                    ev.tid,
-                    json.dumps(ev.args or {}, sort_keys=True),
-                ]
-            )
-            n += 1
-    return n
-
-
 def trace_cli(spec, args) -> int:
     """``python -m repro trace``: run *spec* with a recorder attached,
-    export the Chrome JSON (plus ``--csv`` / ``--jsonl``) and, unless
+    export the Chrome JSON (plus ``--jsonl``) and, unless
     ``--no-check``, replay the protocol checker — exit 2 on violations."""
     from repro.fleet.spec import build_runtime, resolve_factory
 
@@ -251,8 +228,6 @@ def trace_cli(spec, args) -> int:
     )
     for cat, n in sorted(recorder.counts_by_category().items()):
         print(f"  {cat:<12} {n}")
-    if args.csv:
-        print(f"csv  : {write_csv_events(events, args.csv)} rows -> {args.csv}")
     if args.jsonl:
         print(f"jsonl: {write_jsonl(events, args.jsonl)} events -> {args.jsonl}")
 

@@ -3,8 +3,9 @@
 The translator switches a synchronisation directive to message passing
 when the guarded block is **lexically analyzable** (no function calls — a
 call could touch arbitrary shared state) and the total size of the shared
-data it touches is **at or below the hybrid threshold** (256 bytes on the
-paper's cluster).
+data it touches is **at or below the hybrid threshold**
+(:data:`repro.runtime.HYBRID_THRESHOLD_BYTES`, 256 bytes on the paper's
+cluster — the runtime's switch and the translator's read one definition).
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.translator import c_ast as A
-
-#: §5.2.1 threshold in bytes
-HYBRID_THRESHOLD = 256
 
 #: sizeof table for the paper's 32-bit Linux/x86 target
 _SIZEOF: Dict[str, int] = {

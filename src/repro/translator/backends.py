@@ -28,9 +28,9 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Optional, Set
 
+from repro.runtime import HYBRID_THRESHOLD_BYTES
 from repro.translator import c_ast as A
 from repro.translator.analysis import (
-    HYBRID_THRESHOLD,
     REDUCTION_OPS,
     analyze_region,
     body_is_lexically_analyzable,
@@ -80,7 +80,7 @@ class _BackendBase:
     name = "abstract"
     runtime_header = "parade.h"
 
-    def __init__(self, hybrid_threshold: int = HYBRID_THRESHOLD):
+    def __init__(self, hybrid_threshold: int = HYBRID_THRESHOLD_BYTES):
         self.hybrid_threshold = hybrid_threshold
         self._region_counter = 0
         self._sync_counter = 0
@@ -612,7 +612,7 @@ class SdsmBackend(_BackendBase):
         return A.Raw(w.text().rstrip("\n"))
 
 
-def translate(source: str, backend: str = "parade", hybrid_threshold: int = HYBRID_THRESHOLD) -> str:
+def translate(source: str, backend: str = "parade", hybrid_threshold: int = HYBRID_THRESHOLD_BYTES) -> str:
     """Translate OpenMP-C *source* for the given backend ('parade'/'sdsm')."""
     unit = parse(source)
     be = {"parade": ParadeBackend, "sdsm": SdsmBackend}[backend](hybrid_threshold)

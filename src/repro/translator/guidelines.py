@@ -37,9 +37,9 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
+from repro.runtime import HYBRID_THRESHOLD_BYTES
 from repro.translator import c_ast as A
 from repro.translator.analysis import (
-    HYBRID_THRESHOLD,
     analyze_region,
     body_is_lexically_analyzable,
     build_symbols,
@@ -96,7 +96,7 @@ def _first_accesses(body: A.Node) -> dict:
     return first
 
 
-def lint(source: str, hybrid_threshold: int = HYBRID_THRESHOLD) -> List[Diagnostic]:
+def lint(source: str, hybrid_threshold: int = HYBRID_THRESHOLD_BYTES) -> List[Diagnostic]:
     """Run all §7 guideline checks on OpenMP-C *source*."""
     unit = parse(source)
     out: List[Diagnostic] = []
@@ -232,7 +232,7 @@ def _check_partitioned_arrays(ompfor: A.OmpFor, info, table, fn_name: str) -> Li
     return out
 
 
-def report(source: str, hybrid_threshold: int = HYBRID_THRESHOLD) -> str:
+def report(source: str, hybrid_threshold: int = HYBRID_THRESHOLD_BYTES) -> str:
     """Human-readable guideline report."""
     diags = lint(source, hybrid_threshold)
     if not diags:
@@ -247,7 +247,7 @@ def translate_cli(args) -> int:
     """``python -m repro translate``: the paper's tool flow — C with OpenMP
     1.0 pragmas in, runtime-API C out (``--backend both`` emits the two
     translations one after the other); ``--lint`` prepends the §7 report."""
-    threshold = HYBRID_THRESHOLD if args.threshold is None else args.threshold
+    threshold = HYBRID_THRESHOLD_BYTES if args.threshold is None else args.threshold
     if args.input == "-":
         source = sys.stdin.read()
     else:

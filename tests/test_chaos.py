@@ -130,6 +130,39 @@ def test_clean_plan_matches_no_chaos_run_exactly(baseline):
 
 
 # ----------------------------------------------------------------------
+# known wrong answer: reductions under sdsm sum in lock-grant order
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def cg_sdsm_fault_free():
+    return _cg_sdsm_record(None, 0)
+
+
+def _cg_sdsm_record(plan, seed):
+    """The record ``python -m repro chaos cg --mode sdsm`` compares."""
+    from repro.__main__ import build_parser, run_specs
+    from repro.fleet import run_many
+
+    argv = ["chaos", "cg", "--mode", "sdsm", "--plan", plan or "", "--seed", str(seed)]
+    (spec,) = run_specs(build_parser().parse_args(argv), {})
+    (rec,) = run_many([spec], jobs=1).records
+    assert rec["ok"], rec.get("error")
+    return rec
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 6: the conventional (sdsm) translation adds each "
+    "thread's partial into one shared scalar under the distributed lock, so "
+    "the sum follows the lock-grant order, which faults change",
+)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cg_sdsm_under_lossy_mix_keeps_the_fault_free_value(seed, cg_sdsm_fault_free):
+    rec = _cg_sdsm_record("lossy-mix", seed)
+    assert rec["value_digest"] == cg_sdsm_fault_free["value_digest"]
+
+
+# ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------
 def test_same_seed_is_bit_identical():

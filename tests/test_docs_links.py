@@ -129,7 +129,7 @@ def test_documented_commands_found():
     commands = [argv for md in COMMAND_DOCS for argv in _door_commands(md)]
     verbs = {argv[0] for argv in commands if argv}
     assert {"trace", "trace-diff", "profile", "sanitize", "chaos", "metrics",
-            "metrics-export", "perf", "translate"} <= verbs
+            "perf", "translate"} <= verbs
 
 
 #: the old per-package entry points (``python -m repro.trace`` ...); the
@@ -145,3 +145,65 @@ _OLD_DOOR_RE = re.compile(r"python\s+-m\s+repro\.[a-z]")
 )
 def test_no_old_entry_points(path):
     assert not _OLD_DOOR_RE.search(path.read_text(encoding="utf-8"))
+
+
+# ------------------------------------------------------------ output ledger
+def _ledger_rows():
+    """The first code span of every row of docs/README.md "Output ledger",
+    split into words: ``[verb, option, ...]`` or ``["repro.x.y"]``."""
+    text = (REPO / "docs" / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Output ledger\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    return [re.match(r"\| `([^`]+)`", line).group(1).split() for line in rows]
+
+
+def _output_options():
+    """The options of ``OPTIONS`` that name a file or stream to write."""
+    from repro.__main__ import OPTIONS
+
+    return {
+        key for key, kw in OPTIONS.items()
+        if kw.get("action") != "store_true"
+        and re.search(r"\b(write|output)\b", kw.get("help", ""))
+    }
+
+
+def test_output_ledger_names_every_verb_and_output_option():
+    """A new verb or output option needs a ledger row naming its consumer."""
+    from repro.__main__ import VERBS
+
+    assert _output_options() == {"-o --out", "--jsonl", "--json", "--chrome"}
+    rows = _ledger_rows()
+    missing = [verb for verb in VERBS if not any(row[0] == verb for row in rows)]
+    for key in _output_options():
+        for name, verb in VERBS.items():
+            if key in verb.options and not any(
+                row[0] == name and set(key.split()) & set(row[1:]) for row in rows
+            ):
+                missing.append(f"{name} {key}")
+    assert not missing, f"outputs without a ledger row: {missing}"
+
+
+def test_every_ledger_row_names_something_that_exists():
+    import importlib
+
+    from repro.__main__ import TAGGED, VERBS
+
+    stale = []
+    for row in _ledger_rows():
+        if row[0].startswith("repro."):
+            module, _, attr = row[0].rpartition(".")
+            try:
+                found = hasattr(importlib.import_module(module), attr)
+            except ImportError:
+                found = False
+            if not found:
+                stale.append(row[0])
+            continue
+        verb = VERBS.get(row[0])
+        flags = {flag for key in verb.options for flag in key.split()} if verb else set()
+        flags |= {f.metadata["flag"] for f in TAGGED.values()} if verb and verb.runs else set()
+        if verb is None or not set(row[1:]) <= flags:
+            stale.append(" ".join(row))
+    assert not stale, f"ledger rows naming no verb, option or name: {stale}"
+

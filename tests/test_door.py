@@ -31,7 +31,6 @@ BAD_RUN_INPUT = {
 
 MISSING_INPUT = {
     "trace-diff": ["/nonexistent.jsonl", "/nonexistent-too.jsonl"],
-    "metrics-export": ["/nonexistent.json"],
     "translate": ["/nonexistent.c"],
 }
 

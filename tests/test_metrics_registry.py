@@ -14,11 +14,9 @@ import pytest
 
 from repro.metrics.registry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bucket_index,
-    bucket_lower,
     bucket_upper,
 )
 from repro.util.tables import percentile
@@ -45,7 +43,7 @@ def test_bucket_interval_is_half_open_from_below():
     assert bucket_index(3.0) == 2          # (2, 4]
     assert bucket_index(4.0) == 2
     assert bucket_index(4.0000001) == 3
-    assert bucket_lower(2) == 2.0 and bucket_upper(2) == 4.0
+    assert bucket_upper(2) == 4.0
 
 
 def test_nonpositive_values_hit_the_zero_bucket():
@@ -151,29 +149,20 @@ def test_registry_get_or_create_and_kind_clash():
     with pytest.raises(ValueError):
         c.inc(-1)
     with pytest.raises(TypeError):
-        reg.gauge("frames", src=0, dst=1)
-    g = reg.gauge("depth")
-    g.set(4.0)
-    g.add(-1.5)
-    assert g.value == 2.5
+        reg.histogram("frames", src=0, dst=1)
+    assert reg.histogram("depth") is reg.histogram("depth")
     assert len(reg) == 2
 
 
-def test_registry_iteration_is_deterministic_and_merge_sums():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("x").inc(1)
-    b.counter("x").inc(2)
-    b.histogram("h").observe(1.0)
-    b.gauge("g").set(9.0)
-    a.merge(b)
-    assert a.counter("x").value == 3
-    assert a.histogram("h").count == 1
-    assert a.gauge("g").value == 9.0
-    # merge copied, not aliased
-    b.counter("x").inc(10)
-    assert a.counter("x").value == 3
-    names = [inst.name for inst in a]
-    assert names == sorted(names)
+def test_registry_iteration_is_deterministic():
+    reg = MetricsRegistry()
+    reg.histogram("h")
+    reg.counter("x", node=1)
+    reg.counter("x", node=0)
+    reg.counter("a")
+    assert [(inst.name, inst.labels) for inst in reg] == [
+        ("a", ()), ("h", ()), ("x", (("node", "0"),)), ("x", (("node", "1"),)),
+    ]
 
 
 def test_histogram_round_trips_through_dict():
@@ -183,18 +172,6 @@ def test_histogram_round_trips_through_dict():
     assert h2.quantile(90) == h.quantile(90)
 
 
-def test_cumulative_buckets_are_monotone_and_end_at_count():
-    h = _filled(9)
-    h.observe(0.0)
-    cum = h.cumulative_buckets()
-    les = [le for le, _ in cum]
-    counts = [n for _, n in cum]
-    assert les == sorted(les) and counts == sorted(counts)
-    assert cum[-1] == (float("inf"), h.count)
-    assert cum[0] == (0.0, h.zero_count)
-
-
 def test_instrument_kinds():
     assert Counter("c").kind == "counter"
-    assert Gauge("g").kind == "gauge"
     assert Histogram("h").kind == "histogram"

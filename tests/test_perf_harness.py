@@ -4,9 +4,11 @@ Runs the *smoke* grid (tiny workloads, the 16-node scale point) end to
 end, so a workload factory drifting out of sync with an app signature, a
 host-dependent field leaking into the record, or a gate that passes
 because it measured nothing fails tier-1 — without the full grid's
-runtime.
+runtime.  The record comparator (what fails, what gets explained) is
+tested on hand-made records at the end.
 """
 
+import copy
 import json
 import re
 
@@ -124,3 +126,81 @@ def test_gate_fails_when_a_recorded_workload_is_gone(recorded, tmp_path, capsys)
 def test_smoke_record_needs_an_explicit_path(capsys):
     assert main(["perf", "--record", "--smoke"]) == 2
     assert "needs --out" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ the comparator
+def _records() -> dict:
+    """A ``{workload: record}`` group of the shape
+    ``repro.bench.perf.report_record`` writes."""
+    return {
+        "alpha": {
+            "virtual_s": 0.040, "barrier_s": 0.010, "events": 50_000,
+            "msgs_sent": 4_000, "bytes_sent": 600_000,
+            "phases": {"compute": 0.55, "stall": 0.2, "sync": 0.2, "comm": 0.05},
+        },
+        "beta": {
+            "virtual_s": 0.060, "barrier_s": 0.030, "events": 70_000,
+            "msgs_sent": 5_000, "bytes_sent": 800_000,
+            "phases": {"compute": 0.35, "stall": 0.3, "sync": 0.3, "comm": 0.05},
+        },
+    }
+
+
+def test_identical_sections_pass():
+    verdict = perf.compare_records(_records(), _records(), "basket")
+    assert verdict.ok and not verdict.problems
+    assert len(verdict.lines) == 1 and "+0.00%" in verdict.lines[0]
+
+
+def test_virtual_time_drift_always_fails():
+    """Beyond the tolerance, in either direction: a record 8 % too
+    pessimistic is as untrue as one 8 % too optimistic."""
+    for factor in (1.2, 0.8):  # alpha is 40 % of the aggregate
+        cur = _records()
+        cur["alpha"]["virtual_s"] *= factor
+        verdict = perf.compare_records(_records(), cur, "basket")
+        assert not verdict.ok
+        assert "aggregate virtual_s" in verdict.problems[0]
+    # within the band the aggregate passes — and the move is still reported
+    cur = _records()
+    cur["alpha"]["virtual_s"] *= 1.001
+    verdict = perf.compare_records(_records(), cur, "basket")
+    assert verdict.ok
+    assert any(line.strip().startswith("alpha: virtual_s moved") for line in verdict.lines)
+    assert not any("beta" in line for line in verdict.lines)
+
+
+def test_every_gated_metric_is_banded():
+    cur = _records()
+    cur["beta"]["barrier_s"] *= 1.2
+    assert perf.compare_records(_records(), cur, "scale").ok
+    verdict = perf.compare_records(
+        _records(), cur, "scale", gated=("virtual_s", "barrier_s")
+    )
+    assert not verdict.ok and "barrier_s" in verdict.problems[0]
+
+
+def test_phase_fraction_drift():
+    """A workload whose virtual time moved is explained: every count and
+    phase fraction that changed, and none that did not."""
+    cur = copy.deepcopy(_records())
+    cur["beta"]["virtual_s"] *= 1.01
+    cur["beta"]["phases"]["compute"] -= 0.10
+    cur["beta"]["phases"]["stall"] += 0.10
+    cur["beta"]["msgs_sent"] += 12
+    (line,) = [
+        ln for ln in perf.compare_records(_records(), cur, "basket").lines
+        if "virtual_s moved" in ln
+    ]
+    assert "phases.compute: 0.35 -> 0.25 (-0.1)" in line
+    assert "phases.stall: 0.3 -> 0.4 (+0.1)" in line
+    assert "msgs_sent: 5000 -> 5012 (+12)" in line
+    assert "events" not in line and "phases.sync" not in line
+
+
+def test_missing_workload_and_section():
+    cur = _records()
+    del cur["alpha"]
+    verdict = perf.compare_records(_records(), cur, "basket")
+    assert not verdict.ok and "alpha" in verdict.problems[0]
+    assert not perf.compare_records({}, _records(), "basket").ok

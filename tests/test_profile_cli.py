@@ -32,10 +32,6 @@ def test_cli_json_round_trips(tmp_path):
         total = sum(rec["phases"].values())
         assert abs(total - rec["total"]) < 1e-9, tid
     assert data["critical_path"]["what_if"]
-    from repro.profile import ProfileReport
-
-    clone = ProfileReport.from_dict(data)
-    assert clone.as_dict() == data
 
 
 def test_cli_chrome_export(tmp_path):

@@ -17,7 +17,6 @@ from repro.trace import (
     DEFAULT_CATEGORIES,
     to_chrome,
     write_chrome_json,
-    write_csv_events,
     check_trace,
 )
 from repro.runtime import ParadeRuntime, TWO_THREAD_TWO_CPU
@@ -132,16 +131,6 @@ def test_chrome_json_file_roundtrip(tmp_path):
     assert len(doc["traceEvents"]) == n
     for e in doc["traceEvents"]:
         assert "ph" in e and "pid" in e and "name" in e
-
-
-def test_csv_export(tmp_path):
-    path = str(tmp_path / "trace.csv")
-    n = write_csv_events(_golden_events(), path)
-    lines = open(path).read().strip().splitlines()
-    assert n == 3
-    assert lines[0] == "ts,dur,cat,name,node,tid,args"
-    assert len(lines) == 4
-    assert '""page"": 3' in lines[1] or '"page": 3' in lines[1]
 
 
 # ------------------------------------------------------------ checker

@@ -22,8 +22,8 @@ def test_cli_help(capsys):
 
 def test_cli_tiny_traced_run(tmp_path, capsys):
     out = tmp_path / "trace.json"
-    csv = tmp_path / "trace.csv"
-    rc = main(["trace", "helmholtz", "--nodes", "2", "-o", str(out), "--csv", str(csv)])
+    jsonl = tmp_path / "trace.jsonl"
+    rc = main(["trace", "helmholtz", "--nodes", "2", "-o", str(out), "--jsonl", str(jsonl)])
     assert rc == 0
     assert "protocol check: OK" in capsys.readouterr().out
     doc = json.load(open(out))
@@ -33,7 +33,8 @@ def test_cli_tiny_traced_run(tmp_path, capsys):
         assert "ph" in e and "pid" in e and "name" in e
         if e["ph"] != "M":
             assert "ts" in e and "tid" in e
-    assert csv.exists() and csv.read_text().startswith("ts,dur,cat,name")
+    rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert len(rows) == sum(1 for e in evs if e["ph"] in ("X", "i", "C"))
 
 
 # flag coverage (fast; no simulation)

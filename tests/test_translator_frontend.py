@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.runtime import HYBRID_THRESHOLD_BYTES
 from repro.translator import (
     tokenize,
     parse,
@@ -18,7 +19,6 @@ from repro.translator.analysis import (
     analyze_region,
     build_symbols,
     extract_loop_bounds,
-    HYBRID_THRESHOLD,
 )
 
 
@@ -258,7 +258,7 @@ def test_shared_footprint_counts_arrays():
     table = build_symbols(fn)
     fp = shared_footprint_bytes(region.body, table, {"x", "big"})
     assert fp == 8 + 8000
-    assert fp > HYBRID_THRESHOLD
+    assert fp > HYBRID_THRESHOLD_BYTES
 
 
 def test_update_statement_patterns():
