@@ -14,9 +14,11 @@ adds its own handlers' cost to a burst, not a second process resume);
 one quiet 1 000-slice ``Node.spin_cpu`` busy-wait (four kernel
 events, asserted — not a thousand); one NAS CG matrix build
 (``make_matrix``, NPB ``makea``) at classes S and A, with its traced
-memory peak; and one remote MPI message on the 8-node Fig 6/7 sync
+memory peak; one remote MPI message on the 8-node Fig 6/7 sync
 program, in Python calls (deterministic, ratcheted) and host µs per
-8-node allreduce.
+8-node allreduce; and the Python calls per processed event of a class-T
+CG run, detached and added by the four observers (deterministic,
+ratcheted).
 Run directly for a table of wall-clock timings::
 
     PYTHONPATH=src python benchmarks/bench_microkernels.py
@@ -61,6 +63,17 @@ CEILING_ALLREDUCE_8N = 5e-3  # per 8-node allreduce (~0.32 ms: 14 remote message
 #: ceiling sits only 5 % above it
 CALLS_PER_MESSAGE = 89.34
 CEILING_CALLS_PER_MESSAGE = CALLS_PER_MESSAGE * 1.05
+#: Python calls per processed event of a 1-iteration class-T CG on 4
+#: nodes: of the detached run, and those the four observers (recorder,
+#: profiler, metrics, sanitizer) add to it, as measured (19.95 added
+#: before a trace row became one packed record, a phase fact one call
+#: and a metrics sample one ``extend`` per source) — counts, so each
+#: ceiling sits only 5 % above.  The detached one keeps the observed
+#: run's savings from being paid for on the run nobody observes.
+DETACHED_CALLS_PER_EVENT = 16.70
+CEILING_DETACHED_CALLS_PER_EVENT = DETACHED_CALLS_PER_EVENT * 1.05
+OBSERVER_CALLS_PER_EVENT = 9.06
+CEILING_OBSERVER_CALLS_PER_EVENT = OBSERVER_CALLS_PER_EVENT * 1.05
 #: kernel events of one quiet busy-wait, however many slices it spans: the
 #: grant timer, the grant event, the spin's first slice (on the schedule)
 #: and the slice the grant's processing puts back on it
@@ -337,14 +350,9 @@ def _sync_program(iters: int):
     return program
 
 
-def _calls_per_message(iters: int = 60) -> float:
-    """Python calls per remote message of one run of the sync program on
-    8 nodes, counted with ``sys.setprofile`` after a warm-up run (so no
-    lazy import is counted)."""
-    from repro.runtime import ParadeRuntime
-
-    ParadeRuntime(n_nodes=8, pool_bytes=1 << 20).run(_sync_program(2))
-    rt = ParadeRuntime(n_nodes=8, pool_bytes=1 << 20)
+def _python_calls(fn) -> int:
+    """Python calls (frames entered, generator resumes included) made by
+    ``fn()``, counted with ``sys.setprofile``."""
     calls = 0
 
     def count(frame, event, arg):
@@ -354,10 +362,47 @@ def _calls_per_message(iters: int = 60) -> float:
 
     sys.setprofile(count)
     try:
-        rt.run(_sync_program(iters))
+        fn()
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def _calls_per_message(iters: int = 60) -> float:
+    """Python calls per remote message of one run of the sync program on
+    8 nodes, counted after a warm-up run (so no lazy import is counted)."""
+    from repro.runtime import ParadeRuntime
+
+    ParadeRuntime(n_nodes=8, pool_bytes=1 << 20).run(_sync_program(2))
+    rt = ParadeRuntime(n_nodes=8, pool_bytes=1 << 20)
+    calls = _python_calls(lambda: rt.run(_sync_program(iters)))
     return calls / rt.cluster.network.total_messages
+
+
+def _cg_calls(observe: bool):
+    """``(Python calls, processed events)`` of one 1-iteration class-T CG
+    run on 4 nodes, with trace, profiler, metrics and sanitizer attached
+    (the hostbench ``cg_4n_observed`` set) or none."""
+    from repro.apps import cg
+    from repro.runtime import ParadeRuntime
+    from repro.trace import TraceRecorder
+
+    rt = ParadeRuntime(n_nodes=4, pool_bytes=1 << 22, sanitize=observe,
+                       profile=observe, metrics=observe)
+    if observe:
+        TraceRecorder(rt.sim, capacity=1 << 18, queue_stride=64)
+    program = cg.make_program("T", niter=1)
+    return _python_calls(lambda: rt.run(program)), rt.sim.events_processed
+
+
+def _calls_per_event() -> dict:
+    """Python calls per processed event of the CG run detached, and those
+    the four observers add, counted after an observed warm-up run."""
+    _cg_calls(True)
+    detached, events = _cg_calls(False)
+    observed, observed_events = _cg_calls(True)
+    assert observed_events == events  # observers never perturb the run
+    return {"detached": detached / events, "observers": (observed - detached) / events}
 
 
 def _allreduce_seconds(n: int = 100) -> float:
@@ -432,6 +477,12 @@ def test_mpi_message_calls_and_speed():
     assert _allreduce_seconds() < CEILING_ALLREDUCE_8N
 
 
+def test_observer_calls_per_event():
+    got = _calls_per_event()
+    assert got["detached"] <= CEILING_DETACHED_CALLS_PER_EVENT, got
+    assert got["observers"] <= CEILING_OBSERVER_CALLS_PER_EVENT, got
+
+
 def main() -> None:
     for title, fn in (
         ("compute_diff", bench_compute_diff),
@@ -448,6 +499,9 @@ def main() -> None:
         print(f"{title}:")
         for case, sec in fn().items():
             print(f"  {case:<28} {sec * 1e6:9.2f} us/call")
+    print("cg_calls (Python calls per event, class T, 4 nodes):")
+    for case, calls in _calls_per_event().items():
+        print(f"  {case:<28} {calls:9.2f}")
 
 
 if __name__ == "__main__":

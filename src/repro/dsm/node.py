@@ -197,7 +197,7 @@ class DsmNodeBase:
             # (and name) the transition that is about to raise
             pb.instant(
                 "dsm.page", "page-state", node=self.id,
-                page=page, src=old.name, dst=new.name, reason=reason,
+                page=page, src=old.label, dst=new.label, reason=reason,
             )
         if not is_valid_transition(old, new, reason):
             raise IllegalTransition(page, old, new, reason)

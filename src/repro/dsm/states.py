@@ -33,6 +33,8 @@ class PageState(enum.Enum):
     #: hashing a member itself goes through the Python-level
     #: ``Enum.__hash__``: too slow for something paid per page transition.
     idx: int
+    #: the member's name, plain: ``Enum.name`` is a Python-level property
+    label: str
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PageState.{self.name}"
@@ -40,6 +42,10 @@ class PageState(enum.Enum):
 
 for _i, _st in enumerate(PageState):
     _st.idx = _i
+    _st.label = _st.name
+
+#: name -> member (``PageState[name]`` is a Python-level call)
+BY_NAME = {st.name: st for st in PageState}
 
 #: page kinds: HLRC-managed vs object-granularity (update protocol) regions
 KIND_HLRC = 0

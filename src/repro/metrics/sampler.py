@@ -21,7 +21,11 @@ each key becomes the time-series ``prefix/name``.  The stock sources for
 every layer live in :mod:`repro.metrics.sources`.  Every series of one
 source is sampled at the same instants, so a source keeps one time
 column and each of its series a value column plus the index on that
-clock of its first sample (a link first carries a frame mid-run).
+clock of its first sample (a link first carries a frame mid-run).  While
+its keys repeat and every series is on its clock with room, a sample is
+one ``array.extend`` into the source's pending block, which moves into
+the series' columns when the keys change, before ``max_samples`` could
+bind and before any read.
 
 The registry's latency histograms (lock wait/hold, barrier epoch
 latency, network delivery latency) and the in-flight per-link gauges are
@@ -73,7 +77,7 @@ class _Series:
 class _Source:
     """One snapshot source: its ``prefix/name`` series and their clock."""
 
-    __slots__ = ("prefix", "fn", "clock", "known")
+    __slots__ = ("prefix", "fn", "clock", "known", "keys", "series", "block", "room")
 
     def __init__(self, prefix: str, fn: Optional[SourceFn]):
         self.prefix = prefix
@@ -82,15 +86,34 @@ class _Source:
         self.clock = array("d")
         #: name -> its series
         self.known: Dict[str, _Series] = {}
+        #: while a sample's keys are ``keys`` (in order) and ``room``
+        #: samples are left, its values go to ``block``, row-major over
+        #: ``series`` (the series of ``keys``)
+        self.keys: Optional[tuple] = None
+        self.series: List[_Series] = []
+        self.block = array("d")
+        self.room = 0
+
+    def flush(self) -> None:
+        """Move the pending block into the series' value columns."""
+        block = self.block
+        if block:
+            k = len(self.series)
+            for i, s in enumerate(self.series):
+                s.values.extend(block[i::k])
+            del block[:]
 
 
 class SeriesView(Mapping):
-    """``series[name]`` -> ``(times, values)``, in creation order."""
+    """``series[name]`` -> ``(times, values)``, in creation order; *flush*
+    runs before a read."""
 
-    def __init__(self, series: Dict[str, _Series]):
+    def __init__(self, series: Dict[str, _Series], flush: Callable[[], None]):
         self._series = series
+        self._flush = flush
 
     def __getitem__(self, name: str) -> Series:
+        self._flush()
         return self._series[name].read()
 
     def __iter__(self) -> Iterator[str]:
@@ -148,7 +171,7 @@ class Metrics(Subscriber):
         #: series name -> its stream; insertion-ordered
         self._series: Dict[str, _Series] = {}
         #: series name -> (times, values)
-        self.series = SeriesView(self._series)
+        self.series = SeriesView(self._series, self._flush)
         self.sources: List[_Source] = []
         #: the event-loop queue depth, sampled by :meth:`on_step`
         self._queue = _Source("sim", None)
@@ -209,6 +232,13 @@ class Metrics(Subscriber):
     def _take(self, src: _Source, now: float, values: Dict[str, float]) -> None:
         """Record one snapshot of *src*: *now* goes on its clock once,
         if any of its series still has room."""
+        keys = tuple(values)
+        if src.room and keys == src.keys:  # module docstring
+            src.block.extend(values.values())
+            src.clock.append(now)
+            src.room -= 1
+            return
+        self._flush()
         clock, known, cap = src.clock, src.known, self.max_samples
         at = len(clock)  # where *now* goes on the clock
         ticked = False
@@ -231,6 +261,21 @@ class Metrics(Subscriber):
                     s.clock, s.start, s.own = s.read()[0], 0, True
                 s.clock.append(now)
             vals.append(float(value))
+        # the next samples of these keys go to the block while every
+        # series is on the clock with room
+        series = [known[name] for name in keys]
+        at = len(clock)
+        src.keys, src.series = keys, series
+        src.room = 0
+        if series and all(s.clock is clock and s.start + len(s.values) == at
+                          for s in series):
+            src.room = cap - max(len(s.values) for s in series)
+
+    def _flush(self) -> None:
+        """Every source's pending block into its series' columns."""
+        self._queue.flush()
+        for src in self.sources:
+            src.flush()
 
     def finalize(self) -> "Metrics":
         """Take the closing sample at the current virtual time (idempotent
@@ -264,8 +309,9 @@ class Metrics(Subscriber):
         link.nbytes += nbytes
         self._inflight_msgs += 1
         self._inflight_bytes += nbytes
-        link.frames_total.inc()
-        link.bytes_total.inc(nbytes)
+        # Counter.inc inlined: a frame's size is never negative
+        link.frames_total.value += 1
+        link.bytes_total.value += nbytes
 
     def _on_msg_deliver(self, a, dst, *_) -> None:
         """``net/msg-deliver``: the frame reached the destination inbox;

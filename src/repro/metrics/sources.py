@@ -32,6 +32,8 @@ _DSM_KEYS = (
     "updates_installed", "barrier_arrivals_rx",
 )
 _dsm_counters = attrgetter(*_DSM_KEYS)
+_census = attrgetter("census")
+_stats = attrgetter("stats")
 
 
 def sim_source(sim) -> Callable[[], Dict[str, float]]:
@@ -57,20 +59,24 @@ def cluster_source(cluster) -> Callable[[], Dict[str, float]]:
     slowdown window shows as lost effective capacity), NIC queue, inbox
     depth, and the cumulative wire totals."""
 
+    # per node, its five series names, built once
+    names = [
+        (node, *(f"node{node.id}/{key}" for key in (
+            "cpu_busy", "cpu_queue", "nic_queue", "inbox_depth", "msgs_sent")))
+        for node in cluster.nodes
+    ]
+
     def snapshot() -> Dict[str, float]:
         out: Dict[str, float] = {
             "msgs_total": cluster.network.total_messages,
             "bytes_total": cluster.network.total_bytes,
         }
-        for node in cluster.nodes:
-            nid = node.id
-            out[f"node{nid}/cpu_busy"] = (
-                len(node.cpus.users) / node.cpus.capacity * node.speed_factor
-            )
-            out[f"node{nid}/cpu_queue"] = node.cpus.queue_length
-            out[f"node{nid}/nic_queue"] = node.nic_tx.queue_length
-            out[f"node{nid}/inbox_depth"] = len(node.inbox)
-            out[f"node{nid}/msgs_sent"] = node.msgs_sent
+        for node, busy, cpu_queue, nic_queue, inbox, sent in names:
+            out[busy] = len(node.cpus.users) / node.cpus.capacity * node.speed_factor
+            out[cpu_queue] = node.cpus.queue_length
+            out[nic_queue] = node.nic_tx.queue_length
+            out[inbox] = len(node.inbox)
+            out[sent] = node.msgs_sent
         return out
 
     return snapshot
@@ -87,9 +93,9 @@ def dsm_source(dsm) -> Callable[[], Dict[str, float]]:
         # costs O(nodes), whatever the pool size, and builds no stats dict
         nodes = dsm.nodes
         out: Dict[str, float] = dict(
-            zip(_CENSUS_KEYS, map(sum, zip(*(dn.census for dn in nodes))))
+            zip(_CENSUS_KEYS, map(sum, zip(*map(_census, nodes))))
         )
-        counters = zip(*(_dsm_counters(dn.stats) for dn in nodes))
+        counters = zip(*map(_dsm_counters, map(_stats, nodes)))
         out.update(zip(_DSM_KEYS, map(sum, counters)))
         out["home_migrations"] = dsm.stats_home_migrations
         return out

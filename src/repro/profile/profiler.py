@@ -12,12 +12,15 @@ It consumes the phase brackets the stack states (``phase/push``,
 stack**:
 
 * ``push(phase)`` starts a nested phase on the calling simulation thread;
+  ``push(phase, True)`` marks it active (a hold granted at once states
+  its busy phase so), and ``push(None, True)`` pushes an *active* copy
+  of the current top;
 * ``pop()`` returns to the enclosing phase;
-* ``replace(phase)`` swaps the top (CPU grant: cpu-wait → busy);
-  ``replace(None)`` swaps in an *active* copy of the enclosing phase —
-  how raw protocol CPU bursts inherit their context (a diff computed
-  during a flush is *flush* time, a spin slice during a lock acquire is
-  *lock-wait* time).
+* ``replace(phase)`` swaps the top for an active *phase* (CPU grant:
+  cpu-wait → busy); ``replace(None)`` swaps in an *active* copy of the
+  enclosing phase — how raw protocol CPU bursts inherit their context (a
+  diff computed during a flush is *flush* time, a spin slice during a
+  lock acquire is *lock-wait* time).
 
 Time is attributed to the innermost (top) phase; every transition closes
 the current slice into the thread's ledger, so per-thread phase times sum
@@ -35,6 +38,7 @@ diffs, lock waits, message flights and retransmit dead time.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.profile.phases import (
@@ -93,12 +97,14 @@ class Intervals:
 
 
 class _ThreadState:
-    """Phase stack + ledger of one simulation thread."""
+    """Phase stack + ledger of one simulation thread; ``code`` is its tid
+    code in the profiler's interval stream."""
 
-    __slots__ = ("tid", "node", "start", "last", "end", "stack", "ledger")
+    __slots__ = ("tid", "code", "node", "start", "last", "end", "stack", "ledger")
 
-    def __init__(self, tid: str, now: float):
+    def __init__(self, tid: str, now: float, code: int):
         self.tid = tid
+        self.code = code
         self.node = node_of_tid(tid)
         self.start = now
         self.last = now
@@ -106,6 +112,14 @@ class _ThreadState:
         #: innermost last; entries are (phase, active)
         self.stack: List[Tuple[str, bool]] = []
         self.ledger: Dict[str, float] = {}
+
+
+#: the three phase facts, as :meth:`Profiler._phase` tells them apart
+_PUSH, _REPLACE, _POP = range(3)
+#: no running process: the thread ``main``
+_NOBODY = object()
+#: the bottom of every stack
+_IDLE = (PH_IDLE, False)
 
 
 class LockStats:
@@ -165,12 +179,17 @@ class Profiler(Subscriber):
         self.pages: Dict[int, PageStats] = {}
         self.locks: Dict[int, LockStats] = {}
         self.finalized_at: Optional[float] = None
+        #: the process that stated the last phase fact, and its thread
+        self._proc, self._st = _NOBODY, None
+        #: a flight's tid and phase codes in ``net_intervals``
+        self._net_codes = (self.net_intervals.tid.code(NET_TID),
+                           self.net_intervals.phase.code(PH_NET_FLIGHT))
         #: probe kind -> handler(args, node, tid, t0, ph); the phase kinds
         #: take the phase label instead (see repro.sim.probe)
         self._handlers = {
-            ("phase", "push"): self.push,
-            ("phase", "replace"): self.replace,
-            ("phase", "pop"): self.pop,
+            ("phase", "push"): partial(self._phase, _PUSH),
+            ("phase", "replace"): partial(self._phase, _REPLACE),
+            ("phase", "pop"): partial(self._phase, _POP),
             (CAT_AUDIT, "thread-start"): self._on_thread_start,
             (CAT_AUDIT, "thread-end"): self._on_thread_end,
             (CAT_AUDIT, "flight"): self._on_net_flight,
@@ -186,76 +205,86 @@ class Profiler(Subscriber):
             self.attach()
 
     # -- thread state ---------------------------------------------------
-    def _state(self) -> _ThreadState:
-        proc = self.sim.active_process
-        tid = proc.label if proc is not None else "main"
+    def _thread(self, tid: str) -> _ThreadState:
         st = self.threads.get(tid)
         if st is None:
-            st = _ThreadState(tid, self.sim.now)
-            self.threads[tid] = st
+            st = self.threads[tid] = _ThreadState(
+                tid, self.sim.now, self.intervals.tid.code(tid))
         return st
 
-    def _close(self, st: _ThreadState, now: float) -> None:
-        """Attribute [st.last, now) to the current top phase."""
+    # -- phase stack hooks ----------------------------------------------
+    def _phase(self, op: int, phase: Optional[str] = None, active: bool = False,
+               st: Optional[_ThreadState] = None) -> None:
+        """``phase/push|replace|pop`` (*op*) on the running thread, or on
+        *st*: attribute [``st.last``, now) to its top phase, then move its
+        stack (module docstring).  One body, so a transition is one call."""
+        sim = self.sim
+        if st is None:
+            proc = sim.active_process
+            if proc is self._proc:
+                st = self._st
+            else:
+                tid = proc.label if proc is not None else "main"
+                st = self.threads.get(tid) or self._thread(tid)
+                self._proc, self._st = proc, st
+        now = sim.now
+        stack = st.stack
         dur = now - st.last
         if dur > 0.0:
-            phase, active = st.stack[-1] if st.stack else (PH_IDLE, False)
-            st.ledger[phase] = st.ledger.get(phase, 0.0) + dur
+            top, top_active = stack[-1] if stack else _IDLE
+            ledger = st.ledger
+            ledger[top] = ledger.get(top, 0.0) + dur
             if self.record_intervals:
-                self.intervals.append(st.last, now, st.tid, phase, active)
-        st.last = now
-
-    # -- phase stack hooks ----------------------------------------------
-    def push(self, phase: str, active: bool = False) -> None:
-        st = self._state()
-        self._close(st, self.sim.now)
-        st.stack.append((phase, active))
-
-    def pop(self) -> None:
-        st = self._state()
-        self._close(st, self.sim.now)
-        if st.stack:
-            st.stack.pop()
-
-    def replace(self, phase: Optional[str], active: bool = True) -> None:
-        """Swap the top phase in place (CPU grant: cpu-wait → busy).
-        ``None`` swaps in an *active* copy of the enclosing phase: a raw
-        CPU burst inherits its context (flush, fault-work, comm-service,
-        lock-wait spin ...); with no context it is bare ``overhead``."""
-        st = self._state()
-        self._close(st, self.sim.now)
-        if phase is None:
-            phase = st.stack[-2][0] if len(st.stack) >= 2 else PH_OVERHEAD
+                iv = self.intervals
+                phases = iv.phase
+                code = phases.index.get(top)
+                if code is None:
+                    code = phases.code(top)  # may widen ``codes``: append after
+                iv.t0.append(st.last)
+                iv.t1.append(now)
+                iv.tid.codes.append(st.code)
+                phases.codes.append(code)
+                iv.active.append(top_active)
+            st.last = now
+        if op is _POP:
+            if stack:
+                stack.pop()
+            return
+        if phase is None:  # an active copy of the current top / enclosing phase
+            depth = 1 if op is _PUSH else 2
+            phase = stack[-depth][0] if len(stack) >= depth else PH_OVERHEAD
             active = True
-        if st.stack:
-            st.stack[-1] = (phase, active)
+        elif op is _REPLACE:
+            active = True  # a replaced top is the busy phase
+        if op is _PUSH or not stack:
+            stack.append((phase, active))
         else:
-            st.stack.append((phase, active))
+            stack[-1] = (phase, active)
 
     # -- process lifecycle (audit/thread-start, audit/thread-end) ----------
     def _on_thread_start(self, a, node, label, *_) -> None:
         """Open the thread's ledger at its creation virtual time, so
         leading waits are not lost."""
-        if label not in self.threads:
-            self.threads[label] = _ThreadState(label, self.sim.now)
+        self._thread(label)
+
+    def _end(self, st: _ThreadState) -> None:
+        """Close *st*'s last slice at the current virtual time."""
+        self._phase(_POP, st=st)
+        st.end = self.sim.now
+        st.stack.clear()
 
     def _on_thread_end(self, a, node, label, *_) -> None:
         st = self.threads.get(label)
         if st is not None and st.end is None:
-            self._close(st, self.sim.now)
-            st.end = self.sim.now
-            st.stack.clear()
+            self._end(st)
 
     def finalize(self) -> "Profiler":
         """Close every open phase at the current virtual time (idempotent:
         re-finalizing at the same time adds nothing)."""
-        now = self.sim.now
         for st in self.threads.values():
             if st.end is None:
-                self._close(st, now)
-                st.end = now
-                st.stack.clear()
-        self.finalized_at = now
+                self._end(st)
+        self.finalized_at = self.sim.now
         return self
 
     # -- the pseudo-thread ``net`` (audit/flight, audit/retransmit-wait) ----
@@ -265,7 +294,12 @@ class Profiler(Subscriber):
         self.net_flights += 1
         self.net_flight_s += t1 - t0
         if self.record_intervals and t1 > t0:
-            self.net_intervals.append(t0, t1, NET_TID, PH_NET_FLIGHT, True)
+            iv = self.net_intervals  # Intervals.append inlined: one a message
+            iv.t0.append(t0)
+            iv.t1.append(t1)
+            iv.tid.codes.append(self._net_codes[0])
+            iv.phase.codes.append(self._net_codes[1])
+            iv.active.append(True)
 
     def _on_retransmit_wait(self, a, node, tid, t0, ph) -> None:
         """Record the dead time preceding one reliability-layer retransmit:

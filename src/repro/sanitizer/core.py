@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.dsm.states import PageState, is_valid_transition
+from repro.dsm.states import BY_NAME, is_valid_transition
 from repro.sanitizer.clocks import VectorClock, ordered_before, vc_copy, vc_join
 from repro.sim.probe import CAT_AUDIT, Subscriber
 
@@ -164,7 +164,7 @@ class Sanitizer(Subscriber):
             ("dsm.barrier", "barrier"):
                 lambda a, node, *_: self.on_barrier_depart(node, a["epoch"]),
             ("dsm.page", "page-state"): lambda a, node, *_: self.on_page_state(
-                node, a["page"], PageState[a["src"]], PageState[a["dst"]], a["reason"]
+                node, a["page"], BY_NAME[a["src"]], BY_NAME[a["dst"]], a["reason"]
             ),
         }
         self.attach()
@@ -200,17 +200,14 @@ class Sanitizer(Subscriber):
         return "\n".join(lines)
 
     # -- internals ------------------------------------------------------
-    def _tid(self) -> str:
+    def _clock(self) -> Tuple[str, VectorClock]:
+        """The running thread and its vector clock (made on first use)."""
         proc = self.sim.active_process
-        if proc is not None and proc.label:
-            return proc.label
-        return "main"
-
-    def _vc_of(self, tid: str) -> VectorClock:
+        tid = proc.label if proc is not None and proc.label else "main"
         vc = self._vc.get(tid)
         if vc is None:
             vc = self._vc[tid] = {tid: 1}
-        return vc
+        return tid, vc
 
     def _violation(self, kind: str, message: str, dedup=None, details: Tuple = ()) -> None:
         if dedup is not None:
@@ -229,8 +226,7 @@ class Sanitizer(Subscriber):
         if nbytes <= 0:
             return
         self.accesses_checked += 1
-        tid = self._tid()
-        vc = self._vc_of(tid)
+        tid, vc = self._clock()
         epoch = vc[tid]
         now = self.sim.now
         ps = self.page_size
@@ -294,8 +290,7 @@ class Sanitizer(Subscriber):
         clock; the parent moves to a fresh epoch so its later accesses are
         not mistaken as ordered before the children's."""
         self.sync_ops += 1
-        tid = self._tid()
-        vc = self._vc_of(tid)
+        tid, vc = self._clock()
         snap = vc_copy(vc)
         vc[tid] += 1
         for child in child_tids:
@@ -306,7 +301,7 @@ class Sanitizer(Subscriber):
     def on_join(self, child_tids) -> None:
         """Parent joins children: absorbs their final clocks."""
         self.sync_ops += 1
-        vc = self._vc_of(self._tid())
+        vc = self._clock()[1]
         for child in child_tids:
             cvc = self._vc.pop(child, None)
             if cvc is not None:
@@ -316,12 +311,11 @@ class Sanitizer(Subscriber):
         self.sync_ops += 1
         rel = self._lock_vc.get(key)
         if rel is not None:
-            vc_join(self._vc_of(self._tid()), rel)
+            vc_join(self._clock()[1], rel)
 
     def on_lock_release(self, key) -> None:
         self.sync_ops += 1
-        tid = self._tid()
-        vc = self._vc_of(tid)
+        tid, vc = self._clock()
         self._lock_vc[key] = vc_copy(vc)
         vc[tid] += 1
 
@@ -329,8 +323,7 @@ class Sanitizer(Subscriber):
         """A thread contributes to a combining instance (release); the last
         arriver, the *leader*, then absorbs every contribution (acquire)."""
         self.sync_ops += 1
-        tid = self._tid()
-        vc = self._vc_of(tid)
+        tid, vc = self._clock()
         acc = self._gather_vc.get(key)
         if acc is None:
             acc = self._gather_vc[key] = {}
@@ -342,8 +335,7 @@ class Sanitizer(Subscriber):
     def on_gate_open(self, key, waiters: int) -> None:
         """Leader/winner publishes its clock for *waiters* gate waiters."""
         self.sync_ops += 1
-        tid = self._tid()
-        vc = self._vc_of(tid)
+        tid, vc = self._clock()
         if waiters > 0:
             self._gate_vc[key] = [vc_copy(vc), waiters]
         vc[tid] += 1
@@ -352,7 +344,7 @@ class Sanitizer(Subscriber):
         entry = self._gate_vc.get(key)
         if entry is None:
             return
-        vc_join(self._vc_of(self._tid()), entry[0])
+        vc_join(self._clock()[1], entry[0])
         entry[1] -= 1
         if entry[1] <= 0:
             del self._gate_vc[key]
@@ -360,8 +352,7 @@ class Sanitizer(Subscriber):
     def on_msg_send(self, key) -> None:
         """MPI p2p send: push the sender's clock on the channel FIFO."""
         self.sync_ops += 1
-        tid = self._tid()
-        vc = self._vc_of(tid)
+        tid, vc = self._clock()
         q = self._chan.get(key)
         if q is None:
             q = self._chan[key] = deque()
@@ -371,7 +362,7 @@ class Sanitizer(Subscriber):
     def on_msg_recv(self, key) -> None:
         q = self._chan.get(key)
         if q:
-            vc_join(self._vc_of(self._tid()), q.popleft())
+            vc_join(self._clock()[1], q.popleft())
             if not q:
                 del self._chan[key]
 
@@ -380,8 +371,7 @@ class Sanitizer(Subscriber):
     # ------------------------------------------------------------------
     def on_barrier_arrive(self, node: int, epoch: int) -> None:
         self.sync_ops += 1
-        tid = self._tid()
-        vc = self._vc_of(tid)
+        tid, vc = self._clock()
         last = self._node_epoch.get(node)
         expected = 0 if last is None else last + 1
         if epoch != expected:
@@ -425,8 +415,7 @@ class Sanitizer(Subscriber):
 
     def on_barrier_depart(self, node: int, epoch: int) -> None:
         del node
-        tid = self._tid()
-        vc = self._vc_of(tid)
+        tid, vc = self._clock()
         bucket = self._bar.get(epoch)
         if bucket is not None:
             vc_join(vc, bucket["vc"])

@@ -88,8 +88,8 @@ class ProbeBus:
     simulation thread, *t0* a span's start, *ph* ``"C"`` for counter
     samples — except the kernel-rate kinds: ``kernel/step``
     (``handler(now, queue_depth)``, from the event loop),
-    ``phase/push|replace`` (``handler(phase)``), ``phase/pop``
-    (``handler()``).  :attr:`steps` is the one kernel decision the bus
+    ``phase/push`` (``handler(phase, active=False)``), ``phase/replace``
+    (``handler(phase)``), ``phase/pop`` (``handler()``).  :attr:`steps` is the one kernel decision the bus
     answers from its subscriber set.
 
     A ``kernel/step`` handler returns when it is next due, as a pair
@@ -123,7 +123,8 @@ class ProbeBus:
         self._due_ts = [0.0] * len(self.steps)
         self.due_n, self.due_t = (0, 0.0) if self.steps else (_INF, _INF)
         # phase brackets; ``replace(None)`` swaps in an active copy of the
-        # enclosing phase (a raw CPU burst inherits its context)
+        # enclosing phase (a raw CPU burst inherits its context), and
+        # ``push(None, True)`` pushes one
         self.push = _fan_out(routes["phase", "push"])
         self.replace = _fan_out(routes["phase", "replace"])
         self.pop = _fan_out(routes["phase", "pop"])

@@ -10,7 +10,8 @@ kernel-resident :class:`Hold`, which costs **one** event: whoever grants
 the unit pushes the end of the occupancy at ``now + duration``, and the
 process is resumed once, when that entry is processed.  The wait → busy →
 done phase facts a resumed process would state at those instants, the
-hold states itself, as its waiter.
+hold states itself, as its waiter — and a hold granted at once has no
+wait to state: its busy phase is one fact.
 
 A busy-wait nobody can observe costs **none**: a spin (a hold with
 *until*) whose re-arm finds a free unit and nobody queued *parks* — it
@@ -89,17 +90,15 @@ def _hold_end(entry: _HoldEntry) -> None:
                     raise ValueError(f"negative hold duration {duration!r}")
                 hold.duration = duration
                 entry.callbacks = end = hold._end
-                if end is _PHASED_END:
-                    hold._pb.push(hold.wait_phase)
                 # Resource._submit -> _grant -> Hold._granted inlined: a
                 # busy-wait re-arms here once per slice
                 users = resource.users
                 if len(users) < resource.capacity and not resource._queue:
+                    if end is _PHASED_END:
+                        hold._pb.push(hold.busy_phase, True)
                     users.add(hold)
                     hold.granted_at = now = sim.now
                     resource.n_grants += 1
-                    if end is _PHASED_END:
-                        hold._pb.replace(hold.busy_phase)
                     if duration > 0.0:
                         if until is not None and not resource._in_step(hold):
                             resource._parked.append(hold)  # nobody to tell: park
@@ -109,6 +108,9 @@ def _hold_end(entry: _HoldEntry) -> None:
                     else:
                         sim._immediate.append((now, NORMAL, next(sim._seq), entry))
                 else:
+                    if end is _PHASED_END:
+                        hold._pb.push(hold.wait_phase)
+                        hold._queued = True
                     if resource._parked:
                         resource.unpark()
                     _heappush(resource._queue,
@@ -161,9 +163,11 @@ class Hold(Request):
     schedule.
 
     With *wait_phase* set and a ``phase`` consumer subscribed, the hold
-    brackets itself on the waiter's phase stack: ``push(wait_phase)`` at
-    every submit, ``replace(busy_phase)`` at the grant, ``pop`` at the end
-    (``busy_phase=None``: the enclosing phase, marked active); a parked
+    brackets itself on the waiter's phase stack, one slice at a time: a
+    slice granted at its submit states ``push(busy_phase, True)``, a
+    queued one ``push(wait_phase)`` and, at the grant,
+    ``replace(busy_phase)``; either ends with ``pop``
+    (``busy_phase=None``: the enclosing phase, marked active).  A parked
     spin is one busy interval.
 
     A process that stops waiting on a hold (interrupt, generator close)
@@ -171,7 +175,7 @@ class Hold(Request):
     """
 
     __slots__ = ("duration", "again", "until", "waiter", "_end", "_pb",
-                 "wait_phase", "busy_phase", "_entry")
+                 "wait_phase", "busy_phase", "_queued", "_entry")
 
     def __init__(
         self,
@@ -216,16 +220,22 @@ class Hold(Request):
             self._pb = pb
             self.wait_phase = wait_phase
             self.busy_phase = busy_phase
-            pb.push(wait_phase)
+            #: the wait is stated and the busy phase not yet: queued
+            self._queued = len(resource.users) >= resource.capacity or bool(resource._queue)
+            if self._queued:
+                pb.push(wait_phase)
+            else:  # granted at submit (Resource._submit): one fact, no wait
+                pb.push(busy_phase, True)
         resource._submit(self)
 
     def _granted(self) -> None:
         """The unit is this hold's: the wait is over, schedule the end of
         the occupancy."""
         sim = self.sim
-        if self._end is _PHASED_END:
+        if self._end is _PHASED_END and self._queued:
             # as the waiter, whoever is running (a releasing process, the
-            # event loop, the waiter itself)
+            # event loop)
+            self._queued = False
             running, sim.active_process = sim.active_process, self.waiter
             self._pb.replace(self.busy_phase)
             sim.active_process = running

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-from repro.dsm.states import PageState, VALID_TRANSITIONS
+from repro.dsm.states import BY_NAME, PageState, VALID_TRANSITIONS
 from repro.trace.events import TraceEvent, CAT_PAGE, CAT_BARRIER
 
 
@@ -66,10 +66,6 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _parse_state(name: str) -> PageState:
-    return PageState[name]
-
-
 def check_trace(events: Iterable[TraceEvent]) -> CheckReport:
     """Validate page-state transitions and barrier epochs; see module doc."""
     report = CheckReport()
@@ -84,8 +80,8 @@ def check_trace(events: Iterable[TraceEvent]) -> CheckReport:
             args = ev.args or {}
             page = args.get("page", -1)
             try:
-                src = _parse_state(args["src"])
-                dst = _parse_state(args["dst"])
+                src = BY_NAME[args["src"]]
+                dst = BY_NAME[args["dst"]]
             except (KeyError, Exception):
                 report.violations.append(
                     Violation(

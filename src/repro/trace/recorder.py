@@ -13,36 +13,33 @@ the bus resolves a kind: set them before attaching) plus ``kernel/step`` for
 queue-depth sampling.  :meth:`instant`, :meth:`span` and :meth:`counter`
 record directly, for exporters and tests that build a ring by hand.
 
-The ring is a set of parallel columns, so a recorded fact holds only
-numbers and shared references, never a Python object of its own:
-
-- ``ts`` / ``dur`` in ``array('d')`` (``NaN`` = an instant), ``node`` in
-  ``array('i')``, and a *kind* code and a ``tid`` code in ``array('H')``
-  (the tids a :class:`~repro.util.codes.CodedColumn`);
-- the row's int, float and bool arguments packed in one ``bytearray``
-  column (8 bytes an int or float, 1 a bool), and its other arguments
-  (strings, tuples, ``None`` ...) by reference in one object column; each
-  row's values are contiguous, in row order.
+The ring is one ``bytearray`` of packed records, one per row, oldest
+first, plus one object column, so a recorded fact holds only numbers
+and shared references, never a Python object of its own.  A row's
+record is its *kind* code, ``ts`` and ``dur`` (``NaN`` = an instant),
+``node``, its ``tid`` code, then its int, float and bool arguments (8
+bytes an int or float, 1 a bool); its other arguments (strings, tuples,
+``None`` ...) go by reference to the object column, in row order.  Kind
+and tid codes take two bytes each until either table passes 65 536
+entries, when every record is re-packed with four.
 
 A kind code names one interned *schema* ``(cat, name, ph, argument
 names, argument value types)``.  Its :class:`struct.Struct` packs and
-unpacks the row's numbers — its size is the row's stride in the numeric
-column — so an int comes back an int and a bool a bool.  An argument
-the column cannot hold exactly (an int outside int64, a NaN) or of any
-other type goes to the object column.  :class:`TraceEvent` records are
-built only on read (:attr:`~TraceRecorder.events`,
-:meth:`~TraceRecorder.drain`).  When full, the ring overwrites its
-*oldest* row (``n_dropped`` counts them), so memory is bounded by the
-configured capacity regardless of run length (the argument columns
-keep evicted values until they are half dead), and the tail of the
-run — usually what you are debugging — is what survives.
+unpacks the whole record in one call — its size is the row's stride —
+so an int comes back an int and a bool a bool.  An argument the record
+cannot hold exactly (an int outside int64, a NaN) or of any other type
+goes to the object column.  :class:`TraceEvent` records are built only
+on read (:attr:`~TraceRecorder.events`, :meth:`~TraceRecorder.drain`).
+When full, the ring drops its *oldest* row, by that row's own stride,
+read from its kind code (``n_dropped`` counts them), so memory is
+bounded by the configured capacity regardless of run length (the object
+column keeps evicted values until they are half dead), and the tail of
+the run — usually what you are debugging — is what survives.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import partial
-from itertools import chain
 from math import isnan
 from operator import attrgetter, itemgetter
 from struct import Struct
@@ -51,56 +48,54 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.sim.probe import Subscriber
 from repro.trace.events import TraceEvent, DEFAULT_CATEGORIES, CAT_COUNTER
-from repro.util.codes import CodedColumn
 
 _INF = float("inf")
 _NAN = float("nan")
 _BY_TS = attrgetter("ts")
-#: an argument value type -> its struct code in the numeric column; any
-#: other type goes to the object column
+#: an argument value type -> its struct code in the record; any other
+#: type goes to the object column
 _PACKED = {int: "q", float: "d", bool: "?"}
+#: a kind or tid code past this one needs four bytes
+_WIDE = 0x10000
 
 
 class _Schema:
     """One interned kind of row: ``(cat, name, ph, argument names)`` and
-    where each argument's value is kept.  ``nums`` / ``objs`` read the
-    row's numeric / object values out of its argument dict (``None``:
-    it has none), ``packer`` packs the numbers (its ``size`` is the row's
-    stride in the numeric column), and ``in_objs`` says per argument
-    which column it is read back from."""
+    where each argument's value is kept.  ``packer`` packs and unpacks
+    the whole record — kind code, ``ts``, ``dur``, ``node``, tid code,
+    then the numbers (its ``size`` is the row's stride) — ``nums`` /
+    ``objs`` / ``floats`` read the numeric / object / float argument
+    values out of the row's argument dict, and ``in_objs`` says per
+    argument which column it is read back from."""
 
-    __slots__ = ("code", "cat", "name", "ph", "keys", "in_objs", "packer",
-                 "n_nums", "n_objs", "nums", "objs", "floats")
+    __slots__ = ("code", "cat", "name", "ph", "keys", "in_objs", "fmt",
+                 "packer", "pack", "nums", "n_nums", "objs", "n_objs", "floats")
 
-    def __init__(self, code: int, cat, name, ph, keys, types):
+    def __init__(self, code: int, cat, name, ph, keys, types, width: str):
         self.code = code
         self.cat, self.name, self.ph, self.keys = cat, name, ph, keys
         self.in_objs = tuple([t not in _PACKED for t in types])
         num_keys = [k for k, t in zip(keys, types) if t in _PACKED]
         obj_keys = [k for k, t in zip(keys, types) if t not in _PACKED]
-        self.packer = Struct("=" + "".join([_PACKED[t] for t in types if t in _PACKED]))
+        self.fmt = "".join([_PACKED[t] for t in types if t in _PACKED])
         # an itemgetter of one key returns the value, of more a tuple
         self.n_nums, self.n_objs = len(num_keys), len(obj_keys)
         self.nums = itemgetter(*num_keys) if num_keys else None
         self.objs = itemgetter(*obj_keys) if obj_keys else None
-        float_keys = [k for k, t in zip(keys, types) if t is float]
-        #: the float arguments, to keep a NaN out of the numeric column
-        self.floats = (lambda args: [args[k] for k in float_keys]) if float_keys else None
+        #: the float arguments, to keep a NaN out of the record
+        self.floats = [k for k, t in zip(keys, types) if t is float]
+        self.set_width(width)
 
-    def pack(self, args: dict) -> bytes:
-        """The row's numbers, packed (``b""`` for none); raises
-        :class:`struct.error` for a value the numeric column cannot hold."""
-        if self.floats is not None and any(map(isnan, self.floats(args))):
-            raise StructError("NaN")
-        if self.n_nums == 1:
-            return self.packer.pack(self.nums(args))
-        return self.packer.pack(*self.nums(args)) if self.n_nums else b""
+    def set_width(self, width: str) -> None:
+        """Pack the kind and tid codes as struct code *width* (``H``/``I``)."""
+        self.packer = Struct(f"={width}ddi{width}{self.fmt}")
+        self.pack = self.packer.pack
 
 
 def _storable_types(types: tuple, values) -> tuple:
-    """*types* with ``object`` wherever the numeric column cannot hold the
-    value exactly — an int outside int64, a NaN — so it goes to the
-    object column instead."""
+    """*types* with ``object`` wherever the record cannot hold the value
+    exactly — an int outside int64, a NaN — so it goes to the object
+    column instead."""
     out = []
     for t, v in zip(types, values):
         if (t is int and not -(1 << 63) <= v < 1 << 63) or (t is float and v != v):
@@ -128,10 +123,10 @@ class TraceRecorder(Subscriber):
     """
 
     __slots__ = (
-        "sim", "capacity", "categories", "enabled", "n_emitted",
+        "sim", "capacity", "categories", "_enabled", "_gone",
         "queue_stride", "_next_sample",
-        "_head", "_ts", "_dur", "_node", "_kind", "_tid", "_nums", "_objs",
-        "_nums_start", "_objs_start", "_schemas", "_schema_list",
+        "_buf", "_n", "_objs", "_objs_start", "_width", "_code_at",
+        "_schemas", "_schema_list", "_tid_codes", "_tids",
     )
 
     def __init__(
@@ -149,10 +144,9 @@ class TraceRecorder(Subscriber):
         self.categories: FrozenSet[str] = (
             DEFAULT_CATEGORIES if categories is None else frozenset(categories)
         )
-        #: master switch; ``False`` makes emit calls record nothing
-        self.enabled = True
-        #: events offered and accepted (before eviction)
-        self.n_emitted = 0
+        self._enabled = True
+        #: rows recorded and since evicted or drained
+        self._gone = 0
         self._clear()
         if queue_stride < 0:
             raise ValueError(f"queue_stride must be >= 0, got {queue_stride}")
@@ -164,26 +158,38 @@ class TraceRecorder(Subscriber):
             self.attach()
 
     def _clear(self) -> None:
-        #: the row the next fact overwrites once the ring is full
-        self._head = 0
-        self._ts = array("d")
-        self._dur = array("d")
-        self._node = array("i")
-        #: per row, its schema's code and its tid
-        self._kind = array("H")
-        self._tid = CodedColumn()
-        #: the rows' packed numbers and their other argument values, the
-        #: oldest row's first at ``_nums_start`` / ``_objs_start``; evicted
-        #: rows' values precede them until the column is compacted
-        self._nums = bytearray()
+        #: the rows' packed records, oldest first, and their other
+        #: argument values, the oldest row's first at ``_objs_start``
+        #: (evicted rows' values precede them until the column is compacted)
+        self._buf = bytearray()
+        self._n = 0
         self._objs: List[Any] = []
-        self._nums_start = self._objs_start = 0
-        #: ``(cat, name, ph, *argument names, *argument value types)`` ->
+        self._objs_start = 0
+        #: the struct code of kind and tid codes, and the reader of a
+        #: record's kind code
+        self._width = "H"
+        self._code_at = Struct("=H").unpack_from
+        #: ``(cat, name, ph, argument names, argument value types)`` ->
         #: its schema; ``_schema_list[code]`` is the schema of that code
         self._schemas: Dict[tuple, _Schema] = {}
         self._schema_list: List[_Schema] = []
+        #: tid -> its code; ``_tids[code]`` is the tid of that code
+        self._tid_codes: Dict[str, int] = {}
+        self._tids: List[str] = []
 
     # -- subscription -----------------------------------------------------
+    @property
+    def enabled(self) -> bool:
+        """Master switch; ``False`` makes the recorder record nothing."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, on: bool) -> None:
+        self._enabled = on
+        bus = self.sim.probe
+        if bus is not None and any(s is self for s in bus.subscribers):
+            bus._rewire()  # re-resolve this recorder's handlers
+
     def attach(self):
         self._next_sample = None
         return super().attach()
@@ -191,15 +197,14 @@ class TraceRecorder(Subscriber):
     def handler_for(self, cat: str, name: str):
         if (cat, name) == ("kernel", "step"):
             return self._on_step
-        if cat in self.categories:
+        if self._enabled and cat in self.categories:
             return partial(self._record, cat, name)
         return None
 
     # -- emission -------------------------------------------------------
     def _record(self, cat, name, args, node=-1, tid=None, t0=None, ph=None) -> None:
-        if not self.enabled or cat not in self.categories:
-            return
-        self.n_emitted += 1
+        """Record one row, untested: the bus routes here only the kinds
+        :meth:`handler_for` resolved."""
         now = self.sim.now
         if tid is None:
             proc = self.sim.active_process
@@ -207,66 +212,83 @@ class TraceRecorder(Subscriber):
         if t0 is None:
             ts, dur = now, _NAN
         else:
-            ts, dur, ph = t0, max(0.0, now - t0), None
-        key = (cat, name, ph, *args, *map(type, args.values()))
-        sch = self._schemas.get(key) or self._schema(key, len(args))
-        try:
-            packed = sch.pack(args)
-        except StructError:  # a value the numeric column cannot hold
-            sch = self._schema(key, len(args), args)
-            packed = sch.pack(args)
-        tids = self._tid
-        tc = tids.index.get(tid)
+            ts, dur, ph = t0, now - t0 if now > t0 else 0.0, None
+        tc = self._tid_codes.get(tid)
         if tc is None:
-            tc = tids.code(tid)
-        i = self._head
-        if len(self._ts) < self.capacity:
-            self._ts.append(ts)
-            self._dur.append(dur)
-            self._node.append(node)
-            self._kind.append(sch.code)
-            tids.codes.append(tc)
-        else:
-            self._evict(self._schema_list[self._kind[i]])
-            self._ts[i] = ts
-            self._dur[i] = dur
-            self._node[i] = node
-            self._kind[i] = sch.code
-            tids.codes[i] = tc
-            self._head = (i + 1) % self.capacity
-        if packed:
-            self._nums += packed
-        if sch.objs is not None:
-            if sch.n_objs == 1:
-                self._objs.append(sch.objs(args))
+            tc = self._tid_code(tid)
+        key = (cat, name, ph, tuple(args), tuple(map(type, args.values())))
+        sch = self._schemas.get(key) or self._schema(key)
+        if sch.floats and any([isnan(args[k]) for k in sch.floats]):
+            sch = self._schema(key, args)
+        while True:
+            n = sch.n_nums
+            if n == len(args):  # every argument a number: in dict order
+                nums = args.values()
+            elif n > 1:
+                nums = sch.nums(args)
             else:
-                self._objs.extend(sch.objs(args))
+                nums = (sch.nums(args),) if n else ()
+            try:
+                self._buf += sch.pack(sch.code, ts, dur, node, tc, *nums)
+                break
+            except StructError:  # an int the record cannot hold
+                sch = self._schema(key, args)
+        if sch.n_objs == 1:
+            self._objs.append(sch.objs(args))
+        elif sch.n_objs:
+            self._objs.extend(sch.objs(args))
+        self._n += 1
+        if self._n > self.capacity:
+            self._evict()
 
-    def _schema(self, key: tuple, n: int, args: Optional[dict] = None) -> _Schema:
-        """The schema of *key* ``(cat, name, ph, *names, *types)`` of *n*
-        arguments, interned on first use; with *args*, the schema that
-        sends each of their values the numeric column cannot hold to the
-        object column."""
+    def _schema(self, key: tuple, args: Optional[dict] = None) -> _Schema:
+        """The schema of *key* ``(cat, name, ph, names, types)``, interned
+        on first use; with *args*, the schema that sends each of their
+        values the record cannot hold to the object column."""
         if args is not None:
-            key = key[:3 + n] + _storable_types(key[3 + n:], args.values())
+            key = key[:4] + (_storable_types(key[4], args.values()),)
             sch = self._schemas.get(key)
             if sch is not None:
                 return sch
-        sch = self._schemas[key] = _Schema(
-            len(self._schema_list), *key[:3], key[3:3 + n], key[3 + n:])
+        sch = self._schemas[key] = _Schema(len(self._schema_list), *key, self._width)
         self._schema_list.append(sch)
-        if sch.code == 0x10000:
-            self._kind = array("I", self._kind)
+        if sch.code == _WIDE:
+            self._widen()
         return sch
 
-    def _evict(self, sch: _Schema) -> None:
-        """Drop the oldest row's argument values (of schema *sch*); a
-        column is compacted once its dead prefix outgrows its live part."""
-        start = self._nums_start + sch.packer.size
-        if start > len(self._nums) >> 1:
-            del self._nums[:start]
-            start = 0
-        self._nums_start = start
+    def _tid_code(self, tid: str) -> int:
+        """The code of a tid not seen before."""
+        code = self._tid_codes[tid] = len(self._tids)
+        self._tids.append(tid)
+        if code == _WIDE:
+            self._widen()
+        return code
+
+    def _widen(self) -> None:
+        """Re-pack every record with four-byte kind and tid codes (once)."""
+        if self._width == "I":
+            return
+        old = [sch.packer for sch in self._schema_list]
+        for sch in self._schema_list:
+            sch.set_width("I")
+        buf, out, at = self._buf, bytearray(), 0
+        for _ in range(self._n):
+            code = self._code_at(buf, at)[0]
+            packer = old[code]
+            out += self._schema_list[code].packer.pack(*packer.unpack_from(buf, at))
+            at += packer.size
+        self._buf = out
+        self._width = "I"
+        self._code_at = Struct("=I").unpack_from
+
+    def _evict(self) -> None:
+        """Drop the oldest row: its record, by its own stride, and its
+        object values; the object column is compacted once its dead
+        prefix outgrows its live part."""
+        sch = self._schema_list[self._code_at(self._buf)[0]]
+        del self._buf[:sch.packer.size]
+        self._n -= 1
+        self._gone += 1
         start = self._objs_start + sch.n_objs
         if start > len(self._objs) >> 1:
             del self._objs[:start]
@@ -277,7 +299,8 @@ class TraceRecorder(Subscriber):
         self, cat: str, name: str, node: int = -1, tid: Optional[str] = None, **args: Any
     ) -> None:
         """Record a point event at the current virtual time."""
-        self._record(cat, name, args, node, tid)
+        if self._enabled and cat in self.categories:
+            self._record(cat, name, args, node, tid)
 
     def span(
         self,
@@ -289,7 +312,8 @@ class TraceRecorder(Subscriber):
         **args: Any,
     ) -> None:
         """Record a completed span that started at virtual time *t0*."""
-        self._record(cat, name, args, node, tid, t0)
+        if self._enabled and cat in self.categories:
+            self._record(cat, name, args, node, tid, t0)
 
     def counter(
         self, cat: str, name: str, node: int = -1, tid: str = "counters", **values: Any
@@ -299,7 +323,8 @@ class TraceRecorder(Subscriber):
         *values* are the numeric series values at the current virtual time;
         Chrome/Perfetto stack multiple keys of one counter name.
         """
-        self._record(cat, name, values, node, tid, None, "C")
+        if self._enabled and cat in self.categories:
+            self._record(cat, name, values, node, tid, None, "C")
 
     def _on_step(self, now: float, queue_depth: int):
         """``kernel/step``: samples the pending-event count on every
@@ -317,18 +342,25 @@ class TraceRecorder(Subscriber):
         return self._next_sample, _INF
 
     # -- inspection -----------------------------------------------------
+    def _schemas_in_order(self):
+        """Each row's schema and record offset, oldest first."""
+        buf, schemas, code_at = self._buf, self._schema_list, self._code_at
+        at = 0
+        for _ in range(self._n):
+            sch = schemas[code_at(buf, at)[0]]
+            yield sch, at
+            at += sch.packer.size
+
     def _rows(self) -> List[TraceEvent]:
         """Every row as a :class:`TraceEvent`, oldest first."""
-        ts, dur, node, kind, tid = self._ts, self._dur, self._node, self._kind, self._tid
-        schemas, nums, objs = self._schema_list, self._nums, self._objs
-        at, oi = self._nums_start, self._objs_start
+        buf, objs, tids = self._buf, self._objs, self._tids
+        oi = self._objs_start
         out = []
-        for i in chain(range(self._head, len(ts)), range(self._head)):
-            sch = schemas[kind[i]]
+        for sch, at in self._schemas_in_order():
+            _, ts, dur, node, tc, *nums = sch.packer.unpack_from(buf, at)
             args = None
             if sch.keys:
-                packed = iter(sch.packer.unpack_from(nums, at))
-                at += sch.packer.size
+                packed = iter(nums)
                 values = []
                 for in_objs in sch.in_objs:
                     if in_objs:
@@ -337,10 +369,9 @@ class TraceRecorder(Subscriber):
                     else:
                         values.append(next(packed))
                 args = dict(zip(sch.keys, values))
-            d = dur[i]
             out.append(TraceEvent(
-                ts[i], sch.cat, sch.name, node[i], tid[i],
-                None if d != d else d, args, sch.ph,
+                ts, sch.cat, sch.name, node, tids[tc],
+                None if dur != dur else dur, args, sch.ph,
             ))
         return out
 
@@ -352,30 +383,34 @@ class TraceRecorder(Subscriber):
         return out
 
     @property
+    def n_emitted(self) -> int:
+        """Events offered and accepted (before eviction)."""
+        return self._n + self._gone
+
+    @property
     def n_dropped(self) -> int:
-        """Events evicted from the ring so far."""
-        return self.n_emitted - len(self._ts)
+        """Events evicted from the ring so far (and drained: the events
+        emitted that the ring no longer holds)."""
+        return self._gone
 
     def __len__(self) -> int:
-        return len(self._ts)
+        return self._n
 
     def drain(self) -> List[TraceEvent]:
         """Return all buffered events (oldest first) and clear the ring."""
         out = self.events
+        self._gone += self._n
         self._clear()
         return out
 
     def counts_by_category(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
-        head = self._head
-        cats = [sch.cat for sch in self._schema_list]
-        for code in self._kind[head:] + self._kind[:head]:
-            cat = cats[code]
-            out[cat] = out.get(cat, 0) + 1
+        for sch, _ in self._schemas_in_order():
+            out[sch.cat] = out.get(sch.cat, 0) + 1
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<TraceRecorder {len(self._ts)}/{self.capacity} events, "
+            f"<TraceRecorder {self._n}/{self.capacity} events, "
             f"{self.n_dropped} dropped, cats={sorted(self.categories)}>"
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from repro.metrics import Metrics
@@ -134,6 +135,23 @@ def test_interval_sums_remap_the_second_table(a, b, shuffle):
     # gives the same path
     plain, _ = _both(a + b, [])
     assert compute_critical_path(total).as_dict() == compute_critical_path(plain).as_dict()
+
+
+@pytest.mark.parametrize("distinct", ["tid", "kind"])
+def test_ring_widens_its_codes_past_65536(distinct):
+    # 70 000 distinct tids or kinds through a ring of 100 rows: the codes
+    # go from two bytes to four, every live record re-packed
+    sim = SimpleNamespace(now=0.0, active_process=None)
+    ring = TraceRecorder(sim, capacity=100, attach=False)
+    ref = ReferenceRing(sim, 100)
+    for i in range(70_000):
+        sim.now = float(i)
+        for r in (ring, ref):
+            if distinct == "tid":
+                r.instant("net", "msg", node=i % 4, tid=f"t{i}", seq=i, tag="x")
+            else:
+                r.instant("net", f"msg{i}", node=i % 4, seq=i, tag="x")
+    assert _state(ring) == _state(ref)
 
 
 def test_coded_column_widens_past_65536_values():

@@ -31,8 +31,10 @@ parking ``Node.spin_cpu`` (``tests/test_spin_park.py`` is that oracle's
 own property test, and runs more apps under fault plans).  Busy-waits
 are run both ways everywhere: slice by slice (a chain of holds) and
 parked (``until=``); a parked spin has one more documented tie rule of
-its own, pinned per seed below.  The last section pins what a burst owes
-the phase stack when its process stops waiting.
+its own, pinned per seed below.  A section pins what a burst owes the
+phase stack when its process stops waiting, and the last one the phase
+facts a hold states: one active push for a slice granted at submit, push
+→ replace → pop for a queued one.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ import pytest
 
 from repro.profile import Profiler
 from repro.sim import Interrupted, Resource, Simulator
-from repro.sim.probe import PH_COMPUTE, PH_CPU_WAIT, PH_LOCK_WAIT, bracket
+from repro.sim.probe import (
+    PH_COMPUTE, PH_CPU_WAIT, PH_LOCK_WAIT, PH_OVERHEAD, bracket, subscribe,
+)
 from repro.sim.resources import Hold
 from repro.trace import DEFAULT_CATEGORIES, TraceRecorder
 from conftest import (
@@ -529,3 +533,153 @@ def test_abandoned_burst_leaves_the_phase_stack_as_it_found_it(how, when):
     assert prof.max_sum_error() < 1e-12
     busy_until = {"queued": 10e-6, "granted": 10e-6, "busy": 12e-6}[when]
     assert res.total_busy_time == pytest.approx(busy_until + 1e-6, abs=1e-15)
+
+
+# ------------------------------------------------ the hold's phase facts
+class _PhaseFacts:
+    """Writes down every phase fact, in order, with the thread it is
+    stated for."""
+
+    categories = {"phase"}
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.facts = []
+        subscribe(sim, self)
+
+    def handler_for(self, cat, name):
+        if cat != "phase":
+            return None
+
+        def state(*args):
+            self.facts.append((name, self.sim.active_process.label, *args))
+
+        return state
+
+
+def _held(*programs):
+    """Run ``(label, generator function of (sim, res))`` pairs on one
+    unit, under a profiler and a fact log: ``(facts, {tid: intervals})``,
+    the intervals ``(t0, t1, phase, active)``."""
+    sim = Simulator()
+    prof = Profiler(sim)
+    log = _PhaseFacts(sim)
+    res = Resource(sim, capacity=1)
+    for label, program in programs:
+        sim.process(program(sim, res), label=label)
+    sim.run()
+    prof.finalize()
+    assert prof.max_sum_error() == 0
+    assert (res.count, res.queue_length) == (0, 0)
+    out = {}
+    for t0, t1, tid, phase, active in prof.intervals:
+        out.setdefault(tid, []).append((t0, t1, phase, active))
+    return log.facts, out
+
+
+def _burst(start, duration, busy_phase=PH_COMPUTE, **kw):
+    def program(sim, res):
+        if start:
+            yield sim.timeout(start)
+        yield from res.execute(duration, 0, PH_CPU_WAIT, busy_phase, **kw)
+
+    return program
+
+
+def test_a_hold_granted_at_submit_states_one_active_push():
+    facts, iv = _held(("A", _burst(1.0, 2.0)))
+    assert facts == [("push", "A", PH_COMPUTE, True), ("pop", "A")]
+    # no zero-length wait: idle until the submit, then busy
+    assert iv == {"A": [(0.0, 1.0, "idle", False), (1.0, 3.0, PH_COMPUTE, True)]}
+
+
+def test_a_queued_hold_waits_then_turns_busy():
+    facts, iv = _held(("A", _burst(0.0, 2.0)), ("B", _burst(1.0, 3.0)))
+    assert facts == [
+        ("push", "A", PH_COMPUTE, True),
+        ("push", "B", PH_CPU_WAIT),
+        ("pop", "A"),
+        ("replace", "B", PH_COMPUTE),  # granted in A's release, stated as B
+        ("pop", "B"),
+    ]
+    assert iv == {
+        "A": [(0.0, 2.0, PH_COMPUTE, True)],
+        "B": [(0.0, 1.0, "idle", False), (1.0, 2.0, PH_CPU_WAIT, False),
+              (2.0, 5.0, PH_COMPUTE, True)],
+    }
+
+
+def test_an_again_chain_rearms_into_a_busy_unit_and_a_free_one():
+    # A's second slice finds B holding the unit, its third a free unit
+    links = iter([2.0, 2.0])
+    facts, iv = _held(("A", _burst(0.0, 2.0, again=lambda: next(links, None))),
+                      ("B", _burst(1.0, 3.0)))
+    assert [f for f in facts if f[1] == "A"] == [
+        ("push", "A", PH_COMPUTE, True), ("pop", "A"),
+        ("push", "A", PH_CPU_WAIT), ("replace", "A", PH_COMPUTE), ("pop", "A"),
+        ("push", "A", PH_COMPUTE, True), ("pop", "A"),
+    ]
+    assert iv["A"] == [(0.0, 2.0, PH_COMPUTE, True), (2.0, 5.0, PH_CPU_WAIT, False),
+                       (5.0, 7.0, PH_COMPUTE, True), (7.0, 9.0, PH_COMPUTE, True)]
+    assert iv["B"] == [(0.0, 1.0, "idle", False), (1.0, 2.0, PH_CPU_WAIT, False),
+                       (2.0, 5.0, PH_COMPUTE, True)]
+
+
+def test_a_parked_spin_states_one_busy_phase_while_parked():
+    def spinner(sim, res):
+        done = sim.event()
+        sim.call_later(10.5, done.succeed)
+        yield from res.execute(1.0, 0, PH_CPU_WAIT, PH_LOCK_WAIT,
+                               again=lambda: 1.0, until=done)
+
+    facts, iv = _held(("S", spinner))
+    # the first slice is on the schedule; its re-arm parks until the
+    # boundary after *until*
+    busy = [("push", "S", PH_LOCK_WAIT, True), ("pop", "S")]
+    assert facts == busy + busy
+    assert iv == {"S": [(0.0, 1.0, PH_LOCK_WAIT, True), (1.0, 11.0, PH_LOCK_WAIT, True)]}
+
+
+@pytest.mark.parametrize("when", ["queued", "held"])
+def test_a_cancelled_hold_closes_the_phase_it_stated(when):
+    def victim(sim, res):
+        hold = Hold(res, 5.0, 0, wait_phase=PH_CPU_WAIT, busy_phase=PH_COMPUTE)
+        yield sim.timeout(1.0)
+        hold.cancel()
+        yield sim.timeout(1.0)
+
+    programs = [("V", victim)]
+    if when == "queued":
+        programs.insert(0, ("H", _burst(0.0, 3.0)))
+    facts, iv = _held(*programs)
+    pushed = {"queued": (PH_CPU_WAIT,), "held": (PH_COMPUTE, True)}[when]
+    assert [f for f in facts if f[1] == "V"] == [("push", "V", *pushed), ("pop", "V")]
+    assert iv["V"] == [(0.0, 1.0, pushed[0], when == "held"), (1.0, 2.0, "idle", False)]
+
+
+@pytest.mark.parametrize("queued", [False, True], ids=["granted", "queued"])
+def test_busy_phase_none_inherits_the_enclosing_phase(queued):
+    def inner(sim, res):
+        yield sim.timeout(1.0)
+        yield from bracket(sim, PH_LOCK_WAIT, res.execute(2.0, 0, PH_CPU_WAIT, None))
+
+    programs = [("A", inner)]
+    if queued:
+        programs.insert(0, ("H", _burst(0.0, 2.0)))
+    facts, iv = _held(*programs)
+    if queued:
+        assert [f for f in facts if f[1] == "A"] == [
+            ("push", "A", PH_LOCK_WAIT), ("push", "A", PH_CPU_WAIT),
+            ("replace", "A", None), ("pop", "A"), ("pop", "A")]
+        assert iv["A"] == [(0.0, 1.0, "idle", False), (1.0, 2.0, PH_CPU_WAIT, False),
+                           (2.0, 4.0, PH_LOCK_WAIT, True)]
+    else:
+        assert facts == [("push", "A", PH_LOCK_WAIT), ("push", "A", None, True),
+                         ("pop", "A"), ("pop", "A")]
+        assert iv["A"] == [(0.0, 1.0, "idle", False), (1.0, 3.0, PH_LOCK_WAIT, True)]
+
+
+def test_busy_phase_none_with_nothing_to_inherit_is_overhead():
+    facts, iv = _held(("A", _burst(1.0, 2.0, busy_phase=None)))
+    assert facts == [("push", "A", None, True), ("pop", "A")]
+    assert iv == {"A": [(0.0, 1.0, "idle", False), (1.0, 3.0, PH_OVERHEAD, True)]}
