@@ -350,9 +350,9 @@ def _sync_program(iters: int):
     return program
 
 
-def _python_calls(fn) -> int:
+def _python_calls(fn, *args) -> int:
     """Python calls (frames entered, generator resumes included) made by
-    ``fn()``, counted with ``sys.setprofile``."""
+    ``fn(*args)``, counted with ``sys.setprofile``."""
     calls = 0
 
     def count(frame, event, arg):
@@ -362,7 +362,7 @@ def _python_calls(fn) -> int:
 
     sys.setprofile(count)
     try:
-        fn()
+        fn(*args)
     finally:
         sys.setprofile(None)
     return calls
@@ -375,7 +375,7 @@ def _calls_per_message(iters: int = 60) -> float:
 
     ParadeRuntime(n_nodes=8, pool_bytes=1 << 20).run(_sync_program(2))
     rt = ParadeRuntime(n_nodes=8, pool_bytes=1 << 20)
-    calls = _python_calls(lambda: rt.run(_sync_program(iters)))
+    calls = _python_calls(rt.run, _sync_program(iters))
     return calls / rt.cluster.network.total_messages
 
 
@@ -391,8 +391,7 @@ def _cg_calls(observe: bool):
                        profile=observe, metrics=observe)
     if observe:
         TraceRecorder(rt.sim, capacity=1 << 18, queue_stride=64)
-    program = cg.make_program("T", niter=1)
-    return _python_calls(lambda: rt.run(program)), rt.sim.events_processed
+    return _python_calls(rt.run, cg.make_program("T", niter=1)), rt.sim.events_processed
 
 
 def _calls_per_event() -> dict:
