@@ -55,9 +55,6 @@ OPTIONS: Dict[str, dict] = {
     "--check": dict(
         action="store_true", help="assert the output's invariants; exit 2 on violation"
     ),
-    "--no-check": dict(
-        action="store_true", help="skip the protocol replay check of the recorded trace"
-    ),
     "--ring": dict(
         type=int, default=1 << 18,
         help="trace ring capacity in events (default 262144); oldest evicted",
@@ -106,9 +103,8 @@ OPTIONS: Dict[str, dict] = {
 VERBS: Dict[str, Verb] = {
     "trace": Verb(
         "repro.trace.export:trace_cli",
-        "run an app with event tracing; write a Chrome trace (Perfetto-loadable) "
-        "and replay the protocol checker (exit 2 on violations)",
-        ("-o --out", "--jsonl", "--ring", "--cats", "--no-check"),
+        "run an app with event tracing; write a Chrome trace (Perfetto-loadable)",
+        ("-o --out", "--jsonl", "--ring", "--cats"),
         runs="one", defaults={"out": "trace.json"},
     ),
     "trace-diff": Verb(

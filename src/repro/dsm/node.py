@@ -193,8 +193,8 @@ class DsmNodeBase:
             return
         pb = self.sim.probe
         if pb is not None and "dsm.page" in pb.heard:
-            # stated before the legality check, so the live checkers see
-            # (and name) the transition that is about to raise
+            # stated before the legality check, so the sanitizer sees
+            # (and names) the transition that is about to raise
             pb.instant(
                 "dsm.page", "page-state", node=self.id,
                 page=page, src=old.label, dst=new.label, reason=reason,

@@ -30,8 +30,7 @@ granularity) but each record keeps its exact byte range, so false sharing
 race additionally requires overlapping bytes with at least one write and
 neither access ordered before the other.
 
-Live protocol invariants (promoted from the offline
-:mod:`repro.trace.checker`):
+Live protocol invariants:
 
 * Figure-5 page-state transition legality and per-page chain continuity;
 * lock-grant vectors: per (lock, consumer) the granted vector never

@@ -17,10 +17,6 @@ much; this package says *when* and *why*:
 * :mod:`repro.trace.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``; nodes become processes, simulation
   threads become tracks) and JSON lines (the input of ``trace-diff``).
-* :mod:`repro.trace.checker` — replays a recorded trace against the DSM
-  page-state machine (:data:`repro.dsm.states.VALID_TRANSITIONS`) and the
-  barrier-epoch protocol, turning any traced run into a protocol
-  correctness test.
 * ``python -m repro trace`` — run any registered app with tracing on and
   write the exports (:func:`repro.trace.export.trace_cli`).
 
@@ -62,19 +58,13 @@ __all__ = [
     "DEFAULT_CATEGORIES",
     "to_chrome",
     "write_chrome_json",
-    "Violation",
-    "CheckReport",
-    "check_trace",
 ]
 
-#: names loaded on first access (PEP 562): exporting and checking a trace
-#: happen after a run, so recording one imports neither
+#: names loaded on first access (PEP 562): exporting a trace happens
+#: after a run, so recording one does not import the exporter
 _LAZY = {
     "to_chrome": "export",
     "write_chrome_json": "export",
-    "Violation": "checker",
-    "CheckReport": "checker",
-    "check_trace": "checker",
 }
 
 

@@ -10,8 +10,9 @@ The recorder is a subscriber of the simulation's probe bus
 (:mod:`repro.sim.probe` documents the one instrumentation pattern): it
 consumes every kind of its :attr:`~TraceRecorder.categories` (read when
 the bus resolves a kind: set them before attaching) plus ``kernel/step`` for
-queue-depth sampling.  :meth:`instant`, :meth:`span` and :meth:`counter`
-record directly, for exporters and tests that build a ring by hand.
+queue-depth sampling.  It records only what the bus routes to it: a fact
+stated with ``sim.probe.instant`` / ``span`` / ``counter`` once it has
+subscribed.
 
 The ring is one ``bytearray`` of packed records, one per row, oldest
 first, plus one object column, so a recorded fact holds only numbers
@@ -123,7 +124,7 @@ class TraceRecorder(Subscriber):
     """
 
     __slots__ = (
-        "sim", "capacity", "categories", "_enabled", "_gone",
+        "sim", "capacity", "categories", "_gone",
         "queue_stride", "_next_sample",
         "_buf", "_n", "_objs", "_objs_start", "_width", "_code_at",
         "_schemas", "_schema_list", "_tid_codes", "_tids",
@@ -144,7 +145,6 @@ class TraceRecorder(Subscriber):
         self.categories: FrozenSet[str] = (
             DEFAULT_CATEGORIES if categories is None else frozenset(categories)
         )
-        self._enabled = True
         #: rows recorded and since evicted or drained
         self._gone = 0
         self._clear()
@@ -178,18 +178,6 @@ class TraceRecorder(Subscriber):
         self._tids: List[str] = []
 
     # -- subscription -----------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """Master switch; ``False`` makes the recorder record nothing."""
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, on: bool) -> None:
-        self._enabled = on
-        bus = self.sim.probe
-        if bus is not None and any(s is self for s in bus.subscribers):
-            bus._rewire()  # re-resolve this recorder's handlers
-
     def attach(self):
         self._next_sample = None
         return super().attach()
@@ -197,14 +185,15 @@ class TraceRecorder(Subscriber):
     def handler_for(self, cat: str, name: str):
         if (cat, name) == ("kernel", "step"):
             return self._on_step
-        if self._enabled and cat in self.categories:
+        if cat in self.categories:
             return partial(self._record, cat, name)
         return None
 
     # -- emission -------------------------------------------------------
-    def _record(self, cat, name, args, node=-1, tid=None, t0=None, ph=None) -> None:
+    def _record(self, cat, name, args, node, tid, t0, ph) -> None:
         """Record one row, untested: the bus routes here only the kinds
-        :meth:`handler_for` resolved."""
+        :meth:`handler_for` resolved, and :meth:`_on_step` only while
+        ``counter`` is one of the :attr:`categories`."""
         now = self.sim.now
         if tid is None:
             proc = self.sim.active_process
@@ -295,37 +284,6 @@ class TraceRecorder(Subscriber):
             start = 0
         self._objs_start = start
 
-    def instant(
-        self, cat: str, name: str, node: int = -1, tid: Optional[str] = None, **args: Any
-    ) -> None:
-        """Record a point event at the current virtual time."""
-        if self._enabled and cat in self.categories:
-            self._record(cat, name, args, node, tid)
-
-    def span(
-        self,
-        cat: str,
-        name: str,
-        t0: float,
-        node: int = -1,
-        tid: Optional[str] = None,
-        **args: Any,
-    ) -> None:
-        """Record a completed span that started at virtual time *t0*."""
-        if self._enabled and cat in self.categories:
-            self._record(cat, name, args, node, tid, t0)
-
-    def counter(
-        self, cat: str, name: str, node: int = -1, tid: str = "counters", **values: Any
-    ) -> None:
-        """Record one sample of a counter series (``ph:"C"`` on export).
-
-        *values* are the numeric series values at the current virtual time;
-        Chrome/Perfetto stack multiple keys of one counter name.
-        """
-        if self._enabled and cat in self.categories:
-            self._record(cat, name, values, node, tid, None, "C")
-
     def _on_step(self, now: float, queue_depth: int):
         """``kernel/step``: samples the pending-event count on every
         :attr:`queue_stride`-th event since attaching; returns the next
@@ -337,7 +295,9 @@ class TraceRecorder(Subscriber):
         if self._next_sample is None:
             self._next_sample = n - 1 + stride
         if n >= self._next_sample:
-            self.counter(CAT_COUNTER, "queue-depth", depth=queue_depth)
+            if CAT_COUNTER in self.categories:
+                self._record(CAT_COUNTER, "queue-depth", {"depth": queue_depth},
+                             -1, "counters", None, "C")
             self._next_sample = n + stride
         return self._next_sample, _INF
 

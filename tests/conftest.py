@@ -453,16 +453,18 @@ class PerEventSteps:
 
 def reference_queue_stride(rec):
     """``TraceRecorder``'s old per-event step: count the events offered
-    since subscribing, sample the queue depth on every stride-th."""
+    since subscribing, sample the queue depth on every stride-th — to
+    *rec* alone, called the way the bus calls a counter handler."""
     from repro.trace import CAT_COUNTER
 
+    record = rec.handler_for(CAT_COUNTER, "queue-depth")
     seen = 0
 
     def on_event(now, depth):
         nonlocal seen
         seen += 1
-        if rec.queue_stride and seen % rec.queue_stride == 0:
-            rec.counter(CAT_COUNTER, "queue-depth", depth=depth)
+        if record and rec.queue_stride and seen % rec.queue_stride == 0:
+            record({"depth": depth}, -1, "counters", None, "C")
 
     return on_event
 

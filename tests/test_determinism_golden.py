@@ -3,7 +3,7 @@
 The committed goldens under ``tests/goldens/`` were recorded *before* the
 fast-path / vectorisation work landed.  These tests re-run the same
 workloads and assert that virtual times, per-node protocol statistics, and
-the replay-checker-validated trace stream are **identical** — any
+the trace stream of a sanitizer-checked run are **identical** — any
 divergence means an optimisation changed observable behaviour, not just
 wall-clock speed.
 
@@ -21,7 +21,7 @@ import pathlib
 
 from repro.apps import helmholtz
 from repro.runtime import ParadeRuntime
-from repro.trace import TraceRecorder, check_trace
+from repro.trace import TraceRecorder
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 GOLDEN = GOLDEN_DIR / "determinism_helmholtz_4node.json"
@@ -31,8 +31,8 @@ N_NODES = 4
 POOL_BYTES = 1 << 21
 
 
-def _run(traced: bool):
-    rt = ParadeRuntime(n_nodes=N_NODES, pool_bytes=POOL_BYTES)
+def _run(traced: bool, sanitize: bool = False):
+    rt = ParadeRuntime(n_nodes=N_NODES, pool_bytes=POOL_BYTES, sanitize=sanitize)
     rec = None
     if traced:
         rec = TraceRecorder(rt.sim, capacity=1 << 18, queue_stride=64)
@@ -53,9 +53,8 @@ def _per_node_stats(rt: ParadeRuntime):
 
 
 def _snapshot() -> dict:
-    rt, res, rec = _run(traced=True)
-    report = check_trace(rec.events)
-    assert report.ok, report.summary()
+    rt, res, rec = _run(traced=True, sanitize=True)
+    assert rt.sanitizer.ok, rt.sanitizer.format_report()
     return {
         "elapsed": res.elapsed,
         "region_time": res.region_time,
@@ -103,14 +102,14 @@ def test_event_count_matches_golden():
     assert int(res.cluster_stats["events_processed"]) == golden["events_processed"]
 
 
-def test_trace_stream_matches_golden_and_passes_replay_check():
+def test_trace_stream_matches_golden_and_passes_the_sanitizer():
     """The full trace stream (every event, in order, with args) is part of
     the behavioural contract: the fast path may not add, drop, or reorder
-    protocol events."""
+    protocol events.  The run is the sanitizer's too, so the golden
+    stream is also the one of a run whose protocol checked out live."""
     golden = _load_or_regen()
-    _, _, rec = _run(traced=True)
-    report = check_trace(rec.events)
-    assert report.ok, report.summary()
+    rt, _, rec = _run(traced=True, sanitize=True)
+    assert rt.sanitizer.ok, rt.sanitizer.format_report()
     assert rec.n_emitted == golden["n_trace_events"]
     assert _trace_digest(rec.events) == golden["trace_digest"]
 

@@ -193,15 +193,15 @@ assert heavy() == {"repro.translator"}, heavy()
 import repro
 assert all(hasattr(repro, n) for n in repro.__all__)
 assert all(hasattr(repro.apps, n) for n in repro.apps.__all__)
-# an observed run loads no report, export, critical-path, scorecard or
-# checker module: they read finished runs
+# an observed run loads no report, export, critical-path or scorecard
+# module: they read finished runs
 from repro.trace import TraceRecorder
 rt = repro.runtime.ParadeRuntime(n_nodes=2, pool_bytes=1 << 23, sanitize=True,
                                  profile=True, metrics=True)
 TraceRecorder(rt.sim)
 rt.run(repro.apps.cg.make_program("T", niter=0))
-readers = {f"repro.{m}" for m in ("trace.export", "trace.checker", "profile.report",
-           "profile.export", "profile.critical_path", "metrics.scorecard")}
+readers = {f"repro.{m}" for m in ("trace.export", "profile.report", "profile.export",
+           "profile.critical_path", "metrics.scorecard")}
 assert not readers & set(sys.modules), readers & set(sys.modules)
 import repro.trace, repro.profile, repro.metrics
 for pkg in (repro.trace, repro.profile, repro.metrics):

@@ -70,16 +70,15 @@ def _state(ring):
 @settings(max_examples=150, deadline=None, database=None)
 @given(facts=st.lists(_FACT, max_size=80), capacity=st.integers(1, 64))
 def test_ring_reads_back_what_the_tuple_ring_reads_back(facts, capacity):
-    sim = SimpleNamespace(now=0.0, active_process=None)
-    ring = TraceRecorder(sim, capacity=capacity, attach=False,
-                         categories={cat for cat, _ in _KINDS})
+    sim = SimpleNamespace(now=0.0, active_process=None, probe=None)
+    ring = TraceRecorder(sim, capacity=capacity, categories={cat for cat, _ in _KINDS})
     ref = ReferenceRing(sim, capacity)
     proc = SimpleNamespace(label="comm[1]")
     for op, (cat, name), args, node, tid, dt, running in facts:
         sim.active_process = proc if running else None
         t0 = sim.now
         sim.now += dt
-        for r in (ring, ref):
+        for r in (sim.probe, ref):
             if op == "drain":
                 assert _canonical(ring.drain()) == _canonical(ref.drain())
                 break
@@ -141,12 +140,12 @@ def test_interval_sums_remap_the_second_table(a, b, shuffle):
 def test_ring_widens_its_codes_past_65536(distinct):
     # 70 000 distinct tids or kinds through a ring of 100 rows: the codes
     # go from two bytes to four, every live record re-packed
-    sim = SimpleNamespace(now=0.0, active_process=None)
-    ring = TraceRecorder(sim, capacity=100, attach=False)
+    sim = SimpleNamespace(now=0.0, active_process=None, probe=None)
+    ring = TraceRecorder(sim, capacity=100)
     ref = ReferenceRing(sim, 100)
     for i in range(70_000):
         sim.now = float(i)
-        for r in (ring, ref):
+        for r in (sim.probe, ref):
             if distinct == "tid":
                 r.instant("net", "msg", node=i % 4, tid=f"t{i}", seq=i, tag="x")
             else:

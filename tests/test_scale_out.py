@@ -33,7 +33,7 @@ from repro.apps import cg, helmholtz
 from repro.chaos import plan_by_name
 from repro.cluster.network import Message
 from repro.runtime import ParadeRuntime
-from repro.trace import TraceRecorder, check_trace
+from repro.trace import TraceRecorder
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -83,9 +83,8 @@ def _golden_path(name) -> pathlib.Path:
 
 
 def _snapshot(name) -> dict:
-    rt, res, rec = _run(name, traced=True)
-    report = check_trace(rec.events)
-    assert report.ok, report.summary()
+    rt, res, rec = _run(name, traced=True, sanitize=True)
+    assert rt.sanitizer.ok, rt.sanitizer.format_report()
     return {
         "elapsed": res.elapsed,
         "total_messages": int(res.cluster_stats["total_messages"]),
@@ -110,9 +109,11 @@ def _load_or_regen(name) -> dict:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_16node_hier_run_matches_golden(name):
     """Virtual time, stats, values and the full trace stream of a
-    16-node tree-barrier run are pinned byte-for-byte."""
+    16-node tree-barrier run are pinned byte-for-byte, with the sanitizer
+    checking the protocol live on the same run."""
     golden = _load_or_regen(name)
-    rt, res, rec = _run(name, traced=True)
+    rt, res, rec = _run(name, traced=True, sanitize=True)
+    assert rt.sanitizer.ok, rt.sanitizer.format_report()
     assert res.elapsed == golden["elapsed"]
     assert int(res.cluster_stats["total_messages"]) == golden["total_messages"]
     assert int(res.cluster_stats["total_bytes"]) == golden["total_bytes"]

@@ -1,4 +1,4 @@
-"""Tests for repro.trace: recorder, exporters, checker, integration."""
+"""Tests for repro.trace: recorder, exporters, integration."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.trace import (
     DEFAULT_CATEGORIES,
     to_chrome,
     write_chrome_json,
-    check_trace,
 )
 from repro.runtime import ParadeRuntime, TWO_THREAD_TWO_CPU
 from repro.bench.figures import registered_programs
@@ -27,7 +26,7 @@ from repro.bench.figures import registered_programs
 def test_ring_bounds_and_eviction(sim):
     rec = TraceRecorder(sim, capacity=8)
     for i in range(20):
-        rec.instant(CAT_PAGE, "twin", node=0, page=i)
+        sim.probe.instant(CAT_PAGE, "twin", node=0, page=i)
     assert len(rec) == 8
     assert rec.n_emitted == 20
     assert rec.n_dropped == 12
@@ -40,17 +39,6 @@ def test_recorder_rejects_nonpositive_capacity(sim):
         TraceRecorder(sim, capacity=0)
 
 
-def test_disabled_recorder_records_nothing(sim):
-    rec = TraceRecorder(sim, capacity=64)
-    rec.enabled = False
-    for i in range(10_000):
-        rec.instant(CAT_PAGE, "twin", node=0, page=i)
-        rec.span(CAT_PAGE, "fetch", 0.0, node=0, page=i)
-    assert len(rec) == 0
-    assert rec.n_emitted == 0
-    assert rec.n_dropped == 0
-
-
 def test_unattached_simulator_has_no_trace(sim):
     # the zero-cost fast path: every instrumentation site guards on this
     assert sim.probe is None
@@ -58,8 +46,8 @@ def test_unattached_simulator_has_no_trace(sim):
 
 def test_category_filter(sim):
     rec = TraceRecorder(sim, capacity=64, categories={CAT_BARRIER})
-    rec.instant(CAT_PAGE, "twin", node=0, page=1)
-    rec.instant(CAT_BARRIER, "arrive", node=0, epoch=0)
+    sim.probe.instant(CAT_PAGE, "twin", node=0, page=1)
+    sim.probe.instant(CAT_BARRIER, "arrive", node=0, epoch=0)
     assert len(rec) == 1
     assert rec.events[0].cat == CAT_BARRIER
 
@@ -82,7 +70,7 @@ def test_attach_detach(sim):
 
 def test_drain_clears_ring(sim):
     rec = TraceRecorder(sim, capacity=8)
-    rec.instant(CAT_PAGE, "twin", node=0)
+    sim.probe.instant(CAT_PAGE, "twin", node=0)
     assert len(rec.drain()) == 1
     assert len(rec) == 0
 
@@ -133,111 +121,26 @@ def test_chrome_json_file_roundtrip(tmp_path):
         assert "ph" in e and "pid" in e and "name" in e
 
 
-# ------------------------------------------------------------ checker
-def _transition(ts, node, page, src, dst, reason):
-    return TraceEvent(ts=ts, cat=CAT_PAGE, name="page-state", node=node,
-                      args={"page": page, "src": src, "dst": dst, "reason": reason})
-
-
-def test_checker_accepts_legal_chain():
-    events = [
-        _transition(1e-6, 1, 0, "INVALID", "TRANSIENT", "fault"),
-        _transition(2e-6, 1, 0, "TRANSIENT", "READ_ONLY", "update-done"),
-        _transition(3e-6, 1, 0, "READ_ONLY", "DIRTY", "write-fault"),
-        _transition(4e-6, 1, 0, "DIRTY", "READ_ONLY", "flush"),
-    ]
-    report = check_trace(events)
-    assert report.ok
-    assert report.n_transitions == 4
-    assert "OK" in report.summary()
-
-
-def test_checker_flags_injected_illegal_transition():
-    events = [
-        _transition(1e-6, 1, 0, "INVALID", "TRANSIENT", "fault"),
-        _transition(2e-6, 1, 0, "TRANSIENT", "READ_ONLY", "update-done"),
-        # deliberately illegal: INVALID -> DIRTY is not a Figure-5 edge,
-        # and it also breaks the chain (last state was READ_ONLY)
-        _transition(3e-6, 1, 0, "INVALID", "DIRTY", "fault"),
-    ]
-    report = check_trace(events)
-    assert not report.ok
-    kinds = {v.kind for v in report.violations}
-    assert kinds == {"illegal-transition", "broken-chain"}
-    assert "VIOLATION" in report.summary()
-
-
-def test_checker_flags_malformed_args():
-    bad = TraceEvent(ts=0.0, cat=CAT_PAGE, name="page-state", node=2,
-                     args={"page": 1, "src": "NOT_A_STATE", "dst": "DIRTY"})
-    report = check_trace([bad])
-    assert not report.ok
-    assert report.violations[0].kind == "illegal-transition"
-
-
-def _barrier(ts, node, epoch):
-    return TraceEvent(ts=ts, cat=CAT_BARRIER, name="barrier", node=node,
-                      dur=1e-6, args={"epoch": epoch})
-
-
-def test_checker_barrier_epochs_ok():
-    events = [_barrier(1e-6 * (e * 2 + n), n, e) for e in range(3) for n in range(2)]
-    report = check_trace(events)
-    assert report.ok
-    assert report.n_barriers == 6
-
-
-def test_checker_flags_epoch_gap_and_membership():
-    events = [
-        _barrier(1e-6, 0, 0), _barrier(1e-6, 1, 0),
-        _barrier(2e-6, 0, 1),
-        _barrier(3e-6, 0, 2), _barrier(3e-6, 1, 2),  # node 1 skipped epoch 1
-    ]
-    report = check_trace(events)
-    kinds = {v.kind for v in report.violations}
-    assert "epoch-order" in kinds
-    assert "epoch-membership" in kinds
-
-
-def test_checker_tolerates_ring_eviction_head_loss():
-    # epochs starting above 0 (head of run evicted) are still consecutive
-    events = [_barrier(1e-6 * e, n, e) for e in (5, 6, 7) for n in (0, 1)]
-    assert check_trace(events).ok
-
-
-def test_checker_tolerates_uneven_head_loss_across_nodes():
-    # eviction truncates each node's prefix at a different epoch; only
-    # the overlap window (epoch >= 6 here) is compared across nodes
-    events = [_barrier(1e-6 * e, 0, e) for e in (6, 7)]
-    events += [_barrier(1e-6 * e, 1, e) for e in (5, 6, 7)]
-    assert check_trace(events).ok
-    # ...but a node missing an epoch INSIDE the window is still flagged
-    events = [_barrier(1e-6 * e, 0, e) for e in (5, 6, 7)]
-    events += [_barrier(1e-6 * e, 1, e) for e in (5, 7)]
-    kinds = {v.kind for v in check_trace(events).violations}
-    assert "epoch-membership" in kinds
-
-
 # ------------------------------------------------------------ integration
-def _traced_run(n_nodes=2, **recorder_kw):
+def _traced_run(n_nodes=2, sanitize=False, **recorder_kw):
     entry = registered_programs()["helmholtz"]
     rt = ParadeRuntime(
         n_nodes=n_nodes, exec_config=TWO_THREAD_TWO_CPU,
-        pool_bytes=entry["pool_bytes"],
+        pool_bytes=entry["pool_bytes"], sanitize=sanitize,
     )
     rec = TraceRecorder(rt.sim, **recorder_kw)
-    result = rt.run(entry["factory"]())
-    return rec, result
+    rt.run(entry["factory"]())
+    return rec, rt
 
 
 def test_traced_run_passes_protocol_check():
-    rec, _result = _traced_run()
+    # the sanitizer checks the protocol live on the traced run; the ring
+    # holds the page-state and barrier rows it checked
+    rec, rt = _traced_run(sanitize=True)
+    assert rt.sanitizer.ok, rt.sanitizer.format_report()
     events = rec.events
-    assert events, "traced run recorded nothing"
-    report = check_trace(events)
-    assert report.ok, report.summary()
-    assert report.n_transitions > 0
-    assert report.n_barriers > 0
+    kinds = {(e.cat, e.name) for e in events}
+    assert {(CAT_PAGE, "page-state"), (CAT_BARRIER, "barrier")} <= kinds
     cats = {e.cat for e in events}
     assert {"dsm.page", "dsm.barrier", "mpi", "net", "runtime"} <= cats
     # spans carry durations; remote fetches take nonzero virtual time

@@ -25,7 +25,8 @@ def test_cli_tiny_traced_run(tmp_path, capsys):
     jsonl = tmp_path / "trace.jsonl"
     rc = main(["trace", "helmholtz", "--nodes", "2", "-o", str(out), "--jsonl", str(jsonl)])
     assert rc == 0
-    assert "protocol check: OK" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "elapsed" in stdout and "protocol check" not in stdout
     doc = json.load(open(out))
     evs = doc["traceEvents"]
     assert evs
@@ -66,7 +67,8 @@ def test_cli_in_process_run_with_category_filter(tmp_path, capsys):
                "--cats", "dsm.page,dsm.barrier"])
     assert rc == 0
     stdout = capsys.readouterr().out
-    assert "protocol check: OK" in stdout
+    counted = {line.split()[0] for line in stdout.splitlines() if line.startswith("  ")}
+    assert counted == {"dsm.page", "dsm.barrier"}
     doc = json.load(open(out))
     cats = {e.get("cat") for e in doc["traceEvents"] if e["ph"] != "M"}
     assert cats <= {"dsm.page", "dsm.barrier"}

@@ -28,7 +28,7 @@ def test_counter_category_is_default_on():
 
 def test_counter_event_shape(sim):
     rec = TraceRecorder(sim, capacity=16)
-    rec.counter(CAT_COUNTER, "queue-depth", depth=7)
+    sim.probe.counter(CAT_COUNTER, "queue-depth", depth=7)
     (ev,) = rec.events
     assert ev.is_counter
     assert not ev.is_span
@@ -38,8 +38,12 @@ def test_counter_event_shape(sim):
 
 
 def test_counter_respects_category_filter(sim):
-    rec = TraceRecorder(sim, capacity=16, categories={"dsm.page"})
-    rec.counter(CAT_COUNTER, "queue-depth", depth=1)
+    rec = TraceRecorder(sim, capacity=16, categories={"dsm.page"}, queue_stride=4)
+    sim.probe.counter(CAT_COUNTER, "queue-depth", depth=1)
+    # nor does the recorder's own queue-depth sampling record a row
+    for _ in range(10):
+        sim.timeout(1.0)
+    sim.run()
     assert len(rec) == 0
 
 
@@ -72,7 +76,7 @@ def test_negative_queue_stride_rejected(sim):
 
 def test_chrome_export_counter_records(sim):
     rec = TraceRecorder(sim, capacity=16)
-    rec.counter(CAT_COUNTER, "page-census", node=2, INVALID=3, READ_ONLY=5)
+    sim.probe.counter(CAT_COUNTER, "page-census", node=2, INVALID=3, READ_ONLY=5)
     doc = to_chrome(rec.events)
     counters = [r for r in doc["traceEvents"] if r.get("ph") == "C"]
     assert len(counters) == 1
