@@ -13,13 +13,16 @@ export PYTHONPATH
 JOBS ?=
 JOBS_FLAG := $(if $(JOBS),--jobs $(JOBS),)
 
-.PHONY: test test-slow lint bench-smoke bench-gate bench-record profile-smoke chaos-smoke metrics-smoke hostbench-smoke hostbench bench micro
+.PHONY: test test-slow examples lint bench-smoke bench-gate bench-record profile-smoke chaos-smoke metrics-smoke hostbench-smoke hostbench bench micro
 
 test:            ## tier-1 suite (the ROADMAP verify command; budget 90 s, ten slowest tests in every log)
 	python -m pytest -x -q --durations=10
 
 test-slow:       ## include NPB class-S reference validations
 	python -m pytest -x -q -m "slow or not slow"
+
+examples:        ## run every examples/*.py script, each under a 300 s timeout; fails on the first non-zero exit
+	@for f in examples/*.py; do echo "== $$f"; timeout 300 python $$f || exit 1; done
 
 lint:            ## ruff (config in pyproject.toml); no-op if not installed
 	@command -v ruff >/dev/null 2>&1 && ruff check src tests benchmarks \

@@ -3,8 +3,8 @@
 A ParADE program is a generator taking a master context.  Parallel regions
 fork threads across every node of the cluster; inside a region the thread
 context exposes the OpenMP directives (for_range, barrier, critical,
-reduction, single) in both the ParADE hybrid translation and the
-conventional SDSM translation.
+reduction, single).  The runtime's ``mode`` picks their translation:
+``"parade"`` (the hybrid one) or ``"sdsm"`` (the conventional one).
 
 Run:  python examples/quickstart.py
 """

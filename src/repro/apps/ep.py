@@ -140,37 +140,15 @@ def make_program(klass: str = "T", seed: int = DEFAULT_SEED):
     def program(ctx):
         sx = ctx.shared_scalar("ep_sx")
         sy = ctx.shared_scalar("ep_sy")
-        q = ctx.shared_array("ep_q", (10,), force_object=(ctx.runtime.mode == "parade"))
+        q = ctx.shared_array("ep_q", (10,))
 
         def body(tc, sx, sy, q):
             lo, hi = tc.for_range(0, n_pairs)
             local = ep_segment(lo, hi - lo, seed=seed)
             yield from tc.compute((hi - lo) * WORK_UNITS_PER_PAIR)
-            if tc.runtime.mode == "parade":
-                # merged reduction: (sx, sy, counts-tuple) in ONE collective
-                merged = (local.sx, local.sy, tuple(local.counts.tolist()))
-
-                def inter(part):
-                    total = yield from tc.team.rank_comm.allreduce(part, op=SUM)
-                    tc.scalar(sx).raw_set(total[0])
-                    tc.scalar(sy).raw_set(total[1])
-                    tc.array(q).raw()[:] = np.asarray(total[2])
-                    return total
-
-                yield from tc.team.combining(tc._key("ep_red"), merged, SUM, inter)
-            else:
-                # conventional translation: three lock-guarded accumulations
-                yield from tc.reduce_into(sx, local.sx, SUM)
-                yield from tc.reduce_into(sy, local.sy, SUM)
-                qv = tc.array(q)
-                lock_id = tc.runtime.lock_id_for("ep_q")
-                yield from tc.dsm_node.lock_acquire(lock_id)
-                try:
-                    cur = yield from qv.get()
-                    yield from qv.set(np.asarray(cur) + local.counts)
-                finally:
-                    yield from tc.dsm_node.lock_release(lock_id)
-                yield from tc.barrier()
+            yield from tc.reduce_into_many(
+                ((sx, local.sx), (sy, local.sy), (q, local.counts)), SUM
+            )
 
         yield from ctx.parallel(body, sx, sy, q)
         final_sx = yield from ctx.scalar(sx).get()

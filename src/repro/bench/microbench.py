@@ -50,14 +50,11 @@ def critical(iters: int = DEFAULT_ITERS):
 
 
 def single(iters: int = DEFAULT_ITERS):
-    """Program: *iters* ``single`` encounters per thread (small init body)."""
+    """Program: *iters* ``single`` encounters per thread (small init body);
+    checks the value every thread gets back."""
 
     def program(ctx):
         v = ctx.shared_scalar("mb_v")
-        # In parade mode the broadcast value is deterministic.  In the
-        # conventional translation a thread's post-barrier read races with
-        # the next instance's writer, so no assertion there.
-        check = ctx.runtime.mode == "parade"
 
         def body(tc, v):
             for i in range(iters):
@@ -66,8 +63,7 @@ def single(iters: int = DEFAULT_ITERS):
                     yield  # pragma: no cover
 
                 got = yield from tc.single(body_gen_fn=init, shared_scalar=v)
-                if check:
-                    assert got == float(i), (got, i)
+                assert got == float(i), (got, i)
 
         yield from ctx.parallel(body, v)
 

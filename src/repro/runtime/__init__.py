@@ -7,13 +7,16 @@ consistency switch** — shared data ≤ 256 bytes guarded by synchronisation
 directives is kept consistent with explicit collectives (update protocol),
 everything else with HLRC (invalidate protocol).
 
-Two execution modes implement the paper's comparison:
+Two execution modes implement the paper's comparison, each one thread
+context class (one translation of Figs 2–3), chosen once by
+:class:`ParadeRuntime`'s constructor:
 
-* ``mode="parade"`` — the hybrid model: ``critical``/``atomic``/``reduction``
-  map to ``MPI_Allreduce``, ``single`` to ``MPI_Bcast`` (§4.2/§4.3);
-* ``mode="sdsm"``   — the conventional SDSM translation: every
-  synchronisation directive becomes a distributed lock + shared-page
-  traffic + barriers (the KDSM baseline of §6.1).
+* ``mode="parade"`` — ``context.ParadeThreadCtx``, the hybrid model:
+  ``critical``/``atomic``/``reduction`` map to ``MPI_Allreduce``,
+  ``single`` to ``MPI_Bcast`` (§4.2/§4.3);
+* ``mode="sdsm"``   — :class:`ThreadCtx`, the conventional SDSM
+  translation: every synchronisation directive becomes a distributed
+  lock + shared-page traffic + barriers (the KDSM baseline of §6.1).
 """
 
 from repro.runtime.exec_config import (
@@ -23,7 +26,7 @@ from repro.runtime.exec_config import (
     TWO_THREAD_TWO_CPU,
     ALL_EXEC_CONFIGS,
 )
-from repro.runtime.scheduler import static_chunk, static_chunks_round_robin
+from repro.runtime.scheduler import static_chunk
 from repro.runtime.team import NodeTeam
 from repro.runtime.context import ThreadCtx, MasterCtx
 from repro.runtime.results import RunResult
@@ -36,7 +39,6 @@ __all__ = [
     "TWO_THREAD_TWO_CPU",
     "ALL_EXEC_CONFIGS",
     "static_chunk",
-    "static_chunks_round_robin",
     "NodeTeam",
     "ThreadCtx",
     "MasterCtx",

@@ -1,20 +1,21 @@
 """Thread and master contexts: the directive-level API.
 
-:class:`ThreadCtx` is what a parallel-region body receives — the OpenMP
-directives as generator methods, dispatching to either the ParADE hybrid
-translation or the conventional SDSM translation depending on the runtime
-mode.  :class:`MasterCtx` is the sequential (outside-region) context of the
-master program.
+A parallel-region body receives a thread context — the OpenMP directives as
+generator methods — of one class per translation of Figs 2–3, picked once
+by the runtime: :class:`ThreadCtx` (conventional SDSM) or its subclass
+:class:`ParadeThreadCtx` (ParADE hybrid).  :class:`MasterCtx` is the
+sequential (outside-region) context of the master program.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.dsm import SharedScalar
 from repro.mpi.ops import ReduceOp, SUM
-from repro.runtime.scheduler import static_chunk, static_chunks_round_robin
+from repro.runtime.scheduler import static_chunk
 from repro.sim.probe import PH_BARRIER, bracket
 
 
@@ -45,7 +46,8 @@ class _CtxBase:
 
 
 class ThreadCtx(_CtxBase):
-    """One OpenMP thread inside a parallel region."""
+    """One OpenMP thread inside a parallel region, under the conventional
+    SDSM translation (Figs 2–3, left; the KDSM baseline of §6.1)."""
 
     def __init__(self, runtime, team, node_id: int, local_tid: int):
         super().__init__(runtime, node_id)
@@ -65,10 +67,6 @@ class ThreadCtx(_CtxBase):
     def for_range(self, lo: int, hi: int) -> Tuple[int, int]:
         """Block partition of [lo, hi) for this thread (schedule(static))."""
         return static_chunk(lo, hi, self.tid, self.nthreads)
-
-    def for_chunks(self, lo: int, hi: int, chunk: int) -> Iterator[Tuple[int, int]]:
-        """Round-robin chunks (schedule(static, chunk))."""
-        return static_chunks_round_robin(lo, hi, self.tid, self.nthreads, chunk)
 
     def dynamic_loop(self, lo: int, hi: int, chunk: int = 1, sched: str = "dynamic"):
         """schedule(dynamic, chunk) / schedule(guided): a cluster-wide chunk
@@ -99,26 +97,11 @@ class ThreadCtx(_CtxBase):
         """``#pragma omp critical { x = x op delta; }`` for a small shared
         scalar — the lexically-analyzable case the translator rewrites.
 
-        ParADE mode (Figure 2, right): pthread lock for intra-node
-        exclusion + one ``MPI_Allreduce`` wave per encounter combining the
-        current deltas of all processes; every process applies the combined
-        delta to its (object-granularity) local copy — no SDSM lock, no
-        twin/diff.
-
-        SDSM mode (Figure 2, left): a distributed lock around a normal
-        shared-page read-modify-write — lock round-trip, page fault, twin,
-        diff at release.
+        Figure 2, left: a distributed lock around a normal shared-page
+        read-modify-write — lock round-trip, page fault, twin, diff at
+        release.
         """
         view = self.scalar(shared_scalar)
-        if self.runtime.mode == "parade" and shared_scalar.array.segment.object_granularity:
-            yield from self.team.mutex.acquire()
-            try:
-                total = yield from self.team.rank_comm.allreduce(delta, op=op)
-                view.raw_set(op(view.raw_get(), total))
-            finally:
-                self.team.mutex.release()
-            return
-        # conventional SDSM translation
         lock_id = self.runtime.lock_id_for(shared_scalar)
         yield from self.dsm_node.lock_acquire(lock_id)
         try:
@@ -148,24 +131,10 @@ class ThreadCtx(_CtxBase):
         """The ``reduction`` clause: combine per-thread partials into the
         shared variable; returns the final value.
 
-        ParADE mode: intra-node combine, one ``MPI_Allreduce`` per node
-        team, result applied to every node's local copy — replacing the
-        lock-based accumulation *and* the work-sharing barrier (§5.2.1).
-
-        SDSM mode: each thread accumulates under the distributed lock,
-        then a full barrier (the conventional translation).
+        Each thread accumulates under the distributed lock, then a full
+        barrier (the conventional translation).
         """
         view = self.scalar(shared_scalar)
-        if self.runtime.mode == "parade" and shared_scalar.array.segment.object_granularity:
-            def inter(merged):
-                total = yield from self.team.rank_comm.allreduce(merged, op=op)
-                final = op(view.raw_get(), total)
-                view.raw_set(final)
-                return final
-
-            result = yield from self.team.combining(self._key("red"), partial, op, inter)
-            return result
-        # conventional SDSM translation: critical accumulation + barrier
         lock_id = self.runtime.lock_id_for(shared_scalar)
         yield from self.dsm_node.lock_acquire(lock_id)
         try:
@@ -182,23 +151,31 @@ class ThreadCtx(_CtxBase):
         yield from self.barrier()
         return final
 
+    def reduce_into_many(self, pairs, op: ReduceOp = SUM):
+        """``reduction(+: sx, sy, q[0..9])`` as ``(shared, partial)`` pairs
+        (scalar + number, or array + array): :meth:`reduce_into` per
+        scalar, each array accumulated under its lock, then one barrier."""
+        for shared, partial in pairs:
+            if isinstance(shared, SharedScalar):
+                yield from self.reduce_into(shared, partial, op)
+                continue
+            view = self.array(shared)
+            lock_id = self.runtime.lock_id_for(shared)
+            yield from self.dsm_node.lock_acquire(lock_id)
+            try:
+                cur = yield from view.get()
+                yield from view.set(op(cur, partial))
+            finally:
+                yield from self.dsm_node.lock_release(lock_id)
+        yield from self.barrier()
+
     def reduce_value(self, partial, op: ReduceOp = SUM):
         """Pure value reduction returning the combined value to every thread.
 
-        ParADE mode: intra-node combine + one ``MPI_Allreduce``.
-
-        SDSM mode: the conventional translation — a ``single`` resets a
-        shared scratch variable, every thread accumulates under the
-        distributed lock, and a barrier publishes the result (the pattern
-        whose cost §2.2 calls "expensive ... long latency").
+        A ``single`` resets a shared scratch variable, every thread accumulates
+        under the distributed lock, and a barrier publishes the result (the
+        pattern whose cost §2.2 calls "expensive ... long latency").
         """
-        if self.runtime.mode == "parade":
-            def inter(merged):
-                total = yield from self.team.rank_comm.allreduce(merged, op=op)
-                return total
-
-            result = yield from self.team.combining(self._key("redv"), partial, op, inter)
-            return result
         scratch = self.runtime.reduce_scratch()
         sview = self.scalar(scratch)
 
@@ -226,35 +203,13 @@ class ThreadCtx(_CtxBase):
         return float(total)
 
     # -- single ------------------------------------------------------------------
-    def single(self, body_gen_fn: Optional[Callable[[], Any]] = None, shared_scalar=None, value=None):
+    def single(self, body_gen_fn: Optional[Callable[[], Any]] = None, shared_scalar=None):
         """#pragma omp single.
 
-        ParADE mode (Figure 3, right): the earliest thread of the master
-        process executes the block; the result travels by ``MPI_Bcast``;
-        other threads synchronise on a pthread gate — no SDSM lock, no
-        barrier.  If *shared_scalar* is given, the broadcast value is
-        stored to each node's local copy.
-
-        SDSM mode (Figure 3, left): distributed lock + shared "done" flag
-        page + implicit barrier.
+        Figure 3, left: distributed lock + shared "done" flag page +
+        implicit barrier.  If *shared_scalar* is given, the block's result
+        is stored to it and read back by every thread.
         """
-        if self.runtime.mode == "parade":
-            key = self._key("sgl")
-            is_first, inst = self.team.first_arriver(key)
-            if not is_first:
-                result = yield from self.team.wait_gate(inst, key)
-                return result
-            result = None
-            if self.node_id == 0 and body_gen_fn is not None:
-                result = yield from body_gen_fn()
-                if result is None and value is not None:
-                    result = value
-            result = yield from self.team.rank_comm.bcast(result, root=0)
-            if shared_scalar is not None:
-                self.scalar(shared_scalar).raw_set(result)
-            self.team.open_gate(inst, key, result)
-            return result
-        # conventional SDSM translation
         flag = self.runtime.single_flag()
         fview = flag.on(self.node_id)
         my_gen = self._keys.get("sgl_gen", 0)
@@ -314,6 +269,81 @@ class ThreadCtx(_CtxBase):
         lock_id = self.runtime.lock_id_for(("omp_lock", lock_name))
         yield from self.dsm_node.lock_release(lock_id)
         self.team.named_mutex(lock_name).release()
+
+
+class ParadeThreadCtx(ThreadCtx):
+    """One OpenMP thread under the ParADE hybrid translation (Figs 2–3,
+    right): these rows keep object-granular data (§5.2.1) consistent by
+    MPI collectives — no SDSM lock, no twin/diff; the rest is inherited."""
+
+    def critical_update(self, shared_scalar, delta, op: ReduceOp = SUM):
+        """Figure 2, right: pthread lock for intra-node exclusion + one
+        ``MPI_Allreduce`` wave per encounter combining the current deltas of
+        all processes, applied by every process to its local copy."""
+        view = self.scalar(shared_scalar)
+        yield from self.team.mutex.acquire()
+        try:
+            total = yield from self.team.rank_comm.allreduce(delta, op=op)
+            view.raw_set(op(view.raw_get(), total))
+        finally:
+            self.team.mutex.release()
+
+    def reduce_into(self, shared_scalar, partial, op: ReduceOp = SUM):
+        """Intra-node combine + one ``MPI_Allreduce`` per node, applied to
+        every node's copy — no lock-based accumulation, no barrier (§5.2.1)."""
+        view = self.scalar(shared_scalar)
+
+        def inter(merged):
+            total = yield from self.team.rank_comm.allreduce(merged, op=op)
+            final = op(view.raw_get(), total)
+            view.raw_set(final)
+            return final
+
+        result = yield from self.team.combining(self._key("red"), partial, op, inter)
+        return result
+
+    def reduce_into_many(self, pairs, op: ReduceOp = SUM):
+        """§4.2: the partials merge into one structure-type value for the
+        node's combine and a single ``MPI_Allreduce``."""
+        merged = tuple(p if isinstance(s, SharedScalar) else tuple(p.tolist()) for s, p in pairs)
+
+        def inter(part):
+            totals = yield from self.team.rank_comm.allreduce(part, op=op)
+            for (shared, _), total in zip(pairs, totals):
+                arr = shared.array if isinstance(shared, SharedScalar) else shared
+                raw = self.array(arr).raw()
+                raw[:] = op(raw, total)
+            return totals
+
+        yield from self.team.combining(self._key("redm"), merged, op, inter)
+
+    def reduce_value(self, partial, op: ReduceOp = SUM):
+        """Intra-node combine + one ``MPI_Allreduce``."""
+        def inter(merged):
+            total = yield from self.team.rank_comm.allreduce(merged, op=op)
+            return total
+
+        result = yield from self.team.combining(self._key("redv"), partial, op, inter)
+        return result
+
+    def single(self, body_gen_fn: Optional[Callable[[], Any]] = None, shared_scalar=None):
+        """Figure 3, right: the earliest thread of the master process runs
+        the block; the result travels by ``MPI_Bcast`` (and into each node's
+        copy of *shared_scalar*, if given); other threads wait on a pthread
+        gate — no SDSM lock, no barrier."""
+        key = self._key("sgl")
+        is_first, inst = self.team.first_arriver(key)
+        if not is_first:
+            result = yield from self.team.wait_gate(inst, key)
+            return result
+        result = None
+        if self.node_id == 0 and body_gen_fn is not None:
+            result = yield from body_gen_fn()
+        result = yield from self.team.rank_comm.bcast(result, root=0)
+        if shared_scalar is not None:
+            self.scalar(shared_scalar).raw_set(result)
+        self.team.open_gate(inst, key, result)
+        return result
 
 
 class MasterCtx(_CtxBase):

@@ -23,12 +23,19 @@ from repro.dsm import DsmSystem, SharedArray, SharedScalar
 from repro.dsm.config import DsmConfig, PARADE_DSM, KDSM_BASELINE
 from repro.runtime.exec_config import ExecConfig, TWO_THREAD_TWO_CPU
 from repro.runtime.team import NodeTeam
-from repro.runtime.context import ThreadCtx, MasterCtx
+from repro.runtime.context import MasterCtx, ParadeThreadCtx, ThreadCtx
 from repro.runtime.results import RunResult
 
 #: §5.2.1 — shared data up to this size switches to the message-passing
 #: (update) protocol; larger data stays under HLRC.
 HYBRID_THRESHOLD_BYTES = 256
+
+#: mode -> (thread-context class, default DSM preset, largest object-granularity
+#: allocation in bytes, -1 for none): the one place a run's translation is chosen.
+_TRANSLATIONS = {
+    "parade": (ParadeThreadCtx, PARADE_DSM, HYBRID_THRESHOLD_BYTES),
+    "sdsm": (ThreadCtx, KDSM_BASELINE, -1),
+}
 
 
 class ParadeRuntime:
@@ -88,9 +95,9 @@ class ParadeRuntime:
         metrics: bool = False,
         metrics_period: float = 1e-4,
     ):
-        if mode not in ("parade", "sdsm"):
+        if mode not in _TRANSLATIONS:
             raise ValueError(f"mode must be 'parade' or 'sdsm', got {mode!r}")
-        self.mode = mode
+        self._thread_ctx, default_dc, self._object_max_bytes = _TRANSLATIONS[mode]
         self.exec_config = exec_config
 
         base_cc = cluster_config or ClusterConfig()
@@ -102,7 +109,7 @@ class ParadeRuntime:
         for ct in self.comm_threads:
             ct.start()
 
-        dc = dsm_config or (PARADE_DSM if mode == "parade" else KDSM_BASELINE)
+        dc = dsm_config or default_dc
         if protocol_accel:
             dc = dc.accelerated()
         if hierarchical:
@@ -164,14 +171,11 @@ class ParadeRuntime:
         page_align: bool = True,
         force_object: Optional[bool] = None,
     ) -> SharedArray:
-        """Allocate a shared array.  In parade mode, arrays at or below the
-        hybrid threshold are placed under the update protocol."""
+        """Allocate a shared array.  Arrays within the translation's
+        object-granularity bound go under the update protocol."""
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(np.atleast_1d(shape))) * dtype.itemsize
-        if force_object is None:
-            obj = self.mode == "parade" and nbytes <= HYBRID_THRESHOLD_BYTES
-        else:
-            obj = force_object
+        obj = nbytes <= self._object_max_bytes if force_object is None else force_object
         return SharedArray.allocate(
             self.dsm,
             name,
@@ -182,9 +186,10 @@ class ParadeRuntime:
         )
 
     def shared_scalar(self, name: str, dtype=np.float64) -> SharedScalar:
-        """Allocate a shared scalar (object-granularity in parade mode)."""
+        """Allocate a shared scalar, placed by the same size rule."""
         return SharedScalar(
-            self.dsm, name, dtype=dtype, object_granularity=(self.mode == "parade")
+            self.dsm, name, dtype=dtype,
+            object_granularity=np.dtype(dtype).itemsize <= self._object_max_bytes,
         )
 
     def lock_id_for(self, key) -> int:
@@ -252,7 +257,7 @@ class ParadeRuntime:
         team = NodeTeam(self, node_id, tpn, self._region_seq)
         procs = [
             self.sim.process(
-                self._thread_main(ThreadCtx(self, team, node_id, lt), body, args),
+                self._thread_main(self._thread_ctx(self, team, node_id, lt), body, args),
                 label=f"omp[{node_id}.{lt}]r{self._region_seq}",
             )
             for lt in range(tpn)

@@ -2,13 +2,12 @@
 
 The paper's runtime supports **static scheduling only**: iterations evenly
 distributed over threads (§4.3); richer policies are future work (§8).  We
-implement the block partition the Omni-derived translator emits, plus a
-round-robin chunked variant used by the ablation benchmarks.
+implement the block partition the Omni-derived translator emits.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 
 def static_chunk(lo: int, hi: int, tid: int, nthreads: int) -> Tuple[int, int]:
@@ -27,16 +26,3 @@ def static_chunk(lo: int, hi: int, tid: int, nthreads: int) -> Tuple[int, int]:
     start = lo + tid * base + min(tid, extra)
     size = base + (1 if tid < extra else 0)
     return start, start + size
-
-
-def static_chunks_round_robin(
-    lo: int, hi: int, tid: int, nthreads: int, chunk: int
-) -> Iterator[Tuple[int, int]]:
-    """OpenMP ``schedule(static, chunk)``: chunks dealt round-robin."""
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    start = lo + tid * chunk
-    stride = nthreads * chunk
-    while start < hi:
-        yield start, min(start + chunk, hi)
-        start += stride

@@ -1,5 +1,8 @@
 """Tests for the ParADE runtime: scheduler, fork-join, directives, configs."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro.runtime import (
     ParadeRuntime,
     static_chunk,
-    static_chunks_round_robin,
     ONE_THREAD_ONE_CPU,
     ONE_THREAD_TWO_CPU,
     TWO_THREAD_TWO_CPU,
@@ -41,27 +43,6 @@ def test_static_chunk_validation():
         static_chunk(0, 10, 0, 0)
     with pytest.raises(ValueError):
         static_chunk(0, 10, 5, 3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(0, 300),
-    nthreads=st.integers(1, 8),
-    chunk=st.integers(1, 20),
-)
-def test_round_robin_chunks_property(n, nthreads, chunk):
-    covered = set()
-    for t in range(nthreads):
-        for s, e in static_chunks_round_robin(0, n, t, nthreads, chunk):
-            span = set(range(s, e))
-            assert not (covered & span)
-            covered |= span
-    assert covered == set(range(n))
-
-
-def test_round_robin_chunk_validation():
-    with pytest.raises(ValueError):
-        list(static_chunks_round_robin(0, 10, 0, 2, 0))
 
 
 # ------------------------------------------------------------- runtime basics
@@ -135,6 +116,62 @@ def test_sdsm_mode_places_everything_in_hlrc():
     sc = rt.shared_scalar("s")
     assert not sc.array.segment.object_granularity
 
+
+
+# One encounter of each row of Figs 2–3.  Each directive body gets a shared
+# scalar and a small shared array (both object-granular under parade).
+_ROWS = {
+    "critical_update": lambda tc, x, q: tc.critical_update(x, 1.0),
+    "atomic_update": lambda tc, x, q: tc.atomic_update(x, 1.0),
+    "reduce_into": lambda tc, x, q: tc.reduce_into(x, 1.0),
+    "reduce_value": lambda tc, x, q: tc.reduce_value(1.0),
+    "single": lambda tc, x, q: tc.single(body_gen_fn=_one, shared_scalar=x),
+    "reduce_into_many": lambda tc, x, q: tc.reduce_into_many(((x, 1.0), (q, np.ones(3)))),
+}
+
+
+def _one():
+    return 1.0
+    yield  # makes _one a generator, as `single` requires
+
+
+@pytest.mark.parametrize("mode", ["parade", "sdsm"])
+@pytest.mark.parametrize("row", sorted(_ROWS))
+def test_each_directive_takes_its_figure_column(row, mode):
+    """Fig 2/3 right (parade): collectives only, no distributed lock.
+    Fig 2/3 left (sdsm): the distributed lock."""
+    rt = ParadeRuntime(n_nodes=2, mode=mode, pool_bytes=1 << 20)
+
+    def program(ctx):
+        x = ctx.shared_scalar("x")
+        q = ctx.shared_array("q", (3,))
+
+        def body(tc, x, q):
+            yield from _ROWS[row](tc, x, q)
+
+        yield from ctx.parallel(body, x, q)
+
+    res = rt.run(program)
+    locks = res.dsm_stats["lock_acquires"]
+    if mode == "parade":
+        assert locks == 0 and res.mpi_stats["collectives"] > 0, (locks, res.mpi_stats)
+    else:
+        assert locks > 0
+
+
+def test_only_the_runtime_constructor_knows_the_mode():
+    """The translation is chosen once, by ``ParadeRuntime.__init__``, from
+    its *mode* argument; no runtime, app or bench module reads a ``.mode``
+    attribute to choose it again."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    offences = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for pkg in ("runtime", "apps", "bench")
+        for path in sorted((src / pkg).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "mode"
+    ]
+    assert offences == []
 
 def test_critical_update_serialises_and_sums():
     rt = ParadeRuntime(n_nodes=4, exec_config=TWO_THREAD_TWO_CPU, pool_bytes=1 << 20)
