@@ -83,50 +83,6 @@ def test_ablation_interconnect(benchmark):
     assert via < tcp / 3
 
 
-def _sharing_run(dsm_config, n_nodes=4, iters=6, read_every=3):
-    """Multi-writer page with infrequent readers: all nodes update disjoint
-    slices of the SAME page every iteration; everyone reads the page every
-    *read_every* iterations.  A homeless reader must pull the accumulated
-    diffs from every writer (one round-trip each); a home-based reader
-    takes one fetch from the home, which merged the diffs as they arrived."""
-    cluster, _cts, dsm = build_dsm(n_nodes, dsm_config=dsm_config)
-    arr = SharedArray.allocate(dsm, "x", (512,))  # exactly one page
-    per = 512 // n_nodes
-
-    def worker(nid):
-        v = arr.on(nid)
-        lo = nid * per
-        for it in range(iters):
-            yield from v.set(np.full(per, float(1000 * nid + it + 1)), start=lo)
-            yield from dsm.node(nid).barrier()
-            if (it + 1) % read_every == 0:
-                yield from v.get()
-            yield from dsm.node(nid).barrier()
-
-    run_all(cluster, [worker(i) for i in range(n_nodes)])
-    dsm.check_coherence()
-    return cluster.sim.now, cluster.network.total_messages
-
-
-def test_ablation_home_based_vs_homeless(benchmark):
-    """§5.2.2: 'Home-based protocols are preferable to homeless protocols
-    in that they reduce the number of control messages and the page fetch
-    latency because every node knows where to fetch the most up-to-date
-    pages.'"""
-    from repro.dsm.config import HOMELESS_LRC
-
-    def run():
-        t_home, m_home = _sharing_run(PARADE_DSM)
-        t_less, m_less = _sharing_run(HOMELESS_LRC)
-        return t_home, m_home, t_less, m_less
-
-    t_home, m_home, t_less, m_less = run_once(benchmark, run)
-    print(f"\nhome-based (ParADE): {t_home*1e3:8.3f} ms, {m_home} messages")
-    print(f"homeless LRC       : {t_less*1e3:8.3f} ms, {m_less} messages")
-    # more control messages without a home directory
-    assert m_less > m_home
-
-
 def test_ablation_loop_scheduling(benchmark):
     """§8 future work: 'processes wait a long time at barrier due to
     load-imbalance in executing the for blocks since the current version of

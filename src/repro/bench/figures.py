@@ -227,12 +227,10 @@ def atomic_update_comparison(
         PROT_READ,
         strategy_by_name,
         STRATEGY_NAMES,
-        LINUX_24,
-        AIX_433,
+        OS_PROFILES,
     )
     from repro.vm.strategies import SimpleExecutor
 
-    profiles = {"linux-2.4": LINUX_24, "aix-4.3.3": AIX_433}
     fd = FigureData(
         figure="sec5.1",
         title="atomic page update strategies",
@@ -247,7 +245,7 @@ def atomic_update_comparison(
             phys = PhysicalMemory(1, 4096)
             space = AddressSpace(phys)
             space.map_identity(1, prot=PROT_NONE)
-            strat = strategy_by_name(name, profile=profiles[prof_name])
+            strat = strategy_by_name(name, profile=OS_PROFILES[prof_name])
             ex = SimpleExecutor(sim)
 
             def run():

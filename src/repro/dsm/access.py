@@ -1,12 +1,11 @@
 """Application access: the fast path, the fault service (the SIGSEGV
-handler, §5.2.3), write-upgrade runs and the fetch of a page or of its
-missing homeless diffs."""
+handler, §5.2.3), write-upgrade runs and the fetch of a page from its
+home."""
 
 from __future__ import annotations
 
 from repro.sim import Event
 from repro.vm import PROT_READ, PROT_WRITE, PROT_RW
-from repro.dsm.diffs import apply_diff, diff_nbytes
 from repro.dsm.states import PageState
 from repro.sim.probe import (
     CAT_AUDIT, PH_FAULT_FETCH, PH_FAULT_WORK, PH_PAGE_WAIT, bracket, waiting,
@@ -182,7 +181,7 @@ class AccessMixin:
             if state[page] is not PageState.READ_ONLY:
                 return None
             if not trapped:
-                if self.config.homeless or self.home[page] != self.id:
+                if self.home[page] != self.id:
                     self._make_twin(page)
                 trapped = True
                 return cc.mprotect_overhead
@@ -215,13 +214,8 @@ class AccessMixin:
         self._set_state(page, PageState.TRANSIENT, "fault")
         yield from self.node.busy_cpu(self.cluster_config.fault_overhead)
         final_prot = PROT_RW if is_write else PROT_READ
-        if self.config.homeless:
-            yield from self._pull_missing_diffs(page)
-            yield from self.node.busy_cpu(self.cluster_config.mprotect_overhead)
-            self.space.protect(page, final_prot)
-        else:
-            data = yield from self._fetch_page(page)
-            yield from self.strategy.update_page(self, self.space, page, data, final_prot)
+        data = yield from self._fetch_page(page)
+        yield from self.strategy.update_page(self, self.space, page, data, final_prot)
         stale = page in self._pending_inval
         if stale:
             # An invalidation raced with this fetch (a sibling thread
@@ -233,7 +227,7 @@ class AccessMixin:
             self._set_state(page, PageState.READ_ONLY, "update-done")
             self._invalidate(page)
         elif is_write:
-            if self.config.homeless or self.home[page] != self.id:
+            if self.home[page] != self.id:
                 self._make_twin(page)
             self.dirty.add(page)
             self._set_state(page, PageState.DIRTY, "update-done-write")
@@ -272,29 +266,3 @@ class AccessMixin:
             pb.span("dsm.page", "fetch", t0, node=self.id,
                     page=page, home=home, nbytes=len(data))
         return data
-
-    def _pull_missing_diffs(self, page: int):
-        """Homeless fault service: pull and apply every missing diff, in
-        barrier-epoch order (within an epoch, writers touch disjoint bytes
-        for data-race-free programs, so cross-writer order is free)."""
-        records = self._missing.pop(page, [])
-        view = self._page_view(page)
-        pb = self.sim.probe
-        t0 = self.sim.now
-        n_pulled = 0
-        for epoch, writers in sorted(records):
-            for w in writers:
-                diff = yield from bracket(
-                    self.sim, PH_FAULT_FETCH,
-                    self._request(w, "dget", 12, (page, epoch, self.id)),
-                )
-                self.stats.pages_fetched += 1
-                nb = diff_nbytes(diff)
-                self.stats.fetch_bytes += nb
-                if pb is not None and CAT_AUDIT in pb.heard:
-                    pb.instant(CAT_AUDIT, "pull", page=page, nbytes=nb)
-                yield from self.node.busy_cpu(self.cluster_config.diff_apply_overhead)
-                apply_diff(view, diff)
-                n_pulled += 1
-        if pb is not None and "dsm.page" in pb.heard and records:
-            pb.span("dsm.page", "diff-pull", t0, node=self.id, page=page, diffs=n_pulled)

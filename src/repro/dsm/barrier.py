@@ -46,7 +46,7 @@ class BarrierMixin:
     def _barrier_body(self, epoch: int, bar_t0: float):
         pb = self.sim.probe
         adaptive = self.adaptive
-        k = yield from self._flush_dirty(epoch=epoch)
+        k = yield from self._flush_dirty()
         yield from self.intervals.covered(k)
         # every interval this node closed since the last barrier
         notices = self.intervals.barrier()
@@ -79,16 +79,6 @@ class BarrierMixin:
         if pb is not None and "dsm.barrier" in pb.heard:
             pb.span("dsm.barrier", "barrier", bar_t0, node=self.id,
                     epoch=epoch, notices=len(notices))
-
-        if self.config.homeless:
-            # record which writers' diffs this copy is missing, oldest first
-            for page, writers in sorted(inval_writers.items()):
-                others = writers - {self.id}
-                if others:
-                    self._missing.setdefault(page, []).append((epoch, sorted(others)))
-                    self._invalidate(page)
-            self._emit_census(pb)
-            return
 
         if adaptive is not None:
             yield from adaptive.ship_handoffs(epoch, inval_writers, new_homes)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.vm.strategies import OS_PROFILES, STRATEGY_NAMES
+
 
 @dataclass(frozen=True)
 class DsmConfig:
@@ -20,13 +22,8 @@ class DsmConfig:
     spin_slice: float = 5e-6
     #: atomic page update strategy name (see repro.vm.strategies)
     update_strategy: str = "sysv-shm"
-    #: OS cost profile name: "linux-2.4" or "aix-4.3.3"
+    #: OS cost profile name, a key of ``repro.vm.OS_PROFILES``
     os_profile: str = "linux-2.4"
-    #: homeless (TreadMarks-style) LRC: writers retain diffs, faulting nodes
-    #: pull missing diffs from every writer (§5.2.2 argues home-based is
-    #: preferable — this flag exists to measure that claim).  Barrier
-    #: synchronisation only; the lock protocol requires a home directory.
-    homeless: bool = False
     #: protocol accelerator — write-notice/diff batching: at a release
     #: (barrier flush or lock release) all diffs destined to the same home
     #: are coalesced into one ``("dsm", "dbat")`` frame per peer with a
@@ -72,14 +69,15 @@ class DsmConfig:
             raise ValueError(
                 f"barrier_fanin must be 0 (flat) or >= 2, got {self.barrier_fanin}"
             )
-        if self.homeless:
-            # both accelerators ride on home-based frames homeless never sends
-            for accel in ("batch_notices", "adaptive_migration"):
-                if getattr(self, accel):
-                    raise ValueError(
-                        f"homeless=True does not combine with {accel}=True "
-                        "(the accelerator is home-based only)"
-                    )
+        if self.update_strategy not in STRATEGY_NAMES:
+            raise ValueError(
+                f"update_strategy must be one of {STRATEGY_NAMES}, "
+                f"got {self.update_strategy!r}"
+            )
+        if self.os_profile not in OS_PROFILES:
+            raise ValueError(
+                f"os_profile must be one of {tuple(OS_PROFILES)}, got {self.os_profile!r}"
+            )
 
     def replace(self, **kw) -> "DsmConfig":
         from dataclasses import replace as _replace
@@ -101,9 +99,6 @@ PARADE_DSM = DsmConfig(home_migration=True, lock_spin=False)
 
 #: KDSM baseline [20]: conventional HLRC, fixed home, busy-wait lock client.
 KDSM_BASELINE = DsmConfig(home_migration=False, lock_spin=True)
-
-#: Homeless LRC ablation: TreadMarks-style diff pulling, no home directory.
-HOMELESS_LRC = DsmConfig(home_migration=False, homeless=True)
 
 #: ParADE's DSM with the protocol accelerator on: batched write-notice/diff
 #: frames and adaptive (byte-weighted) home migration with update push.

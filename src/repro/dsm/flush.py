@@ -1,5 +1,5 @@
-"""Release-time page work: twins, diffs shipped to homes (or retained,
-homeless), closing an interval, and invalidation.
+"""Release-time page work: twins, diffs shipped to homes, closing an
+interval, and invalidation.
 
 Every flush is one interval of :mod:`~repro.dsm.intervals`: opened when
 it starts, closed with its write notices once its acks are in.  A page a
@@ -11,7 +11,7 @@ This is the only module that drops a twin of a written page
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -43,13 +43,10 @@ class FlushMixin:
         if pb is not None and "dsm.page" in pb.heard:
             pb.instant("dsm.page", "twin", node=self.id, page=page)
 
-    def _flush_dirty(self, epoch: Optional[int] = None):
+    def _flush_dirty(self):
         """Send diffs for all dirty non-home pages and close the interval
         with a write notice for every dirty page; returns the interval's
         number.  Diff sends are pipelined, then acks awaited.
-
-        Homeless mode (*epoch* given): diffs are retained locally, keyed by
-        the barrier epoch, for later pulling by faulting nodes.
 
         With ``batch_notices`` every diff within :data:`BATCH_MAX_BYTES`
         bound for the same home travels in one ``("dsm", "dbat")`` frame
@@ -63,33 +60,18 @@ class FlushMixin:
         k = self.intervals.open()
         # release-time twin/diff work: diff CPU bursts inherit the flush
         # label; the trailing ack waits count as flush too
-        notices = yield from bracket(self.sim, PH_FLUSH, self._flush(k, epoch))
+        notices = yield from bracket(self.sim, PH_FLUSH, self._flush(k))
         self._close_interval(wn.page for wn in notices)
         self.intervals.close(k, notices)
         return k
 
-    def _flush(self, k: int, epoch: Optional[int]):
+    def _flush(self, k: int):
         pb = self.sim.probe
         t0 = self.sim.now
         n_dirty = len(self.dirty)
         diffs_before = self.stats.diffs_sent
         bytes_before = self.stats.diff_bytes
         pages = sorted(self.dirty)
-        if self.config.homeless:
-            assert epoch is not None, "homeless flush requires a barrier epoch"
-            for p in pages:
-                twin = self.twins.get(p)
-                assert twin is not None, f"dirty page {p} has no twin on {self.id}"
-                yield from self.node.busy_cpu(self.cluster_config.diff_overhead)
-                cur = self._page_view(p)
-                diff = compute_diff(twin, cur)
-                twin[:] = cur
-                self._diff_log[(p, epoch)] = diff
-                if pb is not None and CAT_AUDIT in pb.heard:
-                    pb.instant(CAT_AUDIT, "diff", page=p, nbytes=diff_nbytes(diff))
-            if pb is not None and "dsm.page" in pb.heard and n_dirty:
-                pb.span("dsm.page", "flush", t0, node=self.id, dirty=n_dirty, retained=True)
-            return [WriteNotice(p, self.id, k) for p in pages]
         acks = []
         batch = self.config.batch_notices
         by_home: Dict[int, List[tuple]] = {}

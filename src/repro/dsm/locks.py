@@ -22,10 +22,6 @@ class LockMixin:
 
     def lock_acquire(self, lock_id: int):
         """Acquire a global lock; applies piggybacked write notices."""
-        if self.config.homeless:
-            raise NotImplementedError(
-                "the homeless-LRC ablation supports barrier synchronisation only"
-            )
         self.stats.lock_acquires += 1
         manager = lock_id % self.n_nodes
         req_id = self._next_req()

@@ -40,12 +40,11 @@ import numpy as np
 from repro.sim import Event
 from repro.vm import (
     AddressSpace, PhysicalMemory, PROT_NONE, PROT_READ, PROT_RW, strategy_by_name,
-    LINUX_24, AIX_433,
+    OS_PROFILES,
 )
 from repro.dsm.access import AccessMixin
 from repro.dsm.adaptive import AdaptiveAccel
 from repro.dsm.barrier import BarrierMixin
-from repro.dsm.diffs import Diff
 from repro.dsm.flush import FlushMixin
 from repro.dsm.intervals import Intervals
 from repro.dsm.locks import LockMixin
@@ -55,8 +54,6 @@ from repro.dsm.states import (
 from repro.dsm.stats import DsmNodeStats
 from repro.dsm.wire import WireMixin
 from repro.dsm.writenotice import WriteNotice
-
-_OS_PROFILES = {"linux-2.4": LINUX_24, "aix-4.3.3": AIX_433}
 
 
 class DsmNodeBase:
@@ -80,14 +77,11 @@ class DsmNodeBase:
         self.space = AddressSpace(self.phys, name=f"app[{self.id}]")
         self.space.map_identity(self.n_pages, prot=PROT_NONE)
 
-        profile = _OS_PROFILES[dsm_config.os_profile]
+        profile = OS_PROFILES[dsm_config.os_profile]
         self.strategy = strategy_by_name(dsm_config.update_strategy, profile=profile)
 
-        # Page table: master starts READ_ONLY everywhere, others INVALID
-        # (§5.2.3).  Homeless mode: every copy starts valid (all zeros are
-        # trivially coherent) and writers retain diffs for pulling.
-        all_valid = dsm_config.homeless
-        initial = PageState.READ_ONLY if (self.id == 0 or all_valid) else PageState.INVALID
+        # Page table: master starts READ_ONLY everywhere, others INVALID (§5.2.3).
+        initial = PageState.READ_ONLY if self.id == 0 else PageState.INVALID
         self.state: List[PageState] = [initial] * self.n_pages
         #: pages per state, indexed by ``PageState.idx``.  Created with the
         #: table and moved only by ``_write_state``, the one function that
@@ -97,13 +91,9 @@ class DsmNodeBase:
         self.census[initial.idx] = self.n_pages
         self.home: List[int] = [0] * self.n_pages
         self.kind: List[int] = [KIND_HLRC] * self.n_pages
-        if self.id == 0 or all_valid:
+        if self.id == 0:
             for p in range(self.n_pages):
                 self.space.protect(p, PROT_READ)
-        #: homeless mode: (page, barrier epoch) -> retained diff
-        self._diff_log: Dict[tuple, Diff] = {}
-        #: homeless mode: page -> ordered [(epoch, [writers])] still unapplied
-        self._missing: Dict[int, List[tuple]] = {}
 
         self.twins: Dict[int, np.ndarray] = {}
         self.dirty: Set[int] = set()
@@ -152,8 +142,7 @@ class DsmNodeBase:
         # discards the stale update and retries.
         self._pending_inval: Set[int] = set()
 
-        # protocol accelerator (docs/PERFORMANCE.md "Protocol optimizations");
-        # adaptive migration never runs with homeless
+        # protocol accelerator (docs/PERFORMANCE.md "Protocol optimizations")
         self.adaptive: Optional[AdaptiveAccel] = (
             AdaptiveAccel(self) if dsm_config.adaptive_migration else None
         )

@@ -23,9 +23,8 @@ class DsmNodeStats:
     write_faults          count   write faults: INVALID fetch-for-write    Figs 8-11
                                   or READ_ONLY upgrade
                                   (``dsm.page/fault`` kind=write[-upgrade])
-    pages_fetched         count   whole pages / homeless diffs pulled      Figs 8-11
-                                  from remote (``dsm.page/fetch``,
-                                  ``dsm.page/diff-pull``)
+    pages_fetched         count   whole pages fetched from their homes     Figs 8-11
+                                  (``dsm.page/fetch``)
     fetch_bytes           bytes   payload bytes of those fetches           traffic ablations
     diffs_sent            count   diffs shipped to homes at releases       Fig 6 (critical), Figs 8-11
                                   (``dsm.page/flush`` args ``diffs``)
@@ -42,9 +41,9 @@ class DsmNodeStats:
                                   (``dsm.page/page-state`` dst=INVALID)
     blocked_waits         count   threads parked on an in-flight page      §5.2.3 TRANSIENT/BLOCKED
                                   update (``dsm.page/page-wait`` spans)
-    fetches_served        count   fetch/diff requests served as home       comm-thread contention,
+    fetches_served        count   page fetches served as home              comm-thread contention,
                                   (``dsm.page/serve-fetch``)               §6.2 configurations
-    dsm_reissues          count   fetch/dget requests idempotently         reliability ablations
+    dsm_reissues          count   fetch requests idempotently              reliability ablations
                                   re-issued after a quiet RTO, chaos       (docs/RELIABILITY.md)
                                   runs only (``chaos/dsm-reissue``)
     stale_replies         count   duplicate/late replies discarded         reliability ablations

@@ -116,18 +116,6 @@ class DsmSystem:
         for p in range(self._brk // self.page_size + 1):
             if p >= self.n_pages:
                 break
-            if self.config.homeless:
-                # no home: every *valid* copy must agree pairwise
-                valid = [
-                    dn for dn in self.nodes
-                    if dn.state[p] in (PageState.READ_ONLY, PageState.DIRTY)
-                ]
-                for dn in valid[1:]:
-                    if not np.array_equal(dn._page_view(p), valid[0]._page_view(p)):
-                        raise AssertionError(
-                            f"incoherent page {p}: nodes {valid[0].id} and {dn.id} differ"
-                        )
-                continue
             home = self.nodes[0].home[p]
             home_data = self.nodes[home]._page_view(p)
             for dn in self.nodes:

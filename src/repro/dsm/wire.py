@@ -1,15 +1,15 @@
 """Request/reply plumbing and the comm-thread handler of the ``dsm``
-channel: page fetches, homeless diff pulls, diff application at the home,
-and the accelerator's one-way ``hand`` / ``push`` frames."""
+channel: page fetches, diff application at the home, and the
+accelerator's one-way ``hand`` / ``push`` frames."""
 
 from __future__ import annotations
 
 from repro.sim import AnyOf, Event
-from repro.dsm.diffs import apply_diff, diff_nbytes
+from repro.dsm.diffs import apply_diff
 from repro.dsm.states import PageState
 
 #: reply kinds: each resolves the request it answers (acks carry None)
-_REPLIES = frozenset({"fetchR", "dgetR", "diffR", "dbatR"})
+_REPLIES = frozenset({"fetchR", "diffR", "dbatR"})
 
 
 class WireMixin:
@@ -42,7 +42,7 @@ class WireMixin:
         ev.succeed(value)
 
     def _request(self, dst: int, kind: str, nbytes: int, payload):
-        """One idempotent read request (``fetch`` / ``dget``) to *dst*;
+        """One idempotent read request (``fetch``) to *dst*;
         returns the reply.  On a lossy link the request is re-issued after
         quiet RTOs.
 
@@ -99,15 +99,6 @@ class WireMixin:
             for page, diff in msg.payload:
                 yield from self._apply_incoming_diff(page, diff)
             yield from self.net.send(self.id, msg.src, 4, None, tag=("dsm", "dbatR", req_id))
-        elif kind == "dget":
-            page, epoch, requester = msg.payload
-            # every (page, epoch) a notice named was logged by the flush
-            # that made the notice: a miss is protocol corruption
-            diff = self._diff_log[(page, epoch)]
-            self.stats.fetches_served += 1
-            yield from self.net.send(
-                self.id, requester, diff_nbytes(diff), diff, tag=("dsm", "dgetR", req_id)
-            )
         elif kind == "hand":
             # adaptive migration: the old home ships its current copy to
             # the new home chosen at the barrier (fire-and-forget;

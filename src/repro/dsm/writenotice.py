@@ -24,7 +24,7 @@ class WriteNotice:
     page: int
     writer: int
     interval: int
-    #: diff bytes this write produced (0 from a homeless flush) — the home
+    #: diff bytes this write produced (0 when unsized) — the home
     #: writer, which makes no diff, is credited a full page as documented
     #: in the config.  Read, and priced on the wire, only when sized
     #: notices are in use (``DsmConfig.adaptive_migration``)

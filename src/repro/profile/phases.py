@@ -22,7 +22,6 @@ phase               group   meaning
 ``compute``         compute useful application work (:meth:`Node.compute`)
 ``cpu-wait``        cpu     queued for a CPU (contention with siblings/comm thread)
 ``fault-fetch``     stall   page-fault fetch: request sent, waiting for the page
-                            (or homeless diff pull round-trips)
 ``fault-work``      stall   local fault service: SIGSEGV/mprotect overhead, twin
                             creation, atomic page update, diff application
 ``page-wait``       stall   blocked on a sibling thread's in-flight page update

@@ -196,7 +196,6 @@ class Profiler(Subscriber):
             (CAT_AUDIT, "retransmit-wait"): self._on_retransmit_wait,
             (CAT_AUDIT, "fault"): self._on_fault,
             ("dsm.page", "fetch"): self._on_fetch,
-            (CAT_AUDIT, "pull"): self._on_fetch,
             (CAT_AUDIT, "diff"): self._on_diff,
             (CAT_AUDIT, "lock-acquire"): self._on_lock_acquired,
             ("dsm.lock", "grant"): self._on_lock_grant,
@@ -313,7 +312,7 @@ class Profiler(Subscriber):
         if self.record_intervals and t1 > t0:
             self.net_intervals.append(t0, t1, NET_TID, PH_RETRANSMIT, True)
 
-    # -- hot pages (audit/fault, dsm.page/fetch, audit/pull, audit/diff) ----
+    # -- hot pages (audit/fault, dsm.page/fetch, audit/diff) ----
     def _page(self, page: int) -> PageStats:
         ps = self.pages.get(page)
         if ps is None:

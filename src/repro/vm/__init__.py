@@ -29,6 +29,7 @@ from repro.vm.strategies import (
     OSProfile,
     LINUX_24,
     AIX_433,
+    OS_PROFILES,
     strategy_by_name,
     STRATEGY_NAMES,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "OSProfile",
     "LINUX_24",
     "AIX_433",
+    "OS_PROFILES",
     "strategy_by_name",
     "STRATEGY_NAMES",
 ]

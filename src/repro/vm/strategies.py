@@ -71,6 +71,9 @@ AIX_433 = OSProfile(
     },
 )
 
+#: every OS cost profile by name (``DsmConfig.os_profile``)
+OS_PROFILES = {p.name: p for p in (LINUX_24, AIX_433)}
+
 
 class SimpleExecutor:
     """Minimal cost-charging context for standalone VM tests: charges time

@@ -8,6 +8,7 @@ to a real file, so a rename or a typo breaks CI instead of a reader.
 
 from __future__ import annotations
 
+import itertools
 import re
 import shlex
 from pathlib import Path
@@ -207,3 +208,51 @@ def test_every_ledger_row_names_something_that_exists():
             stale.append(" ".join(row))
     assert not stale, f"ledger rows naming no verb, option or name: {stale}"
 
+
+# -- EXPERIMENTS.md's tables against the CSVs the figure benches write --
+#: section heading prefix -> the CSV its first table is copied from
+_TABLE_CSVS = {
+    **{f"## Figure {n} ": f"fig{n}.csv" for n in range(6, 12)},
+    "## §5.1 ": "sec5.1.csv",
+}
+
+
+def _first_table(section: str):
+    """Header cells and body rows of the first markdown table in *section*."""
+    lines = section.splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("|"))
+    rows = [
+        [c.strip() for c in ln.strip("|").split("|")]
+        for ln in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start:])
+    ]
+    return rows[0], rows[2:]
+
+
+def test_experiments_tables_match_their_csvs():
+    """Every cell of the six figure tables and the §5.1 table reads what
+    ``benchmarks/results/`` holds, rounded to the digits it prints."""
+    import csv
+
+    text = (REPO / "EXPERIMENTS.md").read_text()
+    sections = {"## " + s.split("\n", 1)[0]: s for s in text.split("\n## ")[1:]}
+    checked = {}
+    for prefix, name in _TABLE_CSVS.items():
+        [heading] = [h for h in sections if h.startswith(prefix)]
+        header, body = _first_table(sections[heading])
+        with open(REPO / "benchmarks" / "results" / name, newline="") as f:
+            csv_header, *csv_rows = list(csv.reader(f))
+        assert header[1:] == csv_header[1:], name
+        assert len(body) == len(csv_rows), name
+        for row, csv_row in zip(body, csv_rows):
+            if name == "sec5.1.csv":
+                # rows in the strategy order the CSV's first header names
+                label = csv_header[0].split(" / ")[int(csv_row[0])]
+                assert row[0].split()[0] == label, (name, row)
+            else:
+                assert row[0] == csv_row[0], (name, row)
+            for cell, value in zip(row[1:], csv_row[1:]):
+                digits = len(cell.partition(".")[2])
+                assert cell == f"{float(value):.{digits}f}", (name, row[0], cell, value)
+        checked[name] = len(body) * len(header[1:])
+    figure_cells = sum(n for name, n in checked.items() if name.startswith("fig"))
+    assert (figure_cells, checked["sec5.1.csv"]) == (64, 10)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.dsm import SharedArray, PageState
 from repro.apps import cg, helmholtz
-from repro.dsm.config import HOMELESS_LRC, PARADE_DSM, KDSM_BASELINE
+from repro.dsm.config import PARADE_DSM, KDSM_BASELINE
 from repro.runtime import ParadeRuntime
 from repro.sim.probe import Subscriber
 from conftest import build_dsm, recount, run_all, sync_loops
@@ -339,7 +339,6 @@ _CENSUS_APPS = {
 _CENSUS_PROTOCOLS = {
     "parade": {"mode": "parade"},
     "sdsm": {"mode": "sdsm"},
-    "homeless": {"dsm_config": HOMELESS_LRC},
 }
 
 
@@ -357,11 +356,6 @@ def test_census_equals_a_recount_at_every_barrier(protocol, n_nodes, hier, accel
     path: after each barrier and at run end it equals a fresh recount and
     sums to the pool size."""
     apps = ("helmholtz",) if n_nodes == 16 else sorted(_CENSUS_APPS)
-    if protocol == "homeless" and accel:
-        # the accelerator is home-based: a configuration error, not a run
-        with pytest.raises(ValueError, match="homeless=True does not combine"):
-            ParadeRuntime(n_nodes=n_nodes, protocol_accel=True, dsm_config=HOMELESS_LRC)
-        return
     for app in apps:
         rt = ParadeRuntime(
             n_nodes=n_nodes, protocol_accel=accel, hierarchical=hier,

@@ -21,6 +21,7 @@ from repro.dsm.states import VALID_TRANSITIONS, IllegalTransition
 from repro.dsm.writenotice import merge_notices
 from repro.dsm.diffs import RUN_HEADER_BYTES
 from repro.sim import Simulator
+from repro.vm import OS_PROFILES, STRATEGY_NAMES
 from repro.sim.probe import Subscriber
 
 from conftest import build_dsm, recount, reference_runs
@@ -474,9 +475,26 @@ def test_merge_notices_groups_writers():
     ("pool_bytes", 0),
     ("pool_bytes", -4096),
     ("barrier_fanin", 1),
+    ("barrier_fanin", -1),
+    # unknown names used to pass here and fail in every DsmNode with a
+    # bare KeyError
+    ("update_strategy", "bogus"),
+    ("os_profile", "bogus"),
 ])
 def test_config_rejects_values_that_cannot_run(field, value):
     from repro.dsm.config import KDSM_BASELINE
 
     with pytest.raises(ValueError, match=field):
         KDSM_BASELINE.replace(**{field: value})
+
+
+@pytest.mark.parametrize("field,choices", [
+    ("update_strategy", STRATEGY_NAMES), ("os_profile", OS_PROFILES),
+], ids=["update_strategy", "os_profile"])
+def test_config_names_the_choices_of_an_unknown_name(field, choices):
+    from repro.dsm.config import DsmConfig
+
+    with pytest.raises(ValueError) as err:
+        DsmConfig(**{field: "bogus"})
+    for name in choices:
+        assert repr(name) in str(err.value)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.apps import cg, helmholtz, md
 from repro.dsm import PageState, SharedArray
-from repro.dsm.config import HOMELESS_LRC, KDSM_BASELINE, PARADE_DSM
+from repro.dsm.config import KDSM_BASELINE, PARADE_DSM
 from repro.dsm.node import DsmNode
 from repro.runtime import ParadeRuntime
 from repro.sim.probe import CAT_AUDIT, Subscriber
@@ -53,7 +53,6 @@ _APPS = {
 _PROTOCOLS = {
     "parade": {"mode": "parade"},
     "sdsm": {"mode": "sdsm"},
-    "homeless": {"dsm_config": HOMELESS_LRC},
 }
 #: (protocol, nodes, accel, traced): the whole matrix detached, its
 #: 2-node half plus one 4-node point under a recorder
@@ -97,13 +96,7 @@ def test_service_order_equals_the_rescan_oracle(
     """Same fault sequence (page, write, time, thread), stats, value and
     trace as rescanning after every fault."""
     # traced CG under sdsm is 300 k spin-slice events; its traced
-    # coverage is the parade and homeless rows
-    if protocol == "homeless" and accel:
-        # the accelerator is home-based: this corner of the matrix is a
-        # configuration error, not a run
-        with pytest.raises(ValueError, match="homeless=True does not combine"):
-            _observe("sync", protocol, n_nodes, accel, traced)
-        return
+    # coverage is the parade row
     apps = [a for a in _APPS if not (traced and protocol == "sdsm" and a == "cg")]
     new = {app: _observe(app, protocol, n_nodes, accel, traced) for app in apps}
     monkeypatch.setattr(DsmNode, "_acquire", rescan_acquire)

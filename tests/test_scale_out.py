@@ -258,7 +258,9 @@ def test_every_dsm_config_field_is_in_the_flag_ledger_and_read():
     """docs/PERFORMANCE.md "Flag ledger" is the options contract: every
     ``DsmConfig`` field has a row saying what it exists for, and the
     protocol reads it somewhere outside ``config.py`` — a field with no
-    row has no stated reason to exist, one nothing reads selects nothing."""
+    row has no stated reason to exist, one nothing reads selects nothing.
+    Both ways: a live row names only fields, and a deleted row names
+    none (a deleted field's row moves tables, it is not copied)."""
     import dataclasses
     import re
 
@@ -266,22 +268,29 @@ def test_every_dsm_config_field_is_in_the_flag_ledger_and_read():
 
     root = pathlib.Path(__file__).resolve().parents[1]
     doc = (root / "docs" / "PERFORMANCE.md").read_text()
-    # the table of live fields: up to the deleted rows kept for the record
-    ledger = doc.split("## Flag ledger", 1)[1].split("\nDeleted (", 1)[0]
-    # a row's first cell names one field, or two that only work together
-    rows = {
-        name
-        for line in ledger.splitlines() if line.startswith("| `")
-        for name in re.findall(r"`(\w+)`", line.split("|")[1])
-    }
+    # the table of live fields, then the deleted rows kept for the record
+    live, deleted = doc.split("## Flag ledger", 1)[1].split("\n## ", 1)[0].split(
+        "\nDeleted (", 1)
+
+    def first_cells(table):
+        # a row's first cell names one field, or two that only work
+        # together (a deleted row also names what went with it)
+        return {
+            name
+            for line in table.splitlines() if line.startswith("| `")
+            for name in re.findall(r"`(\w+)`", line.split("|")[1])
+        }
+
+    rows, gone = first_cells(live), first_cells(deleted)
+    fields = {f.name for f in dataclasses.fields(DsmConfig)}
+    assert rows <= fields, f"live Flag ledger rows name no field: {sorted(rows - fields)}"
+    assert not gone & fields, f"deleted Flag ledger rows name live fields: {sorted(gone & fields)}"
     src = "\n".join(
         p.read_text() for p in sorted((root / "src" / "repro").rglob("*.py"))
         if p.name != "config.py" or p.parent.name != "dsm"
     )
-    for f in dataclasses.fields(DsmConfig):
-        assert f.name in rows, f"DsmConfig.{f.name} has no Flag ledger row"
-        if f.name == "name":
-            continue  # the preset's label: shown in reprs, selects nothing
-        assert re.search(rf"\b\w*(config|dc)\.{f.name}\b", src), (
-            f"DsmConfig.{f.name} is read nowhere under src/repro"
+    for name in sorted(fields):
+        assert name in rows, f"DsmConfig.{name} has no Flag ledger row"
+        assert re.search(rf"\b\w*(config|dc)\.{name}\b", src), (
+            f"DsmConfig.{name} is read nowhere under src/repro"
         )
