@@ -85,10 +85,6 @@ OPTIONS: Dict[str, dict] = {
         help="translation to emit (default: parade)",
     ),
     "--lint": dict(action="store_true", help="print the §7 guideline report"),
-    "--threshold": dict(
-        type=int, default=None,
-        help="hybrid message-passing threshold in bytes (default: the runtime's, 256)",
-    ),
     "--record": dict(action="store_true", help="write the record to --out"),
     "--gate": dict(
         action="store_true",
@@ -144,7 +140,7 @@ VERBS: Dict[str, Verb] = {
     "translate": Verb(
         "repro.translator.guidelines:translate_cli",
         "translate C with OpenMP pragmas to runtime-API C (default: to stdout)",
-        ("input", "--backend", "--lint", "--threshold", "-o --out"),
+        ("input", "--backend", "--lint", "-o --out"),
     ),
     "perf": Verb(
         "repro.bench.perf:perf_cli",

@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence
 from repro.bench.microbench import sweep_directive
 from repro.fleet import RunSpec, make_entry, run_many
 from repro.runtime import ALL_EXEC_CONFIGS, ExecConfig
+from repro.vm import OS_PROFILES
 
 DEFAULT_NODES = (1, 2, 4, 8)
 
@@ -213,12 +214,13 @@ def fig11_md(
 # §5.1: atomic page update strategies
 # ----------------------------------------------------------------------
 def atomic_update_comparison(
-    n_updates: int = 200, os_profiles: Sequence[str] = ("linux-2.4", "aix-4.3.3")
+    n_updates: int = 200, os_profiles: Sequence[str] = tuple(OS_PROFILES)
 ) -> FigureData:
     """Mean page-update cost per strategy per OS profile (§5.1's finding:
     all comparable on Linux; file mapping poor on AIX)."""
-    import numpy as np
-
+    unknown = [p for p in os_profiles if p not in OS_PROFILES]
+    if unknown:
+        raise ValueError(f"os_profiles must be in {tuple(OS_PROFILES)}, got {unknown!r}")
     from repro.sim import Simulator
     from repro.vm import (
         PhysicalMemory,
@@ -227,7 +229,6 @@ def atomic_update_comparison(
         PROT_READ,
         strategy_by_name,
         STRATEGY_NAMES,
-        OS_PROFILES,
     )
     from repro.vm.strategies import SimpleExecutor
 

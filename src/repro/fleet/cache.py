@@ -4,14 +4,15 @@ Every fleet run is pure: the record is a function of the
 :class:`~repro.fleet.spec.RunSpec` and of the simulator source code.
 So the cache key is simply
 
-    SHA-256( spec.canonical()  +  source-tree digest  +  record version )
+    SHA-256( spec.canonical()  +  source-tree digest  +  record version
+             +  Python minor version  +  numpy version )
 
 where the source-tree digest hashes the contents of every ``*.py`` file
 under the installed ``repro`` package in sorted path order.  Any edit to
 any simulator module — protocol, runtime, apps, observers — changes the
 digest, so every previously cached record silently becomes a miss:
-there is no way to see a stale result after a code change, and no
-invalidation logic to get wrong.
+there is no way to see a stale result after a code change (or under
+another Python or numpy), and no invalidation logic to get wrong.
 
 Entries live under ``.parade-cache/<key[:2]>/<key>.json`` (two-level
 fan-out keeps directories small), written atomically via tmp+rename.
@@ -27,8 +28,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 from typing import Dict, Optional
+
+import numpy as np
 
 from .spec import RECORD_VERSION, RunSpec
 
@@ -83,12 +87,12 @@ class RunCache:
         self.stores = 0
 
     def key(self, spec: RunSpec) -> str:
+        """The spec, the sources, the record schema and the Python and
+        numpy versions a record was made under."""
         h = hashlib.sha256()
-        h.update(spec.canonical().encode())
-        h.update(b"\0")
-        h.update(self.source.encode())
-        h.update(b"\0")
-        h.update(str(RECORD_VERSION).encode())
+        for part in (spec.canonical(), self.source, str(RECORD_VERSION),
+                     str(sys.version_info[:2]), np.__version__):
+            h.update(part.encode() + b"\0")
         return h.hexdigest()
 
     def _path(self, key: str) -> Path:

@@ -30,7 +30,7 @@ from repro.runtime.scheduler import static_chunk
 from repro.runtime.team import NodeTeam
 from repro.runtime.context import ThreadCtx, MasterCtx
 from repro.runtime.results import RunResult
-from repro.runtime.runtime import ParadeRuntime, HYBRID_THRESHOLD_BYTES
+from repro.runtime.runtime import ParadeRuntime, HYBRID_THRESHOLD_BYTES, hybrid_row
 
 __all__ = [
     "ExecConfig",
@@ -45,4 +45,5 @@ __all__ = [
     "RunResult",
     "ParadeRuntime",
     "HYBRID_THRESHOLD_BYTES",
+    "hybrid_row",
 ]

@@ -30,11 +30,19 @@ from repro.runtime.results import RunResult
 #: (update) protocol; larger data stays under HLRC.
 HYBRID_THRESHOLD_BYTES = 256
 
-#: mode -> (thread-context class, default DSM preset, largest object-granularity
-#: allocation in bytes, -1 for none): the one place a run's translation is chosen.
+
+def hybrid_row(footprint_bytes: int, analyzable: bool) -> bool:
+    """Whether a directive takes the hybrid row of Figs 2–3 (pthread lock +
+    collective, data under the update protocol) rather than the conventional
+    one (SDSM lock, flag, barrier; data under HLRC) — the one classifier."""
+    return analyzable and footprint_bytes <= HYBRID_THRESHOLD_BYTES
+
+
+#: mode -> (thread-context class, default DSM preset, whether the translation
+#: analyzes directives): the one place a run's translation is chosen.
 _TRANSLATIONS = {
-    "parade": (ParadeThreadCtx, PARADE_DSM, HYBRID_THRESHOLD_BYTES),
-    "sdsm": (ThreadCtx, KDSM_BASELINE, -1),
+    "parade": (ParadeThreadCtx, PARADE_DSM, True),
+    "sdsm": (ThreadCtx, KDSM_BASELINE, False),
 }
 
 
@@ -97,7 +105,7 @@ class ParadeRuntime:
     ):
         if mode not in _TRANSLATIONS:
             raise ValueError(f"mode must be 'parade' or 'sdsm', got {mode!r}")
-        self._thread_ctx, default_dc, self._object_max_bytes = _TRANSLATIONS[mode]
+        self._thread_ctx, default_dc, self._analyzable = _TRANSLATIONS[mode]
         self.exec_config = exec_config
 
         base_cc = cluster_config or ClusterConfig()
@@ -171,11 +179,11 @@ class ParadeRuntime:
         page_align: bool = True,
         force_object: Optional[bool] = None,
     ) -> SharedArray:
-        """Allocate a shared array.  Arrays within the translation's
-        object-granularity bound go under the update protocol."""
+        """Allocate a shared array.  Arrays that :func:`hybrid_row` puts on
+        the hybrid row go under the update protocol."""
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(np.atleast_1d(shape))) * dtype.itemsize
-        obj = nbytes <= self._object_max_bytes if force_object is None else force_object
+        obj = hybrid_row(nbytes, self._analyzable) if force_object is None else force_object
         return SharedArray.allocate(
             self.dsm,
             name,
@@ -189,7 +197,7 @@ class ParadeRuntime:
         """Allocate a shared scalar, placed by the same size rule."""
         return SharedScalar(
             self.dsm, name, dtype=dtype,
-            object_granularity=np.dtype(dtype).itemsize <= self._object_max_bytes,
+            object_granularity=hybrid_row(np.dtype(dtype).itemsize, self._analyzable),
         )
 
     def lock_id_for(self, key) -> int:

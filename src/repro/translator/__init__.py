@@ -6,15 +6,19 @@ carries the OpenMP directives → analyse (variable scoping, shared-data
 footprint, lexical analyzability of critical sections) → reconstruct C
 with the directives replaced by runtime API calls.
 
-Two backends implement the comparison of Figures 2 and 3:
+Two backends, one class per translation, implement the comparison of
+Figures 2 and 3:
 
-* :class:`ParadeBackend` — the hybrid translation: pthread locks for
-  intra-node exclusion and collectives (``parade_allreduce`` /
-  ``parade_bcast``) for inter-node synchronisation; analyzable critical
-  sections with a small shared footprint avoid SDSM locks entirely;
 * :class:`SdsmBackend`  — the conventional translation: every
   synchronisation directive becomes a distributed SDSM lock
-  (``km_lock``/``km_unlock``) plus barriers.
+  (``km_lock``/``km_unlock``) plus barriers; it also holds the region
+  outlining both translations share;
+* :class:`ParadeBackend` — ``SdsmBackend``'s subclass for the hybrid
+  translation: pthread locks for intra-node exclusion and collectives
+  (``parade_allreduce`` / ``parade_bcast``) for inter-node
+  synchronisation, on the rows :func:`repro.runtime.hybrid_row` picks
+  (analyzable, small shared footprint); any other directive falls back
+  to the inherited conventional row.
 """
 
 from repro.translator.tokens import Token, TokenType

@@ -5,7 +5,8 @@ when the guarded block is **lexically analyzable** (no function calls — a
 call could touch arbitrary shared state) and the total size of the shared
 data it touches is **at or below the hybrid threshold**
 (:data:`repro.runtime.HYBRID_THRESHOLD_BYTES`, 256 bytes on the paper's
-cluster — the runtime's switch and the translator's read one definition).
+cluster): :func:`fallback_reason` asks :func:`repro.runtime.hybrid_row`,
+the one classifier the runtime's allocator asks too.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.runtime import hybrid_row
 from repro.translator import c_ast as A
 
 #: sizeof table for the paper's 32-bit Linux/x86 target
@@ -209,6 +211,22 @@ def find_update_statement(stmt: A.Node) -> Optional[UpdatePattern]:
     return None
 
 
+def fallback_reason(
+    body: A.Node, table: SymbolTable, shared_names: Set[str], update: bool
+) -> Optional[str]:
+    """Why a critical/atomic (*update*: must be one update statement) or
+    single *body* takes the conventional row: ``"call"``, ``"size"`` or
+    ``"shape"``; None when :func:`hybrid_row` puts it on the hybrid row."""
+    lexical = body_is_lexically_analyzable(body)
+    shaped = not update or find_update_statement(body) is not None
+    footprint = shared_footprint_bytes(body, table, shared_names)
+    if hybrid_row(footprint, lexical and shaped):
+        return None
+    if not lexical:
+        return "call"
+    return "shape" if hybrid_row(footprint, True) else "size"
+
+
 # ----------------------------------------------------------------------
 # region-level analysis
 # ----------------------------------------------------------------------
@@ -224,6 +242,10 @@ class RegionInfo:
 
     def all_private(self) -> Set[str]:
         return self.private | self.firstprivate | self.lastprivate
+
+    def guarded(self) -> Set[str]:
+        """The names a directive's shared footprint counts."""
+        return self.shared | {name for _op, names in self.reductions for name in names}
 
 
 def analyze_region(region: A.OmpParallel, fn: A.FunctionDef) -> RegionInfo:

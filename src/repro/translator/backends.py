@@ -1,9 +1,14 @@
 """Translation backends: ParADE hybrid vs conventional SDSM (§4, Figs 2-3).
 
-Both backends share the Omni-style region outlining: each ``parallel``
-region becomes a generated thread function taking a struct of pointers to
-its shared variables; the region statement becomes a fork call.  They
-differ in how synchronisation directives inside the region are lowered:
+One class per translation.  :class:`SdsmBackend` is the conventional
+translation and the Omni-style region outlining both share: each
+``parallel`` region becomes a generated thread function taking a struct of
+pointers to its shared variables; the region statement becomes a fork call.
+:class:`ParadeBackend` subclasses it and overrides only the hybrid rows.  A
+directive takes its hybrid row when :func:`repro.runtime.hybrid_row` says
+so (body lexically analyzable, and one update statement for
+critical/atomic; shared footprint at most 256 B); otherwise it falls back
+to the inherited conventional row, with ``parade_`` names:
 
 ========================  ==============================  =========================
 directive                 ParadeBackend                   SdsmBackend
@@ -12,13 +17,14 @@ critical (analyzable,     pthread lock +                  km_lock / body /
 small footprint)          parade_allreduce of the delta   km_unlock
 critical (general)        parade_sdsm_lock / body /       km_lock / body /
                           unlock                          km_unlock
-atomic                    pthread lock + allreduce        km_lock / body / km_unlock
+atomic                    as critical                     km_lock / body / km_unlock
 reduction clause          private partial +               private partial + km_lock
                           parade_allreduce (no barrier)   accumulate + km_barrier
 single (small)            earliest thread + parade_bcast  km_lock + done-flag page +
                           (no barrier)                    km_barrier
 for                       static chunking +               static chunking +
                           parade_barrier unless replaced  km_barrier
+for schedule(dynamic)     master-node chunk dispenser     counter under km_lock
 barrier                   parade_barrier()                km_barrier()
 ========================  ==============================  =========================
 """
@@ -26,19 +32,16 @@ barrier                   parade_barrier()                km_barrier()
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
-from repro.runtime import HYBRID_THRESHOLD_BYTES
 from repro.translator import c_ast as A
 from repro.translator.analysis import (
     REDUCTION_OPS,
     analyze_region,
-    body_is_lexically_analyzable,
     build_symbols,
     extract_loop_bounds,
+    fallback_reason,
     find_update_statement,
-    shared_footprint_bytes,
-    sizeof_type,
     written_identifiers,
     SymbolTable,
     RegionInfo,
@@ -74,14 +77,22 @@ class _Rewriter:
         return clone
 
 
-class _BackendBase:
-    """Shared outlining machinery."""
+class SdsmBackend:
+    """The conventional translation (Figures 2 and 3, left-hand side) and
+    the outlining both translations share."""
 
-    name = "abstract"
-    runtime_header = "parade.h"
+    name = "sdsm"
+    runtime_header = "kdsm.h"
+    #: every runtime call is ``f"{prefix}_{op}"`` (:meth:`api`)
+    prefix = "km"
+    #: ``f"{lock}_lock"`` / ``f"{lock}_unlock"``: the SDSM lock of the
+    #: conventional rows
+    lock = "km"
+    #: tail of the declaration of a conventional row's flag or counter
+    shared_note = " /* in SDSM shared memory */"
+    collective_replaces_barrier = False
 
-    def __init__(self, hybrid_threshold: int = HYBRID_THRESHOLD_BYTES):
-        self.hybrid_threshold = hybrid_threshold
+    def __init__(self):
         self._region_counter = 0
         self._sync_counter = 0
         self._emitted_functions: List[str] = []
@@ -169,7 +180,7 @@ class _BackendBase:
         struct_fields: List[str] = []
         pack_lines: List[str] = []
         unpack_lines: List[str] = []
-        for name in sorted(info.shared | set(region.clauses.reduction_vars()) | set(info.firstprivate)):
+        for name in sorted(info.guarded() | set(info.firstprivate)):
             vi = table.lookup(name)
             if vi is None:
                 continue
@@ -183,7 +194,7 @@ class _BackendBase:
                 struct_fields.append(f"{ctype} *{name};")
                 pack_lines.append(f"__args_{rid}.{name} = &{name};")
                 unpack_lines.append(f"{ctype} *__p_{name} = __args->{name};")
-                if name in info.shared or name in region.clauses.reduction_vars():
+                if name in info.guarded():
                     shared_ptrs[name] = f"__p_{name}"
 
         # private copies inside the thread function
@@ -257,14 +268,7 @@ class _BackendBase:
         return prologue, epilogue
 
     def api(self, op: str) -> str:
-        raise NotImplementedError
-
-    @property
-    def prefix(self) -> str:
-        raise NotImplementedError
-
-    def reduction_finalize(self, name, op, ctype, ctx) -> List[str]:
-        raise NotImplementedError
+        return f"{self.prefix}_{op}"
 
     def _next_sync_id(self) -> int:
         self._sync_counter += 1
@@ -308,10 +312,7 @@ class _BackendBase:
         else:
             w._line(f"{self.api('loop_static')}({lo}, {hi}, &__lb, &__ub);")
             w._line(f"for ({bounds.var} = __lb; {bounds.var} < __ub; {bounds.var}++)")
-            inner = CWriter()
-            inner.level = w.level
-            inner.write_stmt(_as_compound(body))
-            w.buf.write(inner.text())
+            w.write_stmt(_as_compound(body))
         for ln in epilogue:
             w._line(ln)
         # the implicit barrier of a work-sharing construct
@@ -328,7 +329,6 @@ class _BackendBase:
 
     def _emit_sections(self, node: A.OmpSections, fn, table, ctx) -> A.Node:
         parts: List[A.Node] = []
-        n = len(node.sections)
         for k, sec in enumerate(node.sections):
             inner = self._transform_stmt(sec, fn, table, True, ctx)
             cond = A.BinOp(
@@ -342,20 +342,67 @@ class _BackendBase:
             parts.append(A.Raw(f"{self.api('barrier')}();"))
         return A.Compound(parts)
 
-    # subclasses implement these
-    collective_replaces_barrier = False
+    # -- the conventional rows of Figs 2-3 -----------------------------------
+    def reduction_finalize(self, name, op, ctype, ctx) -> List[str]:
+        sid = self._next_sync_id()
+        target = f"*__p_{name}" if ctx and name in ctx.shared_ptrs else name
+        return [
+            f"{self.lock}_lock({sid});",
+            f"{target} = {target} {op} __red_{name};",
+            f"{self.lock}_unlock({sid});",
+        ]
 
     def emit_dynamic_for(self, w, bounds, lo, hi, chunk, kind, body) -> None:
-        raise NotImplementedError
+        """Conventional dynamic scheduling: self-scheduling off a shared
+        counter guarded by the SDSM lock — every chunk grab is a lock
+        round-trip plus counter-page traffic."""
+        sid = self._next_sync_id()
+        nxt = f"__{self.prefix}_loop_next_{sid}"
+        self._globals.append(f"static long {nxt};{self.shared_note}")
+        w._line("while (1) {")
+        w.level += 1
+        w._line(f"{self.lock}_lock({sid});")
+        w._line(f"__lb = {nxt} + ({lo});")
+        w._line(f"{nxt} = {nxt} + {chunk};")
+        w._line(f"{self.lock}_unlock({sid});")
+        w._line(f"if (__lb >= {hi}) break;")
+        w._line(f"__ub = __lb + {chunk} < ({hi}) ? __lb + {chunk} : ({hi});")
+        w._line(f"for ({bounds.var} = __lb; {bounds.var} < __ub; {bounds.var}++)")
+        w.write_stmt(_as_compound(body))
+        w.level -= 1
+        w._line("}")
 
-    def _emit_critical(self, node, fn, table, ctx):
-        raise NotImplementedError
+    def _emit_critical(self, node: A.OmpCritical, fn, table, ctx) -> A.Node:
+        # Figure 2, left: the SDSM lock covers intra- and inter-node exclusion
+        sid = self._next_sync_id()
+        body = self._apply_ctx(self._transform_stmt(node.body, fn, table, True, ctx), ctx)
+        w = CWriter()
+        w._line(f"{self.lock}_lock({sid});")
+        w.write_stmt(_as_compound(body))
+        w._line(f"{self.lock}_unlock({sid});")
+        return A.Raw(w.text().rstrip("\n"))
 
-    def _emit_atomic(self, node, fn, table, ctx):
-        raise NotImplementedError
+    def _emit_atomic(self, node: A.OmpAtomic, fn, table, ctx) -> A.Node:
+        return self._emit_critical(A.OmpCritical(None, node.stmt), fn, table, ctx)
 
-    def _emit_single(self, node, fn, table, ctx):
-        raise NotImplementedError
+    def _emit_single(self, node: A.OmpSingle, fn, table, ctx) -> A.Node:
+        # Figure 3, left: lock + shared done flag + implicit barrier
+        sid = self._next_sync_id()
+        body = self._apply_ctx(self._transform_stmt(node.body, fn, table, True, ctx), ctx)
+        done = f"__{self.prefix}_done_{sid}"
+        w = CWriter()
+        w._line(f"{self.lock}_lock({sid});")
+        w._line(f"if ({done} == 0) {{")
+        w.level += 1
+        w.write_stmt(_as_compound(body))
+        w._line(f"{done} = 1;")
+        w.level -= 1
+        w._line("}")
+        w._line(f"{self.lock}_unlock({sid});")
+        if not node.clauses.nowait:
+            w._line(f"{self.api('barrier')}();")
+        self._globals.append(f"static int {done};{self.shared_note}")
+        return A.Raw(w.text().rstrip("\n"))
 
 
 class _RegionCtx:
@@ -379,37 +426,29 @@ def _identity_for(op: str) -> str:
 
 
 # ----------------------------------------------------------------------
-class ParadeBackend(_BackendBase):
-    """The hybrid translation (Figures 2 and 3, right-hand side)."""
+class ParadeBackend(SdsmBackend):
+    """The hybrid translation (Figures 2 and 3, right-hand side): a
+    directive that :func:`repro.runtime.hybrid_row` puts on the hybrid row
+    is lowered here, any other one by the conventional code it inherits."""
 
     name = "parade"
     runtime_header = "parade.h"
+    prefix = "parade"
+    lock = "parade_sdsm"
+    shared_note = ""
     collective_replaces_barrier = True
 
-    @property
-    def prefix(self) -> str:
-        return "parade"
-
-    _API = {
-        "parallel": "parade_parallel",
-        "barrier": "parade_barrier",
-        "loop_static": "parade_loop_static",
-        "thread_id": "parade_thread_id",
-        "num_threads": "parade_num_threads",
-        "flush": "parade_flush",
-    }
-
-    def api(self, op: str) -> str:
-        return self._API[op]
+    def _hybrid(self, body: A.Node, ctx, update: bool = False) -> bool:
+        return ctx is not None and (
+            fallback_reason(body, ctx.table, ctx.info.guarded(), update) is None
+        )
 
     def reduction_finalize(self, name, op, ctype, ctx) -> List[str]:
         mpi_op = REDUCTION_OPS.get(op, "PARADE_SUM")
         target = f"*__p_{name}" if ctx and name in ctx.shared_ptrs else name
         return [
             f"parade_allreduce(&__red_{name}, 1, PARADE_DOUBLE, {mpi_op});",
-            f"{target} = {target} {op if op not in ('&&', '||') else op} __red_{name};"
-            if op not in ("&&", "||")
-            else f"{target} = {target} {op} __red_{name};",
+            f"{target} = {target} {op} __red_{name};",
         ]
 
     def emit_dynamic_for(self, w, bounds, lo, hi, chunk, kind, body) -> None:
@@ -422,198 +461,62 @@ class ParadeBackend(_BackendBase):
         w._line(f"while (parade_dynloop_next(&__dloop_{sid}, &__lb, &__ub)) {{")
         w.level += 1
         w._line(f"for ({bounds.var} = __lb; {bounds.var} < __ub; {bounds.var}++)")
-        inner = CWriter()
-        inner.level = w.level
-        inner.write_stmt(_as_compound(body))
-        w.buf.write(inner.text())
+        w.write_stmt(_as_compound(body))
         w.level -= 1
         w._line("}")
 
-    def _hybrid_eligible(self, body: A.Node, ctx) -> bool:
-        if ctx is None:
-            return False
-        if not body_is_lexically_analyzable(body):
-            return False
-        shared = ctx.info.shared | set(ctx.shared_ptrs)
-        return shared_footprint_bytes(body, ctx.table, shared) <= self.hybrid_threshold
-
     def _emit_critical(self, node: A.OmpCritical, fn, table, ctx) -> A.Node:
+        if not self._hybrid(node.body, ctx, update=True):
+            return super()._emit_critical(node, fn, table, ctx)
+        # Figure 2, right: pthread lock + collective update, no SDSM lock
         pat = find_update_statement(node.body)
-        if pat is not None and self._hybrid_eligible(node.body, ctx):
-            # Figure 2, right: pthread lock + collective update, no SDSM lock
-            sid = self._next_sync_id()
-            mpi_op = REDUCTION_OPS.get(pat.op, "PARADE_SUM")
-            delta_expr = self._apply_ctx(pat.delta, ctx) if pat.delta is not None else None
-            delta = CWriter().fmt_expr(delta_expr) if delta_expr is not None else "1"
-            target = f"(*__p_{pat.var})" if ctx and pat.var in ctx.shared_ptrs else pat.var
-            w = CWriter()
-            w._line(f"parade_pthread_lock(&__parade_lock_{sid});")
-            w._line("{")
-            w.level += 1
-            w._line(f"double __delta = {delta};")
-            w._line(f"parade_allreduce(&__delta, 1, PARADE_DOUBLE, {mpi_op});")
-            w._line(f"{target} = {target} {pat.op} __delta;")
-            w.level -= 1
-            w._line("}")
-            w._line(f"parade_pthread_unlock(&__parade_lock_{sid});")
-            self._globals.append(f"static parade_pthread_mutex_t __parade_lock_{sid};")
-            return A.Raw(w.text().rstrip("\n"))
-        # general critical: fall back to the SDSM lock (§7)
         sid = self._next_sync_id()
-        body = self._apply_ctx(self._transform_stmt(node.body, fn, table, True, ctx), ctx)
+        mpi_op = REDUCTION_OPS.get(pat.op, "PARADE_SUM")
+        delta = CWriter().fmt_expr(self._apply_ctx(pat.delta, ctx)) if pat.delta is not None else "1"
+        target = f"(*__p_{pat.var})" if pat.var in ctx.shared_ptrs else pat.var
         w = CWriter()
-        w._line(f"parade_sdsm_lock({sid});")
-        w.write_stmt(_as_compound(body))
-        w._line(f"parade_sdsm_unlock({sid});")
+        w._line(f"parade_pthread_lock(&__parade_lock_{sid});")
+        w._line("{")
+        w.level += 1
+        w._line(f"double __delta = {delta};")
+        w._line(f"parade_allreduce(&__delta, 1, PARADE_DOUBLE, {mpi_op});")
+        w._line(f"{target} = {target} {pat.op} __delta;")
+        w.level -= 1
+        w._line("}")
+        w._line(f"parade_pthread_unlock(&__parade_lock_{sid});")
+        self._globals.append(f"static parade_pthread_mutex_t __parade_lock_{sid};")
         return A.Raw(w.text().rstrip("\n"))
-
-    def _emit_atomic(self, node: A.OmpAtomic, fn, table, ctx) -> A.Node:
-        pat = find_update_statement(node.stmt)
-        if pat is None:
-            raise ValueError("omp atomic statement is not an atomic update form")
-        return self._emit_critical(A.OmpCritical(None, node.stmt), fn, table, ctx)
 
     def _emit_single(self, node: A.OmpSingle, fn, table, ctx) -> A.Node:
+        if not self._hybrid(node.body, ctx):
+            return super()._emit_single(node, fn, table, ctx)
+        # Figure 3, right: earliest thread executes; bcast the result;
+        # pthread gate locally; no inter-node lock, no barrier.
         sid = self._next_sync_id()
         body = self._apply_ctx(self._transform_stmt(node.body, fn, table, True, ctx), ctx)
-        small = self._hybrid_eligible(node.body, ctx)
-        w = CWriter()
-        if small:
-            # Figure 3, right: earliest thread executes; bcast the result;
-            # pthread gate locally; no inter-node lock, no barrier.
-            written = sorted(
-                name for name in written_identifiers(node.body)
-                if ctx and (name in ctx.info.shared or name in ctx.shared_ptrs)
-            )
-            w._line(f"if (parade_single_begin(&__parade_single_{sid})) {{")
-            w.level += 1
-            inner = CWriter()
-            inner.level = w.level
-            inner.write_stmt(_as_compound(body))
-            w.buf.write(inner.text())
-            for name in written:
-                vi = ctx.table.lookup(name)
-                ref = f"__p_{name}" if name in ctx.shared_ptrs else f"&{name}"
-                size = f"sizeof({vi.type})" if vi else "sizeof(double)"
-                w._line(f"parade_bcast({ref}, {size}, 0);")
-            w._line(f"parade_single_end(&__parade_single_{sid});")
-            w.level -= 1
-            w._line("}")
-            self._globals.append(f"static parade_single_t __parade_single_{sid};")
-            if not node.clauses.nowait:
-                w._line("/* barrier elided: bcast above synchronises (§5.2.1) */")
-        else:
-            w._line(f"parade_sdsm_lock({sid});")
-            w._line(f"if (__parade_done_{sid} == 0) {{")
-            w.level += 1
-            inner = CWriter()
-            inner.level = w.level
-            inner.write_stmt(_as_compound(body))
-            w.buf.write(inner.text())
-            w._line(f"__parade_done_{sid} = 1;")
-            w.level -= 1
-            w._line("}")
-            w._line(f"parade_sdsm_unlock({sid});")
-            if not node.clauses.nowait:
-                w._line("parade_barrier();")
-            self._globals.append(f"static int __parade_done_{sid};")
-        return A.Raw(w.text().rstrip("\n"))
-
-
-# ----------------------------------------------------------------------
-class SdsmBackend(_BackendBase):
-    """The conventional translation (Figures 2 and 3, left-hand side)."""
-
-    name = "sdsm"
-    runtime_header = "kdsm.h"
-    collective_replaces_barrier = False
-
-    @property
-    def prefix(self) -> str:
-        return "km"
-
-    _API = {
-        "parallel": "km_parallel",
-        "barrier": "km_barrier",
-        "loop_static": "km_loop_static",
-        "thread_id": "km_thread_id",
-        "num_threads": "km_num_threads",
-        "flush": "km_flush",
-    }
-
-    def api(self, op: str) -> str:
-        return self._API[op]
-
-    def reduction_finalize(self, name, op, ctype, ctx) -> List[str]:
-        sid = self._next_sync_id()
-        target = f"*__p_{name}" if ctx and name in ctx.shared_ptrs else name
-        return [
-            f"km_lock({sid});",
-            f"{target} = {target} {op} __red_{name};",
-            f"km_unlock({sid});",
-        ]
-
-    def emit_dynamic_for(self, w, bounds, lo, hi, chunk, kind, body) -> None:
-        """Conventional dynamic scheduling: self-scheduling off a shared
-        counter guarded by the SDSM lock — every chunk grab is a lock
-        round-trip plus counter-page traffic."""
-        sid = self._next_sync_id()
-        self._globals.append(
-            f"static long __km_loop_next_{sid}; /* in SDSM shared memory */"
+        written = sorted(
+            name for name in written_identifiers(node.body)
+            if name in ctx.info.shared or name in ctx.shared_ptrs
         )
-        w._line(f"while (1) {{")
-        w.level += 1
-        w._line(f"km_lock({sid});")
-        w._line(f"__lb = __km_loop_next_{sid} + ({lo});")
-        w._line(f"__km_loop_next_{sid} = __km_loop_next_{sid} + {chunk};")
-        w._line(f"km_unlock({sid});")
-        w._line(f"if (__lb >= {hi}) break;")
-        w._line(f"__ub = __lb + {chunk} < ({hi}) ? __lb + {chunk} : ({hi});")
-        w._line(f"for ({bounds.var} = __lb; {bounds.var} < __ub; {bounds.var}++)")
-        inner = CWriter()
-        inner.level = w.level
-        inner.write_stmt(_as_compound(body))
-        w.buf.write(inner.text())
-        w.level -= 1
-        w._line("}")
-
-    def _emit_critical(self, node: A.OmpCritical, fn, table, ctx) -> A.Node:
-        # Figure 2, left: the SDSM lock covers intra- and inter-node exclusion
-        sid = self._next_sync_id()
-        body = self._apply_ctx(self._transform_stmt(node.body, fn, table, True, ctx), ctx)
         w = CWriter()
-        w._line(f"km_lock({sid});")
+        w._line(f"if (parade_single_begin(&__parade_single_{sid})) {{")
+        w.level += 1
         w.write_stmt(_as_compound(body))
-        w._line(f"km_unlock({sid});")
-        return A.Raw(w.text().rstrip("\n"))
-
-    def _emit_atomic(self, node: A.OmpAtomic, fn, table, ctx) -> A.Node:
-        return self._emit_critical(A.OmpCritical(None, node.stmt), fn, table, ctx)
-
-    def _emit_single(self, node: A.OmpSingle, fn, table, ctx) -> A.Node:
-        # Figure 3, left: lock + shared done flag + implicit barrier
-        sid = self._next_sync_id()
-        body = self._apply_ctx(self._transform_stmt(node.body, fn, table, True, ctx), ctx)
-        w = CWriter()
-        w._line(f"km_lock({sid});")
-        w._line(f"if (__km_done_{sid} == 0) {{")
-        w.level += 1
-        inner = CWriter()
-        inner.level = w.level
-        inner.write_stmt(_as_compound(body))
-        w.buf.write(inner.text())
-        w._line(f"__km_done_{sid} = 1;")
+        for name in written:
+            vi = ctx.table.lookup(name)
+            ref = f"__p_{name}" if name in ctx.shared_ptrs else f"&{name}"
+            size = f"sizeof({vi.type})" if vi else "sizeof(double)"
+            w._line(f"parade_bcast({ref}, {size}, 0);")
+        w._line(f"parade_single_end(&__parade_single_{sid});")
         w.level -= 1
         w._line("}")
-        w._line(f"km_unlock({sid});")
+        self._globals.append(f"static parade_single_t __parade_single_{sid};")
         if not node.clauses.nowait:
-            w._line("km_barrier();")
-        self._globals.append(f"static int __km_done_{sid}; /* in SDSM shared memory */")
+            w._line("/* barrier elided: bcast above synchronises (§5.2.1) */")
         return A.Raw(w.text().rstrip("\n"))
 
 
-def translate(source: str, backend: str = "parade", hybrid_threshold: int = HYBRID_THRESHOLD_BYTES) -> str:
+def translate(source: str, backend: str = "parade") -> str:
     """Translate OpenMP-C *source* for the given backend ('parade'/'sdsm')."""
     unit = parse(source)
-    be = {"parade": ParadeBackend, "sdsm": SdsmBackend}[backend](hybrid_threshold)
-    return be.translate_unit(unit)
+    return {"parade": ParadeBackend, "sdsm": SdsmBackend}[backend]().translate_unit(unit)

@@ -10,14 +10,17 @@ translator's AST:
   implicit shared default.
 * **G2 — prefer reduction/atomic over critical.**  "the programmers are
   guided to use the reduction clause or the atomic directive instead of
-  the critical directive": flag analyzable criticals that could be
-  atomic/reduction.
+  the critical directive": flag criticals that take the hybrid row and
+  could be atomic/reduction.
 * **G3 — keep critical sections lexically analyzable.**  "it is highly
-  recommended to write a lexically analyzable code block": flag criticals
-  containing calls (they fall back to the SDSM lock).
+  recommended to write a lexically analyzable code block": flag
+  critical/atomic/single blocks containing calls, and critical/atomic
+  blocks that are not one scalar update by a reduction operator (both
+  fall back to the SDSM lock).
 * **G4 — small sync data under the threshold.**  flag
-  critical/single blocks whose shared footprint exceeds the hybrid
+  critical/atomic/single blocks whose shared footprint exceeds the hybrid
   threshold (they stay on the slow page path).
+
 * **G5 — privatise temporaries.**  "declaring the arrays used temporarily
   to store intermediate values as local variables within a parallel
   block" reduces shared pages: flag shared arrays that are written before
@@ -29,6 +32,9 @@ translator's AST:
   omp-for loop variable — each thread touches a disjoint block, so their
   pages never need invalidation between iterations (an optimisation
   opportunity, not a violation).
+
+G2-G4 read the row decision the ParADE backend makes, so each fallback to
+the conventional row inside a parallel region is one G3 or G4 finding.
 """
 
 from __future__ import annotations
@@ -41,9 +47,8 @@ from repro.runtime import HYBRID_THRESHOLD_BYTES
 from repro.translator import c_ast as A
 from repro.translator.analysis import (
     analyze_region,
-    body_is_lexically_analyzable,
     build_symbols,
-    find_update_statement,
+    fallback_reason,
     shared_footprint_bytes,
 )
 from repro.translator.backends import translate
@@ -96,17 +101,17 @@ def _first_accesses(body: A.Node) -> dict:
     return first
 
 
-def lint(source: str, hybrid_threshold: int = HYBRID_THRESHOLD_BYTES) -> List[Diagnostic]:
+def lint(source: str) -> List[Diagnostic]:
     """Run all §7 guideline checks on OpenMP-C *source*."""
     unit = parse(source)
     out: List[Diagnostic] = []
     for item in unit.items:
         if isinstance(item, A.FunctionDef):
-            out.extend(_lint_function(item, hybrid_threshold))
+            out.extend(_lint_function(item))
     return out
 
 
-def _lint_function(fn: A.FunctionDef, threshold: int) -> List[Diagnostic]:
+def _lint_function(fn: A.FunctionDef) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
     table = build_symbols(fn)
     for node in fn.body.walk():
@@ -146,57 +151,41 @@ def _lint_function(fn: A.FunctionDef, threshold: int) -> List[Diagnostic]:
                         fn.name,
                     )
                 )
-        shared_names = info.shared | set(node.clauses.reduction_vars())
+        shared_names = info.guarded()
         for inner in node.body.walk():
-            if isinstance(inner, A.OmpCritical):
-                analyzable = body_is_lexically_analyzable(inner.body)
-                if not analyzable:
-                    diags.append(
-                        Diagnostic(
-                            "G3",
-                            "critical section contains a function call: it is not "
-                            "lexically analyzable and falls back to the SDSM lock (§7)",
-                            fn.name,
-                        )
-                    )
-                    continue
-                fp = shared_footprint_bytes(inner.body, table, shared_names)
-                if fp > threshold:
-                    diags.append(
-                        Diagnostic(
-                            "G4",
-                            f"critical section touches {fp} shared bytes "
-                            f"(> {threshold} B threshold): it stays on the page "
-                            "protocol; shrink the guarded data (§5.2.1)",
-                            fn.name,
-                        )
-                    )
-                    continue
-                if find_update_statement(inner.body) is not None:
-                    diags.append(
-                        Diagnostic(
-                            "G2",
-                            "critical section is a simple update: prefer "
-                            "'#pragma omp atomic' or a reduction clause — they map "
-                            "directly to a collective (§7)",
-                            fn.name,
-                        )
-                    )
+            if isinstance(inner, (A.OmpCritical, A.OmpAtomic, A.OmpSingle)):
+                diags.extend(_check_sync(inner, table, shared_names, fn.name))
             elif isinstance(inner, A.OmpFor):
                 diags.extend(_check_partitioned_arrays(inner, info, table, fn.name))
-            elif isinstance(inner, A.OmpSingle):
-                fp = shared_footprint_bytes(inner.body, table, shared_names)
-                if fp > threshold:
-                    diags.append(
-                        Diagnostic(
-                            "G4",
-                            f"single block touches {fp} shared bytes "
-                            f"(> {threshold} B threshold): its result cannot be "
-                            "broadcast; it falls back to lock + flag + barrier",
-                            fn.name,
-                        )
-                    )
     return diags
+
+
+def _check_sync(inner, table, shared_names, fn_name: str) -> List[Diagnostic]:
+    """G2-G4 for one critical/atomic/single, from the ParADE backend's row
+    decision (:func:`fallback_reason`): each fallback is one G3 or G4."""
+    single, atomic = isinstance(inner, A.OmpSingle), isinstance(inner, A.OmpAtomic)
+    body = inner.stmt if atomic else inner.body
+    what = "single block" if single else "atomic update" if atomic else "critical section"
+    row = "lock + flag + barrier" if single else "the SDSM lock"
+    why = fallback_reason(body, table, shared_names, update=not single)
+    if why is None and (single or atomic):
+        return []
+    if why is None:
+        rule, msg = "G2", ("critical section is a simple update: prefer '#pragma omp atomic' "
+                           "or a reduction clause — they map directly to a collective (§7)")
+    elif why == "call":
+        rule, msg = "G3", (f"{what} contains a function call: it is not lexically "
+                           f"analyzable and falls back to {row} (§7)")
+    elif why == "shape":
+        rule, msg = "G3", (f"{what} is not one scalar update by a reduction operator "
+                           f"(x op= expr, x++): it has no collective form and falls back "
+                           f"to {row} (§4.2)")
+    else:
+        tail = ("its result cannot be broadcast; it falls back to lock + flag + barrier"
+                if single else "it stays on the page protocol; shrink the guarded data (§5.2.1)")
+        rule, msg = "G4", (f"{what} touches {shared_footprint_bytes(body, table, shared_names)} "
+                           f"shared bytes (> {HYBRID_THRESHOLD_BYTES} B threshold): {tail}")
+    return [Diagnostic(rule, msg, fn_name)]
 
 
 def _check_partitioned_arrays(ompfor: A.OmpFor, info, table, fn_name: str) -> List[Diagnostic]:
@@ -232,9 +221,9 @@ def _check_partitioned_arrays(ompfor: A.OmpFor, info, table, fn_name: str) -> Li
     return out
 
 
-def report(source: str, hybrid_threshold: int = HYBRID_THRESHOLD_BYTES) -> str:
+def report(source: str) -> str:
     """Human-readable guideline report."""
-    diags = lint(source, hybrid_threshold)
+    diags = lint(source)
     if not diags:
         return "no guideline violations found"
     lines = [f"{len(diags)} guideline finding(s):"]
@@ -247,7 +236,6 @@ def translate_cli(args) -> int:
     """``python -m repro translate``: the paper's tool flow — C with OpenMP
     1.0 pragmas in, runtime-API C out (``--backend both`` emits the two
     translations one after the other); ``--lint`` prepends the §7 report."""
-    threshold = HYBRID_THRESHOLD_BYTES if args.threshold is None else args.threshold
     if args.input == "-":
         source = sys.stdin.read()
     else:
@@ -256,12 +244,12 @@ def translate_cli(args) -> int:
 
     chunks = []
     if args.lint:
-        chunks.append("/* " + report(source, threshold).replace("\n", "\n   ") + " */")
+        chunks.append("/* " + report(source).replace("\n", "\n   ") + " */")
     backends = ("parade", "sdsm") if args.backend == "both" else (args.backend,)
     for be in backends:
         if len(backends) > 1:
             chunks.append(f"/* ===== {be} translation ===== */")
-        chunks.append(translate(source, be, hybrid_threshold=threshold))
+        chunks.append(translate(source, be))
     text = "\n".join(chunks)
 
     if args.out:

@@ -97,9 +97,13 @@ def test_failing_point_fails_the_figure():
 
 
 def test_atomic_update_figure_has_all_strategies():
-    from repro.vm import STRATEGY_NAMES
+    from repro.vm import OS_PROFILES, STRATEGY_NAMES
 
     fd = atomic_update_comparison(n_updates=20)
+    assert [s.label for s in fd.series] == list(OS_PROFILES)
     for s in fd.series:
         assert len(s.y) == len(STRATEGY_NAMES)
         assert all(y > 0 for y in s.y)
+    # an unknown profile is named with the choices, as DsmConfig does
+    with pytest.raises(ValueError, match="linux-2.4.*bogus"):
+        atomic_update_comparison(n_updates=1, os_profiles=("linux-2.4", "bogus"))

@@ -58,12 +58,6 @@ def test_cli_lint_flag(src_file, capsys):
     assert "G2" in out  # the critical-should-be-atomic finding
 
 
-def test_cli_threshold_flag(src_file, capsys):
-    rc, out = _run_cli([src_file, "--threshold", "0"], capsys)
-    # footprint 8 B > 0 threshold: falls back to the SDSM lock
-    assert "parade_sdsm_lock" in out
-
-
 def test_cli_output_file(src_file, tmp_path, capsys):
     out_path = str(tmp_path / "out.c")
     rc, out = _run_cli([src_file, "-o", out_path], capsys)

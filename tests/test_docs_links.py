@@ -80,6 +80,52 @@ def test_top_level_readme_links_docs_index():
     assert "docs/README.md" in linked
 
 
+# --------------------------------------------- test paths named in the docs
+#: documents whose backticked ``tests/…py`` / ``benchmarks/…py`` paths must
+#: name a file, and a test in it when ``::name`` or ``::prefix_*`` follows
+TEST_PATH_DOCS = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"] + sorted(
+    (REPO / "docs").glob("*.md")
+)
+
+#: a code span opening with such a path, then its end, a space (command
+#: arguments) or ``::`` and a name, a ``prefix_*`` or a ``{a, b}`` list
+_TEST_PATH_RE = re.compile(
+    r"`((?:tests|benchmarks)/[\w/.\-]*\.py)(?:::\s*(\{[^}`]*\}|[^\s`]+))?(?=[\s`])"
+)
+
+
+def _cited_tests(md: Path):
+    """(path, names) for every test path cited in *md*."""
+    for m in _TEST_PATH_RE.finditer(md.read_text(encoding="utf-8")):
+        path, spec = m.groups()
+        yield path, re.findall(r"[^\s{},]+", spec or "")
+
+
+@pytest.mark.parametrize("md", TEST_PATH_DOCS, ids=lambda p: str(p.relative_to(REPO)))
+def test_cited_test_paths_exist(md):
+    import ast
+
+    bad = []
+    for path, names in _cited_tests(md):
+        if not (REPO / path).is_file():
+            bad.append(path)
+            continue
+        defined = {
+            node.name for node in ast.walk(ast.parse((REPO / path).read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        for name in names:
+            if not (name in defined if not name.endswith("*") else
+                    any(d.startswith(name[:-1]) for d in defined)):
+                bad.append(f"{path}::{name}")
+    assert not bad, f"{md.relative_to(REPO)} cites tests that do not exist: {bad}"
+
+
+def test_cited_test_paths_found():
+    cited = [c for md in TEST_PATH_DOCS for c in _cited_tests(md)]
+    assert len(cited) >= 80 and sum(bool(names) for _, names in cited) >= 25
+
+
 # ------------------------------------------------- command lines in the docs
 #: documents whose ``python -m repro …`` command lines must parse
 COMMAND_DOCS = sorted(

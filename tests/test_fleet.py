@@ -130,6 +130,25 @@ def test_poisoned_source_digest_misses(tmp_path):
     assert again.get(SPECS[0]) is not None
 
 
+def test_key_names_the_python_and_numpy_that_made_the_record(tmp_path, monkeypatch):
+    """A record cached under one Python minor or numpy is never served
+    under another."""
+    import sys
+
+    import numpy
+
+    cache = RunCache(root=str(tmp_path), source="0" * 64)
+    base = cache.key(SPECS[0])
+    monkeypatch.setattr(sys, "version_info", (2, 7, 18, "final", 0))
+    other_python = cache.key(SPECS[0])
+    monkeypatch.undo()
+    monkeypatch.setattr(numpy, "__version__", "1.0.0")
+    other_numpy = cache.key(SPECS[0])
+    monkeypatch.undo()
+    assert len({base, other_python, other_numpy}) == 3
+    assert cache.key(SPECS[0]) == base
+
+
 def test_failed_runs_are_never_cached(tmp_path):
     bad = RunSpec(
         workload="broken",

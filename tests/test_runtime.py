@@ -120,14 +120,52 @@ def test_sdsm_mode_places_everything_in_hlrc():
 
 # One encounter of each row of Figs 2–3.  Each directive body gets a shared
 # scalar and a small shared array (both object-granular under parade).
+# Row -> (its OpenMP 1.0 C form over the same data, or None, the call).
 _ROWS = {
-    "critical_update": lambda tc, x, q: tc.critical_update(x, 1.0),
-    "atomic_update": lambda tc, x, q: tc.atomic_update(x, 1.0),
-    "reduce_into": lambda tc, x, q: tc.reduce_into(x, 1.0),
-    "reduce_value": lambda tc, x, q: tc.reduce_value(1.0),
-    "single": lambda tc, x, q: tc.single(body_gen_fn=_one, shared_scalar=x),
-    "reduce_into_many": lambda tc, x, q: tc.reduce_into_many(((x, 1.0), (q, np.ones(3)))),
+    "critical_update": (
+        "#pragma omp critical\n x = x + 1.0;",
+        lambda tc, x, q: tc.critical_update(x, 1.0),
+    ),
+    "atomic_update": (
+        "#pragma omp atomic\n x += 1.0;",
+        lambda tc, x, q: tc.atomic_update(x, 1.0),
+    ),
+    "reduce_into": (
+        "#pragma omp for reduction(+: x)\n for (i = 0; i < 8; i++) x = x + 1.0;",
+        lambda tc, x, q: tc.reduce_into(x, 1.0),
+    ),
+    # the same clause, its value then read by every thread
+    "reduce_value": (
+        "#pragma omp for reduction(+: x)\n for (i = 0; i < 8; i++) x = x + 1.0;",
+        lambda tc, x, q: tc.reduce_value(1.0),
+    ),
+    "single": (
+        "#pragma omp single\n x = 1.0;",
+        lambda tc, x, q: tc.single(body_gen_fn=_one, shared_scalar=x),
+    ),
+    # no C form: OpenMP 1.0 C has no reduction over an array such as q
+    "reduce_into_many": (
+        None,
+        lambda tc, x, q: tc.reduce_into_many(((x, 1.0), (q, np.ones(3)))),
+    ),
+    # the non-analyzable row: a call in the body
+    "critical_region": (
+        "#pragma omp critical\n x = g(x);",
+        lambda tc, x, q: tc.critical_region(_one),
+    ),
 }
+
+_C_REGION = """
+double g(double v);
+void f(void)
+{
+    double x; double q[3]; int i;
+    #pragma omp parallel shared(x, q) private(i)
+    {
+        %s
+    }
+}
+"""
 
 
 def _one():
@@ -138,25 +176,33 @@ def _one():
 @pytest.mark.parametrize("mode", ["parade", "sdsm"])
 @pytest.mark.parametrize("row", sorted(_ROWS))
 def test_each_directive_takes_its_figure_column(row, mode):
-    """Fig 2/3 right (parade): collectives only, no distributed lock.
-    Fig 2/3 left (sdsm): the distributed lock."""
+    """Fig 2/3 right (parade): collectives only, no distributed lock, for
+    an analyzable row.  Fig 2/3 left (sdsm), and the non-analyzable row in
+    both modes: the distributed lock.  The translation of the row's C form
+    emits a lock exactly when the run takes one."""
+    from repro.translator import translate
+
     rt = ParadeRuntime(n_nodes=2, mode=mode, pool_bytes=1 << 20)
+    c_form, call = _ROWS[row]
 
     def program(ctx):
         x = ctx.shared_scalar("x")
         q = ctx.shared_array("q", (3,))
 
         def body(tc, x, q):
-            yield from _ROWS[row](tc, x, q)
+            yield from call(tc, x, q)
 
         yield from ctx.parallel(body, x, q)
 
     res = rt.run(program)
     locks = res.dsm_stats["lock_acquires"]
-    if mode == "parade":
+    if mode == "parade" and row != "critical_region":
         assert locks == 0 and res.mpi_stats["collectives"] > 0, (locks, res.mpi_stats)
     else:
         assert locks > 0
+    if c_form is not None:
+        out = translate(_C_REGION % c_form, mode)
+        assert ("parade_sdsm_lock(" in out or "km_lock(" in out) == (locks > 0), out
 
 
 def test_only_the_runtime_constructor_knows_the_mode():

@@ -107,23 +107,29 @@ def test_large_footprint_critical_falls_back():
     assert "parade_sdsm_lock" in out  # 800 B > 256 B threshold
 
 
-def test_hybrid_threshold_configurable():
-    src = """
-    void f(void)
-    {
-        double x; double buf[100];
-        #pragma omp parallel shared(x, buf)
-        {
-            #pragma omp critical
-            x = x + buf[0];
-        }
-    }
-    """
-    # default threshold: 808 B footprint -> falls back to the lock
-    assert "parade_sdsm_lock" in translate(src, "parade")
-    # raised threshold: becomes a collective
-    out = translate(src, "parade", hybrid_threshold=10_000)
-    assert "parade_allreduce" in out
+def test_hybrid_threshold_boundary():
+    """8 B + n·8 B shared: 256 B is at the threshold and takes the
+    collective (G2 suggests atomic); 264 B falls back (G4)."""
+    from repro.translator.guidelines import lint
+
+    for n, hybrid in ((31, True), (32, False)):
+        src = f"""
+        void f(void)
+        {{
+            double x; double buf[{n}];
+            #pragma omp parallel shared(x, buf)
+            {{
+                #pragma omp critical
+                x = x + buf[0];
+            }}
+        }}
+        """
+        out = translate(src, "parade")
+        assert ("parade_allreduce" in out) is hybrid
+        assert ("parade_sdsm_lock" in out) is not hybrid
+        rules = [d.rule for d in lint(src)]
+        assert rules.count("G2" if hybrid else "G4") == 1
+        assert ("G4" if hybrid else "G2") not in rules
 
 
 def test_atomic_maps_to_collective():

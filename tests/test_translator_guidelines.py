@@ -1,12 +1,18 @@
 """Tests for the §7 programming-guidelines linter."""
 
+import ast
+import pathlib
+
 import pytest
 
+from repro.translator import ParseError, c_ast as A, parse, translate
 from repro.translator.guidelines import lint, report, Diagnostic
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-def rules_of(src, **kw):
-    return [d.rule for d in lint(src, **kw)]
+
+def rules_of(src):
+    return [d.rule for d in lint(src)]
 
 
 def test_g1_implicit_shared_flagged():
@@ -87,9 +93,6 @@ def test_g4_large_footprint_critical():
     }
     """
     assert "G4" in rules_of(src)
-    # with a huge threshold the same block is fine (G2 suggests atomic instead)
-    rules = rules_of(src, hybrid_threshold=1 << 20)
-    assert "G4" not in rules and "G2" in rules
 
 
 def test_g4_single_with_large_data():
@@ -167,3 +170,120 @@ def test_report_renders_findings():
     """
     text = report(src)
     assert "G1" in text and "f:" in text
+
+
+#: directives the ParADE backend lowers to the SDSM lock for a reason other
+#: than a call in a critical section or a large critical/single
+FALLBACKS = [
+    # a single whose body calls a function
+    """
+    double g(double v);
+    void f(void) {
+        double x;
+        #pragma omp parallel shared(x)
+        {
+            #pragma omp single
+            x = g(1.0);
+        }
+    }
+    """,
+    # a critical that is not one update statement
+    """
+    void f(void) {
+        double x; double y;
+        #pragma omp parallel shared(x, y)
+        {
+            #pragma omp critical
+            { x = x + 1.0; y = y + 2.0; }
+        }
+    }
+    """,
+    # an atomic over a large footprint
+    """
+    void f(void) {
+        double x; double buf[512];
+        #pragma omp parallel shared(x, buf)
+        {
+            #pragma omp atomic
+            x += buf[0];
+        }
+    }
+    """,
+    # atomics the hybrid row has no collective for: an array element target
+    # and an operator that is no reduction operator
+    """
+    void f(void) {
+        double a[4];
+        #pragma omp parallel shared(a)
+        {
+            #pragma omp atomic
+            a[0] += 1.0;
+        }
+    }
+    """,
+    """
+    void f(void) {
+        double x;
+        #pragma omp parallel shared(x)
+        {
+            #pragma omp atomic
+            x /= 2.0;
+        }
+    }
+    """,
+]
+
+_SYNC = (A.OmpCritical, A.OmpAtomic, A.OmpSingle)
+
+
+def _in_region_sources():
+    """Every C source with an OpenMP pragma in the translator tests and
+    example and the hostbench inputs, plus FALLBACKS, that translates and
+    has all its critical/atomic/single directives inside a parallel region."""
+    texts = list(FALLBACKS)
+    for path in sorted(ROOT.glob("tests/test_translator*.py")) + [
+        ROOT / "examples" / "translate_openmp.py"
+    ]:
+        texts += [
+            node.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "#pragma omp" in node.value and node.value not in texts
+        ]
+    texts += [p.read_text() for p in sorted(ROOT.glob("benchmarks/hostbench/inputs/*.c"))]
+    out = []
+    for src in texts:
+        try:
+            unit = parse(src)
+            translate(src, "parade")
+        except (ParseError, ValueError):
+            continue
+        total = sum(isinstance(n, _SYNC) for n in unit.walk())
+        inside = sum(
+            isinstance(n, _SYNC)
+            for region in unit.walk() if isinstance(region, A.OmpParallel)
+            for n in region.body.walk()
+        )
+        if total == inside:
+            out.append(src)
+    return out
+
+
+def test_every_fallback_is_one_g3_or_g4_finding():
+    """The linter and the ParADE backend make one row decision: each SDSM
+    lock in the parade translation is one G3 or G4 finding."""
+    sources = _in_region_sources()
+    assert len(sources) >= 40 and all(s in sources for s in FALLBACKS)
+    counts = [
+        (translate(src, "parade").count("parade_sdsm_lock("),
+         sum(d.rule in ("G3", "G4") for d in lint(src)))
+        for src in sources
+    ]
+    assert [c for c in counts if c[0] != c[1]] == []
+    assert all(locks == 1 for locks, _ in counts[: len(FALLBACKS)])
+
+
+@pytest.mark.parametrize("src", FALLBACKS[3:], ids=["array-element", "divide"])
+def test_atomic_without_collective_takes_the_lock_in_both_backends(src):
+    assert translate(src, "sdsm").count("km_lock(") == 1
+    assert translate(src, "parade").count("parade_sdsm_lock(") == 1
+    assert [d.rule for d in lint(src)] == ["G3"]
