@@ -5,6 +5,9 @@ accepted pairs to Gaussians by the Marsaglia polar method, and tallies the
 sums and the annulus counts.  Each thread seeds its own stream segment by
 jump-ahead, so the only inter-node communication is the final reduction —
 the paper's archetype of a workload where ParADE is "highly scalable".
+In the simulated cluster a thread's tally is the kernel of its compute
+burst (:meth:`repro.cluster.node.Node.compute`): it runs on a host core
+while the other threads' bursts are simulated, as the node's CPUs would.
 
 Verification constants are the published NPB reference sums.
 """
@@ -12,6 +15,7 @@ Verification constants are the published NPB reference sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -56,45 +60,62 @@ class EpResult:
 
 class _Scratch:
     """Every array one chunk of the tally needs, allocated once per
-    :func:`ep_segment` call and reused by each of its chunks."""
+    :func:`ep_segment` call and reused by each of its chunks (2 MiB): the
+    uniforms overwrite the states, and x, y are their stride-2 halves."""
 
     def __init__(self, pairs: int):
         self.states = np.empty(2 * pairs, dtype=np.uint64)
-        self.u = np.empty(2 * pairs)
-        self.x, self.y, self.t, self.f, self.g = np.empty((5, pairs))
+        self.t, self.g = np.empty((2, pairs))
+
+
+_TWO52 = np.uint64(0x4330000000000000)  # or-ed into s < 2**52: the double 2**52 + s
+
+
+def _uniforms(states: np.ndarray) -> np.ndarray:
+    """``states * R46``, bit for bit, in the states' own memory (which
+    ``np.multiply(..., out=)`` would first copy)."""
+    states |= _TWO52
+    u = states.view(np.float64)
+    u -= 2.0 ** 52
+    u *= R46
+    return u
 
 
 def _tally(u: np.ndarray, w: _Scratch) -> Tuple[float, float, np.ndarray]:
     """Tally one chunk of the stream: u holds 2m uniforms (pairs interleaved).
 
-    Each step is one numpy pass writing into *w*; the accepted pairs are
-    gathered through one index array."""
+    Each step is one numpy pass writing into *u* or *w*; the accepted pairs
+    are gathered from *u* itself (``take`` copies a strided source)."""
     m = u.shape[0] // 2
-    x, y, t = w.x[:m], w.y[:m], w.t[:m]
-    np.multiply(u[0::2], 2.0, out=x)
-    x -= 1.0
-    np.multiply(u[1::2], 2.0, out=y)
-    y -= 1.0
+    x, y, t, g = u[0::2], u[1::2], w.t[:m], w.g[:m]
+    u *= 2.0
+    u -= 1.0
     np.multiply(x, x, out=t)
-    t += np.multiply(y, y, out=w.f[:m])
+    t += np.multiply(y, y, out=g)
     acc = np.flatnonzero(t <= 1.0)
     k = acc.shape[0]
+    g = g[:k]
     # mode: with the default "raise", take would buffer its out= array
-    tt = np.take(t, acc, out=w.g[:k], mode="clip")
-    f = np.log(tt, out=w.f[:k])
+    tt = np.take(t, acc, out=g, mode="clip")
+    f = np.log(tt, out=t[:k])
     f *= -2.0
     f /= tt
     np.sqrt(f, out=f)
-    # t and tt are dead from here: their arrays take the Gaussians
-    gx = np.take(x, acc, out=w.t[:k], mode="clip")
+    acc *= 2  # the accepted x in u
+    gx = np.take(u, acc, out=g, mode="clip")
     gx *= f
-    gy = np.take(y, acc, out=w.g[:k], mode="clip")
+    sx = float(gx.sum())
+    acc += 1  # the accepted y in u
+    gy = np.take(u, acc, out=g, mode="clip")
     gy *= f
-    sx, sy = float(gx.sum()), float(gy.sum())
-    np.abs(gx, out=gx)
-    np.abs(gy, out=gy)
-    ik = np.maximum(gx, gy, out=gx).astype(np.int64)
-    counts = np.bincount(ik, minlength=10)[:10].astype(np.float64)
+    sy = float(gy.sum())
+    # f > 0, so max(|gx|, |gy|) is max(|x|, |y|) * f, bit for bit
+    np.abs(u, out=u)
+    np.maximum(x, y, out=y)
+    ik = np.take(u, acc, out=g, mode="clip")
+    ik *= f
+    np.copyto(acc, ik, casting="unsafe")  # astype(np.int64), into acc
+    counts = np.bincount(acc, minlength=10)[:10].astype(np.float64)
     return sx, sy, counts
 
 
@@ -110,7 +131,7 @@ def ep_segment(first_pair: int, n_pairs: int, seed: int = DEFAULT_SEED) -> EpRes
         m = min(CHUNK_PAIRS, remaining)
         states = scratch.states[: 2 * m]
         rng.fill(states)
-        dx, dy, dc = _tally(np.multiply(states, R46, out=scratch.u[: 2 * m]), scratch)
+        dx, dy, dc = _tally(_uniforms(states), scratch)
         sx += dx
         sy += dy
         counts += dc
@@ -144,8 +165,8 @@ def make_program(klass: str = "T", seed: int = DEFAULT_SEED):
 
         def body(tc, sx, sy, q):
             lo, hi = tc.for_range(0, n_pairs)
-            local = ep_segment(lo, hi - lo, seed=seed)
-            yield from tc.compute((hi - lo) * WORK_UNITS_PER_PAIR)
+            tally = partial(ep_segment, lo, hi - lo, seed=seed)
+            local = yield from tc.compute((hi - lo) * WORK_UNITS_PER_PAIR, tally)
             yield from tc.reduce_into_many(
                 ((sx, local.sx), (sy, local.sy), (q, local.counts)), SUM
             )

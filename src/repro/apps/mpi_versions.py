@@ -10,6 +10,7 @@ them (and the extra effort §1 says programmers would rather avoid).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Tuple
 
 import numpy as np
@@ -24,8 +25,8 @@ def ep_rank_main(rc, cluster, klass: str = "T"):
     """Pure-MPI NAS EP for one rank: local tally + one Allreduce."""
     n_pairs = 1 << ep_mod.CLASSES[klass]
     lo, hi = static_chunk(0, n_pairs, rc.rank, rc.size)
-    local = ep_mod.ep_segment(lo, hi - lo)
-    yield from cluster.node(rc.rank).compute((hi - lo) * ep_mod.WORK_UNITS_PER_PAIR)
+    tally = partial(ep_mod.ep_segment, lo, hi - lo)
+    local = yield from cluster.node(rc.rank).compute((hi - lo) * ep_mod.WORK_UNITS_PER_PAIR, tally)
     merged = (local.sx, local.sy, tuple(local.counts.tolist()))
     total = yield from rc.allreduce(merged, op=SUM)
     return ep_mod.EpResult(

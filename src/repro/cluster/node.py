@@ -1,9 +1,31 @@
-"""A simulated SMP node: CPUs, NIC, inbox."""
+"""A simulated SMP node: CPUs, NIC, inbox.  A compute burst may carry its
+application kernel, run on a host core while the simulator goes on."""
 
 from __future__ import annotations
 
+import os
+
 from repro.sim import Event, Resource, Store
 from repro.sim.probe import PH_COMPUTE, PH_CPU_WAIT
+
+_pool = None  # (pid, executor) of kernel_pool
+
+
+def kernel_pool():
+    """The process-wide host thread pool of burst kernels: made at first use
+    (and anew in a forked child), one worker per host CPU this process has."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = os.getpid(), ThreadPoolExecutor(len(os.sched_getaffinity(0)), "kernel")
+    return _pool[1]
+
+
+def _burst_result(burst, future):
+    """Generator: the burst, then its kernel's result (or exception)."""
+    yield from burst
+    return future.result()
 
 
 class Node:
@@ -33,14 +55,20 @@ class Node:
 
     # CPU bursts return Resource.execute's generator directly (no frame of
     # their own per burst): one kernel-resident Hold each.
-    def compute(self, work_units: float, priority: int = 0):
-        """Generator: occupy one CPU for *work_units* of application work."""
+    def compute(self, work_units: float, kernel=None):
+        """Generator: occupy one CPU for *work_units* of application work.
+        A *kernel* (no arguments, pure: no simulated memory, no simulator
+        state) goes to :func:`kernel_pool` now; the burst's end returns
+        its result or raises its exception."""
         # same float expression as config.compute_seconds, but through the
         # node's *live* speed, so a chaos NodeSlowdown window derates
         # compute bursts too (the cached factor equals the config's)
         seconds = work_units * self.config.seconds_per_work_unit / self.speed_factor
         self.compute_time += seconds
-        return self.cpus.execute(seconds, priority, PH_CPU_WAIT, PH_COMPUTE)
+        burst = self.cpus.execute(seconds, 0, PH_CPU_WAIT, PH_COMPUTE)
+        if kernel is None:
+            return burst
+        return _burst_result(burst, kernel_pool().submit(kernel))
 
     def busy_cpu(self, seconds: float, priority: int = 0, again=None):
         """Generator: occupy one CPU for raw protocol-overhead *seconds*

@@ -40,9 +40,10 @@ class _CtxBase:
         """Bind a SharedScalar to this context's node."""
         return shared_scalar.on(self.node_id)
 
-    def compute(self, work_units: float):
-        """Charge *work_units* of application computation to a CPU."""
-        yield from self.runtime.cluster.node(self.node_id).compute(work_units)
+    def compute(self, work_units: float, kernel=None):
+        """Charge *work_units* of application computation to a CPU (and
+        return *kernel*'s result: :meth:`repro.cluster.node.Node.compute`)."""
+        return (yield from self.runtime.cluster.node(self.node_id).compute(work_units, kernel))
 
 
 class ThreadCtx(_CtxBase):

@@ -14,9 +14,9 @@ translator's AST:
   could be atomic/reduction.
 * **G3 — keep critical sections lexically analyzable.**  "it is highly
   recommended to write a lexically analyzable code block": flag
-  critical/atomic/single blocks containing calls, and critical/atomic
-  blocks that are not one scalar update by a reduction operator (both
-  fall back to the SDSM lock).
+  critical/atomic/single blocks containing calls or outside any parallel
+  region, and critical/atomic blocks that are not one scalar update by a
+  reduction operator (all fall back to the SDSM lock).
 * **G4 — small sync data under the threshold.**  flag
   critical/atomic/single blocks whose shared footprint exceeds the hybrid
   threshold (they stay on the slow page path).
@@ -34,7 +34,8 @@ translator's AST:
   opportunity, not a violation).
 
 G2-G4 read the row decision the ParADE backend makes, so each fallback to
-the conventional row inside a parallel region is one G3 or G4 finding.
+the conventional row is one G3 or G4 finding — an orphaned directive (no
+parallel region around it in its function) always falls back, as one G3.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ class Diagnostic:
 
     def __str__(self) -> str:  # pragma: no cover
         return f"[{self.rule}] {self.function}: {self.message}"
+
+
+_SYNC = (A.OmpCritical, A.OmpAtomic, A.OmpSingle)
 
 
 def _first_accesses(body: A.Node) -> dict:
@@ -153,26 +157,43 @@ def _lint_function(fn: A.FunctionDef) -> List[Diagnostic]:
                 )
         shared_names = info.guarded()
         for inner in node.body.walk():
-            if isinstance(inner, (A.OmpCritical, A.OmpAtomic, A.OmpSingle)):
+            if isinstance(inner, _SYNC):
                 diags.extend(_check_sync(inner, table, shared_names, fn.name))
             elif isinstance(inner, A.OmpFor):
                 diags.extend(_check_partitioned_arrays(inner, info, table, fn.name))
+    for orphan in _orphans(fn.body):
+        diags.extend(_check_sync(orphan, table, None, fn.name))
     return diags
+
+
+def _orphans(node: A.Node):
+    """The critical/atomic/single directives of *node* outside every parallel region."""
+    if isinstance(node, _SYNC):
+        yield node
+    if not isinstance(node, A.OmpParallel):
+        for child in node.children():
+            yield from _orphans(child)
 
 
 def _check_sync(inner, table, shared_names, fn_name: str) -> List[Diagnostic]:
     """G2-G4 for one critical/atomic/single, from the ParADE backend's row
-    decision (:func:`fallback_reason`): each fallback is one G3 or G4."""
+    decision (:func:`fallback_reason`; an orphan, with no *shared_names*,
+    always falls back): each fallback is one G3 or G4."""
     single, atomic = isinstance(inner, A.OmpSingle), isinstance(inner, A.OmpAtomic)
     body = inner.stmt if atomic else inner.body
     what = "single block" if single else "atomic update" if atomic else "critical section"
     row = "lock + flag + barrier" if single else "the SDSM lock"
-    why = fallback_reason(body, table, shared_names, update=not single)
+    why = "orphan" if shared_names is None else fallback_reason(
+        body, table, shared_names, update=not single)
     if why is None and (single or atomic):
         return []
     if why is None:
         rule, msg = "G2", ("critical section is a simple update: prefer '#pragma omp atomic' "
                            "or a reduction clause — they map directly to a collective (§7)")
+    elif why == "orphan":
+        rule, msg = "G3", (f"{what} is orphaned (outside any parallel region in its "
+                           f"function): it is not lexically analyzable and falls back "
+                           f"to {row} (§7)")
     elif why == "call":
         rule, msg = "G3", (f"{what} contains a function call: it is not lexically "
                            f"analyzable and falls back to {row} (§7)")

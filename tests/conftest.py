@@ -406,6 +406,24 @@ def use_reference_message_path(monkeypatch):
     monkeypatch.setattr(RankComm, "allreduce", reference_allreduce)
 
 
+class InlineKernels:
+    """``repro.cluster.node.kernel_pool`` as it was before burst kernels
+    ran on host threads: each kernel is called at submit, on the
+    simulator's thread, as the application called it before its burst,
+    and its outcome is handed over when the burst ends.  Monkeypatch the
+    class itself in as ``kernel_pool`` (calling it makes the runner)."""
+
+    def submit(self, kernel):
+        from concurrent.futures import Future
+
+        future = Future()
+        try:
+            future.set_result(kernel())
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
 class TraversalCountingList(list):
     """A page table that counts whole-table reads (iteration, membership,
     counting, slices); indexing one page stays free."""

@@ -8,6 +8,7 @@ to a real file, so a rename or a typo breaks CI instead of a reader.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import re
 import shlex
@@ -73,6 +74,53 @@ def test_docs_index_links_every_guide():
     for guide in GUIDES:
         assert (REPO / "docs" / guide).exists(), f"docs/{guide} missing"
     assert "RELIABILITY.md" in index
+
+
+# a dotted repro.* name inside a `code span` (not a path such as src/repro/...)
+_DOTTED = re.compile(r"(?<![\w./])repro(?:\.\w+)+")
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+
+
+def _resolve(dotted: str):
+    """Import the longest module prefix of *dotted*, then read the rest
+    as attributes (``repro.apps.cg.Csr``)."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr)
+        return obj
+
+
+def _documented_names():
+    """(where, name) for every backticked dotted ``repro.*`` name in
+    README, DESIGN, EXPERIMENTS and docs/*.md, plus the module names of
+    DESIGN.md §3's "Modules" column (written without ``repro.``, before
+    any parenthesised note)."""
+    docs = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"]
+    for md in docs + sorted((REPO / "docs").glob("*.md")):
+        for span in _CODE_SPAN.findall(md.read_text(encoding="utf-8")):
+            for name in _DOTTED.findall(span):
+                yield md.name, name
+    for line in (REPO / "DESIGN.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith(("| Fig", "| §")):
+            for name in re.findall(r"`([\w.]+)`", line.split("|")[4].split("(")[0]):
+                yield "DESIGN.md §3", f"repro.{name}"
+
+
+def test_documented_module_names_import():
+    names = list(_documented_names())
+    assert len(names) >= 60
+    unresolved = []
+    for where, name in names:
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError) as exc:
+            unresolved.append(f"{where}: {name} ({exc})")
+    assert not unresolved, unresolved
 
 
 def test_top_level_readme_links_docs_index():

@@ -174,9 +174,11 @@ def test_1t1c_uses_single_cpu_per_node():
 
 # what a run that needs none of them must not import: the translator (it
 # is never needed to run), and scipy, which nothing imports — CG's CSR
-# is numpy, and scipy.sparse alone would cost more than the package
+# is numpy, and scipy.sparse alone would cost more than the package.  A
+# run whose bursts carry no kernel starts no host thread either: only
+# EP's do, and they start the kernel pool
 _IMPORT_HYGIENE = """
-import sys
+import sys, threading
 def heavy():
     return {m for m in ("scipy", "repro.translator") if m in sys.modules}
 import repro.runtime
@@ -184,6 +186,10 @@ from repro.apps import ep, helmholtz
 import repro.apps
 repro.apps.md
 assert not heavy(), heavy()
+repro.runtime.ParadeRuntime(n_nodes=2, pool_bytes=1 << 23).run(
+    repro.apps.cg.make_program("T", niter=1))
+assert "concurrent.futures" not in sys.modules, "kernel pool imported"
+assert threading.active_count() == 1, threading.enumerate()
 from repro import translate
 assert heavy() == {"repro.translator"}, heavy()
 repro.apps.cg.cg_reference("S")
@@ -207,6 +213,8 @@ import repro.trace, repro.profile, repro.metrics
 for pkg in (repro.trace, repro.profile, repro.metrics):
     assert all(hasattr(pkg, n) for n in pkg.__all__), pkg
 assert readers <= set(sys.modules), readers - set(sys.modules)
+repro.runtime.ParadeRuntime(n_nodes=2, pool_bytes=1 << 23).run(ep.make_program("T"))
+assert threading.active_count() > 1, "EP's kernels ran without the pool"
 """
 
 

@@ -236,10 +236,9 @@ FALLBACKS = [
 _SYNC = (A.OmpCritical, A.OmpAtomic, A.OmpSingle)
 
 
-def _in_region_sources():
+def _corpus_sources():
     """Every C source with an OpenMP pragma in the translator tests and
-    example and the hostbench inputs, plus FALLBACKS, that translates and
-    has all its critical/atomic/single directives inside a parallel region."""
+    example and the hostbench inputs, plus FALLBACKS, that translates."""
     texts = list(FALLBACKS)
     for path in sorted(ROOT.glob("tests/test_translator*.py")) + [
         ROOT / "examples" / "translate_openmp.py"
@@ -253,26 +252,32 @@ def _in_region_sources():
     out = []
     for src in texts:
         try:
-            unit = parse(src)
+            parse(src)
             translate(src, "parade")
         except (ParseError, ValueError):
             continue
-        total = sum(isinstance(n, _SYNC) for n in unit.walk())
-        inside = sum(
-            isinstance(n, _SYNC)
-            for region in unit.walk() if isinstance(region, A.OmpParallel)
-            for n in region.body.walk()
-        )
-        if total == inside:
-            out.append(src)
+        out.append(src)
     return out
+
+
+def _orphaned(src):
+    """Does *src* have a critical/atomic/single outside every parallel region?"""
+    unit = parse(src)
+    inside = sum(
+        isinstance(n, _SYNC)
+        for region in unit.walk() if isinstance(region, A.OmpParallel)
+        for n in region.body.walk()
+    )
+    return sum(isinstance(n, _SYNC) for n in unit.walk()) != inside
 
 
 def test_every_fallback_is_one_g3_or_g4_finding():
     """The linter and the ParADE backend make one row decision: each SDSM
-    lock in the parade translation is one G3 or G4 finding."""
-    sources = _in_region_sources()
-    assert len(sources) >= 40 and all(s in sources for s in FALLBACKS)
+    lock in the parade translation is one G3 or G4 finding, orphaned
+    directives included."""
+    sources = _corpus_sources()
+    assert sum(map(_orphaned, sources)) >= 4
+    assert len(sources) >= 44 and all(s in sources for s in FALLBACKS)
     counts = [
         (translate(src, "parade").count("parade_sdsm_lock("),
          sum(d.rule in ("G3", "G4") for d in lint(src)))
@@ -280,6 +285,18 @@ def test_every_fallback_is_one_g3_or_g4_finding():
     ]
     assert [c for c in counts if c[0] != c[1]] == []
     assert all(locks == 1 for locks, _ in counts[: len(FALLBACKS)])
+
+
+@pytest.mark.parametrize("directive, what", [
+    ("critical", "critical section"), ("atomic", "atomic update"), ("single", "single block"),
+])
+def test_an_orphaned_directive_is_one_g3_finding(directive, what):
+    body = "x += 1;" if directive == "atomic" else "{ x = x + 1; }"
+    src = f"void f(void){{ double x;\n#pragma omp {directive}\n{body} }}"
+    diags = lint(src)
+    assert [d.rule for d in diags] == ["G3"]
+    assert diags[0].message.startswith(f"{what} is orphaned")
+    assert translate(src, "parade").count("parade_sdsm_lock(") == 1
 
 
 @pytest.mark.parametrize("src", FALLBACKS[3:], ids=["array-element", "divide"])
