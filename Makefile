@@ -42,6 +42,7 @@ profile-smoke:   ## virtual-time profiler invariant check on one workload
 
 chaos-smoke:     ## fault-injection sweep: bit-identical recovery on a small matrix
 	python -m repro chaos helmholtz --nodes 2 --plan drop,dup $(JOBS_FLAG)
+	python -m repro chaos cg --mode sdsm --plan lossy-mix $(JOBS_FLAG)
 
 metrics-smoke:   ## metered run checked against an unmetered one (exit 2 if they differ)
 	python -m repro metrics helmholtz --nodes 2 --json $${TMPDIR:-/tmp}/metrics-smoke.json

@@ -121,6 +121,10 @@ def _tally(u: np.ndarray, w: _Scratch) -> Tuple[float, float, np.ndarray]:
 
 def ep_segment(first_pair: int, n_pairs: int, seed: int = DEFAULT_SEED) -> EpResult:
     """Tally pairs [first_pair, first_pair + n_pairs) of the global stream."""
+    if seed % 2 == 0:
+        # an even seed shortens the stream's period; 2**45 makes it constant
+        # 0.5, whose pairs (0, 0) have no direction (log 0 in the tally)
+        raise ValueError(f"EP needs an odd seed, got {seed}")
     rng = NasRandom(seed)
     rng.skip(2 * first_pair)
     sx = sy = 0.0

@@ -1,14 +1,15 @@
 """Cluster configuration.
 
 Defaults mirror the paper's testbed (§6): four dual-550 MHz and four
-dual-600 MHz Pentium III nodes, 512 MB each, cLAN VIA interconnect,
-Linux 2.4 SMP kernel.
+dual-600 MHz Pentium III nodes, cLAN VIA interconnect, Linux 2.4 SMP
+kernel.  Memory is not modelled here: the shared pool's size is
+``DsmConfig.pool_bytes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 from repro.cluster.interconnect import Interconnect, GIGANET_VIA
 
@@ -28,7 +29,6 @@ class ClusterConfig:
     #: per-node CPU clock in MHz; padded/truncated from PAPER_CPU_MHZ
     cpu_mhz: Tuple[int, ...] = PAPER_CPU_MHZ
     interconnect: Interconnect = GIGANET_VIA
-    memory_bytes: int = 512 * 1024 * 1024
     page_size: int = 4096
     #: virtual seconds per abstract "work unit" at REFERENCE_MHZ.  Workloads
     #: charge compute time in work units (≈ one double-precision flop with
@@ -37,8 +37,6 @@ class ClusterConfig:
     #: fixed CPU cost of taking a page protection fault + entering the
     #: SIGSEGV handler (§5.1) — measured ~10 µs on Linux 2.4 / P-III.
     fault_overhead: float = 10e-6
-    #: CPU cost of making a page twin (4 KB copy) (§5.2.1)
-    twin_overhead: float = 6e-6
     #: CPU cost of computing a diff for one page (word compare)
     diff_overhead: float = 12e-6
     #: CPU cost of applying a diff at the home

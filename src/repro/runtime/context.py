@@ -5,6 +5,13 @@ generator methods — of one class per translation of Figs 2–3, picked once
 by the runtime: :class:`ThreadCtx` (conventional SDSM) or its subclass
 :class:`ParadeThreadCtx` (ParADE hybrid).  :class:`MasterCtx` is the
 sequential (outside-region) context of the master program.
+
+Both translations fold a reduction's partials in thread order, which
+OpenMP allows (it leaves the combine order unspecified), so a reduced
+value never depends on the schedule: the conventional translation folds
+per-thread slots after its barrier (:meth:`ThreadCtx._reduce`), the
+hybrid one folds a node's partials in local-thread order
+(:meth:`~repro.runtime.team.NodeTeam.combining`) before its collective.
 """
 
 from __future__ import annotations
@@ -128,80 +135,67 @@ class ThreadCtx(_CtxBase):
         return result
 
     # -- reduction clause -----------------------------------------------------
-    def reduce_into(self, shared_scalar, partial, op: ReduceOp = SUM):
-        """The ``reduction`` clause: combine per-thread partials into the
-        shared variable; returns the final value.
-
-        Each thread accumulates under the distributed lock, then a full
-        barrier (the conventional translation).
-        """
-        view = self.scalar(shared_scalar)
-        lock_id = self.runtime.lock_id_for(shared_scalar)
+    def _reduce(self, partials, op: ReduceOp):
+        """The one conventional reduction (Fig 2, left): lock, flush at
+        release, barrier.  Under the clause's distributed lock this thread
+        writes all of its *partials* into its own row of a page-granular
+        slot array; after the barrier every thread folds the rows in
+        thread order, so the result does not depend on the lock-grant
+        order.  Successive encounters alternate between two slot buffers:
+        the next encounter's writes cannot overtake this one's reads.
+        Returns the folded row (a float64 vector, one entry per partial
+        element)."""
+        mine = np.hstack(partials)
+        width, n = mine.size, self.nthreads
+        slots = self.runtime.reduce_slots(n, width)
+        view = self.array(slots)
+        base = (self._key("slots")[1] & 1) * n * width
+        lock_id = self.runtime.lock_id_for(slots)
         yield from self.dsm_node.lock_acquire(lock_id)
         try:
-            cur = yield from view.get()
-            yield from view.set(op(cur, partial))
+            yield from view.set(mine, start=base + self.tid * width)
         finally:
             yield from self.dsm_node.lock_release(lock_id)
         yield from self.barrier()
-        final = yield from view.get()
-        # Trailing barrier: without it the unlocked read above races with
-        # the next encounter's locked accumulation into the same scalar
-        # (found by repro.sanitizer — a thread could observe a later
-        # interval's partial sum).
-        yield from self.barrier()
-        return final
+        rows = yield from view.get(base, base + n * width)
+        return op.reduce_all(rows.reshape(n, width))
 
     def reduce_into_many(self, pairs, op: ReduceOp = SUM):
         """``reduction(+: sx, sy, q[0..9])`` as ``(shared, partial)`` pairs
-        (scalar + number, or array + array): :meth:`reduce_into` per
-        scalar, each array accumulated under its lock, then one barrier."""
-        for shared, partial in pairs:
-            if isinstance(shared, SharedScalar):
-                yield from self.reduce_into(shared, partial, op)
-                continue
-            view = self.array(shared)
-            lock_id = self.runtime.lock_id_for(shared)
-            yield from self.dsm_node.lock_acquire(lock_id)
-            try:
-                cur = yield from view.get()
-                yield from view.set(op(cur, partial))
-            finally:
-                yield from self.dsm_node.lock_release(lock_id)
+        (scalar + number, or array + array): one :meth:`_reduce` over all
+        the partials.  Every thread reads the shared values before the lock;
+        thread 0 stores ``value op total`` and a trailing barrier publishes
+        it.  Returns the finals as one flat vector, in *pairs* order."""
+        views = [
+            self.array(s.array if isinstance(s, SharedScalar) else s) for s, _ in pairs
+        ]
+        cur = []
+        for view in views:
+            cur.append((yield from view.get()))
+        # hstack copies: thread 0 overwrites this node's pool with the finals
+        cur = np.hstack(cur)
+        total = yield from self._reduce([p for _, p in pairs], op)
+        finals = op(cur, total)
+        if self.tid == 0:
+            at = 0
+            for view in views:
+                yield from view.set(finals[at:at + view.array.size])
+                at += view.array.size
         yield from self.barrier()
+        return finals
+
+    def reduce_into(self, shared_scalar, partial, op: ReduceOp = SUM):
+        """The ``reduction`` clause on one shared scalar: combine the
+        per-thread partials into it; returns the final value."""
+        finals = yield from self.reduce_into_many(((shared_scalar, partial),), op)
+        return finals[0]
 
     def reduce_value(self, partial, op: ReduceOp = SUM):
-        """Pure value reduction returning the combined value to every thread.
-
-        A ``single`` resets a shared scratch variable, every thread accumulates
-        under the distributed lock, and a barrier publishes the result (the
-        pattern whose cost §2.2 calls "expensive ... long latency").
-        """
-        scratch = self.runtime.reduce_scratch()
-        sview = self.scalar(scratch)
-
-        def reset():
-            yield from sview.set(0.0 if op.name == "SUM" else partial)
-
-        yield from self.single(body_gen_fn=reset)
-        lock_id = self.runtime.lock_id_for(scratch)
-        yield from self.dsm_node.lock_acquire(lock_id)
-        try:
-            cur = yield from sview.get()
-            yield from sview.set(op(float(cur), partial) if op.name != "SUM" else float(cur) + partial)
-        finally:
-            yield from self.dsm_node.lock_release(lock_id)
-        yield from self.barrier()
-        total = yield from sview.get()
-        # Trailing barrier: the unlocked read above must complete on every
-        # thread before any thread's *next* encounter resets the shared
-        # scratch inside ``single`` (which holds the flag lock, not the
-        # scratch lock — no ordering).  Without it a thread can read 0.0
-        # after the reset; repro.sanitizer flagged this as a read/write
-        # race on __reduce_scratch, and it surfaced as a nondeterministic
-        # ZeroDivisionError in cg/sdsm.
-        yield from self.barrier()
-        return float(total)
+        """Pure value reduction returning the combined value to every thread
+        (the pattern whose cost §2.2 calls "expensive ... long latency"):
+        one :meth:`_reduce`, which ends at its barrier."""
+        total = yield from self._reduce([partial], op)
+        return float(total[0])
 
     # -- single ------------------------------------------------------------------
     def single(self, body_gen_fn: Optional[Callable[[], Any]] = None, shared_scalar=None):
@@ -231,8 +225,7 @@ class ThreadCtx(_CtxBase):
         yield from self.barrier()  # the implicit barrier of `single`
         if shared_scalar is not None:
             result = yield from self.scalar(shared_scalar).get()
-            # Order the unlocked read against the next encounter's write
-            # (same race shape as reduce_value's scratch read).
+            # Order the unlocked read against the next encounter's write.
             yield from self.barrier()
         return result
 
@@ -300,7 +293,8 @@ class ParadeThreadCtx(ThreadCtx):
             view.raw_set(final)
             return final
 
-        result = yield from self.team.combining(self._key("red"), partial, op, inter)
+        result = yield from self.team.combining(
+            self._key("red"), self.local_tid, partial, op, inter)
         return result
 
     def reduce_into_many(self, pairs, op: ReduceOp = SUM):
@@ -316,7 +310,8 @@ class ParadeThreadCtx(ThreadCtx):
                 raw[:] = op(raw, total)
             return totals
 
-        yield from self.team.combining(self._key("redm"), merged, op, inter)
+        yield from self.team.combining(
+            self._key("redm"), self.local_tid, merged, op, inter)
 
     def reduce_value(self, partial, op: ReduceOp = SUM):
         """Intra-node combine + one ``MPI_Allreduce``."""
@@ -324,7 +319,8 @@ class ParadeThreadCtx(ThreadCtx):
             total = yield from self.team.rank_comm.allreduce(merged, op=op)
             return total
 
-        result = yield from self.team.combining(self._key("redv"), partial, op, inter)
+        result = yield from self.team.combining(
+            self._key("redv"), self.local_tid, partial, op, inter)
         return result
 
     def single(self, body_gen_fn: Optional[Callable[[], Any]] = None, shared_scalar=None):

@@ -165,6 +165,7 @@ class ParadeRuntime:
         self._lock_ids: Dict[Any, int] = {}
         self._lock_seq = itertools.count(100)
         self._single_flag: Optional[SharedScalar] = None
+        self._reduce_slots: Dict[tuple, SharedArray] = {}
         self.region_time = 0.0
         self._finished = False
 
@@ -213,13 +214,16 @@ class ParadeRuntime:
             self._lock_ids[k] = next(self._lock_seq)
         return self._lock_ids[k]
 
-    def reduce_scratch(self) -> SharedScalar:
-        """Shared scratch accumulator for the conventional value reduction."""
-        if getattr(self, "_reduce_scratch", None) is None:
-            self._reduce_scratch = SharedScalar(
-                self.dsm, "__reduce_scratch", dtype=np.float64, object_granularity=False
+    def reduce_slots(self, n_threads: int, width: int) -> SharedArray:
+        """The conventional reduction's slot array: two page-granular
+        buffers of one *width*-element row per thread, allocated once per
+        shape."""
+        slots = self._reduce_slots.get((n_threads, width))
+        if slots is None:
+            slots = self._reduce_slots[n_threads, width] = SharedArray.allocate(
+                self.dsm, f"__reduce_slots[{n_threads}x{width}]", (2, n_threads, width)
             )
-        return self._reduce_scratch
+        return slots
 
     def single_flag(self) -> SharedScalar:
         """The shared generation flag used by the conventional `single`."""

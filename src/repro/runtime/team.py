@@ -6,6 +6,10 @@ hierarchical directives (§4.2/§4.3): threads synchronise locally with
 pthread-style primitives and exactly one thread per node performs the
 inter-node step (DSM barrier, MPI collective, ...).
 
+A combining encounter folds the node's partials in local-thread order,
+whatever order the threads arrive in, so a reduced value does not depend
+on the schedule.
+
 Directive encounters are matched across threads by per-thread encounter
 counters ("instances"), which is sound for conforming OpenMP programs:
 every thread of the team encounters the same work-sharing and
@@ -21,14 +25,13 @@ from repro.sim.probe import CAT_AUDIT, PH_BARRIER, PH_TEAM_WAIT, bracket, waitin
 
 
 class _Instance:
-    __slots__ = ("count", "done", "gate", "partial", "has_partial", "taken")
+    __slots__ = ("count", "done", "gate", "partials", "taken")
 
     def __init__(self, sim):
         self.count = 0
         self.done = 0
         self.gate = Event(sim, name="team-gate")
-        self.partial: Any = None
-        self.has_partial = False
+        self.partials: Optional[list] = None  # by local thread id
         self.taken = False  # for 'single': has some thread claimed execution?
 
 
@@ -69,10 +72,12 @@ class NodeTeam:
             del self._instances[key]
 
     # ------------------------------------------------------------------
-    def combining(self, key, partial, op, inter_fn: Callable[[Any], Any]):
-        """Generic combine: threads contribute *partial* (merged with *op*,
-        which may be None for pure barriers); the **last** arriver runs
-        generator ``inter_fn(merged)`` and its result is returned to all.
+    def combining(self, key, local_tid, partial, op, inter_fn: Callable[[Any], Any]):
+        """Generic combine: thread *local_tid* contributes *partial* (*op*
+        may be None for pure barriers); the **last** arriver folds the
+        partials with *op* in local-thread order — not arrival order, so
+        the value does not depend on the schedule — runs generator
+        ``inter_fn(merged)``, and its result is returned to all.
         """
         inst = self._instance(key)
         pb = self.sim.probe
@@ -81,14 +86,13 @@ class NodeTeam:
             pb.instant(CAT_AUDIT, "gather", key=id(inst),
                        leader=inst.count + 1 == self.n_local)
         if op is not None:
-            if inst.has_partial:
-                inst.partial = op(inst.partial, partial)
-            else:
-                inst.partial = partial
-                inst.has_partial = True
+            if inst.partials is None:
+                inst.partials = [None] * self.n_local
+            inst.partials[local_tid] = partial
         inst.count += 1
         if inst.count == self.n_local:
-            result = yield from inter_fn(inst.partial)
+            merged = None if op is None else op.reduce_all(inst.partials)
+            result = yield from inter_fn(merged)
             gate = inst.gate
             self._retire(key, inst)
             if pb is not None and CAT_AUDIT in pb.heard:
@@ -115,7 +119,7 @@ class NodeTeam:
             yield from self.dsm_node.barrier()
             return None
 
-        yield from self.combining(key, None, None, inter)
+        yield from self.combining(key, None, None, None, inter)
 
     def first_arriver(self, key):
         """Return True for exactly the first thread to reach *key*; the

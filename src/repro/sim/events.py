@@ -80,10 +80,6 @@ class Event:
             raise SimulationError(f"event {self!r} has no value yet")
         return self._value
 
-    @property
-    def defused(self) -> bool:
-        return self._defused
-
     def defuse(self) -> None:
         """Mark a failure as handled so the kernel does not crash on it."""
         self._defused = True

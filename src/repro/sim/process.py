@@ -41,10 +41,6 @@ class Process(Event):
         sim.schedule(init, delay=0.0, priority=URGENT)
         init.add_callback(self._start)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupted` into the process at the current time.
 

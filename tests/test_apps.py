@@ -47,15 +47,26 @@ _EP_SIZES = st.sampled_from(
 
 
 @settings(max_examples=25, deadline=None)
-@given(first=st.integers(0, 1 << 40), n=_EP_SIZES, seed=st.integers(1, MOD - 1))
+@given(
+    first=st.integers(0, 1 << 40),
+    n=_EP_SIZES,
+    seed=st.integers(0, MOD // 2 - 1).map(lambda k: 2 * k + 1),
+)
 def test_ep_segment_is_bit_identical_to_reference(first, n, seed):
     """The one-pass kernels change no bit: sums compared as ``float.hex``,
-    counts as bytes, for odd sizes and offsets and any seed."""
+    counts as bytes, for odd sizes and offsets and any odd seed."""
     got = ep.ep_segment(first, n, seed)
     sx, sy, counts = _reference_segment(first, n, seed)
     assert (got.sx.hex(), got.sy.hex()) == (sx.hex(), sy.hex())
     assert got.counts.tobytes() == counts.tobytes()
     assert got.n_pairs == n
+
+
+@pytest.mark.parametrize("seed", [2, 1 << 45])
+def test_ep_segment_rejects_an_even_seed(seed):
+    """2**45 is the seed whose stream is constant 0.5: every pair is (0, 0)."""
+    with pytest.raises(ValueError, match="odd seed"):
+        ep.ep_segment(0, 1, seed)
 
 
 @pytest.mark.slow

@@ -130,7 +130,7 @@ def test_clean_plan_matches_no_chaos_run_exactly(baseline):
 
 
 # ----------------------------------------------------------------------
-# known wrong answer: reductions under sdsm sum in lock-grant order
+# reductions under sdsm fold in thread order, whatever the lock-grant order
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def cg_sdsm_fault_free():
@@ -149,13 +149,6 @@ def _cg_sdsm_record(plan, seed):
     return rec
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 6: the conventional (sdsm) translation adds each "
-    "thread's partial into one shared scalar under the distributed lock, so "
-    "the sum follows the lock-grant order, which faults change",
-)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_cg_sdsm_under_lossy_mix_keeps_the_fault_free_value(seed, cg_sdsm_fault_free):
     rec = _cg_sdsm_record("lossy-mix", seed)

@@ -207,3 +207,23 @@ def test_cluster_stats_shape():
     stats = cluster.stats()
     for key in ("virtual_time", "total_messages", "total_bytes", "events_processed"):
         assert key in stats
+
+
+def test_every_cluster_config_field_is_read():
+    """A ``ClusterConfig`` field is part of the hardware model only if the
+    model reads it somewhere outside ``config.py``: a cost declared and
+    never charged models nothing (as ``DsmConfig``'s fields are held to
+    in ``test_scale_out.py``)."""
+    import dataclasses
+    import pathlib
+    import re
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    src = "\n".join(
+        p.read_text() for p in sorted(root.rglob("*.py"))
+        if p.name != "config.py" or p.parent.name != "cluster"
+    )
+    for f in dataclasses.fields(ClusterConfig):
+        assert re.search(rf"\b\w*(config|cc)\.{f.name}\b", src), (
+            f"ClusterConfig.{f.name} is read nowhere under src/repro"
+        )
