@@ -85,7 +85,10 @@ class DsmConfig:
         return _replace(self, **kw)
 
     def accelerated(self) -> "DsmConfig":
-        """This config with both protocol accelerators enabled."""
+        """This config with both protocol accelerators enabled.  From 8 nodes
+        up it makes CG slower: the update push lands READ_ONLY copies on
+        pages their receivers then write (docs/PERFORMANCE.md "Protocol
+        optimizations"; the protocol fix is open)."""
         return self.replace(batch_notices=True, adaptive_migration=True)
 
     def hierarchical(self, fanin: int = 4) -> "DsmConfig":

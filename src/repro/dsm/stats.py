@@ -63,8 +63,8 @@ class DsmNodeStats:
                                   (``dsm.page/push-apply``)
     barrier_arrivals_rx   count   barrier arrival frames received from     scale-out ablations
                                   *other* nodes: n-1 per epoch at a flat   (docs/PERFORMANCE.md
-                                  master, <= fan-in per epoch per tree     "Scaling")
-                                  node with ``barrier_fanin`` on
+                                  master, <= fan-in per epoch per tree     "Scaling past
+                                  node with ``barrier_fanin`` on           eight nodes")
                                   (``dsm.barrier`` arrive/relay receipt)
     barrier_relays        count   tree frames this node relayed as an      scale-out ablations
                                   interior node: subtree aggregates

@@ -299,19 +299,21 @@ class ParadeThreadCtx(ThreadCtx):
 
     def reduce_into_many(self, pairs, op: ReduceOp = SUM):
         """§4.2: the partials merge into one structure-type value for the
-        node's combine and a single ``MPI_Allreduce``."""
+        node's combine and a single ``MPI_Allreduce``; returns the finals."""
         merged = tuple(p if isinstance(s, SharedScalar) else tuple(p.tolist()) for s, p in pairs)
 
         def inter(part):
             totals = yield from self.team.rank_comm.allreduce(part, op=op)
+            finals = []
             for (shared, _), total in zip(pairs, totals):
                 arr = shared.array if isinstance(shared, SharedScalar) else shared
                 raw = self.array(arr).raw()
                 raw[:] = op(raw, total)
-            return totals
+                finals.append(raw)
+            return np.hstack(finals)  # a copy, in *pairs* order
 
-        yield from self.team.combining(
-            self._key("redm"), self.local_tid, merged, op, inter)
+        return (yield from self.team.combining(
+            self._key("redm"), self.local_tid, merged, op, inter))
 
     def reduce_value(self, partial, op: ReduceOp = SUM):
         """Intra-node combine + one ``MPI_Allreduce``."""

@@ -57,14 +57,12 @@ class ParadeRuntime:
     dsm_config : protocol preset; defaults to PARADE_DSM or KDSM_BASELINE
         according to *mode*
     protocol_accel : turn on the protocol accelerator — write-notice/diff
-        batching and adaptive home migration with update push — on top
-        of whatever *dsm_config* resolves to (see
-        :meth:`DsmConfig.accelerated` and docs/PERFORMANCE.md)
+        batching and adaptive home migration with update push — on top of
+        whatever *dsm_config* resolves to (:meth:`DsmConfig.accelerated`)
     hierarchical : turn on hierarchical synchronization — fan-in-4 tree
         barrier with in-tree write-notice merging — on top of whatever
-        *dsm_config* resolves to (see
-        :meth:`DsmConfig.hierarchical` and docs/PERFORMANCE.md "Scaling");
-        composes with *protocol_accel*
+        *dsm_config* resolves to (docs/PERFORMANCE.md "Scaling past eight
+        nodes"); composes with *protocol_accel*
     cluster_config : hardware model override (interconnect, speeds, costs)
     sanitize : attach the happens-before sanitizer; the attached instance
         is available as :attr:`sanitizer`

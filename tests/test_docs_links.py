@@ -350,3 +350,127 @@ def test_experiments_tables_match_their_csvs():
         checked[name] = len(body) * len(header[1:])
     figure_cells = sum(n for name, n in checked.items() if name.startswith("fig"))
     assert (figure_cells, checked["sec5.1.csv"]) == (64, 10)
+
+
+# ------------------------------------------------- section citations
+#: files whose section citations (a markdown file name, then a quoted
+#: heading) must name a heading of that file; benchmarks/hostbench/ is
+#: the benchmark's own tree and cites none
+CITING_FILES = sorted(
+    p for top in ("src", "tests", "benchmarks", "docs")
+    for p in (REPO / top).rglob("*")
+    if p.suffix in (".py", ".md") and "hostbench" not in p.relative_to(REPO).parts
+) + [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+     REPO / ".claude/skills/verify/SKILL.md"]
+
+#: a markdown file name, optionally as a ``[`X.md`](X.md)`` link, then a
+#: quoted heading, after comment markers and line breaks are folded away
+_CITATION_RE = re.compile(
+    r'([\w/.\-]*?\b[A-Z][A-Z_]*\.md)`?(?:\]\([^)\s]*\))?,? \(?"([^"]+)"'
+)
+
+
+def _citations(path: Path):
+    """(file name, heading) for every section citation in *path*."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".py":
+        text = re.sub(r"(?m)^[ \t]*#:?[ \t]?", " ", text)
+    return _CITATION_RE.findall(re.sub(r"\s+", " ", text))
+
+
+def _headings(md: Path):
+    """The ``#``-headings of *md*, outside fenced code blocks."""
+    text = _BLOCK_RE.sub("", md.read_text(encoding="utf-8"))
+    return {
+        line.lstrip("#").strip()
+        for line in text.splitlines() if re.match(r"#{1,6} ", line)
+    }
+
+
+def test_section_citations_resolve():
+    """A cited section exists, named exactly: ``docs/PERFORMANCE.md
+    "Flag ledger"`` from anywhere, ``ARCHITECTURE.md "The probe bus"``
+    beside it in docs/."""
+    bad, found = [], 0
+    for path in CITING_FILES:
+        for name, heading in _citations(path):
+            target = next(
+                (c for c in (path.parent / name, REPO / name, REPO / "docs" / name)
+                 if c.is_file()), None,
+            )
+            found += 1
+            if target is None or heading not in _headings(target):
+                bad.append(f'{path.relative_to(REPO)}: {name} "{heading}"')
+    assert found >= 40
+    assert not bad, f"citations of sections that do not exist: {bad}"
+
+
+# ------------------------------------------------------ line budgets
+#: lines per docs/ file: PERFORMANCE.md and the whole of docs/ have fixed
+#: ceilings, every other guide the length it was rewritten to
+DOC_LINE_CEILINGS = {
+    "ARCHITECTURE.md": 206,
+    "FLEET.md": 123,
+    "METRICS.md": 128,
+    "PERFORMANCE.md": 600,
+    "PROFILING.md": 118,
+    "README.md": 87,
+    "RELIABILITY.md": 128,
+    "SANITIZER.md": 98,
+    "TRACING.md": 149,
+}
+DOCS_LINE_CEILING = 1600
+
+
+def test_docs_fit_their_line_budgets():
+    lines = {
+        md.name: len(md.read_text(encoding="utf-8").splitlines())
+        for md in (REPO / "docs").glob("*.md")
+    }
+    assert set(lines) == set(DOC_LINE_CEILINGS), "a guide without a line budget"
+    over = {name: n for name, n in lines.items() if n > DOC_LINE_CEILINGS[name]}
+    assert not over, f"over budget: {over} (ceilings {DOC_LINE_CEILINGS})"
+    assert sum(lines.values()) <= DOCS_LINE_CEILING
+
+
+# ------------------------------------------- config and spec attributes
+_ATTR_RE = re.compile(r"\b(DsmConfig|RunSpec)\.(\w+)")
+
+
+def test_documented_config_and_spec_attributes_exist():
+    """Every ```DsmConfig.<name>``` / ```RunSpec.<name>``` span in the docs
+    names a field or attribute the class has."""
+    import dataclasses
+
+    from repro.dsm.config import DsmConfig
+    from repro.fleet import RunSpec
+
+    classes = {"DsmConfig": DsmConfig, "RunSpec": RunSpec}
+    stale, found = [], 0
+    for md in [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"] + sorted(
+        (REPO / "docs").glob("*.md")
+    ):
+        for span in _CODE_SPAN.findall(md.read_text(encoding="utf-8")):
+            for cls, name in _ATTR_RE.findall(span):
+                found += 1
+                fields = {f.name for f in dataclasses.fields(classes[cls])}
+                if name not in fields and not hasattr(classes[cls], name):
+                    stale.append(f"{md.name}: {cls}.{name}")
+    assert found >= 5
+    assert not stale, f"documented attributes that do not exist: {stale}"
+
+
+# ------------------------------------------------ EXPERIMENTS verdicts
+_VERDICT_RE = re.compile(r"\*\*(?:Measured:\s+)?(?:partially\s+)?[Rr]eproduced[^*]*\*\*")
+_ASSERTION_RE = re.compile(r"`benchmarks/bench_\w+\.py::test_\w+`")
+
+
+def test_every_verdict_names_its_assertion():
+    """Each verdict paragraph of EXPERIMENTS.md cites the benchmark
+    assertion it rests on (``test_cited_test_paths_exist`` checks that
+    the function exists)."""
+    paragraphs = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8").split("\n\n")
+    verdicts = [p for p in paragraphs if _VERDICT_RE.search(p)]
+    assert len(verdicts) == 8
+    bare = [p.split("\n")[0] for p in verdicts if not _ASSERTION_RE.search(p)]
+    assert not bare, f"verdicts that name no assertion: {bare}"

@@ -95,6 +95,33 @@ def test_every_reduction_folds_in_thread_order(mode, n_nodes, plan):
     ]
 
 
+@pytest.mark.parametrize("mode", ["parade", "sdsm"])
+def test_reduce_into_many_returns_the_finals_in_pairs_order(mode):
+    """Both translations return the clause's finals as one flat float64
+    vector, in *pairs* order: the shared values read after the clause."""
+    rt = ParadeRuntime(n_nodes=2, mode=mode, pool_bytes=1 << 20)
+    seen = []
+
+    def program(ctx):
+        y = ctx.shared_scalar("y")
+        q = ctx.shared_array("q", (3,))
+
+        def body(tc, y, q):
+            p = float(tc.tid + 1)
+            got = yield from tc.reduce_into_many(((y, p), (q, np.array([p, -p, 2 * p]))))
+            fy = yield from tc.scalar(y).get()
+            fq = yield from tc.array(q).get()
+            seen.append((got, np.hstack([fy, fq])))
+
+        yield from ctx.parallel(body, y, q, threads_per_node=2)
+
+    rt.run(program)
+    assert len(seen) == 4
+    for got, read in seen:
+        assert got.dtype == np.float64 and got.tobytes() == read.tobytes()
+    assert seen[0][0].tolist() == [10.0, 10.0, -10.0, 20.0]
+
+
 # The conventional clause's price at 4 nodes, registered sizes, 2Thread-2CPU:
 # one lock hold per thread per clause and at most 2 barrier epochs (EP's
 # one clause: region start + 2 + region end).
